@@ -22,7 +22,7 @@ from .duality import dual
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
 from .feasibility import FeasibilityReport, is_feasible
 from .maximality import MaximalityReport, is_maximal
-from .protocols import claimed_guarantee, parse_protocol, verify_safe_strategy, worst_case_guarantee
+from .protocols import parse_protocol, verify_safe_strategy, worst_case_guarantee
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1

@@ -283,21 +283,16 @@ def _chain_layouts(p: int, ks: tuple[int, ...]) -> list[tuple[int, ...]]:
         prev = k
     sizes.append(p - prev)
 
-    layouts: list[tuple[int, ...]] = []
-
-    def rec(remaining: tuple[int, ...], depth: int, acc: tuple[int, ...]) -> None:
-        if depth == len(sizes):
-            layouts.append(acc)
-            return
-        size = sizes[depth]
-        if depth == len(sizes) - 1:
-            layouts.append(acc + tuple(sorted(remaining)))
-            return
-        for block in itertools.combinations(sorted(remaining), size):
-            rest = tuple(a for a in remaining if a not in set(block))
-            rec(rest, depth + 1, acc + block)
-
-    rec(tuple(range(1, p + 1)), 0, ())
+    # Extend every partial layout by one block at a time, in lexicographic
+    # order; the last block takes whatever remains.
+    partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), tuple(range(1, p + 1)))]
+    for size in sizes[:-1]:
+        partial = [
+            (acc + block, tuple(a for a in remaining if a not in block))
+            for acc, remaining in partial
+            for block in itertools.combinations(remaining, size)
+        ]
+    layouts = [acc + remaining for acc, remaining in partial]
 
     def overlap(layout: tuple[int, ...]) -> int:
         score = 0

@@ -1,8 +1,24 @@
 """Exact rational linear programming with verifiable certificates.
 
-A dense two-phase simplex over `fractions.Fraction` with Bland's pivot rule,
-so every run terminates and is deterministic for a given input.  Variables
-are nonnegative; other bounds are expressed as explicit constraint rows.
+A dense two-phase simplex with Bland's pivot rule, so every run terminates
+and is deterministic for a given input.  Variables are nonnegative; other
+bounds are expressed as explicit constraint rows.
+
+The tableau is integer: each row is a list of ints plus one positive
+denominator, kept divided by the gcd of both after every pivot, and the
+cost row is stored the same way.  A pivot divides the pivot row by its
+pivot element, which cancels that row's denominator, and eliminates the
+column from every other row with integer products.  A row's gcd is folded
+over its entries and stops as soon as it reaches 1, where `Fraction`
+arithmetic takes a gcd on every operation.  `Fraction` values are made only
+at the boundary: the primal point and the reduced costs read off for a
+certificate.  Every choice the simplex makes is the one a tableau of
+`Fraction` entries would make, because each depends only on a sign or on a
+comparison of two exact ratios: Bland's rule enters the first column whose
+cost numerator is negative, and the ratio test compares ``rhs_i / a_i``
+across rows by cross-multiplying integers, in which the row denominators
+cancel, with ties broken on the basis index.  The pivot sequence, and so
+the primal point and the certificate, are those of a `Fraction` tableau.
 
 Results are treated as proofs downstream: optimal solutions are re-checked
 against every constraint before being returned, and infeasible programs
@@ -17,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .lottery import RationalLike, as_fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE = "<="
 EQ = "="
@@ -68,16 +84,6 @@ class LinearProgram:
         for row in self.constraints:
             if len(row.coeffs) != self.num_vars:
                 raise ValueError("constraint length does not match variable count")
-
-    def dump(self) -> str:
-        """Plain-text rendering for external cross-checking."""
-        sense = "max" if self.maximize else "min"
-        lines = [f"{sense} " + " + ".join(f"{c}*x{j}" for j, c in enumerate(self.objective))]
-        for row in self.constraints:
-            lhs = " + ".join(f"{c}*x{j}" for j, c in enumerate(row.coeffs) if c != 0) or "0"
-            lines.append(f"  {lhs} {row.rel} {row.rhs}")
-        lines.append("  x >= 0")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -133,56 +139,111 @@ def verify_infeasibility(lp: LinearProgram, certificate: Sequence[Fraction]) -> 
     return all(c >= 0 for c in combined) and total < 0
 
 
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide `row` and its positive denominator `den` by their common gcd."""
+    g = den
+    for v in row:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return row, den
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers over one positive common denominator, equal to `values`."""
+    den = 1
+    for v in values:
+        d = v.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(row: list[int], den: int, prow: list[int], pden: int, col: int) -> tuple[list[int], int]:
+    """``row/den - (row[col]/den) * prow/pden``, where ``prow[col] == pden``."""
+    g = gcd(row[col], pden)
+    a = row[col] // g
+    s = pden // g
+    return _reduce([s * v - a * pv for v, pv in zip(row, prow)], den * s)
+
+
 class _Tableau:
-    """Dense simplex tableau; rows are [coeffs..., rhs], plus a cost row."""
+    """Dense simplex tableau over the integers.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
+    last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
+    denominator is positive and each row is kept divided by its gcd.
+    """
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
         self.rows = rows
+        self.dens = dens
         self.basis = basis
+        self.cost: list[int] = []
+        self.cost_den = 1
 
-    def pivot(self, row_idx: int, col: int, cost: list[Fraction]) -> None:
+    def set_cost(self, cost: list[int], den: int) -> None:
+        """Install the cost row ``cost / den``, priced out against the basis."""
+        for row, row_den, b in zip(self.rows, self.dens, self.basis):
+            if cost[b]:
+                cost, den = _eliminate(cost, den, row, row_den, b)
+        self.cost = cost
+        self.cost_den = den
+
+    def pivot(self, row_idx: int, col: int) -> None:
         rows = self.rows
+        dens = self.dens
+        # Dividing the pivot row by its pivot element cancels its denominator.
         prow = rows[row_idx]
-        inv = ONE / prow[col]
-        if inv != 1:
-            rows[row_idx] = prow = [v * inv for v in prow]
+        pden = prow[col]
+        if pden < 0:
+            prow = [-v for v in prow]
+            pden = -pden
+        prow, pden = _reduce(prow, pden)
+        rows[row_idx] = prow
+        dens[row_idx] = pden
         for i, row in enumerate(rows):
-            if i == row_idx:
-                continue
-            factor = row[col]
-            if factor != 0:
-                rows[i] = [v - factor * pv for v, pv in zip(row, prow)]
-        factor = cost[col]
-        if factor != 0:
-            cost[:] = [v - factor * pv for v, pv in zip(cost, prow)]
+            if i != row_idx and row[col]:
+                rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, col)
+        if self.cost[col]:
+            self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, prow, pden, col)
         self.basis[row_idx] = col
 
-    def run(self, cost: list[Fraction], blocked: frozenset[int]) -> str:
-        """Minimize until optimal or unbounded; Bland's rule throughout."""
+    def run(self, ncols: int) -> str:
+        """Minimize until optimal or unbounded; Bland's rule over the first `ncols` columns."""
         rows = self.rows
-        ncols = len(cost) - 1
+        basis = self.basis
         while True:
+            cost = self.cost
             enter = -1
             for j in range(ncols):
-                if j not in blocked and cost[j] < 0:
+                if cost[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
+            # Ratio test: rhs_i / a_i over rows with a_i > 0.  Both values
+            # share the row's denominator, so it cancels from the ratio.
             leave = -1
-            best: Fraction | None = None
+            best_rhs = best_a = 0
             for i, row in enumerate(rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    rhs = row[-1]
+                    if leave >= 0:
+                        lhs_cross = rhs * best_a
+                        rhs_cross = best_rhs * a
+                        if lhs_cross > rhs_cross or (lhs_cross == rhs_cross and basis[i] > basis[leave]):
+                            continue
+                    leave = i
+                    best_rhs = rhs
+                    best_a = a
             if leave < 0:
                 return UNBOUNDED
-            self.pivot(leave, enter, cost)
+            self.pivot(leave, enter)
 
 
 def solve(lp: LinearProgram) -> LPResult:
@@ -191,85 +252,65 @@ def solve(lp: LinearProgram) -> LPResult:
     m = len(lp.constraints)
 
     # Normalize to rhs >= 0, remembering per-row sign flips.
-    norm_coeffs: list[tuple[Fraction, ...]] = []
     norm_rel: list[str] = []
-    norm_rhs: list[Fraction] = []
     flipped: list[bool] = []
     for row in lp.constraints:
-        if row.rhs < 0:
-            norm_coeffs.append(tuple(-c for c in row.coeffs))
-            norm_rhs.append(-row.rhs)
-            norm_rel.append({LE: GE, GE: LE, EQ: EQ}[row.rel])
-            flipped.append(True)
-        else:
-            norm_coeffs.append(row.coeffs)
-            norm_rhs.append(row.rhs)
-            norm_rel.append(row.rel)
-            flipped.append(False)
+        flip = row.rhs < 0
+        flipped.append(flip)
+        norm_rel.append({LE: GE, GE: LE, EQ: EQ}[row.rel] if flip else row.rel)
 
-    n_slack = sum(1 for r in norm_rel if r == LE)
-    n_surplus = sum(1 for r in norm_rel if r == GE)
-    n_art = sum(1 for r in norm_rel if r in (GE, EQ))
+    n_slack = norm_rel.count(LE)
+    n_surplus = norm_rel.count(GE)
     slack0 = nv
     surplus0 = nv + n_slack
     art0 = nv + n_slack + n_surplus
-    ncols = art0 + n_art
+    ncols = art0 + m - n_slack
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
     unit_col: list[int] = []  # column whose reduced cost encodes this row's dual
     si = slack0
     ui = surplus0
     ai = art0
-    for i in range(m):
-        row = [ZERO] * (ncols + 1)
-        for j, c in enumerate(norm_coeffs[i]):
-            row[j] = c
-        row[-1] = norm_rhs[i]
+    pad = [0] * (ncols - nv)
+    for i, con in enumerate(lp.constraints):
+        ints, den = _scaled(con.coeffs + (con.rhs,))
+        if flipped[i]:
+            ints = [-v for v in ints]
+        row = ints[:nv] + pad
+        row.append(ints[-1])
         rel = norm_rel[i]
         if rel == LE:
-            row[si] = ONE
+            row[si] = den
             basis.append(si)
-            unit_col.append(si)
             si += 1
-        elif rel == GE:
-            row[ui] = -ONE
-            ui += 1
-            row[ai] = ONE
-            basis.append(ai)
-            unit_col.append(ai)
-            ai += 1
         else:
-            row[ai] = ONE
+            if rel == GE:
+                row[ui] = -den
+                ui += 1
+            row[ai] = den
             basis.append(ai)
-            unit_col.append(ai)
             ai += 1
+        unit_col.append(basis[-1])
         rows.append(row)
+        dens.append(den)
 
-    tab = _Tableau(rows, basis)
+    tab = _Tableau(rows, dens, basis)
 
     # Phase 1: minimize the sum of artificial variables.
-    art_cols = frozenset(range(art0, ncols))
-    cost1 = [ZERO] * (ncols + 1)
-    for j in art_cols:
-        cost1[j] = ONE
-    for i, b in enumerate(basis):
-        if b in art_cols:
-            cost1 = [c - r for c, r in zip(cost1, rows[i])]
-    status = tab.run(cost1, blocked=frozenset())
+    tab.set_cost([0] * art0 + [1] * (ncols - art0) + [0], 1)
+    status = tab.run(ncols)
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
-    w = -cost1[-1]
 
-    if w > 0:
+    if tab.cost[-1] < 0:
         # Infeasible; read the dual off the cost row and map back to the
         # original row order and orientations.
         cert: list[Fraction] = []
         for i in range(m):
             col = unit_col[i]
-            red = cost1[col]
-            pi = (ONE - red) if col >= art0 else -red
-            y = -pi
-            cert.append(-y if flipped[i] else y)
+            y = tab.cost[col] - (tab.cost_den if col >= art0 else 0)
+            cert.append(Fraction(-y if flipped[i] else y, tab.cost_den))
         result = LPResult(status=INFEASIBLE, certificate=tuple(cert))
         assert verify_infeasibility(lp, result.certificate), "bad Farkas certificate"
         return result
@@ -277,37 +318,30 @@ def solve(lp: LinearProgram) -> LPResult:
     # Drive any zero-valued artificial out of the basis, dropping redundant rows.
     drop: list[int] = []
     for i in range(m):
-        if tab.basis[i] in art_cols:
-            pivot_col = -1
-            for j in range(art0):
-                if tab.rows[i][j] != 0:
-                    pivot_col = j
-                    break
+        if tab.basis[i] >= art0:
+            row = tab.rows[i]
+            pivot_col = next((j for j in range(art0) if row[j]), -1)
             if pivot_col >= 0:
-                tab.pivot(i, pivot_col, cost1)
+                tab.pivot(i, pivot_col)
             else:
                 drop.append(i)
-    if drop:
-        for i in reversed(drop):
-            del tab.rows[i]
-            del tab.basis[i]
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.dens[i]
+        del tab.basis[i]
 
     # Phase 2 on the original objective (as minimization).
+    ints, den = _scaled(lp.objective)
     sense = -1 if lp.maximize else 1
-    cost2 = [ZERO] * (ncols + 1)
-    for j in range(nv):
-        cost2[j] = sense * lp.objective[j]
-    for i, b in enumerate(tab.basis):
-        if cost2[b] != 0:
-            cost2 = [c - cost2[b] * r for c, r in zip(cost2, tab.rows[i])]
-    status = tab.run(cost2, blocked=art_cols)
+    tab.set_cost([sense * v for v in ints] + [0] * (ncols - nv + 1), den)
+    status = tab.run(art0)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
 
     x = [ZERO] * nv
     for i, b in enumerate(tab.basis):
         if b < nv:
-            x[b] = tab.rows[i][-1]
+            x[b] = Fraction(tab.rows[i][-1], tab.dens[i])
     value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
     result = LPResult(status=OPTIMAL, primal=tuple(x), objective_value=value)
     assert verify_optimal(lp, result), "optimal solution failed re-verification"

@@ -212,6 +212,24 @@ class TestSystemScan:
             program = implement_program(lam, report.witness_profile)
             assert verify_infeasibility(program, report.witness_certificate)
 
+    def test_scan_chunk_leaves_no_reference_cycles(self):
+        # A cycle would keep the chunk's layout list alive until the
+        # cyclic collector happens to run.
+        import gc
+
+        import worstvote.feasibility as feas
+
+        lam = vt(3, 5)
+        ks = active_ranks(lam)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = feas._scan_chunk((lam.probs, 3, ks, 0, feas.chain_count(5, ks), None, None))
+            assert outcome["status"] == "feasible"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_scan_agrees_with_profile_bruteforce(self):
         import itertools
 
