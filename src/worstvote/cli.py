@@ -76,7 +76,6 @@ def _feasibility_json(rep: FeasibilityReport) -> dict:
         "cuts": list(rep.cuts_used),
         "method": rep.method,
         "mixture": [[str(w), lam.text()] for w, lam in rep.mixture] or None,
-        "witness_deterministic": rep.witness_deterministic,
         "runtime_ms": rep.runtime_ms,
     }
 

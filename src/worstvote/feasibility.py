@@ -11,9 +11,12 @@ hard part.  Three reductions keep it tractable:
   ranks.  Profiles collapse into far fewer "tail systems".
 * Tail systems are enumerated up to symmetry: outcome relabeling pins agent
   1's tails to the canonical chain, agent exchange sorts the rest.
-* Most systems are certified by reusing a recently found implementing
-  lottery (an exact check, no LP); the LP runs only on misses, and its
-  solution joins the reuse pool.
+* Most systems are certified by an implementing lottery found earlier in
+  the scan, with no LP.  Each chain layout keeps a bitmask of the pool
+  lotteries that meet its tail caps (an exact integer check, made once per
+  lottery), and a system is certified exactly when the AND of its layouts'
+  masks is nonzero.  The LP runs only on the other systems, and its
+  solution becomes the next bit.
 
 Fast verdicts come first: domination by the uniform lottery or by a mixture
 of already-verified guarantees proves feasibility outright (any lottery
@@ -27,8 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -45,13 +48,20 @@ from .lp import (
     solve,
 )
 from .library import hard_profiles, tails_profile, tiling_profile, tops_profile
-from .profiles import OutcomeLottery, Preference, Profile, identity_preference, reversal_profile
+from .profiles import OutcomeLottery, Preference, Profile, reversal_profile
 
 FEASIBLE = "feasible"
 UNDECIDED = "undecided"
 
-_POOL_LIMIT = 24
 _MAX_CHAINS = 200_000
+# A scan costs about the same per run of systems that share all but the last
+# agent's layout, however long the run: `_scan_chunk` tests a run with a few
+# bitmask operations.  Scans of fewer runs than this stay one in-process
+# chunk even when jobs > 1, because every pool chunk rebuilds the layouts
+# and rediscovers its own implementing lotteries, which below the switch
+# costs more than the extra cores save (crossover measured at 2 cores; see
+# CHANGES.md).
+_POOL_SWITCH = 100_000
 
 UtilityVector = tuple[Fraction, ...]
 
@@ -323,36 +333,6 @@ def system_count(lam: RankLottery, n: int) -> int:
     return math.comb(c + n - 2, n - 1) if n >= 2 else 1
 
 
-class _Pool:
-    """Recently successful implementing lotteries, held as scaled integers."""
-
-    def __init__(self, caps: Sequence[Fraction]):
-        self.caps = tuple(caps)
-        self.scale = math.lcm(*(c.denominator for c in caps)) if caps else 1
-        self.thresholds = [int(c * self.scale) for c in caps]
-        self.vecs: list[list[int]] = []
-        self.fractions: list[tuple[Fraction, ...]] = []
-
-    def add(self, mass: Sequence[Fraction]) -> None:
-        denom = math.lcm(*(x.denominator for x in mass))
-        new_scale = math.lcm(self.scale, denom)
-        if new_scale != self.scale:
-            factor = new_scale // self.scale
-            self.thresholds = [t * factor for t in self.thresholds]
-            self.vecs = [[v * factor for v in vec] for vec in self.vecs]
-            self.scale = new_scale
-        self.vecs.insert(0, [int(x * self.scale) for x in mass])
-        self.fractions.insert(0, tuple(mass))
-        if len(self.vecs) > _POOL_LIMIT:
-            self.vecs.pop()
-            self.fractions.pop()
-
-    def promote(self, idx: int) -> None:
-        if idx > 0:
-            self.vecs.insert(0, self.vecs.pop(idx))
-            self.fractions.insert(0, self.fractions.pop(idx))
-
-
 def _system_program(
     p: int, ks: tuple[int, ...], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
 ) -> LinearProgram:
@@ -366,85 +346,144 @@ def _system_program(
     return feasibility_program(p, rows)
 
 
-def _satisfies(vec: list[int], thresholds: list[int], layout: tuple[int, ...], ks: tuple[int, ...]) -> bool:
-    s = 0
-    idx = 0
-    for pos, t in zip(ks, thresholds):
-        while idx < pos:
-            s += vec[layout[idx] - 1]
-            idx += 1
-        if s > t:
-            return False
-    return True
+def _tail_groups(
+    layouts: Sequence[tuple[int, ...]], ks: tuple[int, ...]
+) -> list[list[tuple[tuple[int, ...], int]]]:
+    """For each active rank k, every distinct k-tail of the layouts (as
+    0-based outcomes) with the bitmask of the layouts whose tail it is."""
+    groups = []
+    for k in ks:
+        members: dict[frozenset[int], list[int]] = {}
+        for i, layout in enumerate(layouts):
+            members.setdefault(frozenset(layout[:k]), []).append(i)
+        groups.append(
+            [(tuple(a - 1 for a in tail), sum(1 << i for i in idx)) for tail, idx in members.items()]
+        )
+    return groups
 
 
-def _iter_systems(count: int, agents: int, lo: int, hi: int):
-    if agents == 0:
-        if lo == 0:
-            yield ()
-        return
+def _add_to_pool(
+    masks: list[int],
+    covers: list[int],
+    mass: Sequence[Fraction],
+    caps: Sequence[Fraction],
+    groups: list[list[tuple[tuple[int, ...], int]]],
+) -> None:
+    """Make `mass` pool lottery b = len(covers): set bit b in the mask of
+    every layout whose tail caps `mass` meets, and append the bitmask of
+    those layouts to `covers`.
+
+    Exact: each distinct tail's mass is compared with its cap as integers
+    at a common scale, and a layout meets the caps when all its tails do.
+    """
+    scale = math.lcm(*(x.denominator for x in (*mass, *caps)))
+    vec = [x.numerator * (scale // x.denominator) for x in mass]
+    meets = -1
+    for cap, tails in zip(caps, groups):
+        bound = cap.numerator * (scale // cap.denominator)
+        ok = 0
+        for tail, members in tails:
+            if sum(map(vec.__getitem__, tail)) <= bound:
+                ok |= members
+        meets &= ok
+    bit = 1 << len(covers)
+    covers.append(meets)
+    for i in _set_bits(meets):
+        masks[i] |= bit
+
+
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of `x` >= 0, lowest first."""
+    return [i for i, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
+
+
+def _heads(count: int, agents: int, lo: int, hi: int):
+    """All but the last layout index of each system whose first index lies
+    in [lo, hi), in enumeration order; the last index runs from head[-1]."""
     for i in range(lo, hi):
-        if agents == 1:
-            yield (i,)
-        else:
-            for rest in itertools.combinations_with_replacement(range(i, count), agents - 1):
-                yield (i,) + rest
+        if agents == 2:
+            yield (i,)  # spares combinations_with_replacement copying the range
+            continue
+        for rest in itertools.combinations_with_replacement(range(i, count), agents - 2):
+            yield (i, *rest)
 
 
 def _scan_chunk(payload: tuple) -> dict:
-    """Scan one slice of the tail-system space; used directly and by workers."""
+    """Scan one slice of the tail-system space (n >= 3), in enumeration order.
+
+    The pool holds every implementing lottery found so far; bit b of
+    `masks[i]` is set when pool lottery b meets layout i's tail caps.  Every
+    pool lottery meets the canonical chain, so a system is certified exactly
+    when the AND of its other agents' masks is nonzero.  The LP runs only
+    where it is zero; its solution is checked once against every layout and
+    becomes the next bit.  `covers[b]` is the bitmask of the layouts pool
+    lottery b meets, so a run of systems sharing a head is tested at once:
+    its certified last layouts are the union of the covers of the bits
+    common to the head.  The pool certifies no LP-infeasible system, so the
+    scan stops at the slice's first infeasible system.  `limit` caps the
+    systems visited; `deadline` is checked once per run.
+    """
     probs, n, ks, lo, hi, limit, deadline = payload
     lam = RankLottery(probs)
     p = lam.p
     cum = lam.cumulative()
     caps = [cum[k - 1] for k in ks]
     layouts = _chain_layouts(p, ks)
+    count = len(layouts)
     identity = tuple(range(1, p + 1))
 
-    pool = _Pool(caps)
-    pool.add(probs)  # mass lam_k on outcome k always satisfies the canonical chain
+    groups = _tail_groups(layouts, ks)
+    masks = [0] * count
+    covers: list[int] = []
+    # mass lam_k on outcome k always meets the canonical chain
+    _add_to_pool(masks, covers, probs, caps, groups)
     if all(Fraction(k, p) <= cap for k, cap in zip(ks, caps)):
-        pool.add((Fraction(1, p),) * p)
+        _add_to_pool(masks, covers, (Fraction(1, p),) * p, caps, groups)
 
     checked = 0
-    for combo in _iter_systems(len(layouts), n - 1, lo, hi):
-        if limit is not None and checked >= limit:
+    for head in _heads(count, n - 1, lo, hi):
+        if deadline is not None and time.monotonic() > deadline:
             return {"status": "limited", "checked": checked}
-        if deadline is not None and checked % 1024 == 0 and time.monotonic() > deadline:
+        common = masks[head[0]]
+        for i in head[1:]:
+            common &= masks[i]
+        covered = 0
+        for b in _set_bits(common):
+            covered |= covers[b]
+        j = head[-1]
+        stop = count if limit is None else min(count, j + limit - checked)
+        if j == stop:
             return {"status": "limited", "checked": checked}
-        checked += 1
-        others = [layouts[i] for i in combo]
-        hit = -1
-        for ci, vec in enumerate(pool.vecs):
-            ok = True
-            for layout in others:
-                if not _satisfies(vec, pool.thresholds, layout, ks):
-                    ok = False
-                    break
-            if ok:
-                hit = ci
+        while True:
+            free = ~covered >> j
+            miss = min(stop, j + (free & -free).bit_length() - 1)
+            checked += miss - j
+            if miss == stop:
                 break
-        if hit >= 0:
-            pool.promote(hit)
-            continue
-        program = _system_program(p, ks, caps, [identity, *others])
-        result = solve(program)
-        if result.status == INFEASIBLE:
-            return {
-                "status": "infeasible",
-                "checked": checked,
-                "orders": [identity, *others],
-                "certificate": result.certificate,
-            }
-        pool.add(result.primal)
+            checked += 1
+            orders = [identity, *(layouts[i] for i in head), layouts[miss]]
+            result = solve(_system_program(p, ks, caps, orders))
+            if result.status == INFEASIBLE:
+                return {
+                    "status": "infeasible",
+                    "checked": checked,
+                    "orders": orders,
+                    "certificate": result.certificate,
+                }
+            _add_to_pool(masks, covers, result.primal, caps, groups)
+            covered |= covers[-1]  # the solution meets every layout of the system
+            j = miss + 1
+        if stop < count:
+            return {"status": "limited", "checked": checked}
     return {"status": "feasible", "checked": checked}
 
 
 def _chunk_ranges(count: int, agents: int, parts: int) -> list[tuple[int, int]]:
-    """Split the first-index range into contiguous slices of similar weight."""
+    """Split the first-index range into contiguous slices holding similar
+    numbers of runs (systems sharing all but the last layout)."""
     if agents <= 0 or count == 0:
         return [(0, count)]
-    weights = [math.comb(count - i + agents - 2, agents - 1) for i in range(count)]
+    weights = [math.comb(count - i + agents - 3, agents - 2) for i in range(count)]
     total = sum(weights)
     target = total / parts
     ranges = []
@@ -458,6 +497,52 @@ def _chunk_ranges(count: int, agents: int, parts: int) -> list[tuple[int, int]]:
             acc = 0
     ranges.append((lo, count))
     return [r for r in ranges if r[0] < r[1]]
+
+
+def _scan(
+    probs: tuple[Fraction, ...],
+    n: int,
+    ks: tuple[int, ...],
+    jobs: int,
+    limit: Optional[int],
+    deadline: Optional[float],
+) -> dict:
+    """Scan every tail system: one in-process chunk when `jobs` is 1,
+    otherwise 4 * jobs chunks in a process pool.
+
+    Chunk outcomes are merged in enumeration order and a limit is spent on
+    the chunks in that order, so both ways visit the same first `limit`
+    systems and report the same first infeasible system and count.
+    """
+    count = chain_count(len(probs), ks)
+    agents = n - 1
+    ranges = [(0, count)] if jobs <= 1 else _chunk_ranges(count, agents, jobs * 4)
+    payloads = []
+    for lo, hi in ranges:
+        share = None
+        if limit is not None:
+            size = math.comb(count - lo + agents - 1, agents) - math.comb(
+                count - hi + agents - 1, agents
+            )
+            share = min(size, limit)
+            limit -= share
+        payloads.append((probs, n, ks, lo, hi, share, deadline))
+    if len(payloads) == 1:
+        return _scan_chunk(payloads[0])
+
+    checked = 0
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        futures = [executor.submit(_scan_chunk, payload) for payload in payloads]
+        try:
+            for fut in futures:
+                outcome = fut.result()
+                checked += outcome["checked"]
+                if outcome["status"] != FEASIBLE:
+                    return {**outcome, "checked": checked}
+        finally:
+            for fut in futures:
+                fut.cancel()
+    return {"status": FEASIBLE, "checked": checked}
 
 
 # ----------------------------------------------------------------------------
@@ -476,7 +561,6 @@ class FeasibilityReport:
     cuts_used: tuple[str, ...] = ()
     method: str = ""
     mixture: tuple[tuple[Fraction, RankLottery], ...] = ()
-    witness_deterministic: bool = True
     runtime_ms: int = 0
 
     @property
@@ -491,15 +575,6 @@ _anchor_cache: dict[tuple[int, int], tuple[RankLottery, ...]] = {}
 def clear_caches() -> None:
     _verdict_cache.clear()
     _anchor_cache.clear()
-
-
-def _finish(report: FeasibilityReport, started: float, cache_key=None) -> FeasibilityReport:
-    out = FeasibilityReport(
-        **{**report.__dict__, "runtime_ms": int((time.perf_counter() - started) * 1000)}
-    )
-    if cache_key is not None and out.verdict != UNDECIDED:
-        _verdict_cache[cache_key] = out
-    return out
 
 
 def _hull_mixture(
@@ -566,7 +641,8 @@ def is_feasible(
     Infeasible verdicts always carry a witness profile whose implementation
     LP is infeasible, plus its Farkas certificate.  Resource limits (profile
     count, wall-clock seconds) yield the explicit verdict "undecided",
-    never a guess.
+    never a guess.  `limit_profiles` caps the implementation LPs on supplied
+    and library profiles plus the tail systems scanned, whatever `jobs` is.
     """
     started = time.perf_counter()
     if n < 1:
@@ -578,57 +654,63 @@ def is_feasible(
     if cached is not None and not limited_run:
         return cached
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    checked = 0
+    applied: tuple[str, ...] = ()
 
-    def finish(report):
-        return _finish(report, started, None if limited_run else cache_key)
+    def finish(verdict: str, method: str, **witness) -> FeasibilityReport:
+        report = FeasibilityReport(
+            verdict,
+            n,
+            p,
+            profiles_checked=checked,
+            cuts_used=applied,
+            method=method,
+            runtime_ms=int((time.perf_counter() - started) * 1000),
+            **witness,
+        )
+        if not limited_run and verdict != UNDECIDED:
+            _verdict_cache[cache_key] = report
+        return report
+
+    def first_refuting(profiles: Iterable[Profile], method: str) -> Optional[FeasibilityReport]:
+        nonlocal checked
+        for prof in profiles:
+            if limit_profiles is not None and checked >= limit_profiles:
+                return finish(UNDECIDED, "profile-limit")
+            ell, result = implement_report(lam, prof)
+            checked += 1
+            if ell is None:
+                return finish(
+                    INFEASIBLE, method, witness_profile=prof, witness_certificate=result.certificate
+                )
+        return None
 
     if n == 1:
-        return finish(FeasibilityReport(FEASIBLE, n, p, method="single-agent"))
+        return finish(FEASIBLE, "single-agent")
 
     if dominates(uniform(p), lam):
-        return finish(FeasibilityReport(FEASIBLE, n, p, method="uniform-dominates"))
+        return finish(FEASIBLE, "uniform-dominates")
 
     cuts = necessary_cuts(lam, n)
+    applied = cuts.applied
     if not cuts.passed:
         violated = cuts.violated
         assert violated is not None
         _, lp_result = implement_report(lam, violated.witness)
         assert lp_result.status == INFEASIBLE, "cut witness failed to refute"
         return finish(
-            FeasibilityReport(
-                INFEASIBLE,
-                n,
-                p,
-                witness_profile=violated.witness,
-                witness_certificate=lp_result.certificate,
-                cuts_used=cuts.applied,
-                method=f"cut:{violated.kind}:k={violated.k}",
-            )
+            INFEASIBLE,
+            f"cut:{violated.kind}:k={violated.k}",
+            witness_profile=violated.witness,
+            witness_certificate=lp_result.certificate,
         )
 
     if n == 2:
         # The two-agent inequalities are exact, and they just passed.
-        return finish(
-            FeasibilityReport(FEASIBLE, n, p, cuts_used=cuts.applied, method="two-agent-exact")
-        )
+        return finish(FEASIBLE, "two-agent-exact")
 
-    checked = 0
-    for prof in extra_profiles:
-        ell, result = implement_report(lam, prof)
-        checked += 1
-        if ell is None:
-            return finish(
-                FeasibilityReport(
-                    INFEASIBLE,
-                    n,
-                    p,
-                    witness_profile=prof,
-                    witness_certificate=result.certificate,
-                    profiles_checked=checked,
-                    cuts_used=cuts.applied,
-                    method="supplied-profile",
-                )
-            )
+    if (report := first_refuting(extra_profiles, "supplied-profile")) is not None:
+        return report
 
     own_size = system_count(lam, n)
 
@@ -638,144 +720,36 @@ def is_feasible(
             anchors = verified_anchors(n, p, jobs=jobs)
             mixture = _hull_mixture(lam, anchors)
             if mixture is not None:
-                return finish(
-                    FeasibilityReport(
-                        FEASIBLE,
-                        n,
-                        p,
-                        profiles_checked=checked,
-                        cuts_used=cuts.applied,
-                        method="mixture-dominates",
-                        mixture=mixture,
-                    )
-                )
+                return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
-    for prof in hard_profiles(n, p):
-        ell, result = implement_report(lam, prof)
-        checked += 1
-        if ell is None:
-            return finish(
-                FeasibilityReport(
-                    INFEASIBLE,
-                    n,
-                    p,
-                    witness_profile=prof,
-                    witness_certificate=result.certificate,
-                    profiles_checked=checked,
-                    cuts_used=cuts.applied,
-                    method="library-profile",
-                )
-            )
+    if (report := first_refuting(hard_profiles(n, p), "library-profile")) is not None:
+        return report
 
     ks = active_ranks(lam)
     if not ks:
         # No binding tail constraints: any outcome lottery implements lam.
-        return finish(
-            FeasibilityReport(
-                FEASIBLE, n, p, profiles_checked=checked, cuts_used=cuts.applied, method="vacuous"
-            )
-        )
+        return finish(FEASIBLE, "vacuous")
 
     chains = chain_count(p, ks)
     if chains > _MAX_CHAINS:
+        return finish(UNDECIDED, f"scan-too-large:{chains}-chains")
+
+    budget = None if limit_profiles is None else limit_profiles - checked
+    runs = math.comb(chains + n - 3, n - 2)  # systems sharing all but the last layout
+    scan_jobs = jobs if runs >= _POOL_SWITCH else 1
+    outcome = _scan(lam.probs, n, ks, scan_jobs, budget, deadline)
+    checked += outcome["checked"]
+    if outcome["status"] == INFEASIBLE:
+        witness = Profile(tuple(Preference(order) for order in outcome["orders"]))
         return finish(
-            FeasibilityReport(
-                UNDECIDED,
-                n,
-                p,
-                profiles_checked=checked,
-                cuts_used=cuts.applied,
-                method=f"scan-too-large:{chains}-chains",
-            )
-        )
-
-    payload_base = (lam.probs, n, ks)
-    if jobs <= 1 or own_size < 20_000:
-        outcome = _scan_chunk((*payload_base, 0, chains, limit_profiles, deadline))
-        checked += outcome["checked"]
-        return finish(_scan_outcome_report(lam, n, outcome, checked, cuts.applied, True))
-
-    ranges = _chunk_ranges(chains, n - 1, jobs * 4)
-    per_chunk_limit = None if limit_profiles is None else max(1, limit_profiles // len(ranges))
-    limited = False
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        futures = {
-            executor.submit(
-                _scan_chunk, (*payload_base, lo, hi, per_chunk_limit, deadline)
-            ): (lo, hi)
-            for lo, hi in ranges
-        }
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    outcome = fut.result()
-                    checked += outcome["checked"]
-                    if outcome["status"] == "infeasible":
-                        for other in pending:
-                            other.cancel()
-                        return finish(
-                            _scan_outcome_report(lam, n, outcome, checked, cuts.applied, False)
-                        )
-                    if outcome["status"] == "limited":
-                        limited = True
-        finally:
-            for fut in pending:
-                fut.cancel()
-    if limited:
-        return finish(
-            FeasibilityReport(
-                UNDECIDED,
-                n,
-                p,
-                profiles_checked=checked,
-                cuts_used=cuts.applied,
-                method="profile-limit",
-            )
-        )
-    return finish(
-        FeasibilityReport(
-            FEASIBLE, n, p, profiles_checked=checked, cuts_used=cuts.applied, method="scan"
-        )
-    )
-
-
-def _scan_outcome_report(
-    lam: RankLottery,
-    n: int,
-    outcome: dict,
-    checked: int,
-    cuts_applied: tuple[str, ...],
-    deterministic: bool,
-) -> FeasibilityReport:
-    p = lam.p
-    if outcome["status"] == "infeasible":
-        prefs = tuple(Preference(tuple(order)) for order in outcome["orders"])
-        witness = Profile(prefs)
-        return FeasibilityReport(
             INFEASIBLE,
-            n,
-            p,
+            "scan",
             witness_profile=witness,
             witness_certificate=tuple(outcome["certificate"]),
-            profiles_checked=checked,
-            cuts_used=cuts_applied,
-            method="scan",
-            witness_deterministic=deterministic,
         )
     if outcome["status"] == "limited":
-        return FeasibilityReport(
-            UNDECIDED,
-            n,
-            p,
-            profiles_checked=checked,
-            cuts_used=cuts_applied,
-            method="profile-limit",
-        )
-    return FeasibilityReport(
-        FEASIBLE, n, p, profiles_checked=checked, cuts_used=cuts_applied, method="scan"
-    )
+        return finish(UNDECIDED, "profile-limit")
+    return finish(FEASIBLE, "scan")
 
 
 # ----------------------------------------------------------------------------

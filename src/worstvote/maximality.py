@@ -209,7 +209,8 @@ def improve(
         witness = report.witness_profile
         assert witness is not None and report.witness_certificate is not None
         working.append(witness)
-        seeds.append(witness)
+        if witness not in seeds:
+            seeds.append(witness)
         # The feasibility engine builds the same row layout, so its Farkas
         # certificate converts directly into a master cut.
         cuts.append(_cover_cut(mu_active, report.witness_certificate, p))

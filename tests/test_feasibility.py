@@ -159,15 +159,46 @@ class TestIsFeasible:
         for _ in range(10):
             assert is_feasible(rand_lottery(5, rng), 1).feasible
 
-    def test_parallel_scan_matches_serial(self):
-        lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")
-        serial = is_feasible(lam, 3, jobs=1, use_hull=False)
+    def test_limit_counts_library_profiles(self):
+        lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 17 library profiles at (3,7)
+        report = is_feasible(lam, 3, limit_profiles=5, use_hull=False)
+        assert (report.verdict, report.method, report.profiles_checked) == (
+            "undecided",
+            "profile-limit",
+            5,
+        )
+        report = is_feasible(lam, 3, limit_profiles=17 + 100, use_hull=False)
+        assert (report.verdict, report.profiles_checked) == ("undecided", 117)
+
+    def test_parallel_scan_matches_serial(self, monkeypatch):
+        # Forced onto the process pool, a scan visits the same systems in
+        # the same order as the serial one: the same verdict, count and
+        # witness, and under a limit the same first systems.
         import worstvote.feasibility as feas
 
-        feas._verdict_cache.pop((3, lam.probs), None)
-        parallel = is_feasible(lam, 3, jobs=2, use_hull=False)
-        assert serial.verdict == parallel.verdict == "feasible"
-        assert serial.profiles_checked == parallel.profiles_checked
+        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+        monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])  # the scan refutes
+        feasible = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 88,410 systems
+        cases = [
+            (feasible, None, "feasible"),
+            (parse_lottery("1/3,1/12,1/4,0,0,1/3"), None, "infeasible"),
+            # the pooled scan's first two chunks hold 38,955 systems, so the
+            # budget runs out in the third one
+            (feasible, 50_000, "undecided"),
+        ]
+        for lam, limit, verdict in cases:
+            reports = []
+            for jobs in (1, 2):
+                feas._verdict_cache.clear()
+                reports.append(
+                    is_feasible(lam, 3, jobs=jobs, use_hull=False, limit_profiles=limit)
+                )
+            serial, parallel = reports
+            assert serial.verdict == parallel.verdict == verdict
+            assert serial.profiles_checked == parallel.profiles_checked
+            assert serial.witness_profile == parallel.witness_profile
+            assert serial.witness_certificate == parallel.witness_certificate
+        assert serial.profiles_checked == 50_000
 
 
 class TestSystemScan:
@@ -247,6 +278,56 @@ class TestSystemScan:
                     brute = False
                     break
             assert report.feasible == brute
+
+
+class TestScanOrder:
+    # The first infeasible tail system in enumeration order: witness
+    # profile, Farkas certificate and systems checked, recorded with the
+    # earlier reuse-pool scan.  The library profiles are switched off so
+    # that the scan itself refutes each input.
+    PINNED = [
+        (
+            3,
+            "1/3,1/12,1/4,0,0,1/3",
+            27,
+            "1 2 3 4 5 6 / 3 4 1 2 6 5 / 5 6 1 2 3 4",
+            ("-1", "0", "0", "1/2", "0", "0", "1/2", "0", "1/2", "0"),
+        ),
+        (
+            3,
+            "0,1/2,1/3,0,1/6,0",
+            10,
+            "1 2 3 4 5 6 / 3 4 5 6 1 2 / 4 5 2 6 1 3",
+            ("-1", "1", "0", "0", "1", "0", "0", "0", "0", "1"),
+        ),
+        (
+            4,
+            "1/12,1/4,1/4,1/4,1/12,1/12",
+            8587,
+            "1 2 3 4 5 6 / 4 5 6 1 2 3 / 5 4 6 1 2 3 / 6 4 5 1 2 3",
+            ("-1", "0", "0", "1", "0", "0", "1", "0", "0", "0", "0")
+            + ("1", "0", "0", "0", "0", "1", "0", "0", "0", "0"),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, text, checked, witness, certificate", PINNED, ids=[f"{c[0]}:{c[1]}" for c in PINNED]
+    )
+    def test_first_infeasible_system_is_pinned(
+        self, monkeypatch, n, text, checked, witness, certificate
+    ):
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
+        lam = parse_lottery(text)
+        feas._verdict_cache.pop((n, lam.probs), None)
+        report = is_feasible(lam, n, use_hull=False)
+        assert (report.verdict, report.method) == ("infeasible", "scan")
+        assert report.profiles_checked == checked
+        assert report.witness_profile.text() == witness
+        assert report.witness_certificate == tuple(F(x) for x in certificate)
+        program = implement_program(lam, report.witness_profile)
+        assert verify_infeasibility(program, report.witness_certificate)
 
 
 class TestBalancedFamilies:

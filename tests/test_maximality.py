@@ -124,6 +124,21 @@ class TestIsMaximal:
         assert report.verdict == "dominated"
         assert dominates(report.improver, parse_lottery("2/3,0,0,0,0,1/3"))
 
+    def test_witness_cache_keeps_no_duplicates(self, monkeypatch):
+        # A scan witness joins the per-context seed profiles once; a second
+        # cold call must find it there instead of adding it again.
+        import worstvote.feasibility as feas
+        import worstvote.maximality as maximality
+
+        monkeypatch.setattr(maximality, "_witness_cache", {})
+        lam = parse_lottery("37/120,11/60,1/10,4/15,17/120")
+        lengths = []
+        for _ in range(2):
+            feas.clear_caches()
+            assert is_maximal(lam, 3).verdict == "dominated"
+            lengths.append(len(maximality._witness_cache[(3, 5)]))
+        assert lengths[0] == lengths[1] >= 1
+
     def test_mixtures_along_dictator_headed_prefixes(self):
         # mixing the guarantees of nested dictator-headed words stays maximal
         from worstvote.compose import canonical_word
