@@ -9,7 +9,6 @@ from .lottery import (
     RankLottery,
     convex_combination,
     dominates,
-    feasible_n2,
     format_lottery,
     is_symmetric,
     lottery,
@@ -68,7 +67,6 @@ from .maximality import (
 from .protocols import (
     EvalReport,
     ProtocolSpec,
-    claimed_guarantee,
     cover_protocol,
     parse_protocol,
     run,

@@ -80,25 +80,35 @@ def active_ranks(lam: RankLottery) -> tuple[int, ...]:
     return tuple(k for k in range(1, lam.p) if lam.probs[k] > 0)
 
 
-def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
-    """The exact LP deciding whether some lottery implements `lam` at `prof`.
+def _system_program(
+    p: int, ks: tuple[int, ...], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
+) -> LinearProgram:
+    """The implementation LP over `p` outcomes for orders listed worst first.
 
-    Row 0 pins total mass to one; then one row per agent and active rank
-    bounding the mass of that agent's tail.  Row order is deterministic so
-    certificates can be re-verified against a rebuilt program.
+    Row 0 pins total mass to one; then, for each order in turn, one row per
+    active rank k in `ks` capping the mass of that order's k-tail at the
+    matching entry of `caps`.  Row order is deterministic so certificates can
+    be re-verified against a rebuilt program.
     """
+    rows = [Constraint((Fraction(1),) * p, EQ, Fraction(1))]
+    for layout in layouts:
+        for k, cap in zip(ks, caps):
+            coeffs = [ZERO] * p
+            for a in layout[:k]:
+                coeffs[a - 1] = Fraction(1)
+            rows.append(Constraint(tuple(coeffs), LE, cap))
+    return feasibility_program(p, rows)
+
+
+def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
+    """The exact LP deciding whether some lottery implements `lam` at `prof`:
+    one tail row per agent and active rank, laid out as in `_system_program`."""
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
-    p = lam.p
+    ks = active_ranks(lam)
     cum = lam.cumulative()
-    rows = [Constraint((Fraction(1),) * p, EQ, Fraction(1))]
-    for pref in prof.prefs:
-        for k in active_ranks(lam):
-            coeffs = [ZERO] * p
-            for a in pref.order[:k]:
-                coeffs[a - 1] = Fraction(1)
-            rows.append(Constraint(tuple(coeffs), LE, cum[k - 1]))
-    return feasibility_program(p, rows)
+    caps = [cum[k - 1] for k in ks]
+    return _system_program(lam.p, ks, caps, [pref.order for pref in prof.prefs])
 
 
 def implement_report(lam: RankLottery, prof: Profile) -> tuple[Optional[OutcomeLottery], LPResult]:
@@ -331,19 +341,6 @@ def system_count(lam: RankLottery, n: int) -> int:
         return 0
     c = chain_count(lam.p, ks)
     return math.comb(c + n - 2, n - 1) if n >= 2 else 1
-
-
-def _system_program(
-    p: int, ks: tuple[int, ...], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
-) -> LinearProgram:
-    rows = [Constraint((Fraction(1),) * p, EQ, Fraction(1))]
-    for layout in layouts:
-        for k, cap in zip(ks, caps):
-            coeffs = [ZERO] * p
-            for a in layout[:k]:
-                coeffs[a - 1] = Fraction(1)
-            rows.append(Constraint(tuple(coeffs), LE, cap))
-    return feasibility_program(p, rows)
 
 
 def _tail_groups(

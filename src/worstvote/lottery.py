@@ -181,18 +181,6 @@ def m2_vertices(p: int) -> list[RankLottery]:
     return out
 
 
-def feasible_n2(lam: RankLottery) -> bool:
-    """Two-agent feasibility test: the bottom-k mass must weakly exceed the
-    top-k mass for every k up to p/2."""
-    p = lam.p
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    for k in range(1, p // 2 + 1):
-        if lam.partial_sum(1, k) < lam.partial_sum(p + 1 - k, p):
-            return False
-    return True
-
-
 def convex_combination(terms: Sequence[tuple[RationalLike, RankLottery]]) -> RankLottery:
     """Exact convex combination; weights must be nonnegative and sum to 1."""
     if not terms:

@@ -106,8 +106,8 @@ def check_polar_certificate(
 def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Constraint:
     """Turn a Farkas certificate of an implementation LP into a master cut.
 
-    The LP rows are the mass equality followed by one tail row per (agent,
-    active rank).  Normalizing the multipliers by the equality's weight
+    The LP rows are those `feasibility._system_program` lays out: the mass
+    equality, then one tail row per (agent, active rank).  Normalizing the multipliers by the equality's weight
     gives cover weights w_k with sum_k w_k * cum_k(mu) >= 1 for every
     lottery mu implementable at the refuting profile.
     """

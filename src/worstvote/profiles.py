@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .lottery import RankLottery, RationalLike, ZERO, as_fraction
+from .lottery import RankLottery, ZERO, as_fraction
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,6 @@ class OutcomeLottery:
 
     def text(self) -> str:
         return ",".join(str(x) for x in self.mass)
-
-
-def outcome_lottery(values: Iterable[RationalLike]) -> OutcomeLottery:
-    return OutcomeLottery(tuple(as_fraction(v) for v in values))
-
-
-def uniform_outcomes(p: int) -> OutcomeLottery:
-    return OutcomeLottery((Fraction(1, p),) * p)
 
 
 @dataclass(frozen=True)
@@ -191,22 +183,6 @@ def canonicalize(prof: Profile) -> Profile:
     return Profile(tuple(Preference(o) for o in best), canonical=True)
 
 
-def relabel_outcomes(prof: Profile, mapping: Sequence[int]) -> Profile:
-    """Apply an outcome relabeling; mapping[a-1] is the new id of outcome a."""
-    if sorted(mapping) != list(range(1, prof.p + 1)):
-        raise ValueError("mapping is not a permutation")
-    return Profile(
-        tuple(Preference(tuple(mapping[a - 1] for a in pref.order)) for pref in prof.prefs)
-    )
-
-
-def permute_agents(prof: Profile, perm: Sequence[int]) -> Profile:
-    """Reorder the agents; perm[i] is the 0-based old index placed at slot i."""
-    if sorted(perm) != list(range(prof.n)):
-        raise ValueError("perm is not a permutation of agent slots")
-    return Profile(tuple(prof.prefs[i] for i in perm))
-
-
 def enumerate_profiles(
     n: int, p: int, *, start: int = 0, stop: int | None = None
 ) -> Iterator[Profile]:
@@ -227,47 +203,6 @@ def enumerate_profiles(
         orders = (identity,) + combo
         if _canonical_orders(orders) == orders:
             yield Profile(tuple(Preference(o) for o in orders), canonical=True)
-
-
-PROFILE_CACHE_VERSION = 1
-
-
-def profile_cache_path(directory, n: int, p: int):
-    """Cache file location keyed by (n, p, format version)."""
-    from pathlib import Path
-
-    return Path(directory) / f"profiles-n{n}-p{p}-v{PROFILE_CACHE_VERSION}.txt"
-
-
-def save_profile_cache(directory, n: int, p: int) -> int:
-    """Materialize the canonical profile stream to a text cache file.
-
-    Returns the number of profiles written.  One profile per line in the
-    standard text format.
-    """
-    path = profile_cache_path(directory, n, p)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(path, "w") as handle:
-        for prof in enumerate_profiles(n, p):
-            handle.write(format_profile(prof) + "\n")
-            count += 1
-    return count
-
-
-def load_profile_cache(directory, n: int, p: int) -> Optional[list[Profile]]:
-    """Read a previously saved canonical profile list, or None if absent."""
-    path = profile_cache_path(directory, n, p)
-    if not path.exists():
-        return None
-    out = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                prof = parse_profile(line)
-                out.append(Profile(prof.prefs, canonical=True))
-    return out
 
 
 def cyclic_pad_profile(inner: Profile) -> Profile:

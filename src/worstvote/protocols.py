@@ -7,11 +7,15 @@ probability and otherwise continues to the remaining stages over the
 leftover outcomes; the mixing weight is chosen from the guarantee of the
 continuation, mirroring how guarantees compose.
 
-`run` evaluates one play exactly (all randomization symbolic, never
-sampled).  `worst_case_guarantee` fixes agent 1 on a representative
-preference playing its safe strategy and exhausts every tuple of adversary
-reports, stage by stage; the achieved guarantee is read off the cumulative
-maxima across scenarios.
+One stage function, `_step`, says what a stage does with one tuple of
+reports: the mass it settles, the weight with which play continues, and the
+outcomes left for the next stage.  One driver, `_plays`, chains the stages
+and mixes continuations, and both evaluations run through it.  `run`
+evaluates one play on explicit reports, checked for legality first (all
+randomization symbolic, never sampled).  `worst_case_guarantee` fixes
+agent 1 on a representative preference playing its safe strategy and
+exhausts every tuple of adversary reports, stage by stage; the achieved
+guarantee is read off the cumulative maxima across scenarios.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -24,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .lottery import RankLottery, ZERO, dominates, rd, uniform, vt
 from .compose import rd_compose, vt_compose
@@ -241,26 +245,8 @@ def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> 
     raise ValueError(f"stage at position {off} cannot appear inside a continuation")
 
 
-def claimed_guarantee(spec: ProtocolSpec, n: int, p: int) -> RankLottery:
-    """The guarantee a veto/dictator/uniform protocol is designed to deliver.
-
-    Cover protocols carry their claims in the verification suites instead.
-    """
-    raw = []
-    for stage in spec.stages:
-        if isinstance(stage, VetoRound):
-            raw.append(("veto", (stage.tokens,), 0))
-        elif isinstance(stage, DictatorRound):
-            raw.append(("rd", (stage.padded,), 0))
-        elif isinstance(stage, UniformFallback):
-            raw.append(("uniform", (), 0))
-        else:
-            raise ValueError("cover protocols have no composed claim")
-    return _suffix_guarantee(raw, n, p, 0)
-
-
 # ----------------------------------------------------------------------------
-# Running a protocol on explicit reports.
+# Stage semantics and playing a protocol.
 # ----------------------------------------------------------------------------
 
 
@@ -284,6 +270,117 @@ def _find_cover(
     return None
 
 
+def _legal_reports(
+    stage: Stage, survivors: list[int], stage_reports: tuple, idx: int, n: int
+) -> tuple:
+    """Stage idx's reports, sets made frozensets; ValueError if one is illegal."""
+    if len(stage_reports) != n:
+        raise ValueError(f"stage {idx} needs {n} reports")
+    if isinstance(stage, DictatorRound):
+        for a in stage_reports:
+            if a not in survivors:
+                raise ValueError(f"illegal dictator report {a} at stage {idx}")
+        return stage_reports
+    if isinstance(stage, UniformFallback):
+        return stage_reports
+    if isinstance(stage, VetoRound):
+        kind, size = "veto", stage.tokens
+    else:
+        kind, size = "cover", stage.depth
+    stage_reports = tuple(frozenset(rep) for rep in stage_reports)
+    for rep in stage_reports:
+        if len(rep) != size or not rep <= set(survivors):
+            raise ValueError(f"illegal {kind} report {sorted(rep)} at stage {idx}")
+    return stage_reports
+
+
+def _even(outcomes, total: Fraction | int = 1) -> dict[int, Fraction]:
+    share = Fraction(total, len(outcomes))
+    return {a: share for a in outcomes}
+
+
+def _step(
+    stage: Stage, survivors: list[int], stage_reports: tuple, n: int
+) -> tuple[dict[int, Fraction], Fraction | int, list[int]]:
+    """What one stage does with one tuple of legal reports.
+
+    Returns the mass the stage settles on outcomes, the weight with which
+    play continues to the next stage (the int 1 after a veto round, 0 after
+    a terminal stage), and the outcomes left for that stage.
+    """
+    if isinstance(stage, VetoRound):
+        vetoed = set().union(*stage_reports)
+        return {}, 1, [a for a in survivors if a not in vetoed]
+    if isinstance(stage, UniformFallback):
+        return _even(survivors), 0, []
+    if isinstance(stage, DictatorRound):
+        if not stage.padded:
+            share = Fraction(1, n)
+            mass: dict[int, Fraction] = {}
+            for a in stage_reports:
+                mass[a] = mass.get(a, ZERO) + share
+            return mass, 0, []
+        distinct = set(stage_reports)
+        weight = stage.continue_weight or 0
+        if not weight and len(distinct) == 1:
+            return {stage_reports[0]: ONE}, 0, []
+        padded = _pad_set(distinct, survivors, min(n, len(survivors)))
+        taken = set(padded)
+        return _even(padded, 1 - weight), weight, [a for a in survivors if a not in taken]
+    cover = _find_cover(survivors, stage_reports, stage.cover_size)
+    if cover is None:
+        raise CoverNotFoundError(
+            f"no {stage.cover_size}-set meets all reported {stage.depth}-sets", stage_reports
+        )
+    if stage.play == "complement":
+        cover = [a for a in survivors if a not in set(cover)]
+    return _even(cover), 0, []
+
+
+def _plays(
+    spec: ProtocolSpec, n: int, p: int, choices: Callable[[int, list[int]], Iterable[tuple]]
+) -> Iterator[tuple[tuple, OutcomeLottery]]:
+    """Every (report trace, exact outcome distribution) pair of the protocol.
+
+    `choices(idx, survivors)` gives the report tuples stage idx is played
+    with over the outcomes still in play.  Raises ValueError at once when
+    the veto rounds could remove every outcome.
+    """
+    total_vetoes = sum(
+        stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)
+    )
+    if total_vetoes >= p:
+        raise ValueError("protocol can veto every outcome")
+
+    def rec(
+        idx: int, survivors: list[int], trace: tuple
+    ) -> Iterator[tuple[tuple, dict[int, Fraction]]]:
+        stage = spec.stages[idx]
+        for stage_reports in choices(idx, survivors):
+            settled, weight, rest = _step(stage, survivors, stage_reports, n)
+            new_trace = trace + (stage_reports,)
+            if not weight:
+                yield new_trace, settled
+            elif weight == 1:
+                yield from rec(idx + 1, rest, new_trace)
+            else:
+                for sub_trace, sub_mass in rec(idx + 1, rest, new_trace):
+                    mass = dict(settled)
+                    for a, w in sub_mass.items():
+                        mass[a] = mass.get(a, ZERO) + weight * w
+                    yield sub_trace, mass
+
+    plays = rec(0, list(range(1, p + 1)), ())
+    return ((trace, _outcome_lottery(mass, p)) for trace, mass in plays)
+
+
+def _outcome_lottery(mass: dict[int, Fraction], p: int) -> OutcomeLottery:
+    out = [ZERO] * p
+    for a, w in mass.items():
+        out[a - 1] = w
+    return OutcomeLottery(tuple(out))
+
+
 def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> OutcomeLottery:
     """Exact outcome distribution for one play of the protocol.
 
@@ -292,92 +389,16 @@ def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> Outcom
     outcome per agent).  The profile fixes dimensions and legality only;
     agents may report anything legal, truthful or not.
     """
-    n, p = prof.n, prof.p
-    total_vetoes = sum(
-        stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)
-    )
-    if total_vetoes >= p:
-        raise ValueError("protocol can veto every outcome")
+
+    def given(idx: int, survivors: list[int]) -> tuple[tuple, ...]:
+        return (_legal_reports(spec.stages[idx], survivors, reports[idx], idx, prof.n),)
+
+    # `_plays` checks the protocol before this looks at the reports.
+    plays = _plays(spec, prof.n, prof.p, given)
     if len(reports) != len(spec.stages):
         raise ValueError("need one report tuple per stage")
-    mass = _play(spec, 0, sorted(range(1, p + 1)), reports, n)
-    out = [ZERO] * p
-    for a, w in mass.items():
-        out[a - 1] = w
-    return OutcomeLottery(tuple(out))
-
-
-def _play(
-    spec: ProtocolSpec,
-    idx: int,
-    survivors: list[int],
-    reports: tuple[tuple, ...],
-    n: int,
-) -> dict[int, Fraction]:
-    stage = spec.stages[idx]
-    stage_reports = reports[idx]
-    if len(stage_reports) != n:
-        raise ValueError(f"stage {idx} needs {n} reports")
-
-    if isinstance(stage, VetoRound):
-        vetoed: set[int] = set()
-        for rep in stage_reports:
-            rep = frozenset(rep)
-            if len(rep) != stage.tokens or not rep <= set(survivors):
-                raise ValueError(f"illegal veto report {sorted(rep)} at stage {idx}")
-            vetoed |= rep
-        remaining = [a for a in survivors if a not in vetoed]
-        return _play(spec, idx + 1, remaining, reports, n)
-
-    if isinstance(stage, UniformFallback):
-        share = Fraction(1, len(survivors))
-        return {a: share for a in survivors}
-
-    if isinstance(stage, DictatorRound):
-        for a in stage_reports:
-            if a not in survivors:
-                raise ValueError(f"illegal dictator report {a} at stage {idx}")
-        if not stage.padded:
-            share = Fraction(1, n)
-            mass: dict[int, Fraction] = {}
-            for a in stage_reports:
-                mass[a] = mass.get(a, ZERO) + share
-            return mass
-        distinct = set(stage_reports)
-        if stage.continue_weight is None:
-            if len(distinct) == 1:
-                return {next(iter(distinct)): ONE}
-            padded = _pad_set(distinct, survivors, min(n, len(survivors)))
-            share = Fraction(1, len(padded))
-            return {a: share for a in padded}
-        padded = _pad_set(distinct, survivors, min(n, len(survivors)))
-        pick = ONE - stage.continue_weight
-        share = pick / len(padded)
-        mass = {a: share for a in padded}
-        rest = [a for a in survivors if a not in set(padded)]
-        for a, w in _play(spec, idx + 1, rest, reports, n).items():
-            mass[a] = mass.get(a, ZERO) + stage.continue_weight * w
-        return mass
-
-    assert isinstance(stage, CoverRound)
-    reps = []
-    for rep in stage_reports:
-        rep = frozenset(rep)
-        if len(rep) != stage.depth or not rep <= set(survivors):
-            raise ValueError(f"illegal cover report {sorted(rep)} at stage {idx}")
-        reps.append(rep)
-    cover = _find_cover(survivors, tuple(reps), stage.cover_size)
-    if cover is None:
-        raise CoverNotFoundError(
-            f"no {stage.cover_size}-set meets all reported {stage.depth}-sets",
-            tuple(reps),
-        )
-    if stage.play == "cover":
-        share = Fraction(1, len(cover))
-        return {a: share for a in cover}
-    rest = [a for a in survivors if a not in set(cover)]
-    share = Fraction(1, len(rest))
-    return {a: share for a in rest}
+    ((_, dist),) = plays
+    return dist
 
 
 # ----------------------------------------------------------------------------
@@ -422,70 +443,13 @@ def _scenarios(
 ) -> Iterator[tuple[tuple, OutcomeLottery]]:
     """All (adversary trace, exact outcome distribution) pairs."""
 
-    def rec(
-        idx: int, survivors: list[int], trace: tuple
-    ) -> Iterator[tuple[tuple, dict[int, Fraction]]]:
+    def adversaries(idx: int, survivors: list[int]) -> Iterator[tuple]:
         stage = spec.stages[idx]
-        mine = _safe_report(stage, survivors, pref)
-        if isinstance(stage, UniformFallback):
-            share = Fraction(1, len(survivors))
-            yield trace + ((None,) * n,), {a: share for a in survivors}
-            return
-        space = _report_space(stage, survivors)
-        for adv in itertools.product(space, repeat=n - 1):
-            stage_reports = (mine,) + adv
-            new_trace = trace + (stage_reports,)
-            if isinstance(stage, VetoRound):
-                vetoed = set().union(*stage_reports)
-                remaining = [a for a in survivors if a not in vetoed]
-                yield from rec(idx + 1, remaining, new_trace)
-            elif isinstance(stage, DictatorRound):
-                distinct = set(stage_reports)
-                if stage.continue_weight is None:
-                    if stage.padded:
-                        if len(distinct) == 1:
-                            yield new_trace, {next(iter(distinct)): ONE}
-                        else:
-                            padded = _pad_set(distinct, survivors, min(n, len(survivors)))
-                            share = Fraction(1, len(padded))
-                            yield new_trace, {a: share for a in padded}
-                    else:
-                        share = Fraction(1, n)
-                        mass: dict[int, Fraction] = {}
-                        for a in stage_reports:
-                            mass[a] = mass.get(a, ZERO) + share
-                        yield new_trace, mass
-                else:
-                    padded = _pad_set(distinct, survivors, min(n, len(survivors)))
-                    pick = ONE - stage.continue_weight
-                    share = pick / len(padded)
-                    rest = [a for a in survivors if a not in set(padded)]
-                    for sub_trace, sub_mass in rec(idx + 1, rest, new_trace):
-                        mass = {a: share for a in padded}
-                        for a, w in sub_mass.items():
-                            mass[a] = mass.get(a, ZERO) + stage.continue_weight * w
-                        yield sub_trace, mass
-            else:
-                assert isinstance(stage, CoverRound)
-                cover = _find_cover(survivors, stage_reports, stage.cover_size)
-                if cover is None:
-                    raise CoverNotFoundError(
-                        "covering premise failed during worst-case evaluation",
-                        stage_reports,
-                    )
-                if stage.play == "cover":
-                    share = Fraction(1, len(cover))
-                    yield new_trace, {a: share for a in cover}
-                else:
-                    rest = [a for a in survivors if a not in set(cover)]
-                    share = Fraction(1, len(rest))
-                    yield new_trace, {a: share for a in rest}
+        mine = (_safe_report(stage, survivors, pref),)
+        for adv in itertools.product(_report_space(stage, survivors), repeat=n - 1):
+            yield mine + adv
 
-    for trace, mass in rec(0, list(range(1, p + 1)), ()):
-        out = [ZERO] * p
-        for a, w in mass.items():
-            out[a - 1] = w
-        yield trace, OutcomeLottery(tuple(out))
+    return _plays(spec, n, p, adversaries)
 
 
 def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
@@ -497,11 +461,6 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     witness scenario per rank is recorded.
     """
     started = time.perf_counter()
-    total_vetoes = sum(
-        stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)
-    )
-    if total_vetoes >= p:
-        raise ValueError("protocol can veto every outcome")
     pref = identity_preference(p)
     worst_cum: list[Fraction] = [ZERO] * p
     worst_trace: dict[int, tuple] = {}

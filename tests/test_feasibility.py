@@ -22,7 +22,7 @@ from worstvote.lottery import (
     vt,
 )
 from worstvote.lp import verify_infeasibility
-from worstvote.profiles import parse_profile, rank_rearrange
+from worstvote.profiles import enumerate_profiles, parse_profile, rank_rearrange
 
 from .test_lottery import rand_lottery
 
@@ -146,13 +146,17 @@ class TestIsFeasible:
             if is_feasible(mu, 3).feasible:
                 assert is_feasible(lam, 3).feasible
 
-    def test_two_agent_matches_closed_form(self):
-        from worstvote.lottery import feasible_n2
-
+    def test_two_agent_matches_brute_force(self):
         rng = random.Random(5)
-        for _ in range(50):
-            lam = rand_lottery(6, rng)
-            assert is_feasible(lam, 2).feasible == feasible_n2(lam)
+        verdicts = set()
+        for p in (4, 5):
+            profiles = list(enumerate_profiles(2, p))
+            for _ in range(25):
+                lam = rand_lottery(p, rng)
+                implementable = all(implement_at(lam, prof) is not None for prof in profiles)
+                assert is_feasible(lam, 2).feasible == implementable
+                verdicts.add(implementable)
+        assert verdicts == {True, False}
 
     def test_single_agent_everything_feasible(self):
         rng = random.Random(6)

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from worstvote.feasibility import is_feasible
 from worstvote.lottery import (
     RankLottery,
     convex_combination,
     dominates,
-    feasible_n2,
     format_lottery,
     is_symmetric,
     lottery,
@@ -151,14 +151,14 @@ class TestSymmetricVertices:
 
 class TestTwoAgentFeasibility:
     def test_dictator_vertex(self):
-        assert feasible_n2(parse_lottery("1/2,0,0,0,0,1/2"))
+        assert is_feasible(parse_lottery("1/2,0,0,0,0,1/2"), 2).feasible
 
     def test_best_rank_certain_fails(self):
-        assert not feasible_n2(lottery([0, 0, 0, 0, 0, 1]))
+        assert not is_feasible(lottery([0, 0, 0, 0, 0, 1]), 2).feasible
 
     def test_uniform_feasible(self):
         for p in range(2, 10):
-            assert feasible_n2(uniform(p))
+            assert is_feasible(uniform(p), 2).feasible
 
 
 class TestSortedDot:

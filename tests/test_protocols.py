@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 import worstvote.protocols as protocols
-from worstvote.compose import vt_compose
+from worstvote.compose import canonical_word, vt_compose
 from worstvote.lottery import dominates, parse_lottery, rd, uniform, vt
 from worstvote.feasibility import is_feasible
-from worstvote.profiles import identical_profile
+from worstvote.profiles import identical_profile, identity_preference
 from worstvote.protocols import (
     CoverNotFoundError,
     CoverRound,
@@ -14,7 +14,6 @@ from worstvote.protocols import (
     ProtocolSpec,
     UniformFallback,
     VetoRound,
-    claimed_guarantee,
     cover_protocol,
     parse_protocol,
     run,
@@ -144,15 +143,15 @@ class TestWorstCase:
 
     def test_composed_protocols_achieve_canonical_guarantees(self):
         cases = {
-            "veto(1); rd(pad)": "0,1/3,1/3,0,1/3,0,0",
-            "rd(pad); veto(1); uniform": "1/4,1/4,0,1/4,0,0,1/4",
-            "veto(1); veto(1); uniform": "0,0,1,0,0,0,0",
+            "veto(1); rd(pad)": ("0,1/3,1/3,0,1/3,0,0", "VT,RD"),
+            "rd(pad); veto(1); uniform": ("1/4,1/4,0,1/4,0,0,1/4", "RD,VT"),
+            "veto(1); veto(1); uniform": ("0,0,1,0,0,0,0", "VT,VT"),
         }
-        for text, expected in cases.items():
+        for text, (expected, word) in cases.items():
             spec = parse_protocol(text, 3, 7)
             report = worst_case_guarantee(spec, 3, 7)
             assert report.achieved == parse_lottery(expected)
-            assert report.achieved == claimed_guarantee(spec, 3, 7)
+            assert report.achieved == canonical_word(word, 3, 7)
 
     def test_veto_stage_shadows_composition(self):
         inner = parse_protocol("rd(pad)", 3, 4)
@@ -174,6 +173,32 @@ class TestWorstCase:
         assert worst_case_guarantee(spec, 3, 6).achieved == baseline
 
 
+class TestRunMatchesEnumeration:
+    @pytest.mark.parametrize(
+        "spec, n, p",
+        [
+            (parse_protocol(text, n, p), n, p)
+            for text, (n, p) in (
+                ("veto(1); uniform", (3, 6)),
+                ("rd(naive)", (3, 6)),
+                ("rd(pad)", (3, 6)),
+                ("veto(1); rd(pad)", (3, 7)),
+                ("rd(pad); veto(1); uniform", (3, 7)),
+                ("rd(pad); rd(naive)", (3, 7)),
+            )
+        ]
+        + [(cover_protocol(3, 5, mode), 3, 5) for mode in ("top-pair", "bottom-pair")],
+        ids=lambda value: value.text() if isinstance(value, ProtocolSpec) else None,
+    )
+    def test_every_scenario_replays(self, spec, n, p):
+        prof = identical_profile(n, p)
+        count = 0
+        for trace, dist in protocols._scenarios(spec, n, p, identity_preference(p)):
+            assert run(spec, prof, trace) == dist, trace
+            count += 1
+        assert count > 0
+
+
 class TestSafeStrategy:
     def test_claimed_pairs(self):
         assert verify_safe_strategy(parse_protocol("veto(1); uniform", 3, 6), vt(3, 6), 3, 6)
@@ -184,6 +209,16 @@ class TestSafeStrategy:
 
     def test_naive_dictator_fails_stronger_claim(self):
         assert not verify_safe_strategy(parse_protocol("rd(naive)", 3, 6), rd(3, 6), 3, 6)
+
+    def test_protocol_that_can_veto_everything_is_rejected(self):
+        spec = parse_protocol("veto(2); uniform", 3, 6)
+        reports = ((frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})), (None,) * 3)
+        with pytest.raises(ValueError, match="veto every outcome"):
+            run(spec, identical_profile(3, 6), reports)
+        with pytest.raises(ValueError, match="veto every outcome"):
+            worst_case_guarantee(spec, 3, 6)
+        with pytest.raises(ValueError, match="veto every outcome"):
+            verify_safe_strategy(spec, parse_lottery("1,0,0,0,0,0"), 3, 6)
 
     def test_achieved_is_secured_by_construction(self):
         spec = parse_protocol("veto(1); rd(pad)", 3, 7)
