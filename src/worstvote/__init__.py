@@ -43,7 +43,6 @@ from .compose import (
     canonical_word,
     enumerate_canonical,
     rd_compose,
-    support_table,
     vt_compose,
     word_simplex,
 )
@@ -58,8 +57,6 @@ from .feasibility import (
 )
 from .maximality import (
     MaximalityReport,
-    PolarCertificate,
-    check_polar_certificate,
     forcing_profile,
     improve,
     is_maximal,

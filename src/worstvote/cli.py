@@ -12,16 +12,16 @@ import json
 import os
 import random
 import sys
-import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .lottery import RankLottery, convex_combination, parse_lottery, uniform
+from .lottery import RankLottery, convex_combination, uniform
 from .duality import dual
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
-from .feasibility import FeasibilityReport, is_feasible
-from .maximality import MaximalityReport, is_maximal
+from .feasibility import is_feasible
+from .maximality import is_maximal
 from .protocols import parse_protocol, verify_safe_strategy, worst_case_guarantee
 from .suites import SUITES, run_suite
 
@@ -58,63 +58,20 @@ def _lottery_arg(text: str) -> RankLottery:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _fractions(values) -> list[str]:
-    return [str(v) for v in values]
-
-
-def _feasibility_json(rep: FeasibilityReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "verdict": rep.verdict,
-        "n": rep.n,
-        "p": rep.p,
-        "witness_profile": rep.witness_profile.text() if rep.witness_profile else None,
-        "witness_certificate": _fractions(rep.witness_certificate)
-        if rep.witness_certificate
-        else None,
-        "profiles_checked": rep.profiles_checked,
-        "cuts": list(rep.cuts_used),
-        "method": rep.method,
-        "mixture": [[str(w), lam.text()] for w, lam in rep.mixture] or None,
-        "runtime_ms": rep.runtime_ms,
-    }
-
-
-def _maximality_json(rep: MaximalityReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "verdict": rep.verdict,
-        "n": rep.n,
-        "p": rep.p,
-        "improver": rep.improver.text() if rep.improver else None,
-        "witnesses": {str(k): prof.text() for k, prof in (rep.witnesses or {}).items()} or None,
-        "iterations": rep.iterations,
-        "profiles_in_working_set": rep.profiles_in_working_set,
-        "runtime_ms": rep.runtime_ms,
-    }
-
-
 def _trace_json(trace) -> list:
-    out = []
-    for stage_reports in trace:
-        stage = []
-        for rep in stage_reports:
-            if rep is None:
-                stage.append(None)
-            elif isinstance(rep, frozenset):
-                stage.append(sorted(rep))
-            else:
-                stage.append(rep)
-        out.append(stage)
-    return out
+    return [
+        [sorted(rep) if isinstance(rep, frozenset) else rep for rep in stage] for stage in trace
+    ]
 
 
-def _emit(payload: dict, as_json: bool, lines: Sequence[str]) -> None:
+def _emit(payload: dict, as_json: bool, lines: Iterable[str]) -> None:
+    # `lines` may be lazy (verify runs each suite as its lines are drawn), so
+    # it is drawn in full before the payload is printed.
+    for line in lines:
+        if not as_json:
+            print(line)
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _cache_lookup(cache_dir: Optional[str], key: str) -> Optional[dict]:
@@ -140,11 +97,6 @@ def _cache_store(cache_dir: Optional[str], key: str, payload: dict) -> None:
     (directory / f"{key}.json").write_text(json.dumps(payload, sort_keys=True))
 
 
-def _cache_key(kind: str, n: int, lam: RankLottery) -> str:
-    digest = hashlib.sha256(f"{kind}:{n}:{lam.text()}".encode()).hexdigest()
-    return f"{kind}-{digest[:24]}"
-
-
 def _default_jobs() -> int:
     env = os.environ.get("WORSTVOTE_JOBS")
     if env and env.isdigit():
@@ -167,6 +119,276 @@ def _time_budget() -> Optional[float]:
         except ValueError:
             pass
     return None
+
+
+# ----------------------------------------------------------------------------
+# Command handlers: each returns (JSON payload, text lines).
+# ----------------------------------------------------------------------------
+
+Output = tuple[dict, Iterable[str]]
+
+
+def _feasible(args) -> Output:
+    rep = is_feasible(
+        args.lottery,
+        args.n,
+        jobs=args.jobs,
+        limit_profiles=args.limit_profiles,
+        time_budget=_time_budget(),
+    )
+    payload = {
+        "verdict": rep.verdict,
+        "n": rep.n,
+        "p": rep.p,
+        "witness_profile": rep.witness_profile.text() if rep.witness_profile else None,
+        "witness_certificate": [str(y) for y in rep.witness_certificate]
+        if rep.witness_certificate
+        else None,
+        "profiles_checked": rep.profiles_checked,
+        "cuts": list(rep.cuts_used),
+        "method": rep.method,
+        "mixture": [[str(w), lam.text()] for w, lam in rep.mixture] or None,
+        "runtime_ms": rep.runtime_ms,
+    }
+    lines = [f"verdict: {rep.verdict}", f"method: {rep.method}"]
+    if rep.witness_profile is not None:
+        lines.append(f"witness profile: {rep.witness_profile.text()}")
+    lines.append(f"profiles checked: {rep.profiles_checked}")
+    return payload, lines
+
+
+def _maximal(args) -> Output:
+    rep = is_maximal(
+        args.lottery,
+        args.n,
+        jobs=args.jobs,
+        witnesses=args.witnesses,
+        limit_profiles=args.limit_profiles,
+        time_budget=_time_budget(),
+    )
+    payload = {
+        "verdict": rep.verdict,
+        "n": rep.n,
+        "p": rep.p,
+        "improver": rep.improver.text() if rep.improver else None,
+        "witnesses": {str(k): prof.text() for k, prof in (rep.witnesses or {}).items()} or None,
+        "iterations": rep.iterations,
+        "profiles_in_working_set": rep.profiles_in_working_set,
+        "runtime_ms": rep.runtime_ms,
+    }
+    lines = [f"verdict: {rep.verdict}"]
+    if rep.improver is not None:
+        lines.append(f"improver: {rep.improver.text()}")
+    for k, prof in sorted((rep.witnesses or {}).items()):
+        lines.append(f"forcing profile for rank {k}: {prof.text()}")
+    return payload, lines
+
+
+def _dual(args) -> Output:
+    image = dual(args.lottery).text()
+    return {"dual": image}, [image]
+
+
+def _compose(args) -> Output:
+    lam = canonical_word(args.word, args.n, args.p).text()
+    return {"lottery": lam}, [lam]
+
+
+def _canonical(args) -> Output:
+    entries = enumerate_canonical(args.n, args.p)
+    payload = {
+        "count": len(entries),
+        "guarantees": [[",".join(word), lam.text()] for word, lam in entries],
+    }
+    lines = [f"{','.join(word)}: {lam.text()}" for word, lam in entries]
+    lines.append(f"count: {len(entries)}")
+    return payload, lines
+
+
+def _simplex(args) -> Output:
+    vertices = [v.text() for v in word_simplex(parse_word(args.word), args.n, args.p)]
+    return {"vertices": vertices}, vertices
+
+
+def _protocol_eval(args) -> Output:
+    spec = parse_protocol(args.spec, args.n, args.p)
+    report = worst_case_guarantee(spec, args.n, args.p)
+    claim_ok = None
+    if args.claim is not None:
+        claim_ok = verify_safe_strategy(spec, args.claim, args.n, args.p)
+    payload = {
+        "protocol": spec.text(),
+        "achieved": report.achieved.text(),
+        "scenario_count": report.scenario_count,
+        "worst_scenarios": {
+            str(k): _trace_json(trace) for k, trace in sorted(report.worst_scenarios.items())
+        },
+        "claim_secured": claim_ok,
+        "runtime_ms": report.runtime_ms,
+    }
+    lines = [
+        f"protocol: {spec.text()}",
+        f"achieved guarantee: {report.achieved.text()}",
+        f"scenarios: {report.scenario_count}",
+    ]
+    if claim_ok is not None:
+        lines.append(f"claim secured: {claim_ok}")
+    return payload, lines
+
+
+def _verify(args) -> Output:
+    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    suites: list[dict] = []
+
+    def lines():
+        for name in names:
+            result = run_suite(name, jobs=args.jobs, seed=args.seed)
+            suites.append(
+                {
+                    "suite": result.suite,
+                    "passed": result.passed,
+                    "runtime_ms": result.runtime_ms,
+                    "checks": [
+                        {
+                            "description": ch.description,
+                            "expected": ch.expected,
+                            "computed": ch.computed,
+                            "passed": ch.passed,
+                        }
+                        for ch in result.checks
+                    ],
+                }
+            )
+            for check in result.checks:
+                status = "PASS" if check.passed else "FAIL"
+                line = f"[{status}] {result.suite}: {check.description}"
+                if not check.passed:
+                    line += f" (expected {check.expected}, got {check.computed})"
+                yield line
+            yield (
+                f"suite {result.suite}: "
+                f"{'PASS' if result.passed else 'FAIL'} "
+                f"({len(result.checks)} checks, {result.runtime_ms} ms)"
+            )
+
+    return {"suites": suites}, lines()
+
+
+def _search_combinations(args) -> Output:
+    rng = random.Random(args.seed)
+    entries = enumerate_canonical(args.n, args.p)
+    findings = []
+    for _ in range(args.samples):
+        count = rng.randint(2, min(3, len(entries)))
+        chosen = rng.sample(range(len(entries)), count)
+        weights = [rng.randint(1, 5) for _ in chosen]
+        total = sum(weights) + rng.randint(0, 3)
+        terms = [(Fraction(w, total), entries[i][1]) for w, i in zip(weights, chosen)]
+        leftover = 1 - sum(w for w, _ in terms)
+        if leftover > 0:
+            terms.append((leftover, uniform(args.p)))
+        lam = convex_combination(terms)
+        rep = is_maximal(lam, args.n, jobs=args.jobs, limit_profiles=args.limit_profiles)
+        findings.append(
+            {
+                "mixture": [[str(w), l.text()] for w, l in terms],
+                "lottery": lam.text(),
+                "verdict": rep.verdict,
+            }
+        )
+    lines = [f"{f['lottery']}: {f['verdict']}" for f in findings]
+    maximal_found = sum(1 for f in findings if f["verdict"] == "maximal")
+    lines.append(f"maximal mixtures found: {maximal_found} of {len(findings)}")
+    return {"samples": findings}, lines
+
+
+def _exit_code(payload: dict) -> int:
+    verdicts = [payload.get("verdict")] + [s["verdict"] for s in payload.get("samples", ())]
+    if "undecided" in verdicts:
+        return UNDECIDED_EXIT
+    if payload.get("claim_secured") is False:
+        return FAIL
+    if not all(s["passed"] for s in payload.get("suites", ())):
+        return FAIL
+    return PASS
+
+
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    args: tuple[tuple[str, dict], ...]
+    handler: Callable[[argparse.Namespace], Output]
+    cached: bool = False  # the verdict is stored under --cache, keyed by `args`
+
+
+_N = ("--n", {"type": int, "required": True})
+_P = ("--p", {"type": int, "required": True})
+_LOTTERY = ("--lottery", {"type": _lottery_arg, "required": True})
+
+COMMANDS = (
+    _Command(
+        "feasible",
+        "decide whether a guarantee is achievable",
+        (_N, _LOTTERY),
+        _feasible,
+        cached=True,
+    ),
+    _Command(
+        "maximal",
+        "decide whether a guarantee is unimprovable",
+        (
+            _N,
+            _LOTTERY,
+            ("--witnesses", {"action": "store_true", "help": "attach per-rank forcing profiles"}),
+        ),
+        _maximal,
+        cached=True,
+    ),
+    _Command("dual", "apply the duality map", (_LOTTERY,), _dual),
+    _Command(
+        "compose",
+        "evaluate a composition word",
+        (("--word", {"required": True, "help": "e.g. RD,VT"}), _N, _P),
+        _compose,
+    ),
+    _Command("canonical", "list all canonical guarantees at (n, p)", (_N, _P), _canonical),
+    _Command(
+        "simplex",
+        "vertices of the guarantee simplex of a full word",
+        (("--word", {"required": True}), _N, _P),
+        _simplex,
+    ),
+    _Command(
+        "protocol-eval",
+        "worst-case evaluation of a protocol",
+        (
+            ("--spec", {"required": True, "help": 'e.g. "veto(1); uniform"'}),
+            _N,
+            _P,
+            ("--claim", {"type": _lottery_arg, "help": "verify a claimed guarantee"}),
+        ),
+        _protocol_eval,
+    ),
+    _Command(
+        "verify",
+        "run a named verification suite",
+        (("--suite", {"required": True, "help": f"one of: all, {', '.join(sorted(SUITES))}"}),),
+        _verify,
+    ),
+    _Command(
+        "search-combinations",
+        "probe random mixtures of canonical guarantees for unexpected maximality",
+        (_N, _P, ("--samples", {"type": int, "default": 20})),
+        _search_combinations,
+    ),
+)
+
+
+def _cache_key(command: _Command, args: argparse.Namespace) -> str:
+    values = [str(getattr(args, flag.lstrip("-").replace("-", "_"))) for flag, _ in command.args]
+    digest = hashlib.sha256(":".join([command.name, *values]).encode()).hexdigest()
+    return f"{command.name}-{digest[:24]}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -199,280 +421,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         json=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("feasible", parents=[common], help="decide whether a guarantee is achievable")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lottery", type=_lottery_arg, required=True)
-
-    sp = sub.add_parser("maximal", parents=[common], help="decide whether a guarantee is unimprovable")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--lottery", type=_lottery_arg, required=True)
-    sp.add_argument("--witnesses", action="store_true", help="attach per-rank forcing profiles")
-
-    sp = sub.add_parser("dual", parents=[common], help="apply the duality map")
-    sp.add_argument("--lottery", type=_lottery_arg, required=True)
-
-    sp = sub.add_parser("compose", parents=[common], help="evaluate a composition word")
-    sp.add_argument("--word", required=True, help="e.g. RD,VT")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("canonical", parents=[common], help="list all canonical guarantees at (n, p)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("simplex", parents=[common], help="vertices of the guarantee simplex of a full word")
-    sp.add_argument("--word", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("protocol-eval", parents=[common], help="worst-case evaluation of a protocol")
-    sp.add_argument("--spec", required=True, help='e.g. "veto(1); uniform"')
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--claim", type=_lottery_arg, default=None, help="verify a claimed guarantee")
-
-    sp = sub.add_parser("verify", parents=[common], help="run a named verification suite")
-    sp.add_argument("--suite", required=True, help=f"one of: all, {', '.join(sorted(SUITES))}")
-
-    sp = sub.add_parser(
-        "search-combinations",
-        parents=[common],
-        help="probe random mixtures of canonical guarantees for unexpected maximality",
-    )
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=20)
+    for command in COMMANDS:
+        sp = sub.add_parser(command.name, parents=[common], help=command.help)
+        for flag, spec in command.args:
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(entry=command)
 
     args = parser.parse_args(argv)
-    jobs = max(1, args.jobs)
+    args.jobs = max(1, args.jobs)
+    command: _Command = args.entry
 
-    if args.command == "feasible":
-        key = _cache_key("feasible", args.n, args.lottery)
-        cached = _cache_lookup(args.cache, key)
+    key = _cache_key(command, args) if command.cached else None
+    cached = _cache_lookup(args.cache, key) if key else None
+    try:
         if cached is not None:
-            _emit(cached, args.json, [f"verdict: {cached['verdict']} (cached)"])
-            return UNDECIDED_EXIT if cached["verdict"] == "undecided" else PASS
-        rep = is_feasible(
-            args.lottery,
-            args.n,
-            jobs=jobs,
-            limit_profiles=args.limit_profiles,
-            time_budget=_time_budget(),
-        )
-        payload = _feasibility_json(rep)
-        if rep.verdict != "undecided":
-            _cache_store(args.cache, key, payload)
-        lines = [f"verdict: {rep.verdict}", f"method: {rep.method}"]
-        if rep.witness_profile is not None:
-            lines.append(f"witness profile: {rep.witness_profile.text()}")
-        lines.append(f"profiles checked: {rep.profiles_checked}")
+            payload, lines = cached, [f"verdict: {cached['verdict']} (cached)"]
+        else:
+            payload, lines = command.handler(args)
+            payload["schema"] = SCHEMA_VERSION
+            if key and payload["verdict"] != "undecided":
+                _cache_store(args.cache, key, payload)
         _emit(payload, args.json, lines)
-        return UNDECIDED_EXIT if rep.verdict == "undecided" else PASS
-
-    if args.command == "maximal":
-        key = _cache_key("maximal", args.n, args.lottery)
-        cached = _cache_lookup(args.cache, key)
-        if cached is not None:
-            _emit(cached, args.json, [f"verdict: {cached['verdict']} (cached)"])
-            return UNDECIDED_EXIT if cached["verdict"] == "undecided" else PASS
-        try:
-            rep = is_maximal(
-                args.lottery,
-                args.n,
-                jobs=jobs,
-                witnesses=args.witnesses,
-                limit_profiles=args.limit_profiles,
-                time_budget=_time_budget(),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        payload = _maximality_json(rep)
-        if rep.verdict != "undecided":
-            _cache_store(args.cache, key, payload)
-        lines = [f"verdict: {rep.verdict}"]
-        if rep.improver is not None:
-            lines.append(f"improver: {rep.improver.text()}")
-        if rep.witnesses:
-            for k, prof in sorted(rep.witnesses.items()):
-                lines.append(f"forcing profile for rank {k}: {prof.text()}")
-        _emit(payload, args.json, lines)
-        return UNDECIDED_EXIT if rep.verdict == "undecided" else PASS
-
-    if args.command == "dual":
-        image = dual(args.lottery)
-        _emit(
-            {"schema": SCHEMA_VERSION, "dual": image.text()},
-            args.json,
-            [image.text()],
-        )
-        return PASS
-
-    if args.command == "compose":
-        try:
-            lam = canonical_word(args.word, args.n, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        _emit({"schema": SCHEMA_VERSION, "lottery": lam.text()}, args.json, [lam.text()])
-        return PASS
-
-    if args.command == "canonical":
-        try:
-            entries = enumerate_canonical(args.n, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "count": len(entries),
-            "guarantees": [[",".join(word), lam.text()] for word, lam in entries],
-        }
-        lines = [f"{','.join(word)}: {lam.text()}" for word, lam in entries]
-        lines.append(f"count: {len(entries)}")
-        _emit(payload, args.json, lines)
-        return PASS
-
-    if args.command == "simplex":
-        try:
-            vertices = word_simplex(parse_word(args.word), args.n, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "vertices": [v.text() for v in vertices],
-        }
-        _emit(payload, args.json, [v.text() for v in vertices])
-        return PASS
-
-    if args.command == "protocol-eval":
-        try:
-            spec = parse_protocol(args.spec, args.n, args.p)
-            report = worst_case_guarantee(spec, args.n, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        claim_ok = None
-        if args.claim is not None:
-            claim_ok = verify_safe_strategy(spec, args.claim, args.n, args.p)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "protocol": spec.text(),
-            "achieved": report.achieved.text(),
-            "scenario_count": report.scenario_count,
-            "worst_scenarios": {
-                str(k): _trace_json(trace) for k, trace in sorted(report.worst_scenarios.items())
-            },
-            "claim_secured": claim_ok,
-            "runtime_ms": report.runtime_ms,
-        }
-        lines = [
-            f"protocol: {spec.text()}",
-            f"achieved guarantee: {report.achieved.text()}",
-            f"scenarios: {report.scenario_count}",
-        ]
-        if claim_ok is not None:
-            lines.append(f"claim secured: {claim_ok}")
-        _emit(payload, args.json, lines)
-        if claim_ok is False:
-            return FAIL
-        return PASS
-
-    if args.command == "verify":
-        names = sorted(SUITES) if args.suite == "all" else [args.suite]
-        all_passed = True
-        results = []
-        for name in names:
-            try:
-                result = run_suite(name, jobs=jobs, seed=args.seed)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return USAGE
-            results.append(result)
-            for check in result.checks:
-                status = "PASS" if check.passed else "FAIL"
-                line = f"[{status}] {result.suite}: {check.description}"
-                if not check.passed:
-                    line += f" (expected {check.expected}, got {check.computed})"
-                if not args.json:
-                    print(line)
-            if not args.json:
-                print(
-                    f"suite {result.suite}: "
-                    f"{'PASS' if result.passed else 'FAIL'} "
-                    f"({len(result.checks)} checks, {result.runtime_ms} ms)"
-                )
-            all_passed = all_passed and result.passed
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "suites": [
-                            {
-                                "suite": r.suite,
-                                "passed": r.passed,
-                                "runtime_ms": r.runtime_ms,
-                                "checks": [
-                                    {
-                                        "description": ch.description,
-                                        "expected": ch.expected,
-                                        "computed": ch.computed,
-                                        "passed": ch.passed,
-                                    }
-                                    for ch in r.checks
-                                ],
-                            }
-                            for r in results
-                        ],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        return PASS if all_passed else FAIL
-
-    if args.command == "search-combinations":
-        rng = random.Random(args.seed)
-        try:
-            entries = enumerate_canonical(args.n, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        findings = []
-        undecided = 0
-        for _ in range(args.samples):
-            count = rng.randint(2, min(3, len(entries)))
-            chosen = rng.sample(range(len(entries)), count)
-            weights = [rng.randint(1, 5) for _ in chosen]
-            total = sum(weights) + rng.randint(0, 3)
-            terms = [
-                (Fraction(w, total), entries[i][1]) for w, i in zip(weights, chosen)
-            ]
-            leftover = 1 - sum(w for w, _ in terms)
-            if leftover > 0:
-                terms.append((leftover, uniform(args.p)))
-            lam = convex_combination(terms)
-            rep = is_maximal(lam, args.n, jobs=jobs, limit_profiles=args.limit_profiles)
-            if rep.verdict == "undecided":
-                undecided += 1
-            findings.append(
-                {
-                    "mixture": [[str(w), l.text()] for w, l in terms],
-                    "lottery": lam.text(),
-                    "verdict": rep.verdict,
-                }
-            )
-        payload = {"schema": SCHEMA_VERSION, "samples": findings}
-        lines = [f"{f['lottery']}: {f['verdict']}" for f in findings]
-        maximal_found = sum(1 for f in findings if f["verdict"] == "maximal")
-        lines.append(f"maximal mixtures found: {maximal_found} of {len(findings)}")
-        _emit(payload, args.json, lines)
-        return UNDECIDED_EXIT if undecided else PASS
-
-    raise AssertionError("unreachable")  # pragma: no cover
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    return _exit_code(payload)
 
 
 if __name__ == "__main__":  # pragma: no cover

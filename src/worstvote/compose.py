@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .duality import dual
 from .lottery import RankLottery, ZERO, rd, uniform, vt
@@ -171,76 +170,3 @@ def _affinely_independent(points: list[RankLottery]) -> bool:
                 rows[i] = [v - factor * w for v, w in zip(rows[i], rows[rank])]
         rank += 1
     return rank == len(rows)
-
-
-@dataclass(frozen=True)
-class SupportTable:
-    """Block decomposition of the ranks induced by an RD-headed word.
-
-    `blocks[j]` is the rank set claimed by letter j+1 of the word (block 0
-    belongs to the leading RD); the final entry is the residual window.
-    `flags[j]` is 1 when letter j+2 is RD.  `sizes[k]` gives the support
-    size contributed by the sub-word after the leading RD, truncated at
-    letter k; the full guarantee for that truncation is uniform on a
-    support of size `sizes[k] + n`.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    flags: tuple[int, ...]
-    sizes: dict[int, int]
-    support: frozenset[int]
-    value: Fraction
-
-
-def support_table(seq: CanonicalSequence) -> SupportTable:
-    """Predict support and value of an RD-headed canonical guarantee.
-
-    Walks the word from the outside in, carving off each letter's block:
-    an RD letter takes the first n-1 and last ranks of the current window,
-    a VT letter takes the first rank and the last n-1.  The support is then
-    read off the letter pattern and cross-checked against `canonical`.
-    """
-    if seq.word[0] != RD:
-        raise ValueError("support tables are defined for RD-headed words")
-    n, p = seq.n, seq.p
-    h = len(seq.word)
-    window = list(range(1, p + 1))
-    blocks: list[frozenset[int]] = []
-    for letter in seq.word:
-        if letter == RD:
-            block = frozenset(window[: n - 1] + window[-1:])
-            window = window[n - 1 : -1]
-        else:
-            block = frozenset(window[:1] + window[-(n - 1) :])
-            window = window[1 : -(n - 1)]
-        blocks.append(block)
-    blocks.append(frozenset(window))
-
-    flags = tuple(1 if letter == RD else 0 for letter in seq.word[1:])
-    sizes: dict[int, int] = {}
-    for k in range(2, h + 1):
-        eps_k = flags[k - 2]
-        sizes[k] = n * sum(flags[: k - 1]) + (p - k * n) * (1 - eps_k)
-
-    support: set[int] = set(blocks[0])
-    for j, eps in enumerate(flags):
-        if eps:
-            support |= blocks[j + 1]
-    if seq.word[-1] == VT:
-        # A trailing VT keeps everything deeper than the last carved block.
-        for block in blocks[h:]:
-            support |= block
-    lam = canonical(seq)
-    predicted = frozenset(support)
-    if lam.support() != predicted:
-        raise AssertionError("support table disagrees with the composed guarantee")
-    value = Fraction(1, len(predicted))
-    if any(lam.probs[k - 1] != value for k in predicted):
-        raise AssertionError("composed guarantee is not uniform on its support")
-    return SupportTable(
-        blocks=tuple(blocks),
-        flags=flags,
-        sizes=sizes,
-        support=predicted,
-        value=value,
-    )

@@ -33,7 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, sorted_dot, uniform
 from .lp import (
@@ -80,10 +80,11 @@ def active_ranks(lam: RankLottery) -> tuple[int, ...]:
     return tuple(k for k in range(1, lam.p) if lam.probs[k] > 0)
 
 
-def _system_program(
-    p: int, ks: tuple[int, ...], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
-) -> LinearProgram:
-    """The implementation LP over `p` outcomes for orders listed worst first.
+def _tail_rows(
+    p: int, ks: Sequence[int], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
+) -> list[Constraint]:
+    """The rows of the implementation LP over `p` outcomes for orders listed
+    worst first.
 
     Row 0 pins total mass to one; then, for each order in turn, one row per
     active rank k in `ks` capping the mass of that order's k-tail at the
@@ -97,18 +98,19 @@ def _system_program(
             for a in layout[:k]:
                 coeffs[a - 1] = Fraction(1)
             rows.append(Constraint(tuple(coeffs), LE, cap))
-    return feasibility_program(p, rows)
+    return rows
 
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
     """The exact LP deciding whether some lottery implements `lam` at `prof`:
-    one tail row per agent and active rank, laid out as in `_system_program`."""
+    one tail row per agent and active rank, laid out as in `_tail_rows`."""
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
     ks = active_ranks(lam)
     cum = lam.cumulative()
     caps = [cum[k - 1] for k in ks]
-    return _system_program(lam.p, ks, caps, [pref.order for pref in prof.prefs])
+    orders = [pref.order for pref in prof.prefs]
+    return feasibility_program(lam.p, _tail_rows(lam.p, ks, caps, orders))
 
 
 def implement_report(lam: RankLottery, prof: Profile) -> tuple[Optional[OutcomeLottery], LPResult]:
@@ -459,7 +461,7 @@ def _scan_chunk(payload: tuple) -> dict:
                 break
             checked += 1
             orders = [identity, *(layouts[i] for i in head), layouts[miss]]
-            result = solve(_system_program(p, ks, caps, orders))
+            result = solve(feasibility_program(p, _tail_rows(p, ks, caps, orders)))
             if result.status == INFEASIBLE:
                 return {
                     "status": "infeasible",
@@ -629,7 +631,6 @@ def is_feasible(
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
     use_hull: bool = True,
-    extra_profiles: Iterable[Profile] = (),
 ) -> FeasibilityReport:
     """Decide membership of `lam` in the feasible-guarantee polytope.
 
@@ -638,8 +639,8 @@ def is_feasible(
     Infeasible verdicts always carry a witness profile whose implementation
     LP is infeasible, plus its Farkas certificate.  Resource limits (profile
     count, wall-clock seconds) yield the explicit verdict "undecided",
-    never a guess.  `limit_profiles` caps the implementation LPs on supplied
-    and library profiles plus the tail systems scanned, whatever `jobs` is.
+    never a guess.  `limit_profiles` caps the implementation LPs on library
+    profiles plus the tail systems scanned, whatever `jobs` is.
     """
     started = time.perf_counter()
     if n < 1:
@@ -669,19 +670,6 @@ def is_feasible(
             _verdict_cache[cache_key] = report
         return report
 
-    def first_refuting(profiles: Iterable[Profile], method: str) -> Optional[FeasibilityReport]:
-        nonlocal checked
-        for prof in profiles:
-            if limit_profiles is not None and checked >= limit_profiles:
-                return finish(UNDECIDED, "profile-limit")
-            ell, result = implement_report(lam, prof)
-            checked += 1
-            if ell is None:
-                return finish(
-                    INFEASIBLE, method, witness_profile=prof, witness_certificate=result.certificate
-                )
-        return None
-
     if n == 1:
         return finish(FEASIBLE, "single-agent")
 
@@ -706,9 +694,6 @@ def is_feasible(
         # The two-agent inequalities are exact, and they just passed.
         return finish(FEASIBLE, "two-agent-exact")
 
-    if (report := first_refuting(extra_profiles, "supplied-profile")) is not None:
-        return report
-
     own_size = system_count(lam, n)
 
     if use_hull and 3 <= n < p:
@@ -719,8 +704,18 @@ def is_feasible(
             if mixture is not None:
                 return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
-    if (report := first_refuting(hard_profiles(n, p), "library-profile")) is not None:
-        return report
+    for prof in hard_profiles(n, p):
+        if limit_profiles is not None and checked >= limit_profiles:
+            return finish(UNDECIDED, "profile-limit")
+        ell, result = implement_report(lam, prof)
+        checked += 1
+        if ell is None:
+            return finish(
+                INFEASIBLE,
+                "library-profile",
+                witness_profile=prof,
+                witness_certificate=result.certificate,
+            )
 
     ks = active_ranks(lam)
     if not ks:
@@ -767,9 +762,6 @@ def cardinal_falsifier(
     n: int,
     sample_count: int = 10_000,
     seed: int = 0,
-    *,
-    low: int = -10,
-    high: int = 10,
 ) -> Optional[CardinalViolation]:
     """Random search for a zero-sum utility profile where the summed
     guaranteed utilities are positive: a certificate of infeasibility.
@@ -779,7 +771,7 @@ def cardinal_falsifier(
     rng = random.Random(seed)
     p = lam.p
     for _ in range(sample_count):
-        raw = [[rng.randint(low, high) for _ in range(p)] for _ in range(n)]
+        raw = [[rng.randint(-10, 10) for _ in range(p)] for _ in range(n)]
         cols = [sum(raw[i][a] for i in range(n)) for a in range(p)]
         # scale by n before centering so the profile stays integral
         profile = [

@@ -12,8 +12,7 @@ feasible set is contained in the relaxation).
 
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
 where every implementing lottery is pinned to the guarantee's cumulative
-value at that rank) and cross-checked with polar certificates: strictly
-increasing zero-sum vectors orthogonal to the guarantee.
+value at that rank).
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, uniform
 from .lp import (
-    EQ,
     GE,
     INFEASIBLE,
     LE,
@@ -38,6 +36,7 @@ from .feasibility import (
     FEASIBLE,
     UNDECIDED,
     FeasibilityReport,
+    _tail_rows,
     active_ranks,
     implement_program,
     implement_report,
@@ -70,43 +69,10 @@ class MaximalityReport:
         return self.verdict == MAXIMAL
 
 
-@dataclass(frozen=True)
-class PolarCertificate:
-    """A strictly increasing zero-sum vector orthogonal to the guarantee."""
-
-    z: tuple[Fraction, ...]
-
-
-def check_polar_certificate(
-    cert: PolarCertificate,
-    lam: RankLottery,
-    test_set: Sequence[RankLottery] = (),
-) -> bool:
-    """Validate all checkable certificate conditions.
-
-    The test set stands in for the full polar cone: every member must have
-    been verified feasible beforehand, and the certificate must price each
-    one nonpositively.
-    """
-    z = cert.z
-    if len(z) != lam.p:
-        return False
-    if sum(z, ZERO) != 0:
-        return False
-    if any(a >= b for a, b in zip(z, z[1:])):
-        return False
-    if sum((x * v for x, v in zip(lam.probs, z)), ZERO) != 0:
-        return False
-    for mu in test_set:
-        if sum((x * v for x, v in zip(mu.probs, z)), ZERO) > 0:
-            return False
-    return True
-
-
 def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Constraint:
     """Turn a Farkas certificate of an implementation LP into a master cut.
 
-    The LP rows are those `feasibility._system_program` lays out: the mass
+    The LP rows are those `feasibility._tail_rows` lays out: the mass
     equality, then one tail row per (agent, active rank).  Normalizing the multipliers by the equality's weight
     gives cover weights w_k with sum_k w_k * cum_k(mu) >= 1 for every
     lottery mu implementable at the refuting profile.
@@ -131,12 +97,10 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
 
 
 def _master_program(lam: RankLottery, cuts: Sequence[Constraint]) -> LinearProgram:
+    """Candidates mu: the tail rows of one identity order at every rank below
+    p, capped by `lam`'s cumulatives, then the cuts."""
     p = lam.p
-    cum = lam.cumulative()
-    rows = [Constraint((Fraction(1),) * p, EQ, Fraction(1))]
-    for k in range(1, p):
-        coeffs = tuple(Fraction(1) if t < k else ZERO for t in range(p))
-        rows.append(Constraint(coeffs, LE, cum[k - 1]))
+    rows = _tail_rows(p, range(1, p), lam.cumulative()[:-1], [tuple(range(1, p + 1))])
     rows.extend(cuts)
     # maximizing total cumulative slack == minimizing sum_t (p - t) * mu_t
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
@@ -151,7 +115,6 @@ def improve(
     max_iterations: int = 400,
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
-    working: Optional[list[Profile]] = None,
 ) -> tuple[Optional[RankLottery], str, int, int]:
     """Search for a feasible guarantee strictly dominating `lam`.
 
@@ -168,11 +131,8 @@ def improve(
         if anchor.probs != lam.probs and dominates(anchor, lam):
             return anchor, DOMINATED, 0, 0
 
-    if working is None:
-        working = []
     seeds = _witness_cache.setdefault((n, p), [])
-    for prof in [*seeds, *hard_profiles(n, p)]:
-        working.append(prof)
+    working = [*seeds, *hard_profiles(n, p)]
 
     slack_base = sum(cum[:-1], ZERO)
     cuts: list[Constraint] = []
@@ -316,20 +276,18 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Fraction:
     """The smallest achievable worst k-tail mass over lotteries implementing
     `lam` at `prof` (the input must be implementable there)."""
     p = lam.p
+    ks = active_ranks(lam)
     cum = lam.cumulative()
-    rows = [Constraint((Fraction(1),) * p + (ZERO,), EQ, Fraction(1))]
-    for pref in prof.prefs:
-        for ka in active_ranks(lam):
-            coeffs = [ZERO] * (p + 1)
-            for a in pref.order[:ka]:
-                coeffs[a - 1] = Fraction(1)
-            rows.append(Constraint(tuple(coeffs), LE, cum[ka - 1]))
-    for pref in prof.prefs:
-        coeffs = [ZERO] * (p + 1)
-        for a in pref.order[:k]:
-            coeffs[a - 1] = Fraction(1)
-        coeffs[p] = Fraction(-1)
-        rows.append(Constraint(tuple(coeffs), LE, ZERO))
+    orders = [pref.order for pref in prof.prefs]
+    # Variable p + 1 is an upper bound t on every agent's k-tail mass.
+    rows = [
+        Constraint(row.coeffs + (ZERO,), row.rel, row.rhs)
+        for row in _tail_rows(p, ks, [cum[ka - 1] for ka in ks], orders)
+    ]
+    rows.extend(
+        Constraint(row.coeffs + (Fraction(-1),), LE, ZERO)
+        for row in _tail_rows(p, (k,), (ZERO,), orders)[1:]
+    )
     objective = (ZERO,) * p + (Fraction(1),)
     result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
     if result.status != OPTIMAL:
@@ -337,26 +295,17 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Fraction:
     return result.objective_value
 
 
-def forcing_profile(
-    lam: RankLottery,
-    n: int,
-    k: int,
-    *,
-    candidates: Optional[Iterable[Profile]] = None,
-) -> Optional[Profile]:
+def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:
     """A profile at which every lottery implementing `lam` has some agent's
     k-tail mass exactly at the guarantee's cumulative value.
 
-    Searches the structured library (plus any supplied candidates); failure
-    to find one is inconclusive unless the search was exhaustive.
+    Searches earlier witnesses and the structured library; failure to find
+    one is inconclusive.
     """
     if not 1 <= k <= lam.p - 1:
         raise ValueError(f"k={k} out of range")
     target = lam.cumulative()[k - 1]
-    pool: list[Profile] = list(candidates) if candidates is not None else []
-    pool.extend(_witness_cache.get((n, lam.p), []))
-    pool.extend(hard_profiles(n, lam.p))
-    for prof in pool:
+    for prof in [*_witness_cache.get((n, lam.p), []), *hard_profiles(n, lam.p)]:
         if prof.n != n or prof.p != lam.p:
             continue
         ell, _ = implement_report(lam, prof)

@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .lottery import RankLottery, ZERO, as_fraction
+from .lottery import RankLottery, as_fraction
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class Preference:
     @property
     def p(self) -> int:
         return len(self.order)
-
-    def rank_of(self, outcome: int) -> int:
-        """Rank of an outcome under this preference (1 = worst)."""
-        return self.order.index(outcome) + 1
 
     def k_tail(self, k: int) -> frozenset[int]:
         """The agent's k worst outcomes."""
@@ -87,9 +83,6 @@ class OutcomeLottery:
 
     def of(self, outcome: int) -> Fraction:
         return self.mass[outcome - 1]
-
-    def on_set(self, outcomes: Iterable[int]) -> Fraction:
-        return sum((self.mass[a - 1] for a in outcomes), ZERO)
 
     def text(self) -> str:
         return ",".join(str(x) for x in self.mass)

@@ -1,15 +1,51 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from worstvote import cli
 from worstvote.cli import main
 from worstvote.lottery import parse_lottery
+from worstvote.suites import SUITES, Check, SuiteResult
+
+# Each case is one command line with its stdout and exit code; a "cached" case
+# runs twice against one --cache directory and records the second run.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _masked(text):
+    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": "*"', text)
+    return re.sub(r"\d+ ms\)", "* ms)", text)
+
+
+def replay(case, cache_dir):
+    argv = list(case["argv"])
+    if case["cached"]:
+        argv += ["--cache", str(cache_dir)]
+    for _ in range(2 if case["cached"] else 1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, _masked(out.getvalue())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_output_matches_golden(case, tmp_path, monkeypatch):
+    for name in ("WORSTVOTE_JOBS", "WORSTVOTE_CACHE", "WORSTVOTE_LIMIT_PROFILES", "WORSTVOTE_TIME_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    assert replay(case, tmp_path) == (case["exit"], case["stdout"])
 
 
 class TestBasicCommands:
@@ -124,6 +160,17 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_library_value_error_is_three(self, capsys):
+        code, out = run_cli(capsys, "feasible", "--n", "0", "--lottery", "1,0")
+        assert (code, out) == (3, "")
+
+    def test_claim_of_wrong_length_is_three(self, capsys):
+        code, out = run_cli(
+            capsys, "protocol-eval", "--spec", "rd(pad)", "--n", "3", "--p", "6",
+            "--claim", "1/2,1/2",
+        )
+        assert (code, out) == (3, "")
+
 
 class TestCache:
     def test_cached_verdicts_match_fresh(self, capsys, tmp_path):
@@ -149,12 +196,34 @@ class TestCache:
         assert code == 0
         assert json.loads(out)["verdict"] == "infeasible"
 
+    def test_cache_keeps_witnesses_apart(self, capsys, tmp_path):
+        args = ["maximal", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--jobs", "1",
+                "--cache", str(tmp_path), "--json"]
+        run_cli(capsys, *args)
+        code, out = run_cli(capsys, *args, "--witnesses")
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        assert witnesses is not None and len(witnesses) == 5
+
 
 class TestVerify:
     def test_duality_suite_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "duality")
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_text_mode_prints_each_suite_as_it_finishes(self, capsys, monkeypatch):
+        printed_before = []
+
+        def fake_suite(name, *, jobs, seed):
+            printed_before.append(capsys.readouterr().out)
+            return SuiteResult(name, (Check("ok", "1", "1"),), 0)
+
+        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        assert main(["verify", "--suite", "all"]) == 0
+        first = sorted(SUITES)[0]
+        first_lines = f"[PASS] {first}: ok\nsuite {first}: PASS (1 checks, 0 ms)\n"
+        assert printed_before[:2] == ["", first_lines]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "no-such-suite"])

@@ -5,13 +5,11 @@ import pytest
 
 from worstvote.compose import (
     CanonicalSequence,
-    canonical,
     canonical_word,
     dual_word,
     enumerate_canonical,
     parse_word,
     rd_compose,
-    support_table,
     vt_compose,
     word_simplex,
 )
@@ -177,38 +175,6 @@ class TestSimplices:
     def test_requires_full_word(self):
         with pytest.raises(ValueError):
             word_simplex(("VT",), 3, 7)
-
-
-class TestSupportTable:
-    def test_rd_vt_blocks(self):
-        st = support_table(CanonicalSequence(("RD", "VT"), 3, 7))
-        assert st.blocks[0] == frozenset({1, 2, 7})
-        assert st.blocks[1] == frozenset({3, 5, 6})
-        assert sorted(st.support) == [1, 2, 4, 7]
-        assert st.value == F(1, 4)
-
-    def test_all_rd_nesting(self):
-        st = support_table(CanonicalSequence(("RD", "RD", "RD"), 3, 11))
-        supports = []
-        for h in range(1, 4):
-            sub = support_table(CanonicalSequence(("RD",) * h, 3, 11))
-            supports.append(sub.support)
-        assert supports[0] < supports[1] < supports[2]
-        # the residual block never enters an all-RD support
-        assert st.blocks[-1] & st.support == frozenset()
-
-    def test_theta_matches_support_sizes(self):
-        for word in (("RD", "VT"), ("RD", "RD"), ("RD", "VT", "RD"), ("RD", "RD", "VT")):
-            p = 3 * len(word) + 2
-            seq = CanonicalSequence(word, 3, p)
-            st = support_table(seq)
-            for k in range(2, len(word) + 1):
-                prefix = CanonicalSequence(word[:k], 3, p)
-                assert len(canonical(prefix).support()) == st.sizes[k] + 3
-
-    def test_vt_headed_rejected(self):
-        with pytest.raises(ValueError):
-            support_table(CanonicalSequence(("VT", "RD"), 3, 7))
 
 
 class TestTransport:

@@ -344,7 +344,7 @@ class TestIntegerTableau:
 
 # Master programs (`maximality._master_program`), cut programs
 # (`feasibility.implement_program`) and tail-system programs
-# (`feasibility._system_program`) met while deciding maximality and
+# (`feasibility._scan_chunk`) met while deciding maximality and
 # feasibility at (3,5) and (3,6), each with the result of the `Fraction`
 # tableau that preceded the integer one.  The pivot rule is unchanged, so
 # the primal point and the certificate must be unchanged too.

@@ -11,15 +11,12 @@ from worstvote.lottery import (
     dominates,
     is_symmetric,
     lottery,
-    m2_vertices,
     parse_lottery,
     rd,
     uniform,
     vt,
 )
 from worstvote.maximality import (
-    PolarCertificate,
-    check_polar_certificate,
     forcing_profile,
     forcing_value,
     improve,
@@ -236,35 +233,3 @@ class TestForcingProfiles:
         report = is_maximal(vt(3, 6), 3, witnesses=True)
         assert report.verdict == "maximal"
         assert set(report.witnesses) == {1, 2, 3, 4, 5}
-
-
-class TestPolarCertificates:
-    def test_centered_ramp_certifies_symmetric_guarantees(self):
-        rng = random.Random(2)
-        p = 6
-        ramp = PolarCertificate(tuple(F(2 * k - (p + 1), 2) for k in range(1, p + 1)))
-        feasible_pool = []
-        while len(feasible_pool) < 10:
-            lam = rand_lottery(p, rng)
-            if is_feasible(lam, 2).feasible:
-                feasible_pool.append(lam)
-        for vertex in m2_vertices(p):
-            assert check_polar_certificate(ramp, vertex, feasible_pool)
-
-    def test_not_increasing_rejected(self):
-        z = PolarCertificate((F(0), F(0), F(0)))
-        assert not check_polar_certificate(z, uniform(3), [])
-
-    def test_nonorthogonal_rejected(self):
-        z = PolarCertificate((F(-1), F(0), F(1)))
-        lam = lottery([F(1, 2), F(1, 2), 0])
-        assert not check_polar_certificate(z, lam, [])
-
-    def test_nonzero_sum_rejected(self):
-        z = PolarCertificate((F(-1), F(0), F(2)))
-        assert not check_polar_certificate(z, uniform(3), [])
-
-    def test_positive_pricing_rejected(self):
-        ramp = PolarCertificate((F(-1), F(0), F(1)))
-        top = lottery([0, 0, 1])
-        assert not check_polar_certificate(ramp, uniform(3), [top])
