@@ -317,9 +317,9 @@ def _exit_code(payload: dict) -> int:
 class _Command:
     name: str
     help: str
-    args: tuple[tuple[str, dict], ...]
+    arguments: tuple[tuple[str, dict], ...]
     handler: Callable[[argparse.Namespace], Output]
-    cached: bool = False  # the verdict is stored under --cache, keyed by `args`
+    cached: bool = False  # the verdict is stored under --cache, keyed by `arguments`
 
 
 _N = ("--n", {"type": int, "required": True})
@@ -386,7 +386,8 @@ COMMANDS = (
 
 
 def _cache_key(command: _Command, args: argparse.Namespace) -> str:
-    values = [str(getattr(args, flag.lstrip("-").replace("-", "_"))) for flag, _ in command.args]
+    dests = [flag.lstrip("-").replace("-", "_") for flag, _ in command.arguments]
+    values = [str(getattr(args, dest)) for dest in dests]
     digest = hashlib.sha256(":".join([command.name, *values]).encode()).hexdigest()
     return f"{command.name}-{digest[:24]}"
 
@@ -423,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         sp = sub.add_parser(command.name, parents=[common], help=command.help)
-        for flag, spec in command.args:
+        for flag, spec in command.arguments:
             sp.add_argument(flag, **spec)
         sp.set_defaults(entry=command)
 
