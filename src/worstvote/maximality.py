@@ -39,7 +39,6 @@ from .feasibility import (
     _tail_rows,
     active_ranks,
     implement_program,
-    implement_report,
     is_feasible,
     verified_anchors,
 )
@@ -272,9 +271,9 @@ def _report(
     )
 
 
-def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Fraction:
+def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]:
     """The smallest achievable worst k-tail mass over lotteries implementing
-    `lam` at `prof` (the input must be implementable there)."""
+    `lam` at `prof`, or None when no lottery implements `lam` there."""
     p = lam.p
     ks = active_ranks(lam)
     cum = lam.cumulative()
@@ -290,9 +289,9 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Fraction:
     )
     objective = (ZERO,) * p + (Fraction(1),)
     result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
-    if result.status != OPTIMAL:
-        raise ValueError("lottery is not implementable at this profile")
-    return result.objective_value
+    # t is bounded below by 0 and unbounded above, so the LP is infeasible
+    # exactly when the implementation rows are.
+    return result.objective_value if result.status == OPTIMAL else None
 
 
 def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:
@@ -307,9 +306,6 @@ def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:
     target = lam.cumulative()[k - 1]
     for prof in [*_witness_cache.get((n, lam.p), []), *hard_profiles(n, lam.p)]:
         if prof.n != n or prof.p != lam.p:
-            continue
-        ell, _ = implement_report(lam, prof)
-        if ell is None:
             continue
         if forcing_value(lam, prof, k) == target:
             return prof

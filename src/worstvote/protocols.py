@@ -9,13 +9,12 @@ continuation, mirroring how guarantees compose.
 
 One stage function, `_step`, says what a stage does with one tuple of
 reports: the mass it settles, the weight with which play continues, and the
-outcomes left for the next stage.  One driver, `_plays`, chains the stages
-and mixes continuations, and both evaluations run through it.  `run`
-evaluates one play on explicit reports, checked for legality first (all
-randomization symbolic, never sampled).  `worst_case_guarantee` fixes
-agent 1 on a representative preference playing its safe strategy and
-exhausts every tuple of adversary reports, stage by stage; the achieved
-guarantee is read off the cumulative maxima across scenarios.
+outcomes left for the next stage.  `run` chains the stages through `_plays`
+on explicit reports, checked for legality first (all randomization
+symbolic, never sampled).  `worst_case_guarantee` fixes agent 1 on one
+preference playing its safe strategy and takes, per rank, the worst case
+over every adversary report by a recursion over (stage, survivors) states
+that calls `_step` once per multiset of adversary reports.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -24,7 +23,9 @@ Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .profiles import (
     Profile,
     enumerate_profiles,
     identity_preference,
-    rank_rearrange,
+    rank_rearrange,  # not called here; perfbench/tracing.py wraps this name
 )
 
 ONE = Fraction(1)
@@ -250,7 +251,7 @@ def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> 
 # ----------------------------------------------------------------------------
 
 
-def _pad_set(chosen: set[int], survivors: list[int], target: int) -> list[int]:
+def _pad_set(chosen: set[int], survivors: tuple, target: int) -> list[int]:
     padded = sorted(chosen)
     for a in survivors:
         if len(padded) >= target:
@@ -261,7 +262,7 @@ def _pad_set(chosen: set[int], survivors: list[int], target: int) -> list[int]:
 
 
 def _find_cover(
-    survivors: list[int], reports: tuple[frozenset[int], ...], size: int
+    survivors: tuple, reports: tuple[frozenset[int], ...], size: int
 ) -> Optional[tuple[int, ...]]:
     for combo in itertools.combinations(survivors, size):
         cset = set(combo)
@@ -270,9 +271,7 @@ def _find_cover(
     return None
 
 
-def _legal_reports(
-    stage: Stage, survivors: list[int], stage_reports: tuple, idx: int, n: int
-) -> tuple:
+def _legal_reports(stage: Stage, survivors: tuple, stage_reports: tuple, idx: int, n: int) -> tuple:
     """Stage idx's reports, sets made frozensets; ValueError if one is illegal."""
     if len(stage_reports) != n:
         raise ValueError(f"stage {idx} needs {n} reports")
@@ -283,10 +282,7 @@ def _legal_reports(
         return stage_reports
     if isinstance(stage, UniformFallback):
         return stage_reports
-    if isinstance(stage, VetoRound):
-        kind, size = "veto", stage.tokens
-    else:
-        kind, size = "cover", stage.depth
+    kind, size = ("veto", stage.tokens) if isinstance(stage, VetoRound) else ("cover", stage.depth)
     stage_reports = tuple(frozenset(rep) for rep in stage_reports)
     for rep in stage_reports:
         if len(rep) != size or not rep <= set(survivors):
@@ -300,8 +296,8 @@ def _even(outcomes, total: Fraction | int = 1) -> dict[int, Fraction]:
 
 
 def _step(
-    stage: Stage, survivors: list[int], stage_reports: tuple, n: int
-) -> tuple[dict[int, Fraction], Fraction | int, list[int]]:
+    stage: Stage, survivors: tuple, stage_reports: tuple, n: int
+) -> tuple[dict[int, Fraction], Fraction | int, tuple]:
     """What one stage does with one tuple of legal reports.
 
     Returns the mass the stage settles on outcomes, the weight with which
@@ -310,23 +306,23 @@ def _step(
     """
     if isinstance(stage, VetoRound):
         vetoed = set().union(*stage_reports)
-        return {}, 1, [a for a in survivors if a not in vetoed]
+        return {}, 1, tuple(a for a in survivors if a not in vetoed)
     if isinstance(stage, UniformFallback):
-        return _even(survivors), 0, []
+        return _even(survivors), 0, ()
     if isinstance(stage, DictatorRound):
         if not stage.padded:
             share = Fraction(1, n)
             mass: dict[int, Fraction] = {}
             for a in stage_reports:
                 mass[a] = mass.get(a, ZERO) + share
-            return mass, 0, []
+            return mass, 0, ()
         distinct = set(stage_reports)
         weight = stage.continue_weight or 0
         if not weight and len(distinct) == 1:
-            return {stage_reports[0]: ONE}, 0, []
+            return {stage_reports[0]: ONE}, 0, ()
         padded = _pad_set(distinct, survivors, min(n, len(survivors)))
         taken = set(padded)
-        return _even(padded, 1 - weight), weight, [a for a in survivors if a not in taken]
+        return _even(padded, 1 - weight), weight, tuple(a for a in survivors if a not in taken)
     cover = _find_cover(survivors, stage_reports, stage.cover_size)
     if cover is None:
         raise CoverNotFoundError(
@@ -334,35 +330,31 @@ def _step(
         )
     if stage.play == "complement":
         cover = [a for a in survivors if a not in set(cover)]
-    return _even(cover), 0, []
+    return _even(cover), 0, ()
+
+
+def _check_vetoes(spec: ProtocolSpec, n: int, p: int):
+    if sum(stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)) >= p:
+        raise ValueError("protocol can veto every outcome")
 
 
 def _plays(
-    spec: ProtocolSpec, n: int, p: int, choices: Callable[[int, list[int]], Iterable[tuple]]
+    spec: ProtocolSpec, n: int, p: int, choices: Callable[[int, tuple], Iterable[tuple]]
 ) -> Iterator[tuple[tuple, OutcomeLottery]]:
     """Every (report trace, exact outcome distribution) pair of the protocol.
 
     `choices(idx, survivors)` gives the report tuples stage idx is played
-    with over the outcomes still in play.  Raises ValueError at once when
-    the veto rounds could remove every outcome.
+    with over the outcomes still in play.
     """
-    total_vetoes = sum(
-        stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)
-    )
-    if total_vetoes >= p:
-        raise ValueError("protocol can veto every outcome")
+    _check_vetoes(spec, n, p)
 
-    def rec(
-        idx: int, survivors: list[int], trace: tuple
-    ) -> Iterator[tuple[tuple, dict[int, Fraction]]]:
+    def rec(idx: int, survivors: tuple, trace: tuple) -> Iterator[tuple[tuple, dict]]:
         stage = spec.stages[idx]
         for stage_reports in choices(idx, survivors):
             settled, weight, rest = _step(stage, survivors, stage_reports, n)
             new_trace = trace + (stage_reports,)
             if not weight:
                 yield new_trace, settled
-            elif weight == 1:
-                yield from rec(idx + 1, rest, new_trace)
             else:
                 for sub_trace, sub_mass in rec(idx + 1, rest, new_trace):
                     mass = dict(settled)
@@ -370,15 +362,9 @@ def _plays(
                         mass[a] = mass.get(a, ZERO) + weight * w
                     yield sub_trace, mass
 
-    plays = rec(0, list(range(1, p + 1)), ())
-    return ((trace, _outcome_lottery(mass, p)) for trace, mass in plays)
-
-
-def _outcome_lottery(mass: dict[int, Fraction], p: int) -> OutcomeLottery:
-    out = [ZERO] * p
-    for a, w in mass.items():
-        out[a - 1] = w
-    return OutcomeLottery(tuple(out))
+    outcomes = range(1, p + 1)
+    plays = rec(0, tuple(outcomes), ())
+    return ((trace, OutcomeLottery(tuple(m.get(a, ZERO) for a in outcomes))) for trace, m in plays)
 
 
 def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> OutcomeLottery:
@@ -390,7 +376,7 @@ def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> Outcom
     agents may report anything legal, truthful or not.
     """
 
-    def given(idx: int, survivors: list[int]) -> tuple[tuple, ...]:
+    def given(idx: int, survivors: tuple) -> tuple[tuple, ...]:
         return (_legal_reports(spec.stages[idx], survivors, reports[idx], idx, prof.n),)
 
     # `_plays` checks the protocol before this looks at the reports.
@@ -414,7 +400,7 @@ class EvalReport:
     runtime_ms: int = 0
 
 
-def _safe_report(stage: Stage, survivors: list[int], pref: Preference):
+def _safe_report(stage: Stage, survivors: tuple, pref: Preference):
     """Agent 1's truthful play: veto the worst, claim the best."""
     by_rank = [a for a in pref.order if a in set(survivors)]
     if isinstance(stage, VetoRound):
@@ -428,73 +414,93 @@ def _safe_report(stage: Stage, survivors: list[int], pref: Preference):
     return None
 
 
-def _report_space(stage: Stage, survivors: list[int]):
-    if isinstance(stage, VetoRound):
-        return [frozenset(c) for c in itertools.combinations(survivors, stage.tokens)]
+def _report_space(stage: Stage, survivors: tuple):
     if isinstance(stage, DictatorRound):
         return list(survivors)
-    if isinstance(stage, CoverRound):
-        return [frozenset(c) for c in itertools.combinations(survivors, stage.depth)]
-    return [None]
+    if isinstance(stage, UniformFallback):
+        return [None]
+    size = stage.tokens if isinstance(stage, VetoRound) else stage.depth
+    return [frozenset(c) for c in itertools.combinations(survivors, size)]
 
 
-def _scenarios(
-    spec: ProtocolSpec, n: int, p: int, pref: Preference
-) -> Iterator[tuple[tuple, OutcomeLottery]]:
-    """All (adversary trace, exact outcome distribution) pairs."""
-
-    def adversaries(idx: int, survivors: list[int]) -> Iterator[tuple]:
-        stage = spec.stages[idx]
-        mine = (_safe_report(stage, survivors, pref),)
-        for adv in itertools.product(_report_space(stage, survivors), repeat=n - 1):
-            yield mine + adv
-
-    return _plays(spec, n, p, adversaries)
-
-
-def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
+def worst_case_guarantee(
+    spec: ProtocolSpec, n: int, p: int, pref: Optional[Preference] = None
+) -> EvalReport:
     """Tightest guarantee the protocol delivers to a truthful agent 1.
 
-    One preference representative suffices by outcome symmetry; adversaries
-    range over every legal report tuple, stage by stage.  The achieved
-    cumulative at rank k is the worst (largest) across scenarios, and the
-    witness scenario per rank is recorded.
+    Agent 1 holds `pref` (default: the identity) and plays its safe report
+    against every adversary report tuple.  A scenario's mass on agent 1's k
+    worst outcomes is what its first stage settles there plus w >= 0 (fixed
+    by the stage) times that of the continuation, which depends only on the
+    next (stage, survivors) state.  So the largest such mass per rank, and
+    the first scenario attaining it, follow from a recursion over states,
+    memoized per call.  `_step` is symmetric in the adversaries, so their
+    reports are multisets, each counted with its orderings.
+
+    One preference stands for all: relabeling outcomes carries each stage's
+    possible results to the relabeled ones.  A veto removes the union of the
+    reported sets, a naive dictator settles on the reports, and a padded one
+    on any min(n, survivors)-set holding agent 1's claim, which the
+    adversaries can name outright.  Cover rounds pick the first covering set
+    by label; the tests check them at (3,5).
     """
     started = time.perf_counter()
-    pref = identity_preference(p)
-    worst_cum: list[Fraction] = [ZERO] * p
-    worst_trace: dict[int, tuple] = {}
-    count = 0
-    for trace, dist in _scenarios(spec, n, p, pref):
-        count += 1
-        ranked = rank_rearrange(dist, pref)
-        acc = ZERO
-        for k, x in enumerate(ranked.probs, start=1):
-            acc += x
-            if acc > worst_cum[k - 1]:
-                worst_cum[k - 1] = acc
-                worst_trace[k] = trace
-    probs = []
-    prev = ZERO
-    for c in worst_cum:
-        probs.append(c - prev)
-        prev = c
-    achieved = RankLottery(tuple(probs))
-    return EvalReport(
-        achieved=achieved,
+    pref = pref or identity_preference(p)
+    _check_vetoes(spec, n, p)
+    start = tuple(range(1, p + 1))
+
+    # -> worst cumulatives, scenarios, per rank (first worst reports, next survivors or None)
+    @functools.cache
+    def worst(idx: int, survivors: tuple) -> tuple:
+        stage = spec.stages[idx]
+        mine = (_safe_report(stage, survivors, pref),)
+        space = _report_space(stage, survivors)
+        results = {}  # stage result -> [first reports, orderings]
+        for combo in itertools.combinations_with_replacement(range(len(space)), n - 1):
+            reports = mine + tuple(space[i] for i in combo)
+            settled, weight, rest = _step(stage, survivors, reports, n)
+            entry = results.setdefault((tuple(settled.items()), weight, rest), [reports, 0])
+            entry[1] += math.factorial(n - 1) // math.prod(map(math.factorial, map(combo.count, set(combo))))
+        best, count, picks = [-ONE] * p, 0, [None] * p
+        for (items, weight, rest), (reports, orderings) in results.items():
+            cum = [ZERO] * p
+            if items:
+                for a, mass in items:
+                    cum[pref.order.index(a)] = mass
+                cum = list(itertools.accumulate(cum))
+            if weight:
+                sub, sub_count, _ = worst(idx + 1, rest)
+                cum = sub if weight == 1 else [c + weight * s for c, s in zip(cum, sub)]
+                orderings *= sub_count
+            count += orderings
+            pick = reports, rest if weight else None
+            for k, value in enumerate(cum):
+                if value > best[k]:
+                    best[k], picks[k] = value, pick
+        return best, count, picks
+
+    def trace(k: int) -> tuple:
+        out, survivors = [], start
+        while survivors is not None:
+            reports, survivors = worst(len(out), survivors)[2][k]
+            out.append(reports)
+        return tuple(out)
+
+    best, count, _ = worst(0, start)
+    report = EvalReport(
+        achieved=RankLottery(tuple(b - a for a, b in zip([ZERO] + best, best))),
         scenario_count=count,
-        worst_scenarios=worst_trace,
+        worst_scenarios={k + 1: trace(k) for k in range(p) if best[k] > 0},
         runtime_ms=int((time.perf_counter() - started) * 1000),
     )
+    del worst  # `worst` refers to itself; this breaks the cycle, so its memo is freed now
+    return report
 
 
 def verify_safe_strategy(spec: ProtocolSpec, lam: RankLottery, n: int, p: int) -> bool:
-    """True when the truthful strategy secures `lam` against every adversary."""
-    pref = identity_preference(p)
-    for _, dist in _scenarios(spec, n, p, pref):
-        if not dominates(rank_rearrange(dist, pref), lam):
-            return False
-    return True
+    """True when the truthful strategy secures `lam` against every adversary:
+    every scenario dominates `lam` exactly when the per-rank worst cases do."""
+    return dominates(worst_case_guarantee(spec, n, p).achieved, lam)
 
 
 # ----------------------------------------------------------------------------
@@ -511,11 +517,8 @@ def cover_protocol(n: int, p: int, mode: str) -> ProtocolSpec:
     everyone's top two, uniform on them).
     """
     if mode in ("top-pair", "bottom-pair"):
-        if (n, p) == (3, 5):
-            depth = 2
-        elif (n, p) == (4, 7):
-            depth = 3
-        else:
+        depth = {(3, 5): 2, (4, 7): 3}.get((n, p))
+        if depth is None:
             raise ValueError("pair covers are defined for (3,5) and (4,7)")
         play = "cover" if mode == "top-pair" else "complement"
         return ProtocolSpec((CoverRound(cover_size=2, depth=depth, play=play),))
@@ -533,14 +536,9 @@ def verify_cover_exists(n: int, p: int, stage: CoverRound) -> Optional[Profile]:
     None.  Truthful reports only: the premise is a statement about actual
     preference profiles.
     """
-    survivors = list(range(1, p + 1))
+    survivors = range(1, p + 1)
     for prof in enumerate_profiles(n, p):
-        reports = []
-        for pref in prof.prefs:
-            if stage.play == "cover":
-                reports.append(frozenset(pref.order[p - stage.depth :]))
-            else:
-                reports.append(frozenset(pref.order[: stage.depth]))
-        if _find_cover(survivors, tuple(reports), stage.cover_size) is None:
+        reports = tuple(_safe_report(stage, survivors, pref) for pref in prof.prefs)
+        if _find_cover(survivors, reports, stage.cover_size) is None:
             return prof
     return None

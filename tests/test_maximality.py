@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import worstvote.feasibility as feasibility
+import worstvote.maximality as maximality
 from worstvote.duality import dual
 from worstvote.feasibility import is_feasible
+from worstvote.library import hard_profiles
 from worstvote.lottery import (
     RankLottery,
     convex_combination,
@@ -22,6 +25,7 @@ from worstvote.maximality import (
     improve,
     is_maximal,
 )
+from worstvote.lp import solve
 from worstvote.profiles import identical_profile, parse_profile, reversal_profile
 
 from .test_lottery import rand_lottery
@@ -228,6 +232,32 @@ class TestForcingProfiles:
                 prof = forcing_profile(lam, 3, k)
                 assert prof is not None
                 assert forcing_value(lam, prof, k) == lam.cumulative()[k - 1]
+
+    def test_not_implementable_is_none(self):
+        # agents 1 and 2 disagree on the best outcome, so no lottery gives
+        # both of them their best for sure
+        assert forcing_value(parse_lottery("0,0,0,0,0,1"), reversal_profile(3, 6), 1) is None
+
+    def test_witness_search_solves_one_lp_per_profile(self, monkeypatch):
+        lam = vt(3, 6)
+        candidates = [
+            prof
+            for prof in [*maximality._witness_cache.get((3, 6), []), *hard_profiles(3, 6)]
+            if (prof.n, prof.p) == (3, 6)
+        ]
+        calls = []
+
+        def counting_solve(program):
+            calls.append(program)
+            return solve(program)
+
+        monkeypatch.setattr(maximality, "solve", counting_solve)
+        monkeypatch.setattr(feasibility, "solve", counting_solve)
+        for k in range(1, 6):
+            before = len(calls)
+            prof = forcing_profile(lam, 3, k)
+            assert prof is not None
+            assert len(calls) - before == candidates.index(prof) + 1
 
     def test_witnesses_attached_to_report(self):
         report = is_maximal(vt(3, 6), 3, witnesses=True)

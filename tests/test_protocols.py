@@ -1,12 +1,15 @@
+import gc
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import worstvote.protocols as protocols
 from worstvote.compose import canonical_word, vt_compose
-from worstvote.lottery import dominates, parse_lottery, rd, uniform, vt
+from worstvote.lottery import RankLottery, dominates, parse_lottery, rd, uniform, vt
 from worstvote.feasibility import is_feasible
-from worstvote.profiles import identical_profile, identity_preference
+from worstvote.profiles import Preference, identical_profile, identity_preference, rank_rearrange
 from worstvote.protocols import (
     CoverNotFoundError,
     CoverRound,
@@ -172,31 +175,128 @@ class TestWorstCase:
         monkeypatch.setattr(protocols, "_pad_set", reversed_pad)
         assert worst_case_guarantee(spec, 3, 6).achieved == baseline
 
+    def test_evaluation_leaves_its_memo_to_reference_counting(self):
+        # The recursion's memo is freed when the call returns, not by a later
+        # cycle collection.
+        spec = parse_protocol("veto(1); veto(1); uniform", 3, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            worst_case_guarantee(spec, 3, 8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _oracle(spec, n, p, pref):
+    """Brute-force worst case: agent 1's safe report against every tuple of
+    adversary reports, scenario by scenario, as a list of (trace,
+    distribution) pairs and the report `worst_case_guarantee` should give."""
+
+    def adversaries(idx, survivors):
+        stage = spec.stages[idx]
+        mine = (protocols._safe_report(stage, survivors, pref),)
+        for adv in itertools.product(protocols._report_space(stage, survivors), repeat=n - 1):
+            yield mine + adv
+
+    scenarios = list(protocols._plays(spec, n, p, adversaries))
+    worst_cum, worst_trace = [F(0)] * p, {}
+    for trace, dist in scenarios:
+        acc = F(0)
+        for k, x in enumerate(rank_rearrange(dist, pref).probs, start=1):
+            acc += x
+            if acc > worst_cum[k - 1]:
+                worst_cum[k - 1] = acc
+                worst_trace[k] = trace
+    achieved = RankLottery(tuple(b - a for a, b in zip([F(0)] + worst_cum, worst_cum)))
+    return scenarios, achieved, worst_trace
+
+
+_ENUMERATED = [
+    (parse_protocol(text, n, p), n, p)
+    for text, (n, p) in (
+        ("veto(1); uniform", (3, 6)),
+        ("rd(naive)", (3, 6)),
+        ("rd(pad)", (3, 6)),
+        ("veto(1); rd(pad)", (3, 7)),
+        ("rd(pad); veto(1); uniform", (3, 7)),
+        ("rd(pad); rd(naive)", (3, 7)),
+    )
+] + [(cover_protocol(3, 5, mode), 3, 5) for mode in ("top-pair", "bottom-pair")]
+
+
+def _spec_id(value):
+    return value.text() if isinstance(value, ProtocolSpec) else None
+
 
 class TestRunMatchesEnumeration:
-    @pytest.mark.parametrize(
-        "spec, n, p",
-        [
-            (parse_protocol(text, n, p), n, p)
-            for text, (n, p) in (
-                ("veto(1); uniform", (3, 6)),
-                ("rd(naive)", (3, 6)),
-                ("rd(pad)", (3, 6)),
-                ("veto(1); rd(pad)", (3, 7)),
-                ("rd(pad); veto(1); uniform", (3, 7)),
-                ("rd(pad); rd(naive)", (3, 7)),
-            )
-        ]
-        + [(cover_protocol(3, 5, mode), 3, 5) for mode in ("top-pair", "bottom-pair")],
-        ids=lambda value: value.text() if isinstance(value, ProtocolSpec) else None,
-    )
+    @pytest.mark.parametrize("spec, n, p", _ENUMERATED, ids=_spec_id)
     def test_every_scenario_replays(self, spec, n, p):
         prof = identical_profile(n, p)
-        count = 0
-        for trace, dist in protocols._scenarios(spec, n, p, identity_preference(p)):
+        scenarios, _, _ = _oracle(spec, n, p, identity_preference(p))
+        for trace, dist in scenarios:
             assert run(spec, prof, trace) == dist, trace
-            count += 1
-        assert count > 0
+        assert scenarios
+
+    @pytest.mark.parametrize(
+        "spec, n, p",
+        _ENUMERATED + [(parse_protocol(text, 4, 7), 4, 7) for text in ("veto(1); uniform", "rd(pad)")],
+        ids=_spec_id,
+    )
+    def test_recursion_matches_enumeration(self, spec, n, p):
+        scenarios, achieved, worst_trace = _oracle(spec, n, p, identity_preference(p))
+        report = worst_case_guarantee(spec, n, p)
+        assert report.achieved == achieved
+        assert report.scenario_count == len(scenarios)
+        assert report.worst_scenarios == worst_trace
+        prof = identical_profile(n, p)
+        for k, trace in report.worst_scenarios.items():
+            replayed = rank_rearrange(run(spec, prof, trace), prof.prefs[0])
+            assert replayed.cumulative()[k - 1] == report.achieved.cumulative()[k - 1], (k, trace)
+
+
+class TestNeutrality:
+    """The guarantee does not depend on which preference agent 1 holds."""
+
+    @pytest.mark.parametrize(
+        "spec, n, p, sample",
+        [
+            pytest.param(cover_protocol(3, 5, mode), 3, 5, None, id=f"{mode}-3-5-all")
+            for mode in ("top-pair", "bottom-pair", "block")
+        ]
+        + [
+            pytest.param(parse_protocol(text, n, p), n, p, 60, id=f"{text}-{n}-{p}-60")
+            for n, p in ((3, 6), (4, 6))
+            for text in ("veto(1); uniform", "rd(naive)", "rd(pad)")
+        ],
+    )
+    def test_every_order_of_agent_one_gets_the_same_guarantee(self, spec, n, p, sample):
+        orders = list(itertools.permutations(range(1, p + 1)))
+        if sample is not None:
+            orders = random.Random(n * 100 + p).sample(orders, sample)
+        baseline = worst_case_guarantee(spec, n, p)
+        for order in orders:
+            report = worst_case_guarantee(spec, n, p, Preference(order))
+            assert report.achieved == baseline.achieved, order
+            assert report.scenario_count == baseline.scenario_count, order
+
+
+def _word_protocol(word):
+    stages = ["veto(1)" if letter == "VT" else "rd(pad)" for letter in word.split(",")]
+    if word.endswith("VT"):
+        stages.append("uniform")
+    return "; ".join(stages)
+
+
+@pytest.mark.parametrize(
+    "word, n, p",
+    [("VT,VT,VT", 3, 10), ("RD,RD,RD", 3, 10), ("VT,VT", 4, 9), ("RD,RD", 4, 9)],
+)
+def test_word_protocols_reach_past_the_scan(word, n, p):
+    # Full enumeration took 11-17 s for each of these; the recursion takes
+    # well under a second, and CI's --durations report shows a regression.
+    spec = parse_protocol(_word_protocol(word), n, p)
+    assert worst_case_guarantee(spec, n, p).achieved == canonical_word(word, n, p)
 
 
 class TestSafeStrategy:
