@@ -682,7 +682,8 @@ def is_feasible(
         violated = cuts.violated
         assert violated is not None
         _, lp_result = implement_report(lam, violated.witness)
-        assert lp_result.status == INFEASIBLE, "cut witness failed to refute"
+        if lp_result.status != INFEASIBLE:
+            raise AssertionError("cut witness failed to refute")
         return finish(
             INFEASIBLE,
             f"cut:{violated.kind}:k={violated.k}",

@@ -20,20 +20,22 @@ across rows by cross-multiplying integers, in which the row denominators
 cancel, with ties broken on the basis index.  The pivot sequence, and so
 the primal point and the certificate, are those of a `Fraction` tableau.
 
-Results are treated as proofs downstream: optimal solutions are re-checked
-against every constraint before being returned, and infeasible programs
-come with a Farkas certificate `y` such that, writing the constraints as
-rows, the combination ``sum_i y_i * row_i`` has nonnegative coefficients on
-every variable while ``sum_i y_i * rhs_i`` is negative.  With ``x >= 0``
-that is the contradiction ``0 <= negative``.  Sign conventions: ``y_i >= 0``
-on ``<=`` rows, ``y_i <= 0`` on ``>=`` rows, free on ``=`` rows.
+Results are treated as proofs downstream, so `solve` re-checks each one in
+integers against the program's own rows, scaled by `_scaled` before any sign
+flip or added column, and raises `AssertionError` (also under ``python -O``)
+if it fails.  An optimal point over one denominator ``D`` must be >= 0 and
+meet every row as ``sum_j a_j * X_j`` against ``rhs * D``.  An infeasible
+program comes with a Farkas certificate `y`: ``sum_i y_i * row_i`` has
+coefficients >= 0 and right-hand side < 0: with ``x >= 0``, ``0 <= negative``.
+Signs: ``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``, free on ``=`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .lottery import RationalLike, as_fraction
@@ -101,42 +103,54 @@ def feasibility_program(num_vars: int, constraints: Sequence[Constraint]) -> Lin
 
 def verify_optimal(lp: LinearProgram, result: LPResult) -> bool:
     """Exact re-check of a claimed optimal solution (not of optimality itself)."""
-    if result.status != OPTIMAL or result.primal is None:
+    if result.status != OPTIMAL or result.primal is None or len(result.primal) != lp.num_vars:
         return False
-    x = result.primal
-    if len(x) != lp.num_vars or any(v < 0 for v in x):
-        return False
-    for row in lp.constraints:
-        lhs = sum((c * v for c, v in zip(row.coeffs, x)), ZERO)
-        if row.rel == LE and lhs > row.rhs:
-            return False
-        if row.rel == GE and lhs < row.rhs:
-            return False
-        if row.rel == EQ and lhs != row.rhs:
-            return False
-    value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
-    return value == result.objective_value
+    x, den = _scaled(result.primal)
+    obj, obj_den = _scaled(lp.objective)
+    value = Fraction(sum(map(mul, obj, x)), obj_den * den)
+    return _meets(_raw_rows(lp), x, den) and value == result.objective_value
 
 
 def verify_infeasibility(lp: LinearProgram, certificate: Sequence[Fraction]) -> bool:
     """Mechanically re-check a Farkas certificate against the raw constraints."""
-    if len(certificate) != len(lp.constraints):
+    return len(certificate) == len(lp.constraints) and _refutes(
+        _raw_rows(lp), _scaled(certificate)[0], lp.num_vars)
+
+
+Row = tuple[list[int], int, str]  # a constraint's ints over one denominator, and its relation
+
+
+def _raw_rows(lp: LinearProgram) -> list[Row]:
+    return [(*_scaled(con.coeffs + (con.rhs,)), con.rel) for con in lp.constraints]
+
+
+def _meets(rows: Sequence[Row], x: Sequence[int], den: int) -> bool:
+    """``x / den`` is nonnegative and satisfies every row."""
+    if any(v < 0 for v in x):
         return False
-    for y, row in zip(certificate, lp.constraints):
-        if row.rel == LE and y < 0:
+    for ints, _, rel in rows:
+        lhs = sum(map(mul, ints, x))  # `map` stops at the end of `x`, before the rhs
+        rhs = ints[-1] * den
+        if lhs > rhs if rel == LE else lhs < rhs if rel == GE else lhs != rhs:
             return False
-        if row.rel == GE and y > 0:
+    return True
+
+
+def _refutes(rows: Sequence[Row], y: Sequence[int], nv: int) -> bool:
+    """Multipliers ``y / d``, for any one ``d > 0``, are a Farkas certificate for `rows`."""
+    scale = 1
+    for v, (_, den, rel) in zip(y, rows):
+        if v < 0 if rel == LE else v > 0 if rel == GE else False:
             return False
-    combined = [ZERO] * lp.num_vars
-    total = ZERO
-    for y, row in zip(certificate, lp.constraints):
-        if y == 0:
-            continue
-        for j, c in enumerate(row.coeffs):
-            if c != 0:
-                combined[j] += y * c
-        total += y * row.rhs
-    return all(c >= 0 for c in combined) and total < 0
+        if v:
+            scale = lcm(scale, den)
+    combined = [0] * (nv + 1)
+    for v, (ints, den, _) in zip(y, rows):
+        if v:
+            f = v * (scale // den)
+            combined = [c + f * a for c, a in zip(combined, ints)]
+    *coeffs, total = combined
+    return total < 0 and all(c >= 0 for c in coeffs)
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
@@ -252,35 +266,23 @@ def solve(lp: LinearProgram) -> LPResult:
     m = len(lp.constraints)
 
     # Normalize to rhs >= 0, remembering per-row sign flips.
-    norm_rel: list[str] = []
-    flipped: list[bool] = []
-    for row in lp.constraints:
-        flip = row.rhs < 0
-        flipped.append(flip)
-        norm_rel.append({LE: GE, GE: LE, EQ: EQ}[row.rel] if flip else row.rel)
+    raw = _raw_rows(lp)
+    flipped = [ints[-1] < 0 for ints, _, _ in raw]
+    norm_rel = [{LE: GE, GE: LE, EQ: EQ}[rel] if flip else rel for (_, _, rel), flip in zip(raw, flipped)]
 
     n_slack = norm_rel.count(LE)
-    n_surplus = norm_rel.count(GE)
-    slack0 = nv
-    surplus0 = nv + n_slack
-    art0 = nv + n_slack + n_surplus
+    art0 = nv + n_slack + norm_rel.count(GE)
     ncols = art0 + m - n_slack
 
     rows: list[list[int]] = []
-    dens: list[int] = []
+    dens = [den for _, den, _ in raw]
     basis: list[int] = []
-    unit_col: list[int] = []  # column whose reduced cost encodes this row's dual
-    si = slack0
-    ui = surplus0
-    ai = art0
+    si, ui, ai = nv, nv + n_slack, art0  # next slack, surplus and artificial column
     pad = [0] * (ncols - nv)
-    for i, con in enumerate(lp.constraints):
-        ints, den = _scaled(con.coeffs + (con.rhs,))
-        if flipped[i]:
+    for (ints, den, _), flip, rel in zip(raw, flipped, norm_rel):
+        if flip:
             ints = [-v for v in ints]
-        row = ints[:nv] + pad
-        row.append(ints[-1])
-        rel = norm_rel[i]
+        row = ints[:nv] + pad + ints[-1:]
         if rel == LE:
             row[si] = den
             basis.append(si)
@@ -292,9 +294,8 @@ def solve(lp: LinearProgram) -> LPResult:
             row[ai] = den
             basis.append(ai)
             ai += 1
-        unit_col.append(basis[-1])
         rows.append(row)
-        dens.append(den)
+    unit_col = basis[:]  # column whose reduced cost encodes each row's dual
 
     tab = _Tableau(rows, dens, basis)
 
@@ -306,14 +307,11 @@ def solve(lp: LinearProgram) -> LPResult:
     if tab.cost[-1] < 0:
         # Infeasible; read the dual off the cost row and map back to the
         # original row order and orientations.
-        cert: list[Fraction] = []
-        for i in range(m):
-            col = unit_col[i]
-            y = tab.cost[col] - (tab.cost_den if col >= art0 else 0)
-            cert.append(Fraction(-y if flipped[i] else y, tab.cost_den))
-        result = LPResult(status=INFEASIBLE, certificate=tuple(cert))
-        assert verify_infeasibility(lp, result.certificate), "bad Farkas certificate"
-        return result
+        nums = [tab.cost[col] - (tab.cost_den if col >= art0 else 0) for col in unit_col]
+        nums = [-y if flip else y for y, flip in zip(nums, flipped)]
+        if not _refutes(raw, nums, nv):
+            raise AssertionError("bad Farkas certificate")
+        return LPResult(status=INFEASIBLE, certificate=tuple([Fraction(y, tab.cost_den) for y in nums]))
 
     # Drive any zero-valued artificial out of the basis, dropping redundant rows.
     drop: list[int] = []
@@ -331,18 +329,20 @@ def solve(lp: LinearProgram) -> LPResult:
         del tab.basis[i]
 
     # Phase 2 on the original objective (as minimization).
-    ints, den = _scaled(lp.objective)
+    obj, obj_den = _scaled(lp.objective)
     sense = -1 if lp.maximize else 1
-    tab.set_cost([sense * v for v in ints] + [0] * (ncols - nv + 1), den)
+    tab.set_cost([sense * v for v in obj] + [0] * (ncols - nv + 1), obj_den)
     status = tab.run(art0)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
 
-    x = [ZERO] * nv
-    for i, b in enumerate(tab.basis):
-        if b < nv:
-            x[b] = Fraction(tab.rows[i][-1], tab.dens[i])
-    value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
-    result = LPResult(status=OPTIMAL, primal=tuple(x), objective_value=value)
-    assert verify_optimal(lp, result), "optimal solution failed re-verification"
-    return result
+    basic = [(b, i) for i, b in enumerate(tab.basis) if b < nv]
+    scale = lcm(*(tab.dens[i] for _, i in basic))
+    x = [0] * nv
+    for b, i in basic:
+        x[b] = tab.rows[i][-1] * (scale // tab.dens[i])
+    if not _meets(raw, x, scale):
+        raise AssertionError("optimal solution failed re-verification")
+    value = Fraction(sum(map(mul, obj, x)), obj_den * scale)
+    # From a list, `tuple` allocates at the final size (a generator resizes).
+    return LPResult(OPTIMAL, tuple([Fraction(v, scale) if v else ZERO for v in x]), value)

@@ -1,4 +1,10 @@
 import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,6 +77,47 @@ def brute_force_maximum(lp):
     return best
 
 
+def fraction_verify_optimal(lp, result):
+    """Test oracle: the re-check of a claimed optimum in `Fraction`
+    arithmetic, independent of `lp`'s integer scaling."""
+    if result.status != "optimal" or result.primal is None:
+        return False
+    x = result.primal
+    if len(x) != lp.num_vars or any(v < 0 for v in x):
+        return False
+    for row in lp.constraints:
+        lhs = sum((c * v for c, v in zip(row.coeffs, x)), F(0))
+        if row.rel == "<=" and lhs > row.rhs:
+            return False
+        if row.rel == ">=" and lhs < row.rhs:
+            return False
+        if row.rel == "=" and lhs != row.rhs:
+            return False
+    value = sum((c * v for c, v in zip(lp.objective, x)), F(0))
+    return value == result.objective_value
+
+
+def fraction_verify_infeasibility(lp, certificate):
+    """Test oracle: the `Fraction` check of a Farkas certificate."""
+    if len(certificate) != len(lp.constraints):
+        return False
+    for y, row in zip(certificate, lp.constraints):
+        if row.rel == "<=" and y < 0:
+            return False
+        if row.rel == ">=" and y > 0:
+            return False
+    combined = [F(0)] * lp.num_vars
+    total = F(0)
+    for y, row in zip(certificate, lp.constraints):
+        if y == 0:
+            continue
+        for j, c in enumerate(row.coeffs):
+            if c != 0:
+                combined[j] += y * c
+        total += y * row.rhs
+    return all(c >= 0 for c in combined) and total < 0
+
+
 class TestSolve:
     def test_simple_maximum(self):
         lp = LinearProgram(1, (constraint([1], "<=", 1),), (F(1),), maximize=True)
@@ -119,8 +166,6 @@ class TestSolve:
         assert result.objective_value == brute_force_maximum(lp)
 
     def test_random_small_programs_match_vertex_scan(self):
-        import random
-
         rng = random.Random(9)
         for _ in range(40):
             rows = tuple(
@@ -162,8 +207,6 @@ class TestVerification:
         assert verify_optimal(lp, result)
 
     def test_certificates_reverify_on_random_infeasible_systems(self):
-        import random
-
         rng = random.Random(11)
         found = 0
         while found < 15:
@@ -183,6 +226,92 @@ class TestVerification:
         result = solve(lp)
         bad = tuple(-y for y in result.certificate)
         assert not verify_infeasibility(lp, bad)
+
+    def test_integer_checks_agree_with_fraction_oracle(self):
+        # Random programs with mixed relations, negative right-hand sides and
+        # coefficients over the coprime denominators 2, 3, 5, 7 and 11; each
+        # result as solved and mutated: a primal coordinate moved by
+        # +-1/(2D), with the objective value kept or recomputed, and one
+        # certificate entry sign-flipped or zeroed.
+        rng = random.Random(17)
+
+        def q():
+            return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7, 11)))
+
+        statuses = Counter()
+        rejected = Counter()
+        for _ in range(600):
+            nv = rng.randint(2, 4)
+            rows = [
+                constraint([q() for _ in range(nv)], rng.choice(["<=", "=", ">="]), q())
+                for _ in range(rng.randint(1, 5))
+            ]
+            rows.insert(rng.randint(0, len(rows)), constraint([1] * nv, "<=", rng.randint(1, 5)))
+            lp = LinearProgram(nv, tuple(rows), tuple(q() for _ in range(nv)), maximize=rng.random() < 0.5)
+            result = solve(lp)
+            statuses[result.status] += 1
+            if result.status == "optimal":
+                scale = math.lcm(*(v.denominator for v in result.primal))
+                j = rng.randrange(nv)
+                cases = [("as solved", result)]
+                for step in (F(1, 2 * scale), F(-1, 2 * scale)):
+                    x = result.primal[:j] + (result.primal[j] + step,) + result.primal[j + 1:]
+                    value = sum(c * v for c, v in zip(lp.objective, x))
+                    cases += [("moved", LPResult("optimal", x, result.objective_value)),
+                              ("moved, value recomputed", LPResult("optimal", x, value))]
+                for kind, claim in cases:
+                    verdict = verify_optimal(lp, claim)
+                    assert verdict == fraction_verify_optimal(lp, claim), (lp, claim)
+                    rejected[kind] += not verdict
+            else:
+                cert = result.certificate
+                i = rng.choice([i for i, y in enumerate(cert) if y])
+                cases = [
+                    ("as solved", cert),
+                    ("sign flipped", cert[:i] + (-cert[i],) + cert[i + 1:]),
+                    ("zeroed", cert[:i] + (F(0),) + cert[i + 1:]),
+                ]
+                for kind, claim in cases:
+                    verdict = verify_infeasibility(lp, claim)
+                    assert verdict == fraction_verify_infeasibility(lp, claim), (lp, claim)
+                    rejected[kind] += not verdict
+        assert statuses["optimal"] >= 100 and statuses["infeasible"] >= 100, statuses
+        assert rejected["as solved"] == 0
+        for kind in ("moved", "moved, value recomputed", "sign flipped", "zeroed"):
+            assert rejected[kind] > 0, rejected
+
+    def test_checks_survive_python_O(self):
+        # Under -O `assert` statements are stripped; a result that fails its
+        # integer check must still raise, and so must a cut witness whose
+        # implementation LP does not come back infeasible.
+        import worstvote
+
+        script = """if True:
+            import sys
+            from worstvote import feasibility, lp
+            from worstvote.lottery import parse_lottery
+            raised = []
+
+            def attempt(label, call):
+                try:
+                    call()
+                except AssertionError:
+                    raised.append(label)
+
+            lp._meets = lambda *args: False
+            attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", 1)])))
+            lp._refutes = lambda *args: False
+            attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", -1)])))
+            feasibility.implement_report = lambda lam, prof: (None, lp.LPResult(lp.OPTIMAL))
+            attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
+            print(sys.flags.optimize, *raised)
+        """
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(worstvote.__file__)))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "optimal", "infeasible", "cut"]
 
 
 class TestValidation:
@@ -257,8 +386,6 @@ class TestIntegerTableau:
         assert assert_matches_oracle(lp).objective_value > 0
 
     def test_random_programs_with_coprime_denominators(self):
-        import random
-
         rng = random.Random(5)
         infeasible = 0
         for _ in range(30):
@@ -813,3 +940,60 @@ def _parse_result(text):
 @pytest.mark.parametrize("label, program, expected", GOLDEN, ids=[f"{i:02d}-{g[0]}" for i, g in enumerate(GOLDEN)])
 def test_golden_results(label, program, expected):
     assert solve(_parse_program(program)) == _parse_result(expected)
+
+
+# sha256 of the `repr((program, result))` of every `solve` call made by
+# `test_lp_traffic_is_unchanged`, recorded while `solve` re-checked its
+# results in `Fraction` arithmetic.  Any change to a program the engines
+# build, to the order they solve them in, or to a result changes it.
+TRAFFIC_DIGEST = "a16ad83b6159f2fe40581ff3eb5fa0c764c6cfbc8902504b808ca6d4fa2fd9c1"
+
+
+def test_lp_traffic_is_unchanged(monkeypatch):
+    import hashlib
+
+    import worstvote.feasibility as feasibility
+    import worstvote.maximality as maximality
+    from worstvote.compose import canonical_word
+    from worstvote.lottery import convex_combination, parse_lottery, rd, uniform, vt
+
+    # Start every engine cache empty, so that the calls made do not depend
+    # on which tests ran before.
+    for module, name in ((feasibility, "_verdict_cache"), (feasibility, "_anchor_cache"),
+                         (maximality, "_witness_cache")):
+        monkeypatch.setattr(module, name, {})
+    digest = hashlib.sha256()
+    calls = []
+
+    def traced(program):
+        result = solve(program)
+        digest.update(repr((program, result)).encode())
+        calls.append(result.status)
+        return result
+
+    monkeypatch.setattr(feasibility, "solve", traced)
+    monkeypatch.setattr(maximality, "solve", traced)
+    half = F(1, 2)
+
+    def midpoint(a, b):
+        return convex_combination([(half, a), (half, b)])
+
+    u5, u6 = uniform(5), uniform(6)
+    maximal = [
+        (midpoint(u5, vt(3, 5)), "maximal"),
+        (midpoint(u5, parse_lottery("1/2,0,0,1/2,0")), "maximal"),
+        (midpoint(u6, rd(3, 6)), "maximal"),
+        (midpoint(u6, vt(3, 6)), "maximal"),
+        (convex_combination([(F(2, 3), u6), (F(1, 6), vt(3, 6)), (F(1, 6), rd(3, 6))]), "dominated"),
+    ]
+    for lam, verdict in maximal:
+        assert maximality.is_maximal(lam, 3).verdict == verdict
+    scans = [
+        (convex_combination([(F(9, 20), u6), (F(11, 20), vt(3, 6))]), 3),
+        (midpoint(canonical_word("VT", 4, 6), canonical_word("RD", 4, 6)), 4),
+    ]
+    for lam, n in scans:
+        report = feasibility.is_feasible(lam, n, use_hull=False, jobs=1)
+        assert (report.verdict, report.method) == ("feasible", "scan")
+    assert "infeasible" in calls and "optimal" in calls
+    assert digest.hexdigest() == TRAFFIC_DIGEST, (len(calls), digest.hexdigest())
