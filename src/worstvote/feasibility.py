@@ -649,7 +649,8 @@ def is_feasible(
     cache_key = (n, lam.probs)
     limited_run = limit_profiles is not None or time_budget is not None
     cached = _verdict_cache.get(cache_key)
-    if cached is not None and not limited_run:
+    # A verdict reached through the hull is no answer to a call that asks for a scan.
+    if cached is not None and not limited_run and (use_hull or cached.method != "mixture-dominates"):
         return cached
     deadline = None if time_budget is None else time.monotonic() + time_budget
     checked = 0

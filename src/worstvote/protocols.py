@@ -8,13 +8,16 @@ leftover outcomes; the mixing weight is chosen from the guarantee of the
 continuation, mirroring how guarantees compose.
 
 One stage function, `_step`, says what a stage does with one tuple of
-reports: the mass it settles, the weight with which play continues, and the
+reports: the outcomes it lists, each listing taking an equal share of the
+mass the stage settles, the weight with which play continues, and the
 outcomes left for the next stage.  `run` chains the stages through `_plays`
 on explicit reports, checked for legality first (all randomization
-symbolic, never sampled).  `worst_case_guarantee` fixes agent 1 on one
-preference playing its safe strategy and takes, per rank, the worst case
-over every adversary report by a recursion over (stage, survivors) states
-that calls `_step` once per multiset of adversary reports.
+symbolic, never sampled), and turns the listings into `Fraction` masses.
+`worst_case_guarantee` fixes agent 1 on one preference playing its safe
+strategy and takes, per rank, the worst case over every adversary report by
+a recursion over (stage, survivors) states that calls `_step` once per
+multiset of adversary reports.  The recursion adds and compares integer
+numerators over one scale per stage; only its result is a `Fraction`.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -41,9 +44,6 @@ from .profiles import (
     identity_preference,
     rank_rearrange,  # not called here; perfbench/tracing.py wraps this name
 )
-
-ONE = Fraction(1)
-
 
 class CoverNotFoundError(ValueError):
     """No covering set exists for the reported preference fragments.
@@ -169,7 +169,7 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
                 suffix = _suffix_guarantee(raw[idx + 1 :], n, window - n, offset)
                 top = suffix.max_coordinate()
                 stages.append(
-                    DictatorRound(padded=True, continue_weight=ONE / (n * top + 1))
+                    DictatorRound(padded=True, continue_weight=Fraction(1, n * top + 1))
                 )
         else:  # pragma: no cover - the tokenizer only emits known names
             raise ValueError(f"unknown stage {name!r} at position {offset}")
@@ -251,14 +251,9 @@ def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> 
 # ----------------------------------------------------------------------------
 
 
-def _pad_set(chosen: set[int], survivors: tuple, target: int) -> list[int]:
-    padded = sorted(chosen)
-    for a in survivors:
-        if len(padded) >= target:
-            break
-        if a not in chosen:
-            padded.append(a)
-    return sorted(padded)
+def _pad_set(chosen: set[int], survivors: tuple, target: int) -> tuple[int, ...]:
+    extra = [a for a in survivors if a not in chosen]
+    return tuple(sorted([*chosen, *extra[: target - len(chosen)]]))
 
 
 def _find_cover(
@@ -290,47 +285,37 @@ def _legal_reports(stage: Stage, survivors: tuple, stage_reports: tuple, idx: in
     return stage_reports
 
 
-def _even(outcomes, total: Fraction | int = 1) -> dict[int, Fraction]:
-    share = Fraction(total, len(outcomes))
-    return {a: share for a in outcomes}
-
-
-def _step(
-    stage: Stage, survivors: tuple, stage_reports: tuple, n: int
-) -> tuple[dict[int, Fraction], Fraction | int, tuple]:
+def _step(stage: Stage, survivors: tuple, stage_reports: tuple, n: int) -> tuple[tuple, Fraction | int, tuple]:
     """What one stage does with one tuple of legal reports.
 
-    Returns the mass the stage settles on outcomes, the weight with which
-    play continues to the next stage (the int 1 after a veto round, 0 after
-    a terminal stage), and the outcomes left for that stage.
+    Every stage settles equal shares.  Returns the outcomes it lists, the
+    weight w with which play continues to the next stage (the int 1 after a
+    veto round, 0 after a terminal stage), and the outcomes left for that
+    stage.  Each listing receives (1 - w) / len(listed) of the mass, so an
+    outcome listed twice receives twice that.
     """
     if isinstance(stage, VetoRound):
         vetoed = set().union(*stage_reports)
-        return {}, 1, tuple(a for a in survivors if a not in vetoed)
+        return (), 1, tuple(a for a in survivors if a not in vetoed)
     if isinstance(stage, UniformFallback):
-        return _even(survivors), 0, ()
+        return survivors, 0, ()
     if isinstance(stage, DictatorRound):
         if not stage.padded:
-            share = Fraction(1, n)
-            mass: dict[int, Fraction] = {}
-            for a in stage_reports:
-                mass[a] = mass.get(a, ZERO) + share
-            return mass, 0, ()
+            return stage_reports, 0, ()
         distinct = set(stage_reports)
         weight = stage.continue_weight or 0
         if not weight and len(distinct) == 1:
-            return {stage_reports[0]: ONE}, 0, ()
+            return stage_reports[:1], 0, ()
         padded = _pad_set(distinct, survivors, min(n, len(survivors)))
-        taken = set(padded)
-        return _even(padded, 1 - weight), weight, tuple(a for a in survivors if a not in taken)
+        return padded, weight, tuple(a for a in survivors if a not in padded)
     cover = _find_cover(survivors, stage_reports, stage.cover_size)
     if cover is None:
         raise CoverNotFoundError(
             f"no {stage.cover_size}-set meets all reported {stage.depth}-sets", stage_reports
         )
     if stage.play == "complement":
-        cover = [a for a in survivors if a not in set(cover)]
-    return _even(cover), 0, ()
+        cover = tuple(a for a in survivors if a not in cover)
+    return cover, 0, ()
 
 
 def _check_vetoes(spec: ProtocolSpec, n: int, p: int):
@@ -351,16 +336,13 @@ def _plays(
     def rec(idx: int, survivors: tuple, trace: tuple) -> Iterator[tuple[tuple, dict]]:
         stage = spec.stages[idx]
         for stage_reports in choices(idx, survivors):
-            settled, weight, rest = _step(stage, survivors, stage_reports, n)
+            listed, weight, rest = _step(stage, survivors, stage_reports, n)
             new_trace = trace + (stage_reports,)
-            if not weight:
-                yield new_trace, settled
-            else:
-                for sub_trace, sub_mass in rec(idx + 1, rest, new_trace):
-                    mass = dict(settled)
-                    for a, w in sub_mass.items():
-                        mass[a] = mass.get(a, ZERO) + weight * w
-                    yield sub_trace, mass
+            for sub_trace, sub_mass in rec(idx + 1, rest, new_trace) if weight else [(new_trace, {})]:
+                mass = {a: weight * w for a, w in sub_mass.items()}
+                for a in listed:
+                    mass[a] = mass.get(a, ZERO) + Fraction(1 - weight, len(listed))
+                yield sub_trace, mass
 
     outcomes = range(1, p + 1)
     plays = rec(0, tuple(outcomes), ())
@@ -443,34 +425,56 @@ def worst_case_guarantee(
     on any min(n, survivors)-set holding agent 1's claim, which the
     adversaries can name outright.  Cover rounds pick the first covering set
     by label; the tests check them at (3,5).
+
+    The arithmetic is exact in integers.  With unit = lcm(1..max(n, p)),
+    which every listing's length divides, stage idx counts mass in units of
+    1/scale[idx]: a veto stage keeps the next stage's scale, and any other
+    stage multiplies it by unit * w.denominator, w being its continuation
+    weight (0 for a terminal stage).  A listing then adds
+    (w.denominator - w.numerator) * unit // len(listed) * scale[idx + 1] at
+    its rank, and a continuation adds w.numerator * unit times the next
+    state's numerators.  Raises ValueError if n or p is below 1, if `pref`
+    does not rank p outcomes, or if the protocol can veto every outcome.
     """
     started = time.perf_counter()
+    if min(n, p) < 1:
+        raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
     pref = pref or identity_preference(p)
+    if pref.p != p:
+        raise ValueError(f"pref ranks {pref.p} outcomes, but p={p}")
     _check_vetoes(spec, n, p)
     start = tuple(range(1, p + 1))
+    unit = math.lcm(*range(1, max(n, p) + 1))
+    scale = [1]
+    for stage in reversed(spec.stages):
+        weight = getattr(stage, "continue_weight", None) or 0
+        scale.insert(0, scale[0] * (1 if isinstance(stage, VetoRound) else unit * weight.denominator))
 
-    # -> worst cumulatives, scenarios, per rank (first worst reports, next survivors or None)
+    # -> worst cumulative numerators over scale[idx], scenarios,
+    #    per rank (first worst reports, next survivors or None)
     @functools.cache
     def worst(idx: int, survivors: tuple) -> tuple:
         stage = spec.stages[idx]
         mine = (_safe_report(stage, survivors, pref),)
         space = _report_space(stage, survivors)
-        results = {}  # stage result -> [first reports, orderings]
+        groups = {}  # (listed, rest) -> [first reports, orderings]
         for combo in itertools.combinations_with_replacement(range(len(space)), n - 1):
             reports = mine + tuple(space[i] for i in combo)
-            settled, weight, rest = _step(stage, survivors, reports, n)
-            entry = results.setdefault((tuple(settled.items()), weight, rest), [reports, 0])
+            listed, weight, rest = _step(stage, survivors, reports, n)
+            entry = groups.setdefault((listed, rest), [reports, 0])
             entry[1] += math.factorial(n - 1) // math.prod(map(math.factorial, map(combo.count, set(combo))))
-        best, count, picks = [-ONE] * p, 0, [None] * p
-        for (items, weight, rest), (reports, orderings) in results.items():
-            cum = [ZERO] * p
-            if items:
-                for a, mass in items:
-                    cum[pref.order.index(a)] = mass
+        # `weight` is the stage's own: every report tuple gets the same one.
+        best, count, picks = [-1] * p, 0, [None] * p
+        for (listed, rest), (reports, orderings) in groups.items():
+            cum = [0] * p
+            if listed:
+                share = (weight.denominator - weight.numerator) * unit // len(listed) * scale[idx + 1]
+                for a in listed:
+                    cum[pref.order.index(a)] += share
                 cum = list(itertools.accumulate(cum))
             if weight:
                 sub, sub_count, _ = worst(idx + 1, rest)
-                cum = sub if weight == 1 else [c + weight * s for c, s in zip(cum, sub)]
+                cum = sub if weight == 1 else [c + weight.numerator * unit * s for c, s in zip(cum, sub)]
                 orderings *= sub_count
             count += orderings
             pick = reports, rest if weight else None
@@ -488,7 +492,7 @@ def worst_case_guarantee(
 
     best, count, _ = worst(0, start)
     report = EvalReport(
-        achieved=RankLottery(tuple(b - a for a, b in zip([ZERO] + best, best))),
+        achieved=RankLottery(tuple(Fraction(b - a, scale[0]) for a, b in zip([0] + best, best))),
         scenario_count=count,
         worst_scenarios={k + 1: trace(k) for k in range(p) if best[k] > 0},
         runtime_ms=int((time.perf_counter() - started) * 1000),

@@ -171,6 +171,13 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
 
+    def test_protocol_dimensions_are_three(self, capsys):
+        for n, p, named in (("0", "6", "n=0"), ("3", "0", "p=0")):
+            code = main(["protocol-eval", "--spec", "rd(pad)", "--n", n, "--p", p])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert named in captured.err
+
 
 class TestCache:
     def test_cached_verdicts_match_fresh(self, capsys, tmp_path):

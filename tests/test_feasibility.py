@@ -174,6 +174,17 @@ class TestIsFeasible:
         report = is_feasible(lam, 3, limit_profiles=17 + 100, use_hull=False)
         assert (report.verdict, report.profiles_checked) == ("undecided", 117)
 
+    def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "_verdict_cache", {})
+        monkeypatch.setattr(feas, "_anchor_cache", {})
+        lam = parse_lottery("1/12,1/4,1/4,1/4,1/12,1/12")
+        feas.verified_anchors(3, 6)
+        assert is_feasible(lam, 3).method == "mixture-dominates"
+        assert is_feasible(lam, 3, use_hull=False).method == "scan"
+        assert is_feasible(lam, 3).feasible
+
     def test_parallel_scan_matches_serial(self, monkeypatch):
         # Forced onto the process pool, a scan visits the same systems in
         # the same order as the serial one: the same verdict, count and

@@ -1,0 +1,23 @@
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "worstvote"
+
+
+def test_package_imports_only_the_standard_library():
+    # Function-level imports count too: `ast.walk` visits every node.
+    roots = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                roots.setdefault(name.split(".")[0], path.name)
+    assert {"fractions", "itertools"} <= roots.keys()
+    outside = {root: where for root, where in roots.items() if root not in sys.stdlib_module_names}
+    assert not outside, outside

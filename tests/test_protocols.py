@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -136,6 +137,15 @@ class TestWorstCase:
             spec = parse_protocol(text, n, p)
             achieved = worst_case_guarantee(spec, n, p).achieved
             assert is_feasible(achieved, n).feasible
+
+    def test_dimensions_are_checked(self):
+        spec = parse_protocol("rd(pad)", 3, 6)
+        for order in (range(1, 8), range(1, 6)):
+            with pytest.raises(ValueError, match="pref ranks"):
+                worst_case_guarantee(spec, 3, 6, Preference(tuple(order)))
+        for n, p, named in ((0, 6, "n=0"), (3, 0, "p=0")):
+            with pytest.raises(ValueError, match=named):
+                worst_case_guarantee(spec, n, p)
 
     def test_worst_scenarios_recorded(self):
         spec = parse_protocol("rd(naive)", 3, 6)
@@ -297,6 +307,48 @@ def test_word_protocols_reach_past_the_scan(word, n, p):
     # well under a second, and CI's --durations report shows a regression.
     spec = parse_protocol(_word_protocol(word), n, p)
     assert worst_case_guarantee(spec, n, p).achieved == canonical_word(word, n, p)
+
+
+_SIMPLE = ("veto(1); uniform", "rd(pad)", "rd(naive)")
+_COMPOSED = ("veto(1); rd(pad)", "rd(pad); veto(1); uniform", "veto(1); veto(1); uniform", "rd(pad); rd(pad)")
+_PINNED = list(
+    dict.fromkeys(
+        [(text, 3, 6) for text in _SIMPLE]
+        + [(text, n, p) for n, p in ((3, 7), (3, 8)) for text in _SIMPLE + _COMPOSED]
+        + [(text, n, p) for n, p in ((4, 7), (4, 8)) for text in _SIMPLE]
+        + [
+            (_word_protocol(",".join(word)), n, p)
+            for depth, sizes in ((2, ((2, 5), (3, 8), (4, 8), (3, 9), (4, 9))), (3, ((2, 6), (3, 10))))
+            for n, p in sizes
+            for word in itertools.product(("VT", "RD"), repeat=depth)
+        ]
+        + [(mode, n, p) for n, p in ((3, 5), (4, 7)) for mode in ("top-pair", "bottom-pair", "block")]
+        + [("rd(pad); rd(naive)", 3, 7), ("rd(pad); uniform", 3, 7)]
+    )
+)
+
+# sha256 of the `repr` of every `_PINNED` evaluation as (achieved, scenario
+# count, worst scenarios), or the ValueError that parsing or evaluating it
+# raises, recorded while the recursion added `Fraction` masses.
+_PINNED_DIGEST = "f723f07c953eb6940c675b06138501d570b570b0b723b2b0112419cfb044b251"
+
+
+def test_evaluations_match_the_pinned_digest():
+    rows = []
+    for text, n, p in _PINNED:
+        try:
+            spec = cover_protocol(n, p, text) if "(" not in text else parse_protocol(text, n, p)
+            report = worst_case_guarantee(spec, n, p)
+        except ValueError as err:
+            rows.append(repr(err))
+            continue
+        worst = {
+            k: tuple(tuple(tuple(sorted(r)) if isinstance(r, frozenset) else r for r in stage) for stage in trace)
+            for k, trace in report.worst_scenarios.items()
+        }
+        rows.append((report.achieved.text(), report.scenario_count, worst))
+    assert sum("veto every outcome" in str(row) for row in rows) == 2
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_DIGEST
 
 
 class TestSafeStrategy:
