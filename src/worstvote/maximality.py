@@ -3,11 +3,14 @@
 A guarantee is maximal when no other feasible guarantee dominates it.  The
 decision runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
-cuts accumulated from profiles that refuted earlier candidates.  A candidate
-that survives the working profiles goes to the full feasibility engine;
-its witness profile, if any, contributes a new cut.  The loop ends either
-with a certified improver (dominated) or with master slack exactly zero
-(maximal: even the relaxation admits no strict dominator, and the true
+cuts accumulated from profiles that refuted earlier candidates.  Each
+candidate is tested at the working profiles by exact implementation LPs,
+except where an outcome lottery returned by an earlier feasible LP of the
+same call already meets the candidate's tail caps (checked in integers).  A
+candidate that survives the working profiles goes to the full feasibility
+engine; its witness profile, if any, contributes a new cut.  The loop ends
+either with a certified improver (dominated) or with master slack exactly
+zero (maximal: even the relaxation admits no strict dominator, and the true
 feasible set is contained in the relaxation).
 
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
@@ -30,6 +33,7 @@ from .lp import (
     OPTIMAL,
     Constraint,
     LinearProgram,
+    _scaled,
     solve,
 )
 from .feasibility import (
@@ -76,9 +80,11 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
     gives cover weights w_k with sum_k w_k * cum_k(mu) >= 1 for every
     lottery mu implementable at the refuting profile.
     """
-    assert mu_active, "a candidate with no tail constraints cannot be refuted"
+    if not mu_active:
+        raise AssertionError("a candidate with no tail constraints cannot be refuted")
     y0 = certificate[0]
-    assert y0 < 0, "degenerate certificate"
+    if y0 >= 0:
+        raise AssertionError("degenerate certificate")
     tau = -y0
     weight_by_rank: dict[int, Fraction] = {}
     idx = 1
@@ -95,15 +101,19 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
     return Constraint(tuple(coeffs), GE, Fraction(1))
 
 
-def _master_program(lam: RankLottery, cuts: Sequence[Constraint]) -> LinearProgram:
-    """Candidates mu: the tail rows of one identity order at every rank below
-    p, capped by `lam`'s cumulatives, then the cuts."""
-    p = lam.p
-    rows = _tail_rows(p, range(1, p), lam.cumulative()[:-1], [tuple(range(1, p + 1))])
-    rows.extend(cuts)
-    # maximizing total cumulative slack == minimizing sum_t (p - t) * mu_t
-    objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
-    return LinearProgram(p, tuple(rows), objective, maximize=True)
+def _implements(
+    mass: Sequence[int], den: int, caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
+) -> bool:
+    """Whether the lottery `mass / den` over outcomes puts at most
+    `caps[k - 1] / cap_den` on the k worst outcomes of every order, for every
+    k up to len(caps), compared exactly as cross-multiplied integers."""
+    for order in orders:
+        tail = 0
+        for a, cap in zip(order, caps):
+            tail += mass[a - 1]
+            if tail * cap_den > cap * den:
+                return False
+    return True
 
 
 def improve(
@@ -120,6 +130,13 @@ def improve(
     Returns (improver or None, status, iterations, working set size) where
     status is "dominated", "maximal", or "undecided".  The caller must have
     established that `lam` itself is feasible.
+
+    Each candidate is tested at the working profiles, newest first.  The
+    outcome lotteries of this call's feasible working-set LPs form a pool.
+    A pool lottery that keeps every agent's k worst outcomes within cum_k of
+    the candidate, for every k < p, implements it at that profile, so the LP
+    there would be feasible and is skipped.  Only feasible LPs are skipped:
+    the masters, cuts and verdicts are those of solving every LP.
     """
     p = lam.p
     cum = lam.cumulative()
@@ -133,27 +150,40 @@ def improve(
     seeds = _witness_cache.setdefault((n, p), [])
     working = [*seeds, *hard_profiles(n, p)]
 
+    # Candidates mu: the tail rows of one identity order at every rank below
+    # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
+    # cumulative slack is minimizing sum_t (p - t) * mu_t.
+    master_rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     slack_base = sum(cum[:-1], ZERO)
     cuts: list[Constraint] = []
+    pool: list[tuple[list[int], int]] = []
     for iteration in range(1, max_iterations + 1):
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             return None, UNDECIDED, iteration - 1, len(working)
-        result = solve(_master_program(lam, cuts))
-        assert result.status == OPTIMAL, "master must stay solvable"
+        result = solve(LinearProgram(p, master_rows + tuple(cuts), objective, maximize=True))
+        if result.status != OPTIMAL:
+            raise AssertionError("master must stay solvable")
         slack = slack_base + result.objective_value
-        assert slack >= 0, "the input lottery should keep the master nonempty"
+        if slack < 0:
+            raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
             return None, MAXIMAL, iteration, len(working)
         mu = RankLottery(result.primal)
         mu_active = active_ranks(mu)
+        caps, cap_den = _scaled(mu.cumulative()[:-1])
 
         refuted = False
         for prof in reversed(working):
+            orders = [pref.order for pref in prof.prefs]
+            if any(_implements(mass, den, caps, cap_den, orders) for mass, den in pool):
+                continue
             lp_result = solve(implement_program(mu, prof))
             if lp_result.status == INFEASIBLE:
                 cuts.append(_cover_cut(mu_active, lp_result.certificate, p))
                 refuted = True
                 break
+            pool.append(_scaled(lp_result.primal))
         if refuted:
             continue
 
@@ -187,87 +217,36 @@ def is_maximal(
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
 ) -> MaximalityReport:
-    """Full maximality decision with optional per-rank forcing profiles."""
-    started = time.perf_counter()
-    feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
-    if feas.verdict == UNDECIDED:
-        return _report(UNDECIDED, lam, n, feasibility=feas, started=started)
-    if feas.verdict != FEASIBLE:
-        raise ValueError(f"not a feasible guarantee: {lam.text()}")
+    """Full maximality decision with optional per-rank forcing profiles.
 
-    if n == 2:
+    `time_budget` covers the feasibility check and the cutting-plane loop
+    together: the loop gets what the check leaves of it."""
+    started = time.perf_counter()
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
+    if feas.verdict not in (FEASIBLE, UNDECIDED):
+        raise ValueError(f"not a feasible guarantee: {lam.text()}")
+    improver, status, iterations, working_size, found = None, UNDECIDED, 0, 0, None
+    if feas.verdict == FEASIBLE and n == 2:
         reflected = lam.reflect()
-        if reflected.probs == lam.probs:
-            report = _report(MAXIMAL, lam, n, feasibility=feas, started=started)
-        else:
+        status = MAXIMAL
+        if reflected.probs != lam.probs:
             half = Fraction(1, 2)
-            improver = RankLottery(
-                tuple(half * a + half * b for a, b in zip(lam.probs, reflected.probs))
-            )
-            report = _report(
-                DOMINATED, lam, n, improver=improver, feasibility=feas, started=started
-            )
-    else:
+            improver = RankLottery(tuple(half * a + half * b for a, b in zip(lam.probs, reflected.probs)))
+            status = DOMINATED
+    elif feas.verdict == FEASIBLE:
         improver, status, iterations, working_size = improve(
             lam,
             n,
             jobs=jobs,
             max_iterations=max_iterations,
             limit_profiles=limit_profiles,
-            time_budget=time_budget,
+            time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
         )
-        report = _report(
-            status,
-            lam,
-            n,
-            improver=improver,
-            iterations=iterations,
-            working_size=working_size,
-            feasibility=feas,
-            started=started,
-        )
-
-    if witnesses and report.verdict == MAXIMAL:
-        found: dict[int, Profile] = {}
-        for k in range(1, lam.p):
-            prof = forcing_profile(lam, n, k)
-            if prof is not None:
-                found[k] = prof
-        report = _report(
-            MAXIMAL,
-            lam,
-            n,
-            witnesses=found,
-            iterations=report.iterations,
-            working_size=report.profiles_in_working_set,
-            feasibility=feas,
-            started=started,
-        )
-    return report
-
-
-def _report(
-    verdict: str,
-    lam: RankLottery,
-    n: int,
-    *,
-    improver: Optional[RankLottery] = None,
-    witnesses: Optional[dict[int, Profile]] = None,
-    iterations: int = 0,
-    working_size: int = 0,
-    feasibility: Optional[FeasibilityReport] = None,
-    started: float,
-) -> MaximalityReport:
+    if witnesses and status == MAXIMAL:
+        found = {k: prof for k in range(1, lam.p) if (prof := forcing_profile(lam, n, k)) is not None}
     return MaximalityReport(
-        verdict=verdict,
-        n=n,
-        p=lam.p,
-        improver=improver,
-        witnesses=witnesses,
-        iterations=iterations,
-        profiles_in_working_set=working_size,
-        feasibility=feasibility,
-        runtime_ms=int((time.perf_counter() - started) * 1000),
+        status, n, lam.p, improver, found, iterations, working_size, feas, int((time.perf_counter() - started) * 1000)
     )
 
 

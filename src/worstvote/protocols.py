@@ -134,8 +134,11 @@ class ProtocolSpec:
 def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
     """Parse the stage mini-language and fix continuation weights for (n, p).
 
-    Raises ValueError with the exact character position on a bad token.
+    Raises ValueError if n or p is below 1, and with the exact character
+    position on a bad token.
     """
+    if min(n, p) < 1:
+        raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
     raw: list[tuple[str, tuple, int]] = []
     pos = 0
     for chunk in text.split(";"):
@@ -156,7 +159,7 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
             stages.append(UniformFallback())
         elif name == "cover":
             stages.append(CoverRound(cover_size=args[0], depth=args[1], play=args[2]))
-        elif name == "rd":
+        else:  # "rd": the tokenizer emits no other name
             padded = args[0]
             if final:
                 stages.append(DictatorRound(padded=padded))
@@ -171,8 +174,6 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
                 stages.append(
                     DictatorRound(padded=True, continue_weight=Fraction(1, n * top + 1))
                 )
-        else:  # pragma: no cover - the tokenizer only emits known names
-            raise ValueError(f"unknown stage {name!r} at position {offset}")
     return ProtocolSpec(tuple(stages))
 
 
@@ -237,9 +238,9 @@ def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> 
         return rd_compose(_suffix_guarantee(suffix[1:], n, window - n, off), n)
     if name == "veto":
         tokens = args[0]
-        inner = _suffix_guarantee(suffix[1:], n, window - n * tokens, off) if len(suffix) > 1 else None
-        if inner is None:
+        if len(suffix) == 1:
             raise ValueError(f"veto round must be followed by a stage (position {off})")
+        inner = _suffix_guarantee(suffix[1:], n, window - n * tokens, off)
         for _ in range(tokens):
             inner = vt_compose(inner, n)
         return inner

@@ -172,11 +172,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
 
     def test_protocol_dimensions_are_three(self, capsys):
-        for n, p, named in (("0", "6", "n=0"), ("3", "0", "p=0")):
-            code = main(["protocol-eval", "--spec", "rd(pad)", "--n", n, "--p", p])
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (3, "")
-            assert named in captured.err
+        # A continuation's weight depends on n and p, so the parser must
+        # name the bad size before it fixes any weight.
+        for spec in ("rd(pad)", "rd(pad); uniform"):
+            for n, p in (("0", "6"), ("3", "0")):
+                code = main(["protocol-eval", "--spec", spec, "--n", n, "--p", p])
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (3, "")
+                assert f"n and p must be at least 1, got n={n}, p={p}" in captured.err
 
 
 class TestCache:

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +30,11 @@ from worstvote.maximality import (
     improve,
     is_maximal,
 )
-from worstvote.lp import solve
-from worstvote.profiles import identical_profile, parse_profile, reversal_profile
+from worstvote.lp import _scaled, solve
+from worstvote.profiles import identical_profile, parse_profile, profile, reversal_profile
 
 from .test_lottery import rand_lottery
+from .test_profiles import random_profile
 
 F = Fraction
 
@@ -66,6 +72,24 @@ class TestImprove:
         report = is_maximal(vt(3, 6), 3, time_budget=0.0)
         assert report.verdict == "undecided"
 
+    def test_time_budget_is_granted_once(self, monkeypatch):
+        # The feasibility check uses up the whole budget on a fake clock, so
+        # the cutting-plane loop must get no time of its own.
+        clock = [0.0]
+        real_is_feasible = maximality.is_feasible
+
+        def slow_is_feasible(*args, **kwargs):
+            clock[0] += 2.0
+            return real_is_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(
+            maximality, "time", SimpleNamespace(monotonic=lambda: clock[0], perf_counter=time.perf_counter)
+        )
+        monkeypatch.setattr(maximality, "is_feasible", slow_is_feasible)
+        lam = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
+        report = is_maximal(lam, 3, time_budget=1.0)
+        assert (report.verdict, report.iterations) == ("undecided", 0)
+
     def test_improver_is_strict_and_feasible(self):
         rng = random.Random(0)
         checked = 0
@@ -79,6 +103,106 @@ class TestImprove:
                 assert improver.probs != lam.probs
                 assert dominates(improver, lam)
                 assert is_feasible(improver, 3).feasible
+
+
+def _meets_rows_exactly(ell, mu, prof):
+    """`Fraction` oracle: ell meets every row of mu's implementation LP."""
+    for row in feasibility.implement_program(mu, prof).constraints:
+        lhs = sum((c * x for c, x in zip(row.coeffs, ell)), F(0))
+        if not {"<=": lhs <= row.rhs, "=": lhs == row.rhs, ">=": lhs >= row.rhs}[row.rel]:
+            return False
+    return True
+
+
+def _pre_check(ell, mu, prof):
+    caps, cap_den = _scaled(mu.cumulative()[:-1])
+    return maximality._implements(*_scaled(ell), caps, cap_den, [pref.order for pref in prof.prefs])
+
+
+class TestWorkingSetPreCheck:
+    def test_agrees_with_the_implementation_rows(self):
+        rng = random.Random(3)
+        verdicts = []
+        for _ in range(600):
+            n, p = rng.randint(1, 4), rng.randint(2, 7)
+            mu, prof = rand_lottery(p, rng), random_profile(n, p, rng)
+            ell = feasibility.implement_at(mu, prof)
+            if ell is None or rng.random() < 0.5:
+                ell = rand_lottery(p, rng, grain=rng.choice((5, 12, 30))).probs
+            else:
+                # a vertex, moved by a small step from one outcome to another
+                ell = list(ell.mass)
+                src, dst = rng.sample(range(p), 2)
+                step = min(ell[src], F(1, rng.choice((7, 60))))
+                ell[src] -= step
+                ell[dst] += step
+            verdict = _pre_check(ell, mu, prof)
+            assert verdict == _meets_rows_exactly(ell, mu, prof), (ell, mu, prof)
+            verdicts.append(verdict)
+        assert 100 < sum(verdicts) < 500
+
+    def test_tail_at_its_cap_passes_and_one_step_over_fails(self):
+        # Only the last agent's worst outcome is binding.  At 1/3 it sits
+        # at its cap; at 2/5 it is over it by 1/15, the smallest step
+        # between fifths and thirds (2 * 3 == 1 * 5 + 1 cross-multiplied).
+        mu, prof = uniform(3), profile([(2, 3, 1), (1, 2, 3)])
+        at_cap = (F(1, 3), F(1, 3), F(1, 3))
+        over = (F(2, 5), F(1, 5), F(2, 5))
+        assert _pre_check(at_cap, mu, prof) and _meets_rows_exactly(at_cap, mu, prof)
+        assert not _pre_check(over, mu, prof) and not _meets_rows_exactly(over, mu, prof)
+
+    def test_skipped_profiles_are_implementable(self, monkeypatch):
+        real_implements = maximality._implements
+        skipped = []
+
+        def recording(mass, den, caps, cap_den, orders):
+            passed = real_implements(mass, den, caps, cap_den, orders)
+            if passed:
+                cum = [F(c, cap_den) for c in caps] + [F(1)]
+                probs = [b - a for a, b in zip([F(0)] + cum, cum)]
+                skipped.append((RankLottery(tuple(probs)), profile(orders)))
+            return passed
+
+        monkeypatch.setattr(maximality, "_witness_cache", {})
+        monkeypatch.setattr(maximality, "_implements", recording)
+        lam = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
+        assert is_maximal(lam, 3).verdict == "maximal"
+        assert skipped
+        for mu, prof in skipped:
+            assert feasibility.implement_at(mu, prof) is not None
+
+
+def test_proof_checks_survive_optimize():
+    # Under -O, `assert` statements are stripped; the cut's and the
+    # master's checks must still raise.
+    script = """if True:
+        import sys
+        from fractions import Fraction as F
+        from worstvote import lp, maximality
+        from worstvote.lottery import parse_lottery
+        raised = []
+
+        def attempt(label, call):
+            try:
+                call()
+            except AssertionError:
+                raised.append(label)
+
+        attempt("inactive", lambda: maximality._cover_cut((), (F(-1), F(1)), 3))
+        attempt("direction", lambda: maximality._cover_cut((1,), (F(0), F(1)), 3))
+        lam = parse_lottery("0,1,0")
+        maximality.solve = lambda program: lp.LPResult(lp.INFEASIBLE)
+        attempt("master", lambda: maximality.improve(lam, 2))
+        maximality.solve = lambda program: lp.LPResult(lp.OPTIMAL, (F(1), F(0), F(0)), F(-9))
+        attempt("slack", lambda: maximality.improve(lam, 2))
+        print(sys.flags.optimize, *raised)
+    """
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(maximality.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "inactive", "direction", "master", "slack"]
 
 
 class TestIsMaximal:
