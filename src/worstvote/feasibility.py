@@ -420,7 +420,8 @@ def _scan_chunk(payload: tuple) -> dict:
     its certified last layouts are the union of the covers of the bits
     common to the head.  The pool certifies no LP-infeasible system, so the
     scan stops at the slice's first infeasible system.  `limit` caps the
-    systems visited; `deadline` is checked once per run.
+    systems visited; `deadline` is checked once per run.  A stop returns
+    the status "profile-limit" or "time-limit", naming which one ran out.
     """
     probs, n, ks, lo, hi, limit, deadline = payload
     lam = RankLottery(probs)
@@ -442,7 +443,7 @@ def _scan_chunk(payload: tuple) -> dict:
     checked = 0
     for head in _heads(count, n - 1, lo, hi):
         if deadline is not None and time.monotonic() > deadline:
-            return {"status": "limited", "checked": checked}
+            return {"status": "time-limit", "checked": checked}
         common = masks[head[0]]
         for i in head[1:]:
             common &= masks[i]
@@ -452,7 +453,7 @@ def _scan_chunk(payload: tuple) -> dict:
         j = head[-1]
         stop = count if limit is None else min(count, j + limit - checked)
         if j == stop:
-            return {"status": "limited", "checked": checked}
+            return {"status": "profile-limit", "checked": checked}
         while True:
             free = ~covered >> j
             miss = min(stop, j + (free & -free).bit_length() - 1)
@@ -473,7 +474,7 @@ def _scan_chunk(payload: tuple) -> dict:
             covered |= covers[-1]  # the solution meets every layout of the system
             j = miss + 1
         if stop < count:
-            return {"status": "limited", "checked": checked}
+            return {"status": "profile-limit", "checked": checked}
     return {"status": "feasible", "checked": checked}
 
 
@@ -741,8 +742,8 @@ def is_feasible(
             witness_profile=witness,
             witness_certificate=tuple(outcome["certificate"]),
         )
-    if outcome["status"] == "limited":
-        return finish(UNDECIDED, "profile-limit")
+    if outcome["status"] in ("profile-limit", "time-limit"):
+        return finish(UNDECIDED, outcome["status"])
     return finish(FEASIBLE, "scan")
 
 

@@ -8,26 +8,51 @@ The tableau is integer: each row is a list of ints plus one positive
 denominator, kept divided by the gcd of both after every pivot, and the
 cost row is stored the same way.  A pivot divides the pivot row by its
 pivot element, which cancels that row's denominator, and eliminates the
-column from every other row with integer products.  A row's gcd is folded
-over its entries and stops as soon as it reaches 1, where `Fraction`
-arithmetic takes a gcd on every operation.  `Fraction` values are made only
-at the boundary: the primal point and the reduced costs read off for a
-certificate.  Every choice the simplex makes is the one a tableau of
-`Fraction` entries would make, because each depends only on a sign or on a
-comparison of two exact ratios: Bland's rule enters the first column whose
-cost numerator is negative, and the ratio test compares ``rhs_i / a_i``
-across rows by cross-multiplying integers, in which the row denominators
-cancel, with ties broken on the basis index.  The pivot sequence, and so
-the primal point and the certificate, are those of a `Fraction` tableau.
+column from every other row with integer products, updating only the
+columns where the pivot row is nonzero.  A row's gcd is folded over its
+entries and stops as soon as it reaches 1, where `Fraction` arithmetic
+takes a gcd on every operation.  `Fraction` values are made only at the boundary: the primal
+point and the reduced costs read off for a certificate.  Every choice the
+simplex makes is the one a tableau of `Fraction` entries would make,
+because each depends only on a sign or on a comparison of two exact
+ratios: Bland's rule enters the first column whose cost numerator is
+negative, and the ratio test compares ``rhs_i / a_i`` across rows by
+cross-multiplying integers, in which the row denominators cancel, with ties
+broken on the basis index.  The pivot sequence, and so the primal point and
+the certificate, are those of a `Fraction` tableau.
 
-Results are treated as proofs downstream, so `solve` re-checks each one in
-integers against the program's own rows, scaled by `_scaled` before any sign
-flip or added column, and raises `AssertionError` (also under ``python -O``)
-if it fails.  An optimal point over one denominator ``D`` must be >= 0 and
-meet every row as ``sum_j a_j * X_j`` against ``rhs * D``.  An infeasible
-program comes with a Farkas certificate `y`: ``sum_i y_i * row_i`` has
-coefficients >= 0 and right-hand side < 0: with ``x >= 0``, ``0 <= negative``.
-Signs: ``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``, free on ``=`` rows.
+`IncrementalLP` serves a cutting-plane loop, whose master program gains one
+row per iteration.  It builds and solves the program once, by the same
+tableau build and two-phase routine as `solve`, and keeps the tableau.
+Each added ``<=`` or ``>=`` row gets its own slack column and is priced out
+against the basis.  The reduced costs stay >= 0, so the basis stays dual
+feasible, and only the new row's right-hand side can be negative.  The
+dual simplex then restores primal feasibility with the smallest-subscript
+rule.  The leaving row is, among rows with a negative right-hand side, the
+one whose basic column is lowest.  The entering column has the smallest
+ratio ``cost_j / -a_j`` over the entries ``a_j < 0`` of that row, compared
+as cross-multiplied integers, with ties going to the lowest column.
+Artificial columns never enter.  This is Bland's rule applied to the dual
+program, so no basis repeats and the loop ends: at an optimum, or at a row
+whose entries are all >= 0 and whose right-hand side is < 0, which proves
+the program infeasible.  Where the optimum is not unique, the warm tableau
+may end at another optimal vertex than a `solve` from scratch; the value
+is the same.
+
+Results are treated as proofs downstream, so `solve` and
+`IncrementalLP.add` re-check each one in integers against the program's
+own rows, scaled by `_scaled` before any sign flip or added column, and
+raise `AssertionError` (also under ``python -O``) if it fails.  An optimal
+point over one denominator ``D`` must be >= 0 and meet every row as
+``sum_j a_j * X_j`` against ``rhs * D``.  An infeasible program comes with
+a Farkas certificate `y`: ``sum_i y_i * row_i`` has coefficients >= 0 and
+right-hand side < 0: with ``x >= 0``, ``0 <= negative``.  Signs: ``y_i >= 0``
+on ``<=``, ``<= 0`` on ``>=``, free on ``=`` rows.  These checks show that a
+point is feasible, not that it is optimal.  `IncrementalLP.certify` shows
+that too: it reads the dual off the cost row and checks that each
+multiplier has the sign its row requires, that the dual is feasible for
+every column ``x_j >= 0``, and that the dual objective equals the primal
+value, so that weak duality bounds every feasible point by this one.
 """
 
 from __future__ import annotations
@@ -136,12 +161,14 @@ def _meets(rows: Sequence[Row], x: Sequence[int], den: int) -> bool:
     return True
 
 
-def _refutes(rows: Sequence[Row], y: Sequence[int], nv: int) -> bool:
-    """Multipliers ``y / d``, for any one ``d > 0``, are a Farkas certificate for `rows`."""
+def _combine(rows: Sequence[Row], y: Sequence[int], nv: int) -> Optional[tuple[list[int], int]]:
+    """``sum_i y_i * row_i`` as ints over the rows' common scale, and that
+    scale; None when a sign does not fit its row: ``y_i >= 0`` on ``<=``,
+    ``<= 0`` on ``>=``, free on ``=``."""
     scale = 1
     for v, (_, den, rel) in zip(y, rows):
         if v < 0 if rel == LE else v > 0 if rel == GE else False:
-            return False
+            return None
         if v:
             scale = lcm(scale, den)
     combined = [0] * (nv + 1)
@@ -149,8 +176,30 @@ def _refutes(rows: Sequence[Row], y: Sequence[int], nv: int) -> bool:
         if v:
             f = v * (scale // den)
             combined = [c + f * a for c, a in zip(combined, ints)]
-    *coeffs, total = combined
+    return combined, scale
+
+
+def _refutes(rows: Sequence[Row], y: Sequence[int], nv: int) -> bool:
+    """Multipliers ``y / d``, for any one ``d > 0``, are a Farkas certificate for `rows`."""
+    combined = _combine(rows, y, nv)
+    if combined is None:
+        return False
+    *coeffs, total = combined[0]
     return total < 0 and all(c >= 0 for c in coeffs)
+
+
+def _bounds(rows: Sequence[Row], z: Sequence[int], z_den: int, cost: Sequence[int], cost_den: int,
+            value: Fraction) -> bool:
+    """Multipliers ``z / z_den``, signed as for `_refutes`, prove that
+    ``cost / cost_den`` is at least `value` at every ``x >= 0`` meeting `rows`:
+    ``cost + z A >= 0`` column by column and ``-z b == value``, so that
+    ``cost x >= -z A x >= -z b`` (weak duality)."""
+    combined = _combine(rows, z, len(cost))
+    if combined is None:
+        return False
+    (*coeffs, total), scale = combined
+    k = scale * z_den
+    return Fraction(-total, k) == value and all(c * k + a * cost_den >= 0 for c, a in zip(cost, coeffs))
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
@@ -176,36 +225,149 @@ def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _eliminate(row: list[int], den: int, prow: list[int], pden: int, col: int) -> tuple[list[int], int]:
-    """``row/den - (row[col]/den) * prow/pden``, where ``prow[col] == pden``."""
+def _nonzero(row: list[int]) -> list[int]:
+    return [j for j, v in enumerate(row) if v]
+
+
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pden: int, col: int, nz: list[int]
+) -> tuple[list[int], int]:
+    """``row/den - (row[col]/den) * prow/pden``, where ``prow[col] == pden``
+    and `nz` lists the columns where `prow` is nonzero: only those change."""
     g = gcd(row[col], pden)
     a = row[col] // g
     s = pden // g
-    return _reduce([s * v - a * pv for v, pv in zip(row, prow)], den * s)
+    out = row[:] if s == 1 else [s * v for v in row]
+    for j in nz:
+        out[j] -= a * prow[j]
+    return _reduce(out, den * s)
 
 
 class _Tableau:
-    """Dense simplex tableau over the integers.
+    """Dense simplex tableau over the integers for one program, built and
+    solved by the two-phase method; `result` is the outcome.
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
     last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
-    denominator is positive and each row is kept divided by its gcd.
+    denominator is positive and each row is kept divided by its gcd.  The
+    columns are the variables, one slack per ``<=`` row and one surplus per
+    ``>=`` row (after rows with a negative right-hand side are flipped), one
+    artificial per ``>=`` and ``=`` row, then one slack per row added by
+    `IncrementalLP.add`, and last the right-hand side.  `unit_col[r]` is the
+    column that was a unit vector in program row ``r`` alone when the row
+    was laid out.  Every tableau row is the combination of the program rows
+    whose weights are its entries in those columns, and the cost row is the
+    costs less such a combination, so duals and Farkas certificates are read
+    off there.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
+    def __init__(self, lp: LinearProgram):
+        nv = self.nv = lp.num_vars
+        raw = self.raw = _raw_rows(lp)
+        self.obj, self.obj_den = _scaled(lp.objective)
+        self.sense = -1 if lp.maximize else 1
+
+        # Normalize to rhs >= 0, remembering per-row sign flips.
+        flipped = self.flipped = [ints[-1] < 0 for ints, _, _ in raw]
+        norm_rel = [{LE: GE, GE: LE, EQ: EQ}[rel] if flip else rel for (_, _, rel), flip in zip(raw, flipped)]
+        n_slack = norm_rel.count(LE)
+        art0 = self.art0 = nv + n_slack + norm_rel.count(GE)
+        ncols = self.art_end = art0 + len(raw) - n_slack
+
+        rows: list[list[int]] = []
+        dens = [den for _, den, _ in raw]
+        basis: list[int] = []
+        si, ui, ai = nv, nv + n_slack, art0  # next slack, surplus and artificial column
+        pad = [0] * (ncols - nv)
+        for (ints, den, _), flip, rel in zip(raw, flipped, norm_rel):
+            if flip:
+                ints = [-v for v in ints]
+            row = ints[:nv] + pad + ints[-1:]
+            if rel == LE:
+                row[si] = den
+                basis.append(si)
+                si += 1
+            else:
+                if rel == GE:
+                    row[ui] = -den
+                    ui += 1
+                row[ai] = den
+                basis.append(ai)
+                ai += 1
+            rows.append(row)
         self.rows = rows
         self.dens = dens
         self.basis = basis
+        self.unit_col = basis[:]
         self.cost: list[int] = []
         self.cost_den = 1
+        self.result = self._two_phase()
+
+    def _two_phase(self) -> LPResult:
+        art0, ncols = self.art0, self.art_end
+        # Phase 1: minimize the sum of artificial variables.
+        self.set_cost([0] * art0 + [1] * (ncols - art0) + [0], 1)
+        status = self.run(ncols)
+        assert status == OPTIMAL, "phase 1 cannot be unbounded"
+        if self.cost[-1] < 0:
+            # Infeasible: the dual sits in the cost row.
+            return self._infeasible(
+                [self.cost[col] - (self.cost_den if col >= art0 else 0) for col in self.unit_col], self.cost_den
+            )
+
+        # Drive any zero-valued artificial out of the basis, dropping redundant rows.
+        drop: list[int] = []
+        for i in range(len(self.rows)):
+            if self.basis[i] >= art0:
+                row = self.rows[i]
+                pivot_col = next((j for j in range(art0) if row[j]), -1)
+                if pivot_col >= 0:
+                    self.pivot(i, pivot_col)
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del self.rows[i]
+            del self.dens[i]
+            del self.basis[i]
+
+        # Phase 2 on the original objective (as minimization).
+        self.set_cost([self.sense * v for v in self.obj] + [0] * (ncols - self.nv + 1), self.obj_den)
+        if self.run(art0) == UNBOUNDED:
+            return LPResult(status=UNBOUNDED)
+        return self._optimum()
+
+    def _infeasible(self, nums: list[int], den: int) -> LPResult:
+        """The Farkas certificate ``nums / den`` over the flipped rows,
+        mapped back to the program's rows and re-checked."""
+        nums = [-y if flip else y for y, flip in zip(nums, self.flipped)]
+        if not _refutes(self.raw, nums, self.nv):
+            raise AssertionError("bad Farkas certificate")
+        return LPResult(status=INFEASIBLE, certificate=tuple([Fraction(y, den) for y in nums]))
+
+    def _optimum(self) -> LPResult:
+        """The basic point, re-checked against the program's rows."""
+        nv = self.nv
+        basic = [(b, i) for i, b in enumerate(self.basis) if b < nv]
+        scale = lcm(*(self.dens[i] for _, i in basic))
+        x = [0] * nv
+        for b, i in basic:
+            x[b] = self.rows[i][-1] * (scale // self.dens[i])
+        if not _meets(self.raw, x, scale):
+            raise AssertionError("optimal solution failed re-verification")
+        value = Fraction(sum(map(mul, self.obj, x)), self.obj_den * scale)
+        # From a list, `tuple` allocates at the final size (a generator resizes).
+        return LPResult(OPTIMAL, tuple([Fraction(v, scale) if v else ZERO for v in x]), value)
+
+    def _price(self, row: list[int], den: int) -> tuple[list[int], int]:
+        """``row / den`` with every basic column eliminated."""
+        for prow, pden, b in zip(self.rows, self.dens, self.basis):
+            if row[b]:
+                row, den = _eliminate(row, den, prow, pden, b, _nonzero(prow))
+        return row, den
 
     def set_cost(self, cost: list[int], den: int) -> None:
         """Install the cost row ``cost / den``, priced out against the basis."""
-        for row, row_den, b in zip(self.rows, self.dens, self.basis):
-            if cost[b]:
-                cost, den = _eliminate(cost, den, row, row_den, b)
-        self.cost = cost
-        self.cost_den = den
+        self.cost, self.cost_den = self._price(cost, den)
 
     def pivot(self, row_idx: int, col: int) -> None:
         rows = self.rows
@@ -219,11 +381,12 @@ class _Tableau:
         prow, pden = _reduce(prow, pden)
         rows[row_idx] = prow
         dens[row_idx] = pden
+        nz = _nonzero(prow)
         for i, row in enumerate(rows):
             if i != row_idx and row[col]:
-                rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, col)
+                rows[i], dens[i] = _eliminate(row, dens[i], prow, pden, col, nz)
         if self.cost[col]:
-            self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, prow, pden, col)
+            self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, prow, pden, col, nz)
         self.basis[row_idx] = col
 
     def run(self, ncols: int) -> str:
@@ -262,87 +425,77 @@ class _Tableau:
 
 def solve(lp: LinearProgram) -> LPResult:
     """Exact optimum or a self-verified Farkas infeasibility certificate."""
-    nv = lp.num_vars
-    m = len(lp.constraints)
+    return _Tableau(lp).result
 
-    # Normalize to rhs >= 0, remembering per-row sign flips.
-    raw = _raw_rows(lp)
-    flipped = [ints[-1] < 0 for ints, _, _ in raw]
-    norm_rel = [{LE: GE, GE: LE, EQ: EQ}[rel] if flip else rel for (_, _, rel), flip in zip(raw, flipped)]
 
-    n_slack = norm_rel.count(LE)
-    art0 = nv + n_slack + norm_rel.count(GE)
-    ncols = art0 + m - n_slack
+class IncrementalLP(_Tableau):
+    """A program kept at its optimum while inequality rows are added.
 
-    rows: list[list[int]] = []
-    dens = [den for _, den, _ in raw]
-    basis: list[int] = []
-    si, ui, ai = nv, nv + n_slack, art0  # next slack, surplus and artificial column
-    pad = [0] * (ncols - nv)
-    for (ints, den, _), flip, rel in zip(raw, flipped, norm_rel):
+    Built and solved once like `solve`'s tableau.  `add` appends a row and
+    re-optimizes with the dual simplex; `result` is the latest result, and
+    `certify` proves an optimum from its dual (see the module docstring).
+    """
+
+    def add(self, con: Constraint) -> LPResult:
+        """Append the ``<=`` or ``>=`` row `con` and return the new result."""
+        if self.result.status != OPTIMAL:
+            raise ValueError(f"rows can be added only at an optimum, not when {self.result.status}")
+        if con.rel == EQ or len(con.coeffs) != self.nv:
+            raise ValueError("an added row must be an inequality over the program's variables")
+        ints, den = _scaled(con.coeffs + (con.rhs,))
+        self.raw.append((ints, den, con.rel))
+        # Laid out as a `<=` row with its own slack, so a `>=` row is negated.
+        flip = con.rel == GE
+        self.flipped.append(flip)
         if flip:
             ints = [-v for v in ints]
-        row = ints[:nv] + pad + ints[-1:]
-        if rel == LE:
-            row[si] = den
-            basis.append(si)
-            si += 1
-        else:
-            if rel == GE:
-                row[ui] = -den
-                ui += 1
-            row[ai] = den
-            basis.append(ai)
-            ai += 1
-        rows.append(row)
-    unit_col = basis[:]  # column whose reduced cost encodes each row's dual
+        col = len(self.cost) - 1
+        for row in self.rows:
+            row.insert(col, 0)
+        self.cost.insert(col, 0)
+        row, den = self._price(ints[:-1] + [0] * (col - self.nv) + [den, ints[-1]], den)
+        self.rows.append(row)
+        self.dens.append(den)
+        self.basis.append(col)
+        self.unit_col.append(col)
+        self.result = self._dual_run()
+        return self.result
 
-    tab = _Tableau(rows, dens, basis)
+    def _dual_run(self) -> LPResult:
+        """Dual simplex from a dual-feasible basis, smallest-subscript rule."""
+        rows = self.rows
+        basis = self.basis
+        candidates = [*range(self.art0), *range(self.art_end, len(self.cost) - 1)]  # never an artificial
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):
+                if row[-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return self._optimum()
+            row = rows[leave]
+            cost = self.cost
+            # Smallest cost_j / -a_j over a_j < 0: the row's denominator, and
+            # the cost row's, cancel from the cross-multiplied comparison.
+            enter = -1
+            best_cost = best_a = 0
+            for j in candidates:
+                a = row[j]
+                if a < 0 and (enter < 0 or cost[j] * best_a > best_cost * a):
+                    enter = j
+                    best_cost = cost[j]
+                    best_a = a
+            if enter < 0:
+                # The row reads: basic variable + (terms >= 0) = negative.
+                return self._infeasible([row[col] for col in self.unit_col], self.dens[leave])
+            self.pivot(leave, enter)
 
-    # Phase 1: minimize the sum of artificial variables.
-    tab.set_cost([0] * art0 + [1] * (ncols - art0) + [0], 1)
-    status = tab.run(ncols)
-    assert status == OPTIMAL, "phase 1 cannot be unbounded"
-
-    if tab.cost[-1] < 0:
-        # Infeasible; read the dual off the cost row and map back to the
-        # original row order and orientations.
-        nums = [tab.cost[col] - (tab.cost_den if col >= art0 else 0) for col in unit_col]
-        nums = [-y if flip else y for y, flip in zip(nums, flipped)]
-        if not _refutes(raw, nums, nv):
-            raise AssertionError("bad Farkas certificate")
-        return LPResult(status=INFEASIBLE, certificate=tuple([Fraction(y, tab.cost_den) for y in nums]))
-
-    # Drive any zero-valued artificial out of the basis, dropping redundant rows.
-    drop: list[int] = []
-    for i in range(m):
-        if tab.basis[i] >= art0:
-            row = tab.rows[i]
-            pivot_col = next((j for j in range(art0) if row[j]), -1)
-            if pivot_col >= 0:
-                tab.pivot(i, pivot_col)
-            else:
-                drop.append(i)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.dens[i]
-        del tab.basis[i]
-
-    # Phase 2 on the original objective (as minimization).
-    obj, obj_den = _scaled(lp.objective)
-    sense = -1 if lp.maximize else 1
-    tab.set_cost([sense * v for v in obj] + [0] * (ncols - nv + 1), obj_den)
-    status = tab.run(art0)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
-
-    basic = [(b, i) for i, b in enumerate(tab.basis) if b < nv]
-    scale = lcm(*(tab.dens[i] for _, i in basic))
-    x = [0] * nv
-    for b, i in basic:
-        x[b] = tab.rows[i][-1] * (scale // tab.dens[i])
-    if not _meets(raw, x, scale):
-        raise AssertionError("optimal solution failed re-verification")
-    value = Fraction(sum(map(mul, obj, x)), obj_den * scale)
-    # From a list, `tuple` allocates at the final size (a generator resizes).
-    return LPResult(OPTIMAL, tuple([Fraction(v, scale) if v else ZERO for v in x]), value)
+    def certify(self) -> None:
+        """Raise `AssertionError`, also under ``python -O``, unless the dual
+        read off the cost row proves the current point optimal."""
+        if self.result.status != OPTIMAL:
+            raise ValueError(f"only an optimum can be certified, not {self.result.status}")
+        z = [-v if flip else v for v, flip in zip([self.cost[col] for col in self.unit_col], self.flipped)]
+        cost = [self.sense * v for v in self.obj]
+        if not _bounds(self.raw, z, self.cost_den, cost, self.obj_den, self.sense * self.result.objective_value):
+            raise AssertionError("optimum failed its dual check")

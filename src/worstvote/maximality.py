@@ -3,15 +3,19 @@
 A guarantee is maximal when no other feasible guarantee dominates it.  The
 decision runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
-cuts accumulated from profiles that refuted earlier candidates.  Each
-candidate is tested at the working profiles by exact implementation LPs,
-except where an outcome lottery returned by an earlier feasible LP of the
-same call already meets the candidate's tail caps (checked in integers).  A
-candidate that survives the working profiles goes to the full feasibility
-engine; its witness profile, if any, contributes a new cut.  The loop ends
-either with a certified improver (dominated) or with master slack exactly
-zero (maximal: even the relaxation admits no strict dominator, and the true
-feasible set is contained in the relaxation).
+cuts accumulated from profiles that refuted earlier candidates.  The master
+is solved once and then re-optimized after each cut by the dual simplex of
+`lp.IncrementalLP`, not solved again from scratch.  Each candidate is
+tested at the working profiles by exact implementation LPs, except where an
+outcome lottery returned by an earlier feasible LP of the same call already
+meets the candidate's tail caps (checked in integers).  A candidate that
+survives the working profiles goes to the full feasibility engine; its
+witness profile, if any, contributes a new cut.  The loop ends either with
+a certified improver (dominated) or with master slack exactly zero
+(maximal: even the relaxation admits no strict dominator, and the true
+feasible set is contained in the relaxation).  Before a maximal verdict,
+the master's dual is checked in integers, which proves that zero is the
+master's optimum and not only the slack of some feasible point.
 
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
 where every implementing lottery is pinned to the guarantee's cumulative
@@ -32,6 +36,7 @@ from .lp import (
     LE,
     OPTIMAL,
     Constraint,
+    IncrementalLP,
     LinearProgram,
     _scaled,
     solve,
@@ -137,6 +142,11 @@ def improve(
     the candidate, for every k < p, implements it at that profile, so the LP
     there would be feasible and is skipped.  Only feasible LPs are skipped:
     the masters, cuts and verdicts are those of solving every LP.
+
+    Each cut is added to one warm master.  Where the master's optimum is not
+    unique, its next candidate can differ from that of a master solved from
+    scratch, and so can later candidates, the improver and the iteration
+    count.  The verdicts maximal and dominated cannot: both are proved.
     """
     p = lam.p
     cum = lam.cumulative()
@@ -155,19 +165,20 @@ def improve(
     # cumulative slack is minimizing sum_t (p - t) * mu_t.
     master_rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
+    master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
     slack_base = sum(cum[:-1], ZERO)
-    cuts: list[Constraint] = []
     pool: list[tuple[list[int], int]] = []
     for iteration in range(1, max_iterations + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return None, UNDECIDED, iteration - 1, len(working)
-        result = solve(LinearProgram(p, master_rows + tuple(cuts), objective, maximize=True))
+        result = master.result
         if result.status != OPTIMAL:
             raise AssertionError("master must stay solvable")
         slack = slack_base + result.objective_value
         if slack < 0:
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
+            master.certify()
             return None, MAXIMAL, iteration, len(working)
         mu = RankLottery(result.primal)
         mu_active = active_ranks(mu)
@@ -180,7 +191,7 @@ def improve(
                 continue
             lp_result = solve(implement_program(mu, prof))
             if lp_result.status == INFEASIBLE:
-                cuts.append(_cover_cut(mu_active, lp_result.certificate, p))
+                master.add(_cover_cut(mu_active, lp_result.certificate, p))
                 refuted = True
                 break
             pool.append(_scaled(lp_result.primal))
@@ -202,7 +213,7 @@ def improve(
             seeds.append(witness)
         # The feasibility engine builds the same row layout, so its Farkas
         # certificate converts directly into a master cut.
-        cuts.append(_cover_cut(mu_active, report.witness_certificate, p))
+        master.add(_cover_cut(mu_active, report.witness_certificate, p))
 
     return None, UNDECIDED, max_iterations, len(working)
 

@@ -133,7 +133,7 @@ class TestIsFeasible:
         lam = parse_lottery("1/3,0,0,1/3,1/3,0,0")
         report = is_feasible(lam, 3, time_budget=0.0, use_hull=False)
         assert report.verdict == "undecided"
-        assert report.method == "profile-limit"
+        assert report.method == "time-limit"
 
     def test_feasibility_downward_closed(self):
         # anything dominated by a feasible guarantee is feasible
@@ -210,10 +210,22 @@ class TestIsFeasible:
                 )
             serial, parallel = reports
             assert serial.verdict == parallel.verdict == verdict
+            assert serial.method == parallel.method
             assert serial.profiles_checked == parallel.profiles_checked
             assert serial.witness_profile == parallel.witness_profile
             assert serial.witness_certificate == parallel.witness_certificate
         assert serial.profiles_checked == 50_000
+        assert serial.method == "profile-limit"
+
+    def test_time_limit_is_named_alike_serial_and_pooled(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+        monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
+        lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")
+        for jobs in (1, 2):
+            report = is_feasible(lam, 3, jobs=jobs, use_hull=False, time_budget=0.0)
+            assert (report.verdict, report.method, report.profiles_checked) == ("undecided", "time-limit", 0)
 
 
 class TestSystemScan:

@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from worstvote.lottery import lottery
 from worstvote.lp import (
     Constraint,
+    IncrementalLP,
     LinearProgram,
     LPResult,
     constraint,
@@ -282,8 +284,9 @@ class TestVerification:
 
     def test_checks_survive_python_O(self):
         # Under -O `assert` statements are stripped; a result that fails its
-        # integer check must still raise, and so must a cut witness whose
-        # implementation LP does not come back infeasible.
+        # integer check must still raise, and so must an optimum whose dual
+        # fails its check and a cut witness whose implementation LP does not
+        # come back infeasible.
         import worstvote
 
         script = """if True:
@@ -298,6 +301,9 @@ class TestVerification:
                 except AssertionError:
                     raised.append(label)
 
+            master = lp.IncrementalLP(lp.LinearProgram(1, (lp.constraint([1], "<=", 1),), (lp.ZERO + 1,)))
+            lp._bounds = lambda *args: False
+            attempt("dual", master.certify)
             lp._meets = lambda *args: False
             attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", 1)])))
             lp._refutes = lambda *args: False
@@ -311,7 +317,7 @@ class TestVerification:
         run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
                              timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "optimal", "infeasible", "cut"]
+        assert run.stdout.split() == ["1", "dual", "optimal", "infeasible", "cut"]
 
 
 class TestValidation:
@@ -467,6 +473,178 @@ class TestIntegerTableau:
         assert result.objective_value == -brute_force_maximum(flipped)
         assert verify_optimal(lp, result)
         assert tableau_log["run_rows"] == [3, 2]
+
+
+def master_program(lam):
+    """The master LP of `maximality.improve` for `lam`, before any cut."""
+    from worstvote.feasibility import _tail_rows
+
+    p = lam.p
+    cum = lam.cumulative()
+    rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    return LinearProgram(p, rows, tuple(F(-(p - t)) for t in range(1, p + 1)), maximize=True)
+
+
+def random_cut(rng, kind, lam, x, cuts):
+    """A `>=` row for the master of `lam` whose optimum is `x`, or None.
+
+    "cover": weights w_k >= 0 on a few ranks, ``sum_k w_k cum_k(mu) >= 1``,
+    met by `lam` (tight or with room).  "tight": the same, tight at `x`.
+    "duplicate": an earlier cut again.  "parallel": ``cum_k(mu) >= r`` for
+    ``r`` at or below the cap of rank k.  "over": that row above the cap,
+    so the master becomes infeasible.
+    """
+    p = lam.p
+    caps = lam.cumulative()
+
+    def tail(k, r):
+        return constraint([1] * k + [0] * (p - k), ">=", r)
+
+    if kind == "duplicate":
+        return rng.choice(cuts) if cuts else None
+    k = rng.randint(1, p - 1)
+    if kind == "parallel":
+        r = caps[k - 1] * F(rng.choice((3, 3, 2, 1)), 3)
+        return tail(k, r) if r else None
+    if kind == "over":
+        return tail(k, caps[k - 1] + F(1, 7))
+    ranks = rng.sample(range(1, p), rng.randint(1, min(3, p - 1)))
+    weights = {k: F(rng.randint(1, 3)) for k in ranks}
+    at = list(itertools.accumulate(x)) if kind == "tight" else caps
+    total = sum(w * at[k - 1] for k, w in weights.items())
+    if not total:
+        return None
+    scale = total if kind == "tight" else total / rng.choice((F(1), F(1), F(9, 8)))
+    coeffs = [F(0)] * p
+    for k, w in weights.items():
+        for t in range(k):
+            coeffs[t] += w / scale
+    return Constraint(tuple(coeffs), ">=", F(1))
+
+
+def has_other_optima(master):
+    """Some nonbasic column other than an artificial has reduced cost 0,
+    so the optimum need not be unique.  When every one is positive the
+    optimal point is unique, and any simplex must return it."""
+    basic = set(master.basis)
+    return any(master.cost[j] == 0 for j in range(len(master.cost) - 1)
+               if j not in basic and not master.art0 <= j < master.art_end)
+
+
+# sha256 of the `repr` of every warm result in
+# `test_warm_master_matches_cold_solve`, which pins the dual simplex's
+# choice among optimal vertices where the optimum is not unique.
+WARM_DIGEST = "4781ab589a5ac1d0422132e2e53466a2938d9db9785917f0e5ffac8046b69088"
+
+
+class TestIncrementalLP:
+    def test_warm_master_matches_cold_solve(self):
+        """After every added cut, the warm master proves the cold optimum: the
+        same result where the optimum is unique, the same status and value
+        otherwise, and an infeasible row is refuted like `solve` refutes it."""
+        import hashlib
+
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+        seen = Counter()
+        kinds = ("cover", "cover", "tight", "duplicate", "parallel")
+        for p in (4, 5, 6, 7, 8):
+            for _ in range(20):
+                weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(p - 1)] + [1]
+                lam = lottery([F(w, sum(weights)) for w in weights])
+                program = master_program(lam)
+                master = IncrementalLP(program)
+                assert master.result == solve(program)
+                cuts = []
+                for step in range(12):
+                    kind = "over" if step == 11 and rng.random() < 0.3 else rng.choice(kinds)
+                    cut = random_cut(rng, kind, lam, master.result.primal, cuts)
+                    if cut is None:
+                        continue
+                    cuts.append(cut)
+                    full = LinearProgram(p, program.constraints + tuple(cuts), program.objective, True)
+                    warm, cold = master.add(cut), solve(full)
+                    digest.update(repr(warm).encode())
+                    if warm.status == "infeasible":
+                        assert cold.status == "infeasible"
+                        assert fraction_verify_infeasibility(full, warm.certificate)
+                        seen["infeasible"] += 1
+                        break
+                    master.certify()
+                    assert fraction_verify_optimal(full, warm)
+                    assert (warm.status, warm.objective_value) == (cold.status, cold.objective_value)
+                    if has_other_optima(master):
+                        seen["other optima", warm == cold] += 1
+                    else:
+                        assert warm == cold, (full, warm, cold)
+                        seen["unique", kind] += 1
+        assert min(seen["unique", kind] for kind in set(kinds)) > 40, seen
+        assert seen["infeasible"] > 10 and seen["other optima", True] > 100, seen
+        assert digest.hexdigest() == WARM_DIGEST, (seen, digest.hexdigest())
+
+    def test_random_programs_match_cold_solve(self):
+        """Programs with `=`, `<=` and `>=` rows, then added `<=` and `>=`
+        rows with right-hand sides of either sign.  An artificial column
+        entering the basis would leave an `=` row unmet."""
+        rng = random.Random(3)
+        seen = Counter()
+        for _ in range(200):
+            nv = rng.randint(2, 4)
+            rows = tuple(
+                constraint([rng.randint(-2, 3) for _ in range(nv)], rng.choice(["<=", ">=", "="]),
+                           rng.randint(-2, 4))
+                for _ in range(rng.randint(1, 3))
+            ) + (constraint([1] * nv, "<=", 5),)
+            program = LinearProgram(nv, rows, tuple(F(rng.randint(-3, 3)) for _ in range(nv)), maximize=True)
+            master = IncrementalLP(program)
+            if master.result.status != "optimal":
+                continue
+            for _ in range(6):
+                row = constraint([rng.randint(-3, 3) for _ in range(nv)], rng.choice(["<=", ">="]),
+                                 rng.randint(-3, 3))
+                program = LinearProgram(nv, program.constraints + (row,), program.objective, True)
+                warm, cold = master.add(row), solve(program)
+                assert warm.status == cold.status
+                seen[warm.status] += 1
+                if warm.status == "infeasible":
+                    assert fraction_verify_infeasibility(program, warm.certificate)
+                    break
+                master.certify()
+                assert warm.objective_value == cold.objective_value
+                assert has_other_optima(master) or warm == cold
+        assert seen["optimal"] > 300 and seen["infeasible"] > 50, seen
+
+    def test_certify_rejects_a_corrupted_dual(self):
+        # Changing the dual of a row with a nonzero right-hand side changes
+        # the dual objective, so the check must fail.
+        lam = lottery([0, F(1, 2), 0, F(1, 4), F(1, 4)])
+        master = IncrementalLP(master_program(lam))
+        before = master.result
+        assert master.add(constraint([2, 2, 1, 0, 0], ">=", 1)) != before  # cum_2 + cum_3 >= 1
+        master.certify()
+        corrupted = 0
+        for row, col in zip(master.raw, master.unit_col):
+            if row[0][-1]:
+                master.cost[col] += 1
+                with pytest.raises(AssertionError, match="dual check"):
+                    master.certify()
+                master.cost[col] -= 1
+                corrupted += 1
+        assert corrupted == len(master.raw) - 1  # every row but the zero cap at rank 1
+        master.certify()
+
+    def test_added_rows_are_inequalities_at_an_optimum(self):
+        master = IncrementalLP(LinearProgram(1, (constraint([1], "<=", 1),), (F(1),)))
+        with pytest.raises(ValueError):
+            master.add(constraint([1], "=", 1))
+        with pytest.raises(ValueError):
+            master.add(constraint([1, 1], ">=", 1))
+        assert master.add(constraint([1], "<=", "1/2")).objective_value == F(1, 2)
+        assert master.add(constraint([1], ">=", 1)).status == "infeasible"
+        with pytest.raises(ValueError):
+            master.add(constraint([1], ">=", 0))
+        with pytest.raises(ValueError):
+            master.certify()
 
 
 # Master programs (built in `maximality.improve`), cut programs
@@ -945,7 +1123,8 @@ def test_golden_results(label, program, expected):
 # sha256 of the `repr((program, result))` of every `solve` call made by
 # `test_lp_traffic_is_unchanged`, except the feasible working-set LPs of
 # `maximality.improve` (zero objective, status optimal), which its pre-check
-# may answer without a solve.  Recorded before that pre-check existed, when
+# may answer without a solve.  Each step of the warm master counts as the
+# `solve` of the master rows plus the cuts so far, in the same order.  Recorded before that pre-check existed, when
 # `improve` solved all 68 of them.  Any change to a program the engines build,
 # to the order they solve them in, or to a result changes it.
 TRAFFIC_DIGEST = "c178e64a3133f2e055ebadae5eeb5eca85a04c13e97c2cc7992a46b1b5a32c6c"
@@ -985,8 +1164,28 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         calls.append(result.status)
         return result
 
+    class TracedMaster(IncrementalLP):
+        """Digests each master step as the program a cold `solve` would be
+        given: the master rows plus every cut so far."""
+
+        def __init__(self, program):
+            super().__init__(program)
+            self.program = program
+            digest.update(repr((program, self.result)).encode())
+            calls.append(self.result.status)
+
+        def add(self, con):
+            result = super().add(con)
+            program = self.program
+            self.program = LinearProgram(program.num_vars, program.constraints + (con,), program.objective,
+                                         program.maximize)
+            digest.update(repr((self.program, result)).encode())
+            calls.append(result.status)
+            return result
+
     monkeypatch.setattr(feasibility, "solve", traced)
     monkeypatch.setattr(maximality, "solve", traced_working_set)
+    monkeypatch.setattr(maximality, "IncrementalLP", TracedMaster)
     half = F(1, 2)
 
     def midpoint(a, b):

@@ -178,6 +178,7 @@ def test_proof_checks_survive_optimize():
     script = """if True:
         import sys
         from fractions import Fraction as F
+        from types import SimpleNamespace
         from worstvote import lp, maximality
         from worstvote.lottery import parse_lottery
         raised = []
@@ -191,9 +192,10 @@ def test_proof_checks_survive_optimize():
         attempt("inactive", lambda: maximality._cover_cut((), (F(-1), F(1)), 3))
         attempt("direction", lambda: maximality._cover_cut((1,), (F(0), F(1)), 3))
         lam = parse_lottery("0,1,0")
-        maximality.solve = lambda program: lp.LPResult(lp.INFEASIBLE)
+        maximality.IncrementalLP = lambda program: SimpleNamespace(result=lp.LPResult(lp.INFEASIBLE))
         attempt("master", lambda: maximality.improve(lam, 2))
-        maximality.solve = lambda program: lp.LPResult(lp.OPTIMAL, (F(1), F(0), F(0)), F(-9))
+        maximality.IncrementalLP = lambda program: SimpleNamespace(
+            result=lp.LPResult(lp.OPTIMAL, (F(1), F(0), F(0)), F(-9)))
         attempt("slack", lambda: maximality.improve(lam, 2))
         print(sys.flags.optimize, *raised)
     """
