@@ -18,6 +18,11 @@ hard part.  Three reductions keep it tractable:
   masks is nonzero.  The LP runs only on the other systems, and its
   solution becomes the next bit.
 
+Every implementation LP is laid out once, by `_tail_rows`, as integer rows
+(`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
+scale, goes into the pool as it is; `Fraction` programs are built from the
+same rows only for the public `implement_program`.
+
 Fast verdicts come first: domination by the uniform lottery or by a mixture
 of already-verified guarantees proves feasibility outright (any lottery
 implementing the dominating guarantee implements `lam`); the two-agent case
@@ -43,8 +48,11 @@ from .lp import (
     OPTIMAL,
     Constraint,
     LinearProgram,
-    LPResult,
+    Row,
+    _scaled,
     feasibility_program,
+    feasible_point,
+    row_constraints,
     solve,
 )
 from .library import hard_profiles, tails_profile, tiling_profile, tops_profile
@@ -82,48 +90,51 @@ def active_ranks(lam: RankLottery) -> tuple[int, ...]:
 
 def _tail_rows(
     p: int, ks: Sequence[int], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
-) -> list[Constraint]:
+) -> list[Row]:
     """The rows of the implementation LP over `p` outcomes for orders listed
-    worst first.
+    worst first, as `lp.Row` triples in lowest terms.
 
     Row 0 pins total mass to one; then, for each order in turn, one row per
-    active rank k in `ks` capping the mass of that order's k-tail at the
-    matching entry of `caps`.  Row order is deterministic so certificates can
-    be re-verified against a rebuilt program.
+    active rank k in `ks` caps the mass of that order's k-tail at the
+    matching entry ``c`` of `caps`: ``c.denominator`` on each outcome of
+    the tail, over the denominator ``c.denominator``, with right-hand side
+    ``c.numerator``.  Row order is deterministic so certificates can be
+    re-verified against a rebuilt program.
     """
-    rows = [Constraint((Fraction(1),) * p, EQ, Fraction(1))]
+    rows = [([1] * (p + 1), 1, EQ)]
     for layout in layouts:
         for k, cap in zip(ks, caps):
-            coeffs = [ZERO] * p
+            den = cap.denominator
+            ints = [0] * p + [cap.numerator]
             for a in layout[:k]:
-                coeffs[a - 1] = Fraction(1)
-            rows.append(Constraint(tuple(coeffs), LE, cap))
+                ints[a - 1] = den
+            rows.append((ints, den, LE))
     return rows
 
 
-def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
-    """The exact LP deciding whether some lottery implements `lam` at `prof`:
-    one tail row per agent and active rank, laid out as in `_tail_rows`."""
+def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
+    """The implementation LP of `lam` at `prof`: one tail row per agent and
+    active rank, laid out as in `_tail_rows`."""
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
     ks = active_ranks(lam)
     cum = lam.cumulative()
-    caps = [cum[k - 1] for k in ks]
-    orders = [pref.order for pref in prof.prefs]
-    return feasibility_program(lam.p, _tail_rows(lam.p, ks, caps, orders))
+    return _tail_rows(lam.p, ks, [cum[k - 1] for k in ks], [pref.order for pref in prof.prefs])
 
 
-def implement_report(lam: RankLottery, prof: Profile) -> tuple[Optional[OutcomeLottery], LPResult]:
-    result = solve(implement_program(lam, prof))
-    if result.status == OPTIMAL:
-        return OutcomeLottery(result.primal), result
-    return None, result
+def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
+    """The exact LP deciding whether some lottery implements `lam` at `prof`,
+    as a `Fraction` program."""
+    return feasibility_program(lam.p, row_constraints(_implementation_rows(lam, prof)))
 
 
 def implement_at(lam: RankLottery, prof: Profile) -> Optional[OutcomeLottery]:
     """An outcome lottery implementing `lam` at `prof`, or None if none exists."""
-    ell, _ = implement_report(lam, prof)
-    return ell
+    point, _ = feasible_point(lam.p, _implementation_rows(lam, prof))
+    if point is None:
+        return None
+    x, scale = point
+    return OutcomeLottery(tuple([Fraction(v, scale) for v in x]))
 
 
 # ----------------------------------------------------------------------------
@@ -364,25 +375,25 @@ def _tail_groups(
 def _add_to_pool(
     masks: list[int],
     covers: list[int],
-    mass: Sequence[Fraction],
+    mass: Sequence[int],
+    scale: int,
     caps: Sequence[Fraction],
     groups: list[list[tuple[tuple[int, ...], int]]],
 ) -> None:
-    """Make `mass` pool lottery b = len(covers): set bit b in the mask of
-    every layout whose tail caps `mass` meets, and append the bitmask of
-    those layouts to `covers`.
+    """Make the lottery ``mass / scale`` pool lottery b = len(covers): set
+    bit b in the mask of every layout whose tail caps it meets, and append
+    the bitmask of those layouts to `covers`.
 
-    Exact: each distinct tail's mass is compared with its cap as integers
-    at a common scale, and a layout meets the caps when all its tails do.
+    Exact: a tail's mass ``t / scale`` is at most its cap ``c`` exactly
+    when the integer ``t`` is at most ``c * scale`` rounded down, and a
+    layout meets the caps when all its tails do.
     """
-    scale = math.lcm(*(x.denominator for x in (*mass, *caps)))
-    vec = [x.numerator * (scale // x.denominator) for x in mass]
     meets = -1
     for cap, tails in zip(caps, groups):
-        bound = cap.numerator * (scale // cap.denominator)
+        bound = cap.numerator * scale // cap.denominator
         ok = 0
         for tail, members in tails:
-            if sum(map(vec.__getitem__, tail)) <= bound:
+            if sum(map(mass.__getitem__, tail)) <= bound:
                 ok |= members
         meets &= ok
     bit = 1 << len(covers)
@@ -418,8 +429,9 @@ def _scan_chunk(payload: tuple) -> dict:
     becomes the next bit.  `covers[b]` is the bitmask of the layouts pool
     lottery b meets, so a run of systems sharing a head is tested at once:
     its certified last layouts are the union of the covers of the bits
-    common to the head.  The pool certifies no LP-infeasible system, so the
-    scan stops at the slice's first infeasible system.  `limit` caps the
+    common to the head, kept per set of common bits (`covers[b]` never
+    changes once appended).  The pool certifies no LP-infeasible system, so
+    the scan stops at the slice's first infeasible system.  `limit` caps the
     systems visited; `deadline` is checked once per run.  A stop returns
     the status "profile-limit" or "time-limit", naming which one ran out.
     """
@@ -436,10 +448,11 @@ def _scan_chunk(payload: tuple) -> dict:
     masks = [0] * count
     covers: list[int] = []
     # mass lam_k on outcome k always meets the canonical chain
-    _add_to_pool(masks, covers, probs, caps, groups)
+    _add_to_pool(masks, covers, *_scaled(probs), caps, groups)
     if all(Fraction(k, p) <= cap for k, cap in zip(ks, caps)):
-        _add_to_pool(masks, covers, (Fraction(1, p),) * p, caps, groups)
+        _add_to_pool(masks, covers, [1] * p, p, caps, groups)
 
+    unions: dict[int, int] = {}  # common bits -> the union of their covers
     checked = 0
     for head in _heads(count, n - 1, lo, hi):
         if deadline is not None and time.monotonic() > deadline:
@@ -447,9 +460,12 @@ def _scan_chunk(payload: tuple) -> dict:
         common = masks[head[0]]
         for i in head[1:]:
             common &= masks[i]
-        covered = 0
-        for b in _set_bits(common):
-            covered |= covers[b]
+        covered = unions.get(common)
+        if covered is None:
+            covered = 0
+            for b in _set_bits(common):
+                covered |= covers[b]
+            unions[common] = covered
         j = head[-1]
         stop = count if limit is None else min(count, j + limit - checked)
         if j == stop:
@@ -462,15 +478,10 @@ def _scan_chunk(payload: tuple) -> dict:
                 break
             checked += 1
             orders = [identity, *(layouts[i] for i in head), layouts[miss]]
-            result = solve(feasibility_program(p, _tail_rows(p, ks, caps, orders)))
-            if result.status == INFEASIBLE:
-                return {
-                    "status": "infeasible",
-                    "checked": checked,
-                    "orders": orders,
-                    "certificate": result.certificate,
-                }
-            _add_to_pool(masks, covers, result.primal, caps, groups)
+            point, certificate = feasible_point(p, _tail_rows(p, ks, caps, orders))
+            if point is None:
+                return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
+            _add_to_pool(masks, covers, *point, caps, groups)
             covered |= covers[-1]  # the solution meets every layout of the system
             j = miss + 1
         if stop < count:
@@ -683,14 +694,14 @@ def is_feasible(
     if not cuts.passed:
         violated = cuts.violated
         assert violated is not None
-        _, lp_result = implement_report(lam, violated.witness)
-        if lp_result.status != INFEASIBLE:
+        _, certificate = feasible_point(p, _implementation_rows(lam, violated.witness))
+        if certificate is None:
             raise AssertionError("cut witness failed to refute")
         return finish(
             INFEASIBLE,
             f"cut:{violated.kind}:k={violated.k}",
             witness_profile=violated.witness,
-            witness_certificate=lp_result.certificate,
+            witness_certificate=certificate,
         )
 
     if n == 2:
@@ -710,14 +721,16 @@ def is_feasible(
     for prof in hard_profiles(n, p):
         if limit_profiles is not None and checked >= limit_profiles:
             return finish(UNDECIDED, "profile-limit")
-        ell, result = implement_report(lam, prof)
+        if deadline is not None and time.monotonic() >= deadline:
+            return finish(UNDECIDED, "time-limit")
+        point, certificate = feasible_point(p, _implementation_rows(lam, prof))
         checked += 1
-        if ell is None:
+        if point is None:
             return finish(
                 INFEASIBLE,
                 "library-profile",
                 witness_profile=prof,
-                witness_certificate=result.certificate,
+                witness_certificate=certificate,
             )
 
     ks = active_ranks(lam)

@@ -11,15 +11,21 @@ pivot element, which cancels that row's denominator, and eliminates the
 column from every other row with integer products, updating only the
 columns where the pivot row is nonzero.  A row's gcd is folded over its
 entries and stops as soon as it reaches 1, where `Fraction` arithmetic
-takes a gcd on every operation.  `Fraction` values are made only at the boundary: the primal
-point and the reduced costs read off for a certificate.  Every choice the
-simplex makes is the one a tableau of `Fraction` entries would make,
-because each depends only on a sign or on a comparison of two exact
-ratios: Bland's rule enters the first column whose cost numerator is
-negative, and the ratio test compares ``rhs_i / a_i`` across rows by
-cross-multiplying integers, in which the row denominators cancel, with ties
-broken on the basis index.  The pivot sequence, and so the primal point and
-the certificate, are those of a `Fraction` tableau.
+takes a gcd on every operation.  Every choice the simplex makes is the one
+a tableau of `Fraction` entries would make, because each depends only on a
+sign or on a comparison of two exact ratios: Bland's rule enters the first
+column whose cost numerator is negative, and the ratio test compares
+``rhs_i / a_i`` across rows by cross-multiplying integers, in which the
+row denominators cancel, with ties broken on the basis index.  The pivot
+sequence, and so the primal point and the certificate, are those of a
+`Fraction` tableau.
+
+The tableau is built from `Row` triples ``(ints, den, rel)``: a row's
+coefficients and right-hand side as ints over one denominator.  `solve`
+scales a `LinearProgram` to rows and returns `Fraction` values.
+`feasible_point` takes the rows of a zero-objective program as the engines
+build them and returns the same optimum as ints over one scale, so no
+`Fraction` is made for a feasible program, or else the Farkas certificate.
 
 `IncrementalLP` serves a cutting-plane loop, whose master program gains one
 row per iteration.  It builds and solves the program once, by the same
@@ -39,20 +45,20 @@ the program infeasible.  Where the optimum is not unique, the warm tableau
 may end at another optimal vertex than a `solve` from scratch; the value
 is the same.
 
-Results are treated as proofs downstream, so `solve` and
-`IncrementalLP.add` re-check each one in integers against the program's
-own rows, scaled by `_scaled` before any sign flip or added column, and
-raise `AssertionError` (also under ``python -O``) if it fails.  An optimal
-point over one denominator ``D`` must be >= 0 and meet every row as
-``sum_j a_j * X_j`` against ``rhs * D``.  An infeasible program comes with
-a Farkas certificate `y`: ``sum_i y_i * row_i`` has coefficients >= 0 and
-right-hand side < 0: with ``x >= 0``, ``0 <= negative``.  Signs: ``y_i >= 0``
-on ``<=``, ``<= 0`` on ``>=``, free on ``=`` rows.  These checks show that a
-point is feasible, not that it is optimal.  `IncrementalLP.certify` shows
-that too: it reads the dual off the cost row and checks that each
-multiplier has the sign its row requires, that the dual is feasible for
-every column ``x_j >= 0``, and that the dual objective equals the primal
-value, so that weak duality bounds every feasible point by this one.
+Results are treated as proofs downstream, so every result is re-checked
+in integers against the program's own rows, before any sign flip or added
+column, and a failed check raises `AssertionError` (also under
+``python -O``).  An optimal point ``x / D`` must be >= 0 and meet every
+row as ``sum_j a_j * x_j`` against ``rhs * D``.  An infeasible program
+comes with a Farkas certificate `y`: ``sum_i y_i * row_i`` has
+coefficients >= 0 and right-hand side < 0, so ``x >= 0`` would give
+``0 <= negative``.  Signs: ``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``,
+free on ``=`` rows.  These checks show that a point is feasible, not that
+it is optimal.  `IncrementalLP.certify` shows that too: it reads the dual
+off the cost row and checks that each multiplier has the sign its row
+requires, that the dual is feasible for every column ``x_j >= 0``, and
+that the dual objective equals the primal value, so that weak duality
+bounds every feasible point by this one.
 """
 
 from __future__ import annotations
@@ -143,10 +149,17 @@ def verify_infeasibility(lp: LinearProgram, certificate: Sequence[Fraction]) -> 
 
 
 Row = tuple[list[int], int, str]  # a constraint's ints over one denominator, and its relation
+Point = tuple[list[int], int]  # ints x over one positive scale, for the point x / scale
 
 
 def _raw_rows(lp: LinearProgram) -> list[Row]:
     return [(*_scaled(con.coeffs + (con.rhs,)), con.rel) for con in lp.constraints]
+
+
+def row_constraints(rows: Iterable[Row]) -> tuple[Constraint, ...]:
+    """The rows as `Fraction` constraints, which `_raw_rows` maps back to rows in lowest terms."""
+    return tuple(Constraint(tuple([Fraction(v, den) for v in ints[:-1]]), rel, Fraction(ints[-1], den))
+                 for ints, den, rel in rows)
 
 
 def _meets(rows: Sequence[Row], x: Sequence[int], den: int) -> bool:
@@ -244,8 +257,9 @@ def _eliminate(
 
 
 class _Tableau:
-    """Dense simplex tableau over the integers for one program, built and
-    solved by the two-phase method; `result` is the outcome.
+    """Dense simplex tableau over the integers for one program, built from
+    its `Row`s and solved by the two-phase method.  `status` is the outcome,
+    with the optimum in `point` or the Farkas certificate in `certificate`.
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
     last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
@@ -261,11 +275,11 @@ class _Tableau:
     off there.
     """
 
-    def __init__(self, lp: LinearProgram):
-        nv = self.nv = lp.num_vars
-        raw = self.raw = _raw_rows(lp)
-        self.obj, self.obj_den = _scaled(lp.objective)
-        self.sense = -1 if lp.maximize else 1
+    def __init__(self, nv: int, raw: list[Row], obj: list[int], obj_den: int, sense: int):
+        self.nv = nv
+        self.raw = raw
+        self.obj, self.obj_den = obj, obj_den
+        self.sense = sense
 
         # Normalize to rhs >= 0, remembering per-row sign flips.
         flipped = self.flipped = [ints[-1] < 0 for ints, _, _ in raw]
@@ -301,9 +315,11 @@ class _Tableau:
         self.unit_col = basis[:]
         self.cost: list[int] = []
         self.cost_den = 1
-        self.result = self._two_phase()
+        self.point: Optional[Point] = None
+        self.certificate: Optional[tuple[Fraction, ...]] = None
+        self.status = self._two_phase()
 
-    def _two_phase(self) -> LPResult:
+    def _two_phase(self) -> str:
         art0, ncols = self.art0, self.art_end
         # Phase 1: minimize the sum of artificial variables.
         self.set_cost([0] * art0 + [1] * (ncols - art0) + [0], 1)
@@ -333,19 +349,20 @@ class _Tableau:
         # Phase 2 on the original objective (as minimization).
         self.set_cost([self.sense * v for v in self.obj] + [0] * (ncols - self.nv + 1), self.obj_den)
         if self.run(art0) == UNBOUNDED:
-            return LPResult(status=UNBOUNDED)
+            return UNBOUNDED
         return self._optimum()
 
-    def _infeasible(self, nums: list[int], den: int) -> LPResult:
-        """The Farkas certificate ``nums / den`` over the flipped rows,
+    def _infeasible(self, nums: list[int], den: int) -> str:
+        """Keep the Farkas certificate ``nums / den`` over the flipped rows,
         mapped back to the program's rows and re-checked."""
         nums = [-y if flip else y for y, flip in zip(nums, self.flipped)]
         if not _refutes(self.raw, nums, self.nv):
             raise AssertionError("bad Farkas certificate")
-        return LPResult(status=INFEASIBLE, certificate=tuple([Fraction(y, den) for y in nums]))
+        self.certificate = tuple([Fraction(y, den) for y in nums])
+        return INFEASIBLE
 
-    def _optimum(self) -> LPResult:
-        """The basic point, re-checked against the program's rows."""
+    def _optimum(self) -> str:
+        """Keep the basic point ``x / scale``, re-checked against the program's rows."""
         nv = self.nv
         basic = [(b, i) for i, b in enumerate(self.basis) if b < nv]
         scale = lcm(*(self.dens[i] for _, i in basic))
@@ -354,6 +371,14 @@ class _Tableau:
             x[b] = self.rows[i][-1] * (scale // self.dens[i])
         if not _meets(self.raw, x, scale):
             raise AssertionError("optimal solution failed re-verification")
+        self.point = x, scale
+        return OPTIMAL
+
+    def _result(self) -> LPResult:
+        """The outcome as `Fraction` values."""
+        if self.status != OPTIMAL:
+            return LPResult(self.status, certificate=self.certificate)
+        x, scale = self.point
         value = Fraction(sum(map(mul, self.obj, x)), self.obj_den * scale)
         # From a list, `tuple` allocates at the final size (a generator resizes).
         return LPResult(OPTIMAL, tuple([Fraction(v, scale) if v else ZERO for v in x]), value)
@@ -423,9 +448,22 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
+def _layout(lp: LinearProgram) -> tuple[int, list[Row], list[int], int, int]:
+    """The arguments of `_Tableau` for `lp`."""
+    return (lp.num_vars, _raw_rows(lp), *_scaled(lp.objective), -1 if lp.maximize else 1)
+
+
 def solve(lp: LinearProgram) -> LPResult:
     """Exact optimum or a self-verified Farkas infeasibility certificate."""
-    return _Tableau(lp).result
+    return _Tableau(*_layout(lp))._result()
+
+
+def feasible_point(num_vars: int, rows: list[Row]) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
+    """``((x, scale), None)`` where ``x / scale`` is the optimum `solve`
+    finds for the zero-objective program of `rows`, or ``(None, y)`` with
+    its Farkas certificate `y`."""
+    tab = _Tableau(num_vars, rows, [0] * num_vars, 1, 1)
+    return tab.point, tab.certificate
 
 
 class IncrementalLP(_Tableau):
@@ -436,10 +474,14 @@ class IncrementalLP(_Tableau):
     `certify` proves an optimum from its dual (see the module docstring).
     """
 
+    def __init__(self, lp: LinearProgram):
+        super().__init__(*_layout(lp))
+        self.result = self._result()
+
     def add(self, con: Constraint) -> LPResult:
         """Append the ``<=`` or ``>=`` row `con` and return the new result."""
-        if self.result.status != OPTIMAL:
-            raise ValueError(f"rows can be added only at an optimum, not when {self.result.status}")
+        if self.status != OPTIMAL:
+            raise ValueError(f"rows can be added only at an optimum, not when {self.status}")
         if con.rel == EQ or len(con.coeffs) != self.nv:
             raise ValueError("an added row must be an inequality over the program's variables")
         ints, den = _scaled(con.coeffs + (con.rhs,))
@@ -458,10 +500,11 @@ class IncrementalLP(_Tableau):
         self.dens.append(den)
         self.basis.append(col)
         self.unit_col.append(col)
-        self.result = self._dual_run()
+        self.status = self._dual_run()
+        self.result = self._result()
         return self.result
 
-    def _dual_run(self) -> LPResult:
+    def _dual_run(self) -> str:
         """Dual simplex from a dual-feasible basis, smallest-subscript rule."""
         rows = self.rows
         basis = self.basis
@@ -493,8 +536,8 @@ class IncrementalLP(_Tableau):
     def certify(self) -> None:
         """Raise `AssertionError`, also under ``python -O``, unless the dual
         read off the cost row proves the current point optimal."""
-        if self.result.status != OPTIMAL:
-            raise ValueError(f"only an optimum can be certified, not {self.result.status}")
+        if self.status != OPTIMAL:
+            raise ValueError(f"only an optimum can be certified, not {self.status}")
         z = [-v if flip else v for v, flip in zip([self.cost[col] for col in self.unit_col], self.flipped)]
         cost = [self.sense * v for v in self.obj]
         if not _bounds(self.raw, z, self.cost_den, cost, self.obj_den, self.sense * self.result.objective_value):

@@ -6,11 +6,13 @@ dominating the input with maximum total cumulative slack, subject to cover
 cuts accumulated from profiles that refuted earlier candidates.  The master
 is solved once and then re-optimized after each cut by the dual simplex of
 `lp.IncrementalLP`, not solved again from scratch.  Each candidate is
-tested at the working profiles by exact implementation LPs, except where an
-outcome lottery returned by an earlier feasible LP of the same call already
-meets the candidate's tail caps (checked in integers).  A candidate that
-survives the working profiles goes to the full feasibility engine; its
-witness profile, if any, contributes a new cut.  The loop ends either with
+tested at the working profiles by exact implementation LPs, laid out as
+integer rows by `feasibility._tail_rows` and solved by `lp.feasible_point`,
+except where an outcome lottery returned by an earlier feasible LP of the
+same call (kept as ints over one scale) already meets the candidate's tail
+caps (checked in integers).  A candidate that survives the working
+profiles goes to the full feasibility engine; its witness profile, if any,
+contributes a new cut.  The loop ends either with
 a certified improver (dominated) or with master slack exactly zero
 (maximal: even the relaxation admits no strict dominator, and the true
 feasible set is contained in the relaxation).  Before a maximal verdict,
@@ -32,13 +34,14 @@ from typing import Optional, Sequence
 from .lottery import RankLottery, ZERO, dominates, uniform
 from .lp import (
     GE,
-    INFEASIBLE,
     LE,
     OPTIMAL,
     Constraint,
     IncrementalLP,
     LinearProgram,
     _scaled,
+    feasible_point,
+    row_constraints,
     solve,
 )
 from .feasibility import (
@@ -47,7 +50,6 @@ from .feasibility import (
     FeasibilityReport,
     _tail_rows,
     active_ranks,
-    implement_program,
     is_feasible,
     verified_anchors,
 )
@@ -163,7 +165,7 @@ def improve(
     # Candidates mu: the tail rows of one identity order at every rank below
     # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
     # cumulative slack is minimizing sum_t (p - t) * mu_t.
-    master_rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    master_rows = row_constraints(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
     slack_base = sum(cum[:-1], ZERO)
@@ -182,19 +184,22 @@ def improve(
             return None, MAXIMAL, iteration, len(working)
         mu = RankLottery(result.primal)
         mu_active = active_ranks(mu)
-        caps, cap_den = _scaled(mu.cumulative()[:-1])
+        mu_cum = mu.cumulative()
+        mu_caps = [mu_cum[k - 1] for k in mu_active]
+        caps, cap_den = _scaled(mu_cum[:-1])
 
         refuted = False
         for prof in reversed(working):
             orders = [pref.order for pref in prof.prefs]
             if any(_implements(mass, den, caps, cap_den, orders) for mass, den in pool):
                 continue
-            lp_result = solve(implement_program(mu, prof))
-            if lp_result.status == INFEASIBLE:
-                master.add(_cover_cut(mu_active, lp_result.certificate, p))
+            # The implementation LP of `mu` at `prof`.
+            point, certificate = feasible_point(p, _tail_rows(p, mu_active, mu_caps, orders))
+            if point is None:
+                master.add(_cover_cut(mu_active, certificate, p))
                 refuted = True
                 break
-            pool.append(_scaled(lp_result.primal))
+            pool.append(point)
         if refuted:
             continue
 
@@ -269,16 +274,11 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     cum = lam.cumulative()
     orders = [pref.order for pref in prof.prefs]
     # Variable p + 1 is an upper bound t on every agent's k-tail mass.
-    rows = [
-        Constraint(row.coeffs + (ZERO,), row.rel, row.rhs)
-        for row in _tail_rows(p, ks, [cum[ka - 1] for ka in ks], orders)
-    ]
-    rows.extend(
-        Constraint(row.coeffs + (Fraction(-1),), LE, ZERO)
-        for row in _tail_rows(p, (k,), (ZERO,), orders)[1:]
-    )
+    implementation = _tail_rows(p, ks, [cum[ka - 1] for ka in ks], orders)
+    rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
+    rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (ZERO,), orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)
-    result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
+    result = solve(LinearProgram(p + 1, row_constraints(rows), objective, maximize=False))
     # t is bounded below by 0 and unbounded above, so the LP is infeasible
     # exactly when the implementation rows are.
     return result.objective_value if result.status == OPTIMAL else None

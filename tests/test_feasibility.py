@@ -21,8 +21,8 @@ from worstvote.lottery import (
     uniform,
     vt,
 )
-from worstvote.lp import verify_infeasibility
-from worstvote.profiles import enumerate_profiles, parse_profile, rank_rearrange
+from worstvote.lp import Constraint, _raw_rows, feasibility_program, feasible_point, solve, verify_infeasibility
+from worstvote.profiles import Preference, Profile, enumerate_profiles, parse_profile, rank_rearrange
 
 from .test_lottery import rand_lottery
 
@@ -227,6 +227,12 @@ class TestIsFeasible:
             report = is_feasible(lam, 3, jobs=jobs, use_hull=False, time_budget=0.0)
             assert (report.verdict, report.method, report.profiles_checked) == ("undecided", "time-limit", 0)
 
+    def test_library_profiles_stop_at_the_deadline(self):
+        lam = parse_lottery("1/3,0,0,1/3,1/3,0,0")  # 17 library profiles at (3,7)
+        for jobs in (1, 2):
+            report = is_feasible(lam, 3, jobs=jobs, use_hull=False, time_budget=0.0)
+            assert (report.verdict, report.method, report.profiles_checked) == ("undecided", "time-limit", 0)
+
 
 class TestSystemScan:
     def test_system_count_full_support(self):
@@ -355,6 +361,82 @@ class TestScanOrder:
         assert report.witness_certificate == tuple(F(x) for x in certificate)
         program = implement_program(lam, report.witness_profile)
         assert verify_infeasibility(program, report.witness_certificate)
+
+
+class TestLargeScans:
+    # Feasible scans above the benchmark's sizes, where most runs of systems
+    # share their common pool bits with an earlier run.  The counts, library
+    # profiles included, were recorded before `_scan_chunk` kept the union
+    # of covers per set of common bits.
+    @pytest.mark.parametrize("make, n, checked", [(vt, 6, 5_461_527), (rd, 4, 6_378_751)], ids=["vt-6-8", "rd-4-8"])
+    def test_scan_count_is_pinned(self, monkeypatch, make, n, checked):
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "_verdict_cache", {})
+        report = is_feasible(make(n, 8), n, jobs=1, use_hull=False)
+        assert (report.verdict, report.method, report.profiles_checked) == ("feasible", "scan", checked)
+
+
+def fraction_tail_program(p, ks, caps, orders):
+    """Test oracle: the tail rows of `orders` laid out in `Fraction`s."""
+    rows = [Constraint((F(1),) * p, "=", F(1))]
+    for order in orders:
+        for k, cap in zip(ks, caps):
+            rows.append(Constraint(tuple(F(a in order[:k]) for a in range(1, p + 1)), "<=", cap))
+    return feasibility_program(p, rows)
+
+
+class TestIntegerRows:
+    def test_rows_match_the_fraction_program(self):
+        import worstvote.feasibility as feas
+
+        rng = random.Random(12)
+        caps_seen = set()
+        statuses = set()
+        for _ in range(400):
+            n, p = rng.randint(1, 4), rng.randint(2, 7)
+            lam = rand_lottery(p, rng, grain=rng.choice((3, 4, 12, 30)))
+            prof = Profile(tuple(Preference(tuple(rng.sample(range(1, p + 1), p))) for _ in range(n)))
+            orders = [pref.order for pref in prof.prefs]
+            cum = lam.cumulative()
+            ks = active_ranks(lam)
+            oracle = fraction_tail_program(p, ks, [cum[k - 1] for k in ks], orders)
+            rows = feas._implementation_rows(lam, prof)
+            assert implement_program(lam, prof) == oracle
+            assert rows == _raw_rows(oracle)
+            # Every rank, as the master lays it out, where caps of 0 and 1 occur.
+            every_rank = feas._tail_rows(p, range(1, p), cum[:-1], orders)
+            assert every_rank == _raw_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))
+            caps_seen.update(cum[:-1])
+            # The row entry answers as `solve` does on the `Fraction` program.
+            point, certificate = feasible_point(p, rows)
+            result = solve(oracle)
+            statuses.add(result.status)
+            if point is None:
+                assert (result.status, result.certificate) == ("infeasible", certificate)
+            else:
+                x, scale = point
+                assert result.primal == tuple(F(v, scale) for v in x)
+        assert {0, 1} <= caps_seen
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_pool_bound_is_exact(self):
+        import worstvote.feasibility as feas
+
+        # One active rank: each layout's tail is one outcome, capped at 1/3.
+        ks, caps = (1,), [F(1, 3)]
+        layouts = feas._chain_layouts(3, ks)
+        groups = feas._tail_groups(layouts, ks)
+        spares_first = [layout[0] != 1 for layout in layouts]
+        # At 2**60 + 1 units the cap times the scale is an integer that no
+        # float holds.
+        for unit in (1, 5, 2**60 + 1):
+            masks, covers = [0] * len(layouts), []
+            # every tail at its cap, then outcome 1 over it by 1 / scale
+            feas._add_to_pool(masks, covers, [unit, unit, unit], 3 * unit, caps, groups)
+            feas._add_to_pool(masks, covers, [unit + 1, unit, unit - 1], 3 * unit, caps, groups)
+            assert covers == [0b111, sum(1 << i for i, spared in enumerate(spares_first) if spared)]
+            assert masks == [0b11 if spared else 0b01 for spared in spares_first]
 
 
 class TestBalancedFamilies:

@@ -17,6 +17,8 @@ from worstvote.lp import (
     LPResult,
     constraint,
     feasibility_program,
+    feasible_point,
+    row_constraints,
     solve,
     verify_infeasibility,
     verify_optimal,
@@ -308,7 +310,7 @@ class TestVerification:
             attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", 1)])))
             lp._refutes = lambda *args: False
             attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", -1)])))
-            feasibility.implement_report = lambda lam, prof: (None, lp.LPResult(lp.OPTIMAL))
+            feasibility.feasible_point = lambda num_vars, rows: (([0] * num_vars, 1), None)
             attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
             print(sys.flags.optimize, *raised)
         """
@@ -481,7 +483,7 @@ def master_program(lam):
 
     p = lam.p
     cum = lam.cumulative()
-    rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    rows = row_constraints(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
     return LinearProgram(p, rows, tuple(F(-(p - t)) for t in range(1, p + 1)), maximize=True)
 
 
@@ -1120,11 +1122,13 @@ def test_golden_results(label, program, expected):
     assert solve(_parse_program(program)) == _parse_result(expected)
 
 
-# sha256 of the `repr((program, result))` of every `solve` call made by
+# sha256 of the `repr((program, result))` of every LP solved in
 # `test_lp_traffic_is_unchanged`, except the feasible working-set LPs of
-# `maximality.improve` (zero objective, status optimal), which its pre-check
-# may answer without a solve.  Each step of the warm master counts as the
-# `solve` of the master rows plus the cuts so far, in the same order.  Recorded before that pre-check existed, when
+# `maximality.improve`, which its pre-check may answer without a solve.  A
+# `feasible_point` call counts as the `solve` of the `Fraction` program
+# rebuilt from its rows, with the result `solve` returns for it.  Each step
+# of the warm master counts as the `solve` of the master rows plus the cuts
+# so far, in the same order.  Recorded before that pre-check existed, when
 # `improve` solved all 68 of them.  Any change to a program the engines build,
 # to the order they solve them in, or to a result changes it.
 TRAFFIC_DIGEST = "c178e64a3133f2e055ebadae5eeb5eca85a04c13e97c2cc7992a46b1b5a32c6c"
@@ -1147,22 +1151,41 @@ def test_lp_traffic_is_unchanged(monkeypatch):
     digest = hashlib.sha256()
     calls = []
 
-    def traced(program):
-        result = solve(program)
+    def digested(program, result):
         digest.update(repr((program, result)).encode())
         calls.append(result.status)
+
+    def traced(program):
+        result = solve(program)
+        digested(program, result)
         return result
+
+    def rows_call(num_vars, rows):
+        """`feasible_point`, and the program and result `solve` would have
+        been given and returned for the same rows."""
+        point, certificate = feasible_point(num_vars, rows)
+        program = feasibility_program(num_vars, row_constraints(rows))
+        if point is None:
+            result = LPResult("infeasible", certificate=certificate)
+        else:
+            x, scale = point
+            result = LPResult("optimal", tuple(F(v, scale) for v in x), F(0))
+        return (point, certificate), program, result
+
+    def traced_rows(num_vars, rows):
+        answer, program, result = rows_call(num_vars, rows)
+        digested(program, result)
+        return answer
 
     left_out = []
 
-    def traced_working_set(program):
-        result = solve(program)
-        if result.status == "optimal" and not any(program.objective):
+    def traced_working_set(num_vars, rows):
+        answer, program, result = rows_call(num_vars, rows)
+        if result.status == "optimal":
             left_out.append(program)
-            return result
-        digest.update(repr((program, result)).encode())
-        calls.append(result.status)
-        return result
+        else:
+            digested(program, result)
+        return answer
 
     class TracedMaster(IncrementalLP):
         """Digests each master step as the program a cold `solve` would be
@@ -1184,7 +1207,9 @@ def test_lp_traffic_is_unchanged(monkeypatch):
             return result
 
     monkeypatch.setattr(feasibility, "solve", traced)
-    monkeypatch.setattr(maximality, "solve", traced_working_set)
+    monkeypatch.setattr(feasibility, "feasible_point", traced_rows)
+    monkeypatch.setattr(maximality, "solve", traced)
+    monkeypatch.setattr(maximality, "feasible_point", traced_working_set)
     monkeypatch.setattr(maximality, "IncrementalLP", TracedMaster)
     half = F(1, 2)
 
