@@ -20,8 +20,8 @@ hard part.  Three reductions keep it tractable:
 
 Every implementation LP is laid out once, by `_tail_rows`, as integer rows
 (`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
-scale, goes into the pool as it is; `Fraction` programs are built from the
-same rows only for the public `implement_program`.
+scale, goes into the pool as it is.  The public `implement_program` holds
+the same rows, and so does every program this module gives to `lp.solve`.
 
 Fast verdicts come first: domination by the uniform lottery or by a mixture
 of already-verified guarantees proves feasibility outright (any lottery
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,13 +47,11 @@ from .lp import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    Constraint,
     LinearProgram,
     Row,
     _scaled,
     feasibility_program,
     feasible_point,
-    row_constraints,
     solve,
 )
 from .library import hard_profiles, tails_profile, tiling_profile, tops_profile
@@ -123,9 +122,8 @@ def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
 
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
-    """The exact LP deciding whether some lottery implements `lam` at `prof`,
-    as a `Fraction` program."""
-    return feasibility_program(lam.p, row_constraints(_implementation_rows(lam, prof)))
+    """The exact LP deciding whether some lottery implements `lam` at `prof`."""
+    return feasibility_program(lam.p, _implementation_rows(lam, prof))
 
 
 def implement_at(lam: RankLottery, prof: Profile) -> Optional[OutcomeLottery]:
@@ -519,7 +517,8 @@ def _scan(
     deadline: Optional[float],
 ) -> dict:
     """Scan every tail system: one in-process chunk when `jobs` is 1,
-    otherwise 4 * jobs chunks in a process pool.
+    otherwise 4 * jobs chunks in a process pool of at most one worker per
+    core and per chunk, whatever `jobs` asks for.
 
     Chunk outcomes are merged in enumeration order and a limit is spent on
     the chunks in that order, so both ways visit the same first `limit`
@@ -542,7 +541,9 @@ def _scan(
         return _scan_chunk(payloads[0])
 
     checked = 0
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
+    # Under the fork start method the pool starts every worker at the first submit.
+    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
         futures = [executor.submit(_scan_chunk, payload) for payload in payloads]
         try:
             for fut in futures:
@@ -583,11 +584,6 @@ _verdict_cache: dict[tuple[int, tuple[Fraction, ...]], FeasibilityReport] = {}
 _anchor_cache: dict[tuple[int, int], tuple[RankLottery, ...]] = {}
 
 
-def clear_caches() -> None:
-    _verdict_cache.clear()
-    _anchor_cache.clear()
-
-
 def _hull_mixture(
     lam: RankLottery, anchors: Sequence[RankLottery]
 ) -> Optional[tuple[tuple[Fraction, RankLottery], ...]]:
@@ -597,10 +593,10 @@ def _hull_mixture(
     p = lam.p
     cum = lam.cumulative()
     anchor_cums = [a.cumulative() for a in anchors]
-    rows = [Constraint((Fraction(1),) * len(anchors), EQ, Fraction(1))]
+    rows = [([1] * (len(anchors) + 1), 1, EQ)]
     for k in range(p - 1):
-        coeffs = tuple(ac[k] for ac in anchor_cums)
-        rows.append(Constraint(coeffs, LE, cum[k]))
+        ints, den = _scaled([*(ac[k] for ac in anchor_cums), cum[k]])
+        rows.append((ints, den, LE))
     result = solve(feasibility_program(len(anchors), rows))
     if result.status != OPTIMAL:
         return None

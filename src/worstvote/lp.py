@@ -20,11 +20,12 @@ row denominators cancel, with ties broken on the basis index.  The pivot
 sequence, and so the primal point and the certificate, are those of a
 `Fraction` tableau.
 
-The tableau is built from `Row` triples ``(ints, den, rel)``: a row's
-coefficients and right-hand side as ints over one denominator.  `solve`
-scales a `LinearProgram` to rows and returns `Fraction` values.
-`feasible_point` takes the rows of a zero-objective program as the engines
-build them and returns the same optimum as ints over one scale, so no
+Every constraint is stated in one form, the `Row` triple ``(ints, den,
+rel)``: a row's coefficients and right-hand side as ints over one positive
+denominator.  The engines build rows, a `LinearProgram` holds them, and the
+tableau and the integer checks read them as they are.  `solve` returns
+`Fraction` values.  `feasible_point` takes the rows of a zero-objective
+program and returns the same optimum as ints over one scale, so no
 `Fraction` is made for a feasible program, or else the Farkas certificate.
 
 `IncrementalLP` serves a cutting-plane loop, whose master program gains one
@@ -67,9 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
-
-from .lottery import RationalLike, as_fraction
+from typing import Optional, Sequence
 
 ZERO = Fraction(0)
 
@@ -83,40 +82,33 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    rel: str
-    rhs: Fraction
-
-    def __post_init__(self) -> None:
-        if self.rel not in _RELS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-        if any(not isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
-        if not isinstance(self.rhs, Fraction):
-            object.__setattr__(self, "rhs", as_fraction(self.rhs))
-
-
-def constraint(coeffs: Iterable[RationalLike], rel: str, rhs: RationalLike) -> Constraint:
-    return Constraint(tuple(as_fraction(c) for c in coeffs), rel, as_fraction(rhs))
+Row = tuple[list[int], int, str]  # a constraint's ints over one denominator, and its relation
+Point = tuple[list[int], int]  # ints x over one positive scale, for the point x / scale
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max of a linear objective over {x >= 0, constraints}."""
+    """min/max of a linear objective over {x >= 0, constraints}.
+
+    Each constraint is a `Row` ``(ints, den, rel)``: the coefficients and,
+    last, the right-hand side, as ints over the positive denominator `den`.
+    """
 
     num_vars: int
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[Row, ...]
     objective: tuple[Fraction, ...]
     maximize: bool = True
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match variable count")
-        for row in self.constraints:
-            if len(row.coeffs) != self.num_vars:
-                raise ValueError("constraint length does not match variable count")
+        for ints, den, rel in self.constraints:
+            if len(ints) != self.num_vars + 1:
+                raise ValueError("row length does not match variable count")
+            if rel not in _RELS:
+                raise ValueError(f"unknown relation {rel!r}")
+            if den <= 0:
+                raise ValueError("row denominator must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,39 +119,15 @@ class LPResult:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def feasibility_program(num_vars: int, constraints: Sequence[Constraint]) -> LinearProgram:
+def feasibility_program(num_vars: int, rows: Sequence[Row]) -> LinearProgram:
     """A zero-objective program; `solve` then acts as a feasibility check."""
-    return LinearProgram(num_vars, tuple(constraints), (ZERO,) * num_vars, maximize=False)
-
-
-def verify_optimal(lp: LinearProgram, result: LPResult) -> bool:
-    """Exact re-check of a claimed optimal solution (not of optimality itself)."""
-    if result.status != OPTIMAL or result.primal is None or len(result.primal) != lp.num_vars:
-        return False
-    x, den = _scaled(result.primal)
-    obj, obj_den = _scaled(lp.objective)
-    value = Fraction(sum(map(mul, obj, x)), obj_den * den)
-    return _meets(_raw_rows(lp), x, den) and value == result.objective_value
+    return LinearProgram(num_vars, tuple(rows), (ZERO,) * num_vars, maximize=False)
 
 
 def verify_infeasibility(lp: LinearProgram, certificate: Sequence[Fraction]) -> bool:
-    """Mechanically re-check a Farkas certificate against the raw constraints."""
+    """Mechanically re-check a Farkas certificate against the program's rows."""
     return len(certificate) == len(lp.constraints) and _refutes(
-        _raw_rows(lp), _scaled(certificate)[0], lp.num_vars)
-
-
-Row = tuple[list[int], int, str]  # a constraint's ints over one denominator, and its relation
-Point = tuple[list[int], int]  # ints x over one positive scale, for the point x / scale
-
-
-def _raw_rows(lp: LinearProgram) -> list[Row]:
-    return [(*_scaled(con.coeffs + (con.rhs,)), con.rel) for con in lp.constraints]
-
-
-def row_constraints(rows: Iterable[Row]) -> tuple[Constraint, ...]:
-    """The rows as `Fraction` constraints, which `_raw_rows` maps back to rows in lowest terms."""
-    return tuple(Constraint(tuple([Fraction(v, den) for v in ints[:-1]]), rel, Fraction(ints[-1], den))
-                 for ints, den, rel in rows)
+        lp.constraints, _scaled(certificate)[0], lp.num_vars)
 
 
 def _meets(rows: Sequence[Row], x: Sequence[int], den: int) -> bool:
@@ -275,7 +243,7 @@ class _Tableau:
     off there.
     """
 
-    def __init__(self, nv: int, raw: list[Row], obj: list[int], obj_den: int, sense: int):
+    def __init__(self, nv: int, raw: Sequence[Row], obj: list[int], obj_den: int, sense: int):
         self.nv = nv
         self.raw = raw
         self.obj, self.obj_den = obj, obj_den
@@ -448,14 +416,9 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def _layout(lp: LinearProgram) -> tuple[int, list[Row], list[int], int, int]:
-    """The arguments of `_Tableau` for `lp`."""
-    return (lp.num_vars, _raw_rows(lp), *_scaled(lp.objective), -1 if lp.maximize else 1)
-
-
 def solve(lp: LinearProgram) -> LPResult:
     """Exact optimum or a self-verified Farkas infeasibility certificate."""
-    return _Tableau(*_layout(lp))._result()
+    return IncrementalLP(lp).result
 
 
 def feasible_point(num_vars: int, rows: list[Row]) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
@@ -469,34 +432,36 @@ def feasible_point(num_vars: int, rows: list[Row]) -> tuple[Optional[Point], Opt
 class IncrementalLP(_Tableau):
     """A program kept at its optimum while inequality rows are added.
 
-    Built and solved once like `solve`'s tableau.  `add` appends a row and
-    re-optimizes with the dual simplex; `result` is the latest result, and
-    `certify` proves an optimum from its dual (see the module docstring).
+    Built and solved once, and `result` is then what `solve` returns.  `add`
+    appends a row and re-optimizes with the dual simplex; `result` is the
+    latest result, and `certify` proves an optimum from its dual (see the
+    module docstring).
     """
 
     def __init__(self, lp: LinearProgram):
-        super().__init__(*_layout(lp))
+        # `add` appends to `raw`, so the tableau keeps its own list of rows.
+        super().__init__(lp.num_vars, list(lp.constraints), *_scaled(lp.objective), -1 if lp.maximize else 1)
         self.result = self._result()
 
-    def add(self, con: Constraint) -> LPResult:
-        """Append the ``<=`` or ``>=`` row `con` and return the new result."""
+    def add(self, row: Row) -> LPResult:
+        """Append the ``<=`` or ``>=`` row `row` and return the new result."""
         if self.status != OPTIMAL:
             raise ValueError(f"rows can be added only at an optimum, not when {self.status}")
-        if con.rel == EQ or len(con.coeffs) != self.nv:
+        ints, den, rel = row
+        if rel not in (LE, GE) or len(ints) != self.nv + 1 or den <= 0:
             raise ValueError("an added row must be an inequality over the program's variables")
-        ints, den = _scaled(con.coeffs + (con.rhs,))
-        self.raw.append((ints, den, con.rel))
+        self.raw.append(row)
         # Laid out as a `<=` row with its own slack, so a `>=` row is negated.
-        flip = con.rel == GE
+        flip = rel == GE
         self.flipped.append(flip)
         if flip:
             ints = [-v for v in ints]
         col = len(self.cost) - 1
-        for row in self.rows:
-            row.insert(col, 0)
+        for tab_row in self.rows:
+            tab_row.insert(col, 0)
         self.cost.insert(col, 0)
-        row, den = self._price(ints[:-1] + [0] * (col - self.nv) + [den, ints[-1]], den)
-        self.rows.append(row)
+        tab_row, den = self._price(ints[:-1] + [0] * (col - self.nv) + [den, ints[-1]], den)
+        self.rows.append(tab_row)
         self.dens.append(den)
         self.basis.append(col)
         self.unit_col.append(col)

@@ -36,12 +36,11 @@ from .lp import (
     GE,
     LE,
     OPTIMAL,
-    Constraint,
     IncrementalLP,
     LinearProgram,
+    Row,
     _scaled,
     feasible_point,
-    row_constraints,
     solve,
 )
 from .feasibility import (
@@ -79,7 +78,7 @@ class MaximalityReport:
         return self.verdict == MAXIMAL
 
 
-def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Constraint:
+def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Row:
     """Turn a Farkas certificate of an implementation LP into a master cut.
 
     The LP rows are those `feasibility._tail_rows` lays out: the mass
@@ -105,7 +104,8 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
     for k, w in weight_by_rank.items():
         for t in range(k):
             coeffs[t] += w
-    return Constraint(tuple(coeffs), GE, Fraction(1))
+    ints, den = _scaled([*coeffs, Fraction(1)])
+    return ints, den, GE
 
 
 def _implements(
@@ -165,7 +165,7 @@ def improve(
     # Candidates mu: the tail rows of one identity order at every rank below
     # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
     # cumulative slack is minimizing sum_t (p - t) * mu_t.
-    master_rows = row_constraints(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    master_rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
     slack_base = sum(cum[:-1], ZERO)
@@ -278,7 +278,7 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
     rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (ZERO,), orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)
-    result = solve(LinearProgram(p + 1, row_constraints(rows), objective, maximize=False))
+    result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
     # t is bounded below by 0 and unbounded above, so the LP is infeasible
     # exactly when the implementation rows are.
     return result.objective_value if result.status == OPTIMAL else None

@@ -43,7 +43,6 @@ from .feasibility import (
     is_feasible,
 )
 from .lp import (
-    Constraint,
     LinearProgram,
     solve,
     verify_infeasibility,
@@ -418,10 +417,10 @@ def suite_infrastructure(jobs: int = 1, seed: int = 0) -> SuiteResult:
     degenerate = LinearProgram(
         3,
         (
-            Constraint((Fraction(1), Fraction(1), Fraction(0)), "<=", Fraction(1)),
-            Constraint((Fraction(1), Fraction(0), Fraction(1)), "<=", Fraction(1)),
-            Constraint((Fraction(0), Fraction(1), Fraction(1)), "<=", Fraction(1)),
-            Constraint((Fraction(1), Fraction(1), Fraction(1)), "<=", Fraction(1)),
+            ([1, 1, 0, 1], 1, "<="),
+            ([1, 0, 1, 1], 1, "<="),
+            ([0, 1, 1, 1], 1, "<="),
+            ([1, 1, 1, 1], 1, "<="),
         ),
         (Fraction(1), Fraction(1), Fraction(1)),
         maximize=True,

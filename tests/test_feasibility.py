@@ -21,9 +21,10 @@ from worstvote.lottery import (
     uniform,
     vt,
 )
-from worstvote.lp import Constraint, _raw_rows, feasibility_program, feasible_point, solve, verify_infeasibility
+from worstvote.lp import feasibility_program, feasible_point, solve, verify_infeasibility
 from worstvote.profiles import Preference, Profile, enumerate_profiles, parse_profile, rank_rearrange
 
+from .fraction_lp import Constraint, LinearProgram as FractionProgram, fraction_program, row
 from .test_lottery import rand_lottery
 
 F = Fraction
@@ -79,7 +80,7 @@ class TestActiveRanks:
         # constraint set decides exactly like the full definition
         import itertools
 
-        from worstvote.lp import EQ, LE, Constraint, feasibility_program, solve
+        from worstvote.lp import EQ, LE
         from worstvote.profiles import Preference, Profile
 
         rng = random.Random(2)
@@ -90,13 +91,13 @@ class TestActiveRanks:
             for combo in itertools.product(perms, repeat=2):
                 prof = Profile(tuple(Preference(o) for o in combo))
                 reduced = implement_at(lam, prof) is not None
-                rows = [Constraint((F(1),) * 4, EQ, F(1))]
+                rows = [row([1] * 4, EQ, 1)]
                 for pref in prof.prefs:
                     for k in range(1, 4):
-                        coeffs = [F(0)] * 4
+                        coeffs = [0] * 4
                         for a in pref.order[:k]:
-                            coeffs[a - 1] = F(1)
-                        rows.append(Constraint(tuple(coeffs), LE, cum[k - 1]))
+                            coeffs[a - 1] = 1
+                        rows.append(row(coeffs, LE, cum[k - 1]))
                 full = solve(feasibility_program(4, rows)).status == "optimal"
                 assert reduced == full
 
@@ -216,6 +217,45 @@ class TestIsFeasible:
             assert serial.witness_certificate == parallel.witness_certificate
         assert serial.profiles_checked == 50_000
         assert serial.method == "profile-limit"
+
+    def test_pool_workers_are_capped_at_the_cores(self, monkeypatch):
+        # However many jobs are asked for, the scan splits into 4 * jobs
+        # chunks but asks the pool for no more workers than there are cores.
+        # The stand-in pool runs each chunk inline and starts no process.
+        import os
+        from concurrent.futures import Future
+
+        import worstvote.feasibility as feas
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload):
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+        monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+        monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
+        for text in ("0,1/3,1/3,1/3,0,0", "1/3,1/12,1/4,0,0,1/3"):
+            reports = []
+            for jobs in (1, 5000):
+                monkeypatch.setattr(feas, "_verdict_cache", {})
+                reports.append(is_feasible(parse_lottery(text), 3, jobs=jobs, use_hull=False))
+            serial, pooled = reports
+            assert (serial.verdict, serial.profiles_checked, serial.witness_profile, serial.witness_certificate) == (
+                pooled.verdict, pooled.profiles_checked, pooled.witness_profile, pooled.witness_certificate)
+        assert len(asked) == 2 and all(1 <= workers <= (os.cpu_count() or 1) for workers in asked), asked
 
     def test_time_limit_is_named_alike_serial_and_pooled(self, monkeypatch):
         import worstvote.feasibility as feas
@@ -383,7 +423,12 @@ def fraction_tail_program(p, ks, caps, orders):
     for order in orders:
         for k, cap in zip(ks, caps):
             rows.append(Constraint(tuple(F(a in order[:k]) for a in range(1, p + 1)), "<=", cap))
-    return feasibility_program(p, rows)
+    return FractionProgram(p, tuple(rows), (F(0),) * p, maximize=False)
+
+
+def oracle_rows(program):
+    """The rows of a `Fraction` program, in lowest terms."""
+    return [row(con.coeffs, con.rel, con.rhs) for con in program.constraints]
 
 
 class TestIntegerRows:
@@ -402,15 +447,15 @@ class TestIntegerRows:
             ks = active_ranks(lam)
             oracle = fraction_tail_program(p, ks, [cum[k - 1] for k in ks], orders)
             rows = feas._implementation_rows(lam, prof)
-            assert implement_program(lam, prof) == oracle
-            assert rows == _raw_rows(oracle)
+            assert fraction_program(implement_program(lam, prof)) == oracle
+            assert rows == oracle_rows(oracle)
             # Every rank, as the master lays it out, where caps of 0 and 1 occur.
             every_rank = feas._tail_rows(p, range(1, p), cum[:-1], orders)
-            assert every_rank == _raw_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))
+            assert every_rank == oracle_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))
             caps_seen.update(cum[:-1])
-            # The row entry answers as `solve` does on the `Fraction` program.
+            # The row entry answers as `solve` does on the same program.
             point, certificate = feasible_point(p, rows)
-            result = solve(oracle)
+            result = solve(implement_program(lam, prof))
             statuses.add(result.status)
             if point is None:
                 assert (result.status, result.certificate) == ("infeasible", certificate)

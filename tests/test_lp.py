@@ -11,18 +11,18 @@ import pytest
 
 from worstvote.lottery import lottery
 from worstvote.lp import (
-    Constraint,
     IncrementalLP,
     LinearProgram,
     LPResult,
-    constraint,
+    _meets,
+    _scaled,
     feasibility_program,
     feasible_point,
-    row_constraints,
     solve,
     verify_infeasibility,
-    verify_optimal,
 )
+
+from .fraction_lp import fraction_program, row
 
 F = Fraction
 
@@ -31,6 +31,7 @@ def brute_force_maximum(lp):
     """Independent oracle: enumerate every basic point of the constraint
     system (including the nonnegativity facets) and take the best feasible
     one.  Only for tiny programs."""
+    lp = fraction_program(lp)
     rows = []
     for c in lp.constraints:
         rows.append((list(c.coeffs), c.rel, c.rhs))
@@ -84,6 +85,7 @@ def brute_force_maximum(lp):
 def fraction_verify_optimal(lp, result):
     """Test oracle: the re-check of a claimed optimum in `Fraction`
     arithmetic, independent of `lp`'s integer scaling."""
+    lp = fraction_program(lp)
     if result.status != "optimal" or result.primal is None:
         return False
     x = result.primal
@@ -103,6 +105,7 @@ def fraction_verify_optimal(lp, result):
 
 def fraction_verify_infeasibility(lp, certificate):
     """Test oracle: the `Fraction` check of a Farkas certificate."""
+    lp = fraction_program(lp)
     if len(certificate) != len(lp.constraints):
         return False
     for y, row in zip(certificate, lp.constraints):
@@ -124,26 +127,26 @@ def fraction_verify_infeasibility(lp, certificate):
 
 class TestSolve:
     def test_simple_maximum(self):
-        lp = LinearProgram(1, (constraint([1], "<=", 1),), (F(1),), maximize=True)
+        lp = LinearProgram(1, (row([1], "<=", 1),), (F(1),), maximize=True)
         result = solve(lp)
         assert result.status == "optimal"
         assert result.primal == (F(1),)
         assert result.objective_value == 1
 
     def test_infeasible_with_certificate(self):
-        lp = feasibility_program(1, [constraint([1], "<=", -1)])
+        lp = feasibility_program(1, [row([1], "<=", -1)])
         result = solve(lp)
         assert result.status == "infeasible"
         assert verify_infeasibility(lp, result.certificate)
 
     def test_unbounded(self):
-        lp = LinearProgram(2, (constraint([0, 1], "=", 1),), (F(1), F(0)), maximize=True)
+        lp = LinearProgram(2, (row([0, 1], "=", 1),), (F(1), F(0)), maximize=True)
         assert solve(lp).status == "unbounded"
 
     def test_equalities_and_ge(self):
         lp = LinearProgram(
             2,
-            (constraint([1, 1], ">=", 2), constraint([1, -1], "=", 0)),
+            (row([1, 1], ">=", 2), row([1, -1], "=", 0)),
             (F(2), F(3)),
             maximize=False,
         )
@@ -156,11 +159,11 @@ class TestSolve:
         lp = LinearProgram(
             3,
             (
-                constraint([1, 1, 0], "<=", 1),
-                constraint([1, 0, 1], "<=", 1),
-                constraint([0, 1, 1], "<=", 1),
-                constraint([1, 1, 1], "<=", 1),
-                constraint([2, 1, 1], "<=", 2),
+                row([1, 1, 0], "<=", 1),
+                row([1, 0, 1], "<=", 1),
+                row([0, 1, 1], "<=", 1),
+                row([1, 1, 1], "<=", 1),
+                row([2, 1, 1], "<=", 2),
             ),
             (F(1), F(1), F(1)),
             maximize=True,
@@ -173,11 +176,11 @@ class TestSolve:
         rng = random.Random(9)
         for _ in range(40):
             rows = tuple(
-                constraint([rng.randint(-3, 3) for _ in range(3)], "<=", rng.randint(0, 4))
+                row([rng.randint(-3, 3) for _ in range(3)], "<=", rng.randint(0, 4))
                 for _ in range(4)
             )
             # bound the feasible region so the oracle comparison is total
-            rows = rows + (constraint([1, 1, 1], "<=", 5),)
+            rows = rows + (row([1, 1, 1], "<=", 5),)
             lp = LinearProgram(
                 3, rows, tuple(F(rng.randint(-3, 3)) for _ in range(3)), maximize=True
             )
@@ -189,9 +192,9 @@ class TestSolve:
         lp = LinearProgram(
             3,
             (
-                constraint([1, 1, 0], "<=", 1),
-                constraint([1, 0, 1], "<=", 1),
-                constraint([0, 1, 1], "<=", 1),
+                row([1, 1, 0], "<=", 1),
+                row([1, 0, 1], "<=", 1),
+                row([0, 1, 1], "<=", 1),
             ),
             (F(1), F(1), F(1)),
             maximize=True,
@@ -203,19 +206,19 @@ class TestVerification:
     def test_optimal_reverifies(self):
         lp = LinearProgram(
             2,
-            (constraint([2, 1], "<=", 4), constraint([1, 3], "<=", 6)),
+            (row([2, 1], "<=", 4), row([1, 3], "<=", 6)),
             (F(3), F(5)),
             maximize=True,
         )
         result = solve(lp)
-        assert verify_optimal(lp, result)
+        assert fraction_verify_optimal(lp, result)
 
     def test_certificates_reverify_on_random_infeasible_systems(self):
         rng = random.Random(11)
         found = 0
         while found < 15:
             rows = [
-                constraint([rng.randint(-2, 2) for _ in range(3)], rng.choice(["<=", ">=", "="]), rng.randint(-3, 3))
+                row([rng.randint(-2, 2) for _ in range(3)], rng.choice(["<=", ">=", "="]), rng.randint(-3, 3))
                 for _ in range(4)
             ]
             lp = feasibility_program(3, rows)
@@ -226,7 +229,7 @@ class TestVerification:
             assert verify_infeasibility(lp, result.certificate)
 
     def test_tampered_certificate_rejected(self):
-        lp = feasibility_program(1, [constraint([1], "<=", -1)])
+        lp = feasibility_program(1, [row([1], "<=", -1)])
         result = solve(lp)
         bad = tuple(-y for y in result.certificate)
         assert not verify_infeasibility(lp, bad)
@@ -235,8 +238,8 @@ class TestVerification:
         # Random programs with mixed relations, negative right-hand sides and
         # coefficients over the coprime denominators 2, 3, 5, 7 and 11; each
         # result as solved and mutated: a primal coordinate moved by
-        # +-1/(2D), with the objective value kept or recomputed, and one
-        # certificate entry sign-flipped or zeroed.
+        # +-1/(2D), checked by `_meets` as `solve` checks every optimum, and
+        # one certificate entry sign-flipped or zeroed.
         rng = random.Random(17)
 
         def q():
@@ -247,24 +250,22 @@ class TestVerification:
         for _ in range(600):
             nv = rng.randint(2, 4)
             rows = [
-                constraint([q() for _ in range(nv)], rng.choice(["<=", "=", ">="]), q())
+                row([q() for _ in range(nv)], rng.choice(["<=", "=", ">="]), q())
                 for _ in range(rng.randint(1, 5))
             ]
-            rows.insert(rng.randint(0, len(rows)), constraint([1] * nv, "<=", rng.randint(1, 5)))
+            rows.insert(rng.randint(0, len(rows)), row([1] * nv, "<=", rng.randint(1, 5)))
             lp = LinearProgram(nv, tuple(rows), tuple(q() for _ in range(nv)), maximize=rng.random() < 0.5)
             result = solve(lp)
             statuses[result.status] += 1
             if result.status == "optimal":
                 scale = math.lcm(*(v.denominator for v in result.primal))
                 j = rng.randrange(nv)
-                cases = [("as solved", result)]
+                cases = [("as solved", result.primal)]
                 for step in (F(1, 2 * scale), F(-1, 2 * scale)):
-                    x = result.primal[:j] + (result.primal[j] + step,) + result.primal[j + 1:]
-                    value = sum(c * v for c, v in zip(lp.objective, x))
-                    cases += [("moved", LPResult("optimal", x, result.objective_value)),
-                              ("moved, value recomputed", LPResult("optimal", x, value))]
-                for kind, claim in cases:
-                    verdict = verify_optimal(lp, claim)
+                    cases.append(("moved", result.primal[:j] + (result.primal[j] + step,) + result.primal[j + 1:]))
+                for kind, x in cases:
+                    verdict = _meets(lp.constraints, *_scaled(x))
+                    claim = LPResult("optimal", x, sum(c * v for c, v in zip(lp.objective, x)))
                     assert verdict == fraction_verify_optimal(lp, claim), (lp, claim)
                     rejected[kind] += not verdict
             else:
@@ -281,7 +282,7 @@ class TestVerification:
                     rejected[kind] += not verdict
         assert statuses["optimal"] >= 100 and statuses["infeasible"] >= 100, statuses
         assert rejected["as solved"] == 0
-        for kind in ("moved", "moved, value recomputed", "sign flipped", "zeroed"):
+        for kind in ("moved", "sign flipped", "zeroed"):
             assert rejected[kind] > 0, rejected
 
     def test_checks_survive_python_O(self):
@@ -303,13 +304,13 @@ class TestVerification:
                 except AssertionError:
                     raised.append(label)
 
-            master = lp.IncrementalLP(lp.LinearProgram(1, (lp.constraint([1], "<=", 1),), (lp.ZERO + 1,)))
+            master = lp.IncrementalLP(lp.LinearProgram(1, (([1, 1], 1, "<="),), (lp.ZERO + 1,)))
             lp._bounds = lambda *args: False
             attempt("dual", master.certify)
             lp._meets = lambda *args: False
-            attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", 1)])))
+            attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [([1, 1], 1, "<=")])))
             lp._refutes = lambda *args: False
-            attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [lp.constraint([1], "<=", -1)])))
+            attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [([1, -1], 1, "<=")])))
             feasibility.feasible_point = lambda num_vars, rows: (([0] * num_vars, 1), None)
             attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
             print(sys.flags.optimize, *raised)
@@ -325,13 +326,28 @@ class TestVerification:
 class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            LinearProgram(2, (constraint([1], "<=", 1),), (F(1), F(0)))
+            LinearProgram(2, (row([1], "<=", 1),), (F(1), F(0)))
         with pytest.raises(ValueError):
             LinearProgram(1, (), (F(1), F(0)))
 
     def test_relation_check(self):
         with pytest.raises(ValueError):
-            Constraint((F(1),), "<", F(1))
+            LinearProgram(1, (([1, 1], 1, "<"),), (F(1),))
+
+    @pytest.mark.parametrize("bad", [([1, 1, 1], 1, ">="), ([1, 1], 0, "<="), ([1, 1], -2, "=")],
+                             ids=["long", "zero denominator", "negative denominator"])
+    def test_row_checks(self, bad):
+        with pytest.raises(ValueError):
+            LinearProgram(1, (bad,), (F(1),))
+
+    @pytest.mark.parametrize("bad", [([1, 1], 1, "="), ([1], 1, "<="), ([1, 1, 1], 1, ">="), ([1, 1], 1, "<"),
+                                     ([1, 1], 0, ">=")],
+                             ids=["equality", "short", "long", "unknown relation", "zero denominator"])
+    def test_added_row_checks(self, bad):
+        master = IncrementalLP(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
+        with pytest.raises(ValueError):
+            master.add(bad)
+        assert master.raw == [([1, 1], 1, "<=")]
 
 
 @pytest.fixture
@@ -371,7 +387,7 @@ def assert_matches_oracle(lp):
         assert verify_infeasibility(lp, result.certificate)
     else:
         assert result.status == "optimal"
-        assert verify_optimal(lp, result)
+        assert fraction_verify_optimal(lp, result)
         assert result.objective_value == best
     return result
 
@@ -384,9 +400,9 @@ class TestIntegerTableau:
         lp = LinearProgram(
             4,
             (
-                constraint(["1/2", "1/3", "1/5", "1/7"], "<=", "1/11"),
-                constraint(["1/11", "-1/7", "1/5", "-1/3"], ">=", "-1/2"),
-                constraint([1, 1, 1, 1], "<=", 1),
+                row(["1/2", "1/3", "1/5", "1/7"], "<=", "1/11"),
+                row(["1/11", "-1/7", "1/5", "-1/3"], ">=", "-1/2"),
+                row([1, 1, 1, 1], "<=", 1),
             ),
             (F(1, 3), F(1, 5), F(1, 7), F(1, 11)),
             maximize=True,
@@ -398,13 +414,13 @@ class TestIntegerTableau:
         infeasible = 0
         for _ in range(30):
             rows = tuple(
-                constraint(
+                row(
                     [F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))) for _ in range(3)],
                     rng.choice(["<=", ">=", "="]),
                     F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))),
                 )
                 for _ in range(3)
-            ) + (constraint([1, 1, 1], "<=", 4),)
+            ) + (row([1, 1, 1], "<=", 4),)
             objective = tuple(F(rng.randint(-3, 3), rng.choice((1, 7, 11))) for _ in range(3))
             result = assert_matches_oracle(LinearProgram(3, rows, objective, maximize=True))
             infeasible += result.status == "infeasible"
@@ -412,32 +428,32 @@ class TestIntegerTableau:
 
     def test_negative_rhs_rows_are_flipped(self):
         rows = (
-            constraint([-1, -1, 0], "<=", -1),  # x1 + x2 >= 1
-            constraint([1, -2, 0], ">=", "-3/2"),
-            constraint([-1, 0, 1], "=", "-1/3"),  # x3 = x1 - 1/3
-            constraint([1, 1, 1], "<=", 3),
+            row([-1, -1, 0], "<=", -1),  # x1 + x2 >= 1
+            row([1, -2, 0], ">=", "-3/2"),
+            row([-1, 0, 1], "=", "-1/3"),  # x3 = x1 - 1/3
+            row([1, 1, 1], "<=", 3),
         )
         lp = LinearProgram(3, rows, (F(-1), F(2), F(1)), maximize=True)
         assert assert_matches_oracle(lp).status == "optimal"
         # x1 + x2 <= 1/2 against x1 + x2 >= 1, both written with rhs < 0
-        lp = feasibility_program(2, [constraint([-1, -1], ">=", "-1/2"), constraint([-1, -1], "<=", -1)])
+        lp = feasibility_program(2, [row([-1, -1], ">=", "-1/2"), row([-1, -1], "<=", -1)])
         assert assert_matches_oracle(lp).status == "infeasible"
 
     def test_mixed_equality_and_ge_rows(self):
         lp = LinearProgram(
             3,
             (
-                constraint([1, 1, 1], "=", 1),
-                constraint([2, 1, 0], ">=", 1),
-                constraint([0, 1, 3], ">=", "1/2"),
-                constraint([1, 0, -1], "=", 0),
+                row([1, 1, 1], "=", 1),
+                row([2, 1, 0], ">=", 1),
+                row([0, 1, 3], ">=", "1/2"),
+                row([1, 0, -1], "=", 0),
             ),
             (F(0), F(1), F(-1)),
             maximize=True,
         )
         assert assert_matches_oracle(lp).status == "optimal"
         lp = feasibility_program(
-            2, [constraint([1, 1], "=", 1), constraint([1, 0], ">=", "2/3"), constraint([0, 1], ">=", "1/2")]
+            2, [row([1, 1], "=", 1), row([1, 0], ">=", "2/3"), row([0, 1], ">=", "1/2")]
         )
         assert assert_matches_oracle(lp).status == "infeasible"
 
@@ -447,10 +463,10 @@ class TestIntegerTableau:
         lp = LinearProgram(
             3,
             (
-                constraint([0, 1, 0], "=", 2),
-                constraint([0, 0, -1], "=", 0),
-                constraint([1, 2, 0], ">=", 2),
-                constraint([1, 1, 1], "<=", 4),
+                row([0, 1, 0], "=", 2),
+                row([0, 0, -1], "=", 0),
+                row([1, 2, 0], ">=", 2),
+                row([1, 1, 1], "<=", 4),
             ),
             (F(0), F(1), F(0)),
             maximize=True,
@@ -462,9 +478,9 @@ class TestIntegerTableau:
         lp = LinearProgram(
             2,
             (
-                constraint([1, 1], "=", 1),
-                constraint([2, 2], "=", 2),
-                constraint([1, 0], "<=", "2/3"),
+                row([1, 1], "=", 1),
+                row([2, 2], "=", 2),
+                row([1, 0], "<=", "2/3"),
             ),
             (F(1), F(3)),
             maximize=False,
@@ -473,7 +489,7 @@ class TestIntegerTableau:
         result = solve(lp)
         flipped = LinearProgram(2, lp.constraints, tuple(-c for c in lp.objective), maximize=True)
         assert result.objective_value == -brute_force_maximum(flipped)
-        assert verify_optimal(lp, result)
+        assert fraction_verify_optimal(lp, result)
         assert tableau_log["run_rows"] == [3, 2]
 
 
@@ -483,7 +499,7 @@ def master_program(lam):
 
     p = lam.p
     cum = lam.cumulative()
-    rows = row_constraints(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
     return LinearProgram(p, rows, tuple(F(-(p - t)) for t in range(1, p + 1)), maximize=True)
 
 
@@ -500,7 +516,7 @@ def random_cut(rng, kind, lam, x, cuts):
     caps = lam.cumulative()
 
     def tail(k, r):
-        return constraint([1] * k + [0] * (p - k), ">=", r)
+        return row([1] * k + [0] * (p - k), ">=", r)
 
     if kind == "duplicate":
         return rng.choice(cuts) if cuts else None
@@ -521,7 +537,7 @@ def random_cut(rng, kind, lam, x, cuts):
     for k, w in weights.items():
         for t in range(k):
             coeffs[t] += w / scale
-    return Constraint(tuple(coeffs), ">=", F(1))
+    return row(coeffs, ">=", 1)
 
 
 def has_other_optima(master):
@@ -593,19 +609,19 @@ class TestIncrementalLP:
         for _ in range(200):
             nv = rng.randint(2, 4)
             rows = tuple(
-                constraint([rng.randint(-2, 3) for _ in range(nv)], rng.choice(["<=", ">=", "="]),
+                row([rng.randint(-2, 3) for _ in range(nv)], rng.choice(["<=", ">=", "="]),
                            rng.randint(-2, 4))
                 for _ in range(rng.randint(1, 3))
-            ) + (constraint([1] * nv, "<=", 5),)
+            ) + (row([1] * nv, "<=", 5),)
             program = LinearProgram(nv, rows, tuple(F(rng.randint(-3, 3)) for _ in range(nv)), maximize=True)
             master = IncrementalLP(program)
             if master.result.status != "optimal":
                 continue
             for _ in range(6):
-                row = constraint([rng.randint(-3, 3) for _ in range(nv)], rng.choice(["<=", ">="]),
-                                 rng.randint(-3, 3))
-                program = LinearProgram(nv, program.constraints + (row,), program.objective, True)
-                warm, cold = master.add(row), solve(program)
+                added = row([rng.randint(-3, 3) for _ in range(nv)], rng.choice(["<=", ">="]),
+                            rng.randint(-3, 3))
+                program = LinearProgram(nv, program.constraints + (added,), program.objective, True)
+                warm, cold = master.add(added), solve(program)
                 assert warm.status == cold.status
                 seen[warm.status] += 1
                 if warm.status == "infeasible":
@@ -622,11 +638,11 @@ class TestIncrementalLP:
         lam = lottery([0, F(1, 2), 0, F(1, 4), F(1, 4)])
         master = IncrementalLP(master_program(lam))
         before = master.result
-        assert master.add(constraint([2, 2, 1, 0, 0], ">=", 1)) != before  # cum_2 + cum_3 >= 1
+        assert master.add(row([2, 2, 1, 0, 0], ">=", 1)) != before  # cum_2 + cum_3 >= 1
         master.certify()
         corrupted = 0
-        for row, col in zip(master.raw, master.unit_col):
-            if row[0][-1]:
+        for (ints, _, _), col in zip(master.raw, master.unit_col):
+            if ints[-1]:
                 master.cost[col] += 1
                 with pytest.raises(AssertionError, match="dual check"):
                     master.certify()
@@ -636,15 +652,11 @@ class TestIncrementalLP:
         master.certify()
 
     def test_added_rows_are_inequalities_at_an_optimum(self):
-        master = IncrementalLP(LinearProgram(1, (constraint([1], "<=", 1),), (F(1),)))
+        master = IncrementalLP(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
+        assert master.add(row([1], "<=", "1/2")).objective_value == F(1, 2)
+        assert master.add(row([1], ">=", 1)).status == "infeasible"
         with pytest.raises(ValueError):
-            master.add(constraint([1], "=", 1))
-        with pytest.raises(ValueError):
-            master.add(constraint([1, 1], ">=", 1))
-        assert master.add(constraint([1], "<=", "1/2")).objective_value == F(1, 2)
-        assert master.add(constraint([1], ">=", 1)).status == "infeasible"
-        with pytest.raises(ValueError):
-            master.add(constraint([1], ">=", 0))
+            master.add(row([1], ">=", 0))
         with pytest.raises(ValueError):
             master.certify()
 
@@ -1105,7 +1117,7 @@ GOLDEN = [
 def _parse_program(text):
     head, *rows = (line.split() for line in text.strip().splitlines())
     sense, *objective = head
-    constraints = tuple(constraint(coeffs, rel, rhs) for *coeffs, rel, rhs in rows)
+    constraints = tuple(row(coeffs, rel, rhs) for *coeffs, rel, rhs in rows)
     return LinearProgram(len(objective), constraints, tuple(map(F, objective)), maximize=sense == "max")
 
 
@@ -1123,7 +1135,8 @@ def test_golden_results(label, program, expected):
 
 
 # sha256 of the `repr((program, result))` of every LP solved in
-# `test_lp_traffic_is_unchanged`, except the feasible working-set LPs of
+# `test_lp_traffic_is_unchanged`, with the program in the `Fraction` form of
+# `fraction_lp.LinearProgram`, except the feasible working-set LPs of
 # `maximality.improve`, which its pre-check may answer without a solve.  A
 # `feasible_point` call counts as the `solve` of the `Fraction` program
 # rebuilt from its rows, with the result `solve` returns for it.  Each step
@@ -1152,7 +1165,7 @@ def test_lp_traffic_is_unchanged(monkeypatch):
     calls = []
 
     def digested(program, result):
-        digest.update(repr((program, result)).encode())
+        digest.update(repr((fraction_program(program), result)).encode())
         calls.append(result.status)
 
     def traced(program):
@@ -1164,7 +1177,7 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         """`feasible_point`, and the program and result `solve` would have
         been given and returned for the same rows."""
         point, certificate = feasible_point(num_vars, rows)
-        program = feasibility_program(num_vars, row_constraints(rows))
+        program = feasibility_program(num_vars, rows)
         if point is None:
             result = LPResult("infeasible", certificate=certificate)
         else:
@@ -1194,16 +1207,14 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         def __init__(self, program):
             super().__init__(program)
             self.program = program
-            digest.update(repr((program, self.result)).encode())
-            calls.append(self.result.status)
+            digested(program, self.result)
 
-        def add(self, con):
-            result = super().add(con)
+        def add(self, added):
+            result = super().add(added)
             program = self.program
-            self.program = LinearProgram(program.num_vars, program.constraints + (con,), program.objective,
+            self.program = LinearProgram(program.num_vars, program.constraints + (added,), program.objective,
                                          program.maximize)
-            digest.update(repr((self.program, result)).encode())
-            calls.append(result.status)
+            digested(self.program, result)
             return result
 
     monkeypatch.setattr(feasibility, "solve", traced)

@@ -33,6 +33,7 @@ from worstvote.maximality import (
 from worstvote.lp import _scaled, solve
 from worstvote.profiles import identical_profile, parse_profile, profile, reversal_profile
 
+from .fraction_lp import fraction_program, row
 from .test_lottery import rand_lottery
 from .test_profiles import random_profile
 
@@ -107,9 +108,9 @@ class TestImprove:
 
 def _meets_rows_exactly(ell, mu, prof):
     """`Fraction` oracle: ell meets every row of mu's implementation LP."""
-    for row in feasibility.implement_program(mu, prof).constraints:
-        lhs = sum((c * x for c, x in zip(row.coeffs, ell)), F(0))
-        if not {"<=": lhs <= row.rhs, "=": lhs == row.rhs, ">=": lhs >= row.rhs}[row.rel]:
+    for con in fraction_program(feasibility.implement_program(mu, prof)).constraints:
+        lhs = sum((c * x for c, x in zip(con.coeffs, ell)), F(0))
+        if not {"<=": lhs <= con.rhs, "=": lhs == con.rhs, ">=": lhs >= con.rhs}[con.rel]:
             return False
     return True
 
@@ -261,7 +262,8 @@ class TestIsMaximal:
         lam = parse_lottery("37/120,11/60,1/10,4/15,17/120")
         lengths = []
         for _ in range(2):
-            feas.clear_caches()
+            monkeypatch.setattr(feas, "_verdict_cache", {})
+            monkeypatch.setattr(feas, "_anchor_cache", {})
             assert is_maximal(lam, 3).verdict == "dominated"
             lengths.append(len(maximality._witness_cache[(3, 5)]))
         assert lengths[0] == lengths[1] >= 1
@@ -283,30 +285,30 @@ class TestAgainstMonolithicMaster:
 
     @staticmethod
     def literal_master_slack(lam, n, profiles):
-        from worstvote.lp import EQ, LE, Constraint, LinearProgram, solve
+        from worstvote.lp import EQ, LE, LinearProgram, solve
 
         p = lam.p
         cum = lam.cumulative()
         m = len(profiles)
         nv = p + m * p
-        rows = [Constraint(tuple([F(1)] * p + [F(0)] * (m * p)), EQ, F(1))]
+        rows = [row([1] * p + [0] * (m * p), EQ, 1)]
         for k in range(1, p):
-            coeffs = [F(1) if t < k else F(0) for t in range(p)] + [F(0)] * (m * p)
-            rows.append(Constraint(tuple(coeffs), LE, cum[k - 1]))
+            coeffs = [1 if t < k else 0 for t in range(p)] + [0] * (m * p)
+            rows.append(row(coeffs, LE, cum[k - 1]))
         for j, prof in enumerate(profiles):
             base = p + j * p
-            coeffs = [F(0)] * nv
+            coeffs = [0] * nv
             for t in range(p):
-                coeffs[base + t] = F(1)
-            rows.append(Constraint(tuple(coeffs), EQ, F(1)))
+                coeffs[base + t] = 1
+            rows.append(row(coeffs, EQ, 1))
             for pref in prof.prefs:
                 for k in range(1, p):
-                    coeffs = [F(0)] * nv
+                    coeffs = [0] * nv
                     for a in pref.order[:k]:
-                        coeffs[base + a - 1] = F(1)
+                        coeffs[base + a - 1] = 1
                     for t in range(k):
-                        coeffs[t] = F(-1)
-                    rows.append(Constraint(tuple(coeffs), LE, F(0)))
+                        coeffs[t] = -1
+                    rows.append(row(coeffs, LE, 0))
         obj = [F(-(p - t)) for t in range(1, p + 1)] + [F(0)] * (m * p)
         result = solve(LinearProgram(nv, tuple(rows), tuple(obj), maximize=True))
         assert result.status == "optimal"
