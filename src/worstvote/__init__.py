@@ -9,7 +9,6 @@ from .lottery import (
     RankLottery,
     convex_combination,
     dominates,
-    format_lottery,
     is_symmetric,
     lottery,
     m2_vertices,
@@ -25,21 +24,16 @@ from .profiles import (
     canonicalize,
     cyclic_pad_profile,
     enumerate_profiles,
-    k_tail,
     parse_profile,
     profile,
     rank_rearrange,
 )
 from .duality import (
     BoundaryDecomposition,
-    anti_radius_point,
     boundary_decompose,
     dual,
-    radius_point,
 )
 from .compose import (
-    CanonicalSequence,
-    canonical,
     canonical_word,
     enumerate_canonical,
     rd_compose,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lottery import RankLottery, convex_combination, dominates, uniform
+from .lottery import RankLottery, convex_combination, dominates, parse_lottery, uniform
 from .duality import dual
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
 from .feasibility import is_feasible
@@ -40,20 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _lottery_arg(text: str) -> RankLottery:
-    """Parse a lottery argument, reporting the exact offset of a bad entry."""
-    offset = 0
-    values = []
-    for part in text.split(","):
-        stripped = part.strip()
-        try:
-            values.append(Fraction(stripped))
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(
-                f"bad rational {stripped!r} at position {offset + part.index(stripped) if stripped else offset}"
-            )
-        offset += len(part) + 1
     try:
-        return RankLottery(tuple(values))
+        return parse_lottery(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

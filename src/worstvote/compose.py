@@ -11,10 +11,9 @@ under duality by swapping the letters of the word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .duality import dual
-from .lottery import RankLottery, ZERO, rd, uniform, vt
+from .lottery import RankLottery, ZERO, uniform
 
 VT = "VT"
 RD = "RD"
@@ -46,46 +45,6 @@ def rd_compose(lam: RankLottery, n: int) -> RankLottery:
     return dual(vt_compose(dual(lam), n))
 
 
-def compose(letter: str, lam: RankLottery, n: int) -> RankLottery:
-    if letter == VT:
-        return vt_compose(lam, n)
-    if letter == RD:
-        return rd_compose(lam, n)
-    raise ValueError(f"unknown composition letter {letter!r}")
-
-
-@dataclass(frozen=True)
-class CanonicalSequence:
-    """A word over {VT, RD} naming a canonical guarantee at context (n, p)."""
-
-    word: tuple[str, ...]
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not 3 <= self.n < self.p:
-            raise ValueError("canonical guarantees need 3 <= n < p")
-        if any(letter not in _LETTERS for letter in self.word):
-            raise ValueError(f"word letters must be in {_LETTERS}")
-        if not 1 <= len(self.word) <= self.depth:
-            raise ValueError(
-                f"word length must be between 1 and {self.depth} at (n={self.n}, p={self.p})"
-            )
-
-    @property
-    def depth(self) -> int:
-        """Maximum number of composition rounds: floor((p-1)/n)."""
-        return (self.p - 1) // self.n
-
-    @property
-    def remainder(self) -> int:
-        """Outcomes left after `depth` rounds of n removals."""
-        return self.p - self.depth * self.n
-
-    def text(self) -> str:
-        return ",".join(self.word)
-
-
 def parse_word(text: str) -> tuple[str, ...]:
     letters = tuple(tok.strip().upper() for tok in text.split(","))
     if any(letter not in _LETTERS for letter in letters):
@@ -93,27 +52,26 @@ def parse_word(text: str) -> tuple[str, ...]:
     return letters
 
 
-def canonical(seq: CanonicalSequence) -> RankLottery:
-    """The guarantee named by a word, built by folding compositions inward-out.
-
-    With d = depth and q = remainder, the innermost letter acts on
-    (d - h + 1) * n + q outcomes (h = word length), i.e. it composes over the
-    uniform lottery on the next-smaller window; each outer letter then adds
-    n outcomes.
-    """
-    n = seq.n
-    h = len(seq.word)
-    base = (seq.depth - h) * n + seq.remainder
-    lam = uniform(base)
-    for letter in reversed(seq.word):
-        lam = compose(letter, lam, n)
-    return lam
-
-
 def canonical_word(word: tuple[str, ...] | str, n: int, p: int) -> RankLottery:
+    """The guarantee named by a word over {VT, RD} at context (n, p).
+
+    Words have length 1..floor((p-1)/n).  The word folds inward-out: its
+    innermost letter composes over the uniform lottery on p - h * n
+    outcomes (h = word length), and each outer letter adds n outcomes.
+    """
     if isinstance(word, str):
         word = parse_word(word)
-    return canonical(CanonicalSequence(word, n, p))
+    if not 3 <= n < p:
+        raise ValueError("canonical guarantees need 3 <= n < p")
+    if any(letter not in _LETTERS for letter in word):
+        raise ValueError(f"word letters must be in {_LETTERS}")
+    depth = (p - 1) // n
+    if not 1 <= len(word) <= depth:
+        raise ValueError(f"word length must be between 1 and {depth} at (n={n}, p={p})")
+    lam = uniform(p - len(word) * n)
+    for letter in reversed(word):
+        lam = vt_compose(lam, n) if letter == VT else rd_compose(lam, n)
+    return lam
 
 
 def enumerate_canonical(n: int, p: int) -> list[tuple[tuple[str, ...], RankLottery]]:
@@ -124,7 +82,7 @@ def enumerate_canonical(n: int, p: int) -> list[tuple[tuple[str, ...], RankLotte
     out = []
     for h in range(1, d + 1):
         for word in itertools.product(_LETTERS, repeat=h):
-            out.append((word, canonical(CanonicalSequence(word, n, p))))
+            out.append((word, canonical_word(word, n, p)))
     return out
 
 
@@ -146,7 +104,7 @@ def word_simplex(word: tuple[str, ...] | str, n: int, p: int) -> list[RankLotter
         raise ValueError(f"need a word of full length {d}")
     vertices = [uniform(p)]
     for h in range(1, d + 1):
-        vertices.append(canonical(CanonicalSequence(word[:h], n, p)))
+        vertices.append(canonical_word(word[:h], n, p))
     if not _affinely_independent(vertices):
         raise AssertionError("simplex vertices are affinely dependent")
     return vertices

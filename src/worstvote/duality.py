@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lottery import RankLottery, RationalLike, as_fraction, uniform
+from .lottery import RankLottery
 
 ONE = Fraction(1)
 
@@ -61,50 +61,3 @@ def dual(lam: RankLottery) -> RankLottery:
     return RankLottery(
         tuple(decomp.delta * share + keep * x for x in image.probs)
     )
-
-
-def radius_point(lam: RankLottery, alpha: RationalLike) -> RankLottery:
-    """The point `uniform + alpha * (lam - uniform)`; must stay in the simplex."""
-    a = as_fraction(alpha)
-    if a < 0:
-        raise ValueError("alpha must be nonnegative")
-    share = Fraction(1, lam.p)
-    values = tuple(share + a * (x - share) for x in lam.probs)
-    if any(v < 0 for v in values):
-        raise ValueError(
-            f"point leaves the simplex; max admissible alpha is {max_radius_alpha(lam)}"
-        )
-    return RankLottery(values)
-
-
-def anti_radius_point(lam: RankLottery, alpha: RationalLike) -> RankLottery:
-    """The point `uniform + alpha * (uniform - reflect(lam))`."""
-    a = as_fraction(alpha)
-    if a < 0:
-        raise ValueError("alpha must be nonnegative")
-    share = Fraction(1, lam.p)
-    reflected = tuple(reversed(lam.probs))
-    values = tuple(share + a * (share - x) for x in reflected)
-    if any(v < 0 for v in values):
-        raise ValueError(
-            f"point leaves the simplex; max admissible alpha is {max_anti_radius_alpha(lam)}"
-        )
-    return RankLottery(values)
-
-
-def max_radius_alpha(lam: RankLottery) -> Fraction:
-    """Largest alpha for which `radius_point(lam, alpha)` stays in the simplex."""
-    share = Fraction(1, lam.p)
-    lo = lam.min_coordinate()
-    if lo >= share:
-        raise ValueError("the ray from the uniform lottery is degenerate")
-    return share / (share - lo)
-
-
-def max_anti_radius_alpha(lam: RankLottery) -> Fraction:
-    """Largest alpha for which `anti_radius_point(lam, alpha)` stays in the simplex."""
-    share = Fraction(1, lam.p)
-    hi = lam.max_coordinate()
-    if hi <= share:
-        raise ValueError("the ray away from the reflection is degenerate")
-    return share / (hi - share)

@@ -37,7 +37,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -516,9 +516,9 @@ def _scan(
     limit: Optional[int],
     deadline: Optional[float],
 ) -> dict:
-    """Scan every tail system: one in-process chunk when `jobs` is 1,
-    otherwise 4 * jobs chunks in a process pool of at most one worker per
-    core and per chunk, whatever `jobs` asks for.
+    """Scan every tail system with min(`jobs`, cores) workers: in process
+    when that is one, otherwise in 4 chunks per worker in a process pool of
+    at most one worker per chunk.
 
     Chunk outcomes are merged in enumeration order and a limit is spent on
     the chunks in that order, so both ways visit the same first `limit`
@@ -526,7 +526,8 @@ def _scan(
     """
     count = chain_count(len(probs), ks)
     agents = n - 1
-    ranges = [(0, count)] if jobs <= 1 else _chunk_ranges(count, agents, jobs * 4)
+    workers = min(jobs, os.cpu_count() or 1)
+    ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4)
     payloads = []
     for lo, hi in ranges:
         share = None
@@ -542,8 +543,7 @@ def _scan(
 
     checked = 0
     # Under the fork start method the pool starts every worker at the first submit.
-    workers = min(jobs, os.cpu_count() or 1, len(payloads))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as executor:
         futures = [executor.submit(_scan_chunk, payload) for payload in payloads]
         try:
             for fut in futures:
@@ -659,7 +659,7 @@ def is_feasible(
     cached = _verdict_cache.get(cache_key)
     # A verdict reached through the hull is no answer to a call that asks for a scan.
     if cached is not None and not limited_run and (use_hull or cached.method != "mixture-dominates"):
-        return cached
+        return replace(cached, runtime_ms=int((time.perf_counter() - started) * 1000))
     deadline = None if time_budget is None else time.monotonic() + time_budget
     checked = 0
     applied: tuple[str, ...] = ()

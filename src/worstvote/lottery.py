@@ -50,12 +50,6 @@ class RankLottery:
     def p(self) -> int:
         return len(self.probs)
 
-    def prob(self, rank: int) -> Fraction:
-        """Probability of `rank` (1-based, 1 = worst)."""
-        if not 1 <= rank <= self.p:
-            raise ValueError(f"rank {rank} out of range 1..{self.p}")
-        return self.probs[rank - 1]
-
     def cumulative(self) -> tuple[Fraction, ...]:
         """Prefix sums over ranks: entry k is the mass on ranks 1..k+1."""
         out = []
@@ -64,12 +58,6 @@ class RankLottery:
             acc += x
             out.append(acc)
         return tuple(out)
-
-    def partial_sum(self, k1: int, k2: int) -> Fraction:
-        """Exact mass on ranks k1..k2 inclusive."""
-        if not 1 <= k1 <= k2 <= self.p:
-            raise ValueError(f"rank range {k1}..{k2} invalid for p={self.p}")
-        return sum(self.probs[k1 - 1 : k2], ZERO)
 
     def reflect(self) -> "RankLottery":
         """Mirror the lottery around the middle rank (best and worst swap)."""
@@ -90,7 +78,8 @@ class RankLottery:
         return frozenset(k + 1 for k, x in enumerate(self.probs) if x > 0)
 
     def text(self) -> str:
-        return format_lottery(self)
+        """The comma-separated rational format (bit-exact round trip)."""
+        return ",".join(str(x) for x in self.probs)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text()
@@ -102,16 +91,21 @@ def lottery(values: Iterable[RationalLike]) -> RankLottery:
 
 
 def parse_lottery(text: str) -> RankLottery:
-    """Parse the comma-separated rational format, e.g. ``"0,1/3,1/3,1/3,0,0"``."""
-    parts = [part.strip() for part in text.strip().split(",")]
-    if not parts or parts == [""]:
-        raise ValueError("empty lottery text")
-    return lottery(parts)
+    """Parse the comma-separated rational format, e.g. ``"0,1/3,1/3,1/3,0,0"``.
 
-
-def format_lottery(lam: RankLottery) -> str:
-    """Emit the comma-separated rational format (bit-exact round trip)."""
-    return ",".join(str(x) for x in lam.probs)
+    An entry that is not a rational is reported with its offset in `text`.
+    """
+    values = []
+    offset = 0
+    for part in text.split(","):
+        entry = part.strip()
+        try:
+            values.append(Fraction(entry))
+        except (ValueError, ZeroDivisionError):
+            at = offset + part.index(entry) if entry else offset
+            raise ValueError(f"bad rational {entry!r} at position {at}") from None
+        offset += len(part) + 1
+    return RankLottery(tuple(values))
 
 
 def uniform(p: int) -> RankLottery:

@@ -57,6 +57,7 @@ from .profiles import Profile
 
 MAXIMAL = "maximal"
 DOMINATED = "dominated"
+_MAX_ITERATIONS = 400  # cutting-plane rounds before `improve` reports undecided
 
 _witness_cache: dict[tuple[int, int], list[Profile]] = {}
 
@@ -128,7 +129,6 @@ def improve(
     n: int,
     *,
     jobs: int = 1,
-    max_iterations: int = 400,
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
 ) -> tuple[Optional[RankLottery], str, int, int]:
@@ -170,7 +170,7 @@ def improve(
     master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
     slack_base = sum(cum[:-1], ZERO)
     pool: list[tuple[list[int], int]] = []
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return None, UNDECIDED, iteration - 1, len(working)
         result = master.result
@@ -220,7 +220,7 @@ def improve(
         # certificate converts directly into a master cut.
         master.add(_cover_cut(mu_active, report.witness_certificate, p))
 
-    return None, UNDECIDED, max_iterations, len(working)
+    return None, UNDECIDED, _MAX_ITERATIONS, len(working)
 
 
 def is_maximal(
@@ -229,7 +229,6 @@ def is_maximal(
     *,
     jobs: int = 1,
     witnesses: bool = False,
-    max_iterations: int = 400,
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
 ) -> MaximalityReport:
@@ -255,7 +254,6 @@ def is_maximal(
             lam,
             n,
             jobs=jobs,
-            max_iterations=max_iterations,
             limit_profiles=limit_profiles,
             time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
         )

@@ -42,25 +42,8 @@ class Preference:
     def p(self) -> int:
         return len(self.order)
 
-    def k_tail(self, k: int) -> frozenset[int]:
-        """The agent's k worst outcomes."""
-        if not 1 <= k <= self.p:
-            raise ValueError(f"k={k} out of range 1..{self.p}")
-        return frozenset(self.order[:k])
-
-    def top(self, k: int = 1) -> frozenset[int]:
-        """The agent's k best outcomes."""
-        if not 1 <= k <= self.p:
-            raise ValueError(f"k={k} out of range 1..{self.p}")
-        return frozenset(self.order[self.p - k :])
-
     def reversed(self) -> "Preference":
         return Preference(tuple(reversed(self.order)))
-
-
-def k_tail(pref: Preference, k: int) -> frozenset[int]:
-    """The k worst outcomes of a preference."""
-    return pref.k_tail(k)
 
 
 @dataclass(frozen=True)
@@ -176,23 +159,18 @@ def canonicalize(prof: Profile) -> Profile:
     return Profile(tuple(Preference(o) for o in best), canonical=True)
 
 
-def enumerate_profiles(
-    n: int, p: int, *, start: int = 0, stop: int | None = None
-) -> Iterator[Profile]:
+def enumerate_profiles(n: int, p: int) -> Iterator[Profile]:
     """Stream every canonical (n, p)-profile exactly once.
 
     Candidates fix agent 1 to the identity order and take the remaining
     agents as a lexicographically sorted multiset; a candidate is emitted
-    only when it equals its own canonical form.  The stream is deterministic,
-    so it can be restarted or partitioned by slicing the candidate index
-    range with `start`/`stop`.
+    only when it equals its own canonical form.
     """
     if n < 1 or p < 2:
         raise ValueError("need n >= 1 and p >= 2")
     perms = sorted(itertools.permutations(range(1, p + 1)))
     identity = perms[0]
-    combos = itertools.combinations_with_replacement(perms, n - 1)
-    for combo in itertools.islice(combos, start, stop):
+    for combo in itertools.combinations_with_replacement(perms, n - 1):
         orders = (identity,) + combo
         if _canonical_orders(orders) == orders:
             yield Profile(tuple(Preference(o) for o in orders), canonical=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .lottery import RankLottery, ZERO, dominates, rd, uniform, vt
+from .lottery import RankLottery, ZERO, dominates, rd, uniform
 from .compose import rd_compose, vt_compose
 from .profiles import (
     OutcomeLottery,

@@ -2,8 +2,9 @@
 
 Each suite runs a themed batch of computations and compares every result
 against its exact expected value (rational arithmetic, zero tolerance).
-The CLI exposes them through ``verify --suite <id>``; the acceptance tests
-run the same functions.
+It adds its checks to a collector; `run_suite` times the suite and
+hands it a random source seeded from `seed`.  The CLI exposes them through
+``verify --suite <id>``; the acceptance tests run the same functions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .lottery import (
     RankLottery,
@@ -28,7 +29,6 @@ from .lottery import (
 )
 from .duality import dual
 from .compose import (
-    CanonicalSequence,
     canonical_word,
     dual_word,
     enumerate_canonical,
@@ -113,10 +113,8 @@ def _random_boundary_lottery(p: int, rng: random.Random) -> RankLottery:
 # ----------------------------------------------------------------------------
 
 
-def suite_baseline_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_baseline_3_6(c: _Collector, jobs: int, rng: random.Random) -> None:
     """The three named guarantees at (3, 6) and three improvable ones."""
-    started = time.perf_counter()
-    c = _Collector()
     for name, lam in (("uniform(6)", uniform(6)), ("vt(3,6)", vt(3, 6)), ("rd(3,6)", rd(3, 6))):
         rep = is_feasible(lam, 3, jobs=jobs)
         c.add(f"{name} is feasible", "feasible", rep.verdict)
@@ -141,14 +139,10 @@ def suite_baseline_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
         c.expect(f"{name} improver is a strictly dominating feasible guarantee", ok)
     mix = parse_lottery("1/6,1/3,1/6,1/6,0,1/6")
     c.expect("uniform(6) dominates the half-half mix", dominates(uniform(6), mix))
-    return SuiteResult("baseline-3-6", tuple(c.checks), _ms(started))
 
 
-def suite_two_agent(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_two_agent(c: _Collector, jobs: int, rng: random.Random) -> None:
     """Two agents: maximal guarantees are exactly the symmetric feasible ones."""
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
     for p in (5, 6):
         verdicts = [is_maximal(v, 2, jobs=jobs).verdict for v in m2_vertices(p)]
         c.add(f"all extreme symmetric lotteries at p={p} maximal", "maximal", ",".join(set(verdicts)))
@@ -171,14 +165,10 @@ def suite_two_agent(jobs: int = 1, seed: int = 0) -> SuiteResult:
             if rep.verdict == "dominated" and rep.improver is not None:
                 good += 1
         c.add(f"20 random asymmetric feasible lotteries at p={p} dominated", 20, good)
-    return SuiteResult("two-agent", tuple(c.checks), _ms(started))
 
 
-def suite_uniform_dominance(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_uniform_dominance(c: _Collector, jobs: int, rng: random.Random) -> None:
     """With at least as many agents as outcomes only the uniform lottery survives."""
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
     for n, p in ((3, 3), (4, 3)):
         rep = is_maximal(uniform(p), n, jobs=jobs)
         c.add(f"improve(uniform({p})) with n={n} finds nothing", "maximal", rep.verdict)
@@ -188,13 +178,9 @@ def suite_uniform_dominance(jobs: int = 1, seed: int = 0) -> SuiteResult:
             if is_feasible(lam, n, jobs=jobs).feasible and not dominates(uniform(p), lam):
                 implication = False
         c.expect(f"n={n}, p={p}: every feasible sample is dominated by uniform", implication)
-    return SuiteResult("uniform-dominance", tuple(c.checks), _ms(started))
 
 
-def suite_duality(jobs: int = 1, seed: int = 0) -> SuiteResult:
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
+def suite_duality(c: _Collector, jobs: int, rng: random.Random) -> None:
     swaps = all(dual(vt(n, p)) == rd(n, p) for n in range(3, 10) for p in range(n + 1, 11))
     c.expect("veto and dictator guarantees are dual for all 3 <= n < p <= 10", swaps)
     involution = all(
@@ -208,13 +194,9 @@ def suite_duality(jobs: int = 1, seed: int = 0) -> SuiteResult:
         dual(parse_lottery("1/2,0,0,1/2,0")).text(),
     )
     c.expect("the uniform lottery is self-dual", dual(uniform(8)) == uniform(8))
-    return SuiteResult("duality", tuple(c.checks), _ms(started))
 
 
-def suite_composition(jobs: int = 1, seed: int = 0) -> SuiteResult:
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
+def suite_composition(c: _Collector, jobs: int, rng: random.Random) -> None:
     c.add("VT over rd(3,4)", "0,1/3,1/3,0,1/3,0,0", vt_compose(rd(3, 4), 3).text())
     c.add("RD over vt(3,4)", "1/4,1/4,0,1/4,0,0,1/4", rd_compose(vt(3, 4), 3).text())
     c.add("VT over uniform(4) is vt(3,7)", vt(3, 7).text(), vt_compose(uniform(4), 3).text())
@@ -272,14 +254,10 @@ def suite_composition(jobs: int = 1, seed: int = 0) -> SuiteResult:
         for k in lam.support()
     )
     c.expect("canonical guarantees are uniform on their support", uniform_support)
-    return SuiteResult("composition", tuple(c.checks), _ms(started))
 
 
-def suite_intervals_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_intervals_3_6(c: _Collector, jobs: int, rng: random.Random) -> None:
     """At (3,6) the maximal set is the pair of segments ending at the uniform."""
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
     for name, lam in (
         ("midpoint of [uniform, vt]", convex_combination([(HALF, uniform(6)), (HALF, vt(3, 6))])),
         ("midpoint of [uniform, rd]", convex_combination([(HALF, uniform(6)), (HALF, rd(3, 6))])),
@@ -296,13 +274,10 @@ def suite_intervals_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
         "dominated",
         rep.verdict,
     )
-    return SuiteResult("intervals-3-6", tuple(c.checks), _ms(started))
 
 
-def suite_simplices_3_7(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_simplices_3_7(c: _Collector, jobs: int, rng: random.Random) -> None:
     """The four guarantee simplices at (3,7) plus the extra dual pair."""
-    started = time.perf_counter()
-    c = _Collector()
     third = Fraction(1, 3)
     seen: set[tuple] = set()
     for word in (("VT", "VT"), ("RD", "RD"), ("VT", "RD"), ("RD", "VT")):
@@ -326,13 +301,10 @@ def suite_simplices_3_7(jobs: int = 1, seed: int = 0) -> SuiteResult:
         c.add(f"extra boundary guarantee {text} is maximal", "maximal", rep.verdict)
     extra = parse_lottery("1/3,0,0,1/3,1/3,0,0")
     c.expect("the extra pair are duals of each other", dual(extra).text() == "1/4,1/4,0,0,1/4,1/4,0")
-    return SuiteResult("simplices-3-7", tuple(c.checks), _ms(started))
 
 
-def suite_boundary_3_5(jobs: int = 1, seed: int = 0) -> SuiteResult:
+def suite_boundary_3_5(c: _Collector, jobs: int, rng: random.Random) -> None:
     """The four boundary maximal guarantees at (3,5) and the cover premise."""
-    started = time.perf_counter()
-    c = _Collector()
     four = [
         vt(3, 5),
         rd(3, 5),
@@ -351,12 +323,9 @@ def suite_boundary_3_5(jobs: int = 1, seed: int = 0) -> SuiteResult:
         spec = cover_protocol(3, 5, mode)
         missing = verify_cover_exists(3, 5, spec.stages[0])
         c.add(f"cover exists at every canonical (3,5) profile [{mode}]", "None", str(missing))
-    return SuiteResult("boundary-3-5", tuple(c.checks), _ms(started))
 
 
-def suite_protocols_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
-    started = time.perf_counter()
-    c = _Collector()
+def suite_protocols_3_6(c: _Collector, jobs: int, rng: random.Random) -> None:
     veto_uni = parse_protocol("veto(1); uniform", 3, 6)
     naive = parse_protocol("rd(naive)", 3, 6)
     padded = parse_protocol("rd(pad)", 3, 6)
@@ -390,13 +359,9 @@ def suite_protocols_3_6(jobs: int = 1, seed: int = 0) -> SuiteResult:
         "False",
         str(verify_safe_strategy(naive, rd(3, 6), 3, 6)),
     )
-    return SuiteResult("protocols-3-6", tuple(c.checks), _ms(started))
 
 
-def suite_infrastructure(jobs: int = 1, seed: int = 0) -> SuiteResult:
-    started = time.perf_counter()
-    c = _Collector()
-    rng = random.Random(seed)
+def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
 
     certs_ok = True
     refuted = 0
@@ -458,16 +423,11 @@ def suite_infrastructure(jobs: int = 1, seed: int = 0) -> SuiteResult:
             order_ok = False
     c.expect("dominance is a partial order on 10000 random triples", order_ok)
 
-    falsifier_ok = cardinal_falsifier(uniform(6), 3, 2000, seed=seed) is None
+    falsifier_ok = cardinal_falsifier(uniform(6), 3, 2000, seed=rng.randrange(2**32)) is None
     c.expect("the cardinal falsifier never flags the uniform lottery", falsifier_ok)
-    return SuiteResult("infrastructure", tuple(c.checks), _ms(started))
 
 
-def _ms(started: float) -> int:
-    return int((time.perf_counter() - started) * 1000)
-
-
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[[_Collector, int, random.Random], None]] = {
     "baseline-3-6": suite_baseline_3_6,
     "two-agent": suite_two_agent,
     "uniform-dominance": suite_uniform_dominance,
@@ -484,4 +444,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 def run_suite(name: str, *, jobs: int = 1, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return SUITES[name](jobs=jobs, seed=seed)
+    started = time.perf_counter()
+    c = _Collector()
+    SUITES[name](c, jobs, random.Random(seed))
+    return SuiteResult(name, tuple(c.checks), int((time.perf_counter() - started) * 1000))

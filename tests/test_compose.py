@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from worstvote.compose import (
-    CanonicalSequence,
     canonical_word,
     dual_word,
     enumerate_canonical,
@@ -95,12 +94,12 @@ class TestOperators:
 
 class TestCanonical:
     def test_context_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalSequence(("VT", "VT", "VT"), 3, 7)  # too long for depth 2
-        with pytest.raises(ValueError):
-            CanonicalSequence(("XX",), 3, 7)
-        with pytest.raises(ValueError):
-            CanonicalSequence(("VT",), 2, 7)
+        with pytest.raises(ValueError, match="between 1 and 2"):
+            canonical_word(("VT", "VT", "VT"), 3, 7)  # too long for depth 2
+        with pytest.raises(ValueError, match="letters must be in"):
+            canonical_word(("XX",), 3, 7)
+        with pytest.raises(ValueError, match="need 3 <= n < p"):
+            canonical_word(("VT",), 2, 7)
 
     def test_depth_one_set(self):
         entries = enumerate_canonical(3, 6)
@@ -147,7 +146,7 @@ class TestCanonical:
             for _, lam in enumerate_canonical(n, p):
                 support = lam.support()
                 share = F(1, len(support))
-                assert all(lam.prob(k) == share for k in support)
+                assert all(lam.probs[k - 1] == share for k in support)
 
     def test_parse_word(self):
         assert parse_word("rd, vt") == ("RD", "VT")

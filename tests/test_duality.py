@@ -1,16 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from worstvote.duality import (
-    anti_radius_point,
-    boundary_decompose,
-    dual,
-    max_anti_radius_alpha,
-    max_radius_alpha,
-    radius_point,
-)
+from worstvote.duality import boundary_decompose, dual
 from worstvote.lottery import convex_combination, parse_lottery, rd, uniform, vt
 
 from .test_lottery import rand_lottery
@@ -71,31 +62,3 @@ class TestBoundaryDecompose:
                 [(decomp.delta, uniform(lam.p)), (1 - decomp.delta, decomp.boundary)]
             )
             assert rebuilt == lam
-
-
-class TestRays:
-    def test_alpha_zero_is_uniform(self):
-        assert radius_point(vt(3, 6), 0) == uniform(6)
-        assert anti_radius_point(vt(3, 6), 0) == uniform(6)
-
-    def test_alpha_one_is_input(self):
-        assert radius_point(rd(3, 6), 1) == rd(3, 6)
-
-    def test_anti_radius_reaches_dual(self):
-        lam = vt(3, 6)
-        alpha = F(1) / (6 * lam.max_coordinate() - 1)
-        assert anti_radius_point(lam, alpha) == rd(3, 6)
-
-    def test_leaving_simplex_raises_with_bound(self):
-        lam = vt(3, 6)
-        limit = max_radius_alpha(lam)
-        with pytest.raises(ValueError) as err:
-            radius_point(lam, limit + 1)
-        assert str(limit) in str(err.value)
-        limit = max_anti_radius_alpha(lam)
-        with pytest.raises(ValueError):
-            anti_radius_point(lam, limit + 1)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            radius_point(vt(3, 6), F(-1, 2))

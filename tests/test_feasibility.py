@@ -219,19 +219,21 @@ class TestIsFeasible:
         assert serial.method == "profile-limit"
 
     def test_pool_workers_are_capped_at_the_cores(self, monkeypatch):
-        # However many jobs are asked for, the scan splits into 4 * jobs
-        # chunks but asks the pool for no more workers than there are cores.
-        # The stand-in pool runs each chunk inline and starts no process.
-        import os
+        # However many jobs are asked for, the scan asks the pool for no more
+        # workers than there are cores and splits into 4 chunks per worker;
+        # with one core it scans in process.  The stand-in pool runs each
+        # chunk inline and starts no process, and the core count is set, so
+        # the test runs alike on any machine.
         from concurrent.futures import Future
 
         import worstvote.feasibility as feas
 
-        asked = []
+        pools = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                asked.append(max_workers)
+                self.workers, self.chunks = max_workers, 0
+                pools.append(self)
 
             def __enter__(self):
                 return self
@@ -240,6 +242,7 @@ class TestIsFeasible:
                 return False
 
             def submit(self, fn, payload):
+                self.chunks += 1
                 future = Future()
                 future.set_result(fn(payload))
                 return future
@@ -247,15 +250,34 @@ class TestIsFeasible:
         monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
         monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
-        for text in ("0,1/3,1/3,1/3,0,0", "1/3,1/12,1/4,0,0,1/3"):
-            reports = []
-            for jobs in (1, 5000):
-                monkeypatch.setattr(feas, "_verdict_cache", {})
-                reports.append(is_feasible(parse_lottery(text), 3, jobs=jobs, use_hull=False))
-            serial, pooled = reports
-            assert (serial.verdict, serial.profiles_checked, serial.witness_profile, serial.witness_certificate) == (
-                pooled.verdict, pooled.profiles_checked, pooled.witness_profile, pooled.witness_certificate)
-        assert len(asked) == 2 and all(1 <= workers <= (os.cpu_count() or 1) for workers in asked), asked
+        for cores in (1, 2):
+            monkeypatch.setattr(feas.os, "cpu_count", lambda: cores)
+            for text in ("0,1/3,1/3,1/3,0,0", "1/3,1/12,1/4,0,0,1/3"):
+                reports = []
+                for jobs in (1, 5000):
+                    monkeypatch.setattr(feas, "_verdict_cache", {})
+                    pools.clear()
+                    reports.append(is_feasible(parse_lottery(text), 3, jobs=jobs, use_hull=False))
+                    sizes = [(pool.workers, pool.chunks) for pool in pools]
+                    pooled = cores > 1 and jobs > 1
+                    assert len(sizes) == pooled, (cores, jobs, sizes)
+                    assert all(1 <= workers <= cores and chunks <= 4 * cores for workers, chunks in sizes), sizes
+                serial, split = reports
+                assert (serial.verdict, serial.profiles_checked, serial.witness_profile, serial.witness_certificate) == (
+                    split.verdict, split.profiles_checked, split.witness_profile, split.witness_certificate)
+
+    def test_cached_report_states_its_own_cost(self, monkeypatch):
+        from dataclasses import replace
+
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "_verdict_cache", {})
+        lam = parse_lottery("0,1/3,1/3,1/3,0,0")
+        stored = replace(is_feasible(lam, 3), runtime_ms=10**9)
+        feas._verdict_cache[(3, lam.probs)] = stored
+        served = is_feasible(lam, 3)
+        assert served.runtime_ms < 1000
+        assert replace(served, runtime_ms=stored.runtime_ms) == stored
 
     def test_time_limit_is_named_alike_serial_and_pooled(self, monkeypatch):
         import worstvote.feasibility as feas

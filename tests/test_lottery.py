@@ -8,7 +8,6 @@ from worstvote.lottery import (
     RankLottery,
     convex_combination,
     dominates,
-    format_lottery,
     is_symmetric,
     lottery,
     m2_vertices,
@@ -33,7 +32,13 @@ def rand_lottery(p, rng, grain=12):
 class TestConstruction:
     def test_parse_round_trip(self):
         text = "0,1/3,1/3,1/3,0,0"
-        assert format_lottery(parse_lottery(text)) == text
+        assert parse_lottery(text).text() == text
+
+    def test_bad_entry_is_a_value_error_with_its_offset(self):
+        with pytest.raises(ValueError, match=r"^bad rational '1/0' at position 0$"):
+            parse_lottery("1/0,1")
+        with pytest.raises(ValueError, match=r"^bad rational 'x' at position 6$"):
+            parse_lottery("1/2,  x,1/2")
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -58,22 +63,16 @@ class TestConstruction:
 
 class TestPartialSums:
     def test_veto_front(self):
-        assert vt(3, 6).partial_sum(1, 2) == Fraction(1, 3)
+        assert vt(3, 6).cumulative()[1] == Fraction(1, 3)
 
     def test_normalization(self):
         rng = random.Random(0)
         for _ in range(20):
             lam = rand_lottery(rng.randint(1, 9), rng)
-            assert lam.partial_sum(1, lam.p) == 1
+            assert lam.cumulative()[-1] == 1
 
     def test_uniform_half(self):
-        assert uniform(6).partial_sum(1, 3) == Fraction(1, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            uniform(4).partial_sum(0, 2)
-        with pytest.raises(ValueError):
-            uniform(4).partial_sum(3, 2)
+        assert uniform(6).cumulative()[2] == Fraction(1, 2)
 
 
 class TestReflect:

@@ -62,10 +62,9 @@ class TestImprove:
         assert status == "dominated"
         assert dominates(uniform(6), mix)
 
-    def test_iteration_cap_gives_undecided(self):
-        improver, status, _, _ = improve(
-            parse_lottery("1/3,0,0,1/3,1/3,0,0"), 3, max_iterations=0
-        )
+    def test_iteration_cap_gives_undecided(self, monkeypatch):
+        monkeypatch.setattr(maximality, "_MAX_ITERATIONS", 0)
+        improver, status, _, _ = improve(parse_lottery("1/3,0,0,1/3,1/3,0,0"), 3)
         assert improver is None
         assert status == "undecided"
 

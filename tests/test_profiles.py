@@ -15,8 +15,6 @@ from worstvote.profiles import (
     cyclic_top_pad_profile,
     enumerate_profiles,
     format_profile,
-    identity_preference,
-    k_tail,
     parse_profile,
     profile,
     rank_rearrange,
@@ -34,16 +32,6 @@ class TestPreference:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             Preference((1, 1, 2))
-
-    def test_k_tail(self):
-        pref = identity_preference(5)
-        assert k_tail(pref, 2) == {1, 2}
-        assert k_tail(pref, 5) == {1, 2, 3, 4, 5}
-        assert k_tail(Preference((3, 1, 2)), 1) == {3}
-
-    def test_k_tail_range(self):
-        with pytest.raises(ValueError):
-            identity_preference(4).k_tail(0)
 
 
 class TestRankRearrange:
@@ -127,12 +115,6 @@ class TestEnumerate:
         stream = list(enumerate_profiles(n, p))
         assert len(stream) == len(orbits)
         assert {prof.prefs for prof in stream} == orbits
-
-    def test_stream_chunking(self):
-        whole = [prof.prefs for prof in enumerate_profiles(2, 4)]
-        first = [prof.prefs for prof in enumerate_profiles(2, 4, stop=10)]
-        rest = [prof.prefs for prof in enumerate_profiles(2, 4, start=10)]
-        assert first + rest == whole
 
 
 class TestCyclicPad:
