@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -420,11 +421,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.jobs = max(1, args.jobs)
     command: _Command = args.entry
 
+    started = time.perf_counter()
     key = _cache_key(command, args) if command.cached else None
     cached = _cache_lookup(args.cache, key) if key else None
     try:
         if cached is not None:
-            payload, lines = cached, [f"verdict: {cached['verdict']} (cached)"]
+            # A hit states what serving it cost, not what computing it did.
+            payload = {**cached, "runtime_ms": int((time.perf_counter() - started) * 1000)}
+            lines = [f"verdict: {cached['verdict']} (cached)"]
         else:
             payload, lines = command.handler(args)
             payload["schema"] = SCHEMA_VERSION

@@ -18,6 +18,17 @@ hard part.  Three reductions keep it tractable:
   masks is nonzero.  The LP runs only on the other systems, and its
   solution becomes the next bit.
 
+One call reuses what it has computed.  The library-profile LPs run before
+the scan; a profile where a lottery returned by an earlier library LP of
+the call meets every agent's caps (`_implements`, the exact integer check
+`maximality.improve` also uses) needs no LP.  Those lotteries, relabeled
+so that one agent's order becomes the identity, meet the canonical chain
+and seed every scan chunk's pool.  Only feasible LPs are skipped, so the
+first refuting profile or system, its certificate and the count checked
+are those of solving every LP.  The chain layouts and tail groups are
+built once per (p, active ranks) and kept for later calls, and for the
+pool's forked workers.
+
 Every implementation LP is laid out once, by `_tail_rows`, as integer rows
 (`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
 scale, goes into the pool as it is.  The public `implement_program` holds
@@ -32,6 +43,7 @@ infeasible inputs with an explicit witness profile.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -64,13 +76,16 @@ _MAX_CHAINS = 200_000
 # A scan costs about the same per run of systems that share all but the last
 # agent's layout, however long the run: `_scan_chunk` tests a run with a few
 # bitmask operations.  Scans of fewer runs than this stay one in-process
-# chunk even when jobs > 1, because every pool chunk rebuilds the layouts
-# and rediscovers its own implementing lotteries, which below the switch
-# costs more than the extra cores save (crossover measured at 2 cores; see
-# CHANGES.md).
+# chunk even when jobs > 1, because every pool chunk rediscovers the
+# implementing lotteries its seeds lack, which below the switch costs more
+# than the extra cores save (crossover measured at 2 cores before chunks
+# were seeded; see CHANGES.md).
 _POOL_SWITCH = 100_000
 
 UtilityVector = tuple[Fraction, ...]
+# Per active rank, each distinct tail (0-based outcomes) with the bitmask of
+# the chain layouts whose tail it is.
+TailGroups = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
 
 # ----------------------------------------------------------------------------
@@ -119,6 +134,21 @@ def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
     ks = active_ranks(lam)
     cum = lam.cumulative()
     return _tail_rows(lam.p, ks, [cum[k - 1] for k in ks], [pref.order for pref in prof.prefs])
+
+
+def _implements(
+    mass: Sequence[int], den: int, caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
+) -> bool:
+    """Whether the lottery `mass / den` over outcomes puts at most
+    `caps[k - 1] / cap_den` on the k worst outcomes of every order, for every
+    k up to len(caps), compared exactly as cross-multiplied integers."""
+    for order in orders:
+        tail = 0
+        for a, cap in zip(order, caps):
+            tail += mass[a - 1]
+            if tail * cap_den > cap * den:
+                return False
+    return True
 
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
@@ -354,20 +384,20 @@ def system_count(lam: RankLottery, n: int) -> int:
     return math.comb(c + n - 2, n - 1) if n >= 2 else 1
 
 
-def _tail_groups(
-    layouts: Sequence[tuple[int, ...]], ks: tuple[int, ...]
-) -> list[list[tuple[tuple[int, ...], int]]]:
-    """For each active rank k, every distinct k-tail of the layouts (as
-    0-based outcomes) with the bitmask of the layouts whose tail it is."""
+@functools.lru_cache(maxsize=8)
+def _scan_layouts(p: int, ks: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], TailGroups]:
+    """The chain layouts of `ks` over `p` outcomes and their tail groups,
+    built once per key and shared, unchanged, by every scan of that key."""
+    layouts = tuple(_chain_layouts(p, ks))
     groups = []
     for k in ks:
         members: dict[frozenset[int], list[int]] = {}
         for i, layout in enumerate(layouts):
             members.setdefault(frozenset(layout[:k]), []).append(i)
         groups.append(
-            [(tuple(a - 1 for a in tail), sum(1 << i for i in idx)) for tail, idx in members.items()]
+            tuple((tuple(a - 1 for a in tail), sum(1 << i for i in idx)) for tail, idx in members.items())
         )
-    return groups
+    return layouts, tuple(groups)
 
 
 def _add_to_pool(
@@ -376,7 +406,7 @@ def _add_to_pool(
     mass: Sequence[int],
     scale: int,
     caps: Sequence[Fraction],
-    groups: list[list[tuple[tuple[int, ...], int]]],
+    groups: TailGroups,
 ) -> None:
     """Make the lottery ``mass / scale`` pool lottery b = len(covers): set
     bit b in the mask of every layout whose tail caps it meets, and append
@@ -432,23 +462,30 @@ def _scan_chunk(payload: tuple) -> dict:
     the scan stops at the slice's first infeasible system.  `limit` caps the
     systems visited; `deadline` is checked once per run.  A stop returns
     the status "profile-limit" or "time-limit", naming which one ran out.
+
+    The pool starts with mass lam_k on outcome k, the uniform when it meets
+    the caps, and then `seeds`: lotteries ``(mass, scale)`` the caller knows
+    to meet the canonical chain.  A seed that does not raises.
     """
-    probs, n, ks, lo, hi, limit, deadline = payload
+    probs, n, ks, lo, hi, limit, deadline, seeds = payload
     lam = RankLottery(probs)
     p = lam.p
     cum = lam.cumulative()
     caps = [cum[k - 1] for k in ks]
-    layouts = _chain_layouts(p, ks)
+    layouts, groups = _scan_layouts(p, ks)
     count = len(layouts)
     identity = tuple(range(1, p + 1))
 
-    groups = _tail_groups(layouts, ks)
     masks = [0] * count
     covers: list[int] = []
-    # mass lam_k on outcome k always meets the canonical chain
     _add_to_pool(masks, covers, *_scaled(probs), caps, groups)
     if all(Fraction(k, p) <= cap for k, cap in zip(ks, caps)):
         _add_to_pool(masks, covers, [1] * p, p, caps, groups)
+    canonical = 1 << (count - 1)  # the identity layout overlaps the chain most, so it sorts last
+    for mass, scale in seeds:
+        _add_to_pool(masks, covers, mass, scale, caps, groups)
+        if not covers[-1] & canonical:
+            raise AssertionError(f"seed {mass} / {scale} misses the canonical chain")
 
     unions: dict[int, int] = {}  # common bits -> the union of their covers
     checked = 0
@@ -515,16 +552,19 @@ def _scan(
     jobs: int,
     limit: Optional[int],
     deadline: Optional[float],
+    seeds: tuple[tuple[tuple[int, ...], int], ...],
 ) -> dict:
     """Scan every tail system with min(`jobs`, cores) workers: in process
     when that is one, otherwise in 4 chunks per worker in a process pool of
-    at most one worker per chunk.
+    at most one worker per chunk.  Every chunk starts its pool with `seeds`
+    (see `_scan_chunk`), and the layouts are built here, before the pool
+    forks, so that its workers inherit them.
 
     Chunk outcomes are merged in enumeration order and a limit is spent on
     the chunks in that order, so both ways visit the same first `limit`
     systems and report the same first infeasible system and count.
     """
-    count = chain_count(len(probs), ks)
+    count = len(_scan_layouts(len(probs), ks)[0])
     agents = n - 1
     workers = min(jobs, os.cpu_count() or 1)
     ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4)
@@ -537,7 +577,7 @@ def _scan(
             )
             share = min(size, limit)
             limit -= share
-        payloads.append((probs, n, ks, lo, hi, share, deadline))
+        payloads.append((probs, n, ks, lo, hi, share, deadline, seeds))
     if len(payloads) == 1:
         return _scan_chunk(payloads[0])
 
@@ -714,13 +754,24 @@ def is_feasible(
             if mixture is not None:
                 return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
+    # Library LPs that a lottery of an earlier one answers are skipped; the
+    # lotteries, relabeled per agent, seed the scan (see the module docstring).
+    ks = active_ranks(lam)
+    cum = lam.cumulative()
+    caps = [cum[k - 1] for k in ks]
+    every_cap, cap_den = _scaled(cum[:-1])
+    points: list[tuple[list[int], int]] = []
+    seeds: dict[tuple[tuple[int, ...], int], None] = {}
     for prof in hard_profiles(n, p):
         if limit_profiles is not None and checked >= limit_profiles:
             return finish(UNDECIDED, "profile-limit")
         if deadline is not None and time.monotonic() >= deadline:
             return finish(UNDECIDED, "time-limit")
-        point, certificate = feasible_point(p, _implementation_rows(lam, prof))
+        orders = [pref.order for pref in prof.prefs]
         checked += 1
+        if any(_implements(x, scale, every_cap, cap_den, orders) for x, scale in points):
+            continue
+        point, certificate = feasible_point(p, _tail_rows(p, ks, caps, orders))
         if point is None:
             return finish(
                 INFEASIBLE,
@@ -728,8 +779,10 @@ def is_feasible(
                 witness_profile=prof,
                 witness_certificate=certificate,
             )
+        points.append(point)
+        x, scale = point
+        seeds.update(((tuple([x[a - 1] for a in order]), scale), None) for order in orders)
 
-    ks = active_ranks(lam)
     if not ks:
         # No binding tail constraints: any outcome lottery implements lam.
         return finish(FEASIBLE, "vacuous")
@@ -741,7 +794,7 @@ def is_feasible(
     budget = None if limit_profiles is None else limit_profiles - checked
     runs = math.comb(chains + n - 3, n - 2)  # systems sharing all but the last layout
     scan_jobs = jobs if runs >= _POOL_SWITCH else 1
-    outcome = _scan(lam.probs, n, ks, scan_jobs, budget, deadline)
+    outcome = _scan(lam.probs, n, ks, scan_jobs, budget, deadline, tuple(seeds))
     checked += outcome["checked"]
     if outcome["status"] == INFEASIBLE:
         witness = Profile(tuple(Preference(order) for order in outcome["orders"]))

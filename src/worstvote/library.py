@@ -10,6 +10,7 @@ to exhaustive enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .profiles import (
@@ -110,8 +111,10 @@ def padded_profiles(n: int, p: int) -> list[Profile]:
     return out
 
 
-def hard_profiles(n: int, p: int) -> list[Profile]:
-    """Deduplicated seed list for witness searches at (n, p)."""
+@functools.lru_cache(maxsize=32)
+def hard_profiles(n: int, p: int) -> tuple[Profile, ...]:
+    """Deduplicated seed list for witness searches at (n, p), built once
+    per (n, p)."""
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[Profile] = []
     candidates: list[Profile] = []
@@ -126,4 +129,4 @@ def hard_profiles(n: int, p: int) -> list[Profile]:
         if key not in seen:
             seen.add(key)
             out.append(prof)
-    return out
+    return tuple(out)

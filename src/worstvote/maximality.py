@@ -10,9 +10,9 @@ tested at the working profiles by exact implementation LPs, laid out as
 integer rows by `feasibility._tail_rows` and solved by `lp.feasible_point`,
 except where an outcome lottery returned by an earlier feasible LP of the
 same call (kept as ints over one scale) already meets the candidate's tail
-caps (checked in integers).  A candidate that survives the working
-profiles goes to the full feasibility engine; its witness profile, if any,
-contributes a new cut.  The loop ends either with
+caps (checked in integers by `feasibility._implements`).  A candidate
+that survives the working profiles goes to the full feasibility engine; its
+witness profile, if any, contributes a new cut.  The loop ends either with
 a certified improver (dominated) or with master slack exactly zero
 (maximal: even the relaxation admits no strict dominator, and the true
 feasible set is contained in the relaxation).  Before a maximal verdict,
@@ -47,6 +47,7 @@ from .feasibility import (
     FEASIBLE,
     UNDECIDED,
     FeasibilityReport,
+    _implements,
     _tail_rows,
     active_ranks,
     is_feasible,
@@ -107,21 +108,6 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
             coeffs[t] += w
     ints, den = _scaled([*coeffs, Fraction(1)])
     return ints, den, GE
-
-
-def _implements(
-    mass: Sequence[int], den: int, caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
-) -> bool:
-    """Whether the lottery `mass / den` over outcomes puts at most
-    `caps[k - 1] / cap_den` on the k worst outcomes of every order, for every
-    k up to len(caps), compared exactly as cross-multiplied integers."""
-    for order in orders:
-        tail = 0
-        for a, cap in zip(order, caps):
-            tail += mass[a - 1]
-            if tail * cap_den > cap * den:
-                return False
-    return True
 
 
 def improve(

@@ -194,6 +194,19 @@ class TestCache:
         assert cached_payload["verdict"] == fresh_payload["verdict"]
         assert list(tmp_path.glob("*.json"))
 
+    def test_cache_hit_states_its_own_cost(self, capsys, tmp_path):
+        args = ["maximal", "--n", "3", "--lottery", "1/3,0,0,1/3,1/3,0,0", "--jobs", "1", "--json",
+                "--cache", str(tmp_path)]
+        code, fresh = run_cli(capsys, *args)
+        assert code == 0
+        (stored,) = tmp_path.glob("*.json")
+        stored.write_text(json.dumps({**json.loads(stored.read_text()), "runtime_ms": 10**9}))
+        code, cached = run_cli(capsys, *args)
+        assert code == 0
+        served = json.loads(cached)
+        assert served["runtime_ms"] < 1000
+        assert {**served, "runtime_ms": 0} == {**json.loads(fresh), "runtime_ms": 0}
+
     def test_cache_ignores_other_lotteries(self, capsys, tmp_path):
         run_cli(
             capsys, "feasible", "--n", "3", "--lottery", "1/3,1/3,0,0,0,1/3",

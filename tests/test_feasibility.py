@@ -1,4 +1,7 @@
+import hashlib
 import random
+from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from worstvote.feasibility import (
     system_count,
 )
 from worstvote.lottery import (
+    convex_combination,
     dominates,
     lottery,
     parse_lottery,
@@ -100,6 +104,29 @@ class TestActiveRanks:
                         rows.append(row(coeffs, LE, cum[k - 1]))
                 full = solve(feasibility_program(4, rows)).status == "optimal"
                 assert reduced == full
+
+
+class InlinePool:
+    """A stand-in for `ProcessPoolExecutor` that runs each chunk inline and
+    starts no process; every pool made is kept in `made`."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.workers, self.chunks = max_workers, 0
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, payload):
+        self.chunks += 1
+        future = Future()
+        future.set_result(fn(payload))
+        return future
 
 
 class TestIsFeasible:
@@ -224,29 +251,10 @@ class TestIsFeasible:
         # with one core it scans in process.  The stand-in pool runs each
         # chunk inline and starts no process, and the core count is set, so
         # the test runs alike on any machine.
-        from concurrent.futures import Future
-
         import worstvote.feasibility as feas
 
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                self.workers, self.chunks = max_workers, 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, payload):
-                self.chunks += 1
-                future = Future()
-                future.set_result(fn(payload))
-                return future
-
+        pools = InlinePool.made
+        pools.clear()
         monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
         monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
@@ -267,8 +275,6 @@ class TestIsFeasible:
                     split.verdict, split.profiles_checked, split.witness_profile, split.witness_certificate)
 
     def test_cached_report_states_its_own_cost(self, monkeypatch):
-        from dataclasses import replace
-
         import worstvote.feasibility as feas
 
         monkeypatch.setattr(feas, "_verdict_cache", {})
@@ -350,7 +356,7 @@ class TestSystemScan:
         gc.collect()
         gc.disable()
         try:
-            outcome = feas._scan_chunk((lam.probs, 3, ks, 0, feas.chain_count(5, ks), None, None))
+            outcome = feas._scan_chunk((lam.probs, 3, ks, 0, feas.chain_count(5, ks), None, None, ()))
             assert outcome["status"] == "feasible"
             assert gc.collect() == 0
         finally:
@@ -425,6 +431,58 @@ class TestScanOrder:
         assert verify_infeasibility(program, report.witness_certificate)
 
 
+def report_corpus():
+    """(lam, n, limit) inputs whose reports `TestReportDigest` pins: seeded
+    mixtures of the uniform and a random lottery at five small contexts,
+    the `TestScanOrder` inputs (the library refutes them), two inputs the
+    scan refutes past the library, and two profile-limited scans."""
+    rng = random.Random(15)
+    corpus = []
+    for n, p in ((3, 5), (3, 6), (4, 5), (4, 6), (3, 7)):
+        for _ in range(40):
+            raw = rand_lottery(p, rng, grain=rng.choice((10, 12, 20)))
+            w = F(rng.randint(1, 9), 10)
+            corpus.append((convex_combination([(w, uniform(p)), (1 - w, raw)]), n, None))
+    corpus += [(parse_lottery(text), n, None) for n, text, *_ in TestScanOrder.PINNED]
+    corpus += [
+        (parse_lottery("21/100,37/200,43/200,39/200,39/200"), 3, None),
+        (parse_lottery("36/175,22/175,3/35,36/175,3/35,29/175,22/175"), 3, None),
+        (parse_lottery("1/4,1/4,0,0,1/4,1/4,0"), 3, 5),
+        (parse_lottery("1/4,1/4,0,0,1/4,1/4,0"), 3, 17 + 100),
+    ]
+    return corpus
+
+
+class TestReportDigest:
+    # sha256 of the `repr` of every report of `report_corpus()`, each with
+    # `runtime_ms` set to 0, in corpus order, from `is_feasible(lam, n,
+    # use_hull=False, limit_profiles=limit)`.  Recorded before a feasibility
+    # call reused its library LPs' lotteries and built its scan layouts once
+    # per (p, ks); that reuse skips only feasible LPs, so no field may move.
+    DIGEST = "8487520d0407ca6acde766d719a52f27dfba11f5230adc89125c2a8d6d0d5eed"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_are_pinned(self, monkeypatch, jobs):
+        import worstvote.feasibility as feas
+
+        # At two jobs every scan splits into chunks, run by the inline pool.
+        monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+        monkeypatch.setattr(feas.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(feas, "_verdict_cache", {})
+        InlinePool.made.clear()
+        digest = hashlib.sha256()
+        methods = set()
+        for lam, n, limit in report_corpus():
+            report = is_feasible(lam, n, jobs=jobs, use_hull=False, limit_profiles=limit)
+            digest.update(repr(replace(report, runtime_ms=0)).encode())
+            methods.add((report.verdict, report.method.split(":")[0]))
+        assert {("infeasible", "cut"), ("infeasible", "library-profile"), ("infeasible", "scan"),
+                ("feasible", "scan"), ("undecided", "profile-limit")} <= methods
+        assert bool(InlinePool.made) == (jobs > 1)
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestLargeScans:
     # Feasible scans above the benchmark's sizes, where most runs of systems
     # share their common pool bits with an earlier run.  The counts, library
@@ -492,8 +550,7 @@ class TestIntegerRows:
 
         # One active rank: each layout's tail is one outcome, capped at 1/3.
         ks, caps = (1,), [F(1, 3)]
-        layouts = feas._chain_layouts(3, ks)
-        groups = feas._tail_groups(layouts, ks)
+        layouts, groups = feas._scan_layouts(3, ks)
         spares_first = [layout[0] != 1 for layout in layouts]
         # At 2**60 + 1 units the cap times the scale is an integer that no
         # float holds.

@@ -288,8 +288,8 @@ class TestVerification:
     def test_checks_survive_python_O(self):
         # Under -O `assert` statements are stripped; a result that fails its
         # integer check must still raise, and so must an optimum whose dual
-        # fails its check and a cut witness whose implementation LP does not
-        # come back infeasible.
+        # fails its check, a cut witness whose implementation LP does not
+        # come back infeasible, and a scan seed that misses the canonical chain.
         import worstvote
 
         script = """if True:
@@ -313,6 +313,11 @@ class TestVerification:
             attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [([1, -1], 1, "<=")])))
             feasibility.feasible_point = lambda num_vars, rows: (([0] * num_vars, 1), None)
             attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
+            lam = parse_lottery("0,0,1/3,1/3,1/3")
+            ks = feasibility.active_ranks(lam)
+            # all mass on outcome 1, the worst outcome of the canonical chain
+            payload = (lam.probs, 3, ks, 0, feasibility.chain_count(5, ks), None, None, (([1, 0, 0, 0, 0], 1),))
+            attempt("seed", lambda: feasibility._scan_chunk(payload))
             print(sys.flags.optimize, *raised)
         """
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -320,7 +325,7 @@ class TestVerification:
         run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
                              timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "dual", "optimal", "infeasible", "cut"]
+        assert run.stdout.split() == ["1", "dual", "optimal", "infeasible", "cut", "seed"]
 
 
 class TestValidation:
@@ -1136,16 +1141,21 @@ def test_golden_results(label, program, expected):
 
 # sha256 of the `repr((program, result))` of every LP solved in
 # `test_lp_traffic_is_unchanged`, with the program in the `Fraction` form of
-# `fraction_lp.LinearProgram`, except the feasible working-set LPs of
-# `maximality.improve`, which its pre-check may answer without a solve.  A
-# `feasible_point` call counts as the `solve` of the `Fraction` program
-# rebuilt from its rows, with the result `solve` returns for it.  Each step
-# of the warm master counts as the `solve` of the master rows plus the cuts
-# so far, in the same order.  Recorded before that pre-check existed, when
-# `improve` solved all 68 of them.  Any change to a program the engines build,
-# to the order they solve them in, or to a result changes it.
-TRAFFIC_DIGEST = "c178e64a3133f2e055ebadae5eeb5eca85a04c13e97c2cc7992a46b1b5a32c6c"
-SKIPPABLE_AT_RECORDING = 68
+# `fraction_lp.LinearProgram`, except the feasible LPs that go through
+# `feasible_point`: the working-set LPs of `maximality.improve`, which its
+# pre-check may answer without a solve, and the library-profile and scan LPs
+# of `feasibility.is_feasible`, which the lotteries of its earlier feasible
+# LPs may answer without a solve.  A `feasible_point` call counts as the
+# `solve` of the `Fraction` program rebuilt from its rows, with the result
+# `solve` returns for it.  Each step of the warm master counts as the `solve`
+# of the master rows plus the cuts so far, in the same order.  Any change to a
+# program the engines build, to the order they solve them in, or to a result
+# changes it.  Recorded with 90 digested calls, when `is_feasible` solved
+# every library-profile LP and seeded its scans with two lotteries only.  The
+# left-out counts are those of the first solver each pre-check was added to:
+# 160 feasible LPs in `is_feasible`, 68 in `improve` (28 at this recording).
+TRAFFIC_DIGEST = "a20331fdf1bc25f8db19eb7a6d15810a7e303722170fe08f21313030426ae8e7"
+SKIPPABLE_AT_RECORDING = {"feasibility": 160, "maximality": 68}
 
 
 def test_lp_traffic_is_unchanged(monkeypatch):
@@ -1185,20 +1195,18 @@ def test_lp_traffic_is_unchanged(monkeypatch):
             result = LPResult("optimal", tuple(F(v, scale) for v in x), F(0))
         return (point, certificate), program, result
 
-    def traced_rows(num_vars, rows):
-        answer, program, result = rows_call(num_vars, rows)
-        digested(program, result)
-        return answer
+    left_out = {"feasibility": [], "maximality": []}
 
-    left_out = []
+    def leaving_out_feasible(module):
+        def traced_rows(num_vars, rows):
+            answer, program, result = rows_call(num_vars, rows)
+            if result.status == "optimal":
+                left_out[module].append(program)
+            else:
+                digested(program, result)
+            return answer
 
-    def traced_working_set(num_vars, rows):
-        answer, program, result = rows_call(num_vars, rows)
-        if result.status == "optimal":
-            left_out.append(program)
-        else:
-            digested(program, result)
-        return answer
+        return traced_rows
 
     class TracedMaster(IncrementalLP):
         """Digests each master step as the program a cold `solve` would be
@@ -1218,9 +1226,9 @@ def test_lp_traffic_is_unchanged(monkeypatch):
             return result
 
     monkeypatch.setattr(feasibility, "solve", traced)
-    monkeypatch.setattr(feasibility, "feasible_point", traced_rows)
+    monkeypatch.setattr(feasibility, "feasible_point", leaving_out_feasible("feasibility"))
     monkeypatch.setattr(maximality, "solve", traced)
-    monkeypatch.setattr(maximality, "feasible_point", traced_working_set)
+    monkeypatch.setattr(maximality, "feasible_point", leaving_out_feasible("maximality"))
     monkeypatch.setattr(maximality, "IncrementalLP", TracedMaster)
     half = F(1, 2)
 
@@ -1246,4 +1254,6 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         assert (report.verdict, report.method) == ("feasible", "scan")
     assert "infeasible" in calls and "optimal" in calls
     assert digest.hexdigest() == TRAFFIC_DIGEST, (len(calls), digest.hexdigest())
-    assert len(left_out) < SKIPPABLE_AT_RECORDING
+    assert len(calls) == 90
+    for module, skippable in SKIPPABLE_AT_RECORDING.items():
+        assert len(left_out[module]) < skippable, module

@@ -116,7 +116,7 @@ def _meets_rows_exactly(ell, mu, prof):
 
 def _pre_check(ell, mu, prof):
     caps, cap_den = _scaled(mu.cumulative()[:-1])
-    return maximality._implements(*_scaled(ell), caps, cap_den, [pref.order for pref in prof.prefs])
+    return feasibility._implements(*_scaled(ell), caps, cap_den, [pref.order for pref in prof.prefs])
 
 
 class TestWorkingSetPreCheck:
