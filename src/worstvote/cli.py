@@ -23,7 +23,7 @@ from .duality import dual
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
 from .feasibility import is_feasible
 from .maximality import is_maximal
-from .protocols import parse_protocol, worst_case_guarantee
+from .protocols import CoverRound, cover_protocol, parse_protocol, worst_case_guarantee
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -199,9 +199,34 @@ def _simplex(args) -> Output:
     return {"vertices": vertices}, vertices
 
 
+def _named_cover(spec, n: int, p: int) -> bool:
+    """Whether `spec` is one of `cover_protocol`'s named specs at (n, p)."""
+    for mode in ("top-pair", "bottom-pair", "block"):
+        try:
+            if cover_protocol(n, p, mode) == spec:
+                return True
+        except ValueError:
+            continue
+    return False
+
+
 def _protocol_eval(args) -> Output:
     spec = parse_protocol(args.spec, args.n, args.p)
+    # Evaluated first, so that a protocol that cannot be played is a usage error.
     report = worst_case_guarantee(spec, args.n, args.p)
+    covers = any(isinstance(stage, CoverRound) for stage in spec.stages)
+    if covers and not _named_cover(spec, args.n, args.p):
+        # A cover round plays the first covering set by label, and label 1 is
+        # agent 1's worst outcome, so its worst case can favor agent 1; only
+        # the named covers are checked against every preference of agent 1.
+        reason = f"outside the named covers at ({args.n},{args.p}), a cover stage may favor agent 1"
+        payload = {
+            "protocol": spec.text(),
+            "verdict": "undecided",
+            "reason": reason,
+            "runtime_ms": report.runtime_ms,
+        }
+        return payload, [f"protocol: {spec.text()}", "verdict: undecided", f"reason: {reason}"]
     claim_ok = None
     if args.claim is not None:
         claim_ok = dominates(report.achieved, args.claim)

@@ -15,9 +15,13 @@ on explicit reports, checked for legality first (all randomization
 symbolic, never sampled), and turns the listings into `Fraction` masses.
 `worst_case_guarantee` fixes agent 1 on one preference playing its safe
 strategy and takes, per rank, the worst case over every adversary report by
-a recursion over (stage, survivors) states that calls `_step` once per
-multiset of adversary reports.  The recursion adds and compares integer
-numerators over one scale per stage; only its result is a `Fraction`.
+a recursion over (stage, survivor count) states that calls `_step` once per
+multiset of adversary reports.  A count suffices because every stage reads
+outcome labels only through their order: relabeling survivors S onto
+1..|S| in order carries each play onto a play, so the worst case on S at
+rank k is the one on 1..|S| at rank |S & 1..k|.  The recursion adds and
+compares integer numerators over one scale per stage; only its result is a
+`Fraction`.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -32,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from .lottery import RankLottery, ZERO, dominates, rd, uniform
 from .compose import rd_compose, vt_compose
@@ -46,15 +50,8 @@ from .profiles import (
 )
 
 class CoverNotFoundError(ValueError):
-    """No covering set exists for the reported preference fragments.
-
-    Carrying the offending reports: a reproducible counterexample to the
-    combinatorial premise of the covering protocol.
-    """
-
-    def __init__(self, message: str, reports: tuple[frozenset[int], ...]):
-        super().__init__(message)
-        self.reports = reports
+    """No covering set exists for the reported preference fragments: a
+    counterexample to the combinatorial premise of the covering protocol."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ class CoverRound:
             raise ValueError("play must be 'cover' or 'complement'")
 
 
-Stage = Union[VetoRound, DictatorRound, UniformFallback, CoverRound]
+Stage = VetoRound | DictatorRound | UniformFallback | CoverRound
 
 
 @dataclass(frozen=True)
@@ -230,9 +227,11 @@ def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> 
     if name == "rd":
         if len(suffix) == 1:
             if not args[0]:
+                if window < 1:
+                    raise ValueError(f"no outcomes left for the stage at position {off}")
                 probs = [ZERO] * window
                 probs[0] = Fraction(n - 1, n)
-                probs[-1] = Fraction(1, n)
+                probs[-1] += Fraction(1, n)
                 return RankLottery(tuple(probs))
             return rd(n, window)
         return rd_compose(_suffix_guarantee(suffix[1:], n, window - n, off), n)
@@ -268,21 +267,13 @@ def _find_cover(
 
 
 def _legal_reports(stage: Stage, survivors: tuple, stage_reports: tuple, idx: int, n: int) -> tuple:
-    """Stage idx's reports, sets made frozensets; ValueError if one is illegal."""
-    if len(stage_reports) != n:
-        raise ValueError(f"stage {idx} needs {n} reports")
-    if isinstance(stage, DictatorRound):
-        for a in stage_reports:
-            if a not in survivors:
-                raise ValueError(f"illegal dictator report {a} at stage {idx}")
-        return stage_reports
-    if isinstance(stage, UniformFallback):
-        return stage_reports
-    kind, size = ("veto", stage.tokens) if isinstance(stage, VetoRound) else ("cover", stage.depth)
-    stage_reports = tuple(frozenset(rep) for rep in stage_reports)
-    for rep in stage_reports:
-        if len(rep) != size or not rep <= set(survivors):
-            raise ValueError(f"illegal {kind} report {sorted(rep)} at stage {idx}")
+    """Stage idx's reports, sets made frozensets; ValueError unless there
+    are n of them, each in the stage's report space."""
+    if isinstance(stage, (VetoRound, CoverRound)):
+        stage_reports = tuple(map(frozenset, stage_reports))
+    space = _report_space(stage, survivors)
+    if len(stage_reports) != n or not all(rep in space for rep in stage_reports):
+        raise ValueError(f"stage {idx} needs {n} legal reports, got {stage_reports}")
     return stage_reports
 
 
@@ -311,11 +302,13 @@ def _step(stage: Stage, survivors: tuple, stage_reports: tuple, n: int) -> tuple
         return padded, weight, tuple(a for a in survivors if a not in padded)
     cover = _find_cover(survivors, stage_reports, stage.cover_size)
     if cover is None:
-        raise CoverNotFoundError(
-            f"no {stage.cover_size}-set meets all reported {stage.depth}-sets", stage_reports
-        )
+        raise CoverNotFoundError(f"no {stage.cover_size}-set meets all reported {stage.depth}-sets")
     if stage.play == "complement":
         cover = tuple(a for a in survivors if a not in cover)
+        if not cover:
+            raise ValueError(
+                f"a {stage.cover_size}-set cover leaves no complement of {len(survivors)} outcomes"
+            )
     return cover, 0, ()
 
 
@@ -380,12 +373,12 @@ class EvalReport:
     achieved: RankLottery
     scenario_count: int
     worst_scenarios: dict[int, tuple]
-    runtime_ms: int = 0
+    runtime_ms: int
 
 
 def _safe_report(stage: Stage, survivors: tuple, pref: Preference):
     """Agent 1's truthful play: veto the worst, claim the best."""
-    by_rank = [a for a in pref.order if a in set(survivors)]
+    by_rank = sorted(survivors, key=pref.order.index)
     if isinstance(stage, VetoRound):
         return frozenset(by_rank[: stage.tokens])
     if isinstance(stage, DictatorRound):
@@ -399,26 +392,40 @@ def _safe_report(stage: Stage, survivors: tuple, pref: Preference):
 
 def _report_space(stage: Stage, survivors: tuple):
     if isinstance(stage, DictatorRound):
-        return list(survivors)
+        return survivors
     if isinstance(stage, UniformFallback):
         return [None]
     size = stage.tokens if isinstance(stage, VetoRound) else stage.depth
+    if size > len(survivors):
+        raise ValueError(f"no {size}-set to report among {len(survivors)} outcomes")
     return [frozenset(c) for c in itertools.combinations(survivors, size)]
 
 
-def worst_case_guarantee(
-    spec: ProtocolSpec, n: int, p: int, pref: Optional[Preference] = None
-) -> EvalReport:
+def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     """Tightest guarantee the protocol delivers to a truthful agent 1.
 
-    Agent 1 holds `pref` (default: the identity) and plays its safe report
-    against every adversary report tuple.  A scenario's mass on agent 1's k
-    worst outcomes is what its first stage settles there plus w >= 0 (fixed
-    by the stage) times that of the continuation, which depends only on the
-    next (stage, survivors) state.  So the largest such mass per rank, and
-    the first scenario attaining it, follow from a recursion over states,
-    memoized per call.  `_step` is symmetric in the adversaries, so their
-    reports are multisets, each counted with its orderings.
+    Agent 1 holds the identity preference (label 1 its worst outcome) and
+    plays its safe report against every adversary report tuple.  A
+    scenario's mass on agent 1's k worst outcomes is what its first stage
+    settles there plus w >= 0 (fixed by the stage) times that of the
+    continuation, which depends only on the next (stage, survivors) state.
+    So the largest such mass per rank, and the first scenario attaining it,
+    follow from a recursion over states, memoized per call.  `_step` is
+    symmetric in the adversaries, so their reports are multisets, each
+    counted with its orderings.
+
+    A state needs only the number of survivors.  Every stage reads labels
+    through their order alone: the veto union, `_pad_set` (the lowest
+    labels), `_find_cover` (the first combination in label order),
+    `_safe_report` and `_report_space`.  So the order-preserving relabeling
+    of survivors S onto 1..|S| carries each play from S, its reports, its
+    listings and its survivors, onto a play from 1..|S|, in the same order.
+    Hence worst(idx, S)[k] = worst(idx, 1..|S|)[|S & 1..k|] (0 when that
+    count is 0), with the same first worst reports relabeled, and the
+    scenario count depends only on |S|.  The memo keys (stage, |S|) and
+    evaluates each on the survivors 1..|S|; a listing of `a` adds at rank
+    a, and a continuation is lifted back through its survivors by that
+    count.  One evaluation holds at most len(stages) * (p + 1) states.
 
     One preference stands for all: relabeling outcomes carries each stage's
     possible results to the relabeled ones.  A veto removes the union of the
@@ -434,29 +441,28 @@ def worst_case_guarantee(
     weight (0 for a terminal stage).  A listing then adds
     (w.denominator - w.numerator) * unit // len(listed) * scale[idx + 1] at
     its rank, and a continuation adds w.numerator * unit times the next
-    state's numerators.  Raises ValueError if n or p is below 1, if `pref`
-    does not rank p outcomes, or if the protocol can veto every outcome.
+    state's numerators.  Raises ValueError if n or p is below 1, if the
+    protocol can veto every outcome, or if a stage cannot be played.
     """
     started = time.perf_counter()
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
-    pref = pref or identity_preference(p)
-    if pref.p != p:
-        raise ValueError(f"pref ranks {pref.p} outcomes, but p={p}")
     _check_vetoes(spec, n, p)
-    start = tuple(range(1, p + 1))
+    identity = identity_preference(p)
     unit = math.lcm(*range(1, max(n, p) + 1))
     scale = [1]
     for stage in reversed(spec.stages):
         weight = getattr(stage, "continue_weight", None) or 0
         scale.insert(0, scale[0] * (1 if isinstance(stage, VetoRound) else unit * weight.denominator))
 
-    # -> worst cumulative numerators over scale[idx], scenarios,
-    #    per rank (first worst reports, next survivors or None)
+    # -> worst cumulative numerators over scale[idx] at ranks 0..m of the
+    #    survivors 1..m, scenarios, per rank (first worst reports, next
+    #    survivors or None)
     @functools.cache
-    def worst(idx: int, survivors: tuple) -> tuple:
+    def worst(idx: int, m: int) -> tuple:
         stage = spec.stages[idx]
-        mine = (_safe_report(stage, survivors, pref),)
+        survivors = tuple(range(1, m + 1))
+        mine = (_safe_report(stage, survivors, identity),)
         space = _report_space(stage, survivors)
         groups = {}  # (listed, rest) -> [first reports, orderings]
         for combo in itertools.combinations_with_replacement(range(len(space)), n - 1):
@@ -465,16 +471,18 @@ def worst_case_guarantee(
             entry = groups.setdefault((listed, rest), [reports, 0])
             entry[1] += math.factorial(n - 1) // math.prod(map(math.factorial, map(combo.count, set(combo))))
         # `weight` is the stage's own: every report tuple gets the same one.
-        best, count, picks = [-1] * p, 0, [None] * p
+        best, count, picks = [-1] * (m + 1), 0, [None] * (m + 1)
         for (listed, rest), (reports, orderings) in groups.items():
-            cum = [0] * p
+            cum = [0] * (m + 1)
             if listed:
                 share = (weight.denominator - weight.numerator) * unit // len(listed) * scale[idx + 1]
                 for a in listed:
-                    cum[pref.order.index(a)] += share
+                    cum[a] += share
                 cum = list(itertools.accumulate(cum))
             if weight:
-                sub, sub_count, _ = worst(idx + 1, rest)
+                sub, sub_count, _ = worst(idx + 1, len(rest))
+                # rank k here is rank |rest & 1..k| there
+                sub = [sub[j] for j in itertools.accumulate((a in rest for a in survivors), initial=0)]
                 cum = sub if weight == 1 else [c + weight.numerator * unit * s for c, s in zip(cum, sub)]
                 orderings *= sub_count
             count += orderings
@@ -485,17 +493,24 @@ def worst_case_guarantee(
         return best, count, picks
 
     def trace(k: int) -> tuple:
-        out, survivors = [], start
-        while survivors is not None:
-            reports, survivors = worst(len(out), survivors)[2][k]
-            out.append(reports)
-        return tuple(out)
+        out, names = [], range(p + 1)  # names[a]: the outcome that label a stands for
+        while True:
+            reports, rest = worst(len(out), len(names) - 1)[2][k]
+            out.append(tuple(
+                frozenset(names[a] for a in r) if isinstance(r, frozenset) else r and names[r]  # None stays
+                for r in reports
+            ))
+            if rest is None:
+                return tuple(out)
+            # Every group ties at rank 0, so a rank below every survivor of
+            # `rest` traces the next state's first group.
+            k, names = sum(a <= k for a in rest), (0, *(names[a] for a in rest))
 
-    best, count, _ = worst(0, start)
+    best, count, _ = worst(0, p)
     report = EvalReport(
-        achieved=RankLottery(tuple(Fraction(b - a, scale[0]) for a, b in zip([0] + best, best))),
+        achieved=RankLottery(tuple(Fraction(b - a, scale[0]) for a, b in zip(best, best[1:]))),
         scenario_count=count,
-        worst_scenarios={k + 1: trace(k) for k in range(p) if best[k] > 0},
+        worst_scenarios={k: trace(k) for k in range(1, p + 1) if best[k] > 0},
         runtime_ms=int((time.perf_counter() - started) * 1000),
     )
     del worst  # `worst` refers to itself; this breaks the cycle, so its memo is freed now

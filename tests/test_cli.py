@@ -181,6 +181,25 @@ class TestExitCodes:
                 assert (code, captured.out) == (3, "")
                 assert f"n and p must be at least 1, got n={n}, p={p}" in captured.err
 
+    def test_cover_that_cannot_be_played_is_three(self, capsys):
+        # It printed "achieved guarantee: 0,0,0,1" and exited 0.
+        code = main(["protocol-eval", "--spec", "veto(1); cover(2,2,bottom)", "--n", "3", "--p", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "leaves no complement" in captured.err
+
+    def test_cover_outside_the_named_ones_is_undecided(self, capsys):
+        # It printed a guarantee that `feasible` refutes.
+        code, out = run_cli(capsys, "protocol-eval", "--spec", "cover(2,6,bottom)", "--n", "4", "--p", "7")
+        assert code == 2
+        assert "verdict: undecided" in out and "achieved" not in out
+        code, out = run_cli(
+            capsys, "protocol-eval", "--spec", "cover(2,6,bottom)", "--n", "4", "--p", "7", "--json"
+        )
+        assert (code, json.loads(out)["verdict"]) == (2, "undecided")
+        code, out = run_cli(capsys, "protocol-eval", "--spec", "cover(2,3,bottom)", "--n", "4", "--p", "7")
+        assert code == 0 and "achieved guarantee: " in out
+
 
 class TestCache:
     def test_cached_verdicts_match_fresh(self, capsys, tmp_path):

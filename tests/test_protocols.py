@@ -1,7 +1,9 @@
+import functools
 import gc
 import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,14 @@ class TestParsing:
         # whose guarantee peaks at 1; weight = 1/(3*1 + 1)
         assert stage.continue_weight == F(1, 4)
 
+    def test_final_naive_dictator_after_a_continuation(self):
+        # With no outcome left the parser raised IndexError; with one it
+        # failed on a guarantee of mass 1/2.
+        with pytest.raises(ValueError, match="no outcomes left"):
+            parse_protocol("rd(pad); veto(1); rd(naive)", 2, 3)
+        spec = parse_protocol("rd(pad); veto(1); rd(naive)", 2, 5)
+        assert spec.stages[0].continue_weight == F(1, 3)
+
     def test_error_positions(self):
         with pytest.raises(ValueError) as err:
             parse_protocol("veto(1); bogus(2)", 3, 6)
@@ -60,6 +70,31 @@ class TestParsing:
             ProtocolSpec((VetoRound(1),))
         with pytest.raises(ValueError):
             parse_protocol("uniform; uniform", 3, 6)
+
+
+class TestUnplayableStages:
+    """A stage with no legal report, or a cover round with nothing off its
+    cover, cannot be played.  The first three cases evaluated to a guarantee,
+    the last two failed with "probabilities sum to 0"."""
+
+    @pytest.mark.parametrize(
+        "text, n, p, message",
+        [
+            ("veto(1); cover(1,3,top)", 2, 4, "no 3-set to report among 2 outcomes"),
+            ("veto(1); cover(1,2,top)", 2, 3, "no 2-set to report among 1 outcomes"),
+            ("veto(1); cover(2,2,bottom)", 3, 4, "leaves no complement"),
+            ("cover(2,1,bottom)", 2, 2, "leaves no complement"),
+            ("cover(3,2,bottom)", 3, 3, "leaves no complement"),
+        ],
+    )
+    def test_evaluation_raises(self, text, n, p, message):
+        with pytest.raises(ValueError, match=message):
+            worst_case_guarantee(parse_protocol(text, n, p), n, p)
+
+    def test_run_raises(self):
+        spec = parse_protocol("cover(2,1,bottom)", 2, 2)
+        with pytest.raises(ValueError, match="leaves no complement"):
+            run(spec, identical_profile(2, 2), ((frozenset({1}), frozenset({2})),))
 
 
 class TestRun:
@@ -140,9 +175,6 @@ class TestWorstCase:
 
     def test_dimensions_are_checked(self):
         spec = parse_protocol("rd(pad)", 3, 6)
-        for order in (range(1, 8), range(1, 6)):
-            with pytest.raises(ValueError, match="pref ranks"):
-                worst_case_guarantee(spec, 3, 6, Preference(tuple(order)))
         for n, p, named in ((0, 6, "n=0"), (3, 0, "p=0")):
             with pytest.raises(ValueError, match=named):
                 worst_case_guarantee(spec, n, p)
@@ -210,8 +242,11 @@ def _oracle(spec, n, p, pref):
             yield mine + adv
 
     scenarios = list(protocols._plays(spec, n, p, adversaries))
-    worst_cum, worst_trace = [F(0)] * p, {}
+    worst_cum, worst_trace, seen = [F(0)] * p, {}, set()
     for trace, dist in scenarios:
+        if dist in seen:  # a repeated distribution attains no new maximum
+            continue
+        seen.add(dist)
         acc = F(0)
         for k, x in enumerate(rank_rearrange(dist, pref).probs, start=1):
             acc += x
@@ -266,7 +301,9 @@ class TestRunMatchesEnumeration:
 
 
 class TestNeutrality:
-    """The guarantee does not depend on which preference agent 1 holds."""
+    """The guarantee does not depend on which preference agent 1 holds: the
+    recursion, which fixes the identity, agrees with the brute force for
+    agent 1 on any order."""
 
     @pytest.mark.parametrize(
         "spec, n, p, sample",
@@ -284,11 +321,59 @@ class TestNeutrality:
         orders = list(itertools.permutations(range(1, p + 1)))
         if sample is not None:
             orders = random.Random(n * 100 + p).sample(orders, sample)
-        baseline = worst_case_guarantee(spec, n, p)
+        report = worst_case_guarantee(spec, n, p)
         for order in orders:
-            report = worst_case_guarantee(spec, n, p, Preference(order))
-            assert report.achieved == baseline.achieved, order
-            assert report.scenario_count == baseline.scenario_count, order
+            scenarios, achieved, _ = _oracle(spec, n, p, Preference(order))
+            assert achieved == report.achieved, order
+            assert len(scenarios) == report.scenario_count, order
+
+
+_FINAL_STAGES = ("rd(pad)", "rd(naive)", "uniform") + tuple(
+    f"cover({s},{d},{side})" for s in (1, 2, 3) for d in (1, 2, 3) for side in ("top", "bottom")
+)
+
+
+def _sweep():
+    """Protocols of up to two of `veto(1)`, `veto(2)` and `rd(pad)`, then one
+    final stage, at each n = 2..4, p = 2..7 where the text parses and its
+    vetoes leave an outcome: 899 cases."""
+    cases = []
+    for n, p, depth in itertools.product(range(2, 5), range(2, 8), range(3)):
+        for prefix in itertools.product(("veto(1)", "veto(2)", "rd(pad)"), repeat=depth):
+            for final in _FINAL_STAGES:
+                text = "; ".join(prefix + (final,))
+                try:
+                    spec = parse_protocol(text, n, p)
+                except ValueError:
+                    continue
+                if sum(stage.tokens for stage in spec.stages if isinstance(stage, VetoRound)) * n < p:
+                    cases.append((text, n, p))
+    return cases
+
+
+_SWEEP = _sweep()
+
+
+def _check_against_oracle(text, n, p):
+    """The recursion gives the brute force's report, or both raise."""
+    spec = parse_protocol(text, n, p)
+    try:
+        scenarios, achieved, worst_trace = _oracle(spec, n, p, identity_preference(p))
+    except ValueError as err:
+        with pytest.raises(type(err)):
+            worst_case_guarantee(spec, n, p)
+        return
+    report = worst_case_guarantee(spec, n, p)
+    assert report.achieved == achieved
+    assert report.scenario_count == len(scenarios)
+    assert report.worst_scenarios == worst_trace
+
+
+@pytest.mark.parametrize("text, n, p", _SWEEP[::9], ids=str)
+def test_recursion_matches_the_oracle_on_a_slice_of_the_sweep(text, n, p):
+    # 100 of the cases, 50 of which evaluate and 50 raise, in about 1 s on a
+    # 2-core VM; `python -m pytest tests/protocol_sweep.py` runs all 899.
+    _check_against_oracle(text, n, p)
 
 
 def _word_protocol(word):
@@ -300,13 +385,36 @@ def _word_protocol(word):
 
 @pytest.mark.parametrize(
     "word, n, p",
-    [("VT,VT,VT", 3, 10), ("RD,RD,RD", 3, 10), ("VT,VT", 4, 9), ("RD,RD", 4, 9)],
+    [
+        ("VT,VT,VT", 3, 10),
+        ("RD,RD,RD", 3, 10),
+        ("VT,VT", 4, 9),
+        ("RD,RD", 4, 9),
+        ("VT,RD,VT", 5, 16),
+        ("RD,RD,RD", 4, 13),
+    ],
 )
 def test_word_protocols_reach_past_the_scan(word, n, p):
-    # Full enumeration took 11-17 s for each of these; the recursion takes
-    # well under a second, and CI's --durations report shows a regression.
+    # Full enumeration took 11-17 s for each of the first four; a memo over
+    # survivor sets took 60.6 s and 0.52 s for the last two.  Over survivor
+    # counts each takes well under a second, and CI's --durations report
+    # shows a regression.
     spec = parse_protocol(_word_protocol(word), n, p)
     assert worst_case_guarantee(spec, n, p).achieved == canonical_word(word, n, p)
+
+
+def test_memo_holds_one_state_per_stage_and_survivor_count(monkeypatch):
+    memos = []
+
+    def recording_cache(fn):
+        memos.append(functools.cache(fn))
+        return memos[-1]
+
+    monkeypatch.setattr(protocols, "functools", types.SimpleNamespace(cache=recording_cache))
+    for word, n, p in (("VT,RD,VT", 5, 16), ("RD,RD,RD", 4, 13), ("RD,VT", 3, 8)):
+        spec = parse_protocol(_word_protocol(word), n, p)
+        worst_case_guarantee(spec, n, p)
+        assert 0 < memos[-1].cache_info().currsize <= len(spec.stages) * (p + 1)
 
 
 _SIMPLE = ("veto(1); uniform", "rd(pad)", "rd(naive)")
