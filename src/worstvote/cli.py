@@ -139,11 +139,15 @@ def _feasible(args) -> Output:
         "mixture": [[str(w), lam.text()] for w, lam in rep.mixture] or None,
         "runtime_ms": rep.runtime_ms,
     }
-    lines = [f"verdict: {rep.verdict}", f"method: {rep.method}"]
-    if rep.witness_profile is not None:
-        lines.append(f"witness profile: {rep.witness_profile.text()}")
-    lines.append(f"profiles checked: {rep.profiles_checked}")
-    return payload, lines
+    return payload, _feasible_text(payload)
+
+
+def _feasible_text(payload: dict) -> list[str]:
+    lines = [f"verdict: {payload['verdict']}", f"method: {payload['method']}"]
+    if payload["witness_profile"] is not None:
+        lines.append(f"witness profile: {payload['witness_profile']}")
+    lines.append(f"profiles checked: {payload['profiles_checked']}")
+    return lines
 
 
 def _maximal(args) -> Output:
@@ -165,12 +169,16 @@ def _maximal(args) -> Output:
         "profiles_in_working_set": rep.profiles_in_working_set,
         "runtime_ms": rep.runtime_ms,
     }
-    lines = [f"verdict: {rep.verdict}"]
-    if rep.improver is not None:
-        lines.append(f"improver: {rep.improver.text()}")
-    for k, prof in sorted((rep.witnesses or {}).items()):
-        lines.append(f"forcing profile for rank {k}: {prof.text()}")
-    return payload, lines
+    return payload, _maximal_text(payload)
+
+
+def _maximal_text(payload: dict) -> list[str]:
+    lines = [f"verdict: {payload['verdict']}"]
+    if payload["improver"] is not None:
+        lines.append(f"improver: {payload['improver']}")
+    for k, prof in sorted((payload["witnesses"] or {}).items(), key=lambda item: int(item[0])):
+        lines.append(f"forcing profile for rank {k}: {prof}")
+    return lines
 
 
 def _dual(args) -> Output:
@@ -333,7 +341,9 @@ class _Command:
     help: str
     arguments: tuple[tuple[str, dict], ...]
     handler: Callable[[argparse.Namespace], Output]
-    cached: bool = False  # the verdict is stored under --cache, keyed by `arguments`
+    # Set for a command whose verdict is stored under --cache, keyed by
+    # `arguments`: the text lines of a stored payload, as `handler` prints them.
+    text: Optional[Callable[[dict], list[str]]] = None
 
 
 _N = ("--n", {"type": int, "required": True})
@@ -346,7 +356,7 @@ COMMANDS = (
         "decide whether a guarantee is achievable",
         (_N, _LOTTERY),
         _feasible,
-        cached=True,
+        text=_feasible_text,
     ),
     _Command(
         "maximal",
@@ -357,7 +367,7 @@ COMMANDS = (
             ("--witnesses", {"action": "store_true", "help": "attach per-rank forcing profiles"}),
         ),
         _maximal,
-        cached=True,
+        text=_maximal_text,
     ),
     _Command("dual", "apply the duality map", (_LOTTERY,), _dual),
     _Command(
@@ -447,13 +457,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command: _Command = args.entry
 
     started = time.perf_counter()
-    key = _cache_key(command, args) if command.cached else None
+    key = _cache_key(command, args) if command.text else None
     cached = _cache_lookup(args.cache, key) if key else None
     try:
         if cached is not None:
             # A hit states what serving it cost, not what computing it did.
             payload = {**cached, "runtime_ms": int((time.perf_counter() - started) * 1000)}
-            lines = [f"verdict: {cached['verdict']} (cached)"]
+            first, *rest = command.text(cached)
+            lines = [f"{first} (cached)", *rest]
         else:
             payload, lines = command.handler(args)
             payload["schema"] = SCHEMA_VERSION

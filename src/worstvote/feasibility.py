@@ -27,7 +27,8 @@ and seed every scan chunk's pool.  Only feasible LPs are skipped, so the
 first refuting profile or system, its certificate and the count checked
 are those of solving every LP.  The chain layouts and tail groups are
 built once per (p, active ranks) and kept for later calls, and for the
-pool's forked workers.
+pool's forked workers, up to `_MAX_CHAINS` layouts in all; the scan's
+deadline is checked while they build.
 
 Every implementation LP is laid out once, by `_tail_rows`, as integer rows
 (`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
@@ -43,7 +44,6 @@ infeasible inputs with an explicit witness profile.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -103,23 +103,23 @@ def active_ranks(lam: RankLottery) -> tuple[int, ...]:
 
 
 def _tail_rows(
-    p: int, ks: Sequence[int], caps: Sequence[Fraction], layouts: Sequence[tuple[int, ...]]
+    p: int, ks: Sequence[int], caps: Sequence[int], cap_den: int, layouts: Sequence[tuple[int, ...]]
 ) -> list[Row]:
     """The rows of the implementation LP over `p` outcomes for orders listed
     worst first, as `lp.Row` triples in lowest terms.
 
     Row 0 pins total mass to one; then, for each order in turn, one row per
     active rank k in `ks` caps the mass of that order's k-tail at the
-    matching entry ``c`` of `caps`: ``c.denominator`` on each outcome of
-    the tail, over the denominator ``c.denominator``, with right-hand side
-    ``c.numerator``.  Row order is deterministic so certificates can be
-    re-verified against a rebuilt program.
+    matching entry of `caps` over `cap_den`, written in lowest terms as
+    ``c / d``: ``d`` on each outcome of the tail, over the denominator
+    ``d``, with right-hand side ``c``.  Row order is deterministic so
+    certificates can be re-verified against a rebuilt program.
     """
+    terms = [(cap // g, cap_den // g) for cap in caps for g in (math.gcd(cap, cap_den),)]
     rows = [([1] * (p + 1), 1, EQ)]
     for layout in layouts:
-        for k, cap in zip(ks, caps):
-            den = cap.denominator
-            ints = [0] * p + [cap.numerator]
+        for k, (cap, den) in zip(ks, terms):
+            ints = [0] * p + [cap]
             for a in layout[:k]:
                 ints[a - 1] = den
             rows.append((ints, den, LE))
@@ -132,8 +132,8 @@ def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
     ks = active_ranks(lam)
-    cum = lam.cumulative()
-    return _tail_rows(lam.p, ks, [cum[k - 1] for k in ks], [pref.order for pref in prof.prefs])
+    caps, cap_den = _scaled(lam.cumulative()[:-1])
+    return _tail_rows(lam.p, ks, [caps[k - 1] for k in ks], cap_den, [pref.order for pref in prof.prefs])
 
 
 def _implements(
@@ -329,8 +329,13 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
 # ----------------------------------------------------------------------------
 
 
-def _chain_layouts(p: int, ks: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All nested tail chains with the given sizes, encoded as orderings.
+def _expired(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
+def _chain_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float]) -> Optional[list[tuple[int, ...]]]:
+    """All nested tail chains with the given sizes, encoded as orderings, or
+    None when `deadline` passes first.
 
     A layout is a worst-to-best arrangement whose prefixes of sizes `ks` are
     the chain; blocks between consecutive sizes are sorted, making each
@@ -348,21 +353,22 @@ def _chain_layouts(p: int, ks: tuple[int, ...]) -> list[tuple[int, ...]]:
     # order; the last block takes whatever remains.
     partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), tuple(range(1, p + 1)))]
     for size in sizes[:-1]:
-        partial = [
-            (acc + block, tuple(a for a in remaining if a not in block))
-            for acc, remaining in partial
-            for block in itertools.combinations(remaining, size)
-        ]
-    layouts = [acc + remaining for acc, remaining in partial]
+        grown = []
+        for acc, remaining in partial:
+            if _expired(deadline):
+                return None
+            grown += [(acc + block, tuple(a for a in remaining if a not in block))
+                      for block in itertools.combinations(remaining, size)]
+        partial = grown
 
-    def overlap(layout: tuple[int, ...]) -> int:
-        score = 0
-        for k in ks:
-            score += sum(1 for a in layout[:k] if a <= k)
-        return score
-
-    layouts.sort(key=lambda L: (overlap(L), L))
-    return layouts
+    keyed = []  # (overlap with the canonical chain, layout)
+    for acc, remaining in partial:
+        if _expired(deadline):
+            return None
+        layout = acc + remaining
+        keyed.append((sum(1 for k in ks for a in layout[:k] if a <= k), layout))
+    keyed.sort()
+    return [layout for _, layout in keyed]
 
 
 def chain_count(p: int, ks: tuple[int, ...]) -> int:
@@ -384,20 +390,46 @@ def system_count(lam: RankLottery, n: int) -> int:
     return math.comb(c + n - 2, n - 1) if n >= 2 else 1
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_layouts(p: int, ks: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], TailGroups]:
+Layouts = tuple[tuple[tuple[int, ...], ...], TailGroups]
+# Complete builds of `_scan_layouts` by key, least recently used first.
+_layout_memo: dict[tuple[int, tuple[int, ...]], Layouts] = {}
+
+
+def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None) -> Optional[Layouts]:
     """The chain layouts of `ks` over `p` outcomes and their tail groups,
-    built once per key and shared, unchanged, by every scan of that key."""
-    layouts = tuple(_chain_layouts(p, ks))
-    groups = []
-    for k in ks:
-        members: dict[frozenset[int], list[int]] = {}
-        for i, layout in enumerate(layouts):
-            members.setdefault(frozenset(layout[:k]), []).append(i)
-        groups.append(
-            tuple((tuple(a - 1 for a in tail), sum(1 << i for i in idx)) for tail, idx in members.items())
-        )
-    return layouts, tuple(groups)
+    shared, unchanged, by every scan of that key; None when `deadline`
+    passes during the build.
+
+    Only complete builds are kept.  The key just used always stays, and
+    older keys are dropped, least recently used first, until the memo holds
+    at most `_MAX_CHAINS` layouts (the most a scan of `is_feasible` uses),
+    or that key alone.
+    """
+    key = (p, ks)
+    built = _layout_memo.pop(key, None)
+    if built is None:
+        layouts = _chain_layouts(p, ks, deadline)
+        if layouts is None:
+            return None
+        groups = []
+        for k in ks:
+            members: dict[frozenset[int], list[int]] = {}
+            for i, layout in enumerate(layouts):
+                members.setdefault(frozenset(layout[:k]), []).append(i)
+            tails = []
+            for tail, idx in members.items():
+                if _expired(deadline):
+                    return None
+                tails.append((tuple(a - 1 for a in tail), sum(1 << i for i in idx)))
+            groups.append(tuple(tails))
+        built = tuple(layouts), tuple(groups)
+    held = len(built[0])
+    for old in reversed(list(_layout_memo)):
+        held += len(_layout_memo[old][0])
+        if held > _MAX_CHAINS:
+            del _layout_memo[old]
+    _layout_memo[key] = built
+    return built
 
 
 def _add_to_pool(
@@ -405,20 +437,21 @@ def _add_to_pool(
     covers: list[int],
     mass: Sequence[int],
     scale: int,
-    caps: Sequence[Fraction],
+    caps: Sequence[int],
+    cap_den: int,
     groups: TailGroups,
 ) -> None:
     """Make the lottery ``mass / scale`` pool lottery b = len(covers): set
-    bit b in the mask of every layout whose tail caps it meets, and append
-    the bitmask of those layouts to `covers`.
+    bit b in the mask of every layout whose tail caps ``caps / cap_den`` it
+    meets, and append the bitmask of those layouts to `covers`.
 
-    Exact: a tail's mass ``t / scale`` is at most its cap ``c`` exactly
-    when the integer ``t`` is at most ``c * scale`` rounded down, and a
-    layout meets the caps when all its tails do.
+    Exact: a tail's mass ``t / scale`` is at most its cap ``c / cap_den``
+    exactly when the integer ``t`` is at most ``c * scale / cap_den``
+    rounded down, and a layout meets the caps when all its tails do.
     """
     meets = -1
     for cap, tails in zip(caps, groups):
-        bound = cap.numerator * scale // cap.denominator
+        bound = cap * scale // cap_den
         ok = 0
         for tail, members in tails:
             if sum(map(mass.__getitem__, tail)) <= bound:
@@ -470,27 +503,26 @@ def _scan_chunk(payload: tuple) -> dict:
     probs, n, ks, lo, hi, limit, deadline, seeds = payload
     lam = RankLottery(probs)
     p = lam.p
-    cum = lam.cumulative()
-    caps = [cum[k - 1] for k in ks]
-    layouts, groups = _scan_layouts(p, ks)
+    caps, cap_den = _scaled([lam.cumulative()[k - 1] for k in ks])
+    layouts, groups = _scan_layouts(p, ks)  # built by `_scan`, before any fork
     count = len(layouts)
     identity = tuple(range(1, p + 1))
 
     masks = [0] * count
     covers: list[int] = []
-    _add_to_pool(masks, covers, *_scaled(probs), caps, groups)
-    if all(Fraction(k, p) <= cap for k, cap in zip(ks, caps)):
-        _add_to_pool(masks, covers, [1] * p, p, caps, groups)
+    _add_to_pool(masks, covers, *_scaled(probs), caps, cap_den, groups)
+    if all(k * cap_den <= cap * p for k, cap in zip(ks, caps)):
+        _add_to_pool(masks, covers, [1] * p, p, caps, cap_den, groups)
     canonical = 1 << (count - 1)  # the identity layout overlaps the chain most, so it sorts last
     for mass, scale in seeds:
-        _add_to_pool(masks, covers, mass, scale, caps, groups)
+        _add_to_pool(masks, covers, mass, scale, caps, cap_den, groups)
         if not covers[-1] & canonical:
             raise AssertionError(f"seed {mass} / {scale} misses the canonical chain")
 
     unions: dict[int, int] = {}  # common bits -> the union of their covers
     checked = 0
     for head in _heads(count, n - 1, lo, hi):
-        if deadline is not None and time.monotonic() > deadline:
+        if _expired(deadline):
             return {"status": "time-limit", "checked": checked}
         common = masks[head[0]]
         for i in head[1:]:
@@ -513,10 +545,10 @@ def _scan_chunk(payload: tuple) -> dict:
                 break
             checked += 1
             orders = [identity, *(layouts[i] for i in head), layouts[miss]]
-            point, certificate = feasible_point(p, _tail_rows(p, ks, caps, orders))
+            point, certificate = feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
-            _add_to_pool(masks, covers, *point, caps, groups)
+            _add_to_pool(masks, covers, *point, caps, cap_den, groups)
             covered |= covers[-1]  # the solution meets every layout of the system
             j = miss + 1
         if stop < count:
@@ -564,7 +596,10 @@ def _scan(
     the chunks in that order, so both ways visit the same first `limit`
     systems and report the same first infeasible system and count.
     """
-    count = len(_scan_layouts(len(probs), ks)[0])
+    built = _scan_layouts(len(probs), ks, deadline)
+    if built is None:
+        return {"status": "time-limit", "checked": 0}
+    count = len(built[0])
     agents = n - 1
     workers = min(jobs, os.cpu_count() or 1)
     ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4)
@@ -757,9 +792,8 @@ def is_feasible(
     # Library LPs that a lottery of an earlier one answers are skipped; the
     # lotteries, relabeled per agent, seed the scan (see the module docstring).
     ks = active_ranks(lam)
-    cum = lam.cumulative()
-    caps = [cum[k - 1] for k in ks]
-    every_cap, cap_den = _scaled(cum[:-1])
+    every_cap, cap_den = _scaled(lam.cumulative()[:-1])
+    caps = [every_cap[k - 1] for k in ks]
     points: list[tuple[list[int], int]] = []
     seeds: dict[tuple[tuple[int, ...], int], None] = {}
     for prof in hard_profiles(n, p):
@@ -771,7 +805,7 @@ def is_feasible(
         checked += 1
         if any(_implements(x, scale, every_cap, cap_den, orders) for x, scale in points):
             continue
-        point, certificate = feasible_point(p, _tail_rows(p, ks, caps, orders))
+        point, certificate = feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
         if point is None:
             return finish(
                 INFEASIBLE,

@@ -5,20 +5,24 @@ and is deterministic for a given input.  Variables are nonnegative; other
 bounds are expressed as explicit constraint rows.
 
 The tableau is integer: each row is a list of ints plus one positive
-denominator, kept divided by the gcd of both after every pivot, and the
-cost row is stored the same way.  A pivot divides the pivot row by its
-pivot element, which cancels that row's denominator, and eliminates the
-column from every other row with integer products, updating only the
-columns where the pivot row is nonzero.  A row's gcd is folded over its
-entries and stops as soon as it reaches 1, where `Fraction` arithmetic
-takes a gcd on every operation.  Every choice the simplex makes is the one
-a tableau of `Fraction` entries would make, because each depends only on a
-sign or on a comparison of two exact ratios: Bland's rule enters the first
-column whose cost numerator is negative, and the ratio test compares
-``rhs_i / a_i`` across rows by cross-multiplying integers, in which the
-row denominators cancel, with ties broken on the basis index.  The pivot
-sequence, and so the primal point and the certificate, are those of a
-`Fraction` tableau.
+denominator, and the cost row is stored the same way.  A pivot divides the
+pivot row by its pivot element, which cancels that row's denominator, and
+eliminates the column from every other row with integer products, updating
+only the columns where the pivot row is nonzero; the multiplier is first
+divided by the gcd of the row's entry and the pivot element.  Rows may
+carry a common factor between pivots: tableau entries are ratios of
+subdeterminants (Edmonds), so exactness does not need lowest terms.  A row
+is divided by the gcd of its entries and denominator only once its
+denominator reaches 2**60, so its ints stay within that factor of its
+lowest terms, and the point an optimum returns is put in lowest terms as a
+whole.  Every choice the simplex makes is the one a tableau of `Fraction`
+entries would make, because each depends only on a sign or on a comparison
+of two exact ratios: Bland's rule enters the first column whose cost
+numerator is negative, and the ratio test compares ``rhs_i / a_i`` across
+rows by cross-multiplying integers, in which the row denominators cancel,
+with ties broken on the basis index.  The pivot sequence, and so the
+primal point and the certificate, are those of a `Fraction` tableau
+(`tests/fraction_lp.py` holds one as the reference).
 
 Every constraint is stated in one form, the `Row` triple ``(ints, den,
 rel)``: a row's coefficients and right-hand side as ints over one positive
@@ -183,6 +187,9 @@ def _bounds(rows: Sequence[Row], z: Sequence[int], z_den: int, cost: Sequence[in
     return Fraction(-total, k) == value and all(c * k + a * cost_den >= 0 for c, a in zip(cost, coeffs))
 
 
+_BOUND = 1 << 60  # a row is divided by its gcd once its denominator reaches this
+
+
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
     """Divide `row` and its positive denominator `den` by their common gcd."""
     g = den
@@ -221,7 +228,8 @@ def _eliminate(
     out = row[:] if s == 1 else [s * v for v in row]
     for j in nz:
         out[j] -= a * prow[j]
-    return _reduce(out, den * s)
+    den *= s
+    return _reduce(out, den) if den >= _BOUND else (out, den)
 
 
 class _Tableau:
@@ -231,7 +239,8 @@ class _Tableau:
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
     last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
-    denominator is positive and each row is kept divided by its gcd.  The
+    denominator is positive, and a row whose denominator reaches `_BOUND` is
+    divided by its gcd.  The
     columns are the variables, one slack per ``<=`` row and one surplus per
     ``>=`` row (after rows with a negative right-hand side are flipped), one
     artificial per ``>=`` and ``=`` row, then one slack per row added by
@@ -330,13 +339,15 @@ class _Tableau:
         return INFEASIBLE
 
     def _optimum(self) -> str:
-        """Keep the basic point ``x / scale``, re-checked against the program's rows."""
+        """Keep the basic point ``x / scale`` in lowest terms, re-checked
+        against the program's rows."""
         nv = self.nv
         basic = [(b, i) for i, b in enumerate(self.basis) if b < nv]
         scale = lcm(*(self.dens[i] for _, i in basic))
         x = [0] * nv
         for b, i in basic:
             x[b] = self.rows[i][-1] * (scale // self.dens[i])
+        x, scale = _reduce(x, scale)
         if not _meets(self.raw, x, scale):
             raise AssertionError("optimal solution failed re-verification")
         self.point = x, scale
@@ -371,7 +382,8 @@ class _Tableau:
         if pden < 0:
             prow = [-v for v in prow]
             pden = -pden
-        prow, pden = _reduce(prow, pden)
+        if pden >= _BOUND:
+            prow, pden = _reduce(prow, pden)
         rows[row_idx] = prow
         dens[row_idx] = pden
         nz = _nonzero(prow)
@@ -422,9 +434,9 @@ def solve(lp: LinearProgram) -> LPResult:
 
 
 def feasible_point(num_vars: int, rows: list[Row]) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
-    """``((x, scale), None)`` where ``x / scale`` is the optimum `solve`
-    finds for the zero-objective program of `rows`, or ``(None, y)`` with
-    its Farkas certificate `y`."""
+    """``((x, scale), None)`` where ``x / scale``, in lowest terms, is the
+    optimum `solve` finds for the zero-objective program of `rows`, or
+    ``(None, y)`` with its Farkas certificate `y`."""
     tab = _Tableau(num_vars, rows, [0] * num_vars, 1, 1)
     return tab.point, tab.certificate
 

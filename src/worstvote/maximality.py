@@ -10,9 +10,11 @@ tested at the working profiles by exact implementation LPs, laid out as
 integer rows by `feasibility._tail_rows` and solved by `lp.feasible_point`,
 except where an outcome lottery returned by an earlier feasible LP of the
 same call (kept as ints over one scale) already meets the candidate's tail
-caps (checked in integers by `feasibility._implements`).  A candidate
-that survives the working profiles goes to the full feasibility engine; its
-witness profile, if any, contributes a new cut.  The loop ends either with
+caps (checked in integers by `feasibility._implements`).  The candidate is
+read off the master as ints over one scale (`IncrementalLP.point`), and
+its caps and cuts stay ints.  A candidate that survives the working
+profiles becomes a `RankLottery` and goes to the full feasibility engine;
+its witness profile, if any, contributes a new cut.  The loop ends either with
 a certified improver (dominated) or with master slack exactly zero
 (maximal: even the relaxation admits no strict dominator, and the true
 feasible set is contained in the relaxation).  Before a maximal verdict,
@@ -29,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, uniform
@@ -39,6 +42,7 @@ from .lp import (
     IncrementalLP,
     LinearProgram,
     Row,
+    _reduce,
     _scaled,
     feasible_point,
     solve,
@@ -47,9 +51,9 @@ from .feasibility import (
     FEASIBLE,
     UNDECIDED,
     FeasibilityReport,
+    _implementation_rows,
     _implements,
     _tail_rows,
-    active_ranks,
     is_feasible,
     verified_anchors,
 )
@@ -84,30 +88,23 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
     """Turn a Farkas certificate of an implementation LP into a master cut.
 
     The LP rows are those `feasibility._tail_rows` lays out: the mass
-    equality, then one tail row per (agent, active rank).  Normalizing the multipliers by the equality's weight
-    gives cover weights w_k with sum_k w_k * cum_k(mu) >= 1 for every
-    lottery mu implementable at the refuting profile.
+    equality, then one tail row per (agent, active rank).  Dividing the
+    multipliers by minus the equality's gives cover weights w_k with
+    sum_k w_k * cum_k(mu) >= 1 for every lottery mu implementable at the
+    refuting profile.  The cut is that row, in lowest terms.
     """
     if not mu_active:
         raise AssertionError("a candidate with no tail constraints cannot be refuted")
-    y0 = certificate[0]
-    if y0 >= 0:
+    y, _ = _scaled(certificate)  # over a common scale, which cancels
+    tau = -y[0]
+    if tau <= 0:
         raise AssertionError("degenerate certificate")
-    tau = -y0
-    weight_by_rank: dict[int, Fraction] = {}
-    idx = 1
-    while idx < len(certificate):
-        for k in mu_active:
-            y = certificate[idx]
-            if y != 0:
-                weight_by_rank[k] = weight_by_rank.get(k, ZERO) + y / tau
-            idx += 1
-    coeffs = [ZERO] * p
-    for k, w in weight_by_rank.items():
-        for t in range(k):
-            coeffs[t] += w
-    ints, den = _scaled([*coeffs, Fraction(1)])
-    return ints, den, GE
+    weights = [0] * (p + 1)  # tau * w_k at index k
+    for i, k in enumerate(mu_active * ((len(y) - 1) // len(mu_active)), 1):
+        weights[k] += y[i]
+    # cum_k sums mu_t over t < k (0-based), so mu_t weighs the ranks k > t.
+    coeffs = [sum(weights[t + 1:]) for t in range(p)]
+    return (*_reduce([*coeffs, tau], tau), GE)
 
 
 def improve(
@@ -137,7 +134,6 @@ def improve(
     count.  The verdicts maximal and dominated cannot: both are proved.
     """
     p = lam.p
-    cum = lam.cumulative()
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     anchors = verified_anchors(n, p, jobs=jobs) if 3 <= n < p else (uniform(p),)
@@ -150,37 +146,37 @@ def improve(
 
     # Candidates mu: the tail rows of one identity order at every rank below
     # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
-    # cumulative slack is minimizing sum_t (p - t) * mu_t.
-    master_rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    # cumulative slack, sum_{k<p} (cum_k(lam) - cum_k(mu)), is minimizing
+    # sum_t (p - t) * mu_t.
+    lam_caps, lam_den = _scaled(lam.cumulative()[:-1])
+    master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
-    slack_base = sum(cum[:-1], ZERO)
     pool: list[tuple[list[int], int]] = []
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return None, UNDECIDED, iteration - 1, len(working)
-        result = master.result
-        if result.status != OPTIMAL:
+        if master.status != OPTIMAL:
             raise AssertionError("master must stay solvable")
-        slack = slack_base + result.objective_value
+        # The candidate mu is ``x / scale``, its cumulatives ``caps / scale``.
+        x, scale = master.point
+        caps = list(accumulate(x))[:-1]
+        slack = sum(lam_caps) * scale - sum(caps) * lam_den  # the slack times lam_den * scale
         if slack < 0:
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
             master.certify()
             return None, MAXIMAL, iteration, len(working)
-        mu = RankLottery(result.primal)
-        mu_active = active_ranks(mu)
-        mu_cum = mu.cumulative()
-        mu_caps = [mu_cum[k - 1] for k in mu_active]
-        caps, cap_den = _scaled(mu_cum[:-1])
+        mu_active = tuple(k for k in range(1, p) if x[k])
+        mu_caps = [caps[k - 1] for k in mu_active]
 
         refuted = False
         for prof in reversed(working):
             orders = [pref.order for pref in prof.prefs]
-            if any(_implements(mass, den, caps, cap_den, orders) for mass, den in pool):
+            if any(_implements(mass, den, caps, scale, orders) for mass, den in pool):
                 continue
             # The implementation LP of `mu` at `prof`.
-            point, certificate = feasible_point(p, _tail_rows(p, mu_active, mu_caps, orders))
+            point, certificate = feasible_point(p, _tail_rows(p, mu_active, mu_caps, scale, orders))
             if point is None:
                 master.add(_cover_cut(mu_active, certificate, p))
                 refuted = True
@@ -189,6 +185,7 @@ def improve(
         if refuted:
             continue
 
+        mu = RankLottery(tuple([Fraction(v, scale) for v in x]))
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         report = is_feasible(
             mu, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=remaining
@@ -254,13 +251,11 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     """The smallest achievable worst k-tail mass over lotteries implementing
     `lam` at `prof`, or None when no lottery implements `lam` there."""
     p = lam.p
-    ks = active_ranks(lam)
-    cum = lam.cumulative()
     orders = [pref.order for pref in prof.prefs]
     # Variable p + 1 is an upper bound t on every agent's k-tail mass.
-    implementation = _tail_rows(p, ks, [cum[ka - 1] for ka in ks], orders)
+    implementation = _implementation_rows(lam, prof)
     rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
-    rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (ZERO,), orders)[1:]]
+    rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (0,), 1, orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)
     result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
     # t is bounded below by 0 and unbounded above, so the LP is infeasible

@@ -238,6 +238,18 @@ class TestCache:
         assert code == 0
         assert json.loads(out)["verdict"] == "infeasible"
 
+    @pytest.mark.parametrize("argv", [
+        ["maximal", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--witnesses"],
+        ["maximal", "--n", "3", "--lottery", "0,1,0,0,0,0"],
+        ["feasible", "--n", "3", "--lottery", "0,0,0,0,0,1"],
+    ], ids=["forcing-profiles", "improver", "witness-profile"])
+    def test_text_hit_prints_what_a_fresh_run_prints(self, capsys, tmp_path, argv):
+        args = [*argv, "--jobs", "1", "--cache", str(tmp_path)]
+        code, fresh = run_cli(capsys, *args)
+        first, rest = fresh.split("\n", 1)
+        assert code == 0 and rest.count("\n") >= 1
+        assert run_cli(capsys, *args) == (code, f"{first} (cached)\n{rest}")
+
     def test_cache_keeps_witnesses_apart(self, capsys, tmp_path):
         args = ["maximal", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--jobs", "1",
                 "--cache", str(tmp_path), "--json"]

@@ -3,6 +3,7 @@ import random
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from worstvote.lottery import (
     uniform,
     vt,
 )
-from worstvote.lp import feasibility_program, feasible_point, solve, verify_infeasibility
+from worstvote.lp import _scaled, feasibility_program, feasible_point, solve, verify_infeasibility
 from worstvote.profiles import Preference, Profile, enumerate_profiles, parse_profile, rank_rearrange
 
 from .fraction_lp import Constraint, LinearProgram as FractionProgram, fraction_program, row
@@ -302,6 +303,66 @@ class TestIsFeasible:
             assert (report.verdict, report.method, report.profiles_checked) == ("undecided", "time-limit", 0)
 
 
+class TestLayoutMemo:
+    def test_keys_over_the_bound_evict_the_least_recently_used(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        monkeypatch.setattr(feas, "_MAX_CHAINS", 100)
+        keys = [(5, (1, 2)), (5, (1, 4)), (6, (1, 5)), (6, (1, 2))]  # 20, 20, 30 and 30 layouts
+        built = [feas._scan_layouts(*key) for key in keys]
+        assert feas._scan_layouts(*keys[0]) is built[0]  # a hit; the oldest key is now the newest
+        assert list(feas._layout_memo) == [*keys[1:], keys[0]]
+        feas._scan_layouts(5, (2,))  # 10 more layouts: the least recently used key goes
+        assert list(feas._layout_memo) == [*keys[2:], keys[0], (5, (2,))]
+        big = feas._scan_layouts(6, (1, 2, 3))  # 120 layouts, over the bound alone
+        assert list(feas._layout_memo) == [(6, (1, 2, 3))]
+        assert feas._scan_layouts(6, (1, 2, 3)) is big
+
+    def test_the_bench_keys_stay(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        # The (p, active ranks) keys that the scan workload of `perfbench`
+        # scans, 1,620 layouts in all; each repeat must be a hit.
+        keys = [(6, (1, 2)), (6, (1, 2, 3)), (6, (1, 2, 3, 4, 5)), (6, (1, 2, 5)), (7, (1, 2, 4)), (7, (1, 2, 6))]
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        built = [feas._scan_layouts(*key) for key in keys]
+        assert all(feas._scan_layouts(*key) is layouts for key, layouts in zip(keys, built))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_stops_a_build_and_keeps_no_part(self, monkeypatch, jobs):
+        import time
+
+        import worstvote.feasibility as feas
+
+        # The clock stands still until the layouts start to build, then
+        # moves one second at each reading.
+        clock = {"now": 0, "moving": False}
+
+        def monotonic():
+            clock["now"] += clock["moving"]
+            return clock["now"]
+
+        chain_layouts = feas._chain_layouts
+
+        def building(*args):
+            clock["moving"] = True
+            return chain_layouts(*args)
+
+        monkeypatch.setattr(feas, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter))
+        monkeypatch.setattr(feas, "_chain_layouts", building)
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+        monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(feas.os, "cpu_count", lambda: 2)
+        InlinePool.made.clear()
+        lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 420 chain layouts
+        report = is_feasible(lam, 3, jobs=jobs, use_hull=False, time_budget=50)
+        assert (report.verdict, report.method) == ("undecided", "time-limit")
+        assert 50 < clock["now"] < 100
+        assert feas._layout_memo == {} and InlinePool.made == []
+
+
 class TestSystemScan:
     def test_system_count_full_support(self):
         # all ranks active at p=4, three agents: sorted pairs over 4! chains
@@ -530,7 +591,7 @@ class TestIntegerRows:
             assert fraction_program(implement_program(lam, prof)) == oracle
             assert rows == oracle_rows(oracle)
             # Every rank, as the master lays it out, where caps of 0 and 1 occur.
-            every_rank = feas._tail_rows(p, range(1, p), cum[:-1], orders)
+            every_rank = feas._tail_rows(p, range(1, p), *_scaled(cum[:-1]), orders)
             assert every_rank == oracle_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))
             caps_seen.update(cum[:-1])
             # The row entry answers as `solve` does on the same program.
@@ -549,7 +610,7 @@ class TestIntegerRows:
         import worstvote.feasibility as feas
 
         # One active rank: each layout's tail is one outcome, capped at 1/3.
-        ks, caps = (1,), [F(1, 3)]
+        ks, caps = (1,), [1]
         layouts, groups = feas._scan_layouts(3, ks)
         spares_first = [layout[0] != 1 for layout in layouts]
         # At 2**60 + 1 units the cap times the scale is an integer that no
@@ -557,8 +618,8 @@ class TestIntegerRows:
         for unit in (1, 5, 2**60 + 1):
             masks, covers = [0] * len(layouts), []
             # every tail at its cap, then outcome 1 over it by 1 / scale
-            feas._add_to_pool(masks, covers, [unit, unit, unit], 3 * unit, caps, groups)
-            feas._add_to_pool(masks, covers, [unit + 1, unit, unit - 1], 3 * unit, caps, groups)
+            feas._add_to_pool(masks, covers, [unit, unit, unit], 3 * unit, caps, 3, groups)
+            feas._add_to_pool(masks, covers, [unit + 1, unit, unit - 1], 3 * unit, caps, 3, groups)
             assert covers == [0b111, sum(1 << i for i, spared in enumerate(spares_first) if spared)]
             assert masks == [0b11 if spared else 0b01 for spared in spares_first]
 

@@ -22,7 +22,7 @@ from worstvote.lp import (
     verify_infeasibility,
 )
 
-from .fraction_lp import fraction_program, row
+from .fraction_lp import fraction_program, fraction_simplex, row
 
 F = Fraction
 
@@ -397,6 +397,55 @@ def assert_matches_oracle(lp):
     return result
 
 
+def coprime_programs():
+    """30 programs of three variables over the coprime denominators 2, 3, 5,
+    7 and 11, bounded by ``x1 + x2 + x3 <= 4``."""
+    rng = random.Random(5)
+    programs = []
+    for _ in range(30):
+        rows = tuple(
+            row(
+                [F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))) for _ in range(3)],
+                rng.choice(["<=", ">=", "="]),
+                F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))),
+            )
+            for _ in range(3)
+        ) + (row([1, 1, 1], "<=", 4),)
+        objective = tuple(F(rng.randint(-3, 3), rng.choice((1, 7, 11))) for _ in range(3))
+        programs.append(LinearProgram(3, rows, objective, maximize=True))
+    return programs
+
+
+def large_cap_programs():
+    """Rows of 10 implementation programs over 5 outcomes and 3 random
+    orders, with the caps of ranks 1 to 4 over the primes 1000003, 1000033,
+    1000037 and 1000039."""
+    rng = random.Random(1)
+    programs = []
+    for _ in range(10):
+        caps = sorted(F(rng.randint(1, q - 1), q) for q in (1000003, 1000033, 1000037, 1000039))
+        rows = [row([1] * 5, "=", 1)]
+        for _ in range(3):
+            order = rng.sample(range(5), 5)
+            rows += [row([int(a in order[:k]) for a in range(5)], "<=", cap) for k, cap in zip(range(1, 5), caps)]
+        programs.append(rows)
+    return programs
+
+
+def assert_matches_fraction_tableau(num_vars, rows):
+    """`feasible_point` returns the point of the `Fraction` tableau, in
+    lowest terms, or its certificate; returns the status."""
+    point, certificate = feasible_point(num_vars, rows)
+    expected = fraction_simplex(feasibility_program(num_vars, rows))
+    if point is None:
+        assert (expected.status, expected.certificate) == ("infeasible", certificate)
+    else:
+        x, scale = point
+        assert expected.status == "optimal" and expected.primal == tuple(F(v, scale) for v in x)
+        assert math.gcd(*x, scale) == 1
+    return expected.status
+
+
 class TestIntegerTableau:
     """Paths the integer tableau adds: rows scaled to one denominator,
     flipped rows, the phase-1 drive-out and dropped redundant rows."""
@@ -415,21 +464,37 @@ class TestIntegerTableau:
         assert assert_matches_oracle(lp).objective_value > 0
 
     def test_random_programs_with_coprime_denominators(self):
-        rng = random.Random(5)
         infeasible = 0
-        for _ in range(30):
-            rows = tuple(
-                row(
-                    [F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))) for _ in range(3)],
-                    rng.choice(["<=", ">=", "="]),
-                    F(rng.randint(-3, 3), rng.choice((2, 3, 5, 7, 11))),
-                )
-                for _ in range(3)
-            ) + (row([1, 1, 1], "<=", 4),)
-            objective = tuple(F(rng.randint(-3, 3), rng.choice((1, 7, 11))) for _ in range(3))
-            result = assert_matches_oracle(LinearProgram(3, rows, objective, maximize=True))
+        for lp in coprime_programs():
+            result = assert_matches_oracle(lp)
+            assert result == fraction_simplex(lp)
             infeasible += result.status == "infeasible"
         assert 0 < infeasible < 30
+
+    def test_rows_past_the_gcd_bound(self, monkeypatch):
+        # Caps over primes near 2**20: a few eliminations take a row's
+        # denominator past `lp._BOUND`.  After every pivot, a row below the
+        # bound may carry a common factor, and a row past it is in lowest
+        # terms; the cost row included.
+        from worstvote import lp as lp_module
+
+        seen = Counter()
+        pivot = lp_module._Tableau.pivot
+
+        def checked_pivot(self, row_idx, col):
+            pivot(self, row_idx, col)
+            for ints, den in zip([*self.rows, self.cost], [*self.dens, self.cost_den]):
+                common = math.gcd(*ints, den) > 1
+                if den >= lp_module._BOUND:
+                    assert not common
+                    seen["past the bound"] += 1
+                else:
+                    seen["common factor"] += common
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+        statuses = Counter(assert_matches_fraction_tableau(5, rows) for rows in large_cap_programs())
+        assert statuses["optimal"] and statuses["infeasible"], statuses
+        assert seen["past the bound"] and seen["common factor"], seen
 
     def test_negative_rhs_rows_are_flipped(self):
         rows = (
@@ -504,7 +569,7 @@ def master_program(lam):
 
     p = lam.p
     cum = lam.cumulative()
-    rows = tuple(_tail_rows(p, range(1, p), cum[:-1], [tuple(range(1, p + 1))]))
+    rows = tuple(_tail_rows(p, range(1, p), *_scaled(cum[:-1]), [tuple(range(1, p + 1))]))
     return LinearProgram(p, rows, tuple(F(-(p - t)) for t in range(1, p + 1)), maximize=True)
 
 
@@ -1137,6 +1202,19 @@ def _parse_result(text):
 @pytest.mark.parametrize("label, program, expected", GOLDEN, ids=[f"{i:02d}-{g[0]}" for i, g in enumerate(GOLDEN)])
 def test_golden_results(label, program, expected):
     assert solve(_parse_program(program)) == _parse_result(expected)
+
+
+def test_feasible_points_are_in_lowest_terms():
+    # The golden programs, the coprime and the large-cap programs, and 40
+    # random programs drawn as `TestSolve` draws its rows.
+    rng = random.Random(9)
+    corpus = [list(_parse_program(text).constraints) for _, text, _ in GOLDEN]
+    corpus += [list(lp.constraints) for lp in coprime_programs()]
+    corpus += large_cap_programs()
+    corpus += [[row([rng.randint(-3, 3) for _ in range(3)], "<=", rng.randint(0, 4)) for _ in range(4)]
+               for _ in range(40)]
+    statuses = Counter(assert_matches_fraction_tableau(len(rows[0][0]) - 1, rows) for rows in corpus)
+    assert statuses["optimal"] > 50 and statuses["infeasible"] > 10, statuses
 
 
 # sha256 of the `repr((program, result))` of every LP solved in

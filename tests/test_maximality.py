@@ -192,10 +192,9 @@ def test_proof_checks_survive_optimize():
         attempt("inactive", lambda: maximality._cover_cut((), (F(-1), F(1)), 3))
         attempt("direction", lambda: maximality._cover_cut((1,), (F(0), F(1)), 3))
         lam = parse_lottery("0,1,0")
-        maximality.IncrementalLP = lambda program: SimpleNamespace(result=lp.LPResult(lp.INFEASIBLE))
+        maximality.IncrementalLP = lambda program: SimpleNamespace(status=lp.INFEASIBLE)
         attempt("master", lambda: maximality.improve(lam, 2))
-        maximality.IncrementalLP = lambda program: SimpleNamespace(
-            result=lp.LPResult(lp.OPTIMAL, (F(1), F(0), F(0)), F(-9)))
+        maximality.IncrementalLP = lambda program: SimpleNamespace(status=lp.OPTIMAL, point=([1, 0, 0], 1))
         attempt("slack", lambda: maximality.improve(lam, 2))
         print(sys.flags.optimize, *raised)
     """
