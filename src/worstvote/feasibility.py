@@ -49,7 +49,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -420,7 +420,11 @@ def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None)
             for tail, idx in members.items():
                 if _expired(deadline):
                     return None
-                tails.append((tuple(a - 1 for a in tail), sum(1 << i for i in idx)))
+                # Summing 1 << i over the layouts would be quadratic in them.
+                bits = bytearray(idx[-1] // 8 + 1)
+                for i in idx:
+                    bits[i >> 3] |= 1 << (i & 7)
+                tails.append((tuple(a - 1 for a in tail), int.from_bytes(bits, "little")))
             groups.append(tuple(tails))
         built = tuple(layouts), tuple(groups)
     held = len(built[0])
@@ -655,7 +659,6 @@ class FeasibilityReport:
         return self.verdict == FEASIBLE
 
 
-_verdict_cache: dict[tuple[int, tuple[Fraction, ...]], FeasibilityReport] = {}
 _anchor_cache: dict[tuple[int, int], tuple[RankLottery, ...]] = {}
 
 
@@ -729,18 +732,12 @@ def is_feasible(
     if n < 1:
         raise ValueError("need at least one agent")
     p = lam.p
-    cache_key = (n, lam.probs)
-    limited_run = limit_profiles is not None or time_budget is not None
-    cached = _verdict_cache.get(cache_key)
-    # A verdict reached through the hull is no answer to a call that asks for a scan.
-    if cached is not None and not limited_run and (use_hull or cached.method != "mixture-dominates"):
-        return replace(cached, runtime_ms=int((time.perf_counter() - started) * 1000))
     deadline = None if time_budget is None else time.monotonic() + time_budget
     checked = 0
     applied: tuple[str, ...] = ()
 
     def finish(verdict: str, method: str, **witness) -> FeasibilityReport:
-        report = FeasibilityReport(
+        return FeasibilityReport(
             verdict,
             n,
             p,
@@ -750,9 +747,6 @@ def is_feasible(
             runtime_ms=int((time.perf_counter() - started) * 1000),
             **witness,
         )
-        if not limited_run and verdict != UNDECIDED:
-            _verdict_cache[cache_key] = report
-        return report
 
     if n == 1:
         return finish(FEASIBLE, "single-agent")

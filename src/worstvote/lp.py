@@ -353,8 +353,9 @@ class _Tableau:
         self.point = x, scale
         return OPTIMAL
 
-    def _result(self) -> LPResult:
-        """The outcome as `Fraction` values."""
+    @property
+    def result(self) -> LPResult:
+        """The outcome as `Fraction` values, built on each read."""
         if self.status != OPTIMAL:
             return LPResult(self.status, certificate=self.certificate)
         x, scale = self.point
@@ -445,18 +446,18 @@ class IncrementalLP(_Tableau):
     """A program kept at its optimum while inequality rows are added.
 
     Built and solved once, and `result` is then what `solve` returns.  `add`
-    appends a row and re-optimizes with the dual simplex; `result` is the
-    latest result, and `certify` proves an optimum from its dual (see the
+    appends a row and re-optimizes with the dual simplex, leaving `status`
+    and `point` (or `certificate`) current; `result` reads them as
+    `Fraction`s, and `certify` proves an optimum from its dual (see the
     module docstring).
     """
 
     def __init__(self, lp: LinearProgram):
         # `add` appends to `raw`, so the tableau keeps its own list of rows.
         super().__init__(lp.num_vars, list(lp.constraints), *_scaled(lp.objective), -1 if lp.maximize else 1)
-        self.result = self._result()
 
-    def add(self, row: Row) -> LPResult:
-        """Append the ``<=`` or ``>=`` row `row` and return the new result."""
+    def add(self, row: Row) -> None:
+        """Append the ``<=`` or ``>=`` row `row` and re-optimize."""
         if self.status != OPTIMAL:
             raise ValueError(f"rows can be added only at an optimum, not when {self.status}")
         ints, den, rel = row
@@ -478,8 +479,6 @@ class IncrementalLP(_Tableau):
         self.basis.append(col)
         self.unit_col.append(col)
         self.status = self._dual_run()
-        self.result = self._result()
-        return self.result
 
     def _dual_run(self) -> str:
         """Dual simplex from a dual-feasible basis, smallest-subscript rule."""

@@ -13,15 +13,17 @@ mass the stage settles, the weight with which play continues, and the
 outcomes left for the next stage.  `run` chains the stages through `_plays`
 on explicit reports, checked for legality first (all randomization
 symbolic, never sampled), and turns the listings into `Fraction` masses.
-`worst_case_guarantee` fixes agent 1 on one preference playing its safe
-strategy and takes, per rank, the worst case over every adversary report by
-a recursion over (stage, survivor count) states that calls `_step` once per
-multiset of adversary reports.  A count suffices because every stage reads
-outcome labels only through their order: relabeling survivors S onto
-1..|S| in order carries each play onto a play, so the worst case on S at
-rank k is the one on 1..|S| at rank |S & 1..k|.  The recursion adds and
-compares integer numerators over one scale per stage; only its result is a
-`Fraction`.
+`_windows`, shared by the parser, `run` and the evaluation, gives the
+fewest outcomes each stage can be played on and refuses a protocol that
+can leave a stage none.  `worst_case_guarantee` fixes agent 1 on one
+preference playing its safe strategy and takes, per rank, the worst case
+over every adversary report by a recursion over (stage, survivor count)
+states that calls `_step` once per multiset of adversary reports.  A count
+suffices because every stage reads outcome labels only through their
+order: relabeling survivors S onto 1..|S| in order carries each play onto
+a play, so the worst case on S at rank k is the one on 1..|S| at rank
+|S & 1..k|.  The recursion adds and compares integer numerators over one
+scale per stage; only its result is a `Fraction`.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -36,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, rd, uniform
 from .compose import rd_compose, vt_compose
@@ -131,119 +133,110 @@ class ProtocolSpec:
 def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
     """Parse the stage mini-language and fix continuation weights for (n, p).
 
-    Raises ValueError if n or p is below 1, and with the exact character
-    position on a bad token.
+    A dictator round that continues resolves with weight 1 / (n * top + 1),
+    top being the largest coordinate of the guarantee its continuation
+    delivers by formula.  Raises ValueError if n or p is below 1, and with
+    the exact character position on a bad token, on a stage that `_windows`
+    leaves no outcome, or on a continuation the formulas cannot evaluate.
     """
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
-    raw: list[tuple[str, tuple, int]] = []
+    stages: list[Stage] = []
+    names: list[str] = []
     pos = 0
     for chunk in text.split(";"):
         token = chunk.strip()
         offset = pos + (len(chunk) - len(chunk.lstrip()))
         pos += len(chunk) + 1
+        names.append(f"the stage at position {offset}")
         if not token:
             raise ValueError(f"empty protocol stage at position {offset}")
-        name, args = _parse_stage_token(token, offset)
-        raw.append((name, args, offset))
+        stages.append(_parse_stage_token(token, offset))
+    windows = _windows(stages, n, p, names)
 
-    stages: list[Stage] = []
-    for idx, (name, args, offset) in enumerate(raw):
-        final = idx == len(raw) - 1
-        if name == "veto":
-            stages.append(VetoRound(tokens=args[0]))
-        elif name == "uniform":
-            stages.append(UniformFallback())
-        elif name == "cover":
-            stages.append(CoverRound(cover_size=args[0], depth=args[1], play=args[2]))
-        else:  # "rd": the tokenizer emits no other name
-            padded = args[0]
-            if final:
-                stages.append(DictatorRound(padded=padded))
-            else:
-                if not padded:
-                    raise ValueError(
-                        f"naive dictator round cannot continue (position {offset})"
-                    )
-                window = _window_after(raw[:idx], n, p, offset)
-                suffix = _suffix_guarantee(raw[idx + 1 :], n, window - n, offset)
-                top = suffix.max_coordinate()
-                stages.append(
-                    DictatorRound(padded=True, continue_weight=Fraction(1, n * top + 1))
-                )
+    # One backward fold: `inner` is the guarantee of the stages after idx.
+    # Only stages after the first dictator round play inside a continuation.
+    first = next((i for i, stage in enumerate(stages) if isinstance(stage, DictatorRound)), len(stages))
+    inner = None
+    for idx in range(len(stages) - 1, first, -1):
+        try:
+            inner = _formula(stages[idx], inner, n, windows[idx])
+        except ValueError as err:
+            raise ValueError(f"{names[idx]} cannot play inside a continuation: {err}") from None
+        if isinstance(stages[idx - 1], DictatorRound):
+            if not stages[idx - 1].padded:
+                raise ValueError(f"a naive dictator round cannot continue ({names[idx - 1]})")
+            stages[idx - 1] = DictatorRound(True, Fraction(1, n * inner.max_coordinate() + 1))
     return ProtocolSpec(tuple(stages))
 
 
-def _parse_stage_token(token: str, offset: int) -> tuple[str, tuple]:
+def _parse_stage_token(token: str, offset: int) -> Stage:
     if token == "uniform":
-        return "uniform", ()
+        return UniformFallback()
     if token == "rd":
-        return "rd", (False,)
+        return DictatorRound(padded=False)
     if token.startswith("veto(") and token.endswith(")"):
         body = token[5:-1].strip()
         if not body.isdigit():
             raise ValueError(f"veto needs an integer token count at position {offset}")
-        return "veto", (int(body),)
+        return VetoRound(int(body))
     if token.startswith("rd(") and token.endswith(")"):
         body = token[3:-1].strip()
-        if body == "pad":
-            return "rd", (True,)
-        if body == "naive":
-            return "rd", (False,)
+        if body in ("pad", "naive"):
+            return DictatorRound(padded=body == "pad")
         raise ValueError(f"rd argument must be 'pad' or 'naive' at position {offset}")
     if token.startswith("cover(") and token.endswith(")"):
         parts = [part.strip() for part in token[6:-1].split(",")]
         if len(parts) != 3 or not parts[0].isdigit() or not parts[1].isdigit():
             raise ValueError(f"cover needs (size, depth, top|bottom) at position {offset}")
-        side = parts[2]
-        if side not in ("top", "bottom"):
+        if parts[2] not in ("top", "bottom"):
             raise ValueError(f"cover side must be top or bottom at position {offset}")
-        play = "cover" if side == "top" else "complement"
-        return "cover", (int(parts[0]), int(parts[1]), play)
+        return CoverRound(int(parts[0]), int(parts[1]), "cover" if parts[2] == "top" else "complement")
     raise ValueError(f"cannot parse stage {token!r} at position {offset}")
 
 
-def _window_after(prefix: list[tuple], n: int, p: int, offset: int) -> int:
-    window = p
-    for name, args, _ in prefix:
-        if name == "veto":
-            window -= n * args[0]
-        elif name == "rd":
-            window -= n
-    if window <= n:
-        raise ValueError(f"not enough outcomes left for the stage at position {offset}")
-    return window
+def _windows(stages: Sequence[Stage], n: int, p: int, names: Sequence[str] = ()) -> list[int]:
+    """The fewest outcomes each stage can be played on, out of p.
+
+    Every earlier veto token may remove n outcomes, and so may every earlier
+    dictator round, which continues unless it is the last stage.  Raises
+    ValueError naming (by `names`, else by index) the first stage left with
+    none.
+    """
+    windows, left, verb = [], p, "veto"
+    for idx, stage in enumerate(stages):
+        if left < 1:
+            raise ValueError(f"the protocol can {verb} every outcome before {names[idx] if names else f'stage {idx}'}")
+        windows.append(left)
+        if isinstance(stage, VetoRound):
+            left -= n * stage.tokens
+        elif isinstance(stage, DictatorRound):
+            left, verb = left - n, "remove"
+    return windows
 
 
-def _suffix_guarantee(suffix: list[tuple], n: int, window: int, offset: int) -> RankLottery:
-    """Guarantee delivered by the remaining stages over `window` outcomes."""
-    if not suffix:
-        raise ValueError(f"dangling non-final stage at position {offset}")
-    name, args, off = suffix[0]
-    if name == "uniform":
-        if len(suffix) > 1:
-            raise ValueError(f"uniform must be final (position {off})")
+def _formula(stage: Stage, inner: Optional[RankLottery], n: int, window: int) -> RankLottery:
+    """The guarantee `stage` delivers on `window` outcomes when the stages
+    after it deliver `inner` (None after the last stage), by the formulas
+    of `lottery` and `compose`."""
+    if isinstance(stage, UniformFallback):
         return uniform(window)
-    if name == "rd":
-        if len(suffix) == 1:
-            if not args[0]:
-                if window < 1:
-                    raise ValueError(f"no outcomes left for the stage at position {off}")
-                probs = [ZERO] * window
-                probs[0] = Fraction(n - 1, n)
-                probs[-1] += Fraction(1, n)
-                return RankLottery(tuple(probs))
-            return rd(n, window)
-        return rd_compose(_suffix_guarantee(suffix[1:], n, window - n, off), n)
-    if name == "veto":
-        tokens = args[0]
-        if len(suffix) == 1:
-            raise ValueError(f"veto round must be followed by a stage (position {off})")
-        inner = _suffix_guarantee(suffix[1:], n, window - n * tokens, off)
-        for _ in range(tokens):
+    if isinstance(stage, CoverRound):
+        raise ValueError("a cover round has no guarantee formula")
+    if isinstance(stage, VetoRound):
+        if inner is None:
+            raise ValueError("a veto round must be followed by a stage")
+        for _ in range(stage.tokens):
             inner = vt_compose(inner, n)
         return inner
-    raise ValueError(f"stage at position {off} cannot appear inside a continuation")
+    if inner is not None:
+        return rd_compose(inner, n)
+    if stage.padded:
+        return rd(n, window)
+    probs = [ZERO] * window
+    probs[0] = Fraction(n - 1, n)
+    probs[-1] += Fraction(1, n)
+    return RankLottery(tuple(probs))
 
 
 # ----------------------------------------------------------------------------
@@ -312,11 +305,6 @@ def _step(stage: Stage, survivors: tuple, stage_reports: tuple, n: int) -> tuple
     return cover, 0, ()
 
 
-def _check_vetoes(spec: ProtocolSpec, n: int, p: int):
-    if sum(stage.tokens * n for stage in spec.stages if isinstance(stage, VetoRound)) >= p:
-        raise ValueError("protocol can veto every outcome")
-
-
 def _plays(
     spec: ProtocolSpec, n: int, p: int, choices: Callable[[int, tuple], Iterable[tuple]]
 ) -> Iterator[tuple[tuple, OutcomeLottery]]:
@@ -325,7 +313,7 @@ def _plays(
     `choices(idx, survivors)` gives the report tuples stage idx is played
     with over the outcomes still in play.
     """
-    _check_vetoes(spec, n, p)
+    _windows(spec.stages, n, p)
 
     def rec(idx: int, survivors: tuple, trace: tuple) -> Iterator[tuple[tuple, dict]]:
         stage = spec.stages[idx]
@@ -441,13 +429,13 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     weight (0 for a terminal stage).  A listing then adds
     (w.denominator - w.numerator) * unit // len(listed) * scale[idx + 1] at
     its rank, and a continuation adds w.numerator * unit times the next
-    state's numerators.  Raises ValueError if n or p is below 1, if the
-    protocol can veto every outcome, or if a stage cannot be played.
+    state's numerators.  Raises ValueError if n or p is below 1, if
+    `_windows` leaves a stage no outcome, or if a stage cannot be played.
     """
     started = time.perf_counter()
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
-    _check_vetoes(spec, n, p)
+    _windows(spec.stages, n, p)
     identity = identity_preference(p)
     unit = math.lcm(*range(1, max(n, p) + 1))
     scale = [1]

@@ -206,7 +206,6 @@ class TestIsFeasible:
     def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
         import worstvote.feasibility as feas
 
-        monkeypatch.setattr(feas, "_verdict_cache", {})
         monkeypatch.setattr(feas, "_anchor_cache", {})
         lam = parse_lottery("1/12,1/4,1/4,1/4,1/12,1/12")
         feas.verified_anchors(3, 6)
@@ -233,7 +232,6 @@ class TestIsFeasible:
         for lam, limit, verdict in cases:
             reports = []
             for jobs in (1, 2):
-                feas._verdict_cache.clear()
                 reports.append(
                     is_feasible(lam, 3, jobs=jobs, use_hull=False, limit_profiles=limit)
                 )
@@ -264,7 +262,6 @@ class TestIsFeasible:
             for text in ("0,1/3,1/3,1/3,0,0", "1/3,1/12,1/4,0,0,1/3"):
                 reports = []
                 for jobs in (1, 5000):
-                    monkeypatch.setattr(feas, "_verdict_cache", {})
                     pools.clear()
                     reports.append(is_feasible(parse_lottery(text), 3, jobs=jobs, use_hull=False))
                     sizes = [(pool.workers, pool.chunks) for pool in pools]
@@ -274,17 +271,6 @@ class TestIsFeasible:
                 serial, split = reports
                 assert (serial.verdict, serial.profiles_checked, serial.witness_profile, serial.witness_certificate) == (
                     split.verdict, split.profiles_checked, split.witness_profile, split.witness_certificate)
-
-    def test_cached_report_states_its_own_cost(self, monkeypatch):
-        import worstvote.feasibility as feas
-
-        monkeypatch.setattr(feas, "_verdict_cache", {})
-        lam = parse_lottery("0,1/3,1/3,1/3,0,0")
-        stored = replace(is_feasible(lam, 3), runtime_ms=10**9)
-        feas._verdict_cache[(3, lam.probs)] = stored
-        served = is_feasible(lam, 3)
-        assert served.runtime_ms < 1000
-        assert replace(served, runtime_ms=stored.runtime_ms) == stored
 
     def test_time_limit_is_named_alike_serial_and_pooled(self, monkeypatch):
         import worstvote.feasibility as feas
@@ -319,15 +305,32 @@ class TestLayoutMemo:
         assert list(feas._layout_memo) == [(6, (1, 2, 3))]
         assert feas._scan_layouts(6, (1, 2, 3)) is big
 
+    # The (p, active ranks) keys that the scan workload of `perfbench` scans,
+    # 1,620 layouts in all.
+    BENCH_KEYS = [(6, (1, 2)), (6, (1, 2, 3)), (6, (1, 2, 3, 4, 5)), (6, (1, 2, 5)), (7, (1, 2, 4)), (7, (1, 2, 6))]
+
     def test_the_bench_keys_stay(self, monkeypatch):
         import worstvote.feasibility as feas
 
-        # The (p, active ranks) keys that the scan workload of `perfbench`
-        # scans, 1,620 layouts in all; each repeat must be a hit.
-        keys = [(6, (1, 2)), (6, (1, 2, 3)), (6, (1, 2, 3, 4, 5)), (6, (1, 2, 5)), (7, (1, 2, 4)), (7, (1, 2, 6))]
+        # Each repeat must be a hit.
         monkeypatch.setattr(feas, "_layout_memo", {})
-        built = [feas._scan_layouts(*key) for key in keys]
-        assert all(feas._scan_layouts(*key) is layouts for key, layouts in zip(keys, built))
+        built = [feas._scan_layouts(*key) for key in self.BENCH_KEYS]
+        assert all(feas._scan_layouts(*key) is layouts for key, layouts in zip(self.BENCH_KEYS, built))
+
+    @pytest.mark.parametrize("p, ks", BENCH_KEYS + [(8, (1, 2, 3, 4))], ids=str)
+    def test_tail_masks_are_sums_of_layout_bits(self, monkeypatch, p, ks):
+        import worstvote.feasibility as feas
+
+        # Each tail group's mask is the sum of 1 << i over the layouts i
+        # whose k-tail it is; (8, (1, 2, 3, 4)) is the key of vt(4,8).
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        layouts, groups = feas._scan_layouts(p, ks)
+        for k, tails in zip(ks, groups):
+            expected = {}
+            for i, layout in enumerate(layouts):
+                tail = tuple(sorted(a - 1 for a in layout[:k]))
+                expected[tail] = expected.get(tail, 0) + (1 << i)
+            assert {tuple(sorted(tail)): mask for tail, mask in tails} == expected
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_stops_a_build_and_keeps_no_part(self, monkeypatch, jobs):
@@ -370,7 +373,6 @@ class TestSystemScan:
         assert system_count(lam, 3) == 300  # C(24 + 1, 2)
 
     def test_scan_agrees_with_canonical_enumeration_at_3_5(self):
-        import worstvote.feasibility as feas
         from worstvote.lottery import convex_combination
         from worstvote.profiles import enumerate_profiles
 
@@ -384,7 +386,6 @@ class TestSystemScan:
         for _ in range(400):
             raw = rand_lottery(5, rng, grain=10)
             lam = convex_combination([(F(3, 5), uniform(5)), (F(2, 5), raw)])
-            feas._verdict_cache.pop((3, lam.probs), None)
             report = is_feasible(lam, 3, use_hull=False)
             if report.method != "scan":
                 continue
@@ -482,7 +483,6 @@ class TestScanOrder:
 
         monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
         lam = parse_lottery(text)
-        feas._verdict_cache.pop((n, lam.probs), None)
         report = is_feasible(lam, n, use_hull=False)
         assert (report.verdict, report.method) == ("infeasible", "scan")
         assert report.profiles_checked == checked
@@ -530,7 +530,6 @@ class TestReportDigest:
         monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
         monkeypatch.setattr(feas.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(feas, "_verdict_cache", {})
         InlinePool.made.clear()
         digest = hashlib.sha256()
         methods = set()
@@ -550,10 +549,7 @@ class TestLargeScans:
     # profiles included, were recorded before `_scan_chunk` kept the union
     # of covers per set of common bits.
     @pytest.mark.parametrize("make, n, checked", [(vt, 6, 5_461_527), (rd, 4, 6_378_751)], ids=["vt-6-8", "rd-4-8"])
-    def test_scan_count_is_pinned(self, monkeypatch, make, n, checked):
-        import worstvote.feasibility as feas
-
-        monkeypatch.setattr(feas, "_verdict_cache", {})
+    def test_scan_count_is_pinned(self, make, n, checked):
         report = is_feasible(make(n, 8), n, jobs=1, use_hull=False)
         assert (report.verdict, report.method, report.profiles_checked) == ("feasible", "scan", checked)
 

@@ -260,7 +260,6 @@ class TestIsMaximal:
         lam = parse_lottery("37/120,11/60,1/10,4/15,17/120")
         lengths = []
         for _ in range(2):
-            monkeypatch.setattr(feas, "_verdict_cache", {})
             monkeypatch.setattr(feas, "_anchor_cache", {})
             assert is_maximal(lam, 3).verdict == "dominated"
             lengths.append(len(maximality._witness_cache[(3, 5)]))
