@@ -10,7 +10,10 @@ hard part.  Three reductions keep it tractable:
   such rank), so a profile matters only through its tails at those active
   ranks.  Profiles collapse into far fewer "tail systems".
 * Tail systems are enumerated up to symmetry: outcome relabeling pins agent
-  1's tails to the canonical chain, agent exchange sorts the rest.
+  1's tails to the canonical chain, agent exchange sorts the rest, and a
+  system that a relabeling fixing the canonical chain maps onto an earlier
+  system is skipped (isomorph rejection by least representatives; the
+  proof is in `_scan_chunk`).
 * Most systems are certified by an implementing lottery found earlier in
   the scan, with no LP.  Each chain layout keeps a bitmask of the pool
   lotteries that meet its tail caps (an exact integer check, made once per
@@ -26,9 +29,10 @@ so that one agent's order becomes the identity, meet the canonical chain
 and seed every scan chunk's pool.  Only feasible LPs are skipped, so the
 first refuting profile or system, its certificate and the count checked
 are those of solving every LP.  The chain layouts and tail groups are
-built once per (p, active ranks) and kept for later calls, and for the
-pool's forked workers, up to `_MAX_CHAINS` layouts in all; the scan's
-deadline is checked while they build.
+built once per (p, active ranks), with the tables of the relabelings that
+skip systems, and kept for later calls, and for the pool's forked workers,
+up to `_MAX_CHAINS` entries in all; the scan's deadline is checked while
+they build.
 
 Every implementation LP is laid out once, by `_tail_rows`, as integer rows
 (`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
@@ -73,14 +77,17 @@ FEASIBLE = "feasible"
 UNDECIDED = "undecided"
 
 _MAX_CHAINS = 200_000
-# A scan costs about the same per run of systems that share all but the last
-# agent's layout, however long the run: `_scan_chunk` tests a run with a few
-# bitmask operations.  Scans of fewer runs than this stay one in-process
-# chunk even when jobs > 1, because every pool chunk rediscovers the
-# implementing lotteries its seeds lack, which below the switch costs more
-# than the extra cores save (crossover measured at 2 cores before chunks
-# were seeded; see CHANGES.md).
-_POOL_SWITCH = 100_000
+# Scans of fewer runs (systems sharing all but the last agent's layout,
+# before any is skipped) than this stay one in-process chunk even when
+# jobs > 1.  Every pool chunk starts from the call's seeds and finds again
+# the implementing lotteries an earlier chunk found, and each costs a pass
+# over all the layouts; once the skip rule leaves few runs to test, that
+# outweighs the second core.  Measured at jobs 1 and 2 with the pool
+# forced, on a 2-core VM: the pool lost at every probe up to 6.4M runs
+# ((5,8) VT 0.25 s against 0.33 s, (3,10) RD,VT,RD 3.6 s against 5.4 s),
+# tied at (4,8) VT (1.4M runs), and won from 28.6M runs ((4,9) VT,RD 2.1 s
+# against 1.9 s, (5,9) VT 105 s against 54 s); see CHANGES.md.
+_POOL_SWITCH = 20_000_000
 
 UtilityVector = tuple[Fraction, ...]
 # Per active rank, each distinct tail (0-based outcomes) with the bitmask of
@@ -390,20 +397,74 @@ def system_count(lam: RankLottery, n: int) -> int:
     return math.comb(c + n - 2, n - 1) if n >= 2 else 1
 
 
-Layouts = tuple[tuple[tuple[int, ...], ...], TailGroups]
+# Per layout, the witnesses that fix it and those that map it lower; per
+# witness, the bitmask of the layouts it maps lower (see `_witness_tables`).
+Witnesses = tuple[Sequence[int], Sequence[int], tuple[int, ...]]
+Layouts = tuple[tuple[tuple[int, ...], ...], TailGroups, Witnesses]
 # Complete builds of `_scan_layouts` by key, least recently used first.
 _layout_memo: dict[tuple[int, tuple[int, ...]], Layouts] = {}
 
 
+def _witness_tables(
+    p: int, ks: tuple[int, ...], groups: TailGroups, count: int, deadline: Optional[float]
+) -> Optional[Witnesses]:
+    """The relabelings `_scan_chunk` uses to skip systems, read off the tail
+    groups of the `count` layouts, or None when `deadline` passes first;
+    three empty tables when there are none.
+
+    Witness b is the transposition of the outcomes a and a + 1 that is the
+    b-th pair of adjacent labels inside one block of agent 1's canonical
+    chain (the labels between consecutive active ranks, or above the last).
+    It maps every chain onto a chain.  It fixes a layout that holds a and
+    a + 1 in one block, and otherwise swaps them in place, which keeps every
+    block sorted since no label lies between them.  The swap keeps each
+    tail's overlap with the canonical chain, by which the layouts are sorted
+    first, and then compares as tuples: the image sorts before the layout
+    exactly when a + 1 comes first in it, that is when some tail holds a + 1
+    and not a.  So the tables need no lookup of images: per layout the
+    bitmask of the witnesses that fix it and of those that map it lower,
+    and per witness the bitmask of the layouts it maps lower.
+    """
+    bounds = list(zip((0, *ks), (*ks, p)))
+    pairs = [a for lo, hi in bounds for a in range(lo + 1, hi)]
+    if not pairs:
+        return (), (), ()
+    holding = []  # per active rank, per outcome (0-based), the layouts whose tail holds it
+    for tails in groups:
+        masks = [0] * p
+        for tail, members in tails:
+            if _expired(deadline):
+                return None
+            for x in tail:
+                masks[x] |= members
+        holding.append(masks)
+    everyone = (1 << count) - 1
+    fixes, lowers_at, lowered = [0] * count, [0] * count, []
+    for b, a in enumerate(pairs):  # outcomes a and a + 1 are a - 1 and a, 0-based
+        if _expired(deadline):
+            return None
+        apart = lower = 0
+        for masks in holding:
+            apart |= masks[a - 1] ^ masks[a]
+            lower |= masks[a] & ~masks[a - 1]
+        for i in _set_bits(everyone & ~apart):
+            fixes[i] |= 1 << b
+        for i in _set_bits(lower):
+            lowers_at[i] |= 1 << b
+        lowered.append(lower)
+    return fixes, lowers_at, tuple(lowered)
+
+
 def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None) -> Optional[Layouts]:
-    """The chain layouts of `ks` over `p` outcomes and their tail groups,
-    shared, unchanged, by every scan of that key; None when `deadline`
-    passes during the build.
+    """The chain layouts of `ks` over `p` outcomes, their tail groups and
+    their witness tables, shared, unchanged, by every scan of that key; None
+    when `deadline` passes during the build.
 
     Only complete builds are kept.  The key just used always stays, and
     older keys are dropped, least recently used first, until the memo holds
-    at most `_MAX_CHAINS` layouts (the most a scan of `is_feasible` uses),
-    or that key alone.
+    at most `_MAX_CHAINS` entries, a layout and each of its two witness
+    table entries counting one each, or that key alone.  `_MAX_CHAINS`
+    layouts are the most a scan of `is_feasible` uses.
     """
     key = (p, ks)
     built = _layout_memo.pop(key, None)
@@ -426,14 +487,22 @@ def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None)
                     bits[i >> 3] |= 1 << (i & 7)
                 tails.append((tuple(a - 1 for a in tail), int.from_bytes(bits, "little")))
             groups.append(tuple(tails))
-        built = tuple(layouts), tuple(groups)
-    held = len(built[0])
+        witnesses = _witness_tables(p, ks, groups, len(layouts), deadline)
+        if witnesses is None:
+            return None
+        built = tuple(layouts), tuple(groups), witnesses
+    held = _entries(built)
     for old in reversed(list(_layout_memo)):
-        held += len(_layout_memo[old][0])
+        held += _entries(_layout_memo[old])
         if held > _MAX_CHAINS:
             del _layout_memo[old]
     _layout_memo[key] = built
     return built
+
+
+def _entries(built: Layouts) -> int:
+    layouts, _, (fixes, lowers_at, _) = built
+    return len(layouts) + len(fixes) + len(lowers_at)
 
 
 def _add_to_pool(
@@ -472,33 +541,84 @@ def _set_bits(x: int) -> list[int]:
     return [i for i, digit in enumerate(bin(x)[:1:-1]) if digit == "1"]
 
 
-def _heads(count: int, agents: int, lo: int, hi: int):
-    """All but the last layout index of each system whose first index lies
-    in [lo, hi), in enumeration order; the last index runs from head[-1]."""
-    for i in range(lo, hi):
-        if agents == 2:
-            yield (i,)  # spares combinations_with_replacement copying the range
+def _heads(
+    count: int,
+    agents: int,
+    lo: int,
+    hi: int,
+    fixes: Sequence[int],
+    lowers_at: Sequence[int],
+    prefix: tuple[int, ...] = (),
+    kept: int = -1,
+):
+    """The runs of systems whose first index lies in [lo, hi), in
+    enumeration order, under the skip rule of `_scan_chunk`: (head, kept)
+    for a run to scan, `head` all but its last layout index (the last runs
+    from head[-1]) and `kept` the bitmask of the witnesses that fix every
+    index of the head; (prefix, None) for the block of all the systems that
+    start with `prefix`, every one of them skipped.
+
+    `prefix` and `kept` carry the recursion: the indices chosen so far and
+    the witnesses that fix each of them.  Once none does, nothing more is
+    skipped, and the rest of the head comes from
+    `combinations_with_replacement`.
+    """
+    if not lowers_at:
+        kept = 0  # no witnesses
+    for i in range(prefix[-1], count) if prefix else range(lo, hi):
+        head = (*prefix, i)
+        if kept and kept & lowers_at[i]:
+            yield head, None
             continue
-        for rest in itertools.combinations_with_replacement(range(i, count), agents - 2):
-            yield (i, *rest)
+        left = kept and kept & fixes[i]
+        if len(head) + 1 == agents:
+            yield head, left
+        elif left:
+            yield from _heads(count, agents, lo, hi, fixes, lowers_at, head, left)
+        else:
+            for rest in itertools.combinations_with_replacement(range(i, count), agents - 1 - len(head)):
+                yield (*head, *rest), 0
 
 
 def _scan_chunk(payload: tuple) -> dict:
     """Scan one slice of the tail-system space (n >= 3), in enumeration order.
 
-    The pool holds every implementing lottery found so far; bit b of
-    `masks[i]` is set when pool lottery b meets layout i's tail caps.  Every
-    pool lottery meets the canonical chain, so a system is certified exactly
-    when the AND of its other agents' masks is nonzero.  The LP runs only
-    where it is zero; its solution is checked once against every layout and
-    becomes the next bit.  `covers[b]` is the bitmask of the layouts pool
-    lottery b meets, so a run of systems sharing a head is tested at once:
-    its certified last layouts are the union of the covers of the bits
-    common to the head, kept per set of common bits (`covers[b]` never
-    changes once appended).  The pool certifies no LP-infeasible system, so
-    the scan stops at the slice's first infeasible system.  `limit` caps the
-    systems visited; `deadline` is checked once per run.  A stop returns
-    the status "profile-limit" or "time-limit", naming which one ran out.
+    A system is agent 1 on the canonical chain and a sorted tuple of the
+    other agents' layout indices, and systems are enumerated in the
+    lexicographic order of those tuples.  The pool holds every implementing
+    lottery found so far; bit b of `masks[i]` is set when pool lottery b
+    meets layout i's tail caps.  Every pool lottery meets the canonical
+    chain, so a system is certified exactly when the AND of its other
+    agents' masks is nonzero.  The LP runs only where it is zero; its
+    solution is checked once against every layout and becomes the next bit.
+    `covers[b]` is the bitmask of the layouts pool lottery b meets, so a run
+    of systems sharing a head is tested at once: its certified last layouts
+    are the union of the covers of the bits common to the head, kept per set
+    of common bits (`covers[b]` never changes once appended).  The pool
+    certifies no LP-infeasible system, so the scan stops at the slice's
+    first infeasible system.  `limit` caps the systems visited; `deadline`
+    is checked once per run scanned or block skipped.  A stop returns the
+    status "profile-limit" or "time-limit", naming which one ran out.
+
+    Systems that a relabeling maps onto an earlier system are skipped and
+    counted as visited.  A relabeling s of the outcomes that maps each block
+    of agent 1's canonical chain onto itself fixes agent 1's tails, so it
+    maps the system S onto the system sS (sorted), with the same verdict.
+    The witnesses of `_witness_tables` are such relabelings, and S is
+    skipped only when one of them gives sS < S:
+    - prefix: a witness that fixes the head indices before i_t and maps i_t
+      to a lower index skips every system that starts like S up to i_t,
+      since its image keeps the members of S below i_t and gains one more,
+      so it sorts first;
+    - last index: a witness that fixes the whole head skips the last index
+      j when it maps j lower, by setting bit j of the run's `covered`.
+    So the least system of each class under the group the witnesses
+    generate is never skipped, and every skipped system comes after it in
+    the enumeration, hence in the same slice or a later one.  Were that
+    least system infeasible, the scan would stop there; so every skipped
+    system is feasible, only feasible LPs are left out, and the verdict,
+    the first infeasible system, its certificate and the count at a stop
+    are those of a scan without the skip, at any chunking.
 
     The pool starts with mass lam_k on outcome k, the uniform when it meets
     the caps, and then `seeds`: lotteries ``(mass, scale)`` the caller knows
@@ -508,7 +628,7 @@ def _scan_chunk(payload: tuple) -> dict:
     lam = RankLottery(probs)
     p = lam.p
     caps, cap_den = _scaled([lam.cumulative()[k - 1] for k in ks])
-    layouts, groups = _scan_layouts(p, ks)  # built by `_scan`, before any fork
+    layouts, groups, (fixes, lowers_at, lowered) = _scan_layouts(p, ks)  # built by `_scan`, before any fork
     count = len(layouts)
     identity = tuple(range(1, p + 1))
 
@@ -524,10 +644,17 @@ def _scan_chunk(payload: tuple) -> dict:
             raise AssertionError(f"seed {mass} / {scale} misses the canonical chain")
 
     unions: dict[int, int] = {}  # common bits -> the union of their covers
+    skips: dict[int, int] = {}  # kept witnesses -> the union of the layouts they map lower
     checked = 0
-    for head in _heads(count, n - 1, lo, hi):
+    for head, kept in _heads(count, n - 1, lo, hi, fixes, lowers_at):
         if _expired(deadline):
             return {"status": "time-limit", "checked": checked}
+        if kept is None:
+            rest = n - 1 - len(head)  # the indices after the prefix, each from head[-1] up
+            checked += math.comb(count - head[-1] + rest - 1, rest)
+            if limit is not None and checked > limit:
+                return {"status": "profile-limit", "checked": limit}
+            continue
         common = masks[head[0]]
         for i in head[1:]:
             common &= masks[i]
@@ -537,6 +664,14 @@ def _scan_chunk(payload: tuple) -> dict:
             for b in _set_bits(common):
                 covered |= covers[b]
             unions[common] = covered
+        if kept:
+            skip = skips.get(kept)
+            if skip is None:
+                skip = 0
+                for b in _set_bits(kept):
+                    skip |= lowered[b]
+                skips[kept] = skip
+            covered |= skip
         j = head[-1]
         stop = count if limit is None else min(count, j + limit - checked)
         if j == stop:
@@ -560,12 +695,15 @@ def _scan_chunk(payload: tuple) -> dict:
     return {"status": "feasible", "checked": checked}
 
 
-def _chunk_ranges(count: int, agents: int, parts: int) -> list[tuple[int, int]]:
+def _chunk_ranges(count: int, agents: int, parts: int, lowers_at: Sequence[int]) -> list[tuple[int, int]]:
     """Split the first-index range into contiguous slices holding similar
-    numbers of runs (systems sharing all but the last layout)."""
+    numbers of runs (systems sharing all but the last layout), counting
+    none for a first index that `_scan_chunk` skips with all its systems."""
     if agents <= 0 or count == 0:
         return [(0, count)]
-    weights = [math.comb(count - i + agents - 3, agents - 2) for i in range(count)]
+    weights = [
+        0 if lowers_at and lowers_at[i] else math.comb(count - i + agents - 3, agents - 2) for i in range(count)
+    ]
     total = sum(weights)
     target = total / parts
     ranges = []
@@ -603,10 +741,11 @@ def _scan(
     built = _scan_layouts(len(probs), ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
-    count = len(built[0])
+    layouts, _, (_, lowers_at, _) = built
+    count = len(layouts)
     agents = n - 1
     workers = min(jobs, os.cpu_count() or 1)
-    ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4)
+    ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4, lowers_at)
     payloads = []
     for lo, hi in ranges:
         share = None

@@ -231,8 +231,8 @@ def _formula(stage: Stage, inner: Optional[RankLottery], n: int, window: int) ->
         return inner
     if inner is not None:
         return rd_compose(inner, n)
-    if stage.padded:
-        return rd(n, window)
+    if stage.padded:  # on n or fewer outcomes it pads to all of them
+        return rd(n, window) if window > n else uniform(window)
     probs = [ZERO] * window
     probs[0] = Fraction(n - 1, n)
     probs[-1] += Fraction(1, n)

@@ -1,0 +1,58 @@
+"""The whole differential sweep of the tail-system scan's skip rule.
+
+`tests/test_feasibility.py` runs a slice of each part with the Tier-1
+tests.  This file does not match pytest's `test_*.py` pattern, so it runs
+only when named:
+
+    PYTHONPATH=src python -m pytest -q tests/scan_sweep.py
+"""
+
+import functools
+import random
+
+import pytest
+
+import worstvote.feasibility as feas
+from worstvote.lottery import dominates, uniform
+from worstvote.profiles import enumerate_profiles
+
+from tests.test_feasibility import (
+    _SCAN_CORPUS,
+    _SKIP_KEYS,
+    _check_against_no_witnesses,
+    _check_against_profiles,
+    _check_skip_rule,
+    sparse_lottery,
+)
+
+
+@pytest.mark.parametrize("p, ks, n", _SKIP_KEYS, ids=str)
+def test_each_class_keeps_its_least_system(monkeypatch, p, ks, n):
+    _check_skip_rule(monkeypatch, p, ks, n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reports_match_a_scan_without_witnesses(monkeypatch, jobs):
+    _check_against_no_witnesses(monkeypatch, _SCAN_CORPUS, jobs)
+
+
+@functools.cache
+def _profiles(n, p):
+    return tuple(enumerate_profiles(n, p))
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 5), (3, 6)])
+def test_scans_agree_with_every_profile(monkeypatch, n, p):
+    # Seeded lotteries that reach the scan, decided by it alone (the
+    # library profiles are off), each checked against the implementation LP
+    # at every canonical profile: 3 feasible and 3 infeasible per context.
+    monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])
+    rng = random.Random(n * 10 + p)
+    decided = {"feasible": 0, "infeasible": 0}
+    while min(decided.values()) < 3:
+        lam = sparse_lottery(p, rng)
+        if dominates(uniform(p), lam) or not feas.necessary_cuts(lam, n).passed:
+            continue
+        report = _check_against_profiles(lam, n, _profiles(n, p))
+        assert report.method == "scan"
+        decided[report.verdict] += 1

@@ -294,7 +294,8 @@ class TestLayoutMemo:
         import worstvote.feasibility as feas
 
         monkeypatch.setattr(feas, "_layout_memo", {})
-        monkeypatch.setattr(feas, "_MAX_CHAINS", 100)
+        # Each key below has witnesses, so each layout holds three entries.
+        monkeypatch.setattr(feas, "_MAX_CHAINS", 300)
         keys = [(5, (1, 2)), (5, (1, 4)), (6, (1, 5)), (6, (1, 2))]  # 20, 20, 30 and 30 layouts
         built = [feas._scan_layouts(*key) for key in keys]
         assert feas._scan_layouts(*keys[0]) is built[0]  # a hit; the oldest key is now the newest
@@ -324,7 +325,7 @@ class TestLayoutMemo:
         # Each tail group's mask is the sum of 1 << i over the layouts i
         # whose k-tail it is; (8, (1, 2, 3, 4)) is the key of vt(4,8).
         monkeypatch.setattr(feas, "_layout_memo", {})
-        layouts, groups = feas._scan_layouts(p, ks)
+        layouts, groups, _ = feas._scan_layouts(p, ks)
         for k, tails in zip(ks, groups):
             expected = {}
             for i, layout in enumerate(layouts):
@@ -543,6 +544,249 @@ class TestReportDigest:
         assert digest.hexdigest() == self.DIGEST
 
 
+def _skip_keys():
+    """(p, ks, n) for every set of active ranks at p = 3..6 whose blocks
+    admit a relabeling, at n = 3 and 4: 104 cases."""
+    import itertools
+
+    keys = []
+    for p in range(3, 7):
+        for size in range(1, p):
+            for ks in itertools.combinations(range(1, p), size):
+                if any(hi - lo > 1 for lo, hi in zip((0, *ks), (*ks, p))):
+                    keys += [(p, ks, n) for n in (3, 4)]
+    return keys
+
+
+_SKIP_KEYS = _skip_keys()
+
+
+def _layout_group(p, ks, layouts):
+    """Every relabeling that maps each block of the canonical chain onto
+    itself, as the permutation of layout indices it induces: the image of a
+    layout is the chain of its relabeled tails, sorted within each block."""
+    import itertools
+
+    index = {layout: i for i, layout in enumerate(layouts)}
+    bounds = list(zip((0, *ks), (*ks, p)))
+    group = []
+    for images in itertools.product(*(itertools.permutations(range(lo + 1, hi + 1)) for lo, hi in bounds)):
+        relabel = dict(zip(range(1, p + 1), itertools.chain(*images)))
+        group.append(tuple(
+            index[tuple(b for lo, hi in bounds for b in sorted(relabel[a] for a in layout[lo:hi]))]
+            for layout in layouts
+        ))
+    return group
+
+
+def _fixed_multisets(perm, size):
+    """The multisets of `size` indices that the permutation `perm` maps onto
+    themselves: the coefficient of x**size in the product, over its cycles,
+    of 1 / (1 - x**length)."""
+    seen = [False] * len(perm)
+    ways = [1] + [0] * size
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = True, perm[i], length + 1
+        for total in range(length, size + 1) if length else ():
+            ways[total] += ways[total - length]
+    return ways[size]
+
+
+def _check_skip_rule(monkeypatch, p, ks, n):
+    """Brute force over the systems of `ks` at n agents against the whole
+    relabeling group.  `_scan_chunk` runs with a pool that certifies
+    nothing, so every system it scans reaches the (stubbed) LP: it must
+    scan them in order, count every system, and scan the least member of
+    every class.  So every skipped system has an earlier member of its
+    class, and every class keeps a scanned one.  The classes are counted by
+    Burnside's lemma, so the skipped systems are counted but never
+    listed."""
+    import math
+
+    import worstvote.feasibility as feas
+
+    layouts = feas._scan_layouts(p, ks)[0]
+    index = {layout: i for i, layout in enumerate(layouts)}
+    group = _layout_group(p, ks, layouts)
+    assert len(group) > 1
+    scanned = []
+
+    def feasible_point(p, orders):  # the "rows" are the system's orders
+        scanned.append(orders)
+        return ([0] * p, 1), None
+
+    monkeypatch.setattr(feas, "_add_to_pool", lambda masks, covers, *args: covers.append(0))
+    monkeypatch.setattr(feas, "_tail_rows", lambda p, ks, caps, cap_den, orders: orders)
+    monkeypatch.setattr(feas, "feasible_point", feasible_point)
+    count = len(layouts)
+    outcome = feas._scan_chunk((uniform(p).probs, n, ks, 0, count, None, None, ()))
+    assert outcome == {"status": "feasible", "checked": math.comb(count + n - 2, n - 1)}
+    systems = [[index[order] for order in orders[1:]] for orders in scanned]
+    assert all(a < b for a, b in zip(systems, systems[1:]))
+    moves = [perm.__getitem__ for perm in group if perm != tuple(range(count))]
+    least = sum(all(sorted(map(move, system)) >= system for move in moves) for system in systems)
+    classes, rest = divmod(sum(_fixed_multisets(perm, n - 1) for perm in group), len(group))
+    assert rest == 0
+    assert least == classes
+
+
+def sparse_lottery(p, rng):
+    """A random lottery on 2 to 4 ranks (at most p - 1): few active ranks,
+    so the blocks of the canonical chain admit relabelings."""
+    support = rng.sample(range(p), rng.randint(2, min(4, p - 1)))
+    weights = [rng.randint(1, rng.choice((10, 12, 20))) for _ in support]
+    probs = [F(0)] * p
+    for k, x in zip(support, weights):
+        probs[k] = F(x, sum(weights))
+    return lottery(probs)
+
+
+def _scan_corpus():
+    """(lam, n, library) inputs of the differential test against a scan
+    without witnesses: at each of (3,5), (3,6), (3,7), (4,5) and (4,6),
+    8 seeded lotteries on 2 to 4 ranks that reach the library profiles
+    (no cut refutes them and the uniform does not dominate them) in at most
+    400,000 systems, then the `TestScanOrder` inputs; each with the library
+    profiles on and off, so that the scan itself refutes the infeasible
+    ones."""
+    rng = random.Random(19)
+    inputs = []
+    for n, p in ((3, 5), (3, 6), (3, 7), (4, 5), (4, 6)):
+        found = 0
+        while found < 8:
+            lam = sparse_lottery(p, rng)
+            if dominates(uniform(p), lam) or not necessary_cuts(lam, n).passed or system_count(lam, n) > 400_000:
+                continue
+            found += 1
+            inputs.append((lam, n))
+    inputs += [(parse_lottery(text), n) for n, text, *_ in TestScanOrder.PINNED]
+    return [(lam, n, library) for lam, n in inputs for library in (True, False)]
+
+
+_SCAN_CORPUS = _scan_corpus()
+
+
+def _check_against_no_witnesses(monkeypatch, corpus, jobs):
+    """Whole reports, `runtime_ms` aside, with and without the witness
+    tables (the test seam: `_witness_tables` returning empty tables), for
+    each input of `corpus` scanned in full, under a limit that ends in the
+    middle of the scan, and under a fake clock that runs out at the third
+    library profile or at the scan's first reading.  A deadline that
+    passes inside the scan stops the two at different systems, since they
+    read the clock once per run scanned or block skipped; so does a real
+    clock two runs of one program.  At two jobs every scan splits into
+    chunks, run by the inline pool."""
+    import time
+
+    import worstvote.feasibility as feas
+
+    monkeypatch.setattr(feas, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+    monkeypatch.setattr(feas.os, "cpu_count", lambda: 2)
+    library = feas.hard_profiles
+    clock = {"now": 0.0, "step": 1.0}
+
+    def monotonic():
+        clock["now"] += clock["step"]
+        return clock["now"]
+
+    scan = feas._scan
+
+    def scan_on_a_moving_clock(*args):
+        clock["step"] = 1.0
+        return scan(*args)
+
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return feasible_point(*args)
+
+    monkeypatch.setattr(feas, "feasible_point", counted)
+
+    def reports():
+        out = []
+        InlinePool.made.clear()
+        for lam, n, with_library in corpus:
+            monkeypatch.setattr(feas, "hard_profiles", library if with_library else lambda n, p: [])
+            libraries = len(library(n, p=lam.p)) if with_library else 0
+            runs = [{}, {"limit_profiles": libraries + system_count(lam, n) // 2}]
+            for kwargs in runs:
+                out.append(is_feasible(lam, n, jobs=jobs, use_hull=False, **kwargs))
+            with monkeypatch.context() as fake:
+                fake.setattr(feas, "time", SimpleNamespace(monotonic=monotonic, perf_counter=time.perf_counter))
+                if with_library:  # the third library profile reads the clock past the deadline
+                    clock["step"] = 1.0
+                    out.append(is_feasible(lam, n, jobs=jobs, use_hull=False, time_budget=2.5))
+                    assert out[-1].profiles_checked <= 2  # no scan system was counted
+                clock["step"] = 0.0  # until the scan starts
+                fake.setattr(feas, "_scan", scan_on_a_moving_clock)
+                out.append(is_feasible(lam, n, jobs=jobs, use_hull=False, time_budget=0.5))
+        assert bool(InlinePool.made) == (jobs > 1)
+        return [replace(report, runtime_ms=0) for report in out]
+
+    monkeypatch.setattr(feas, "_layout_memo", {})
+    quotient = reports()
+    quotient_solves = len(solves)
+    solves.clear()
+    monkeypatch.setattr(feas, "_witness_tables", lambda *args: ((), (), ()))
+    monkeypatch.setattr(feas, "_layout_memo", {})
+    assert reports() == quotient
+    assert quotient_solves < len(solves)
+    return quotient
+
+
+def _check_against_profiles(lam, n, profiles):
+    """The scan's verdict, with the library profiles off, against the
+    implementation LP at every canonical profile; each profile is tried
+    first against the lotteries found so far, by the exact integer check."""
+    import worstvote.feasibility as feas
+
+    every_cap, cap_den = _scaled(lam.cumulative()[:-1])
+    found = []
+    brute = True
+    for prof in profiles:
+        orders = [pref.order for pref in prof.prefs]
+        if any(feas._implements(x, scale, every_cap, cap_den, orders) for x, scale in found):
+            continue
+        point, _ = feasible_point(lam.p, feas._implementation_rows(lam, prof))
+        if point is None:
+            brute = False
+            break
+        found.append(point)
+    report = is_feasible(lam, n, use_hull=False)
+    assert report.verdict == ("feasible" if brute else "infeasible")
+    return report
+
+
+class TestSkipRule:
+    @pytest.mark.parametrize("p, ks, n", [key for key in _SKIP_KEYS if key[0] <= 5], ids=str)
+    def test_each_class_keeps_its_least_system(self, monkeypatch, p, ks, n):
+        # The 44 cases at p <= 5, in under a second; `tests/scan_sweep.py`
+        # runs all 104, in about three minutes, most of it n = 4 at p = 6.
+        _check_skip_rule(monkeypatch, p, ks, n)
+
+    def test_the_bench_keys_have_witnesses(self):
+        import worstvote.feasibility as feas
+
+        # (3,7)'s key (1, 2, 4) has blocks {3, 4} and {5, 6, 7}: witnesses
+        # (3 4), (5 6) and (6 7) generate its 12 relabelings.  A key of one-
+        # outcome blocks has no witness, and no table is built.
+        layouts, _, (fixes, lowers_at, lowered) = feas._scan_layouts(7, (1, 2, 4))
+        assert len(lowered) == 3 and len(fixes) == len(lowers_at) == len(layouts) == 420
+        assert len(_layout_group(7, (1, 2, 4), layouts)) == 12
+        assert feas._scan_layouts(6, (1, 2, 3, 4, 5))[2] == ((), (), ())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_match_a_scan_without_witnesses(self, monkeypatch, jobs):
+        # Every fifth input of the corpus; `tests/scan_sweep.py` runs all.
+        reports = _check_against_no_witnesses(monkeypatch, _SCAN_CORPUS[::5], jobs)
+        assert {"scan", "profile-limit", "time-limit"} <= {report.method for report in reports}
+        assert "infeasible" in {report.verdict for report in reports}
+
+
 class TestLargeScans:
     # Feasible scans above the benchmark's sizes, where most runs of systems
     # share their common pool bits with an earlier run.  The counts, library
@@ -607,7 +851,7 @@ class TestIntegerRows:
 
         # One active rank: each layout's tail is one outcome, capped at 1/3.
         ks, caps = (1,), [1]
-        layouts, groups = feas._scan_layouts(3, ks)
+        layouts, groups, _ = feas._scan_layouts(3, ks)
         spares_first = [layout[0] != 1 for layout in layouts]
         # At 2**60 + 1 units the cap times the scale is an integer that no
         # float holds.
