@@ -8,17 +8,20 @@ leftover outcomes; the mixing weight is chosen from the guarantee of the
 continuation, mirroring how guarantees compose.
 
 One stage function, `_step`, says what a stage does with one tuple of
-reports: the outcomes it lists, each listing taking an equal share of the
-mass the stage settles, the weight with which play continues, and the
-outcomes left for the next stage.  `run` chains the stages through `_plays`
-on explicit reports, checked for legality first (all randomization
-symbolic, never sampled), and turns the listings into `Fraction` masses.
+reports, read through their `_fold` aggregate: the outcomes it lists, each
+listing taking an equal share of the mass the stage settles, the weight
+with which play continues, and the outcomes left for the next stage.
+`run` chains the stages through `_plays` on explicit reports, checked for
+legality first (all randomization symbolic, never sampled), and turns the
+listings into `Fraction` masses.
 `_windows`, shared by the parser, `run` and the evaluation, gives the
 fewest outcomes each stage can be played on and refuses a protocol that
 can leave a stage none.  `worst_case_guarantee` fixes agent 1 on one
 preference playing its safe strategy and takes, per rank, the worst case
 over every adversary report by a recursion over (stage, survivor count)
-states that calls `_step` once per multiset of adversary reports.  A count
+states.  Each state folds the adversaries' reports, one adversary at a
+time, into one aggregate per distinct reading of the stage, counting the
+report tuples that reach it, and calls `_step` once per aggregate.  A count
 suffices because every stage reads outcome labels only through their
 order: relabeling survivors S onto 1..|S| in order carries each play onto
 a play, so the worst case on S at rank k is the one on 1..|S| at rank
@@ -35,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,53 +253,80 @@ def _pad_set(chosen: set[int], survivors: tuple, target: int) -> tuple[int, ...]
     return tuple(sorted([*chosen, *extra[: target - len(chosen)]]))
 
 
-def _find_cover(
-    survivors: tuple, reports: tuple[frozenset[int], ...], size: int
-) -> Optional[tuple[int, ...]]:
-    for combo in itertools.combinations(survivors, size):
-        cset = set(combo)
-        if all(cset & rep for rep in reports):
-            return combo
-    return None
+def _token(stage, survivors, report):
+    """One legal report as an aggregate: the bitmask over
+    `combinations(survivors, cover_size)` of the sets that a cover report
+    meets, the bitmask of a padded claim, the 1-tuple of a naive claim, the
+    bitmask of a veto's labels, and 0 for the uniform fallback's None."""
+    if isinstance(stage, CoverRound):
+        combos = itertools.combinations(survivors, stage.cover_size)
+        return sum(1 << i for i, combo in enumerate(combos) if not report.isdisjoint(combo))
+    if isinstance(stage, DictatorRound):
+        return 1 << report if stage.padded else (report,)
+    return sum(1 << a for a in report or ())
 
 
-def _legal_reports(stage: Stage, survivors: tuple, stage_reports: tuple, idx: int, n: int) -> tuple:
-    """Stage idx's reports, sets made frozensets; ValueError unless there
-    are n of them, each in the stage's report space."""
-    if isinstance(stage, (VetoRound, CoverRound)):
-        stage_reports = tuple(map(frozenset, stage_reports))
-    space = _report_space(stage, survivors)
-    if len(stage_reports) != n or not all(rep in space for rep in stage_reports):
-        raise ValueError(f"stage {idx} needs {n} legal reports, got {stage_reports}")
-    return stage_reports
+def _fold(stage, survivors, choices):
+    """Every aggregate of one report per agent, agent j's from choices[j]:
+    aggregate -> [the number of report tuples that reach it, the
+    lexicographically first of them].
+
+    A cover keeps the sets that every report meets (AND), a naive dictator
+    sorts the claims, and the other stages take the union of their masks
+    (OR).  Agent j's tokens fold into the aggregates of the agents before
+    it, so the work grows with the distinct aggregates, not with the
+    tuples.  The first tuple reaching an aggregate extends the first tuple
+    reaching one before it, so entries are made in the order of their
+    first tuples.
+    """
+    if isinstance(stage, CoverRound):
+        combine, empty = operator.and_, -1
+    elif getattr(stage, "padded", True):
+        combine, empty = operator.or_, 0
+    else:
+        combine, empty = lambda agg, token: tuple(sorted(agg + token)), ()
+    folds = {empty: [1, ()]}  # the aggregate of no report
+    for reports in choices:
+        tokens = [(rep, _token(stage, survivors, rep)) for rep in reports]
+        folds, last = {}, folds
+        for agg, (count, first) in last.items():
+            for rep, token in tokens:
+                entry = folds.get(key := combine(agg, token))
+                if entry:
+                    entry[0] += count
+                else:
+                    folds[key] = [count, first + (rep,)]
+    return folds
 
 
-def _step(stage: Stage, survivors: tuple, stage_reports: tuple, n: int) -> tuple[tuple, Fraction | int, tuple]:
-    """What one stage does with one tuple of legal reports.
+def _step(stage: Stage, survivors: tuple, agg, n: int) -> tuple[tuple, Fraction | int, tuple]:
+    """What one stage does with a tuple of legal reports, given as their
+    `_fold` aggregate.
 
     Every stage settles equal shares.  Returns the outcomes it lists, the
     weight w with which play continues to the next stage (the int 1 after a
     veto round, 0 after a terminal stage), and the outcomes left for that
     stage.  Each listing receives (1 - w) / len(listed) of the mass, so an
-    outcome listed twice receives twice that.
+    outcome listed twice receives twice that.  A cover round plays the
+    lowest set of its mask, the first covering set in label order.
     """
     if isinstance(stage, VetoRound):
-        vetoed = set().union(*stage_reports)
-        return (), 1, tuple(a for a in survivors if a not in vetoed)
+        return (), 1, tuple(a for a in survivors if not agg >> a & 1)
     if isinstance(stage, UniformFallback):
         return survivors, 0, ()
     if isinstance(stage, DictatorRound):
         if not stage.padded:
-            return stage_reports, 0, ()
-        distinct = set(stage_reports)
+            return agg, 0, ()
         weight = stage.continue_weight or 0
-        if not weight and len(distinct) == 1:
-            return stage_reports[:1], 0, ()
-        padded = _pad_set(distinct, survivors, min(n, len(survivors)))
+        claims = {a for a in survivors if agg >> a & 1}
+        if not weight and len(claims) == 1:
+            return tuple(claims), 0, ()
+        padded = _pad_set(claims, survivors, min(n, len(survivors)))
         return padded, weight, tuple(a for a in survivors if a not in padded)
-    cover = _find_cover(survivors, stage_reports, stage.cover_size)
-    if cover is None:
+    if not agg:
         raise CoverNotFoundError(f"no {stage.cover_size}-set meets all reported {stage.depth}-sets")
+    combos = itertools.combinations(survivors, stage.cover_size)
+    cover = next(itertools.islice(combos, (agg & -agg).bit_length() - 1, None))
     if stage.play == "complement":
         cover = tuple(a for a in survivors if a not in cover)
         if not cover:
@@ -315,10 +346,11 @@ def _plays(
     """
     _windows(spec.stages, n, p)
 
-    def rec(idx: int, survivors: tuple, trace: tuple) -> Iterator[tuple[tuple, dict]]:
+    def rec(idx, survivors, trace):
         stage = spec.stages[idx]
         for stage_reports in choices(idx, survivors):
-            listed, weight, rest = _step(stage, survivors, stage_reports, n)
+            (agg,) = _fold(stage, survivors, [(rep,) for rep in stage_reports])
+            listed, weight, rest = _step(stage, survivors, agg, n)
             new_trace = trace + (stage_reports,)
             for sub_trace, sub_mass in rec(idx + 1, rest, new_trace) if weight else [(new_trace, {})]:
                 mass = {a: weight * w for a, w in sub_mass.items()}
@@ -340,8 +372,14 @@ def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> Outcom
     agents may report anything legal, truthful or not.
     """
 
-    def given(idx: int, survivors: tuple) -> tuple[tuple, ...]:
-        return (_legal_reports(spec.stages[idx], survivors, reports[idx], idx, prof.n),)
+    def given(idx, survivors):  # stage idx's reports, sets made frozensets, if legal
+        stage, legal = spec.stages[idx], reports[idx]
+        if isinstance(stage, (VetoRound, CoverRound)):
+            legal = tuple(map(frozenset, legal))
+        space = _report_space(stage, survivors)
+        if len(legal) != prof.n or not all(rep in space for rep in legal):
+            raise ValueError(f"stage {idx} needs {prof.n} legal reports, got {legal}")
+        return (legal,)
 
     # `_plays` checks the protocol before this looks at the reports.
     plays = _plays(spec, prof.n, prof.p, given)
@@ -398,22 +436,37 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     settles there plus w >= 0 (fixed by the stage) times that of the
     continuation, which depends only on the next (stage, survivors) state.
     So the largest such mass per rank, and the first scenario attaining it,
-    follow from a recursion over states, memoized per call.  `_step` is
-    symmetric in the adversaries, so their reports are multisets, each
-    counted with its orderings.
+    follow from a recursion over states, memoized per call.
+
+    Within a state, `_fold` folds the n - 1 adversaries' reports, one
+    adversary at a time, into aggregates: a veto's or a padded dictator's
+    mask (OR), a naive dictator's sorted claims, or the mask of the sets a
+    cover round may play (AND).  Each aggregate carries the number of
+    ordered report tuples that reach it, which sum to the scenario count,
+    and its lexicographically first tuple.  `_step` settles each aggregate
+    once, and aggregates with equal results are grouped before the per-rank
+    loop.  Every combine is symmetric, so the tuples that reach an aggregate
+    include each other's permutations; sorting a tuple never makes it
+    lexicographically larger, so the first tuple is sorted, and it is the
+    first multiset of adversary reports in `combinations_with_replacement`
+    order that reaches the aggregate.  Aggregates, and so groups, come in
+    the order of those first multisets, and each rank's first worst
+    scenario is the one an enumeration of multisets would pick.
 
     A state needs only the number of survivors.  Every stage reads labels
     through their order alone: the veto union, `_pad_set` (the lowest
-    labels), `_find_cover` (the first combination in label order),
-    `_safe_report` and `_report_space`.  So the order-preserving relabeling
-    of survivors S onto 1..|S| carries each play from S, its reports, its
-    listings and its survivors, onto a play from 1..|S|, in the same order.
-    Hence worst(idx, S)[k] = worst(idx, 1..|S|)[|S & 1..k|] (0 when that
-    count is 0), with the same first worst reports relabeled, and the
-    scenario count depends only on |S|.  The memo keys (stage, |S|) and
-    evaluates each on the survivors 1..|S|; a listing of `a` adds at rank
-    a, and a continuation is lifted back through its survivors by that
-    count.  One evaluation holds at most len(stages) * (p + 1) states.
+    labels), the cover mask (the combinations in label order, of which a
+    cover round plays the first), `_safe_report` and `_report_space`.  So
+    the order-preserving relabeling of survivors S onto 1..|S| carries each
+    play from S, its reports, its listings and its survivors, onto a play
+    from 1..|S|, in the same order.  Hence worst(idx, S)[k] =
+    worst(idx, 1..|S|)[|S & 1..k|] (0 when that count is 0), with the same
+    first worst reports relabeled, and the scenario count depends only on
+    |S|.  The memo keys (stage, |S|) and evaluates each on the survivors
+    1..|S|; a listing of `a` adds at rank a, and a continuation is lifted
+    back through its survivors by that count (a set of them marks which
+    labels survive).  One evaluation holds at most len(stages) * (p + 1)
+    states.
 
     One preference stands for all: relabeling outcomes carries each stage's
     possible results to the relabeled ones.  A veto removes the union of the
@@ -447,17 +500,14 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     #    survivors 1..m, scenarios, per rank (first worst reports, next
     #    survivors or None)
     @functools.cache
-    def worst(idx: int, m: int) -> tuple:
+    def worst(idx, m):
         stage = spec.stages[idx]
         survivors = tuple(range(1, m + 1))
-        mine = (_safe_report(stage, survivors, identity),)
-        space = _report_space(stage, survivors)
+        choices = [(_safe_report(stage, survivors, identity),)] + [_report_space(stage, survivors)] * (n - 1)
         groups = {}  # (listed, rest) -> [first reports, orderings]
-        for combo in itertools.combinations_with_replacement(range(len(space)), n - 1):
-            reports = mine + tuple(space[i] for i in combo)
-            listed, weight, rest = _step(stage, survivors, reports, n)
-            entry = groups.setdefault((listed, rest), [reports, 0])
-            entry[1] += math.factorial(n - 1) // math.prod(map(math.factorial, map(combo.count, set(combo))))
+        for agg, (orderings, reports) in _fold(stage, survivors, choices).items():
+            listed, weight, rest = _step(stage, survivors, agg, n)
+            groups.setdefault((listed, rest), [reports, 0])[1] += orderings
         # `weight` is the stage's own: every report tuple gets the same one.
         best, count, picks = [-1] * (m + 1), 0, [None] * (m + 1)
         for (listed, rest), (reports, orderings) in groups.items():
@@ -470,7 +520,8 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
             if weight:
                 sub, sub_count, _ = worst(idx + 1, len(rest))
                 # rank k here is rank |rest & 1..k| there
-                sub = [sub[j] for j in itertools.accumulate((a in rest for a in survivors), initial=0)]
+                kept = set(rest)
+                sub = [sub[j] for j in itertools.accumulate((a in kept for a in survivors), initial=0)]
                 cum = sub if weight == 1 else [c + weight.numerator * unit * s for c, s in zip(cum, sub)]
                 orderings *= sub_count
             count += orderings
@@ -480,7 +531,7 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
                     best[k], picks[k] = value, pick
         return best, count, picks
 
-    def trace(k: int) -> tuple:
+    def trace(k):
         out, names = [], range(p + 1)  # names[a]: the outcome that label a stands for
         while True:
             reports, rest = worst(len(out), len(names) - 1)[2][k]
@@ -546,7 +597,7 @@ def verify_cover_exists(n: int, p: int, stage: CoverRound) -> Optional[Profile]:
     """
     survivors = range(1, p + 1)
     for prof in enumerate_profiles(n, p):
-        reports = tuple(_safe_report(stage, survivors, pref) for pref in prof.prefs)
-        if _find_cover(survivors, reports, stage.cover_size) is None:
+        (agg,) = _fold(stage, survivors, [(_safe_report(stage, survivors, pref),) for pref in prof.prefs])
+        if not agg:
             return prof
     return None

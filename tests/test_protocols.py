@@ -2,6 +2,8 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
+import operator
 import random
 import types
 from fractions import Fraction
@@ -352,12 +354,11 @@ _FINAL_STAGES = ("rd(pad)", "rd(naive)", "uniform") + tuple(
 )
 
 
-def _sweep():
+def _sweep(sizes):
     """Protocols of up to two of `veto(1)`, `veto(2)` and `rd(pad)`, then one
-    final stage, at each n = 2..4, p = 2..7 where the text parses: 918
-    cases."""
+    final stage, at each (n, p) of `sizes` where the text parses."""
     cases = []
-    for n, p, depth in itertools.product(range(2, 5), range(2, 8), range(3)):
+    for (n, p), depth in itertools.product(sizes, range(3)):
         for prefix in itertools.product(("veto(1)", "veto(2)", "rd(pad)"), repeat=depth):
             for final in _FINAL_STAGES:
                 text = "; ".join(prefix + (final,))
@@ -369,7 +370,10 @@ def _sweep():
     return cases
 
 
-_SWEEP = _sweep()
+# 918 cases at n = 2..4, p = 2..7.
+_SWEEP = _sweep(itertools.product(range(2, 5), range(2, 8)))
+# 45 cases at (5,6): the sweep's grammar with four adversaries.
+_SWEEP_N5 = _sweep([(5, 6)])
 # The sweep's protocols of at most two stages without a cover round at (3,4),
 # (3,5), (3,6), (4,5), (4,6), (3,7) and (4,7): 66 cases.
 _SOUNDNESS = [
@@ -398,6 +402,22 @@ def _check_against_oracle(text, n, p):
 def test_recursion_matches_the_oracle_on_a_slice_of_the_sweep(text, n, p):
     # 102 of the cases, 47 of which evaluate and 55 raise, in about 1 s on a
     # 2-core VM; `python -m pytest tests/protocol_sweep.py` runs all 918.
+    _check_against_oracle(text, n, p)
+
+
+# The (5,6) cases whose brute force takes more than 0.8 s on a 2-core VM
+# (5-16 s for the single cover stages); Tier-1 runs the other 31, in about
+# 1 s, and `tests/protocol_sweep.py` runs all 45.
+_SLOW_N5 = {"veto(1); rd(pad)", "veto(1); rd(naive)"} | {
+    f"{prefix}cover({s},{d},{side})"
+    for prefix in ("", "veto(1); ")
+    for s, d in ((2, 3), (3, 2), (3, 3))
+    for side in ("top", "bottom")
+}
+
+
+@pytest.mark.parametrize("text, n, p", [case for case in _SWEEP_N5 if case[0] not in _SLOW_N5], ids=str)
+def test_recursion_matches_the_oracle_with_four_adversaries(text, n, p):
     _check_against_oracle(text, n, p)
 
 
@@ -455,6 +475,116 @@ def test_memo_holds_one_state_per_stage_and_survivor_count(monkeypatch):
         assert 0 < memos[-1].cache_info().currsize <= len(spec.stages) * (p + 1)
 
 
+def _reference_step(stage, survivors, reports, n):
+    """The stage rules applied to one tuple of reports, with a naive
+    dictator's listing sorted, or the error they raise; `_step` on the
+    tuple's aggregate must give the same."""
+    try:
+        if isinstance(stage, VetoRound):
+            vetoed = set().union(*reports)
+            return (), 1, tuple(a for a in survivors if a not in vetoed)
+        if isinstance(stage, UniformFallback):
+            return survivors, 0, ()
+        if isinstance(stage, DictatorRound):
+            if not stage.padded:
+                return tuple(sorted(reports)), 0, ()
+            weight = stage.continue_weight or 0
+            if not weight and len(set(reports)) == 1:
+                return reports[:1], 0, ()
+            padded = protocols._pad_set(set(reports), survivors, min(n, len(survivors)))
+            return padded, weight, tuple(a for a in survivors if a not in padded)
+        combos = itertools.combinations(survivors, stage.cover_size)
+        cover = next((c for c in combos if all(set(c) & rep for rep in reports)), None)
+        if cover is None:
+            raise CoverNotFoundError(f"no {stage.cover_size}-set meets all reported {stage.depth}-sets")
+        if stage.play == "complement":
+            cover = tuple(a for a in survivors if a not in cover)
+            if not cover:
+                raise ValueError(f"a {stage.cover_size}-set cover leaves no complement of {len(survivors)} outcomes")
+        return cover, 0, ()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _folded_step(stage, survivors, agg, n):
+    try:
+        listed, weight, rest = protocols._step(stage, survivors, agg, n)
+    except ValueError as err:
+        return type(err), str(err)
+    return tuple(sorted(listed)), weight, rest
+
+
+def _reference_aggregate(stage, tokens):
+    """The aggregate as specified: a cover ANDs its masks, a naive dictator
+    sorts the claims, every other stage ORs its masks."""
+    if isinstance(stage, CoverRound):
+        return functools.reduce(operator.and_, tokens)
+    if isinstance(stage, DictatorRound) and not stage.padded:
+        return tuple(sorted(itertools.chain(*tokens)))
+    return functools.reduce(operator.or_, tokens)
+
+
+_FOLD_STAGES = [
+    VetoRound(1),
+    VetoRound(2),
+    DictatorRound(),
+    DictatorRound(True, F(1, 2)),
+    DictatorRound(False),
+    UniformFallback(),
+] + [CoverRound(s, d, play) for s in (1, 2, 3) for d in (1, 2, 3) for play in ("cover", "complement")]
+
+
+@pytest.mark.parametrize("stage", _FOLD_STAGES, ids=repr)
+def test_fold_matches_the_enumeration_of_report_tuples(stage):
+    # Against every ordered tuple of adversary reports at m = 1..6
+    # survivors and n = 2..4: each aggregate is reached by as many tuples as
+    # the fold counts, its first tuple is the first multiset that reaches
+    # it, the aggregates come in the order of those multisets, and `_step`
+    # settles it as the stage rules settle each tuple that reaches it.
+    for m, n in itertools.product(range(1, 7), range(2, 5)):
+        survivors = tuple(range(1, m + 1))
+        try:
+            space = protocols._report_space(stage, survivors)
+        except ValueError:
+            continue
+        mine = protocols._safe_report(stage, survivors, identity_preference(m))
+        folds = protocols._fold(stage, survivors, [(mine,)] + [space] * (n - 1))
+        tokens = [protocols._token(stage, survivors, rep) for rep in (mine, *space)]
+        reached, folded, settled = {}, {}, {}
+        for combo in itertools.product(range(1, len(tokens)), repeat=n - 1):
+            agg = _reference_aggregate(stage, [tokens[0]] + [tokens[i] for i in combo])
+            reached[agg] = reached.get(agg, 0) + 1
+            if agg not in folded:
+                folded[agg] = _folded_step(stage, survivors, agg, n)
+            key = tuple(sorted(combo))  # the reference reads the reports as a multiset
+            if key not in settled:
+                settled[key] = _reference_step(stage, survivors, (mine, *(space[i - 1] for i in key)), n)
+            assert folded[agg] == settled[key], (m, n, combo)
+        firsts = {}
+        for combo in itertools.combinations_with_replacement(range(len(space)), n - 1):
+            agg = _reference_aggregate(stage, [tokens[0]] + [tokens[i + 1] for i in combo])
+            firsts.setdefault(agg, (mine, *(space[i] for i in combo)))
+        assert {agg: count for agg, (count, _) in folds.items()} == reached, (m, n)
+        assert [(agg, first) for agg, (_, first) in folds.items()] == list(firsts.items()), (m, n)
+
+
+def test_step_runs_once_per_aggregate(monkeypatch):
+    # The (4,7) top-pair cover: 7,770 multisets of three adversaries' 3-sets
+    # reach 2,575 aggregates, and each aggregate is settled once.
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    step = protocols._step
+    monkeypatch.setattr(protocols, "_step", counting_step)
+    spec = cover_protocol(4, 7, "top-pair")
+    report = worst_case_guarantee(spec, 4, 7)
+    assert len(calls) == len({args[2] for args in calls}) == 2_575 < math.comb(35 + 2, 3) == 7_770
+    assert report.scenario_count == 35**3
+
+
 _SIMPLE = ("veto(1); uniform", "rd(pad)", "rd(naive)")
 _COMPOSED = ("veto(1); rd(pad)", "rd(pad); veto(1); uniform", "veto(1); veto(1); uniform", "rd(pad); rd(pad)")
 _PINNED = list(
@@ -483,6 +613,14 @@ _PINNED = list(
 _PINNED_DIGEST = "e995a5a78d07523c401ecdf65a6093db66b0be97c057128484e599bfb8150f16"
 
 
+def _digest_row(report):
+    worst = {
+        k: tuple(tuple(tuple(sorted(r)) if isinstance(r, frozenset) else r for r in stage) for stage in trace)
+        for k, trace in report.worst_scenarios.items()
+    }
+    return report.achieved.text(), report.scenario_count, worst
+
+
 def test_evaluations_match_the_pinned_digest():
     rows = []
     for text, n, p in _PINNED:
@@ -492,13 +630,25 @@ def test_evaluations_match_the_pinned_digest():
         except ValueError as err:
             rows.append(repr(err))
             continue
-        worst = {
-            k: tuple(tuple(tuple(sorted(r)) if isinstance(r, frozenset) else r for r in stage) for stage in trace)
-            for k, trace in report.worst_scenarios.items()
-        }
-        rows.append((report.achieved.text(), report.scenario_count, worst))
+        rows.append(_digest_row(report))
     assert sum("veto every outcome" in str(row) for row in rows) == 2
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_DIGEST
+
+
+# Two evaluations past the sweep: a cover stage with four adversaries and a
+# word protocol with five.  sha256 of their reports, as in `_PINNED_DIGEST`,
+# recorded while `_step` ran once per multiset of adversary reports, which
+# took about 5.5 s and 1.6 s on a 2-core VM (1.7 s and 0.9 s over the fold).
+_PINNED_N5 = {
+    ("cover(3,3,top)", 5, 8): "5b4da6d3ba089621ac1e79c537ccbfb2e255ab61d992717b0dd731035356eb11",
+    ("veto(1); veto(1); rd(pad)", 6, 19): "ea29173a97389901cc8fbfe5cad24ac5cae2805e9056c84ac1c5d5eb64db8e88",
+}
+
+
+@pytest.mark.parametrize("text, n, p", list(_PINNED_N5), ids=str)
+def test_large_evaluations_match_their_pinned_digests(text, n, p):
+    report = worst_case_guarantee(parse_protocol(text, n, p), n, p)
+    assert hashlib.sha256(repr(_digest_row(report)).encode()).hexdigest() == _PINNED_N5[text, n, p]
 
 
 class TestSafeStrategy:
