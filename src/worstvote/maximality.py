@@ -3,23 +3,36 @@
 A guarantee is maximal when no other feasible guarantee dominates it.  The
 decision runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
-cuts accumulated from profiles that refuted earlier candidates.  The master
-is solved once and then re-optimized after each cut by the dual simplex of
-`lp.IncrementalLP`, not solved again from scratch.  Each candidate is
-tested at the working profiles by exact implementation LPs, laid out as
-integer rows by `feasibility._tail_rows` and solved by `lp.feasible_point`,
-except where an outcome lottery returned by an earlier feasible LP of the
-same call (kept as ints over one scale) already meets the candidate's tail
-caps (checked in integers by `feasibility._implements`).  The candidate is
-read off the master as ints over one scale (`IncrementalLP.point`), and
-its caps and cuts stay ints.  A candidate that survives the working
-profiles becomes a `RankLottery` and goes to the full feasibility engine;
-its witness profile, if any, contributes a new cut.  The loop ends either with
-a certified improver (dominated) or with master slack exactly zero
-(maximal: even the relaxation admits no strict dominator, and the true
-feasible set is contained in the relaxation).  Before a maximal verdict,
-the master's dual is checked in integers, which proves that zero is the
-master's optimum and not only the slack of some feasible point.
+cuts from profiles that refuted earlier candidates.  The master is solved
+once and then re-optimized after each cut by the dual simplex of
+`lp.IncrementalLP`, not solved again from scratch.  The candidate is read
+off the master as ints over one scale (`IncrementalLP.point`), and its caps
+and cuts stay ints.
+
+A cover cut holds at every lottery implementable at its profile, so at
+every feasible guarantee of `(n, p)`, whatever lottery was being tested
+when it was found.  Each `(n, p)` keeps one `_CutStore` of the cuts found
+so far, each with its refuting profile.  A candidate is first tested
+against the stored cuts with integer dot products; the first one it
+violates joins the master.  A candidate that meets every stored cut is
+tested at the working profiles (the store's profiles and the structured
+library) by exact implementation LPs, laid out as integer rows by
+`feasibility._tail_rows` and solved by `lp.feasible_point`, except where an
+outcome lottery returned by an earlier feasible LP of the same call (kept
+as ints over one scale) already meets the candidate's tail caps (checked in
+integers by `feasibility._implements`).  A candidate that survives the
+working profiles becomes a `RankLottery` and goes to the full feasibility
+engine; its witness profile, if any, contributes a new cut.  Every new cut
+joins the store.
+
+The loop ends either with a certified improver (dominated) or with master
+slack exactly zero (maximal: even the relaxation admits no strict
+dominator, and the true feasible set is contained in the relaxation).
+Before a maximal verdict, the master's dual is checked in integers, which
+proves that zero is the master's optimum and not only the slack of some
+feasible point.  The store holds inequalities only, never a verdict: the
+improver and the iteration count may depend on earlier calls at the same
+`(n, p)`, the verdicts cannot.
 
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
 where every implementing lottery is pinned to the guarantee's cumulative
@@ -32,6 +45,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, uniform
@@ -64,7 +78,44 @@ MAXIMAL = "maximal"
 DOMINATED = "dominated"
 _MAX_ITERATIONS = 400  # cutting-plane rounds before `improve` reports undecided
 
-_witness_cache: dict[tuple[int, int], list[Profile]] = {}
+
+class _CutStore:
+    """The cover cuts found at one `(n, p)`, in the order found, each with
+    the profile whose implementation LP refuted a candidate with it.
+
+    Every cut holds on all of `F(n, p)`.  A cut row is kept once, and each
+    profile is held once, in `profiles`, in the order first met.
+    """
+
+    def __init__(self) -> None:
+        self.cuts: dict[tuple[tuple[int, ...], int], tuple[Row, Profile]] = {}
+        self.profiles: dict[Profile, Profile] = {}
+
+    def add(self, cut: Row, prof: Profile) -> None:
+        key = (tuple(cut[0]), cut[1])
+        if key not in self.cuts:
+            self.cuts[key] = (cut, self.profiles.setdefault(prof, prof))
+
+    def violated(self, x: Sequence[int], scale: int) -> Optional[Row]:
+        """The first stored cut that ``x / scale`` violates, or None.  A cut
+        row is ``(ints, den, GE)``, and its `den` cancels from both sides."""
+        for cut, _ in self.cuts.values():
+            ints = cut[0]
+            if sum(map(mul, ints, x)) < ints[-1] * scale:
+                return cut
+        return None
+
+
+_cut_stores: dict[tuple[int, int], _CutStore] = {}
+
+
+def _known_profiles(n: int, p: int) -> list[Profile]:
+    """The profiles of the cuts stored for `(n, p)` that the structured
+    library lacks, in the order first met, then the library's."""
+    library = hard_profiles(n, p)
+    stored = _cut_stores.get((n, p))
+    held = set(library)
+    return [*(prof for prof in (stored.profiles if stored else ()) if prof not in held), *library]
 
 
 @dataclass(frozen=True)
@@ -121,17 +172,25 @@ def improve(
     status is "dominated", "maximal", or "undecided".  The caller must have
     established that `lam` itself is feasible.
 
-    Each candidate is tested at the working profiles, newest first.  The
-    outcome lotteries of this call's feasible working-set LPs form a pool.
-    A pool lottery that keeps every agent's k worst outcomes within cum_k of
-    the candidate, for every k < p, implements it at that profile, so the LP
-    there would be feasible and is skipped.  Only feasible LPs are skipped:
-    the masters, cuts and verdicts are those of solving every LP.
+    Each candidate is first tested against the cuts stored for `(n, p)`,
+    in store order; the first one it violates joins the master, and the
+    next iteration starts.  A candidate that meets every stored cut is
+    tested at the working profiles, newest first: the store's profiles and
+    `hard_profiles(n, p)`, plus each witness of this call.  The outcome
+    lotteries of this call's feasible working-set LPs form a pool.  A pool
+    lottery that keeps every agent's k worst outcomes within cum_k of the
+    candidate, for every k < p, implements it at that profile, so the LP
+    there would be feasible and is skipped.  Only feasible LPs are
+    skipped.  Every cut found, at a working profile or from the engine's
+    witness, joins the store.
 
     Each cut is added to one warm master.  Where the master's optimum is not
     unique, its next candidate can differ from that of a master solved from
     scratch, and so can later candidates, the improver and the iteration
-    count.  The verdicts maximal and dominated cannot: both are proved.
+    count.  So can the cuts stored by earlier calls at the same `(n, p)`.
+    The verdicts maximal and dominated cannot: both are proved, maximal by
+    the master's dual over cuts that all hold on `F(n, p)`, dominated by
+    the feasibility engine.
     """
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -141,8 +200,8 @@ def improve(
         if anchor.probs != lam.probs and dominates(anchor, lam):
             return anchor, DOMINATED, 0, 0
 
-    seeds = _witness_cache.setdefault((n, p), [])
-    working = [*seeds, *hard_profiles(n, p)]
+    working = _known_profiles(n, p)
+    store = _cut_stores.setdefault((n, p), _CutStore())
 
     # Candidates mu: the tail rows of one identity order at every rank below
     # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
@@ -167,6 +226,10 @@ def improve(
         if slack == 0:
             master.certify()
             return None, MAXIMAL, iteration, len(working)
+        stored = store.violated(x, scale)
+        if stored is not None:
+            master.add(stored)
+            continue
         mu_active = tuple(k for k in range(1, p) if x[k])
         mu_caps = [caps[k - 1] for k in mu_active]
 
@@ -178,7 +241,9 @@ def improve(
             # The implementation LP of `mu` at `prof`.
             point, certificate = feasible_point(p, _tail_rows(p, mu_active, mu_caps, scale, orders))
             if point is None:
-                master.add(_cover_cut(mu_active, certificate, p))
+                cut = _cover_cut(mu_active, certificate, p)
+                store.add(cut, prof)
+                master.add(cut)
                 refuted = True
                 break
             pool.append(point)
@@ -197,11 +262,11 @@ def improve(
         witness = report.witness_profile
         assert witness is not None and report.witness_certificate is not None
         working.append(witness)
-        if witness not in seeds:
-            seeds.append(witness)
         # The feasibility engine builds the same row layout, so its Farkas
         # certificate converts directly into a master cut.
-        master.add(_cover_cut(mu_active, report.witness_certificate, p))
+        cut = _cover_cut(mu_active, report.witness_certificate, p)
+        store.add(cut, witness)
+        master.add(cut)
 
     return None, UNDECIDED, _MAX_ITERATIONS, len(working)
 
@@ -267,13 +332,13 @@ def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:
     """A profile at which every lottery implementing `lam` has some agent's
     k-tail mass exactly at the guarantee's cumulative value.
 
-    Searches earlier witnesses and the structured library; failure to find
-    one is inconclusive.
+    Searches the profiles of the cuts stored for `(n, p)` and the structured
+    library; failure to find one is inconclusive.
     """
     if not 1 <= k <= lam.p - 1:
         raise ValueError(f"k={k} out of range")
     target = lam.cumulative()[k - 1]
-    for prof in [*_witness_cache.get((n, lam.p), []), *hard_profiles(n, lam.p)]:
+    for prof in _known_profiles(n, lam.p):
         if prof.n != n or prof.p != lam.p:
             continue
         if forcing_value(lam, prof, k) == target:

@@ -1233,11 +1233,14 @@ def test_feasible_points_are_in_lowest_terms():
 # `solve` returns for it.  Each step of the warm master counts as the `solve`
 # of the master rows plus the cuts so far, in the same order.  Any change to a
 # program the engines build, to the order they solve them in, or to a result
-# changes it.  Recorded with 90 digested calls, when `is_feasible` solved
-# every library-profile LP and seeded its scans with two lotteries only.  The
-# left-out counts are those of the first solver each pre-check was added to:
-# 160 feasible LPs in `is_feasible`, 68 in `improve` (28 at this recording).
-TRAFFIC_DIGEST = "a20331fdf1bc25f8db19eb7a6d15810a7e303722170fe08f21313030426ae8e7"
+# changes it.  Re-recorded with 74 digested calls (90 before) when `improve`
+# began to test each candidate against the cuts stored for its (n, p) before
+# any working-set LP: a later query at a size that an earlier one has seen
+# adds a stored cut its candidate violates without an LP, so that traffic
+# changed on purpose.  The left-out counts are those of the first solver each
+# pre-check was added to: 160 feasible LPs in `is_feasible`, 68 in `improve`
+# (28 at this recording, as at the last).
+TRAFFIC_DIGEST = "5dd1de0611800928b5205122e4f0904a438e9da79c1b2240eb79d6e2e1351941"
 SKIPPABLE_AT_RECORDING = {"feasibility": 160, "maximality": 68}
 
 
@@ -1251,7 +1254,7 @@ def test_lp_traffic_is_unchanged(monkeypatch):
 
     # Start every engine cache empty, so that the calls made do not depend
     # on which tests ran before.
-    for module, name in ((feasibility, "_anchor_cache"), (maximality, "_witness_cache")):
+    for module, name in ((feasibility, "_anchor_cache"), (maximality, "_cut_stores")):
         monkeypatch.setattr(module, name, {})
     digest = hashlib.sha256()
     calls = []
@@ -1335,6 +1338,6 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         assert (report.verdict, report.method) == ("feasible", "scan")
     assert "infeasible" in calls and "optimal" in calls
     assert digest.hexdigest() == TRAFFIC_DIGEST, (len(calls), digest.hexdigest())
-    assert len(calls) == 90
+    assert len(calls) == 74
     for module, skippable in SKIPPABLE_AT_RECORDING.items():
         assert len(left_out[module]) < skippable, module

@@ -11,8 +11,7 @@ import pytest
 import worstvote.feasibility as feasibility
 import worstvote.maximality as maximality
 from worstvote.duality import dual
-from worstvote.feasibility import is_feasible
-from worstvote.library import hard_profiles
+from worstvote.feasibility import is_feasible, verified_anchors
 from worstvote.lottery import (
     RankLottery,
     convex_combination,
@@ -163,7 +162,7 @@ class TestWorkingSetPreCheck:
                 skipped.append((RankLottery(tuple(probs)), profile(orders)))
             return passed
 
-        monkeypatch.setattr(maximality, "_witness_cache", {})
+        monkeypatch.setattr(maximality, "_cut_stores", {})
         monkeypatch.setattr(maximality, "_implements", recording)
         lam = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
         assert is_maximal(lam, 3).verdict == "maximal"
@@ -251,19 +250,26 @@ class TestIsMaximal:
         assert dominates(report.improver, parse_lottery("2/3,0,0,0,0,1/3"))
 
     def test_witness_cache_keeps_no_duplicates(self, monkeypatch):
-        # A scan witness joins the per-context seed profiles once; a second
-        # cold call must find it there instead of adding it again.
+        # Each cut row joins the store for (3, 5) once, and each profile is
+        # held once; a second cold call finds them there instead of adding
+        # them again.
         import worstvote.feasibility as feas
         import worstvote.maximality as maximality
 
-        monkeypatch.setattr(maximality, "_witness_cache", {})
+        monkeypatch.setattr(maximality, "_cut_stores", {})
         lam = parse_lottery("37/120,11/60,1/10,4/15,17/120")
-        lengths = []
+        sizes = []
         for _ in range(2):
             monkeypatch.setattr(feas, "_anchor_cache", {})
             assert is_maximal(lam, 3).verdict == "dominated"
-            lengths.append(len(maximality._witness_cache[(3, 5)]))
-        assert lengths[0] == lengths[1] >= 1
+            store = maximality._cut_stores[(3, 5)]
+            entries = list(store.cuts.values())
+            rows = [(tuple(ints), den) for (ints, den, _), _ in entries]
+            held = [prof for _, prof in entries]
+            assert len(set(rows)) == len(rows) and list(store.cuts) == rows
+            assert len({id(prof) for prof in held}) == len(set(held)) == len(store.profiles)
+            sizes.append((len(rows), len(store.profiles)))
+        assert sizes[0] == sizes[1] and sizes[0][0] >= 1
 
     def test_mixtures_along_dictator_headed_prefixes(self):
         # mixing the guarantees of nested dictator-headed words stays maximal
@@ -274,6 +280,95 @@ class TestIsMaximal:
         for w in (F(1, 3), F(3, 4)):
             mix = convex_combination([(w, head), (1 - w, deeper)])
             assert is_maximal(mix, 3).verdict == "maximal"
+
+
+def _bench_like_points():
+    """Seeded points like the maximality bench's: on the (3,5) segments from
+    the uniform to the four boundary guarantees and the (3,6) segments to vt
+    and rd, all maximal, and in the dominated interior of the (3,6) triangle
+    spanned by the uniform, vt and rd."""
+    rng = random.Random(21)
+    u5, u6 = uniform(5), uniform(6)
+    ends = [vt(3, 5), rd(3, 5), parse_lottery("1/2,0,0,1/2,0"), parse_lottery("1/3,0,1/3,1/3,0"),
+            vt(3, 6), rd(3, 6)]
+    points = []
+    for end in ends:
+        w = F(rng.randint(400, 600), 1000)
+        points.append((convex_combination([(1 - w, u5 if end.p == 5 else u6), (w, end)]), "maximal"))
+    for _ in range(2):
+        a, b = F(rng.randint(180, 220), 1200), F(rng.randint(180, 220), 1200)
+        points.append((convex_combination([(1 - a - b, u6), (a, vt(3, 6)), (b, rd(3, 6))]), "dominated"))
+    return points
+
+
+def _holds(cut, lam):
+    """The cut row ``(ints, den, >=)`` holds at `lam`, checked in integers."""
+    ints, _, rel = cut
+    x, scale = _scaled(lam.probs)
+    assert rel == ">="
+    return sum(a * v for a, v in zip(ints, x)) >= ints[-1] * scale
+
+
+class TestCutStore:
+    """The cuts kept per (n, p) hold on all of F(n, p), so the verdicts do
+    not depend on what the store holds or in which order it is read."""
+
+    def test_stored_cuts_hold_and_leave_verdicts_alone(self, monkeypatch):
+        certified = []
+
+        class CountingMaster(maximality.IncrementalLP):
+            def certify(self):
+                super().certify()
+                certified.append(self)
+
+        real_violated = maximality._CutStore.violated
+        reused = []
+
+        def violated(store, x, scale):
+            cut = real_violated(store, x, scale)
+            reused.append(cut is not None)
+            return cut
+
+        monkeypatch.setattr(maximality, "IncrementalLP", CountingMaster)
+        monkeypatch.setattr(maximality._CutStore, "violated", violated)
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        points = _bench_like_points()
+        expected = [verdict for _, verdict in points]
+
+        # A warm store: each query reads the cuts of those before it.
+        assert [is_maximal(lam, 3).verdict for lam, _ in points] == expected
+        assert len(certified) == expected.count("maximal") and any(reused)
+        stores = maximality._cut_stores
+        assert set(stores) == {(3, 5), (3, 6)} and all(store.cuts for store in stores.values())
+
+        rng = random.Random(7)
+        for (n, p), store in stores.items():
+            base = [uniform(p), *verified_anchors(n, p)]
+            lotteries = list(base)
+            for _ in range(30):
+                weights = [rng.randint(0, 9) for _ in base]
+                weights[rng.randrange(len(weights))] += 1
+                total = sum(weights)
+                lotteries.append(convex_combination([(F(w, total), lam) for w, lam in zip(weights, base)]))
+            for cut, prof in store.cuts.values():
+                assert (prof.n, prof.p) == (n, p)
+                assert all(_holds(cut, lam) for lam in lotteries), cut
+
+        # The same store read in reverse order.
+        for key, store in list(stores.items()):
+            reverse = maximality._CutStore()
+            for cut, prof in reversed(list(store.cuts.values())):
+                reverse.add(cut, prof)
+            stores[key] = reverse
+        assert [is_maximal(lam, 3).verdict for lam, _ in points] == expected
+
+        # An empty store for every query.
+        cold = []
+        for lam, _ in points:
+            stores.clear()
+            cold.append(is_maximal(lam, 3).verdict)
+        assert cold == expected
+        assert len(certified) == 3 * expected.count("maximal")
 
 
 class TestAgainstMonolithicMaster:
@@ -367,7 +462,7 @@ class TestForcingProfiles:
         lam = vt(3, 6)
         candidates = [
             prof
-            for prof in [*maximality._witness_cache.get((3, 6), []), *hard_profiles(3, 6)]
+            for prof in maximality._known_profiles(3, 6)
             if (prof.n, prof.p) == (3, 6)
         ]
         calls = []
