@@ -21,9 +21,7 @@ from .profiles import (
     OutcomeLottery,
     Preference,
     Profile,
-    canonicalize,
     cyclic_pad_profile,
-    enumerate_profiles,
     parse_profile,
     profile,
     rank_rearrange,

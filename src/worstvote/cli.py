@@ -86,28 +86,45 @@ def _cache_store(cache_dir: Optional[str], key: str, payload: dict) -> None:
     (directory / f"{key}.json").write_text(json.dumps(payload, sort_keys=True))
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _count_arg(text: str) -> int:
+    try:
+        return _count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _env(name: str, parse: Callable[[str], object]):
+    """Environment variable `name` read by `parse`, None when unset or empty;
+    a value `parse` rejects raises ValueError naming the variable."""
+    env = os.environ.get(name)
+    if not env:
+        return None
+    try:
+        return parse(env)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _default_jobs() -> int:
-    env = os.environ.get("WORSTVOTE_JOBS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return max(1, min(8, os.cpu_count() or 1))
+    jobs = _env("WORSTVOTE_JOBS", _count)
+    return min(8, os.cpu_count() or 1) if jobs is None else jobs
 
 
-def _default_limit() -> Optional[int]:
-    env = os.environ.get("WORSTVOTE_LIMIT_PROFILES")
-    if env and env.isdigit():
-        return int(env)
-    return None
+def _seconds(text: str) -> float:
+    seconds = float(text)
+    if not seconds >= 0:  # NaN too
+        raise ValueError(f"expected a non-negative number of seconds, got {text!r}")
+    return seconds
 
 
 def _time_budget() -> Optional[float]:
-    env = os.environ.get("WORSTVOTE_TIME_BUDGET")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return None
+    return _env("WORSTVOTE_TIME_BUDGET", _seconds)
 
 
 # ----------------------------------------------------------------------------
@@ -426,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     common.add_argument(
         "--limit-profiles",
-        type=int,
+        type=_count_arg,
         default=argparse.SUPPRESS,
         help="stop enumerating after this many profiles (verdict becomes undecided)",
     )
@@ -438,10 +455,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     parser = _Parser(prog="worstvote", description=__doc__, parents=[common])
+    # The jobs and limit defaults read the environment inside `try`
+    # below, so a malformed value is a usage error.
     parser.set_defaults(
-        jobs=_default_jobs(),
+        jobs=None,
         cache=os.environ.get("WORSTVOTE_CACHE"),
-        limit_profiles=_default_limit(),
+        limit_profiles=None,
         seed=0,
         json=False,
     )
@@ -453,13 +472,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.set_defaults(entry=command)
 
     args = parser.parse_args(argv)
-    args.jobs = max(1, args.jobs)
     command: _Command = args.entry
 
     started = time.perf_counter()
     key = _cache_key(command, args) if command.text else None
     cached = _cache_lookup(args.cache, key) if key else None
     try:
+        args.jobs = max(1, _default_jobs() if args.jobs is None else args.jobs)
+        if args.limit_profiles is None:
+            args.limit_profiles = _env("WORSTVOTE_LIMIT_PROFILES", _count)
         if cached is not None:
             # A hit states what serving it cost, not what computing it did.
             payload = {**cached, "runtime_ms": int((time.perf_counter() - started) * 1000)}

@@ -1,10 +1,7 @@
-"""Strict preference profiles, rank rearrangement, and canonical forms.
+"""Strict preference profiles and rank rearrangement.
 
 Outcomes carry ids ``1..p``.  A preference lists outcome ids from WORST to
-best, so ``order[0]`` is the agent's least liked outcome.  Profiles are
-quotiented by the symmetry group (permuting agents, relabeling outcomes);
-`canonicalize` picks a unique orbit representative and `enumerate_profiles`
-streams one representative per orbit.
+best, so ``order[0]`` is the agent's least liked outcome.
 
 Only strict orders are modeled.  This loses no generality for guarantee
 checking: refining a tie can only shrink the set of implementing lotteries
@@ -19,10 +16,9 @@ worst to best, e.g. ``"1 2 3 / 2 3 1 / 3 1 2"``.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lottery import RankLottery, as_fraction
 
@@ -76,7 +72,6 @@ class Profile:
     """An n-tuple of strict preferences over the same p outcomes."""
 
     prefs: tuple[Preference, ...]
-    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.prefs:
@@ -120,60 +115,6 @@ def rank_rearrange(ell: OutcomeLottery, pref: Preference) -> RankLottery:
     if ell.p != pref.p:
         raise ValueError("dimension mismatch")
     return RankLottery(tuple(ell.mass[a - 1] for a in pref.order))
-
-
-# ----------------------------------------------------------------------------
-# Canonical forms under agent permutations x outcome relabelings.
-# ----------------------------------------------------------------------------
-
-
-def _canonical_orders(orders: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Orbit representative of a tuple of raw orders.
-
-    For each pivot agent, relabel outcomes so the pivot's order becomes the
-    identity, sort all relabeled orders lexicographically (the identity is
-    the global lexicographic minimum, so it leads), and keep the smallest
-    resulting tuple across pivots.
-    """
-    p = len(orders[0])
-    best: tuple[tuple[int, ...], ...] | None = None
-    for pivot in orders:
-        relabel = [0] * (p + 1)
-        for new_id, outcome in enumerate(pivot, start=1):
-            relabel[outcome] = new_id
-        candidate = tuple(sorted(tuple(relabel[a] for a in order) for order in orders))
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
-
-
-def canonicalize(prof: Profile) -> Profile:
-    """Unique representative of the profile's symmetry orbit.
-
-    Two profiles related by permuting agents and/or relabeling outcomes map
-    to the same canonical profile.
-    """
-    orders = tuple(pref.order for pref in prof.prefs)
-    best = _canonical_orders(orders)
-    return Profile(tuple(Preference(o) for o in best), canonical=True)
-
-
-def enumerate_profiles(n: int, p: int) -> Iterator[Profile]:
-    """Stream every canonical (n, p)-profile exactly once.
-
-    Candidates fix agent 1 to the identity order and take the remaining
-    agents as a lexicographically sorted multiset; a candidate is emitted
-    only when it equals its own canonical form.
-    """
-    if n < 1 or p < 2:
-        raise ValueError("need n >= 1 and p >= 2")
-    perms = sorted(itertools.permutations(range(1, p + 1)))
-    identity = perms[0]
-    for combo in itertools.combinations_with_replacement(perms, n - 1):
-        orders = (identity,) + combo
-        if _canonical_orders(orders) == orders:
-            yield Profile(tuple(Preference(o) for o in orders), canonical=True)
 
 
 def cyclic_pad_profile(inner: Profile) -> Profile:

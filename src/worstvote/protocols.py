@@ -50,7 +50,6 @@ from .profiles import (
     OutcomeLottery,
     Preference,
     Profile,
-    enumerate_profiles,
     identity_preference,
     rank_rearrange,  # not called here; perfbench/tracing.py wraps this name
 )
@@ -94,6 +93,8 @@ class CoverRound:
     play: str  # "cover": uniform on the covering set; "complement": on the rest
 
     def __post_init__(self) -> None:
+        if min(self.cover_size, self.depth) < 1:
+            raise ValueError("a cover round needs a cover size and a depth of at least 1")
         if self.play not in ("cover", "complement"):
             raise ValueError("play must be 'cover' or 'complement'")
 
@@ -175,28 +176,33 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
 
 
 def _parse_stage_token(token: str, offset: int) -> Stage:
-    if token == "uniform":
-        return UniformFallback()
-    if token == "rd":
-        return DictatorRound(padded=False)
-    if token.startswith("veto(") and token.endswith(")"):
-        body = token[5:-1].strip()
-        if not body.isdigit():
-            raise ValueError(f"veto needs an integer token count at position {offset}")
-        return VetoRound(int(body))
-    if token.startswith("rd(") and token.endswith(")"):
-        body = token[3:-1].strip()
-        if body in ("pad", "naive"):
-            return DictatorRound(padded=body == "pad")
-        raise ValueError(f"rd argument must be 'pad' or 'naive' at position {offset}")
-    if token.startswith("cover(") and token.endswith(")"):
-        parts = [part.strip() for part in token[6:-1].split(",")]
-        if len(parts) != 3 or not parts[0].isdigit() or not parts[1].isdigit():
-            raise ValueError(f"cover needs (size, depth, top|bottom) at position {offset}")
-        if parts[2] not in ("top", "bottom"):
-            raise ValueError(f"cover side must be top or bottom at position {offset}")
-        return CoverRound(int(parts[0]), int(parts[1]), "cover" if parts[2] == "top" else "complement")
-    raise ValueError(f"cannot parse stage {token!r} at position {offset}")
+    """The stage `token` names.  Its errors, the stage constructors' too,
+    end with the token's position."""
+    try:
+        if token == "uniform":
+            return UniformFallback()
+        if token == "rd":
+            return DictatorRound(padded=False)
+        if token.startswith("veto(") and token.endswith(")"):
+            body = token[5:-1].strip()
+            if not body.isdigit():
+                raise ValueError("veto needs an integer token count")
+            return VetoRound(int(body))
+        if token.startswith("rd(") and token.endswith(")"):
+            body = token[3:-1].strip()
+            if body in ("pad", "naive"):
+                return DictatorRound(padded=body == "pad")
+            raise ValueError("rd argument must be 'pad' or 'naive'")
+        if token.startswith("cover(") and token.endswith(")"):
+            parts = [part.strip() for part in token[6:-1].split(",")]
+            if len(parts) != 3 or not parts[0].isdigit() or not parts[1].isdigit():
+                raise ValueError("cover needs (size, depth, top|bottom)")
+            if parts[2] not in ("top", "bottom"):
+                raise ValueError("cover side must be top or bottom")
+            return CoverRound(int(parts[0]), int(parts[1]), "cover" if parts[2] == "top" else "complement")
+        raise ValueError(f"cannot parse stage {token!r}")
+    except ValueError as err:
+        raise ValueError(f"{err} at position {offset}") from None
 
 
 def _windows(stages: Sequence[Stage], n: int, p: int, names: Sequence[str] = ()) -> list[int]:
@@ -563,7 +569,7 @@ def verify_safe_strategy(spec: ProtocolSpec, lam: RankLottery, n: int, p: int) -
 
 
 # ----------------------------------------------------------------------------
-# Covering protocols and their existence certificates.
+# Covering protocols.
 # ----------------------------------------------------------------------------
 
 
@@ -587,17 +593,3 @@ def cover_protocol(n: int, p: int, mode: str) -> ProtocolSpec:
         return ProtocolSpec((CoverRound(cover_size=n - 1, depth=2, play="cover"),))
     raise ValueError(f"unknown cover mode {mode!r}")
 
-
-def verify_cover_exists(n: int, p: int, stage: CoverRound) -> Optional[Profile]:
-    """Search every canonical profile for one with no covering set.
-
-    Returns the counterexample profile if the covering premise fails, else
-    None.  Truthful reports only: the premise is a statement about actual
-    preference profiles.
-    """
-    survivors = range(1, p + 1)
-    for prof in enumerate_profiles(n, p):
-        (agg,) = _fold(stage, survivors, [(_safe_report(stage, survivors, pref),) for pref in prof.prefs])
-        if not agg:
-            return prof
-    return None

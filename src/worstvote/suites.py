@@ -49,9 +49,9 @@ from .lp import (
 )
 from .maximality import is_maximal
 from .protocols import (
+    CoverNotFoundError,
     cover_protocol,
     parse_protocol,
-    verify_cover_exists,
     verify_safe_strategy,
     worst_case_guarantee,
 )
@@ -319,9 +319,17 @@ def suite_boundary_3_5(c: _Collector, jobs: int, rng: random.Random) -> None:
             "maximal",
             is_maximal(mid, 3, jobs=jobs).verdict,
         )
+    # Evaluating a one-stage cover protocol folds agent 1's truthful set
+    # with every tuple of sets the others can report.  Up to relabeling,
+    # each such tuple is the truthful report of some profile, so the
+    # evaluation raises CoverNotFoundError exactly when some profile has no
+    # covering set.
     for mode in ("top-pair", "bottom-pair"):
-        spec = cover_protocol(3, 5, mode)
-        missing = verify_cover_exists(3, 5, spec.stages[0])
+        missing = None
+        try:
+            worst_case_guarantee(cover_protocol(3, 5, mode), 3, 5)
+        except CoverNotFoundError as err:
+            missing = err
         c.add(f"cover exists at every canonical (3,5) profile [{mode}]", "None", str(missing))
 
 

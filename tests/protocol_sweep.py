@@ -1,18 +1,29 @@
-"""Every protocol of the differential sweep against the brute force, and
-every protocol of the soundness check against the feasibility scan.
+"""Every protocol of the differential sweep against the brute force,
+every protocol of the soundness check against the feasibility scan, and
+the cover premise at the larger sizes against the canonical profiles.
 
 The sweep's grammar runs at n = 2..4, p = 2..7 (918 cases) and, with four
 adversaries, at (5,6) (45 cases, about 90 s, most of it the brute force
-of the single cover stages).  `tests/test_protocols.py` runs a slice of
-each with the Tier-1 tests.  This file does not match pytest's
-`test_*.py` pattern, so it runs only when named:
+of the single cover stages).  The premise runs every cover stage at (3,6)
+and (4,5) (82 stages, about 40 s, a third of it enumerating the canonical
+profiles).  `tests/test_protocols.py` runs a slice of each sweep and
+the premise at (3,4), (4,4) and (3,5) with the Tier-1 tests.  This file
+does not match pytest's `test_*.py` pattern, so it runs only when named:
 
     PYTHONPATH=src python -m pytest -q tests/protocol_sweep.py
 """
 
 import pytest
 
-from tests.test_protocols import _SOUNDNESS, _SWEEP, _SWEEP_N5, _check_against_oracle, _check_soundness
+from tests.test_protocols import (
+    _PREMISE_SWEEP,
+    _SOUNDNESS,
+    _SWEEP,
+    _SWEEP_N5,
+    _check_against_oracle,
+    _check_cover_premise,
+    _check_soundness,
+)
 
 
 @pytest.mark.parametrize("text, n, p", _SWEEP + _SWEEP_N5, ids=str)
@@ -23,3 +34,8 @@ def test_recursion_matches_the_oracle(text, n, p):
 @pytest.mark.parametrize("text, n, p", _SOUNDNESS, ids=str)
 def test_achieved_guarantees_are_feasible(text, n, p):
     _check_soundness(text, n, p)
+
+
+@pytest.mark.parametrize("text, n, p", _PREMISE_SWEEP, ids=str)
+def test_evaluation_decides_the_cover_premise(text, n, p):
+    _check_cover_premise(text, n, p)

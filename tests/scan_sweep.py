@@ -14,8 +14,8 @@ import pytest
 
 import worstvote.feasibility as feas
 from worstvote.lottery import dominates, uniform
-from worstvote.profiles import enumerate_profiles
 
+from tests.orbits import enumerate_profiles
 from tests.test_feasibility import (
     _SCAN_CORPUS,
     _SKIP_KEYS,

@@ -202,6 +202,30 @@ class TestExitCodes:
             capsys, "protocol-eval", "--spec", "cover(2,6,bottom)", "--n", "4", "--p", "7", "--json"
         )
         assert (code, json.loads(out)["verdict"]) == (2, "undecided")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("WORSTVOTE_TIME_BUDGET", "5s"),
+            ("WORSTVOTE_TIME_BUDGET", "-1"),
+            ("WORSTVOTE_LIMIT_PROFILES", "-5"),
+            ("WORSTVOTE_JOBS", "two"),
+        ],
+    )
+    def test_malformed_environment_is_three(self, capsys, monkeypatch, name, value):
+        # Each was dropped, and the run went on without a budget or a limit.
+        # Every value is read before any work starts.
+        monkeypatch.setenv(name, value)
+        code = main(["feasible", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith(f"error: {name}: ") and repr(value) in captured.err
+
+    def test_negative_profile_limit_is_three(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["feasible", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--limit-profiles", "-5"])
+        assert err.value.code == 3
+        assert "error: argument --limit-profiles: expected a non-negative integer, got '-5'" in capsys.readouterr().err
         code, out = run_cli(capsys, "protocol-eval", "--spec", "cover(2,3,bottom)", "--n", "4", "--p", "7")
         assert code == 0 and "achieved guarantee: " in out
 

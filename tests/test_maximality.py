@@ -33,6 +33,7 @@ from worstvote.lp import _scaled, solve
 from worstvote.profiles import identical_profile, parse_profile, profile, reversal_profile
 
 from .fraction_lp import fraction_program, row
+from .orbits import enumerate_profiles
 from .test_lottery import rand_lottery
 from .test_profiles import random_profile
 
@@ -408,8 +409,6 @@ class TestAgainstMonolithicMaster:
 
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 3)])
     def test_agreement_on_random_feasible_lotteries(self, n, p):
-        from worstvote.profiles import enumerate_profiles
-
         profiles = list(enumerate_profiles(n, p))
         rng = random.Random(42)
         tested = 0

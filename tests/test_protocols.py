@@ -25,10 +25,11 @@ from worstvote.protocols import (
     cover_protocol,
     parse_protocol,
     run,
-    verify_cover_exists,
     verify_safe_strategy,
     worst_case_guarantee,
 )
+
+from .orbits import enumerate_profiles
 
 F = Fraction
 
@@ -64,6 +65,11 @@ class TestParsing:
         with pytest.raises(ValueError) as err:
             parse_protocol("veto(1); bogus(2)", 3, 6)
         assert "position 9" in str(err.value)
+        # The stage constructors' own errors carry the position too.
+        with pytest.raises(ValueError, match="^a veto round needs at least one token at position 9$"):
+            parse_protocol("rd(pad); veto(0); uniform", 3, 6)
+        with pytest.raises(ValueError, match="a depth of at least 1 at position 9$"):
+            parse_protocol("veto(1); cover(2,0,top)", 3, 6)
 
     def test_window_errors_name_the_stage(self):
         # The parser names the character position, the evaluator and `run`
@@ -434,6 +440,59 @@ def test_achieved_guarantees_are_feasible(text, n, p):
     _check_soundness(text, n, p)
 
 
+def _premise_cases(sizes):
+    """Every cover stage `cover(s,d,top|bottom)` with 1 <= s, d < p."""
+    return [
+        (f"cover({s},{d},{side})", n, p)
+        for n, p in sizes
+        for s, d in itertools.product(range(1, p), repeat=2)
+        for side in ("top", "bottom")
+    ]
+
+
+# 68 stages at (3,4), (4,4) and (3,5); `tests/protocol_sweep.py` runs the 82
+# at (3,6) and (4,5).
+_PREMISE = _premise_cases([(3, 4), (4, 4), (3, 5)])
+_PREMISE_SWEEP = _premise_cases([(3, 6), (4, 5)])
+
+
+@functools.cache
+def _canonical_profiles(n, p):
+    return tuple(enumerate_profiles(n, p))
+
+
+def _cover_counterexample(n, p, stage):
+    """The first canonical profile at which no `cover_size`-set meets every
+    agent's best (play "cover") or worst (play "complement") `depth`
+    outcomes, else None: the premise checked profile by profile, without
+    the protocol code."""
+    combos = list(itertools.combinations(range(1, p + 1), stage.cover_size))
+    for prof in _canonical_profiles(n, p):
+        blocks = [
+            set(pref.order[-stage.depth :] if stage.play == "cover" else pref.order[: stage.depth])
+            for pref in prof.prefs
+        ]
+        if not any(all(not block.isdisjoint(combo) for block in blocks) for combo in combos):
+            return prof
+    return None
+
+
+def _check_cover_premise(text, n, p):
+    """Evaluating the one-stage protocol raises CoverNotFoundError exactly
+    when some canonical profile has no covering set."""
+    spec = parse_protocol(text, n, p)
+    if _cover_counterexample(n, p, spec.stages[0]) is None:
+        worst_case_guarantee(spec, n, p)
+    else:
+        with pytest.raises(CoverNotFoundError):
+            worst_case_guarantee(spec, n, p)
+
+
+@pytest.mark.parametrize("text, n, p", _PREMISE, ids=str)
+def test_evaluation_decides_the_cover_premise(text, n, p):
+    _check_cover_premise(text, n, p)
+
+
 def _word_protocol(word):
     stages = ["veto(1)" if letter == "VT" else "rd(pad)" for letter in word.split(",")]
     if word.endswith("VT"):
@@ -702,16 +761,20 @@ class TestCoverProtocols:
         # everyone keeps at least 1/(n-1) on their top two
         assert sum(report.achieved.probs[3:5]) >= F(1, 2)
 
-    def test_existence_verified_at_three_five(self):
-        for mode in ("top-pair", "bottom-pair"):
-            stage = cover_protocol(3, 5, mode).stages[0]
-            assert verify_cover_exists(3, 5, stage) is None
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             cover_protocol(3, 6, "top-pair")
         with pytest.raises(ValueError):
             cover_protocol(3, 5, "nonsense")
+
+    def test_zero_size_covers_are_rejected(self):
+        # They evaluated to CoverNotFoundError, which reads as a
+        # counterexample to the covering premise.
+        for size, depth in ((0, 1), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                CoverRound(size, depth, "cover")
+        with pytest.raises(ValueError, match="at least 1 at position 0$"):
+            parse_protocol("cover(0,1,top)", 3, 6)
 
     def test_cover_failure_is_reported(self):
         # engineer an impossible demand: a 1-set meeting three disjoint pairs
