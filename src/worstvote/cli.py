@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -63,9 +64,7 @@ def _emit(payload: dict, as_json: bool, lines: Iterable[str]) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cache_lookup(cache_dir: Optional[str], key: str) -> Optional[dict]:
-    if not cache_dir:
-        return None
+def _cache_lookup(cache_dir: str, key: str) -> Optional[dict]:
     path = Path(cache_dir) / f"{key}.json"
     if not path.exists():
         return None
@@ -78,9 +77,7 @@ def _cache_lookup(cache_dir: Optional[str], key: str) -> Optional[dict]:
     return payload
 
 
-def _cache_store(cache_dir: Optional[str], key: str, payload: dict) -> None:
-    if not cache_dir:
-        return
+def _cache_store(cache_dir: str, key: str, payload: dict) -> None:
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{key}.json").write_text(json.dumps(payload, sort_keys=True))
@@ -426,10 +423,20 @@ COMMANDS = (
 )
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's sources: a report is served only to the code
+    that computed it."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{path.name}:{path.stat().st_size}:".encode() + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(command: _Command, args: argparse.Namespace) -> str:
     dests = [flag.lstrip("-").replace("-", "_") for flag, _ in command.arguments]
     values = [str(getattr(args, dest)) for dest in dests]
-    digest = hashlib.sha256(":".join([command.name, *values]).encode()).hexdigest()
+    digest = hashlib.sha256(":".join([command.name, _source_digest(), *values]).encode()).hexdigest()
     return f"{command.name}-{digest[:24]}"
 
 
@@ -475,7 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command: _Command = args.entry
 
     started = time.perf_counter()
-    key = _cache_key(command, args) if command.text else None
+    key = _cache_key(command, args) if command.text and args.cache else None
     cached = _cache_lookup(args.cache, key) if key else None
     try:
         args.jobs = max(1, _default_jobs() if args.jobs is None else args.jobs)

@@ -70,7 +70,7 @@ from .lp import (
     feasible_point,
     solve,
 )
-from .library import hard_profiles, tails_profile, tiling_profile, tops_profile
+from .library import block_profile, hard_profiles, tiling_profile
 from .profiles import OutcomeLottery, Preference, Profile, reversal_profile
 
 FEASIBLE = "feasible"
@@ -192,12 +192,17 @@ class BalancedFamily:
         return True
 
 
+def balanced_range(n: int, p: int) -> bool:
+    """Whether `balanced_family` builds families at (n, p)."""
+    return p <= 2 * n - 2 or (p == 2 * n and n not in (4, 5))
+
+
 def balanced_family(p: int, k: int, n: int) -> Optional[BalancedFamily]:
     """A balanced family of k-sets of [p] with at most n members, when the
     supported (n, p) range allows one; None otherwise."""
     if not 2 <= k <= p // 2:
         raise ValueError(f"need 2 <= k <= p/2, got k={k}, p={p}")
-    if not (p <= 2 * n - 2 or (p == 2 * n and n not in (4, 5))):
+    if not balanced_range(n, p):
         return None
 
     one = Fraction(1)
@@ -271,7 +276,6 @@ class ViolatedCut:
 
 @dataclass(frozen=True)
 class CutResult:
-    passed: bool
     violated: Optional[ViolatedCut]
     applied: tuple[str, ...]
 
@@ -293,7 +297,6 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
             back = 1 - cum[p - k - 1]
             if front < back:
                 return CutResult(
-                    False,
                     ViolatedCut("two-agent", k, back, front, reversal_profile(2, p)),
                     tuple(applied),
                 )
@@ -306,29 +309,23 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
                 witness = tiling_profile(n, p, k)
                 assert witness is not None
                 return CutResult(
-                    False,
                     ViolatedCut("cover", k, Fraction(1, m), cum[k - 1], witness),
                     tuple(applied),
                 )
 
-    if p <= 2 * n - 2 or (p == 2 * n and n not in (4, 5)):
+    if balanced_range(n, p):
         for k in range(2, p - 1):
             applied.append(f"balanced k={k}")
             if cum[k - 1] < Fraction(k, p):
-                side = k if k <= p // 2 else p - k
-                fam = balanced_family(p, side, n)
+                fam = balanced_family(p, min(k, p - k), n)
                 assert fam is not None
-                if k <= p // 2:
-                    witness = tails_profile(n, p, list(fam.sets))
-                else:
-                    witness = tops_profile(n, p, list(fam.sets))
+                witness = block_profile(n, p, fam.sets, top=k > p // 2)
                 return CutResult(
-                    False,
                     ViolatedCut("balanced", k, Fraction(k, p), cum[k - 1], witness),
                     tuple(applied),
                 )
 
-    return CutResult(True, None, tuple(applied))
+    return CutResult(None, tuple(applied))
 
 
 # ----------------------------------------------------------------------------
@@ -895,9 +892,8 @@ def is_feasible(
 
     cuts = necessary_cuts(lam, n)
     applied = cuts.applied
-    if not cuts.passed:
-        violated = cuts.violated
-        assert violated is not None
+    violated = cuts.violated
+    if violated is not None:
         _, certificate = feasible_point(p, _implementation_rows(lam, violated.witness))
         if certificate is None:
             raise AssertionError("cut witness failed to refute")
@@ -949,10 +945,6 @@ def is_feasible(
         points.append(point)
         x, scale = point
         seeds.update(((tuple([x[a - 1] for a in order]), scale), None) for order in orders)
-
-    if not ks:
-        # No binding tail constraints: any outcome lottery implements lam.
-        return finish(FEASIBLE, "vacuous")
 
     chains = chain_count(p, ks)
     if chains > _MAX_CHAINS:

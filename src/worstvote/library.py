@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Sequence
 
 from .profiles import (
     Preference,
@@ -25,6 +26,21 @@ from .profiles import (
 )
 
 
+def block_profile(n: int, p: int, blocks: Sequence[frozenset[int]], *, top: bool) -> Profile:
+    """Agents 1..len(blocks) get the given sets as their best outcomes
+    (`top`) or their worst, in label order, and the other outcomes in label
+    order; the other agents get the identity order."""
+    if len(blocks) > n:
+        raise ValueError("more blocks than agents")
+    prefs = []
+    for block in blocks:
+        ordered = sorted(block)
+        rest = [a for a in range(1, p + 1) if a not in block]
+        prefs.append(Preference(tuple(rest + ordered if top else ordered + rest)))
+    prefs += [identity_preference(p)] * (n - len(blocks))
+    return Profile(tuple(prefs))
+
+
 def tiling_profile(n: int, p: int, k: int) -> Profile | None:
     """A profile whose first ceil(p/k) agents have k-tails covering 1..p."""
     if not 1 <= k <= p - 1:
@@ -32,46 +48,8 @@ def tiling_profile(n: int, p: int, k: int) -> Profile | None:
     m = -(-p // k)
     if m > n:
         return None
-    prefs = []
-    for i in range(m):
-        lo = i * k
-        if lo + k <= p:
-            tail = list(range(lo + 1, lo + k + 1))
-        else:
-            tail = list(range(p - k + 1, p + 1))
-        rest = [a for a in range(1, p + 1) if a not in set(tail)]
-        prefs.append(Preference(tuple(tail + rest)))
-    for _ in range(n - m):
-        prefs.append(identity_preference(p))
-    return Profile(tuple(prefs))
-
-
-def tails_profile(n: int, p: int, tails: list[frozenset[int]]) -> Profile:
-    """Agents 1..len(tails) get the given sets as their worst outcomes."""
-    if len(tails) > n:
-        raise ValueError("more tails than agents")
-    prefs = []
-    for tail in tails:
-        ordered = sorted(tail)
-        rest = [a for a in range(1, p + 1) if a not in tail]
-        prefs.append(Preference(tuple(ordered + rest)))
-    for _ in range(n - len(tails)):
-        prefs.append(identity_preference(p))
-    return Profile(tuple(prefs))
-
-
-def tops_profile(n: int, p: int, tops: list[frozenset[int]]) -> Profile:
-    """Agents 1..len(tops) get the given sets as their best outcomes."""
-    if len(tops) > n:
-        raise ValueError("more top sets than agents")
-    prefs = []
-    for top in tops:
-        ordered = sorted(top)
-        rest = [a for a in range(1, p + 1) if a not in top]
-        prefs.append(Preference(tuple(rest + ordered)))
-    for _ in range(n - len(tops)):
-        prefs.append(identity_preference(p))
-    return Profile(tuple(prefs))
+    starts = [min(i * k, p - k) for i in range(m)]
+    return block_profile(n, p, [frozenset(range(lo + 1, lo + k + 1)) for lo in starts], top=False)
 
 
 def _base_profiles(n: int, p: int) -> list[Profile]:

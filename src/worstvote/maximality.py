@@ -48,7 +48,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
-from .lottery import RankLottery, ZERO, dominates, uniform
+from .lottery import RankLottery, ZERO, dominates
 from .lp import (
     GE,
     LE,
@@ -195,8 +195,7 @@ def improve(
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    anchors = verified_anchors(n, p, jobs=jobs) if 3 <= n < p else (uniform(p),)
-    for anchor in anchors:
+    for anchor in verified_anchors(n, p, jobs=jobs):
         if anchor.probs != lam.probs and dominates(anchor, lam):
             return anchor, DOMINATED, 0, 0
 
@@ -339,8 +338,6 @@ def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:
         raise ValueError(f"k={k} out of range")
     target = lam.cumulative()[k - 1]
     for prof in _known_profiles(n, lam.p):
-        if prof.n != n or prof.p != lam.p:
-            continue
         if forcing_value(lam, prof, k) == target:
             return prof
     return None

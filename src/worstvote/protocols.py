@@ -48,9 +48,7 @@ from .lottery import RankLottery, ZERO, dominates, rd, uniform
 from .compose import rd_compose, vt_compose
 from .profiles import (
     OutcomeLottery,
-    Preference,
     Profile,
-    identity_preference,
     rank_rearrange,  # not called here; perfbench/tracing.py wraps this name
 )
 
@@ -90,13 +88,13 @@ class UniformFallback:
 class CoverRound:
     cover_size: int
     depth: int
-    play: str  # "cover": uniform on the covering set; "complement": on the rest
+    side: str  # "top": uniform on the covering set; "bottom": on the rest
 
     def __post_init__(self) -> None:
+        if self.side not in ("top", "bottom"):
+            raise ValueError("cover side must be top or bottom")
         if min(self.cover_size, self.depth) < 1:
             raise ValueError("a cover round needs a cover size and a depth of at least 1")
-        if self.play not in ("cover", "complement"):
-            raise ValueError("play must be 'cover' or 'complement'")
 
 
 Stage = VetoRound | DictatorRound | UniformFallback | CoverRound
@@ -130,8 +128,7 @@ class ProtocolSpec:
             elif isinstance(stage, UniformFallback):
                 parts.append("uniform")
             else:
-                side = "top" if stage.play == "cover" else "bottom"
-                parts.append(f"cover({stage.cover_size},{stage.depth},{side})")
+                parts.append(f"cover({stage.cover_size},{stage.depth},{stage.side})")
         return "; ".join(parts)
 
 
@@ -197,9 +194,7 @@ def _parse_stage_token(token: str, offset: int) -> Stage:
             parts = [part.strip() for part in token[6:-1].split(",")]
             if len(parts) != 3 or not parts[0].isdigit() or not parts[1].isdigit():
                 raise ValueError("cover needs (size, depth, top|bottom)")
-            if parts[2] not in ("top", "bottom"):
-                raise ValueError("cover side must be top or bottom")
-            return CoverRound(int(parts[0]), int(parts[1]), "cover" if parts[2] == "top" else "complement")
+            return CoverRound(int(parts[0]), int(parts[1]), parts[2])
         raise ValueError(f"cannot parse stage {token!r}")
     except ValueError as err:
         raise ValueError(f"{err} at position {offset}") from None
@@ -333,7 +328,7 @@ def _step(stage: Stage, survivors: tuple, agg, n: int) -> tuple[tuple, Fraction 
         raise CoverNotFoundError(f"no {stage.cover_size}-set meets all reported {stage.depth}-sets")
     combos = itertools.combinations(survivors, stage.cover_size)
     cover = next(itertools.islice(combos, (agg & -agg).bit_length() - 1, None))
-    if stage.play == "complement":
+    if stage.side == "bottom":
         cover = tuple(a for a in survivors if a not in cover)
         if not cover:
             raise ValueError(
@@ -408,17 +403,15 @@ class EvalReport:
     runtime_ms: int
 
 
-def _safe_report(stage: Stage, survivors: tuple, pref: Preference):
-    """Agent 1's truthful play: veto the worst, claim the best."""
-    by_rank = sorted(survivors, key=pref.order.index)
+def _safe_report(stage: Stage, survivors: tuple):
+    """Agent 1's truthful play on `survivors`, listed worst first: veto the
+    worst, claim the best, report the best or worst `depth` for a cover."""
     if isinstance(stage, VetoRound):
-        return frozenset(by_rank[: stage.tokens])
+        return frozenset(survivors[: stage.tokens])
     if isinstance(stage, DictatorRound):
-        return by_rank[-1]
+        return survivors[-1]
     if isinstance(stage, CoverRound):
-        if stage.play == "cover":
-            return frozenset(by_rank[-stage.depth :])
-        return frozenset(by_rank[: stage.depth])
+        return frozenset(survivors[-stage.depth :] if stage.side == "top" else survivors[: stage.depth])
     return None
 
 
@@ -495,7 +488,6 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
     _windows(spec.stages, n, p)
-    identity = identity_preference(p)
     unit = math.lcm(*range(1, max(n, p) + 1))
     scale = [1]
     for stage in reversed(spec.stages):
@@ -509,7 +501,7 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     def worst(idx, m):
         stage = spec.stages[idx]
         survivors = tuple(range(1, m + 1))
-        choices = [(_safe_report(stage, survivors, identity),)] + [_report_space(stage, survivors)] * (n - 1)
+        choices = [(_safe_report(stage, survivors),)] + [_report_space(stage, survivors)] * (n - 1)
         groups = {}  # (listed, rest) -> [first reports, orderings]
         for agg, (orderings, reports) in _fold(stage, survivors, choices).items():
             listed, weight, rest = _step(stage, survivors, agg, n)
@@ -585,11 +577,11 @@ def cover_protocol(n: int, p: int, mode: str) -> ProtocolSpec:
         depth = {(3, 5): 2, (4, 7): 3}.get((n, p))
         if depth is None:
             raise ValueError("pair covers are defined for (3,5) and (4,7)")
-        play = "cover" if mode == "top-pair" else "complement"
-        return ProtocolSpec((CoverRound(cover_size=2, depth=depth, play=play),))
+        side = "top" if mode == "top-pair" else "bottom"
+        return ProtocolSpec((CoverRound(cover_size=2, depth=depth, side=side),))
     if mode == "block":
         if p != 2 * n - 1:
             raise ValueError("block covers are defined for p = 2n-1")
-        return ProtocolSpec((CoverRound(cover_size=n - 1, depth=2, play="cover"),))
+        return ProtocolSpec((CoverRound(cover_size=n - 1, depth=2, side="top"),))
     raise ValueError(f"unknown cover mode {mode!r}")
 

@@ -38,6 +38,7 @@ from .compose import (
 )
 from .feasibility import (
     balanced_family,
+    balanced_range,
     cardinal_falsifier,
     implement_program,
     is_feasible,
@@ -56,7 +57,6 @@ from .protocols import (
     worst_case_guarantee,
 )
 
-ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
@@ -409,7 +409,7 @@ def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
     generated = 0
     for n in range(3, 8):
         for p in range(4, 2 * n + 1):
-            if not (p <= 2 * n - 2 or (p == 2 * n and n not in (4, 5))):
+            if not balanced_range(n, p):
                 continue
             for k in range(2, p // 2 + 1):
                 fam = balanced_family(p, k, n)

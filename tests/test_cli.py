@@ -279,6 +279,28 @@ class TestCache:
         assert code == 0 and rest.count("\n") >= 1
         assert run_cli(capsys, *args) == (code, f"{first} (cached)\n{rest}")
 
+    def test_cache_serves_only_the_code_that_stored(self, capsys, tmp_path, monkeypatch):
+        # A payload stored under one source digest is not served under another.
+        args = ["feasible", "--n", "3", "--lottery", "0,0,0,0,0,1", "--jobs", "1", "--cache", str(tmp_path)]
+        monkeypatch.setattr(cli, "_source_digest", lambda: "old")
+        code, fresh = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "_source_digest", lambda: "new")
+        assert run_cli(capsys, *args) == (code, fresh)
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        monkeypatch.setattr(cli, "_source_digest", lambda: "old")
+        first, rest = fresh.split("\n", 1)
+        assert run_cli(capsys, *args) == (code, f"{first} (cached)\n{rest}")
+
+    def test_source_digest_moves_with_any_module(self, tmp_path, monkeypatch):
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        uncached = cli._source_digest.__wrapped__
+        assert uncached() == cli._source_digest()
+        lp = tmp_path / "lp.py"
+        lp.write_text(lp.read_text() + "# changed\n")
+        assert uncached() != cli._source_digest()
+
     def test_cache_keeps_witnesses_apart(self, capsys, tmp_path):
         args = ["maximal", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--jobs", "1",
                 "--cache", str(tmp_path), "--json"]

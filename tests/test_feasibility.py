@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from worstvote.compose import canonical_word, enumerate_canonical
 from worstvote.feasibility import (
     active_ranks,
     balanced_family,
@@ -203,6 +204,42 @@ class TestIsFeasible:
         )
         report = is_feasible(lam, 3, limit_profiles=17 + 100, use_hull=False)
         assert (report.verdict, report.profiles_checked) == ("undecided", 117)
+
+    def test_scan_too_large_is_undecided_before_any_layout(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        def no_layouts(*args):
+            raise AssertionError("layouts built for a refused scan")
+
+        monkeypatch.setattr(feas, "_MAX_CHAINS", 100)
+        monkeypatch.setattr(feas, "_chain_layouts", no_layouts)
+        monkeypatch.setattr(feas, "_scan_layouts", no_layouts)
+        report = is_feasible(vt(3, 6), 3, use_hull=False)
+        assert (report.verdict, report.method, report.profiles_checked) == (
+            "undecided",
+            "scan-too-large:120-chains",
+            13,
+        )
+
+    def test_anchors_skip_guarantees_past_five_million_systems(self, monkeypatch):
+        # At (4,9) only VT,VT (8,436 systems) is scanned; the other five
+        # canonical guarantees are skipped unscanned.
+        import worstvote.feasibility as feas
+
+        vtvt = canonical_word("VT,VT", 4, 9)
+        skipped = [lam for _, lam in enumerate_canonical(4, 9) if lam != vtvt]
+        assert len(skipped) == 5 and min(system_count(lam, 4) for lam in skipped) > 5_000_000
+        scanned = []
+
+        def only_vtvt(lam, n, **kwargs):
+            assert lam == vtvt, f"scanned {lam.text()}"
+            scanned.append(lam)
+            return is_feasible(lam, n, **kwargs)
+
+        monkeypatch.setattr(feas, "_anchor_cache", {})
+        monkeypatch.setattr(feas, "is_feasible", only_vtvt)
+        assert feas.verified_anchors(4, 9) == (uniform(9), vtvt)
+        assert scanned == [vtvt]
 
     def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
         import worstvote.feasibility as feas
@@ -515,16 +552,28 @@ def report_corpus():
     return corpus
 
 
+def _report_facts(report):
+    """What a report states, as strings and ints, apart from its runtime:
+    the pin then holds whatever fields or `repr` the dataclasses have."""
+    prof = report.witness_profile
+    return (
+        report.verdict,
+        report.method,
+        None if prof is None else prof.text(),
+        None if report.witness_certificate is None else tuple(map(str, report.witness_certificate)),
+        report.profiles_checked,
+        report.cuts_used,
+        tuple((str(w), lam.text()) for w, lam in report.mixture),
+    )
+
+
 class TestReportDigest:
-    # sha256 of the `repr` of every report of `report_corpus()`, each with
-    # `runtime_ms` set to 0, in corpus order, from `is_feasible(lam, n,
-    # use_hull=False, limit_profiles=limit)`.  Recorded before a feasibility
-    # call reused its library LPs' lotteries and built its scan layouts once
-    # per (p, ks); that reuse skips only feasible LPs, so no field may move.
-    # Re-recorded when `Profile` lost its `canonical` field: the earlier
-    # reports, with ", canonical=False" taken out of their `repr`, give
-    # this digest.
-    DIGEST = "74cf154129a56930cc80f14e0e2ca6f226f230a0dab4ab12a2db018c003e24c3"
+    # sha256 of the `repr` of `_report_facts` of every report of
+    # `report_corpus()`, in corpus order, from `is_feasible(lam, n,
+    # use_hull=False, limit_profiles=limit)`.  The scan's reuse of library
+    # LPs' lotteries and of layouts skips only feasible LPs, so no fact may
+    # move with it.
+    DIGEST = "6162eacab49b521af846fe9e9341d09915f012641bf8fec1d7231fa56b36de79"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reports_are_pinned(self, monkeypatch, jobs):
@@ -539,7 +588,7 @@ class TestReportDigest:
         methods = set()
         for lam, n, limit in report_corpus():
             report = is_feasible(lam, n, jobs=jobs, use_hull=False, limit_profiles=limit)
-            digest.update(repr(replace(report, runtime_ms=0)).encode())
+            digest.update(repr(_report_facts(report)).encode())
             methods.add((report.verdict, report.method.split(":")[0]))
         assert {("infeasible", "cut"), ("infeasible", "library-profile"), ("infeasible", "scan"),
                 ("feasible", "scan"), ("undecided", "profile-limit")} <= methods
@@ -660,7 +709,7 @@ def _scan_corpus():
         found = 0
         while found < 8:
             lam = sparse_lottery(p, rng)
-            if dominates(uniform(p), lam) or not necessary_cuts(lam, n).passed or system_count(lam, n) > 400_000:
+            if dominates(uniform(p), lam) or necessary_cuts(lam, n).violated or system_count(lam, n) > 400_000:
                 continue
             found += 1
             inputs.append((lam, n))
@@ -908,11 +957,11 @@ class TestBalancedFamilies:
 class TestNecessaryCuts:
     def test_veto_passes_tight(self):
         result = necessary_cuts(vt(3, 6), 3)
-        assert result.passed
+        assert result.violated is None
 
     def test_cover_violation(self):
         result = necessary_cuts(lottery([0, 0, 1, 0, 0, 0]), 3)
-        assert not result.passed
+        assert result.violated is not None
         assert result.violated.kind == "cover"
         assert result.violated.k == 2
         # the witness profile genuinely blocks the lottery
@@ -920,14 +969,14 @@ class TestNecessaryCuts:
 
     def test_two_agent_reversal(self):
         result = necessary_cuts(lottery([0, 0, 0, 0, 0, 1]), 2)
-        assert not result.passed
+        assert result.violated is not None
         assert result.violated.kind == "two-agent"
 
     def test_balanced_cut_with_witness(self):
         # p = 2n with n=3: the bound keeps every front cumulative above k/p
         lam = parse_lottery("1/12,1/12,1/3,1/4,1/8,1/8")
         result = necessary_cuts(lam, 3)
-        if not result.passed:
+        if result.violated is not None:
             assert implement_at(lam, result.violated.witness) is None
 
 

@@ -40,3 +40,37 @@ def test_modules_use_every_name_they_import():
                     if name not in used and (path.name, name) not in allowed:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_every_definition_is_read_or_imported():
+    # A top-level function, class or assignment of a module must be read in
+    # that module or imported by another module of the package (the exports
+    # of `__init__` count as imports).  Dunder names such as `__version__`
+    # are exempt.
+    defined, read, imported = {}, {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        read[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[module].add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update((node.module, alias.name) for alias in node.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined[(module, name)] = node.lineno
+    unread = [
+        f"{module}.py:{line} {name}"
+        for (module, name), line in defined.items()
+        if name not in read[module] and (module, name) not in imported
+    ]
+    assert not unread, unread

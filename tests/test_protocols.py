@@ -70,6 +70,11 @@ class TestParsing:
             parse_protocol("rd(pad); veto(0); uniform", 3, 6)
         with pytest.raises(ValueError, match="a depth of at least 1 at position 9$"):
             parse_protocol("veto(1); cover(2,0,top)", 3, 6)
+        # A bad side is named before a bad size; the text's names are the field's.
+        with pytest.raises(ValueError, match="^cover side must be top or bottom at position 9$"):
+            parse_protocol("veto(1); cover(0,1,left)", 3, 6)
+        with pytest.raises(ValueError, match="^cover side must be top or bottom$"):
+            CoverRound(2, 2, "cover")
 
     def test_window_errors_name_the_stage(self):
         # The parser names the character position, the evaluator and `run`
@@ -257,6 +262,20 @@ class TestWorstCase:
             gc.enable()
 
 
+def _safe_report(stage, survivors, pref):
+    """Agent 1's truthful report under `pref`: veto its worst survivors,
+    claim its best, and report its best (top) or worst (bottom) `depth`
+    survivors to a cover round."""
+    ranked = sorted(survivors, key=pref.order.index)
+    if isinstance(stage, VetoRound):
+        return frozenset(ranked[: stage.tokens])
+    if isinstance(stage, DictatorRound):
+        return ranked[-1]
+    if isinstance(stage, CoverRound):
+        return frozenset(ranked[-stage.depth :] if stage.side == "top" else ranked[: stage.depth])
+    return None
+
+
 def _oracle(spec, n, p, pref):
     """Brute-force worst case: agent 1's safe report against every tuple of
     adversary reports, scenario by scenario, as a list of (trace,
@@ -264,7 +283,7 @@ def _oracle(spec, n, p, pref):
 
     def adversaries(idx, survivors):
         stage = spec.stages[idx]
-        mine = (protocols._safe_report(stage, survivors, pref),)
+        mine = (_safe_report(stage, survivors, pref),)
         for adv in itertools.product(protocols._report_space(stage, survivors), repeat=n - 1):
             yield mine + adv
 
@@ -463,13 +482,13 @@ def _canonical_profiles(n, p):
 
 def _cover_counterexample(n, p, stage):
     """The first canonical profile at which no `cover_size`-set meets every
-    agent's best (play "cover") or worst (play "complement") `depth`
+    agent's best (side "top") or worst (side "bottom") `depth`
     outcomes, else None: the premise checked profile by profile, without
     the protocol code."""
     combos = list(itertools.combinations(range(1, p + 1), stage.cover_size))
     for prof in _canonical_profiles(n, p):
         blocks = [
-            set(pref.order[-stage.depth :] if stage.play == "cover" else pref.order[: stage.depth])
+            set(pref.order[-stage.depth :] if stage.side == "top" else pref.order[: stage.depth])
             for pref in prof.prefs
         ]
         if not any(all(not block.isdisjoint(combo) for block in blocks) for combo in combos):
@@ -556,7 +575,7 @@ def _reference_step(stage, survivors, reports, n):
         cover = next((c for c in combos if all(set(c) & rep for rep in reports)), None)
         if cover is None:
             raise CoverNotFoundError(f"no {stage.cover_size}-set meets all reported {stage.depth}-sets")
-        if stage.play == "complement":
+        if stage.side == "bottom":
             cover = tuple(a for a in survivors if a not in cover)
             if not cover:
                 raise ValueError(f"a {stage.cover_size}-set cover leaves no complement of {len(survivors)} outcomes")
@@ -590,7 +609,7 @@ _FOLD_STAGES = [
     DictatorRound(True, F(1, 2)),
     DictatorRound(False),
     UniformFallback(),
-] + [CoverRound(s, d, play) for s in (1, 2, 3) for d in (1, 2, 3) for play in ("cover", "complement")]
+] + [CoverRound(s, d, side) for s in (1, 2, 3) for d in (1, 2, 3) for side in ("top", "bottom")]
 
 
 @pytest.mark.parametrize("stage", _FOLD_STAGES, ids=repr)
@@ -606,7 +625,7 @@ def test_fold_matches_the_enumeration_of_report_tuples(stage):
             space = protocols._report_space(stage, survivors)
         except ValueError:
             continue
-        mine = protocols._safe_report(stage, survivors, identity_preference(m))
+        mine = protocols._safe_report(stage, survivors)
         folds = protocols._fold(stage, survivors, [(mine,)] + [space] * (n - 1))
         tokens = [protocols._token(stage, survivors, rep) for rep in (mine, *space)]
         reached, folded, settled = {}, {}, {}
@@ -772,13 +791,13 @@ class TestCoverProtocols:
         # counterexample to the covering premise.
         for size, depth in ((0, 1), (1, 0), (0, 0)):
             with pytest.raises(ValueError, match="at least 1"):
-                CoverRound(size, depth, "cover")
+                CoverRound(size, depth, "top")
         with pytest.raises(ValueError, match="at least 1 at position 0$"):
             parse_protocol("cover(0,1,top)", 3, 6)
 
     def test_cover_failure_is_reported(self):
         # engineer an impossible demand: a 1-set meeting three disjoint pairs
-        stage = CoverRound(cover_size=1, depth=2, play="cover")
+        stage = CoverRound(cover_size=1, depth=2, side="top")
         spec = ProtocolSpec((stage,))
         prof = identical_profile(3, 6)
         reports = ((frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})),)
