@@ -9,6 +9,7 @@ from .lottery import (
     RankLottery,
     convex_combination,
     dominates,
+    dual,
     is_symmetric,
     lottery,
     m2_vertices,
@@ -25,11 +26,6 @@ from .profiles import (
     parse_profile,
     profile,
     rank_rearrange,
-)
-from .duality import (
-    BoundaryDecomposition,
-    boundary_decompose,
-    dual,
 )
 from .compose import (
     canonical_word,

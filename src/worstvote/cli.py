@@ -19,8 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lottery import RankLottery, convex_combination, dominates, parse_lottery, uniform
-from .duality import dual
+from .lottery import RankLottery, convex_combination, dominates, dual, parse_lottery, uniform
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
 from .feasibility import is_feasible
 from .maximality import is_maximal
@@ -417,7 +416,7 @@ COMMANDS = (
     _Command(
         "search-combinations",
         "probe random mixtures of canonical guarantees for unexpected maximality",
-        (_N, _P, ("--samples", {"type": int, "default": 20})),
+        (_N, _P, ("--samples", {"type": _count_arg, "default": 20})),
         _search_combinations,
     ),
 )
@@ -443,7 +442,7 @@ def _cache_key(command: _Command, args: argparse.Namespace) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS, help="parallel workers"
+        "--jobs", type=_count_arg, default=argparse.SUPPRESS, help="parallel workers"
     )
     common.add_argument(
         "--cache", default=argparse.SUPPRESS, help="verdict cache directory"

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .duality import dual
-from .lottery import RankLottery, ZERO, uniform
+from .lottery import RankLottery, ZERO, dual, uniform
 
 VT = "VT"
 RD = "RD"
@@ -99,6 +98,8 @@ def word_simplex(word: tuple[str, ...] | str, n: int, p: int) -> list[RankLotter
     """
     if isinstance(word, str):
         word = parse_word(word)
+    if not 3 <= n < p:
+        raise ValueError("canonical guarantees need 3 <= n < p")
     d = (p - 1) // n
     if len(word) != d:
         raise ValueError(f"need a word of full length {d}")

@@ -151,6 +151,32 @@ def dominates(lam: RankLottery, mu: RankLottery) -> bool:
     return True
 
 
+def dual(lam: RankLottery) -> RankLottery:
+    """The dual lottery; an exact involution on the simplex.
+
+    Geometrically: draw the ray from the uniform lottery ``u`` through `lam`
+    until it exits the simplex, reflect the exit point, and mix back.  With
+    m and M the least and largest coordinates of `lam`, the exit point is
+    the b of ``lam = p*m * u + (1 - p*m) * b``, so that
+    ``b_k = (lam_k - m) / (1 - p*m)`` and some coordinate of b is zero.  A
+    boundary point b reflects to ``(M_b - b_{p+1-k}) / (p*M_b - 1)``, and
+    with ``M_b = (M - m) / (1 - p*m)`` that is
+    ``(M - lam_{p+1-k}) / (p*M - 1)``.  Mixed back with the same weights:
+
+        dual(lam)_k = m + (1 - p*m) * (M - lam_{p+1-k}) / (p*M - 1)
+
+    The uniform lottery, the only one with ``p*M = 1``, is its own dual.
+    The one-veto-round and random-dictator guarantees swap,
+    ``dual(vt(n, p)) == rd(n, p)``, and the map preserves feasibility and
+    maximality of guarantees.
+    """
+    p, low, top = lam.p, lam.min_coordinate(), lam.max_coordinate()
+    if p * top == 1:
+        return lam
+    scale = (1 - p * low) / (p * top - 1)
+    return RankLottery(tuple(low + scale * (top - x) for x in reversed(lam.probs)))
+
+
 def is_symmetric(lam: RankLottery) -> bool:
     """True when the lottery equals its own reflection."""
     return lam.probs == tuple(reversed(lam.probs))

@@ -130,10 +130,6 @@ class MaximalityReport:
     feasibility: Optional[FeasibilityReport] = None
     runtime_ms: int = 0
 
-    @property
-    def maximal(self) -> bool:
-        return self.verdict == MAXIMAL
-
 
 def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Row:
     """Turn a Farkas certificate of an implementation LP into a master cut.

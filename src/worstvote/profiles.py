@@ -60,9 +60,6 @@ class OutcomeLottery:
     def p(self) -> int:
         return len(self.mass)
 
-    def of(self, outcome: int) -> Fraction:
-        return self.mass[outcome - 1]
-
     def text(self) -> str:
         return ",".join(str(x) for x in self.mass)
 

@@ -11,7 +11,7 @@ One stage function, `_step`, says what a stage does with one tuple of
 reports, read through their `_fold` aggregate: the outcomes it lists, each
 listing taking an equal share of the mass the stage settles, the weight
 with which play continues, and the outcomes left for the next stage.
-`run` chains the stages through `_plays` on explicit reports, checked for
+`run` walks the stages on explicit reports, checking each stage's for
 legality first (all randomization symbolic, never sampled), and turns the
 listings into `Fraction` masses.
 `_windows`, shared by the parser, `run` and the evaluation, gives the
@@ -42,7 +42,7 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, dominates, rd, uniform
 from .compose import rd_compose, vt_compose
@@ -337,57 +337,32 @@ def _step(stage: Stage, survivors: tuple, agg, n: int) -> tuple[tuple, Fraction 
     return cover, 0, ()
 
 
-def _plays(
-    spec: ProtocolSpec, n: int, p: int, choices: Callable[[int, tuple], Iterable[tuple]]
-) -> Iterator[tuple[tuple, OutcomeLottery]]:
-    """Every (report trace, exact outcome distribution) pair of the protocol.
-
-    `choices(idx, survivors)` gives the report tuples stage idx is played
-    with over the outcomes still in play.
-    """
-    _windows(spec.stages, n, p)
-
-    def rec(idx, survivors, trace):
-        stage = spec.stages[idx]
-        for stage_reports in choices(idx, survivors):
-            (agg,) = _fold(stage, survivors, [(rep,) for rep in stage_reports])
-            listed, weight, rest = _step(stage, survivors, agg, n)
-            new_trace = trace + (stage_reports,)
-            for sub_trace, sub_mass in rec(idx + 1, rest, new_trace) if weight else [(new_trace, {})]:
-                mass = {a: weight * w for a, w in sub_mass.items()}
-                for a in listed:
-                    mass[a] = mass.get(a, ZERO) + Fraction(1 - weight, len(listed))
-                yield sub_trace, mass
-
-    outcomes = range(1, p + 1)
-    plays = rec(0, tuple(outcomes), ())
-    return ((trace, OutcomeLottery(tuple(m.get(a, ZERO) for a in outcomes))) for trace, m in plays)
-
-
 def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> OutcomeLottery:
     """Exact outcome distribution for one play of the protocol.
 
     `reports[s]` holds stage s's reports for all agents in agent order
     (veto/cover stages: a set of outcomes per agent; dictator stages: one
     outcome per agent).  The profile fixes dimensions and legality only;
-    agents may report anything legal, truthful or not.
+    agents may report anything legal, truthful or not.  The protocol is
+    checked before the reports, and each stage's reports before it plays.
     """
-
-    def given(idx, survivors):  # stage idx's reports, sets made frozensets, if legal
-        stage, legal = spec.stages[idx], reports[idx]
+    _windows(spec.stages, prof.n, prof.p)
+    if len(reports) != len(spec.stages):
+        raise ValueError("need one report tuple per stage")
+    mass = [ZERO] * prof.p
+    survivors, reach = tuple(range(1, prof.p + 1)), Fraction(1)
+    for idx, (stage, legal) in enumerate(zip(spec.stages, reports)):
         if isinstance(stage, (VetoRound, CoverRound)):
             legal = tuple(map(frozenset, legal))
         space = _report_space(stage, survivors)
         if len(legal) != prof.n or not all(rep in space for rep in legal):
             raise ValueError(f"stage {idx} needs {prof.n} legal reports, got {legal}")
-        return (legal,)
-
-    # `_plays` checks the protocol before this looks at the reports.
-    plays = _plays(spec, prof.n, prof.p, given)
-    if len(reports) != len(spec.stages):
-        raise ValueError("need one report tuple per stage")
-    ((_, dist),) = plays
-    return dist
+        (agg,) = _fold(stage, survivors, [(rep,) for rep in legal])
+        listed, weight, survivors = _step(stage, survivors, agg, prof.n)
+        for a in listed:
+            mass[a - 1] += reach * (1 - weight) / len(listed)
+        reach *= weight
+    return OutcomeLottery(tuple(mass))
 
 
 # ----------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .lottery import (
     RankLottery,
     convex_combination,
     dominates,
+    dual,
     is_symmetric,
     lottery,
     m2_vertices,
@@ -27,7 +28,6 @@ from .lottery import (
     uniform,
     vt,
 )
-from .duality import dual
 from .compose import (
     canonical_word,
     dual_word,

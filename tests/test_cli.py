@@ -230,6 +230,36 @@ class TestExitCodes:
         assert code == 0 and "achieved guarantee: " in out
 
 
+    def test_simplex_outside_the_canonical_range_is_three(self, capsys):
+        # `--n 0` ended in a ZeroDivisionError traceback with exit 1.
+        for n in ("0", "-3"):
+            code = main(["simplex", "--word", "VT", "--n", n, "--p", "7"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == "error: canonical guarantees need 3 <= n < p\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["feasible", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--jobs", "-2"],
+            ["search-combinations", "--n", "3", "--p", "6", "--samples", "-1"],
+        ],
+    )
+    def test_negative_counts_are_three(self, capsys, argv):
+        # `--jobs -2` ran on one worker and `--samples -1` reported 0 of 0.
+        flag, value = argv[-2:]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+        assert f"error: argument {flag}: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
+
+    def test_zero_counts_are_legal(self, capsys):
+        code, out = run_cli(capsys, "search-combinations", "--n", "3", "--p", "6", "--samples", "0", "--jobs", "0")
+        assert (code, out) == (0, "maximal mixtures found: 0 of 0\n")
+        code, out = run_cli(capsys, "dual", "--lottery", "0,1/3,1/3,1/3,0,0", "--jobs", "0")
+        assert (code, out) == (0, "1/3,1/3,0,0,0,1/3\n")
+
+
 class TestCache:
     def test_cached_verdicts_match_fresh(self, capsys, tmp_path):
         args = ["feasible", "--n", "3", "--lottery", "1/3,1/3,0,0,0,1/3", "--jobs", "1", "--json"]

@@ -12,11 +12,11 @@ from worstvote.compose import (
     vt_compose,
     word_simplex,
 )
-from worstvote.duality import dual
 from worstvote.feasibility import is_feasible
 from worstvote.lottery import (
     convex_combination,
     dominates,
+    dual,
     lottery,
     parse_lottery,
     rd,
@@ -174,6 +174,12 @@ class TestSimplices:
     def test_requires_full_word(self):
         with pytest.raises(ValueError):
             word_simplex(("VT",), 3, 7)
+
+    @pytest.mark.parametrize("n, p", [(0, 7), (-3, 7), (2, 7), (7, 7)])
+    def test_checks_the_context_first(self, n, p):
+        # n = 0 divided by zero, and n = -3 asked for a word of length -2.
+        with pytest.raises(ValueError, match=r"canonical guarantees need 3 <= n < p"):
+            word_simplex(("VT",), n, p)
 
 
 class TestTransport:

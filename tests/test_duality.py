@@ -1,12 +1,30 @@
 import random
 from fractions import Fraction
 
-from worstvote.duality import boundary_decompose, dual
-from worstvote.lottery import convex_combination, parse_lottery, rd, uniform, vt
+import worstvote
+from worstvote.lottery import RankLottery, convex_combination, dual, parse_lottery, rd, uniform, vt
 
 from .test_lottery import rand_lottery
 
 F = Fraction
+
+
+def _geometric_dual(lam):
+    """The duality map by its geometric steps: push `lam` along the ray from
+    the uniform lottery until it exits the simplex, reflect the exit point,
+    and mix the image back with the same weights."""
+    p, share = lam.p, F(1, lam.p)
+    low = min(lam.probs)
+    if low == share:  # only the uniform lottery has least coordinate 1/p
+        return lam
+    alpha = share / (share - low)
+    boundary = RankLottery(tuple(share + alpha * (x - share) for x in lam.probs))
+    delta = 1 - 1 / alpha
+    assert boundary.is_boundary()
+    assert convex_combination([(delta, uniform(p)), (1 - delta, boundary)]) == lam
+    top = max(boundary.probs)
+    image = [(top - x) / (p * top - 1) for x in reversed(boundary.probs)]
+    return RankLottery(tuple(delta * share + (1 - delta) * x for x in image))
 
 
 class TestDual:
@@ -20,7 +38,7 @@ class TestDual:
                 assert dual(vt(n, p)) == rd(n, p)
 
     def test_uniform_self_dual(self):
-        for p in range(2, 9):
+        for p in range(1, 9):
             assert dual(uniform(p)) == uniform(p)
 
     def test_boundary_example(self):
@@ -32,33 +50,21 @@ class TestDual:
             lam = rand_lottery(rng.randint(2, 9), rng)
             assert dual(dual(lam)) == lam
 
+    def test_package_exports_dual(self):
+        assert worstvote.dual is dual
 
-class TestBoundaryDecompose:
-    def test_boundary_is_fixed(self):
-        lam = vt(3, 6)
-        decomp = boundary_decompose(lam)
-        assert decomp.delta == 0
-        assert decomp.boundary == lam
-
-    def test_uniform_degenerate(self):
-        assert boundary_decompose(uniform(5)).delta == 1
-
-    def test_midpoint_recovers_parts(self):
-        mid = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
-        decomp = boundary_decompose(mid)
-        assert decomp.delta == F(1, 2)
-        assert decomp.boundary == vt(3, 6)
-
-    def test_reconstruction(self):
-        rng = random.Random(1)
-        for _ in range(100):
-            lam = rand_lottery(rng.randint(2, 8), rng)
-            decomp = boundary_decompose(lam)
-            if decomp.delta == 1:
-                assert lam == uniform(lam.p)
-                continue
-            assert decomp.boundary.min_coordinate() == 0
-            rebuilt = convex_combination(
-                [(decomp.delta, uniform(lam.p)), (1 - decomp.delta, decomp.boundary)]
-            )
-            assert rebuilt == lam
+    def test_closed_form_matches_the_geometric_steps(self):
+        # 2,000 random lotteries at p = 1..9, half of them mixed with the
+        # uniform into the interior of the simplex, and the uniform itself.
+        rng = random.Random(3)
+        cases = [uniform(p) for p in range(1, 10)]
+        for _ in range(2_000):
+            lam = rand_lottery(rng.randint(1, 9), rng, grain=rng.choice((4, 12, 60)))
+            if rng.random() < 0.5:
+                weight = F(rng.randint(1, 9), 10)
+                lam = convex_combination([(weight, uniform(lam.p)), (1 - weight, lam)])
+            cases.append(lam)
+        assert sum(lam.p == 1 for lam in cases) > 100
+        assert sum(not lam.is_boundary() and lam.p > 1 for lam in cases) > 500
+        for lam in cases:
+            assert dual(lam) == _geometric_dual(lam), lam

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -73,4 +74,29 @@ def test_every_definition_is_read_or_imported():
         for (module, name), line in defined.items()
         if name not in read[module] and (module, name) not in imported
     ]
+    assert not unread, unread
+
+
+def test_every_method_is_read_as_an_attribute():
+    # A non-dunder method or property of a package class must be read as an
+    # attribute somewhere in the package or in `perfbench/`: one that only
+    # the tests read has no caller.  Overrides of a method of a base from
+    # outside the package, such as `cli._Parser.error`, are called by that
+    # base.
+    read = set()
+    for path in sorted([*PACKAGE.glob("*.py"), *(PACKAGE.parent.parent / "perfbench").rglob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"worstvote.{path.stem}")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [base for base in getattr(module, node.name).__mro__[1:] if not base.__module__.startswith("worstvote")]
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("__") or item.name in read:
+                    continue
+                if not any(hasattr(base, item.name) for base in bases):
+                    unread.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
     assert not unread, unread

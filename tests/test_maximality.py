@@ -10,12 +10,12 @@ import pytest
 
 import worstvote.feasibility as feasibility
 import worstvote.maximality as maximality
-from worstvote.duality import dual
 from worstvote.feasibility import is_feasible, verified_anchors
 from worstvote.lottery import (
     RankLottery,
     convex_combination,
     dominates,
+    dual,
     is_symmetric,
     lottery,
     parse_lottery,

@@ -14,7 +14,7 @@ import worstvote.protocols as protocols
 from worstvote.compose import canonical_word, vt_compose
 from worstvote.lottery import RankLottery, dominates, parse_lottery, rd, uniform, vt
 from worstvote.feasibility import is_feasible
-from worstvote.profiles import Preference, identical_profile, identity_preference, rank_rearrange
+from worstvote.profiles import OutcomeLottery, Preference, identical_profile, identity_preference, rank_rearrange
 from worstvote.protocols import (
     CoverNotFoundError,
     CoverRound,
@@ -182,10 +182,8 @@ class TestRun:
         # the continuation vetoes 3,4,5 leaving {6}
         reports = ((7, 7, 7), (frozenset({3}), frozenset({4}), frozenset({5})), (None,) * 3)
         ell = run(spec, prof, reports)
-        assert ell.of(7) == F(1, 4)
-        assert ell.of(2) == F(1, 4)
-        assert ell.of(1) == F(1, 4)
-        assert ell.of(6) == F(1, 4)
+        for a in (7, 2, 1, 6):
+            assert ell.mass[a - 1] == F(1, 4)
 
 
 class TestWorstCase:
@@ -276,6 +274,35 @@ def _safe_report(stage, survivors, pref):
     return None
 
 
+def _plays(spec, n, p, choices):
+    """Every (report trace, exact outcome distribution) pair of the protocol.
+
+    `choices(idx, survivors)` gives the report tuples stage idx is played
+    with over the outcomes still in play.  Each tuple is read through its
+    aggregate, combined from its reports' tokens by `_reference_aggregate`
+    and settled by `_step`; a token is computed once per stage, survivors
+    and report.
+    """
+    protocols._windows(spec.stages, n, p)
+    token = functools.cache(lambda idx, survivors, rep: protocols._token(spec.stages[idx], survivors, rep))
+
+    def rec(idx, survivors, trace):
+        stage = spec.stages[idx]
+        for stage_reports in choices(idx, survivors):
+            agg = _reference_aggregate(stage, [token(idx, survivors, rep) for rep in stage_reports])
+            listed, weight, rest = protocols._step(stage, survivors, agg, n)
+            new_trace = trace + (stage_reports,)
+            for sub_trace, sub_mass in rec(idx + 1, rest, new_trace) if weight else [(new_trace, {})]:
+                mass = {a: weight * w for a, w in sub_mass.items()}
+                for a in listed:
+                    mass[a] = mass.get(a, F(0)) + F(1 - weight, len(listed))
+                yield sub_trace, mass
+
+    outcomes = range(1, p + 1)
+    plays = rec(0, tuple(outcomes), ())
+    return ((trace, OutcomeLottery(tuple(m.get(a, F(0)) for a in outcomes))) for trace, m in plays)
+
+
 def _oracle(spec, n, p, pref):
     """Brute-force worst case: agent 1's safe report against every tuple of
     adversary reports, scenario by scenario, as a list of (trace,
@@ -287,7 +314,7 @@ def _oracle(spec, n, p, pref):
         for adv in itertools.product(protocols._report_space(stage, survivors), repeat=n - 1):
             yield mine + adv
 
-    scenarios = list(protocols._plays(spec, n, p, adversaries))
+    scenarios = list(_plays(spec, n, p, adversaries))
     worst_cum, worst_trace, seen = [F(0)] * p, {}, set()
     for trace, dist in scenarios:
         if dist in seen:  # a repeated distribution attains no new maximum
@@ -612,7 +639,20 @@ _FOLD_STAGES = [
 ] + [CoverRound(s, d, side) for s in (1, 2, 3) for d in (1, 2, 3) for side in ("top", "bottom")]
 
 
-@pytest.mark.parametrize("stage", _FOLD_STAGES, ids=repr)
+def _stage_id(stage):
+    """The stage's text form, as `ProtocolSpec.text` writes it, and its
+    continuation weight if it has one: ids that name what the test checks,
+    not how the stage classes spell their fields."""
+    text = ProtocolSpec.text(types.SimpleNamespace(stages=(stage,)))
+    weight = getattr(stage, "continue_weight", None)
+    return f"{text}-{weight}" if weight else text
+
+
+def test_fold_stage_ids_are_unique():
+    assert len({_stage_id(stage) for stage in _FOLD_STAGES}) == len(_FOLD_STAGES) == 24
+
+
+@pytest.mark.parametrize("stage", _FOLD_STAGES, ids=_stage_id)
 def test_fold_matches_the_enumeration_of_report_tuples(stage):
     # Against every ordered tuple of adversary reports at m = 1..6
     # survivors and n = 2..4: each aggregate is reached by as many tuples as
