@@ -15,18 +15,20 @@ hard part.  Three reductions keep it tractable:
   system is skipped (isomorph rejection by least representatives; the
   proof is in `_scan_chunk`).
 * Most systems are certified by an implementing lottery found earlier in
-  the scan, with no LP.  Each chain layout keeps a bitmask of the pool
-  lotteries that meet its tail caps (an exact integer check, made once per
-  lottery), and a system is certified exactly when the AND of its layouts'
-  masks is nonzero.  The LP runs only on the other systems, and its
-  solution becomes the next bit.
+  the scan.  Each chain layout keeps a bitmask of the pool lotteries that
+  meet its tail caps (an exact integer check, made once per lottery), and
+  a system is certified exactly when the AND of its layouts' masks is
+  nonzero.  The other systems get a point from `_implementing_point`: a
+  greedy fill in integers, and an LP only where the fill runs out of room.
+  The point becomes the next bit.
 
-One call reuses what it has computed.  The library-profile LPs run before
-the scan; a profile where a lottery returned by an earlier library LP of
-the call meets every agent's caps (`_implements`, the exact integer check
-`maximality.improve` also uses) needs no LP.  Those lotteries, relabeled
-so that one agent's order becomes the identity, meet the canonical chain
-and seed every scan chunk's pool.  Only feasible LPs are skipped, so the
+One call reuses what it has computed.  The library profiles are tested
+before the scan; a profile where a lottery found at an earlier library
+profile of the call meets every agent's caps (`_implements`, the exact
+integer check `maximality.improve` also uses) needs no new point.  Those
+lotteries, relabeled so that one agent's order becomes the identity, meet
+the canonical chain and seed every scan chunk's pool.  Only feasible LPs
+are skipped, so the
 first refuting profile or system, its certificate and the count checked
 are those of solving every LP.  The chain layouts and tail groups are
 built once per (p, active ranks), with the tables of the relabelings that
@@ -34,10 +36,12 @@ skip systems, and kept for later calls, and for the pool's forked workers,
 up to `_MAX_CHAINS` entries in all; the scan's deadline is checked while
 they build.
 
-Every implementation LP is laid out once, by `_tail_rows`, as integer rows
-(`lp.Row`), and solved by `lp.feasible_point`, whose point, ints over one
-scale, goes into the pool as it is.  The public `implement_program` holds
-the same rows, and so does every program this module gives to `lp.solve`.
+Every implementing point is found by `_implementing_point`, the greedy
+fill first, then the implementation LP, laid out once, by `_tail_rows`, as
+integer rows (`lp.Row`) and solved by `lp.feasible_point`.  The point,
+ints over one scale in lowest terms, goes into the pool as it is.  The
+public `implement_program` holds the same rows, and so does every program
+this module gives to `lp.solve`.
 
 Fast verdicts come first: domination by the uniform lottery or by a mixture
 of already-verified guarantees proves feasibility outright (any lottery
@@ -64,7 +68,9 @@ from .lp import (
     LE,
     OPTIMAL,
     LinearProgram,
+    Point,
     Row,
+    _reduce,
     _scaled,
     feasibility_program,
     feasible_point,
@@ -133,14 +139,62 @@ def _tail_rows(
     return rows
 
 
-def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
-    """The implementation LP of `lam` at `prof`: one tail row per agent and
-    active rank, laid out as in `_tail_rows`."""
+def _tail_system(lam: RankLottery, prof: Profile) -> tuple:
+    """The tail system of `lam` at `prof`, as the arguments of `_tail_rows`
+    and `_implementing_point`: p, the active ranks, their caps as ints over
+    one scale, that scale, and the agents' orders."""
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
     ks = active_ranks(lam)
     caps, cap_den = _scaled(lam.cumulative()[:-1])
-    return _tail_rows(lam.p, ks, [caps[k - 1] for k in ks], cap_den, [pref.order for pref in prof.prefs])
+    return lam.p, ks, [caps[k - 1] for k in ks], cap_den, [pref.order for pref in prof.prefs]
+
+
+def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
+    """The implementation LP of `lam` at `prof`: one tail row per agent and
+    active rank, laid out as in `_tail_rows`."""
+    return _tail_rows(*_tail_system(lam, prof))
+
+
+def _implementing_point(
+    p: int, ks: Sequence[int], caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
+) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
+    """``((x, scale), None)`` where ``x / scale``, in lowest terms, puts at
+    most ``caps[i] / cap_den`` on the ks[i] worst outcomes of every order in
+    `orders`, or ``(None, y)`` with the Farkas certificate `y` of the rows
+    `_tail_rows` lays out for them when no lottery does.
+
+    A greedy fill, in integers over `cap_den`, answers first.  It visits
+    the outcomes least constrained first, by the summed size of the tails
+    that hold them, ties to the higher label, and gives each all the mass
+    that every tail holding it still has room for.  A fill that reaches
+    mass one meets every row, so it implements; for a single chain of caps
+    (a polymatroid) it always does (Edmonds 1970).  Only when the room runs
+    out first does `lp.feasible_point` solve the rows.  No lottery exists
+    for an LP-infeasible system, so every infeasible verdict and
+    certificate is the LP's.
+    """
+    width = len(ks)
+    holders: list[list[int]] = [[] for _ in range(p)]  # per outcome, its tails' places in `room`
+    size = [0] * p  # per outcome, the summed size of its tails
+    for i, order in enumerate(orders):
+        for j, k in enumerate(ks):
+            for a in order[:k]:
+                holders[a - 1].append(i * width + j)
+                size[a - 1] += k
+    room = list(caps) * len(orders)
+    mass = [0] * p
+    left = cap_den
+    # A stable sort of the labels high to low sends ties to the higher label.
+    for a in sorted(range(p - 1, -1, -1), key=size.__getitem__):
+        give = min([left, *[room[t] for t in holders[a]]])
+        mass[a] = give
+        left -= give
+        if not left:
+            return _reduce(mass, cap_den), None
+        for t in holders[a]:
+            room[t] -= give
+    return feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
 
 
 def _implements(
@@ -165,7 +219,7 @@ def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
 
 def implement_at(lam: RankLottery, prof: Profile) -> Optional[OutcomeLottery]:
     """An outcome lottery implementing `lam` at `prof`, or None if none exists."""
-    point, _ = feasible_point(lam.p, _implementation_rows(lam, prof))
+    point, _ = _implementing_point(*_tail_system(lam, prof))
     if point is None:
         return None
     x, scale = point
@@ -586,8 +640,10 @@ def _scan_chunk(payload: tuple) -> dict:
     lottery found so far; bit b of `masks[i]` is set when pool lottery b
     meets layout i's tail caps.  Every pool lottery meets the canonical
     chain, so a system is certified exactly when the AND of its other
-    agents' masks is nonzero.  The LP runs only where it is zero; its
-    solution is checked once against every layout and becomes the next bit.
+    agents' masks is nonzero.  Only where it is zero does the system get a
+    point from `_implementing_point` (its greedy fill, or the LP where the
+    fill misses); the point is checked once against every layout and
+    becomes the next bit.
     `covers[b]` is the bitmask of the layouts pool lottery b meets, so a run
     of systems sharing a head is tested at once: its certified last layouts
     are the union of the covers of the bits common to the head, kept per set
@@ -681,7 +737,7 @@ def _scan_chunk(payload: tuple) -> dict:
                 break
             checked += 1
             orders = [identity, *(layouts[i] for i in head), layouts[miss]]
-            point, certificate = feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
+            point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
             _add_to_pool(masks, covers, *point, caps, cap_den, groups)
@@ -894,7 +950,7 @@ def is_feasible(
     applied = cuts.applied
     violated = cuts.violated
     if violated is not None:
-        _, certificate = feasible_point(p, _implementation_rows(lam, violated.witness))
+        _, certificate = _implementing_point(*_tail_system(lam, violated.witness))
         if certificate is None:
             raise AssertionError("cut witness failed to refute")
         return finish(
@@ -934,7 +990,7 @@ def is_feasible(
         checked += 1
         if any(_implements(x, scale, every_cap, cap_den, orders) for x, scale in points):
             continue
-        point, certificate = feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
+        point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
         if point is None:
             return finish(
                 INFEASIBLE,

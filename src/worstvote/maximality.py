@@ -16,10 +16,10 @@ so far, each with its refuting profile.  A candidate is first tested
 against the stored cuts with integer dot products; the first one it
 violates joins the master.  A candidate that meets every stored cut is
 tested at the working profiles (the store's profiles and the structured
-library) by exact implementation LPs, laid out as integer rows by
-`feasibility._tail_rows` and solved by `lp.feasible_point`, except where an
-outcome lottery returned by an earlier feasible LP of the same call (kept
-as ints over one scale) already meets the candidate's tail caps (checked in
+library) by `feasibility._implementing_point`: a greedy fill in integers,
+and an exact implementation LP only where the fill misses.  A profile is
+skipped where an outcome lottery found earlier in the same call (kept as
+ints over one scale) already meets the candidate's tail caps (checked in
 integers by `feasibility._implements`).  A candidate that survives the
 working profiles becomes a `RankLottery` and goes to the full feasibility
 engine; its witness profile, if any, contributes a new cut.  Every new cut
@@ -58,7 +58,6 @@ from .lp import (
     Row,
     _reduce,
     _scaled,
-    feasible_point,
     solve,
 )
 from .feasibility import (
@@ -66,6 +65,7 @@ from .feasibility import (
     UNDECIDED,
     FeasibilityReport,
     _implementation_rows,
+    _implementing_point,
     _implements,
     _tail_rows,
     is_feasible,
@@ -173,7 +173,7 @@ def improve(
     next iteration starts.  A candidate that meets every stored cut is
     tested at the working profiles, newest first: the store's profiles and
     `hard_profiles(n, p)`, plus each witness of this call.  The outcome
-    lotteries of this call's feasible working-set LPs form a pool.  A pool
+    lotteries `_implementing_point` found for this call form a pool.  A pool
     lottery that keeps every agent's k worst outcomes within cum_k of the
     candidate, for every k < p, implements it at that profile, so the LP
     there would be feasible and is skipped.  Only feasible LPs are
@@ -233,8 +233,7 @@ def improve(
             orders = [pref.order for pref in prof.prefs]
             if any(_implements(mass, den, caps, scale, orders) for mass, den in pool):
                 continue
-            # The implementation LP of `mu` at `prof`.
-            point, certificate = feasible_point(p, _tail_rows(p, mu_active, mu_caps, scale, orders))
+            point, certificate = _implementing_point(p, mu_active, mu_caps, scale, orders)
             if point is None:
                 cut = _cover_cut(mu_active, certificate, p)
                 store.add(cut, prof)

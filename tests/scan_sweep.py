@@ -1,4 +1,5 @@
-"""The whole differential sweep of the tail-system scan's skip rule.
+"""The whole differential sweep of the tail-system scan's skip rule and of
+the greedy fill that finds its implementing points.
 
 `tests/test_feasibility.py` runs a slice of each part with the Tier-1
 tests.  This file does not match pytest's `test_*.py` pattern, so it runs
@@ -21,6 +22,7 @@ from tests.test_feasibility import (
     _SKIP_KEYS,
     _check_against_no_witnesses,
     _check_against_profiles,
+    _check_greedy_against_lp,
     _check_skip_rule,
     sparse_lottery,
 )
@@ -56,3 +58,8 @@ def test_scans_agree_with_every_profile(monkeypatch, n, p):
         report = _check_against_profiles(lam, n, _profiles(n, p))
         assert report.method == "scan"
         decided[report.verdict] += 1
+
+
+def test_greedy_points_agree_with_the_lp(monkeypatch):
+    counts = _check_greedy_against_lp(monkeypatch, 1)
+    assert min(counts[kind] for kind in ("greedy", "missed", "infeasible")) > 0, counts

@@ -649,7 +649,8 @@ def _fixed_multisets(perm, size):
 def _check_skip_rule(monkeypatch, p, ks, n):
     """Brute force over the systems of `ks` at n agents against the whole
     relabeling group.  `_scan_chunk` runs with a pool that certifies
-    nothing, so every system it scans reaches the (stubbed) LP: it must
+    nothing, so every system it scans needs a point from the (stubbed)
+    `_implementing_point`: it must
     scan them in order, count every system, and scan the least member of
     every class.  So every skipped system has an earlier member of its
     class, and every class keeps a scanned one.  The classes are counted by
@@ -665,13 +666,12 @@ def _check_skip_rule(monkeypatch, p, ks, n):
     assert len(group) > 1
     scanned = []
 
-    def feasible_point(p, orders):  # the "rows" are the system's orders
+    def implementing_point(p, ks, caps, cap_den, orders):
         scanned.append(orders)
         return ([0] * p, 1), None
 
     monkeypatch.setattr(feas, "_add_to_pool", lambda masks, covers, *args: covers.append(0))
-    monkeypatch.setattr(feas, "_tail_rows", lambda p, ks, caps, cap_den, orders: orders)
-    monkeypatch.setattr(feas, "feasible_point", feasible_point)
+    monkeypatch.setattr(feas, "_implementing_point", implementing_point)
     count = len(layouts)
     outcome = feas._scan_chunk((uniform(p).probs, n, ks, 0, count, None, None, ()))
     assert outcome == {"status": "feasible", "checked": math.comb(count + n - 2, n - 1)}
@@ -750,13 +750,14 @@ def _check_against_no_witnesses(monkeypatch, corpus, jobs):
         clock["step"] = 1.0
         return scan(*args)
 
-    solves = []
+    requests = []  # the systems that needed an implementing point
+    implementing_point = feas._implementing_point
 
     def counted(*args):
-        solves.append(args)
-        return feasible_point(*args)
+        requests.append(args)
+        return implementing_point(*args)
 
-    monkeypatch.setattr(feas, "feasible_point", counted)
+    monkeypatch.setattr(feas, "_implementing_point", counted)
 
     def reports():
         out = []
@@ -781,12 +782,12 @@ def _check_against_no_witnesses(monkeypatch, corpus, jobs):
 
     monkeypatch.setattr(feas, "_layout_memo", {})
     quotient = reports()
-    quotient_solves = len(solves)
-    solves.clear()
+    quotient_requests = len(requests)
+    requests.clear()
     monkeypatch.setattr(feas, "_witness_tables", lambda *args: ((), (), ()))
     monkeypatch.setattr(feas, "_layout_memo", {})
     assert reports() == quotient
-    assert quotient_solves < len(solves)
+    assert quotient_requests < len(requests)
     return quotient
 
 
@@ -813,6 +814,55 @@ def _check_against_profiles(lam, n, profiles):
     return report
 
 
+# The distinct (lam, n) of `_SCAN_CORPUS` at (3,5), (3,6), (4,5) and (4,6),
+# within the corpus's bound of 400,000 systems: all but the pinned (4,6)
+# input, whose key (1, 2, 3, 4, 5) has 62,128,680.
+_GREEDY_INPUTS = list(dict.fromkeys(
+    (lam, n) for lam, n, _ in _SCAN_CORPUS
+    if (n, lam.p) in ((3, 5), (3, 6), (4, 5), (4, 6)) and system_count(lam, n) <= 400_000
+))
+
+
+def _check_greedy_against_lp(monkeypatch, stride):
+    """The greedy fill of `_implementing_point` against `lp.feasible_point`
+    on every `stride`-th tail system of each of `_GREEDY_INPUTS`, enumerated
+    as `_scan_chunk` does with nothing skipped: agent 1 on the canonical
+    chain, the others on each sorted tuple of layouts.  With the LP stubbed
+    out of `feasibility`, `_implementing_point` returns the greedy point or
+    None.  Each greedy point meets its rows under `lp._meets`, is in lowest
+    terms and has a feasible LP; where the LP is infeasible the greedy
+    returned None.  Returns the counts of systems the greedy answered, of
+    feasible ones it missed and of infeasible ones."""
+    import itertools
+    from collections import Counter
+    from math import gcd
+
+    import worstvote.feasibility as feas
+    from worstvote.lp import _meets
+
+    monkeypatch.setattr(feas, "feasible_point", lambda num_vars, rows: (None, None))
+    counts = Counter()
+    for lam, n in _GREEDY_INPUTS:
+        p = lam.p
+        ks = active_ranks(lam)
+        caps, cap_den = _scaled([lam.cumulative()[k - 1] for k in ks])
+        identity = tuple(range(1, p + 1))
+        systems = itertools.combinations_with_replacement(feas._scan_layouts(p, ks)[0], n - 1)
+        for others in itertools.islice(systems, 0, None, stride):
+            orders = [identity, *others]
+            point, _ = feas._implementing_point(p, ks, caps, cap_den, orders)
+            rows = feas._tail_rows(p, ks, caps, cap_den, orders)
+            solved, _ = feasible_point(p, rows)
+            if point is None:
+                counts["missed" if solved else "infeasible"] += 1
+                continue
+            x, scale = point
+            assert _meets(rows, x, scale) and gcd(scale, *x) == 1, (lam.text(), orders, point)
+            assert solved is not None, (lam.text(), orders)
+            counts["greedy"] += 1
+    return counts
+
+
 class TestSkipRule:
     @pytest.mark.parametrize("p, ks, n", [key for key in _SKIP_KEYS if key[0] <= 5], ids=str)
     def test_each_class_keeps_its_least_system(self, monkeypatch, p, ks, n):
@@ -837,6 +887,30 @@ class TestSkipRule:
         reports = _check_against_no_witnesses(monkeypatch, _SCAN_CORPUS[::5], jobs)
         assert {"scan", "profile-limit", "time-limit"} <= {report.method for report in reports}
         assert "infeasible" in {report.verdict for report in reports}
+
+
+class TestGreedyFill:
+    def test_greedy_points_agree_with_the_lp(self, monkeypatch):
+        # Every 499th system; `tests/scan_sweep.py` runs them all.
+        counts = _check_greedy_against_lp(monkeypatch, 499)
+        assert min(counts[kind] for kind in ("greedy", "missed", "infeasible")) > 0, counts
+
+    def test_a_fill_that_reaches_mass_one_solves_no_lp(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        def unreachable(num_vars, rows):
+            raise AssertionError("the greedy fill should have answered")
+
+        monkeypatch.setattr(feas, "feasible_point", unreachable)
+        # 1-tails capped at 1/2 and 3-tails at 3/4.  Outcome 3 lies in all
+        # three 3-tails (summed size 9), the others in two 3-tails and one
+        # 1-tail (7), so the fill visits 4, 2, 1, 3: outcome 4 takes 1/2,
+        # outcome 2 1/4 and outcome 1 the last 1/4.  Visiting by label alone,
+        # 4, 3, 2, 1, would give outcome 3 the 1/4 that fills the 3-tails of
+        # agents 2 and 3 and leave 1/4 with nowhere to go.
+        orders = [(1, 2, 3, 4), (4, 3, 1, 2), (2, 3, 4, 1)]
+        point, certificate = feas._implementing_point(4, (1, 3), (2, 3), 4, orders)
+        assert (point, certificate) == (([1, 1, 0, 2], 4), None)
 
 
 class TestLargeScans:
