@@ -37,11 +37,11 @@ up to `_MAX_CHAINS` entries in all; the scan's deadline is checked while
 they build.
 
 Every implementing point is found by `_implementing_point`, the greedy
-fill first, then the implementation LP, laid out once, by `_tail_rows`, as
-integer rows (`lp.Row`) and solved by `lp.feasible_point`.  The point,
-ints over one scale in lowest terms, goes into the pool as it is.  The
-public `implement_program` holds the same rows, and so does every program
-this module gives to `lp.solve`.
+fill first, then the implementation LP: the integer rows (`lp.Row`) that
+`_tail_rows` lays out once, in the program the public `implement_program`
+also builds, solved by `lp.solve` as the hull LP of `_hull_mixture` is.
+The point the solved program keeps, ints over one scale in lowest terms,
+goes into the pool as it is.
 
 Fast verdicts come first: domination by the uniform lottery or by a mixture
 of already-verified guarantees proves feasibility outright (any lottery
@@ -73,7 +73,6 @@ from .lp import (
     _reduce,
     _scaled,
     feasibility_program,
-    feasible_point,
     solve,
 )
 from .library import block_profile, hard_profiles, tiling_profile
@@ -170,9 +169,9 @@ def _implementing_point(
     that every tail holding it still has room for.  A fill that reaches
     mass one meets every row, so it implements; for a single chain of caps
     (a polymatroid) it always does (Edmonds 1970).  Only when the room runs
-    out first does `lp.feasible_point` solve the rows.  No lottery exists
-    for an LP-infeasible system, so every infeasible verdict and
-    certificate is the LP's.
+    out first does `lp.solve` solve the rows.  No lottery exists for an
+    LP-infeasible system, so every infeasible verdict and certificate is
+    the LP's.
     """
     width = len(ks)
     holders: list[list[int]] = [[] for _ in range(p)]  # per outcome, its tails' places in `room`
@@ -194,7 +193,8 @@ def _implementing_point(
             return _reduce(mass, cap_den), None
         for t in holders[a]:
             room[t] -= give
-    return feasible_point(p, _tail_rows(p, ks, caps, cap_den, orders))
+    solved = solve(feasibility_program(p, _tail_rows(p, ks, caps, cap_den, orders)))
+    return solved.point, solved.certificate
 
 
 def _implements(
@@ -752,8 +752,6 @@ def _chunk_ranges(count: int, agents: int, parts: int, lowers_at: Sequence[int])
     """Split the first-index range into contiguous slices holding similar
     numbers of runs (systems sharing all but the last layout), counting
     none for a first index that `_scan_chunk` skips with all its systems."""
-    if agents <= 0 or count == 0:
-        return [(0, count)]
     weights = [
         0 if lowers_at and lowers_at[i] else math.comb(count - i + agents - 3, agents - 2) for i in range(count)
     ]
@@ -858,8 +856,6 @@ def _hull_mixture(
     lam: RankLottery, anchors: Sequence[RankLottery]
 ) -> Optional[tuple[tuple[Fraction, RankLottery], ...]]:
     """Weights making a mixture of anchors dominate `lam`, if any exist."""
-    if not anchors:
-        return None
     p = lam.p
     cum = lam.cumulative()
     anchor_cums = [a.cumulative() for a in anchors]
@@ -867,12 +863,10 @@ def _hull_mixture(
     for k in range(p - 1):
         ints, den = _scaled([*(ac[k] for ac in anchor_cums), cum[k]])
         rows.append((ints, den, LE))
-    result = solve(feasibility_program(len(anchors), rows))
-    if result.status != OPTIMAL:
+    solved = solve(feasibility_program(len(anchors), rows))
+    if solved.status != OPTIMAL:
         return None
-    return tuple(
-        (w, anchor) for w, anchor in zip(result.primal, anchors) if w > 0
-    )
+    return tuple((w, anchor) for w, anchor in zip(solved.result.primal, anchors) if w > 0)
 
 
 def verified_anchors(n: int, p: int, *, jobs: int = 1) -> tuple[RankLottery, ...]:

@@ -26,29 +26,27 @@ primal point and the certificate, are those of a `Fraction` tableau
 
 Every constraint is stated in one form, the `Row` triple ``(ints, den,
 rel)``: a row's coefficients and right-hand side as ints over one positive
-denominator.  The engines build rows, a `LinearProgram` holds them, and the
-tableau and the integer checks read them as they are.  `solve` returns
-`Fraction` values.  `feasible_point` takes the rows of a zero-objective
-program and returns the same optimum as ints over one scale, so no
-`Fraction` is made for a feasible program, or else the Farkas certificate.
-
-`IncrementalLP` serves a cutting-plane loop, whose master program gains one
-row per iteration.  It builds and solves the program once, by the same
-tableau build and two-phase routine as `solve`, and keeps the tableau.
-Each added ``<=`` or ``>=`` row gets its own slack column and is priced out
-against the basis.  The reduced costs stay >= 0, so the basis stays dual
-feasible, and only the new row's right-hand side can be negative.  The
-dual simplex then restores primal feasibility with the smallest-subscript
-rule.  The leaving row is, among rows with a negative right-hand side, the
-one whose basic column is lowest.  The entering column has the smallest
-ratio ``cost_j / -a_j`` over the entries ``a_j < 0`` of that row, compared
-as cross-multiplied integers, with ties going to the lowest column.
-Artificial columns never enter.  This is Bland's rule applied to the dual
-program, so no basis repeats and the loop ends: at an optimum, or at a row
-whose entries are all >= 0 and whose right-hand side is < 0, which proves
-the program infeasible.  Where the optimum is not unique, the warm tableau
-may end at another optimal vertex than a `solve` from scratch; the value
-is the same.
+denominator.  The engines build rows, a `LinearProgram` holds them, and
+the tableau and the integer checks read them as they are.  `solve` is the
+one entry point.  It returns the solved program: its `status`, then its
+optimum as ints over one scale in `point`, so no `Fraction` is made for a
+feasible program, or its Farkas certificate in `certificate`; `result`
+reads them as `Fraction`s.  A cutting-plane loop, whose master program
+gains one row per iteration, keeps the solved master and calls `add` for
+each row.  Each added ``<=`` or ``>=`` row gets its own slack column and
+is priced out against the basis.  The reduced costs stay >= 0, so the
+basis stays dual feasible, and only the new row's right-hand side can be
+negative.  The dual simplex then restores primal feasibility with the
+smallest-subscript rule.  The leaving row is, among rows with a negative
+right-hand side, the one whose basic column is lowest.  The entering
+column has the smallest ratio ``cost_j / -a_j`` over the entries
+``a_j < 0`` of that row, compared as cross-multiplied integers, with ties
+going to the lowest column.  Artificial columns never enter.  This is
+Bland's rule applied to the dual program, so no basis repeats and the loop
+ends: at an optimum, or at a row whose entries are all >= 0 and whose
+right-hand side is < 0, which proves the program infeasible.  Where the
+optimum is not unique, the warm tableau may end at another optimal vertex
+than a `solve` from scratch; the value is the same.
 
 Results are treated as proofs downstream, so every result is re-checked
 in integers against the program's own rows, before any sign flip or added
@@ -59,11 +57,11 @@ comes with a Farkas certificate `y`: ``sum_i y_i * row_i`` has
 coefficients >= 0 and right-hand side < 0, so ``x >= 0`` would give
 ``0 <= negative``.  Signs: ``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``,
 free on ``=`` rows.  These checks show that a point is feasible, not that
-it is optimal.  `IncrementalLP.certify` shows that too: it reads the dual
-off the cost row and checks that each multiplier has the sign its row
-requires, that the dual is feasible for every column ``x_j >= 0``, and
-that the dual objective equals the primal value, so that weak duality
-bounds every feasible point by this one.
+it is optimal.  `certify` shows that too: it reads the dual off the cost
+row and checks that each multiplier has the sign its row requires, that
+the dual is feasible for every column ``x_j >= 0``, and that the dual
+objective equals the primal value, so that weak duality bounds every
+feasible point by this one.
 """
 
 from __future__ import annotations
@@ -234,29 +232,30 @@ def _eliminate(
 
 class _Tableau:
     """Dense simplex tableau over the integers for one program, built from
-    its `Row`s and solved by the two-phase method.  `status` is the outcome,
-    with the optimum in `point` or the Farkas certificate in `certificate`.
+    its `Row`s by `solve` and solved by the two-phase method.  `status` is
+    the outcome, with the optimum in `point` or the Farkas certificate in
+    `certificate`, and stays current while `add` appends rows.
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
     last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
     denominator is positive, and a row whose denominator reaches `_BOUND` is
-    divided by its gcd.  The
-    columns are the variables, one slack per ``<=`` row and one surplus per
-    ``>=`` row (after rows with a negative right-hand side are flipped), one
-    artificial per ``>=`` and ``=`` row, then one slack per row added by
-    `IncrementalLP.add`, and last the right-hand side.  `unit_col[r]` is the
-    column that was a unit vector in program row ``r`` alone when the row
-    was laid out.  Every tableau row is the combination of the program rows
-    whose weights are its entries in those columns, and the cost row is the
-    costs less such a combination, so duals and Farkas certificates are read
-    off there.
+    divided by its gcd.  The columns are the variables, one slack per ``<=``
+    row and one surplus per ``>=`` row (after rows with a negative
+    right-hand side are flipped), one artificial per ``>=`` and ``=`` row,
+    then one slack per row added by `add`, and last the right-hand side.
+    `unit_col[r]` is the column that was a unit vector in program row ``r``
+    alone when the row was laid out.  Every tableau row is the combination
+    of the program rows whose weights are its entries in those columns, and
+    the cost row is the costs less such a combination, so duals and Farkas
+    certificates are read off there.
     """
 
-    def __init__(self, nv: int, raw: Sequence[Row], obj: list[int], obj_den: int, sense: int):
-        self.nv = nv
-        self.raw = raw
-        self.obj, self.obj_den = obj, obj_den
-        self.sense = sense
+    def __init__(self, lp: LinearProgram):
+        nv = self.nv = lp.num_vars
+        # `add` appends to `raw`, so the tableau keeps its own list of rows.
+        raw = self.raw = list(lp.constraints)
+        self.obj, self.obj_den = _scaled(lp.objective)
+        self.sense = -1 if lp.maximize else 1
 
         # Normalize to rhs >= 0, remembering per-row sign flips.
         flipped = self.flipped = [ints[-1] < 0 for ints, _, _ in raw]
@@ -428,34 +427,6 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leave, enter)
 
-
-def solve(lp: LinearProgram) -> LPResult:
-    """Exact optimum or a self-verified Farkas infeasibility certificate."""
-    return IncrementalLP(lp).result
-
-
-def feasible_point(num_vars: int, rows: list[Row]) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
-    """``((x, scale), None)`` where ``x / scale``, in lowest terms, is the
-    optimum `solve` finds for the zero-objective program of `rows`, or
-    ``(None, y)`` with its Farkas certificate `y`."""
-    tab = _Tableau(num_vars, rows, [0] * num_vars, 1, 1)
-    return tab.point, tab.certificate
-
-
-class IncrementalLP(_Tableau):
-    """A program kept at its optimum while inequality rows are added.
-
-    Built and solved once, and `result` is then what `solve` returns.  `add`
-    appends a row and re-optimizes with the dual simplex, leaving `status`
-    and `point` (or `certificate`) current; `result` reads them as
-    `Fraction`s, and `certify` proves an optimum from its dual (see the
-    module docstring).
-    """
-
-    def __init__(self, lp: LinearProgram):
-        # `add` appends to `raw`, so the tableau keeps its own list of rows.
-        super().__init__(lp.num_vars, list(lp.constraints), *_scaled(lp.objective), -1 if lp.maximize else 1)
-
     def add(self, row: Row) -> None:
         """Append the ``<=`` or ``>=`` row `row` and re-optimize."""
         if self.status != OPTIMAL:
@@ -518,3 +489,9 @@ class IncrementalLP(_Tableau):
         cost = [self.sense * v for v in self.obj]
         if not _bounds(self.raw, z, self.cost_den, cost, self.obj_den, self.sense * self.result.objective_value):
             raise AssertionError("optimum failed its dual check")
+
+
+def solve(lp: LinearProgram) -> _Tableau:
+    """`lp` solved: exact optimum or a self-verified Farkas infeasibility
+    certificate, kept in a tableau that `add` re-optimizes."""
+    return _Tableau(lp)

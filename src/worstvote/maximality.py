@@ -4,10 +4,10 @@ A guarantee is maximal when no other feasible guarantee dominates it.  The
 decision runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
 cuts from profiles that refuted earlier candidates.  The master is solved
-once and then re-optimized after each cut by the dual simplex of
-`lp.IncrementalLP`, not solved again from scratch.  The candidate is read
-off the master as ints over one scale (`IncrementalLP.point`), and its caps
-and cuts stay ints.
+once by `lp.solve`, and the solved program is then re-optimized after each
+cut by its dual simplex (`add`), not solved again from scratch.  The
+candidate is read off the master as ints over one scale (its `point`), and
+its caps and cuts stay ints.
 
 A cover cut holds at every lottery implementable at its profile, so at
 every feasible guarantee of `(n, p)`, whatever lottery was being tested
@@ -36,7 +36,8 @@ improver and the iteration count may depend on earlier calls at the same
 
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
 where every implementing lottery is pinned to the guarantee's cumulative
-value at that rank).
+value at that rank), each tested by one `lp.solve` of the least worst
+tail mass.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .lp import (
     GE,
     LE,
     OPTIMAL,
-    IncrementalLP,
     LinearProgram,
     Row,
     _reduce,
@@ -205,7 +205,7 @@ def improve(
     lam_caps, lam_den = _scaled(lam.cumulative()[:-1])
     master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
-    master = IncrementalLP(LinearProgram(p, master_rows, objective, maximize=True))
+    master = solve(LinearProgram(p, master_rows, objective, maximize=True))
     pool: list[tuple[list[int], int]] = []
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if deadline is not None and time.monotonic() >= deadline:
@@ -316,10 +316,10 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
     rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (0,), 1, orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)
-    result = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
+    solved = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
     # t is bounded below by 0 and unbounded above, so the LP is infeasible
     # exactly when the implementation rows are.
-    return result.objective_value if result.status == OPTIMAL else None
+    return solved.result.objective_value if solved.status == OPTIMAL else None
 
 
 def forcing_profile(lam: RankLottery, n: int, k: int) -> Optional[Profile]:

@@ -398,8 +398,8 @@ def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
         (Fraction(1), Fraction(1), Fraction(1)),
         maximize=True,
     )
-    first = solve(degenerate)
-    second = solve(degenerate)
+    first = solve(degenerate).result
+    second = solve(degenerate).result
     c.expect(
         "LP results are deterministic across runs",
         first == second and first.objective_value == 1,

@@ -321,6 +321,20 @@ class TestCache:
         first, rest = fresh.split("\n", 1)
         assert run_cli(capsys, *args) == (code, f"{first} (cached)\n{rest}")
 
+    def test_a_bad_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
+        # An entry that is not JSON, or that another schema wrote, is never
+        # served: the next call computes afresh and stores its own entry.
+        args = ["feasible", "--n", "3", "--lottery", "0,0,0,0,0,1", "--jobs", "1", "--cache", str(tmp_path)]
+        code, fresh = run_cli(capsys, *args)
+        (stored,) = tmp_path.glob("*.json")
+        entry = json.loads(stored.read_text())
+        assert entry["schema"] == 1
+        for bad in ("{not json", json.dumps({**entry, "schema": 0})):
+            stored.write_text(bad)
+            assert run_cli(capsys, *args) == (code, fresh)
+            rewritten = json.loads(stored.read_text())
+            assert {**rewritten, "runtime_ms": 0} == {**entry, "runtime_ms": 0}
+
     def test_source_digest_moves_with_any_module(self, tmp_path, monkeypatch):
         for path in Path(cli.__file__).parent.glob("*.py"):
             (tmp_path / path.name).write_bytes(path.read_bytes())

@@ -27,7 +27,7 @@ from worstvote.lottery import (
     uniform,
     vt,
 )
-from worstvote.lp import _scaled, feasibility_program, feasible_point, solve, verify_infeasibility
+from worstvote.lp import _scaled, feasibility_program, solve, verify_infeasibility
 from worstvote.profiles import Preference, Profile, parse_profile, rank_rearrange
 
 from .fraction_lp import Constraint, LinearProgram as FractionProgram, fraction_program, row
@@ -403,6 +403,47 @@ class TestLayoutMemo:
         assert (report.verdict, report.method) == ("undecided", "time-limit")
         assert 50 < clock["now"] < 100
         assert feas._layout_memo == {} and InlinePool.made == []
+
+    def test_deadline_at_each_check_of_the_build(self, monkeypatch):
+        # `_expired` fires at its k-th call with a deadline, for the k of the
+        # first call from each deadline check in the three build functions.
+        import sys
+
+        import worstvote.feasibility as feas
+
+        lam = vt(3, 6)
+        key = (6, active_ranks(lam))
+        sites = []  # (function, line) of each check made with a deadline
+        fire_at = [0]
+
+        def expired(deadline):
+            if deadline is None:
+                return False
+            caller = sys._getframe(1)
+            sites.append((caller.f_code.co_name, caller.f_lineno))
+            return len(sites) == fire_at[0]
+
+        monkeypatch.setattr(feas, "_expired", expired)
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        expected = replace(is_feasible(lam, 3, use_hull=False), runtime_ms=0)
+        assert (expected.verdict, expected.method, expected.profiles_checked) == ("feasible", "scan", 7273)
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        assert replace(is_feasible(lam, 3, use_hull=False, time_budget=3600), runtime_ms=0) == expected
+        builders = {"_chain_layouts", "_witness_tables", "_scan_layouts"}
+        first_at = {}
+        for k, site in enumerate(sites, 1):
+            if site[0] in builders:
+                first_at.setdefault(site, k)
+        assert {name for name, _ in first_at} == builders and len(first_at) == 5, first_at
+        for site, k in first_at.items():
+            feas._layout_memo.clear()
+            sites.clear()
+            fire_at[0] = k
+            report = is_feasible(lam, 3, use_hull=False, time_budget=3600)
+            assert (report.verdict, report.method) == ("undecided", "time-limit"), site
+            assert sites[-1] == site and report.profiles_checked == 13
+            assert key not in feas._layout_memo
+            assert replace(is_feasible(lam, 3, use_hull=False), runtime_ms=0) == expected
 
 
 class TestSystemScan:
@@ -804,7 +845,7 @@ def _check_against_profiles(lam, n, profiles):
         orders = [pref.order for pref in prof.prefs]
         if any(feas._implements(x, scale, every_cap, cap_den, orders) for x, scale in found):
             continue
-        point, _ = feasible_point(lam.p, feas._implementation_rows(lam, prof))
+        point = solve(implement_program(lam, prof)).point
         if point is None:
             brute = False
             break
@@ -824,7 +865,7 @@ _GREEDY_INPUTS = list(dict.fromkeys(
 
 
 def _check_greedy_against_lp(monkeypatch, stride):
-    """The greedy fill of `_implementing_point` against `lp.feasible_point`
+    """The greedy fill of `_implementing_point` against `lp.solve`
     on every `stride`-th tail system of each of `_GREEDY_INPUTS`, enumerated
     as `_scan_chunk` does with nothing skipped: agent 1 on the canonical
     chain, the others on each sorted tuple of layouts.  With the LP stubbed
@@ -840,7 +881,7 @@ def _check_greedy_against_lp(monkeypatch, stride):
     import worstvote.feasibility as feas
     from worstvote.lp import _meets
 
-    monkeypatch.setattr(feas, "feasible_point", lambda num_vars, rows: (None, None))
+    monkeypatch.setattr(feas, "solve", lambda program: SimpleNamespace(point=None, certificate=None))
     counts = Counter()
     for lam, n in _GREEDY_INPUTS:
         p = lam.p
@@ -852,7 +893,7 @@ def _check_greedy_against_lp(monkeypatch, stride):
             orders = [identity, *others]
             point, _ = feas._implementing_point(p, ks, caps, cap_den, orders)
             rows = feas._tail_rows(p, ks, caps, cap_den, orders)
-            solved, _ = feasible_point(p, rows)
+            solved = solve(feasibility_program(p, rows)).point
             if point is None:
                 counts["missed" if solved else "infeasible"] += 1
                 continue
@@ -898,10 +939,10 @@ class TestGreedyFill:
     def test_a_fill_that_reaches_mass_one_solves_no_lp(self, monkeypatch):
         import worstvote.feasibility as feas
 
-        def unreachable(num_vars, rows):
+        def unreachable(program):
             raise AssertionError("the greedy fill should have answered")
 
-        monkeypatch.setattr(feas, "feasible_point", unreachable)
+        monkeypatch.setattr(feas, "solve", unreachable)
         # 1-tails capped at 1/2 and 3-tails at 3/4.  Outcome 3 lies in all
         # three 3-tails (summed size 9), the others in two 3-tails and one
         # 1-tail (7), so the fill visits 4, 2, 1, 3: outcome 4 takes 1/2,
@@ -960,15 +1001,7 @@ class TestIntegerRows:
             every_rank = feas._tail_rows(p, range(1, p), *_scaled(cum[:-1]), orders)
             assert every_rank == oracle_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))
             caps_seen.update(cum[:-1])
-            # The row entry answers as `solve` does on the same program.
-            point, certificate = feasible_point(p, rows)
-            result = solve(implement_program(lam, prof))
-            statuses.add(result.status)
-            if point is None:
-                assert (result.status, result.certificate) == ("infeasible", certificate)
-            else:
-                x, scale = point
-                assert result.primal == tuple(F(v, scale) for v in x)
+            statuses.add(solve(implement_program(lam, prof)).status)
         assert {0, 1} <= caps_seen
         assert statuses == {"optimal", "infeasible"}
 

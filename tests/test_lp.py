@@ -11,13 +11,11 @@ import pytest
 
 from worstvote.lottery import lottery
 from worstvote.lp import (
-    IncrementalLP,
     LinearProgram,
     LPResult,
     _meets,
     _scaled,
     feasibility_program,
-    feasible_point,
     solve,
     verify_infeasibility,
 )
@@ -128,14 +126,14 @@ def fraction_verify_infeasibility(lp, certificate):
 class TestSolve:
     def test_simple_maximum(self):
         lp = LinearProgram(1, (row([1], "<=", 1),), (F(1),), maximize=True)
-        result = solve(lp)
+        result = solve(lp).result
         assert result.status == "optimal"
         assert result.primal == (F(1),)
         assert result.objective_value == 1
 
     def test_infeasible_with_certificate(self):
         lp = feasibility_program(1, [row([1], "<=", -1)])
-        result = solve(lp)
+        result = solve(lp).result
         assert result.status == "infeasible"
         assert verify_infeasibility(lp, result.certificate)
 
@@ -150,7 +148,7 @@ class TestSolve:
             (F(2), F(3)),
             maximize=False,
         )
-        result = solve(lp)
+        result = solve(lp).result
         assert result.primal == (F(1), F(1))
         assert result.objective_value == 5
 
@@ -168,7 +166,7 @@ class TestSolve:
             (F(1), F(1), F(1)),
             maximize=True,
         )
-        result = solve(lp)
+        result = solve(lp).result
         assert result.status == "optimal"
         assert result.objective_value == brute_force_maximum(lp)
 
@@ -184,7 +182,7 @@ class TestSolve:
             lp = LinearProgram(
                 3, rows, tuple(F(rng.randint(-3, 3)) for _ in range(3)), maximize=True
             )
-            result = solve(lp)
+            result = solve(lp).result
             assert result.status == "optimal"
             assert result.objective_value == brute_force_maximum(lp)
 
@@ -199,7 +197,7 @@ class TestSolve:
             (F(1), F(1), F(1)),
             maximize=True,
         )
-        assert solve(lp) == solve(lp)
+        assert solve(lp).result == solve(lp).result
 
 
 class TestVerification:
@@ -210,7 +208,7 @@ class TestVerification:
             (F(3), F(5)),
             maximize=True,
         )
-        result = solve(lp)
+        result = solve(lp).result
         assert fraction_verify_optimal(lp, result)
 
     def test_certificates_reverify_on_random_infeasible_systems(self):
@@ -222,7 +220,7 @@ class TestVerification:
                 for _ in range(4)
             ]
             lp = feasibility_program(3, rows)
-            result = solve(lp)
+            result = solve(lp).result
             if result.status != "infeasible":
                 continue
             found += 1
@@ -230,7 +228,7 @@ class TestVerification:
 
     def test_tampered_certificate_rejected(self):
         lp = feasibility_program(1, [row([1], "<=", -1)])
-        result = solve(lp)
+        result = solve(lp).result
         bad = tuple(-y for y in result.certificate)
         assert not verify_infeasibility(lp, bad)
 
@@ -255,7 +253,7 @@ class TestVerification:
             ]
             rows.insert(rng.randint(0, len(rows)), row([1] * nv, "<=", rng.randint(1, 5)))
             lp = LinearProgram(nv, tuple(rows), tuple(q() for _ in range(nv)), maximize=rng.random() < 0.5)
-            result = solve(lp)
+            result = solve(lp).result
             statuses[result.status] += 1
             if result.status == "optimal":
                 scale = math.lcm(*(v.denominator for v in result.primal))
@@ -294,6 +292,7 @@ class TestVerification:
 
         script = """if True:
             import sys
+            from types import SimpleNamespace
             from worstvote import feasibility, lp
             from worstvote.lottery import parse_lottery
             raised = []
@@ -304,14 +303,14 @@ class TestVerification:
                 except AssertionError:
                     raised.append(label)
 
-            master = lp.IncrementalLP(lp.LinearProgram(1, (([1, 1], 1, "<="),), (lp.ZERO + 1,)))
+            master = lp.solve(lp.LinearProgram(1, (([1, 1], 1, "<="),), (lp.ZERO + 1,)))
             lp._bounds = lambda *args: False
             attempt("dual", master.certify)
             lp._meets = lambda *args: False
             attempt("optimal", lambda: lp.solve(lp.feasibility_program(1, [([1, 1], 1, "<=")])))
             lp._refutes = lambda *args: False
             attempt("infeasible", lambda: lp.solve(lp.feasibility_program(1, [([1, -1], 1, "<=")])))
-            feasibility.feasible_point = lambda num_vars, rows: (([0] * num_vars, 1), None)
+            feasibility.solve = lambda program: SimpleNamespace(point=([0] * program.num_vars, 1), certificate=None)
             attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
             lam = parse_lottery("0,0,1/3,1/3,1/3")
             ks = feasibility.active_ranks(lam)
@@ -349,7 +348,7 @@ class TestValidation:
                                      ([1, 1], 0, ">=")],
                              ids=["equality", "short", "long", "unknown relation", "zero denominator"])
     def test_added_row_checks(self, bad):
-        master = IncrementalLP(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
+        master = solve(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
         with pytest.raises(ValueError):
             master.add(bad)
         assert master.raw == [([1, 1], 1, "<=")]
@@ -385,7 +384,7 @@ def tableau_log(monkeypatch):
 
 def assert_matches_oracle(lp):
     """`solve` agrees with the vertex scan, and proves what it claims."""
-    result = solve(lp)
+    result = solve(lp).result
     best = brute_force_maximum(lp)
     if best is None:
         assert result.status == "infeasible"
@@ -433,14 +432,15 @@ def large_cap_programs():
 
 
 def assert_matches_fraction_tableau(num_vars, rows):
-    """`feasible_point` returns the point of the `Fraction` tableau, in
-    lowest terms, or its certificate; returns the status."""
-    point, certificate = feasible_point(num_vars, rows)
-    expected = fraction_simplex(feasibility_program(num_vars, rows))
-    if point is None:
-        assert (expected.status, expected.certificate) == ("infeasible", certificate)
+    """`solve` keeps the point of the `Fraction` tableau, in lowest terms,
+    or its certificate; returns the status."""
+    program = feasibility_program(num_vars, rows)
+    solved = solve(program)
+    expected = fraction_simplex(program)
+    if solved.point is None:
+        assert (expected.status, expected.certificate) == ("infeasible", solved.certificate)
     else:
-        x, scale = point
+        x, scale = solved.point
         assert expected.status == "optimal" and expected.primal == tuple(F(v, scale) for v in x)
         assert math.gcd(*x, scale) == 1
     return expected.status
@@ -556,7 +556,7 @@ class TestIntegerTableau:
             maximize=False,
         )
         # the vertex scan maximizes, so compare on the negated objective
-        result = solve(lp)
+        result = solve(lp).result
         flipped = LinearProgram(2, lp.constraints, tuple(-c for c in lp.objective), maximize=True)
         assert result.objective_value == -brute_force_maximum(flipped)
         assert fraction_verify_optimal(lp, result)
@@ -625,7 +625,7 @@ def has_other_optima(master):
 WARM_DIGEST = "4781ab589a5ac1d0422132e2e53466a2938d9db9785917f0e5ffac8046b69088"
 
 
-class TestIncrementalLP:
+class TestWarmMaster:
     def test_warm_master_matches_cold_solve(self):
         """After every added cut, the warm master proves the cold optimum: the
         same result where the optimum is unique, the same status and value
@@ -641,8 +641,8 @@ class TestIncrementalLP:
                 weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(p - 1)] + [1]
                 lam = lottery([F(w, sum(weights)) for w in weights])
                 program = master_program(lam)
-                master = IncrementalLP(program)
-                assert master.result == solve(program)
+                master = solve(program)
+                assert master.result == solve(program).result
                 cuts = []
                 for step in range(12):
                     kind = "over" if step == 11 and rng.random() < 0.3 else rng.choice(kinds)
@@ -652,7 +652,7 @@ class TestIncrementalLP:
                     cuts.append(cut)
                     full = LinearProgram(p, program.constraints + tuple(cuts), program.objective, True)
                     master.add(cut)
-                    warm, cold = master.result, solve(full)
+                    warm, cold = master.result, solve(full).result
                     digest.update(repr(warm).encode())
                     if warm.status == "infeasible":
                         assert cold.status == "infeasible"
@@ -685,15 +685,15 @@ class TestIncrementalLP:
                 for _ in range(rng.randint(1, 3))
             ) + (row([1] * nv, "<=", 5),)
             program = LinearProgram(nv, rows, tuple(F(rng.randint(-3, 3)) for _ in range(nv)), maximize=True)
-            master = IncrementalLP(program)
-            if master.result.status != "optimal":
+            master = solve(program)
+            if master.status != "optimal":
                 continue
             for _ in range(6):
                 added = row([rng.randint(-3, 3) for _ in range(nv)], rng.choice(["<=", ">="]),
                             rng.randint(-3, 3))
                 program = LinearProgram(nv, program.constraints + (added,), program.objective, True)
                 master.add(added)
-                warm, cold = master.result, solve(program)
+                warm, cold = master.result, solve(program).result
                 assert warm.status == cold.status
                 seen[warm.status] += 1
                 if warm.status == "infeasible":
@@ -708,7 +708,7 @@ class TestIncrementalLP:
         # Changing the dual of a row with a nonzero right-hand side changes
         # the dual objective, so the check must fail.
         lam = lottery([0, F(1, 2), 0, F(1, 4), F(1, 4)])
-        master = IncrementalLP(master_program(lam))
+        master = solve(master_program(lam))
         before = master.result
         master.add(row([2, 2, 1, 0, 0], ">=", 1))  # cum_2 + cum_3 >= 1
         assert master.result != before
@@ -725,7 +725,7 @@ class TestIncrementalLP:
         master.certify()
 
     def test_added_rows_are_inequalities_at_an_optimum(self):
-        master = IncrementalLP(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
+        master = solve(LinearProgram(1, (row([1], "<=", 1),), (F(1),)))
         master.add(row([1], "<=", "1/2"))
         assert master.result.objective_value == F(1, 2)
         master.add(row([1], ">=", 1))
@@ -1206,7 +1206,7 @@ def _parse_result(text):
 
 @pytest.mark.parametrize("label, program, expected", GOLDEN, ids=[f"{i:02d}-{g[0]}" for i, g in enumerate(GOLDEN)])
 def test_golden_results(label, program, expected):
-    assert solve(_parse_program(program)) == _parse_result(expected)
+    assert solve(_parse_program(program)).result == _parse_result(expected)
 
 
 def test_feasible_points_are_in_lowest_terms():
@@ -1224,18 +1224,17 @@ def test_feasible_points_are_in_lowest_terms():
 
 # sha256 of the `repr((program, result))` of every LP solved in
 # `test_lp_traffic_is_unchanged`, with the program in the `Fraction` form of
-# `fraction_lp.LinearProgram`, except the feasible LPs that go through
-# `feasible_point`.  Every `feasible_point` call comes from
-# `feasibility._implementing_point`, which solves an LP only where its greedy
+# `fraction_lp.LinearProgram` and the result as `LPResult`, except the
+# feasible implementation LPs.  Every implementation LP comes from
+# `feasibility._implementing_point`, which solves one only where its greedy
 # fill misses.  It serves the working-set loop of `maximality.improve`, whose
 # pre-check may answer a profile without it, and the library-profile and scan
 # passes of `feasibility.is_feasible`, which the lotteries found earlier in
 # the call may answer without it.  Only feasible systems are answered without
 # an LP, so the infeasible calls digested are those of solving every system.
-# A `feasible_point` call counts as the
-# `solve` of the `Fraction` program rebuilt from its rows, with the result
-# `solve` returns for it.  Each step of the warm master counts as the `solve`
-# of the master rows plus the cuts so far, in the same order.  Any change to a
+# The other LPs `feasibility.solve` is given are those of `_hull_mixture`,
+# all digested.  Each step of the warm master counts as the `solve` of the
+# master rows plus the cuts so far, in the same order.  Any change to a
 # program the engines build, to the order they solve them in, or to a result
 # changes it.  Re-recorded with 74 digested calls (90 before) when `improve`
 # began to test each candidate against the cuts stored for its (n, p) before
@@ -1269,33 +1268,25 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         digest.update(repr((fraction_program(program), result)).encode())
         calls.append(result.status)
 
-    def traced(program):
-        result = solve(program)
-        digested(program, result)
-        return result
-
-    def rows_call(num_vars, rows):
-        """`feasible_point`, and the program and result `solve` would have
-        been given and returned for the same rows."""
-        point, certificate = feasible_point(num_vars, rows)
-        program = feasibility_program(num_vars, rows)
-        if point is None:
-            result = LPResult("infeasible", certificate=certificate)
-        else:
-            x, scale = point
-            result = LPResult("optimal", tuple(F(v, scale) for v in x), F(0))
-        return (point, certificate), program, result
-
     left_out = {"feasibility": [], "maximality": []}
     caller = ["feasibility"]  # the module of the `_implementing_point` call that runs
+    in_hull = [False]
 
-    def leaving_out_feasible(num_vars, rows):
-        answer, program, result = rows_call(num_vars, rows)
-        if result.status == "optimal":
+    def leaving_out_feasible(program):
+        """`solve` in `feasibility`: a feasible implementation LP is left out."""
+        solved = solve(program)
+        if solved.status == "optimal" and not in_hull[0]:
             left_out[caller[-1]].append(program)
         else:
-            digested(program, result)
-        return answer
+            digested(program, solved.result)
+        return solved
+
+    def hull(*args):
+        in_hull[0] = True
+        try:
+            return hull_mixture(*args)
+        finally:
+            in_hull[0] = False
 
     def from_maximality(*args):
         caller.append("maximality")
@@ -1304,27 +1295,27 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         finally:
             caller.pop()
 
-    class TracedMaster(IncrementalLP):
-        """Digests each master step as the program a cold `solve` would be
-        given: the master rows plus every cut so far."""
+    def traced_master(program):
+        """`solve` in `maximality`, digesting each master step as the program
+        a cold `solve` would be given: the master rows plus every cut so far."""
+        solved = solve(program)
+        digested(program, solved.result)
+        steps = [program]
 
-        def __init__(self, program):
-            super().__init__(program)
-            self.program = program
-            digested(program, self.result)
+        def add(added):
+            type(solved).add(solved, added)
+            last = steps[-1]
+            steps.append(LinearProgram(last.num_vars, last.constraints + (added,), last.objective, last.maximize))
+            digested(steps[-1], solved.result)
 
-        def add(self, added):
-            super().add(added)
-            program = self.program
-            self.program = LinearProgram(program.num_vars, program.constraints + (added,), program.objective,
-                                         program.maximize)
-            digested(self.program, self.result)
+        solved.add = add
+        return solved
 
-    monkeypatch.setattr(feasibility, "solve", traced)
-    monkeypatch.setattr(feasibility, "feasible_point", leaving_out_feasible)
-    monkeypatch.setattr(maximality, "solve", traced)
+    hull_mixture = feasibility._hull_mixture
+    monkeypatch.setattr(feasibility, "solve", leaving_out_feasible)
+    monkeypatch.setattr(feasibility, "_hull_mixture", hull)
+    monkeypatch.setattr(maximality, "solve", traced_master)
     monkeypatch.setattr(maximality, "_implementing_point", from_maximality)
-    monkeypatch.setattr(maximality, "IncrementalLP", TracedMaster)
     half = F(1, 2)
 
     def midpoint(a, b):
@@ -1352,3 +1343,67 @@ def test_lp_traffic_is_unchanged(monkeypatch):
     assert len(calls) == 74
     for module, skippable in SKIPPABLE_AT_RECORDING.items():
         assert len(left_out[module]) < skippable, module
+
+
+def test_every_tableau_is_built_inside_solve(monkeypatch):
+    """Every tableau is built by a call of `feasibility.solve` or
+    `maximality.solve`, the names through which the engines solve LPs: in a
+    scan whose greedy fill misses, at an infeasible library profile, in an
+    `is_maximal` cutting-plane run and in a forcing-profile search."""
+    from worstvote import feasibility, maximality
+    from worstvote import lp as lp_module
+    from worstvote.lottery import parse_lottery, rd, vt
+
+    for module, name in ((feasibility, "_anchor_cache"), (maximality, "_cut_stores")):
+        monkeypatch.setattr(module, name, {})
+    owners = []  # the module of each `solve` call that runs, innermost last
+    step = ["none"]  # the engine step that runs
+    built = Counter()
+    init = lp_module._Tableau.__init__
+
+    def building(tableau, program):
+        built[owners[-1] if owners else None, step[0]] += 1
+        init(tableau, program)
+
+    def owned(module):
+        real = module.solve
+
+        def solve_in(program):
+            owners.append(module.__name__)
+            try:
+                return real(program)
+            finally:
+                owners.pop()
+
+        monkeypatch.setattr(module, "solve", solve_in)
+
+    scan_chunk = feasibility._scan_chunk
+
+    def scanning(payload):
+        outer, step[0] = step[0], "scan"
+        try:
+            return scan_chunk(payload)
+        finally:
+            step[0] = outer
+
+    monkeypatch.setattr(lp_module._Tableau, "__init__", building)
+    owned(feasibility)
+    owned(maximality)
+    monkeypatch.setattr(feasibility, "_scan_chunk", scanning)
+
+    step[0] = "feasible"
+    report = feasibility.is_feasible(rd(3, 6), 3, use_hull=False)
+    assert (report.verdict, report.method) == ("feasible", "scan")
+    step[0] = "library"
+    report = feasibility.is_feasible(parse_lottery("1/3,1/12,1/4,0,0,1/3"), 3, use_hull=False)
+    assert (report.verdict, report.method) == ("infeasible", "library-profile")
+    step[0] = "maximal"
+    report = maximality.is_maximal(parse_lottery("1/2,0,0,1/2,0"), 3)
+    assert report.verdict == "maximal" and report.iterations > 1
+    step[0] = "forcing"
+    assert maximality.forcing_profile(vt(3, 6), 3, 3) is not None
+
+    assert all(owner for owner, _ in built), built
+    for key in (("worstvote.feasibility", "scan"), ("worstvote.feasibility", "library"),
+                ("worstvote.maximality", "maximal"), ("worstvote.maximality", "forcing")):
+        assert built[key] > 0, (key, built)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import worstvote.feasibility as feasibility
+import worstvote.lp as lp
 import worstvote.maximality as maximality
 from worstvote.feasibility import is_feasible, verified_anchors
 from worstvote.lottery import (
@@ -192,9 +193,9 @@ def test_proof_checks_survive_optimize():
         attempt("inactive", lambda: maximality._cover_cut((), (F(-1), F(1)), 3))
         attempt("direction", lambda: maximality._cover_cut((1,), (F(0), F(1)), 3))
         lam = parse_lottery("0,1,0")
-        maximality.IncrementalLP = lambda program: SimpleNamespace(status=lp.INFEASIBLE)
+        maximality.solve = lambda program: SimpleNamespace(status=lp.INFEASIBLE)
         attempt("master", lambda: maximality.improve(lam, 2))
-        maximality.IncrementalLP = lambda program: SimpleNamespace(status=lp.OPTIMAL, point=([1, 0, 0], 1))
+        maximality.solve = lambda program: SimpleNamespace(status=lp.OPTIMAL, point=([1, 0, 0], 1))
         attempt("slack", lambda: maximality.improve(lam, 2))
         print(sys.flags.optimize, *raised)
     """
@@ -316,11 +317,11 @@ class TestCutStore:
 
     def test_stored_cuts_hold_and_leave_verdicts_alone(self, monkeypatch):
         certified = []
+        certify = lp._Tableau.certify
 
-        class CountingMaster(maximality.IncrementalLP):
-            def certify(self):
-                super().certify()
-                certified.append(self)
+        def counting_certify(master):
+            certify(master)
+            certified.append(master)
 
         real_violated = maximality._CutStore.violated
         reused = []
@@ -330,7 +331,7 @@ class TestCutStore:
             reused.append(cut is not None)
             return cut
 
-        monkeypatch.setattr(maximality, "IncrementalLP", CountingMaster)
+        monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
         monkeypatch.setattr(maximality._CutStore, "violated", violated)
         monkeypatch.setattr(maximality, "_cut_stores", {})
         points = _bench_like_points()
@@ -403,7 +404,7 @@ class TestAgainstMonolithicMaster:
                         coeffs[t] = -1
                     rows.append(row(coeffs, LE, 0))
         obj = [F(-(p - t)) for t in range(1, p + 1)] + [F(0)] * (m * p)
-        result = solve(LinearProgram(nv, tuple(rows), tuple(obj), maximize=True))
+        result = solve(LinearProgram(nv, tuple(rows), tuple(obj), maximize=True)).result
         assert result.status == "optimal"
         return sum(cum[:-1], F(0)) + result.objective_value
 
