@@ -22,19 +22,19 @@ hard part.  Three reductions keep it tractable:
   greedy fill in integers, and an LP only where the fill runs out of room.
   The point becomes the next bit.
 
-One call reuses what it has computed.  The library profiles are tested
-before the scan; a profile where a lottery found at an earlier library
-profile of the call meets every agent's caps (`_implements`, the exact
-integer check `maximality.improve` also uses) needs no new point.  Those
-lotteries, relabeled so that one agent's order becomes the identity, meet
-the canonical chain and seed every scan chunk's pool.  Only feasible LPs
-are skipped, so the
-first refuting profile or system, its certificate and the count checked
-are those of solving every LP.  The chain layouts and tail groups are
-built once per (p, active ranks), with the tables of the relabelings that
-skip systems, and kept for later calls, and for the pool's forked workers,
-up to `_MAX_CHAINS` entries in all; the scan's deadline is checked while
-they build.
+One call reuses what it has computed.  The active ranks and their caps
+(`_tail_caps`) serve the library pass and every scan chunk.  The library
+profiles are tested before the scan; a profile where a lottery found at
+an earlier library profile of the call meets every agent's caps
+(`_implements`, the exact integer check `maximality.improve` also uses)
+needs no new point.  Every scan chunk's pool starts with `lam` on the
+canonical chain, then those lotteries, relabeled so that one agent's
+order becomes the identity.  Only feasible LPs are skipped, so the first
+refuting profile or system, its certificate and the count checked are
+those of solving every LP.  The chain layouts and tail groups are built
+once per (p, active ranks), with the tables of the relabelings that skip
+systems, and kept for later calls, and for the pool's forked workers, up
+to `_MAX_CHAINS` entries in all; the deadline is checked while they build.
 
 Every implementing point is found by `_implementing_point`, the greedy
 fill first, then the implementation LP: the integer rows (`lp.Row`) that
@@ -138,21 +138,21 @@ def _tail_rows(
     return rows
 
 
+def _tail_caps(lam: RankLottery) -> tuple[tuple[int, ...], list[int], int]:
+    """The active ranks of `lam`, its cumulatives there as ints over one
+    scale, and that scale: the caps of every tail system of `lam`."""
+    ks = active_ranks(lam)
+    cum = lam.cumulative()
+    caps, cap_den = _scaled([cum[k - 1] for k in ks])
+    return ks, caps, cap_den
+
+
 def _tail_system(lam: RankLottery, prof: Profile) -> tuple:
     """The tail system of `lam` at `prof`, as the arguments of `_tail_rows`
-    and `_implementing_point`: p, the active ranks, their caps as ints over
-    one scale, that scale, and the agents' orders."""
+    and `_implementing_point`: p, `_tail_caps(lam)` and the agents' orders."""
     if lam.p != prof.p:
         raise ValueError("dimension mismatch between lottery and profile")
-    ks = active_ranks(lam)
-    caps, cap_den = _scaled(lam.cumulative()[:-1])
-    return lam.p, ks, [caps[k - 1] for k in ks], cap_den, [pref.order for pref in prof.prefs]
-
-
-def _implementation_rows(lam: RankLottery, prof: Profile) -> list[Row]:
-    """The implementation LP of `lam` at `prof`: one tail row per agent and
-    active rank, laid out as in `_tail_rows`."""
-    return _tail_rows(*_tail_system(lam, prof))
+    return (lam.p, *_tail_caps(lam), [pref.order for pref in prof.prefs])
 
 
 def _implementing_point(
@@ -198,15 +198,18 @@ def _implementing_point(
 
 
 def _implements(
-    mass: Sequence[int], den: int, caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
+    mass: Sequence[int], den: int, ks: Sequence[int], caps: Sequence[int], cap_den: int,
+    orders: Sequence[tuple[int, ...]],
 ) -> bool:
     """Whether the lottery `mass / den` over outcomes puts at most
-    `caps[k - 1] / cap_den` on the k worst outcomes of every order, for every
-    k up to len(caps), compared exactly as cross-multiplied integers."""
+    ``caps[i] / cap_den`` on the ks[i] worst outcomes of every order,
+    compared exactly as cross-multiplied integers."""
     for order in orders:
-        tail = 0
-        for a, cap in zip(order, caps):
-            tail += mass[a - 1]
+        tail = prev = 0
+        for k, cap in zip(ks, caps):
+            for a in order[prev:k]:
+                tail += mass[a - 1]
+            prev = k
             if tail * cap_den > cap * den:
                 return False
     return True
@@ -214,7 +217,7 @@ def _implements(
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
     """The exact LP deciding whether some lottery implements `lam` at `prof`."""
-    return feasibility_program(lam.p, _implementation_rows(lam, prof))
+    return feasibility_program(lam.p, _tail_rows(*_tail_system(lam, prof)))
 
 
 def implement_at(lam: RankLottery, prof: Profile) -> Optional[OutcomeLottery]:
@@ -673,23 +676,21 @@ def _scan_chunk(payload: tuple) -> dict:
     the first infeasible system, its certificate and the count at a stop
     are those of a scan without the skip, at any chunking.
 
-    The pool starts with mass lam_k on outcome k, the uniform when it meets
-    the caps, and then `seeds`: lotteries ``(mass, scale)`` the caller knows
-    to meet the canonical chain.  A seed that does not raises.
+    The pool starts with `seeds`, lotteries ``(mass, scale)`` the caller
+    knows to meet the canonical chain; a seed that does not raises.  A
+    worker started without the layouts (by spawn or forkserver, not fork)
+    builds them under `deadline`.
     """
-    probs, n, ks, lo, hi, limit, deadline, seeds = payload
-    lam = RankLottery(probs)
-    p = lam.p
-    caps, cap_den = _scaled([lam.cumulative()[k - 1] for k in ks])
-    layouts, groups, (fixes, lowers_at, lowered) = _scan_layouts(p, ks)  # built by `_scan`, before any fork
+    p, n, ks, caps, cap_den, lo, hi, limit, deadline, seeds = payload
+    built = _scan_layouts(p, ks, deadline)
+    if built is None:
+        return {"status": "time-limit", "checked": 0}
+    layouts, groups, (fixes, lowers_at, lowered) = built
     count = len(layouts)
     identity = tuple(range(1, p + 1))
 
     masks = [0] * count
     covers: list[int] = []
-    _add_to_pool(masks, covers, *_scaled(probs), caps, cap_den, groups)
-    if all(k * cap_den <= cap * p for k, cap in zip(ks, caps)):
-        _add_to_pool(masks, covers, [1] * p, p, caps, cap_den, groups)
     canonical = 1 << (count - 1)  # the identity layout overlaps the chain most, so it sorts last
     for mass, scale in seeds:
         _add_to_pool(masks, covers, mass, scale, caps, cap_den, groups)
@@ -771,31 +772,27 @@ def _chunk_ranges(count: int, agents: int, parts: int, lowers_at: Sequence[int])
 
 
 def _scan(
-    probs: tuple[Fraction, ...],
-    n: int,
-    ks: tuple[int, ...],
-    jobs: int,
-    limit: Optional[int],
-    deadline: Optional[float],
-    seeds: tuple[tuple[tuple[int, ...], int], ...],
+    p: int, n: int, ks: tuple[int, ...], caps: Sequence[int], cap_den: int,
+    jobs: int, limit: Optional[int], deadline: Optional[float], seeds: tuple[tuple[Sequence[int], int], ...],
 ) -> dict:
-    """Scan every tail system with min(`jobs`, cores) workers: in process
-    when that is one, otherwise in 4 chunks per worker in a process pool of
-    at most one worker per chunk.  Every chunk starts its pool with `seeds`
-    (see `_scan_chunk`), and the layouts are built here, before the pool
-    forks, so that its workers inherit them.
+    """Scan every tail system of `ks` and its caps: in process, or, from
+    `_POOL_SWITCH` runs on, with min(`jobs`, cores) workers, in 4 chunks per
+    worker in a process pool of at most one worker per chunk.  Every chunk
+    starts its pool with `seeds` (see `_scan_chunk`), and the layouts are
+    built here, before the pool forks, so that its workers inherit them.
 
     Chunk outcomes are merged in enumeration order and a limit is spent on
     the chunks in that order, so both ways visit the same first `limit`
     systems and report the same first infeasible system and count.
     """
-    built = _scan_layouts(len(probs), ks, deadline)
+    built = _scan_layouts(p, ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
     layouts, _, (_, lowers_at, _) = built
     count = len(layouts)
     agents = n - 1
-    workers = min(jobs, os.cpu_count() or 1)
+    runs = math.comb(count + n - 3, n - 2)  # systems sharing all but the last layout
+    workers = min(jobs, os.cpu_count() or 1) if runs >= _POOL_SWITCH else 1
     ranges = [(0, count)] if workers <= 1 else _chunk_ranges(count, agents, workers * 4, lowers_at)
     payloads = []
     for lo, hi in ranges:
@@ -806,7 +803,7 @@ def _scan(
             )
             share = min(size, limit)
             limit -= share
-        payloads.append((probs, n, ks, lo, hi, share, deadline, seeds))
+        payloads.append((p, n, ks, caps, cap_den, lo, hi, share, deadline, seeds))
     if len(payloads) == 1:
         return _scan_chunk(payloads[0])
 
@@ -970,9 +967,7 @@ def is_feasible(
 
     # Library LPs that a lottery of an earlier one answers are skipped; the
     # lotteries, relabeled per agent, seed the scan (see the module docstring).
-    ks = active_ranks(lam)
-    every_cap, cap_den = _scaled(lam.cumulative()[:-1])
-    caps = [every_cap[k - 1] for k in ks]
+    ks, caps, cap_den = _tail_caps(lam)
     points: list[tuple[list[int], int]] = []
     seeds: dict[tuple[tuple[int, ...], int], None] = {}
     for prof in hard_profiles(n, p):
@@ -982,7 +977,7 @@ def is_feasible(
             return finish(UNDECIDED, "time-limit")
         orders = [pref.order for pref in prof.prefs]
         checked += 1
-        if any(_implements(x, scale, every_cap, cap_den, orders) for x, scale in points):
+        if any(_implements(x, scale, ks, caps, cap_den, orders) for x, scale in points):
             continue
         point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
         if point is None:
@@ -1001,9 +996,8 @@ def is_feasible(
         return finish(UNDECIDED, f"scan-too-large:{chains}-chains")
 
     budget = None if limit_profiles is None else limit_profiles - checked
-    runs = math.comb(chains + n - 3, n - 2)  # systems sharing all but the last layout
-    scan_jobs = jobs if runs >= _POOL_SWITCH else 1
-    outcome = _scan(lam.probs, n, ks, scan_jobs, budget, deadline, tuple(seeds))
+    mass, scale = _scaled(lam.probs)  # `lam` itself, on agent 1's canonical chain
+    outcome = _scan(p, n, ks, caps, cap_den, jobs, budget, deadline, ((mass, scale), *seeds))
     checked += outcome["checked"]
     if outcome["status"] == INFEASIBLE:
         witness = Profile(tuple(Preference(order) for order in outcome["orders"]))

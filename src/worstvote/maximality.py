@@ -64,10 +64,10 @@ from .feasibility import (
     FEASIBLE,
     UNDECIDED,
     FeasibilityReport,
-    _implementation_rows,
     _implementing_point,
     _implements,
     _tail_rows,
+    implement_program,
     is_feasible,
     verified_anchors,
 )
@@ -175,10 +175,10 @@ def improve(
     `hard_profiles(n, p)`, plus each witness of this call.  The outcome
     lotteries `_implementing_point` found for this call form a pool.  A pool
     lottery that keeps every agent's k worst outcomes within cum_k of the
-    candidate, for every k < p, implements it at that profile, so the LP
-    there would be feasible and is skipped.  Only feasible LPs are
-    skipped.  Every cut found, at a working profile or from the engine's
-    witness, joins the store.
+    candidate, at each of its active ranks k, implements it at that
+    profile, so the LP there would be feasible and is skipped.  Only
+    feasible LPs are skipped.  Every cut found, at a working profile or
+    from the engine's witness, joins the store.
 
     Each cut is added to one warm master.  Where the master's optimum is not
     unique, its next candidate can differ from that of a master solved from
@@ -231,7 +231,7 @@ def improve(
         refuted = False
         for prof in reversed(working):
             orders = [pref.order for pref in prof.prefs]
-            if any(_implements(mass, den, caps, scale, orders) for mass, den in pool):
+            if any(_implements(mass, den, mu_active, mu_caps, scale, orders) for mass, den in pool):
                 continue
             point, certificate = _implementing_point(p, mu_active, mu_caps, scale, orders)
             if point is None:
@@ -312,7 +312,7 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     p = lam.p
     orders = [pref.order for pref in prof.prefs]
     # Variable p + 1 is an upper bound t on every agent's k-tail mass.
-    implementation = _implementation_rows(lam, prof)
+    implementation = implement_program(lam, prof).constraints
     rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
     rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (0,), 1, orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)

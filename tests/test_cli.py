@@ -143,6 +143,12 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_time_budget_from_the_environment_is_undecided(self, capsys, monkeypatch):
+        monkeypatch.setenv("WORSTVOTE_TIME_BUDGET", "0")
+        code, out = run_cli(capsys, "feasible", "--n", "3", "--lottery", "1/3,0,0,1/3,1/3,0,0")
+        assert code == 2
+        assert out == "verdict: undecided\nmethod: time-limit\nprofiles checked: 0\n"
+
     def test_maximal_on_infeasible_input_is_usage_error(self, capsys):
         code, _ = run_cli(
             capsys, "maximal", "--n", "3", "--lottery", "0,0,0,0,0,1", "--jobs", "1"
@@ -373,6 +379,19 @@ class TestVerify:
         first = sorted(SUITES)[0]
         first_lines = f"[PASS] {first}: ok\nsuite {first}: PASS (1 checks, 0 ms)\n"
         assert printed_before[:2] == ["", first_lines]
+
+    def test_a_failed_check_is_printed_and_exits_one(self, capsys, monkeypatch):
+        def fake_suite(name, *, jobs, seed):
+            return SuiteResult(name, (Check("ok", "1", "1"), Check("sum", "2", "3")), 0)
+
+        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        code, out = run_cli(capsys, "verify", "--suite", "duality")
+        assert code == 1
+        assert out == (
+            "[PASS] duality: ok\n"
+            "[FAIL] duality: sum (expected 2, got 3)\n"
+            "suite duality: FAIL (2 checks, 0 ms)\n"
+        )
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "no-such-suite"])

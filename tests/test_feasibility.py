@@ -108,6 +108,27 @@ class TestActiveRanks:
                 full = solve(feasibility_program(4, rows)).status == "optimal"
                 assert reduced == full
 
+    def test_uniform_meets_the_active_caps_only_where_it_dominates(self):
+        # So a scan, which `is_feasible` starts only when the uniform does
+        # not dominate `lam`, never has the uniform to seed its pool with:
+        # k / p <= cum_k at every active rank k holds at every rank, since
+        # a rank that is not active has the cumulative of the next active
+        # one, or 1.  Every lottery over twelfths at p = 2..7.
+        import itertools
+
+        import worstvote.feasibility as feas
+
+        checked = 0
+        for p in range(2, 8):
+            identity, flat = [tuple(range(1, p + 1))], uniform(p)
+            for cuts in itertools.combinations(range(12 + p - 1), p - 1):
+                parts = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, 12 + p - 1))]
+                lam = lottery([F(x, 12) for x in parts])
+                meets = feas._implements([1] * p, p, *feas._tail_caps(lam), identity)
+                assert meets == dominates(flat, lam), lam.text()
+                checked += 1
+        assert checked == 27_131
+
 
 class InlinePool:
     """A stand-in for `ProcessPoolExecutor` that runs each chunk inline and
@@ -445,6 +466,29 @@ class TestLayoutMemo:
             assert key not in feas._layout_memo
             assert replace(is_feasible(lam, 3, use_hull=False), runtime_ms=0) == expected
 
+    def test_a_chunk_builds_its_layouts_under_its_deadline(self, monkeypatch):
+        # A pool worker started by spawn or forkserver has an empty memo and
+        # builds the layouts itself; a deadline that has passed stops it at
+        # the first check.
+        import time
+
+        import worstvote.feasibility as feas
+
+        built = []
+        chain_layouts = feas._chain_layouts
+
+        def recording(*args):
+            built.append(chain_layouts(*args))
+            return built[-1]
+
+        monkeypatch.setattr(feas, "_chain_layouts", recording)
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 420 chain layouts
+        ks, caps, cap_den = feas._tail_caps(lam)
+        payload = (7, 3, ks, caps, cap_den, 0, 420, None, time.monotonic() - 1, (_scaled(lam.probs),))
+        assert feas._scan_chunk(payload) == {"status": "time-limit", "checked": 0}
+        assert built == [None] and feas._layout_memo == {}
+
 
 class TestSystemScan:
     def test_system_count_full_support(self):
@@ -493,11 +537,12 @@ class TestSystemScan:
         import worstvote.feasibility as feas
 
         lam = vt(3, 5)
-        ks = active_ranks(lam)
+        ks, caps, cap_den = feas._tail_caps(lam)
+        payload = (5, 3, ks, caps, cap_den, 0, feas.chain_count(5, ks), None, None, (_scaled(lam.probs),))
         gc.collect()
         gc.disable()
         try:
-            outcome = feas._scan_chunk((lam.probs, 3, ks, 0, feas.chain_count(5, ks), None, None, ()))
+            outcome = feas._scan_chunk(payload)
             assert outcome["status"] == "feasible"
             assert gc.collect() == 0
         finally:
@@ -689,9 +734,9 @@ def _fixed_multisets(perm, size):
 
 def _check_skip_rule(monkeypatch, p, ks, n):
     """Brute force over the systems of `ks` at n agents against the whole
-    relabeling group.  `_scan_chunk` runs with a pool that certifies
-    nothing, so every system it scans needs a point from the (stubbed)
-    `_implementing_point`: it must
+    relabeling group.  `_scan_chunk` runs with no seeds and a pool that
+    certifies nothing, so every system it scans needs a point from the
+    (stubbed) `_implementing_point`: it must
     scan them in order, count every system, and scan the least member of
     every class.  So every skipped system has an earlier member of its
     class, and every class keeps a scanned one.  The classes are counted by
@@ -714,7 +759,8 @@ def _check_skip_rule(monkeypatch, p, ks, n):
     monkeypatch.setattr(feas, "_add_to_pool", lambda masks, covers, *args: covers.append(0))
     monkeypatch.setattr(feas, "_implementing_point", implementing_point)
     count = len(layouts)
-    outcome = feas._scan_chunk((uniform(p).probs, n, ks, 0, count, None, None, ()))
+    # The caps reach only the stubs, which ignore them.
+    outcome = feas._scan_chunk((p, n, ks, [0] * len(ks), 1, 0, count, None, None, ()))
     assert outcome == {"status": "feasible", "checked": math.comb(count + n - 2, n - 1)}
     systems = [[index[order] for order in orders[1:]] for orders in scanned]
     assert all(a < b for a, b in zip(systems, systems[1:]))
@@ -838,12 +884,12 @@ def _check_against_profiles(lam, n, profiles):
     first against the lotteries found so far, by the exact integer check."""
     import worstvote.feasibility as feas
 
-    every_cap, cap_den = _scaled(lam.cumulative()[:-1])
+    caps = feas._tail_caps(lam)
     found = []
     brute = True
     for prof in profiles:
         orders = [pref.order for pref in prof.prefs]
-        if any(feas._implements(x, scale, every_cap, cap_den, orders) for x, scale in found):
+        if any(feas._implements(x, scale, *caps, orders) for x, scale in found):
             continue
         point = solve(implement_program(lam, prof)).point
         if point is None:
@@ -994,9 +1040,9 @@ class TestIntegerRows:
             cum = lam.cumulative()
             ks = active_ranks(lam)
             oracle = fraction_tail_program(p, ks, [cum[k - 1] for k in ks], orders)
-            rows = feas._implementation_rows(lam, prof)
-            assert fraction_program(implement_program(lam, prof)) == oracle
-            assert rows == oracle_rows(oracle)
+            program = implement_program(lam, prof)
+            assert fraction_program(program) == oracle
+            assert list(program.constraints) == oracle_rows(oracle)
             # Every rank, as the master lays it out, where caps of 0 and 1 occur.
             every_rank = feas._tail_rows(p, range(1, p), *_scaled(cum[:-1]), orders)
             assert every_rank == oracle_rows(fraction_tail_program(p, range(1, p), cum[:-1], orders))

@@ -313,9 +313,10 @@ class TestVerification:
             feasibility.solve = lambda program: SimpleNamespace(point=([0] * program.num_vars, 1), certificate=None)
             attempt("cut", lambda: feasibility.is_feasible(parse_lottery("0,0,1,0,0"), 3))
             lam = parse_lottery("0,0,1/3,1/3,1/3")
-            ks = feasibility.active_ranks(lam)
+            ks, caps, cap_den = feasibility._tail_caps(lam)
             # all mass on outcome 1, the worst outcome of the canonical chain
-            payload = (lam.probs, 3, ks, 0, feasibility.chain_count(5, ks), None, None, (([1, 0, 0, 0, 0], 1),))
+            seeds = (([1, 0, 0, 0, 0], 1),)
+            payload = (5, 3, ks, caps, cap_den, 0, feasibility.chain_count(5, ks), None, None, seeds)
             attempt("seed", lambda: feasibility._scan_chunk(payload))
             print(sys.flags.optimize, *raised)
         """

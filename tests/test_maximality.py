@@ -91,6 +91,25 @@ class TestImprove:
         report = is_maximal(lam, 3, time_budget=1.0)
         assert (report.verdict, report.iterations) == ("undecided", 0)
 
+    def test_an_undecided_candidate_check_is_undecided(self, monkeypatch):
+        # The first call checks the input; every candidate's check after it
+        # is undecided, so the loop stops at the first candidate that
+        # survives the stored cuts and the working profiles.
+        real_is_feasible = maximality.is_feasible
+        calls = []
+
+        def undecided_from_the_second(lam, n, **kwargs):
+            calls.append(lam)
+            if len(calls) == 1:
+                return real_is_feasible(lam, n, **kwargs)
+            return feasibility.FeasibilityReport("undecided", n, lam.p, method="time-limit")
+
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        monkeypatch.setattr(maximality, "is_feasible", undecided_from_the_second)
+        report = is_maximal(parse_lottery("1/3,1/12,1/6,1/4,1/6"), 3)
+        assert (report.verdict, report.improver, report.iterations) == ("undecided", None, 10)
+        assert len(calls) == 2
+
     def test_improver_is_strict_and_feasible(self):
         rng = random.Random(0)
         checked = 0
@@ -116,8 +135,7 @@ def _meets_rows_exactly(ell, mu, prof):
 
 
 def _pre_check(ell, mu, prof):
-    caps, cap_den = _scaled(mu.cumulative()[:-1])
-    return feasibility._implements(*_scaled(ell), caps, cap_den, [pref.order for pref in prof.prefs])
+    return feasibility._implements(*_scaled(ell), *feasibility._tail_caps(mu), [pref.order for pref in prof.prefs])
 
 
 class TestWorkingSetPreCheck:
@@ -156,10 +174,13 @@ class TestWorkingSetPreCheck:
         real_implements = maximality._implements
         skipped = []
 
-        def recording(mass, den, caps, cap_den, orders):
-            passed = real_implements(mass, den, caps, cap_den, orders)
+        def recording(mass, den, ks, caps, cap_den, orders):
+            passed = real_implements(mass, den, ks, caps, cap_den, orders)
             if passed:
-                cum = [F(c, cap_den) for c in caps] + [F(1)]
+                # A rank that is not active has the cumulative of the next
+                # active rank, or 1.
+                p = len(mass)
+                cum = [next((F(c, cap_den) for k, c in zip(ks, caps) if k >= r), F(1)) for r in range(1, p + 1)]
                 probs = [b - a for a, b in zip([F(0)] + cum, cum)]
                 skipped.append((RankLottery(tuple(probs)), profile(orders)))
             return passed

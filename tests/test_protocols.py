@@ -99,6 +99,28 @@ class TestParsing:
         with pytest.raises(ValueError, match="position 9 cannot play inside a continuation: a cover round"):
             parse_protocol("rd(pad); cover(2,2,top)", 3, 7)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DictatorRound(False, F(1, 2)), "only padded dictator rounds can continue"),
+            (lambda: DictatorRound(True, F(1)), "continuation weight must be strictly between 0 and 1"),
+            (lambda: ProtocolSpec(()), "a protocol needs at least one stage"),
+            (lambda: ProtocolSpec((DictatorRound(), UniformFallback())),
+             "a non-final dictator round needs a continuation weight"),
+            (lambda: ProtocolSpec((DictatorRound(True, F(1, 2)),)), "the final dictator round cannot continue"),
+            (lambda: parse_protocol("rd(naive); uniform", 3, 6),
+             "a naive dictator round cannot continue (the stage at position 0)"),
+            (lambda: parse_protocol("rd(pad); veto(1)", 3, 9),
+             "the stage at position 9 cannot play inside a continuation: a veto round must be followed by a stage"),
+        ],
+        ids=["naive-continues", "weight-one", "no-stage", "final-weight-missing", "final-continues",
+             "naive-parsed", "veto-last"],
+    )
+    def test_malformed_stages_are_named(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_only_continuations_use_the_formulas(self):
         # Stages that no dictator round precedes need no guarantee formula:
         # composition has none for one agent, and a cover round none at all.
