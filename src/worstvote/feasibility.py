@@ -15,11 +15,13 @@ hard part.  Three reductions keep it tractable:
   system is skipped (isomorph rejection by least representatives; the
   proof is in `_scan_chunk`).
 * Most systems are certified by an implementing lottery found earlier in
-  the scan.  Each chain layout keeps a bitmask of the pool lotteries that
-  meet its tail caps (an exact integer check, made once per lottery), and
-  a system is certified exactly when the AND of its layouts' masks is
-  nonzero.  The other systems get a point from `_implementing_point`: a
-  greedy fill in integers, and an LP only where the fill runs out of room.
+  the scan.  Each pool lottery keeps the bitmask of the chain layouts
+  whose tail caps it meets (an exact integer check, made once per lottery
+  and distinct tail), and each layout a bitmask of the pool lotteries that
+  meet it, brought up to date only when a run reads that layout.  A
+  system is certified exactly when the AND of its layouts' masks is
+  nonzero.  The other systems get a point from `_implementing_point`: two
+  greedy fills in integers, and an LP only where both run out of room.
   The point becomes the next bit.
 
 One call reuses what it has computed.  The active ranks and their caps
@@ -37,7 +39,7 @@ systems, and kept for later calls, and for the pool's forked workers, up
 to `_MAX_CHAINS` entries in all; the deadline is checked while they build.
 
 Every implementing point is found by `_implementing_point`, the greedy
-fill first, then the implementation LP: the integer rows (`lp.Row`) that
+fills first, then the implementation LP: the integer rows (`lp.Row`) that
 `_tail_rows` lays out once, in the program the public `implement_program`
 also builds, solved by `lp.solve` as the hull LP of `_hull_mixture` is.
 The point the solved program keeps, ints over one scale in lowest terms,
@@ -85,13 +87,14 @@ _MAX_CHAINS = 200_000
 # Scans of fewer runs (systems sharing all but the last agent's layout,
 # before any is skipped) than this stay one in-process chunk even when
 # jobs > 1.  Every pool chunk starts from the call's seeds and finds again
-# the implementing lotteries an earlier chunk found, and each costs a pass
-# over all the layouts; once the skip rule leaves few runs to test, that
-# outweighs the second core.  Measured at jobs 1 and 2 with the pool
-# forced, on a 2-core VM: the pool lost at every probe up to 6.4M runs
-# ((5,8) VT 0.25 s against 0.33 s, (3,10) RD,VT,RD 3.6 s against 5.4 s),
-# tied at (4,8) VT (1.4M runs), and won from 28.6M runs ((4,9) VT,RD 2.1 s
-# against 1.9 s, (5,9) VT 105 s against 54 s); see CHANGES.md.
+# the implementing lotteries an earlier chunk found; once the skip rule
+# leaves few runs to test, that and the workers' start outweigh the second
+# core.  Measured at jobs 1 and 2 with the pool forced, on a 2-core VM
+# (medians of 3 to 6 runs): the pool lost at every probe up to 6.4M runs
+# ((3,10) RD,VT,RD 2.7 s against 3.0 s, (4,8) VT 0.26 s against 0.46 s,
+# (5,8) VT 0.18 s against 0.22 s) and won from 28.6M runs ((4,9) VT,RD
+# 4.0 s against 3.0 s, (5,9) VT 116 s against 73 s, one run each); see
+# CHANGES.md.
 _POOL_SWITCH = 20_000_000
 
 UtilityVector = tuple[Fraction, ...]
@@ -163,13 +166,16 @@ def _implementing_point(
     `orders`, or ``(None, y)`` with the Farkas certificate `y` of the rows
     `_tail_rows` lays out for them when no lottery does.
 
-    A greedy fill, in integers over `cap_den`, answers first.  It visits
-    the outcomes least constrained first, by the summed size of the tails
-    that hold them, ties to the higher label, and gives each all the mass
-    that every tail holding it still has room for.  A fill that reaches
-    mass one meets every row, so it implements; for a single chain of caps
-    (a polymatroid) it always does (Edmonds 1970).  Only when the room runs
-    out first does `lp.solve` solve the rows.  No lottery exists for an
+    A greedy fill, in integers over `cap_den`, answers first (`_fill`).
+    It visits the outcomes least constrained first, by the summed size of
+    the tails that hold them, ties to the higher label.  Where that fill
+    stalls, a second one visits them worst first, by the lowest position
+    any order gives them, ties again to the higher label, so that no
+    outcome that many tails share takes their room before the outcomes
+    some agent ranks worst.  A fill that reaches mass one meets every
+    row, so it implements; for a single chain of caps (a polymatroid) the
+    first always does (Edmonds 1970).  Only when both fills run out of
+    room does `lp.solve` solve the rows.  No lottery exists for an
     LP-infeasible system, so every infeasible verdict and certificate is
     the LP's.
     """
@@ -181,20 +187,32 @@ def _implementing_point(
             for a in order[:k]:
                 holders[a - 1].append(i * width + j)
                 size[a - 1] += k
-    room = list(caps) * len(orders)
-    mass = [0] * p
+    # Stable sorts of the labels high to low send ties to the higher label.
+    labels = range(p - 1, -1, -1)
+    for key in (size.__getitem__, lambda a: min([order.index(a + 1) for order in orders])):
+        point = _fill(sorted(labels, key=key), holders, list(caps) * len(orders), cap_den)
+        if point is not None:
+            return point, None
+    solved = solve(feasibility_program(p, _tail_rows(p, ks, caps, cap_den, orders)))
+    return solved.point, solved.certificate
+
+
+def _fill(visit: Sequence[int], holders: Sequence[Sequence[int]], room: list[int], cap_den: int) -> Optional[Point]:
+    """Fill the outcomes (0-based) in the order `visit`, each with all the
+    mass, over `cap_den`, that every tail holding it (`holders`, places in
+    `room`) still has room for: the point in lowest terms once the mass
+    reaches one, None when the room runs out first.  `room` is spent."""
+    mass = [0] * len(holders)
     left = cap_den
-    # A stable sort of the labels high to low sends ties to the higher label.
-    for a in sorted(range(p - 1, -1, -1), key=size.__getitem__):
+    for a in visit:
         give = min([left, *[room[t] for t in holders[a]]])
         mass[a] = give
         left -= give
         if not left:
-            return _reduce(mass, cap_den), None
+            return _reduce(mass, cap_den)
         for t in holders[a]:
             room[t] -= give
-    solved = solve(feasibility_program(p, _tail_rows(p, ks, caps, cap_den, orders)))
-    return solved.point, solved.certificate
+    return None
 
 
 def _implements(
@@ -560,17 +578,20 @@ def _entries(built: Layouts) -> int:
 
 
 def _add_to_pool(
-    masks: list[int],
     covers: list[int],
+    rows: list[bytes],
     mass: Sequence[int],
     scale: int,
     caps: Sequence[int],
     cap_den: int,
     groups: TailGroups,
+    count: int,
 ) -> None:
-    """Make the lottery ``mass / scale`` pool lottery b = len(covers): set
-    bit b in the mask of every layout whose tail caps ``caps / cap_den`` it
-    meets, and append the bitmask of those layouts to `covers`.
+    """Make the lottery ``mass / scale`` pool lottery b = len(covers):
+    append to `covers` the bitmask of the `count` layouts whose tail caps
+    ``caps / cap_den`` it meets, and to `rows` the same bitmask as bytes,
+    little-endian, one bit per layout, where `_scan_chunk` reads one
+    layout's bit without shifting the whole mask.
 
     Exact: a tail's mass ``t / scale`` is at most its cap ``c / cap_den``
     exactly when the integer ``t`` is at most ``c * scale / cap_den``
@@ -584,10 +605,8 @@ def _add_to_pool(
             if sum(map(mass.__getitem__, tail)) <= bound:
                 ok |= members
         meets &= ok
-    bit = 1 << len(covers)
     covers.append(meets)
-    for i in _set_bits(meets):
-        masks[i] |= bit
+    rows.append(meets.to_bytes((count + 7) // 8, "little"))
 
 
 def _set_bits(x: int) -> list[int]:
@@ -640,17 +659,21 @@ def _scan_chunk(payload: tuple) -> dict:
     A system is agent 1 on the canonical chain and a sorted tuple of the
     other agents' layout indices, and systems are enumerated in the
     lexicographic order of those tuples.  The pool holds every implementing
-    lottery found so far; bit b of `masks[i]` is set when pool lottery b
-    meets layout i's tail caps.  Every pool lottery meets the canonical
+    lottery found so far; `covers[b]` is the bitmask of the layouts whose
+    tail caps pool lottery b meets, and bit b of `masks[i]` is set when
+    lottery b meets layout i.  Every pool lottery meets the canonical
     chain, so a system is certified exactly when the AND of its other
     agents' masks is nonzero.  Only where it is zero does the system get a
-    point from `_implementing_point` (its greedy fill, or the LP where the
-    fill misses); the point is checked once against every layout and
-    becomes the next bit.
-    `covers[b]` is the bitmask of the layouts pool lottery b meets, so a run
-    of systems sharing a head is tested at once: its certified last layouts
-    are the union of the covers of the bits common to the head, kept per set
-    of common bits (`covers[b]` never changes once appended).  The pool
+    point from `_implementing_point` (its greedy fills, or the LP where
+    both miss); `_add_to_pool` checks the point once against every tail and
+    appends its covers.
+    The masks are folded lazily: a run reads only its head's masks, and
+    each gets, when read, the bits of the lotteries added since it was last
+    read, one byte of `rows[b]` tested per lottery, so it equals the mask
+    that setting every bit at once would have built.  A run of systems
+    sharing a head is tested at once: its certified last layouts are the
+    union of the covers of the bits common to the head, kept per set of
+    common bits (`covers[b]` never changes once appended).  The pool
     certifies no LP-infeasible system, so the scan stops at the slice's
     first infeasible system.  `limit` caps the systems visited; `deadline`
     is checked once per run scanned or block skipped.  A stop returns the
@@ -690,10 +713,12 @@ def _scan_chunk(payload: tuple) -> dict:
     identity = tuple(range(1, p + 1))
 
     masks = [0] * count
+    folded = [0] * count  # per layout, the pool lotteries folded into its mask
     covers: list[int] = []
+    rows: list[bytes] = []
     canonical = 1 << (count - 1)  # the identity layout overlaps the chain most, so it sorts last
     for mass, scale in seeds:
-        _add_to_pool(masks, covers, mass, scale, caps, cap_den, groups)
+        _add_to_pool(covers, rows, mass, scale, caps, cap_den, groups, count)
         if not covers[-1] & canonical:
             raise AssertionError(f"seed {mass} / {scale} misses the canonical chain")
 
@@ -709,9 +734,17 @@ def _scan_chunk(payload: tuple) -> dict:
             if limit is not None and checked > limit:
                 return {"status": "profile-limit", "checked": limit}
             continue
-        common = masks[head[0]]
-        for i in head[1:]:
-            common &= masks[i]
+        common = -1
+        for i in head:
+            mask = masks[i]
+            if folded[i] < len(covers):
+                at, bit = i >> 3, 1 << (i & 7)
+                for b in range(folded[i], len(covers)):
+                    if rows[b][at] & bit:
+                        mask |= 1 << b
+                masks[i] = mask
+                folded[i] = len(covers)
+            common &= mask
         covered = unions.get(common)
         if covered is None:
             covered = 0
@@ -741,7 +774,7 @@ def _scan_chunk(payload: tuple) -> dict:
             point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
-            _add_to_pool(masks, covers, *point, caps, cap_den, groups)
+            _add_to_pool(covers, rows, *point, caps, cap_den, groups, count)
             covered |= covers[-1]  # the solution meets every layout of the system
             j = miss + 1
         if stop < count:

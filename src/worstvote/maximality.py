@@ -16,8 +16,8 @@ so far, each with its refuting profile.  A candidate is first tested
 against the stored cuts with integer dot products; the first one it
 violates joins the master.  A candidate that meets every stored cut is
 tested at the working profiles (the store's profiles and the structured
-library) by `feasibility._implementing_point`: a greedy fill in integers,
-and an exact implementation LP only where the fill misses.  A profile is
+library) by `feasibility._implementing_point`: greedy fills in integers,
+and an exact implementation LP only where they miss.  A profile is
 skipped where an outcome lottery found earlier in the same call (kept as
 ints over one scale) already meets the candidate's tail caps (checked in
 integers by `feasibility._implements`).  A candidate that survives the

@@ -1,5 +1,6 @@
 """The whole differential sweep of the tail-system scan's skip rule and of
-the greedy fill that finds its implementing points.
+the greedy fills that find its implementing points, and the checked
+counts of two large scans.
 
 `tests/test_feasibility.py` runs a slice of each part with the Tier-1
 tests.  This file does not match pytest's `test_*.py` pattern, so it runs
@@ -14,6 +15,7 @@ import random
 import pytest
 
 import worstvote.feasibility as feas
+from worstvote.compose import canonical_word
 from worstvote.lottery import dominates, uniform
 
 from tests.orbits import enumerate_profiles
@@ -62,4 +64,23 @@ def test_scans_agree_with_every_profile(monkeypatch, n, p):
 
 def test_greedy_points_agree_with_the_lp(monkeypatch):
     counts = _check_greedy_against_lp(monkeypatch, 1)
-    assert min(counts[kind] for kind in ("greedy", "missed", "infeasible")) > 0, counts
+    assert min(counts[kind] for kind in ("first", "second", "missed", "infeasible")) > 0, counts
+
+
+def test_each_fill_answers_its_pinned_share(monkeypatch):
+    # Every 13th system: of the 66,502 feasible ones the first fill answers
+    # 59,126 and the worst-first fill 2,214 more, so 5,162 reach the LP.
+    counts = _check_greedy_against_lp(monkeypatch, 13)
+    assert counts == {"first": 59_126, "second": 2_214, "missed": 5_162, "infeasible": 52_996}
+
+
+@pytest.mark.parametrize(
+    "word, n, p, checked",
+    [("RD,VT,RD", 3, 10, 11_430_795_635), ("VT,RD", 4, 9, 72_042_115_339)],
+    ids=str,
+)
+def test_large_scan_count_is_pinned(word, n, p, checked):
+    # 151,200 and 7,560 layouts, so a layout's bit lies in one of 18,900
+    # or 945 bytes of each pool lottery's copy.  Library profiles included.
+    report = feas.is_feasible(canonical_word(word, n, p), n, jobs=1, use_hull=False)
+    assert (report.verdict, report.method, report.profiles_checked) == ("feasible", "scan", checked)

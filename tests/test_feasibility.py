@@ -735,8 +735,8 @@ def _fixed_multisets(perm, size):
 def _check_skip_rule(monkeypatch, p, ks, n):
     """Brute force over the systems of `ks` at n agents against the whole
     relabeling group.  `_scan_chunk` runs with no seeds and a pool that
-    certifies nothing, so every system it scans needs a point from the
-    (stubbed) `_implementing_point`: it must
+    certifies nothing (a stubbed `_add_to_pool`), so every system it scans
+    needs a point from the (stubbed) `_implementing_point`: it must
     scan them in order, count every system, and scan the least member of
     every class.  So every skipped system has an earlier member of its
     class, and every class keeps a scanned one.  The classes are counted by
@@ -756,9 +756,18 @@ def _check_skip_rule(monkeypatch, p, ks, n):
         scanned.append(orders)
         return ([0] * p, 1), None
 
-    monkeypatch.setattr(feas, "_add_to_pool", lambda masks, covers, *args: covers.append(0))
-    monkeypatch.setattr(feas, "_implementing_point", implementing_point)
     count = len(layouts)
+
+    def certify_nothing(covers, rows, *args):
+        # One pool lottery that meets no layout stands for every point: a
+        # pool of one lottery per scanned system would cost each run's fold
+        # a byte test per system scanned since its layouts were last read.
+        if not covers:
+            covers.append(0)
+            rows.append(bytes(-(-count // 8)))
+
+    monkeypatch.setattr(feas, "_add_to_pool", certify_nothing)
+    monkeypatch.setattr(feas, "_implementing_point", implementing_point)
     # The caps reach only the stubs, which ignore them.
     outcome = feas._scan_chunk((p, n, ks, [0] * len(ks), 1, 0, count, None, None, ()))
     assert outcome == {"status": "feasible", "checked": math.comb(count + n - 2, n - 1)}
@@ -911,15 +920,16 @@ _GREEDY_INPUTS = list(dict.fromkeys(
 
 
 def _check_greedy_against_lp(monkeypatch, stride):
-    """The greedy fill of `_implementing_point` against `lp.solve`
+    """The greedy fills of `_implementing_point` against `lp.solve`
     on every `stride`-th tail system of each of `_GREEDY_INPUTS`, enumerated
     as `_scan_chunk` does with nothing skipped: agent 1 on the canonical
     chain, the others on each sorted tuple of layouts.  With the LP stubbed
-    out of `feasibility`, `_implementing_point` returns the greedy point or
+    out of `feasibility`, `_implementing_point` returns a greedy point or
     None.  Each greedy point meets its rows under `lp._meets`, is in lowest
-    terms and has a feasible LP; where the LP is infeasible the greedy
-    returned None.  Returns the counts of systems the greedy answered, of
-    feasible ones it missed and of infeasible ones."""
+    terms and has a feasible LP; where the LP is infeasible both fills
+    returned None.  Returns the counts of systems the first fill answered,
+    of those only the second answered, of feasible ones both missed and of
+    infeasible ones."""
     import itertools
     from collections import Counter
     from math import gcd
@@ -928,6 +938,9 @@ def _check_greedy_against_lp(monkeypatch, stride):
     from worstvote.lp import _meets
 
     monkeypatch.setattr(feas, "solve", lambda program: SimpleNamespace(point=None, certificate=None))
+    fills = []  # per fill of the current system, its point or None
+    fill = feas._fill
+    monkeypatch.setattr(feas, "_fill", lambda *args: fills.append(fill(*args)) or fills[-1])
     counts = Counter()
     for lam, n in _GREEDY_INPUTS:
         p = lam.p
@@ -937,17 +950,60 @@ def _check_greedy_against_lp(monkeypatch, stride):
         systems = itertools.combinations_with_replacement(feas._scan_layouts(p, ks)[0], n - 1)
         for others in itertools.islice(systems, 0, None, stride):
             orders = [identity, *others]
+            fills.clear()
             point, _ = feas._implementing_point(p, ks, caps, cap_den, orders)
             rows = feas._tail_rows(p, ks, caps, cap_den, orders)
             solved = solve(feasibility_program(p, rows)).point
             if point is None:
+                assert fills == [None, None], (lam.text(), orders)
                 counts["missed" if solved else "infeasible"] += 1
                 continue
             x, scale = point
             assert _meets(rows, x, scale) and gcd(scale, *x) == 1, (lam.text(), orders, point)
             assert solved is not None, (lam.text(), orders)
-            counts["greedy"] += 1
+            assert fills[-1] == point and fills[:-1] in ([], [None]), (lam.text(), orders)
+            counts["first" if len(fills) == 1 else "second"] += 1
     return counts
+
+
+def _check_fold_against_eager(monkeypatch, corpus):
+    """Each input of `corpus` scanned in full at one job, with the library
+    profiles on or off, against the scan on eagerly built masks in
+    `tests/eager_pool.py`: the same report, the same number of implementing
+    point requests and the same number of pool lotteries added.  A fold
+    that missed a lottery's bit would certify fewer systems from the pool
+    and so request more points.  Returns the summed counts."""
+    from collections import Counter
+
+    import worstvote.feasibility as feas
+
+    from . import eager_pool
+
+    tally = Counter()
+
+    def counting(key, fn):
+        def counted(*args):
+            tally[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(feas, "_implementing_point", counting("requests", feas._implementing_point))
+    monkeypatch.setattr(feas, "_add_to_pool", counting("adds", feas._add_to_pool))
+    monkeypatch.setattr(eager_pool, "add_to_pool", counting("adds", eager_pool.add_to_pool))
+    library = feas.hard_profiles
+    lazy = feas._scan_chunk
+    totals = Counter()
+    for lam, n, with_library in corpus:
+        monkeypatch.setattr(feas, "hard_profiles", library if with_library else lambda n, p: [])
+        sides = []
+        for chunk in (lazy, eager_pool.scan_chunk):
+            monkeypatch.setattr(feas, "_scan_chunk", chunk)
+            tally.clear()
+            report = replace(is_feasible(lam, n, use_hull=False), runtime_ms=0)
+            sides.append((report, tally["requests"], tally["adds"]))
+        assert sides[0] == sides[1], (lam.text(), n, with_library)
+        totals.update(requests=sides[0][1], adds=sides[0][2], **{sides[0][0].verdict: 1})
+    return totals
 
 
 class TestSkipRule:
@@ -980,7 +1036,27 @@ class TestGreedyFill:
     def test_greedy_points_agree_with_the_lp(self, monkeypatch):
         # Every 499th system; `tests/scan_sweep.py` runs them all.
         counts = _check_greedy_against_lp(monkeypatch, 499)
-        assert min(counts[kind] for kind in ("greedy", "missed", "infeasible")) > 0, counts
+        assert min(counts[kind] for kind in ("first", "second", "missed", "infeasible")) > 0, counts
+
+    def test_the_worst_first_fill_answers_where_the_first_stalls(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        def unreachable(program):
+            raise AssertionError("the second fill should have answered")
+
+        monkeypatch.setattr(feas, "solve", unreachable)
+        fills = []
+        fill = feas._fill
+        monkeypatch.setattr(feas, "_fill", lambda *args: fills.append(fill(*args)) or fills[-1])
+        # (3,6), caps 51, 200, 349, 498 and 549 over 600 at ranks 1-5.  The
+        # first fill visits 3, 2, 6, 5, 1, 4 and stalls.  The second visits
+        # by lowest position, 4, 1 (the worst of someone), 5, 2, 6, 3: the
+        # two worst outcomes take 51 each, the 1-tail caps, then 5, 2 and 6
+        # take 149 each and 3 the last 51.
+        orders = [(1, 2, 3, 4, 5, 6), (4, 5, 6, 1, 2, 3), (4, 5, 6, 1, 3, 2)]
+        point, certificate = feas._implementing_point(6, (1, 2, 3, 4, 5), (51, 200, 349, 498, 549), 600, orders)
+        assert (point, certificate) == (([51, 149, 51, 51, 149, 149], 600), None)
+        assert fills == [None, point]
 
     def test_a_fill_that_reaches_mass_one_solves_no_lp(self, monkeypatch):
         import worstvote.feasibility as feas
@@ -998,6 +1074,12 @@ class TestGreedyFill:
         orders = [(1, 2, 3, 4), (4, 3, 1, 2), (2, 3, 4, 1)]
         point, certificate = feas._implementing_point(4, (1, 3), (2, 3), 4, orders)
         assert (point, certificate) == (([1, 1, 0, 2], 4), None)
+
+
+class TestLazyMasks:
+    def test_folded_masks_count_as_eager_ones(self, monkeypatch):
+        totals = _check_fold_against_eager(monkeypatch, _SCAN_CORPUS)
+        assert totals["requests"] > 0 and totals["feasible"] > 0 and totals["infeasible"] > 0, totals
 
 
 class TestLargeScans:
@@ -1061,12 +1143,13 @@ class TestIntegerRows:
         # At 2**60 + 1 units the cap times the scale is an integer that no
         # float holds.
         for unit in (1, 5, 2**60 + 1):
-            masks, covers = [0] * len(layouts), []
+            covers, rows = [], []
             # every tail at its cap, then outcome 1 over it by 1 / scale
-            feas._add_to_pool(masks, covers, [unit, unit, unit], 3 * unit, caps, 3, groups)
-            feas._add_to_pool(masks, covers, [unit + 1, unit, unit - 1], 3 * unit, caps, 3, groups)
+            feas._add_to_pool(covers, rows, [unit, unit, unit], 3 * unit, caps, 3, groups, 3)
+            feas._add_to_pool(covers, rows, [unit + 1, unit, unit - 1], 3 * unit, caps, 3, groups, 3)
             assert covers == [0b111, sum(1 << i for i, spared in enumerate(spares_first) if spared)]
-            assert masks == [0b11 if spared else 0b01 for spared in spares_first]
+            # The byte copies hold the same bits, one byte for three layouts.
+            assert rows == [bytes([cover]) for cover in covers]
 
 
 class TestBalancedFamilies:
