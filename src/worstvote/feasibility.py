@@ -24,19 +24,15 @@ hard part.  Three reductions keep it tractable:
   greedy fills in integers, and an LP only where both run out of room.
   The point becomes the next bit.
 
-One call reuses what it has computed.  The active ranks and their caps
-(`_tail_caps`) serve the library pass and every scan chunk.  The library
-profiles are tested before the scan; a profile where a lottery found at
-an earlier library profile of the call meets every agent's caps
-(`_implements`, the exact integer check `maximality.improve` also uses)
-needs no new point.  Every scan chunk's pool starts with `lam` on the
-canonical chain, then those lotteries, relabeled so that one agent's
-order becomes the identity.  Only feasible LPs are skipped, so the first
-refuting profile or system, its certificate and the count checked are
-those of solving every LP.  The chain layouts and tail groups are built
-once per (p, active ranks), with the tables of the relabelings that skip
-systems, and kept for later calls, and for the pool's forked workers, up
-to `_MAX_CHAINS` entries in all; the deadline is checked while they build.
+The active ranks and their caps (`_tail_caps`) are computed once per call
+and serve the library profiles, tested before the scan, and every scan
+chunk.  Each chunk's pool starts empty.  Only feasible LPs are skipped,
+so the first refuting profile or system, its certificate and the count
+checked are those of solving every LP.  The chain layouts and tail
+groups are built once per (p, active ranks), with the tables of the
+relabelings that skip systems, and kept for later calls, and for the
+process pool's forked workers, up to `_MAX_CHAINS` entries in all; the
+deadline is checked while they build.
 
 Every implementing point is found by `_implementing_point`, the greedy
 fills first, then the implementation LP: the integer rows (`lp.Row`) that
@@ -86,14 +82,14 @@ UNDECIDED = "undecided"
 _MAX_CHAINS = 200_000
 # Scans of fewer runs (systems sharing all but the last agent's layout,
 # before any is skipped) than this stay one in-process chunk even when
-# jobs > 1.  Every pool chunk starts from the call's seeds and finds again
+# jobs > 1.  Every pool chunk starts with an empty pool and finds again
 # the implementing lotteries an earlier chunk found; once the skip rule
 # leaves few runs to test, that and the workers' start outweigh the second
 # core.  Measured at jobs 1 and 2 with the pool forced, on a 2-core VM
-# (medians of 3 to 6 runs): the pool lost at every probe up to 6.4M runs
-# ((3,10) RD,VT,RD 2.7 s against 3.0 s, (4,8) VT 0.26 s against 0.46 s,
-# (5,8) VT 0.18 s against 0.22 s) and won from 28.6M runs ((4,9) VT,RD
-# 4.0 s against 3.0 s, (5,9) VT 116 s against 73 s, one run each); see
+# (medians of 5 runs): the pool won clearly only from 28.6M runs ((4,9)
+# VT,RD 3.7 s against 2.7 s).  Below, at 151,200 to 6.4M runs, it won by
+# less than the spread of the runs ((3,10) RD,VT,RD 3.1 s against 2.8 s,
+# (4,8) VT 0.29 s against 0.21 s, (5,8) VT 0.20 s against 0.15 s); see
 # CHANGES.md.
 _POOL_SWITCH = 20_000_000
 
@@ -213,24 +209,6 @@ def _fill(visit: Sequence[int], holders: Sequence[Sequence[int]], room: list[int
         for t in holders[a]:
             room[t] -= give
     return None
-
-
-def _implements(
-    mass: Sequence[int], den: int, ks: Sequence[int], caps: Sequence[int], cap_den: int,
-    orders: Sequence[tuple[int, ...]],
-) -> bool:
-    """Whether the lottery `mass / den` over outcomes puts at most
-    ``caps[i] / cap_den`` on the ks[i] worst outcomes of every order,
-    compared exactly as cross-multiplied integers."""
-    for order in orders:
-        tail = prev = 0
-        for k, cap in zip(ks, caps):
-            for a in order[prev:k]:
-                tail += mass[a - 1]
-            prev = k
-            if tail * cap_den > cap * den:
-                return False
-    return True
 
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
@@ -666,7 +644,8 @@ def _scan_chunk(payload: tuple) -> dict:
     agents' masks is nonzero.  Only where it is zero does the system get a
     point from `_implementing_point` (its greedy fills, or the LP where
     both miss); `_add_to_pool` checks the point once against every tail and
-    appends its covers.
+    appends its covers, and a point that misses a layout of its own system
+    raises.
     The masks are folded lazily: a run reads only its head's masks, and
     each gets, when read, the bits of the lotteries added since it was last
     read, one byte of `rows[b]` tested per lottery, so it equals the mask
@@ -699,12 +678,10 @@ def _scan_chunk(payload: tuple) -> dict:
     the first infeasible system, its certificate and the count at a stop
     are those of a scan without the skip, at any chunking.
 
-    The pool starts with `seeds`, lotteries ``(mass, scale)`` the caller
-    knows to meet the canonical chain; a seed that does not raises.  A
-    worker started without the layouts (by spawn or forkserver, not fork)
-    builds them under `deadline`.
+    The pool starts empty.  A worker started without the layouts (by spawn
+    or forkserver, not fork) builds them under `deadline`.
     """
-    p, n, ks, caps, cap_den, lo, hi, limit, deadline, seeds = payload
+    p, n, ks, caps, cap_den, lo, hi, limit, deadline = payload
     built = _scan_layouts(p, ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
@@ -716,11 +693,6 @@ def _scan_chunk(payload: tuple) -> dict:
     folded = [0] * count  # per layout, the pool lotteries folded into its mask
     covers: list[int] = []
     rows: list[bytes] = []
-    canonical = 1 << (count - 1)  # the identity layout overlaps the chain most, so it sorts last
-    for mass, scale in seeds:
-        _add_to_pool(covers, rows, mass, scale, caps, cap_den, groups, count)
-        if not covers[-1] & canonical:
-            raise AssertionError(f"seed {mass} / {scale} misses the canonical chain")
 
     unions: dict[int, int] = {}  # common bits -> the union of their covers
     skips: dict[int, int] = {}  # kept witnesses -> the union of the layouts they map lower
@@ -775,7 +747,13 @@ def _scan_chunk(payload: tuple) -> dict:
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
             _add_to_pool(covers, rows, *point, caps, cap_den, groups, count)
-            covered |= covers[-1]  # the solution meets every layout of the system
+            # The point must meet every layout of its system: the canonical
+            # chain (the identity layout, last), the head's and the miss.
+            row = rows[-1]
+            for i in (count - 1, *head, miss):
+                if not row[i >> 3] >> (i & 7) & 1:
+                    raise AssertionError(f"pool lottery {point} misses layout {i} of its system")
+            covered |= covers[-1]
             j = miss + 1
         if stop < count:
             return {"status": "profile-limit", "checked": checked}
@@ -806,13 +784,12 @@ def _chunk_ranges(count: int, agents: int, parts: int, lowers_at: Sequence[int])
 
 def _scan(
     p: int, n: int, ks: tuple[int, ...], caps: Sequence[int], cap_den: int,
-    jobs: int, limit: Optional[int], deadline: Optional[float], seeds: tuple[tuple[Sequence[int], int], ...],
+    jobs: int, limit: Optional[int], deadline: Optional[float],
 ) -> dict:
     """Scan every tail system of `ks` and its caps: in process, or, from
     `_POOL_SWITCH` runs on, with min(`jobs`, cores) workers, in 4 chunks per
-    worker in a process pool of at most one worker per chunk.  Every chunk
-    starts its pool with `seeds` (see `_scan_chunk`), and the layouts are
-    built here, before the pool forks, so that its workers inherit them.
+    worker in a process pool of at most one worker per chunk.  The layouts
+    are built here, before the pool forks, so that its workers inherit them.
 
     Chunk outcomes are merged in enumeration order and a limit is spent on
     the chunks in that order, so both ways visit the same first `limit`
@@ -836,7 +813,7 @@ def _scan(
             )
             share = min(size, limit)
             limit -= share
-        payloads.append((p, n, ks, caps, cap_den, lo, hi, share, deadline, seeds))
+        payloads.append((p, n, ks, caps, cap_den, lo, hi, share, deadline))
     if len(payloads) == 1:
         return _scan_chunk(payloads[0])
 
@@ -998,11 +975,7 @@ def is_feasible(
             if mixture is not None:
                 return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
-    # Library LPs that a lottery of an earlier one answers are skipped; the
-    # lotteries, relabeled per agent, seed the scan (see the module docstring).
     ks, caps, cap_den = _tail_caps(lam)
-    points: list[tuple[list[int], int]] = []
-    seeds: dict[tuple[tuple[int, ...], int], None] = {}
     for prof in hard_profiles(n, p):
         if limit_profiles is not None and checked >= limit_profiles:
             return finish(UNDECIDED, "profile-limit")
@@ -1010,8 +983,6 @@ def is_feasible(
             return finish(UNDECIDED, "time-limit")
         orders = [pref.order for pref in prof.prefs]
         checked += 1
-        if any(_implements(x, scale, ks, caps, cap_den, orders) for x, scale in points):
-            continue
         point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
         if point is None:
             return finish(
@@ -1020,17 +991,13 @@ def is_feasible(
                 witness_profile=prof,
                 witness_certificate=certificate,
             )
-        points.append(point)
-        x, scale = point
-        seeds.update(((tuple([x[a - 1] for a in order]), scale), None) for order in orders)
 
     chains = chain_count(p, ks)
     if chains > _MAX_CHAINS:
         return finish(UNDECIDED, f"scan-too-large:{chains}-chains")
 
     budget = None if limit_profiles is None else limit_profiles - checked
-    mass, scale = _scaled(lam.probs)  # `lam` itself, on agent 1's canonical chain
-    outcome = _scan(p, n, ks, caps, cap_den, jobs, budget, deadline, ((mass, scale), *seeds))
+    outcome = _scan(p, n, ks, caps, cap_den, jobs, budget, deadline)
     checked += outcome["checked"]
     if outcome["status"] == INFEASIBLE:
         witness = Profile(tuple(Preference(order) for order in outcome["orders"]))

@@ -17,13 +17,10 @@ against the stored cuts with integer dot products; the first one it
 violates joins the master.  A candidate that meets every stored cut is
 tested at the working profiles (the store's profiles and the structured
 library) by `feasibility._implementing_point`: greedy fills in integers,
-and an exact implementation LP only where they miss.  A profile is
-skipped where an outcome lottery found earlier in the same call (kept as
-ints over one scale) already meets the candidate's tail caps (checked in
-integers by `feasibility._implements`).  A candidate that survives the
-working profiles becomes a `RankLottery` and goes to the full feasibility
-engine; its witness profile, if any, contributes a new cut.  Every new cut
-joins the store.
+and an exact implementation LP only where they miss.  A candidate that
+survives the working profiles becomes a `RankLottery` and goes to the
+full feasibility engine; its witness profile, if any, contributes a new
+cut.  Every new cut joins the store.
 
 The loop ends either with a certified improver (dominated) or with master
 slack exactly zero (maximal: even the relaxation admits no strict
@@ -65,7 +62,6 @@ from .feasibility import (
     UNDECIDED,
     FeasibilityReport,
     _implementing_point,
-    _implements,
     _tail_rows,
     implement_program,
     is_feasible,
@@ -171,14 +167,10 @@ def improve(
     Each candidate is first tested against the cuts stored for `(n, p)`,
     in store order; the first one it violates joins the master, and the
     next iteration starts.  A candidate that meets every stored cut is
-    tested at the working profiles, newest first: the store's profiles and
-    `hard_profiles(n, p)`, plus each witness of this call.  The outcome
-    lotteries `_implementing_point` found for this call form a pool.  A pool
-    lottery that keeps every agent's k worst outcomes within cum_k of the
-    candidate, at each of its active ranks k, implements it at that
-    profile, so the LP there would be feasible and is skipped.  Only
-    feasible LPs are skipped.  Every cut found, at a working profile or
-    from the engine's witness, joins the store.
+    tested by `_implementing_point` at the working profiles, newest first:
+    the store's profiles and `hard_profiles(n, p)`, plus each witness of
+    this call.  Every cut found, at a working profile or from the engine's
+    witness, joins the store.
 
     Each cut is added to one warm master.  Where the master's optimum is not
     unique, its next candidate can differ from that of a master solved from
@@ -206,7 +198,6 @@ def improve(
     master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = solve(LinearProgram(p, master_rows, objective, maximize=True))
-    pool: list[tuple[list[int], int]] = []
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if deadline is not None and time.monotonic() >= deadline:
             return None, UNDECIDED, iteration - 1, len(working)
@@ -231,8 +222,6 @@ def improve(
         refuted = False
         for prof in reversed(working):
             orders = [pref.order for pref in prof.prefs]
-            if any(_implements(mass, den, mu_active, mu_caps, scale, orders) for mass, den in pool):
-                continue
             point, certificate = _implementing_point(p, mu_active, mu_caps, scale, orders)
             if point is None:
                 cut = _cover_cut(mu_active, certificate, p)
@@ -240,7 +229,6 @@ def improve(
                 master.add(cut)
                 refuted = True
                 break
-            pool.append(point)
         if refuted:
             continue
 

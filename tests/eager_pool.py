@@ -35,7 +35,7 @@ def add_to_pool(masks, covers, mass, scale, caps, cap_den, groups):
 
 def scan_chunk(payload):
     """`feasibility._scan_chunk` on eagerly built masks."""
-    p, n, ks, caps, cap_den, lo, hi, limit, deadline, seeds = payload
+    p, n, ks, caps, cap_den, lo, hi, limit, deadline = payload
     built = feas._scan_layouts(p, ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
@@ -44,9 +44,6 @@ def scan_chunk(payload):
     identity = tuple(range(1, p + 1))
     masks = [0] * count
     covers = []
-    for mass, scale in seeds:
-        add_to_pool(masks, covers, mass, scale, caps, cap_den, groups)
-        assert covers[-1] >> (count - 1) & 1
     unions, skips = {}, {}
     checked = 0
     for head, kept in feas._heads(count, n - 1, lo, hi, fixes, lowers_at):

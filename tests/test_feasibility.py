@@ -109,14 +109,15 @@ class TestActiveRanks:
                 assert reduced == full
 
     def test_uniform_meets_the_active_caps_only_where_it_dominates(self):
-        # So a scan, which `is_feasible` starts only when the uniform does
-        # not dominate `lam`, never has the uniform to seed its pool with:
-        # k / p <= cum_k at every active rank k holds at every rank, since
-        # a rank that is not active has the cumulative of the next active
-        # one, or 1.  Every lottery over twelfths at p = 2..7.
+        # One agent's tail rows over the active ranks alone carry the
+        # dominance order: k / p <= cum_k at every active rank k holds at
+        # every rank, since a rank that is not active has the cumulative of
+        # the next active one, or 1.  So `is_feasible`'s uniform shortcut
+        # and the tail rows agree.  Every lottery over twelfths at p = 2..7.
         import itertools
 
         import worstvote.feasibility as feas
+        from worstvote.lp import _meets
 
         checked = 0
         for p in range(2, 8):
@@ -124,7 +125,7 @@ class TestActiveRanks:
             for cuts in itertools.combinations(range(12 + p - 1), p - 1):
                 parts = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, 12 + p - 1))]
                 lam = lottery([F(x, 12) for x in parts])
-                meets = feas._implements([1] * p, p, *feas._tail_caps(lam), identity)
+                meets = _meets(feas._tail_rows(p, *feas._tail_caps(lam), identity), [1] * p, p)
                 assert meets == dominates(flat, lam), lam.text()
                 checked += 1
         assert checked == 27_131
@@ -485,7 +486,7 @@ class TestLayoutMemo:
         monkeypatch.setattr(feas, "_layout_memo", {})
         lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 420 chain layouts
         ks, caps, cap_den = feas._tail_caps(lam)
-        payload = (7, 3, ks, caps, cap_den, 0, 420, None, time.monotonic() - 1, (_scaled(lam.probs),))
+        payload = (7, 3, ks, caps, cap_den, 0, 420, None, time.monotonic() - 1)
         assert feas._scan_chunk(payload) == {"status": "time-limit", "checked": 0}
         assert built == [None] and feas._layout_memo == {}
 
@@ -538,7 +539,7 @@ class TestSystemScan:
 
         lam = vt(3, 5)
         ks, caps, cap_den = feas._tail_caps(lam)
-        payload = (5, 3, ks, caps, cap_den, 0, feas.chain_count(5, ks), None, None, (_scaled(lam.probs),))
+        payload = (5, 3, ks, caps, cap_den, 0, feas.chain_count(5, ks), None, None)
         gc.collect()
         gc.disable()
         try:
@@ -547,6 +548,41 @@ class TestSystemScan:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("role", ["canonical", "head", "miss"])
+    def test_a_pool_lottery_that_misses_its_system_raises(self, monkeypatch, role):
+        # The first point's lottery meets every layout but certifies only
+        # layout 0, so the second system gets a point too; that point's byte
+        # row misses one layout of its own system: the canonical chain, the
+        # head's or the last one.
+        import worstvote.feasibility as feas
+
+        lam = vt(3, 5)
+        ks, caps, cap_den = feas._tail_caps(lam)
+        layouts = feas._scan_layouts(5, ks)[0]
+        count = len(layouts)
+        systems = []
+
+        def implementing_point(p, ks, caps, cap_den, orders):
+            systems.append([layouts.index(order) for order in orders[1:]])
+            return ([1] * p, p), None
+
+        def add_to_pool(covers, rows, *args):
+            row = (1 << count) - 1
+            if systems[1:]:
+                head, miss = systems[-1]
+                row &= ~(1 << {"canonical": count - 1, "head": head, "miss": miss}[role])
+            covers.append(1)
+            rows.append(row.to_bytes(-(-count // 8), "little"))
+
+        monkeypatch.setattr(feas, "_implementing_point", implementing_point)
+        monkeypatch.setattr(feas, "_add_to_pool", add_to_pool)
+        with pytest.raises(AssertionError, match="misses layout") as raised:
+            feas._scan_chunk((5, 3, ks, caps, cap_den, 0, count, None, None))
+        assert len(systems) == 2 and len({count - 1, *systems[1]}) == 3, systems
+        head, miss = systems[1]
+        layout = {"canonical": count - 1, "head": head, "miss": miss}[role]
+        assert f"misses layout {layout} of its system" in str(raised.value)
 
     def test_scan_agrees_with_profile_bruteforce(self):
         import itertools
@@ -656,9 +692,9 @@ def _report_facts(report):
 class TestReportDigest:
     # sha256 of the `repr` of `_report_facts` of every report of
     # `report_corpus()`, in corpus order, from `is_feasible(lam, n,
-    # use_hull=False, limit_profiles=limit)`.  The scan's reuse of library
-    # LPs' lotteries and of layouts skips only feasible LPs, so no fact may
-    # move with it.
+    # use_hull=False, limit_profiles=limit)`.  The scan's pool and its
+    # reuse of layouts skip only feasible LPs, so no fact may move with
+    # them.
     DIGEST = "6162eacab49b521af846fe9e9341d09915f012641bf8fec1d7231fa56b36de79"
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -734,8 +770,8 @@ def _fixed_multisets(perm, size):
 
 def _check_skip_rule(monkeypatch, p, ks, n):
     """Brute force over the systems of `ks` at n agents against the whole
-    relabeling group.  `_scan_chunk` runs with no seeds and a pool that
-    certifies nothing (a stubbed `_add_to_pool`), so every system it scans
+    relabeling group.  `_scan_chunk` runs with a pool that certifies
+    nothing (a stubbed `_add_to_pool`), so every system it scans
     needs a point from the (stubbed) `_implementing_point`: it must
     scan them in order, count every system, and scan the least member of
     every class.  So every skipped system has an earlier member of its
@@ -759,17 +795,19 @@ def _check_skip_rule(monkeypatch, p, ks, n):
     count = len(layouts)
 
     def certify_nothing(covers, rows, *args):
-        # One pool lottery that meets no layout stands for every point: a
-        # pool of one lottery per scanned system would cost each run's fold
-        # a byte test per system scanned since its layouts were last read.
+        # One pool lottery stands for every point: a pool of one lottery per
+        # scanned system would cost each run's fold a byte test per system
+        # scanned since its layouts were last read.  Its byte row meets every
+        # layout, as the chunk checks of each new point, but its cover, from
+        # which the chunk certifies, meets none.
         if not covers:
             covers.append(0)
-            rows.append(bytes(-(-count // 8)))
+            rows.append(bytes([255]) * -(-count // 8))
 
     monkeypatch.setattr(feas, "_add_to_pool", certify_nothing)
     monkeypatch.setattr(feas, "_implementing_point", implementing_point)
     # The caps reach only the stubs, which ignore them.
-    outcome = feas._scan_chunk((p, n, ks, [0] * len(ks), 1, 0, count, None, None, ()))
+    outcome = feas._scan_chunk((p, n, ks, [0] * len(ks), 1, 0, count, None, None))
     assert outcome == {"status": "feasible", "checked": math.comb(count + n - 2, n - 1)}
     systems = [[index[order] for order in orders[1:]] for orders in scanned]
     assert all(a < b for a, b in zip(systems, systems[1:]))
@@ -890,17 +928,22 @@ def _check_against_no_witnesses(monkeypatch, corpus, jobs):
 def _check_against_profiles(lam, n, profiles):
     """The scan's verdict, with the library profiles off, against the
     implementation LP at every canonical profile; each profile is tried
-    first against the lotteries found so far, by the exact integer check."""
+    first against the lotteries found so far, by the exact check of
+    `lp._meets` on the rows of `implement_program`, the last one to meet
+    a profile's rows first."""
     import worstvote.feasibility as feas
+    from worstvote.lp import _meets
 
     caps = feas._tail_caps(lam)
     found = []
     brute = True
     for prof in profiles:
-        orders = [pref.order for pref in prof.prefs]
-        if any(feas._implements(x, scale, *caps, orders) for x, scale in found):
+        rows = feas._tail_rows(lam.p, *caps, [pref.order for pref in prof.prefs])
+        hit = next((i for i, (x, scale) in enumerate(found) if _meets(rows, x, scale)), None)
+        if hit is not None:
+            found.insert(0, found.pop(hit))
             continue
-        point = solve(implement_program(lam, prof)).point
+        point = solve(feasibility_program(lam.p, rows)).point
         if point is None:
             brute = False
             break
@@ -925,11 +968,13 @@ def _check_greedy_against_lp(monkeypatch, stride):
     as `_scan_chunk` does with nothing skipped: agent 1 on the canonical
     chain, the others on each sorted tuple of layouts.  With the LP stubbed
     out of `feasibility`, `_implementing_point` returns a greedy point or
-    None.  Each greedy point meets its rows under `lp._meets`, is in lowest
-    terms and has a feasible LP; where the LP is infeasible both fills
-    returned None.  Returns the counts of systems the first fill answered,
-    of those only the second answered, of feasible ones both missed and of
-    infeasible ones."""
+    None.  Each greedy point meets its rows under `lp._meets`, an exact
+    check that proves its LP feasible, and is in lowest terms.  The LP is
+    solved only where both fills returned None, to tell the feasible
+    systems they missed from the infeasible ones, where no fill can answer.
+    Returns the counts of systems the first fill answered, of those only
+    the second answered, of feasible ones both missed and of infeasible
+    ones."""
     import itertools
     from collections import Counter
     from math import gcd
@@ -953,14 +998,12 @@ def _check_greedy_against_lp(monkeypatch, stride):
             fills.clear()
             point, _ = feas._implementing_point(p, ks, caps, cap_den, orders)
             rows = feas._tail_rows(p, ks, caps, cap_den, orders)
-            solved = solve(feasibility_program(p, rows)).point
             if point is None:
                 assert fills == [None, None], (lam.text(), orders)
-                counts["missed" if solved else "infeasible"] += 1
+                counts["missed" if solve(feasibility_program(p, rows)).point else "infeasible"] += 1
                 continue
             x, scale = point
             assert _meets(rows, x, scale) and gcd(scale, *x) == 1, (lam.text(), orders, point)
-            assert solved is not None, (lam.text(), orders)
             assert fills[-1] == point and fills[:-1] in ([], [None]), (lam.text(), orders)
             counts["first" if len(fills) == 1 else "second"] += 1
     return counts
@@ -1150,6 +1193,57 @@ class TestIntegerRows:
             assert covers == [0b111, sum(1 << i for i, spared in enumerate(spares_first) if spared)]
             # The byte copies hold the same bits, one byte for three layouts.
             assert rows == [bytes([cover]) for cover in covers]
+
+
+def _meets_tail_rows(ell, mu, prof):
+    """`lp._meets`, the exact check every implementing point passes, on the
+    tail rows of `mu` at `prof`."""
+    import worstvote.feasibility as feas
+    from worstvote.lp import _meets
+
+    return _meets(feas._tail_rows(*feas._tail_system(mu, prof)), *_scaled(ell))
+
+
+def _implements_by_definition(ell, mu, prof):
+    """Oracle: every agent's rank rearrangement of ell dominates mu."""
+    from worstvote.profiles import OutcomeLottery
+
+    return all(dominates(rank_rearrange(OutcomeLottery(tuple(ell)), pref), mu) for pref in prof.prefs)
+
+
+class TestTailRowCheck:
+    def test_agrees_with_the_implementation_rows(self):
+        from .test_profiles import random_profile
+
+        rng = random.Random(3)
+        verdicts = []
+        for _ in range(600):
+            n, p = rng.randint(1, 4), rng.randint(2, 7)
+            mu, prof = rand_lottery(p, rng), random_profile(n, p, rng)
+            ell = implement_at(mu, prof)
+            if ell is None or rng.random() < 0.5:
+                ell = rand_lottery(p, rng, grain=rng.choice((5, 12, 30))).probs
+            else:
+                # a vertex, moved by a small step from one outcome to another
+                ell = list(ell.mass)
+                src, dst = rng.sample(range(p), 2)
+                step = min(ell[src], F(1, rng.choice((7, 60))))
+                ell[src] -= step
+                ell[dst] += step
+            verdict = _meets_tail_rows(ell, mu, prof)
+            assert verdict == _implements_by_definition(ell, mu, prof), (ell, mu, prof)
+            verdicts.append(verdict)
+        assert 100 < sum(verdicts) < 500
+
+    def test_tail_at_its_cap_passes_and_one_step_over_fails(self):
+        # Only the last agent's worst outcome is binding.  At 1/3 it sits
+        # at its cap; at 2/5 it is over it by 1/15, the smallest step
+        # between fifths and thirds (2 * 3 == 1 * 5 + 1 cross-multiplied).
+        mu, prof = uniform(3), parse_profile("2 3 1 / 1 2 3")
+        at_cap = (F(1, 3), F(1, 3), F(1, 3))
+        over = (F(2, 5), F(1, 5), F(2, 5))
+        assert _meets_tail_rows(at_cap, mu, prof) and _implements_by_definition(at_cap, mu, prof)
+        assert not _meets_tail_rows(over, mu, prof) and not _implements_by_definition(over, mu, prof)
 
 
 class TestBalancedFamilies:

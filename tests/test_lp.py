@@ -287,7 +287,8 @@ class TestVerification:
         # Under -O `assert` statements are stripped; a result that fails its
         # integer check must still raise, and so must an optimum whose dual
         # fails its check, a cut witness whose implementation LP does not
-        # come back infeasible, and a scan seed that misses the canonical chain.
+        # come back infeasible, and a scan's pool lottery that misses its own
+        # system.
         import worstvote
 
         script = """if True:
@@ -315,9 +316,9 @@ class TestVerification:
             lam = parse_lottery("0,0,1/3,1/3,1/3")
             ks, caps, cap_den = feasibility._tail_caps(lam)
             # all mass on outcome 1, the worst outcome of the canonical chain
-            seeds = (([1, 0, 0, 0, 0], 1),)
-            payload = (5, 3, ks, caps, cap_den, 0, feasibility.chain_count(5, ks), None, None, seeds)
-            attempt("seed", lambda: feasibility._scan_chunk(payload))
+            feasibility._implementing_point = lambda *args: (([1, 0, 0, 0, 0], 1), None)
+            payload = (5, 3, ks, caps, cap_den, 0, feasibility.chain_count(5, ks), None, None)
+            attempt("pool", lambda: feasibility._scan_chunk(payload))
             print(sys.flags.optimize, *raised)
         """
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -325,7 +326,7 @@ class TestVerification:
         run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
                              timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "dual", "optimal", "infeasible", "cut", "seed"]
+        assert run.stdout.split() == ["1", "dual", "optimal", "infeasible", "cut", "pool"]
 
 
 class TestValidation:
@@ -1228,11 +1229,11 @@ def test_feasible_points_are_in_lowest_terms():
 # `fraction_lp.LinearProgram` and the result as `LPResult`, except the
 # feasible implementation LPs.  Every implementation LP comes from
 # `feasibility._implementing_point`, which solves one only where its greedy
-# fill misses.  It serves the working-set loop of `maximality.improve`, whose
-# pre-check may answer a profile without it, and the library-profile and scan
-# passes of `feasibility.is_feasible`, which the lotteries found earlier in
-# the call may answer without it.  Only feasible systems are answered without
-# an LP, so the infeasible calls digested are those of solving every system.
+# fill misses.  It serves the working-set loop of `maximality.improve` and
+# the library-profile and scan passes of `feasibility.is_feasible`, whose
+# pool may answer a system without it.  Only feasible systems are answered
+# without an LP, so the infeasible calls digested are those of solving every
+# system.
 # The other LPs `feasibility.solve` is given are those of `_hull_mixture`,
 # all digested.  Each step of the warm master counts as the `solve` of the
 # master rows plus the cuts so far, in the same order.  Any change to a
@@ -1245,7 +1246,10 @@ def test_feasible_points_are_in_lowest_terms():
 # pre-check was added to: 160 feasible LPs in `is_feasible`, 68 in `improve`
 # (28 at this recording, as at the last).  The greedy fill left the digest as
 # it was and cut the feasible calls left out from 58 to 25 in `is_feasible`
-# and from 28 to 4 in `improve`.
+# and from 28 to 4 in `improve`.  Deleting the per-call lottery pools of the
+# library pass and of `improve`, and the scan's seeds, left it as it was too;
+# the feasible calls left out went from 7 to 20 in `is_feasible` and stayed
+# at 2 in `improve`.
 TRAFFIC_DIGEST = "5dd1de0611800928b5205122e4f0904a438e9da79c1b2240eb79d6e2e1351941"
 SKIPPABLE_AT_RECORDING = {"feasibility": 160, "maximality": 68}
 

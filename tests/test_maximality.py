@@ -13,7 +13,6 @@ import worstvote.lp as lp
 import worstvote.maximality as maximality
 from worstvote.feasibility import is_feasible, verified_anchors
 from worstvote.lottery import (
-    RankLottery,
     convex_combination,
     dominates,
     dual,
@@ -31,12 +30,11 @@ from worstvote.maximality import (
     is_maximal,
 )
 from worstvote.lp import _scaled, solve
-from worstvote.profiles import identical_profile, parse_profile, profile, reversal_profile
+from worstvote.profiles import identical_profile, parse_profile, reversal_profile
 
-from .fraction_lp import fraction_program, row
+from .fraction_lp import row
 from .orbits import enumerate_profiles
 from .test_lottery import rand_lottery
-from .test_profiles import random_profile
 
 F = Fraction
 
@@ -123,75 +121,6 @@ class TestImprove:
                 assert improver.probs != lam.probs
                 assert dominates(improver, lam)
                 assert is_feasible(improver, 3).feasible
-
-
-def _meets_rows_exactly(ell, mu, prof):
-    """`Fraction` oracle: ell meets every row of mu's implementation LP."""
-    for con in fraction_program(feasibility.implement_program(mu, prof)).constraints:
-        lhs = sum((c * x for c, x in zip(con.coeffs, ell)), F(0))
-        if not {"<=": lhs <= con.rhs, "=": lhs == con.rhs, ">=": lhs >= con.rhs}[con.rel]:
-            return False
-    return True
-
-
-def _pre_check(ell, mu, prof):
-    return feasibility._implements(*_scaled(ell), *feasibility._tail_caps(mu), [pref.order for pref in prof.prefs])
-
-
-class TestWorkingSetPreCheck:
-    def test_agrees_with_the_implementation_rows(self):
-        rng = random.Random(3)
-        verdicts = []
-        for _ in range(600):
-            n, p = rng.randint(1, 4), rng.randint(2, 7)
-            mu, prof = rand_lottery(p, rng), random_profile(n, p, rng)
-            ell = feasibility.implement_at(mu, prof)
-            if ell is None or rng.random() < 0.5:
-                ell = rand_lottery(p, rng, grain=rng.choice((5, 12, 30))).probs
-            else:
-                # a vertex, moved by a small step from one outcome to another
-                ell = list(ell.mass)
-                src, dst = rng.sample(range(p), 2)
-                step = min(ell[src], F(1, rng.choice((7, 60))))
-                ell[src] -= step
-                ell[dst] += step
-            verdict = _pre_check(ell, mu, prof)
-            assert verdict == _meets_rows_exactly(ell, mu, prof), (ell, mu, prof)
-            verdicts.append(verdict)
-        assert 100 < sum(verdicts) < 500
-
-    def test_tail_at_its_cap_passes_and_one_step_over_fails(self):
-        # Only the last agent's worst outcome is binding.  At 1/3 it sits
-        # at its cap; at 2/5 it is over it by 1/15, the smallest step
-        # between fifths and thirds (2 * 3 == 1 * 5 + 1 cross-multiplied).
-        mu, prof = uniform(3), profile([(2, 3, 1), (1, 2, 3)])
-        at_cap = (F(1, 3), F(1, 3), F(1, 3))
-        over = (F(2, 5), F(1, 5), F(2, 5))
-        assert _pre_check(at_cap, mu, prof) and _meets_rows_exactly(at_cap, mu, prof)
-        assert not _pre_check(over, mu, prof) and not _meets_rows_exactly(over, mu, prof)
-
-    def test_skipped_profiles_are_implementable(self, monkeypatch):
-        real_implements = maximality._implements
-        skipped = []
-
-        def recording(mass, den, ks, caps, cap_den, orders):
-            passed = real_implements(mass, den, ks, caps, cap_den, orders)
-            if passed:
-                # A rank that is not active has the cumulative of the next
-                # active rank, or 1.
-                p = len(mass)
-                cum = [next((F(c, cap_den) for k, c in zip(ks, caps) if k >= r), F(1)) for r in range(1, p + 1)]
-                probs = [b - a for a, b in zip([F(0)] + cum, cum)]
-                skipped.append((RankLottery(tuple(probs)), profile(orders)))
-            return passed
-
-        monkeypatch.setattr(maximality, "_cut_stores", {})
-        monkeypatch.setattr(maximality, "_implements", recording)
-        lam = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
-        assert is_maximal(lam, 3).verdict == "maximal"
-        assert skipped
-        for mu, prof in skipped:
-            assert feasibility.implement_at(mu, prof) is not None
 
 
 def test_proof_checks_survive_optimize():
