@@ -312,6 +312,8 @@ def _verify(args) -> Output:
 def _search_combinations(args) -> Output:
     rng = random.Random(args.seed)
     entries = enumerate_canonical(args.n, args.p)
+    budget = _time_budget()  # one deadline for the whole command
+    deadline = None if budget is None else time.monotonic() + budget
     findings = []
     for _ in range(args.samples):
         count = rng.randint(2, min(3, len(entries)))
@@ -323,7 +325,8 @@ def _search_combinations(args) -> Output:
         if leftover > 0:
             terms.append((leftover, uniform(args.p)))
         lam = convex_combination(terms)
-        rep = is_maximal(lam, args.n, jobs=args.jobs, limit_profiles=args.limit_profiles)
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        rep = is_maximal(lam, args.n, jobs=args.jobs, limit_profiles=args.limit_profiles, time_budget=left)
         findings.append(
             {
                 "mixture": [[str(w), l.text()] for w, l in terms],

@@ -85,6 +85,13 @@ def enumerate_canonical(n: int, p: int) -> list[tuple[tuple[str, ...], RankLotte
     return out
 
 
+def word_protocol(word: tuple[str, ...]) -> str:
+    """The protocol text that plays a word: a veto round per VT, a padded
+    dictator round per RD, and a uniform fallback after a final VT."""
+    text = "; ".join("veto(1)" if letter == VT else "rd(pad)" for letter in word)
+    return f"{text}; uniform" if word[-1] == VT else text
+
+
 def dual_word(word: tuple[str, ...]) -> tuple[str, ...]:
     """Swap every VT with RD; names the dual canonical guarantee."""
     return tuple(RD if letter == VT else VT for letter in word)

@@ -42,10 +42,12 @@ The point the solved program keeps, ints over one scale in lowest terms,
 goes into the pool as it is.
 
 Fast verdicts come first: domination by the uniform lottery or by a mixture
-of already-verified guarantees proves feasibility outright (any lottery
-implementing the dominating guarantee implements `lam`); the two-agent case
-is a closed-form inequality test; cheap covering arguments refute many
-infeasible inputs with an explicit witness profile.
+of anchors proves feasibility outright (any lottery implementing the
+dominating guarantee implements `lam`).  The anchors are the canonical
+guarantees, each proved by evaluating its word's protocol, with no scan
+and no LP (`verified_anchors`).  The two-agent case is a closed-form
+inequality test; cheap covering arguments refute many infeasible inputs
+with an explicit witness profile.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ from .profiles import OutcomeLottery, Preference, Profile, reversal_profile
 FEASIBLE = "feasible"
 UNDECIDED = "undecided"
 
+# The most chain layouts a scan builds; also the most first-stage report
+# aggregates, summed over the words, that `verified_anchors` evaluates.
 _MAX_CHAINS = 200_000
 # Scans of fewer runs (systems sharing all but the last agent's layout,
 # before any is skipped) than this stay one in-process chunk even when
@@ -387,7 +391,7 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
 
 
 def _expired(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() > deadline
+    return deadline is not None and time.monotonic() >= deadline
 
 
 def _chain_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float]) -> Optional[list[tuple[int, ...]]]:
@@ -876,28 +880,44 @@ def _hull_mixture(
     return tuple((w, anchor) for w, anchor in zip(solved.result.primal, anchors) if w > 0)
 
 
-def verified_anchors(n: int, p: int, *, jobs: int = 1) -> tuple[RankLottery, ...]:
-    """The uniform plus every canonical guarantee at (n, p), each verified
-    feasible by direct scan; memoized per context."""
+def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float] = None) -> tuple[RankLottery, ...]:
+    """The uniform plus the canonical guarantees at (n, p), each proved
+    feasible by the protocol of its word (`compose.word_protocol`);
+    memoized per (n, p) once complete.
+
+    Each anchor is what `worst_case_guarantee` evaluates for its word's
+    protocol, not the formula of `canonical_word`, which the tests tie to
+    it.  That evaluation is a proof on its own terms: at any profile, let
+    every agent play the protocol truthfully; each agent then gets at least
+    the evaluated guarantee.  The evaluation takes agent 1's worst case,
+    and the stages fold the reports symmetrically, so agent 1 stands for
+    every agent.  Words use no cover stage, so the cover round's pick of a
+    covering set by label does not arise.
+
+    A word's first stage folds about C(p, n) report aggregates, so the words
+    are evaluated in `enumerate_canonical` order while i * C(p, n) is at
+    most `_MAX_CHAINS`, i counting the words so far.  Measured on a 2-core
+    x86 VM with Python 3.11: without that bound one word at (8,25) took
+    12 s and 400 MB, one at (10,21) 10 s, the 14 words of (7,22) 46 s and
+    the 6 of (9,19) 15 s; within it, all 14 words of (3,10) take 0.02 s and
+    7 of the 14 at (6,19) 2-3 s.  Fewer anchors are still sound.  `deadline` is checked before each word, and a set it
+    stops is returned but not kept, so that a later call without one sees
+    every anchor.  `jobs` is unused; callers that pass it keep working.
+    """
     key = (n, p)
     if key in _anchor_cache:
         return _anchor_cache[key]
-    if not 3 <= n < p:
-        _anchor_cache[key] = (uniform(p),)
-        return _anchor_cache[key]
-    from .compose import enumerate_canonical
-
     anchors = [uniform(p)]
-    for _, lam in enumerate_canonical(n, p):
-        if system_count(lam, n) > 5_000_000:
-            continue  # too costly to certify; a smaller anchor set is still sound
-        report = is_feasible(lam, n, jobs=jobs, use_hull=False)
-        if report.verdict == INFEASIBLE:
-            raise AssertionError(
-                f"canonical guarantee {lam.text()} was refuted at {report.witness_profile}"
-            )
-        if report.verdict == FEASIBLE:
-            anchors.append(lam)
+    if 3 <= n < p:
+        from .compose import enumerate_canonical, word_protocol
+        from .protocols import parse_protocol, worst_case_guarantee
+
+        for i, (word, _) in enumerate(enumerate_canonical(n, p), 1):
+            if i * math.comb(p, n) > _MAX_CHAINS:
+                break
+            if _expired(deadline):
+                return tuple(anchors)
+            anchors.append(worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved)
     _anchor_cache[key] = tuple(anchors)
     return _anchor_cache[key]
 
@@ -920,6 +940,9 @@ def is_feasible(
     count, wall-clock seconds) yield the explicit verdict "undecided",
     never a guess.  `limit_profiles` caps the implementation LPs on library
     profiles plus the tail systems scanned, whatever `jobs` is.
+    `use_hull=False` skips the mixture of anchors, so that every verdict
+    past the closed forms comes from the library profiles or the scan; no
+    caller in the package passes it, and the tests use it to reach the scan.
     """
     started = time.perf_counter()
     if n < 1:
@@ -965,21 +988,16 @@ def is_feasible(
         # The two-agent inequalities are exact, and they just passed.
         return finish(FEASIBLE, "two-agent-exact")
 
-    own_size = system_count(lam, n)
-
-    if use_hull and 3 <= n < p:
-        have_anchors = (n, p) in _anchor_cache
-        if have_anchors or own_size > 50_000:
-            anchors = verified_anchors(n, p, jobs=jobs)
-            mixture = _hull_mixture(lam, anchors)
-            if mixture is not None:
-                return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
+    if use_hull and 3 <= n < p and ((n, p) in _anchor_cache or system_count(lam, n) > 50_000):
+        mixture = _hull_mixture(lam, verified_anchors(n, p, deadline=deadline))
+        if mixture is not None:
+            return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
     ks, caps, cap_den = _tail_caps(lam)
     for prof in hard_profiles(n, p):
         if limit_profiles is not None and checked >= limit_profiles:
             return finish(UNDECIDED, "profile-limit")
-        if deadline is not None and time.monotonic() >= deadline:
+        if _expired(deadline):
             return finish(UNDECIDED, "time-limit")
         orders = [pref.order for pref in prof.prefs]
         checked += 1

@@ -61,6 +61,7 @@ from .feasibility import (
     FEASIBLE,
     UNDECIDED,
     FeasibilityReport,
+    _expired,
     _implementing_point,
     _tail_rows,
     implement_program,
@@ -183,7 +184,7 @@ def improve(
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    for anchor in verified_anchors(n, p, jobs=jobs):
+    for anchor in verified_anchors(n, p, deadline=deadline):
         if anchor.probs != lam.probs and dominates(anchor, lam):
             return anchor, DOMINATED, 0, 0
 
@@ -199,7 +200,7 @@ def improve(
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = solve(LinearProgram(p, master_rows, objective, maximize=True))
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        if deadline is not None and time.monotonic() >= deadline:
+        if _expired(deadline):
             return None, UNDECIDED, iteration - 1, len(working)
         if master.status != OPTIMAL:
             raise AssertionError("master must stay solvable")

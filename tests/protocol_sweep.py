@@ -6,9 +6,12 @@ The sweep's grammar runs at n = 2..4, p = 2..7 (918 cases) and, with four
 adversaries, at (5,6) (45 cases, about 90 s, most of it the brute force
 of the single cover stages).  The premise runs every cover stage at (3,6)
 and (4,5) (82 stages, about 40 s, a third of it enumerating the canonical
-profiles).  `tests/test_protocols.py` runs a slice of each sweep and
-the premise at (3,4), (4,4) and (3,5) with the Tier-1 tests.  This file
-does not match pytest's `test_*.py` pattern, so it runs only when named:
+profiles).  Every canonical word's protocol is evaluated against the
+word's formula at n = 3..6 and p = 15..19 (about 20 s, 5 s of it at
+(6,19)).  `tests/test_protocols.py` runs a slice of each sweep, the
+premise at (3,4), (4,4) and (3,5), and the word protocols at
+3 <= n < p <= 14 with the Tier-1 tests.  This file does not match
+pytest's `test_*.py` pattern, so it runs only when named:
 
     PYTHONPATH=src python -m pytest -q tests/protocol_sweep.py
 """
@@ -23,6 +26,7 @@ from tests.test_protocols import (
     _check_against_oracle,
     _check_cover_premise,
     _check_soundness,
+    _check_word_protocols,
 )
 
 
@@ -39,3 +43,8 @@ def test_achieved_guarantees_are_feasible(text, n, p):
 @pytest.mark.parametrize("text, n, p", _PREMISE_SWEEP, ids=str)
 def test_evaluation_decides_the_cover_premise(text, n, p):
     _check_cover_premise(text, n, p)
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(3, 7) for p in range(15, 20)], ids=str)
+def test_word_protocols_achieve_their_formulas(n, p):
+    _check_word_protocols(n, p)

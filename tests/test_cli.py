@@ -149,6 +149,15 @@ class TestExitCodes:
         assert code == 2
         assert out == "verdict: undecided\nmethod: time-limit\nprofiles checked: 0\n"
 
+    def test_feasible_by_the_protocol_anchors(self, capsys):
+        # The midpoint of VT and RD,VT at (3,10): both anchors are proved
+        # by their protocols, so no scan of VT's 604,800 chains is needed.
+        code, out = run_cli(
+            capsys, "feasible", "--n", "3", "--lottery", "1/14,1/7,1/14,1/7,1/7,1/7,1/7,1/14,0,1/14", "--jobs", "1"
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["verdict: feasible", "method: mixture-dominates"]
+
     def test_maximal_on_infeasible_input_is_usage_error(self, capsys):
         code, _ = run_cli(
             capsys, "maximal", "--n", "3", "--lottery", "0,0,0,0,0,1", "--jobs", "1"
@@ -411,3 +420,17 @@ class TestSearchCombinations:
         assert len(payload["samples"]) == 3
         for sample in payload["samples"]:
             assert sample["verdict"] in ("maximal", "dominated")
+
+    def test_time_budget_covers_every_sample(self, capsys, monkeypatch):
+        # With no time left, every sample ends undecided instead of running
+        # its maximality check unbudgeted.
+        monkeypatch.setattr(feasibility, "_anchor_cache", {})
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        monkeypatch.setenv("WORSTVOTE_TIME_BUDGET", "0")
+        code, out = run_cli(
+            capsys,
+            "search-combinations",
+            "--n", "3", "--p", "6", "--samples", "3", "--seed", "1", "--jobs", "1", "--json",
+        )
+        assert code == 2
+        assert [sample["verdict"] for sample in json.loads(out)["samples"]] == ["undecided"] * 3

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from worstvote.compose import canonical_word, enumerate_canonical
+from worstvote.compose import enumerate_canonical
 from worstvote.feasibility import (
     active_ranks,
     balanced_family,
@@ -243,25 +243,52 @@ class TestIsFeasible:
             13,
         )
 
-    def test_anchors_skip_guarantees_past_five_million_systems(self, monkeypatch):
-        # At (4,9) only VT,VT (8,436 systems) is scanned; the other five
-        # canonical guarantees are skipped unscanned.
+    @pytest.mark.parametrize("n, p", [(4, 9), (3, 10)], ids=str)
+    def test_anchors_are_proved_by_protocols_without_a_scan(self, monkeypatch, n, p):
+        # Every canonical guarantee, each far past what the old 5,000,000
+        # system cap let the anchors scan, with no scan, LP or engine call.
         import worstvote.feasibility as feas
+        import worstvote.lp as lp
 
-        vtvt = canonical_word("VT,VT", 4, 9)
-        skipped = [lam for _, lam in enumerate_canonical(4, 9) if lam != vtvt]
-        assert len(skipped) == 5 and min(system_count(lam, 4) for lam in skipped) > 5_000_000
-        scanned = []
-
-        def only_vtvt(lam, n, **kwargs):
-            assert lam == vtvt, f"scanned {lam.text()}"
-            scanned.append(lam)
-            return is_feasible(lam, n, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the anchors ran the engine")
 
         monkeypatch.setattr(feas, "_anchor_cache", {})
-        monkeypatch.setattr(feas, "is_feasible", only_vtvt)
-        assert feas.verified_anchors(4, 9) == (uniform(9), vtvt)
-        assert scanned == [vtvt]
+        for module, name in ((feas, "_scan"), (feas, "is_feasible"), (feas, "solve"), (lp, "solve")):
+            monkeypatch.setattr(module, name, forbidden)
+        canonical = [lam for _, lam in enumerate_canonical(n, p)]
+        assert len(canonical) == {(4, 9): 6, (3, 10): 14}[(n, p)]
+        assert feas.verified_anchors(n, p) == (uniform(p), *canonical)
+
+    def test_anchors_past_the_bound_are_the_uniform_alone(self, monkeypatch):
+        # C(25, 8) = 1,081,575 aggregates exceed `_MAX_CHAINS` at the first
+        # word, so no word is evaluated.
+        import worstvote.feasibility as feas
+        import worstvote.protocols as protocols
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a word was evaluated")
+
+        monkeypatch.setattr(feas, "_anchor_cache", {})
+        monkeypatch.setattr(protocols, "worst_case_guarantee", forbidden)
+        assert feas.verified_anchors(8, 25) == (uniform(25),)
+
+    def test_anchors_stopped_by_the_deadline_are_not_kept(self, monkeypatch):
+        import worstvote.feasibility as feas
+
+        calls = []
+
+        def expired(deadline):
+            calls.append(deadline)
+            return len(calls) == 3
+
+        monkeypatch.setattr(feas, "_anchor_cache", {})
+        monkeypatch.setattr(feas, "_expired", expired)
+        canonical = [lam for _, lam in enumerate_canonical(3, 7)]
+        assert feas.verified_anchors(3, 7, deadline=0.0) == (uniform(7), *canonical[:2])
+        assert (3, 7) not in feas._anchor_cache
+        assert feas.verified_anchors(3, 7) == (uniform(7), *canonical)
+        assert feas._anchor_cache[(3, 7)] == (uniform(7), *canonical)
 
     def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
         import worstvote.feasibility as feas
@@ -400,7 +427,8 @@ class TestLayoutMemo:
         import worstvote.feasibility as feas
 
         # The clock stands still until the layouts start to build, then
-        # moves one second at each reading.
+        # moves one second at each reading; the build stops at the first
+        # reading that reaches the deadline.
         clock = {"now": 0, "moving": False}
 
         def monotonic():
@@ -423,7 +451,7 @@ class TestLayoutMemo:
         lam = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 420 chain layouts
         report = is_feasible(lam, 3, jobs=jobs, use_hull=False, time_budget=50)
         assert (report.verdict, report.method) == ("undecided", "time-limit")
-        assert 50 < clock["now"] < 100
+        assert clock["now"] == 50
         assert feas._layout_memo == {} and InlinePool.made == []
 
     def test_deadline_at_each_check_of_the_build(self, monkeypatch):

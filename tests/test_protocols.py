@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import worstvote.protocols as protocols
-from worstvote.compose import canonical_word, vt_compose
+from worstvote.compose import canonical_word, enumerate_canonical, parse_word, vt_compose, word_protocol
 from worstvote.lottery import RankLottery, dominates, parse_lottery, rd, uniform, vt
 from worstvote.feasibility import is_feasible
 from worstvote.profiles import OutcomeLottery, Preference, identical_profile, identity_preference, rank_rearrange
@@ -561,11 +561,27 @@ def test_evaluation_decides_the_cover_premise(text, n, p):
     _check_cover_premise(text, n, p)
 
 
-def _word_protocol(word):
-    stages = ["veto(1)" if letter == "VT" else "rd(pad)" for letter in word.split(",")]
-    if word.endswith("VT"):
-        stages.append("uniform")
-    return "; ".join(stages)
+def _check_word_protocols(n, p):
+    """Every canonical word's protocol at (n, p) achieves exactly the
+    word's formula, `canonical_word`."""
+    for word, lam in enumerate_canonical(n, p):
+        assert worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved == lam, word
+
+
+def test_word_protocol_texts():
+    assert word_protocol(("VT",)) == "veto(1); uniform"
+    assert word_protocol(("RD",)) == "rd(pad)"
+    assert word_protocol(("RD", "VT")) == "rd(pad); veto(1); uniform"
+    assert word_protocol(("VT", "RD")) == "veto(1); rd(pad)"
+
+
+@pytest.mark.parametrize("p", range(4, 15))
+def test_every_word_protocol_achieves_its_formula(p):
+    # `verified_anchors` takes these evaluations, not the formula, as its
+    # anchors; this ties the two together at 3 <= n < p <= 14, and
+    # `tests/protocol_sweep.py` goes on to p = 19 at n = 3..6.
+    for n in range(3, p):
+        _check_word_protocols(n, p)
 
 
 @pytest.mark.parametrize(
@@ -584,7 +600,7 @@ def test_word_protocols_reach_past_the_scan(word, n, p):
     # survivor sets took 60.6 s and 0.52 s for the last two.  Over survivor
     # counts each takes well under a second, and CI's --durations report
     # shows a regression.
-    spec = parse_protocol(_word_protocol(word), n, p)
+    spec = parse_protocol(word_protocol(parse_word(word)), n, p)
     assert worst_case_guarantee(spec, n, p).achieved == canonical_word(word, n, p)
 
 
@@ -597,7 +613,7 @@ def test_memo_holds_one_state_per_stage_and_survivor_count(monkeypatch):
 
     monkeypatch.setattr(protocols, "functools", types.SimpleNamespace(cache=recording_cache))
     for word, n, p in (("VT,RD,VT", 5, 16), ("RD,RD,RD", 4, 13), ("RD,VT", 3, 8)):
-        spec = parse_protocol(_word_protocol(word), n, p)
+        spec = parse_protocol(word_protocol(parse_word(word)), n, p)
         worst_case_guarantee(spec, n, p)
         assert 0 < memos[-1].cache_info().currsize <= len(spec.stages) * (p + 1)
 
@@ -733,7 +749,7 @@ _PINNED = list(
         + [(text, n, p) for n, p in ((3, 7), (3, 8)) for text in _SIMPLE + _COMPOSED]
         + [(text, n, p) for n, p in ((4, 7), (4, 8)) for text in _SIMPLE]
         + [
-            (_word_protocol(",".join(word)), n, p)
+            (word_protocol(word), n, p)
             for depth, sizes in ((2, ((2, 5), (3, 8), (4, 8), (3, 9), (4, 9))), (3, ((2, 6), (3, 10))))
             for n, p in sizes
             for word in itertools.product(("VT", "RD"), repeat=depth)
