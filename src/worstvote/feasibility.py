@@ -900,9 +900,10 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
     x86 VM with Python 3.11: without that bound one word at (8,25) took
     12 s and 400 MB, one at (10,21) 10 s, the 14 words of (7,22) 46 s and
     the 6 of (9,19) 15 s; within it, all 14 words of (3,10) take 0.02 s and
-    7 of the 14 at (6,19) 2-3 s.  Fewer anchors are still sound.  `deadline` is checked before each word, and a set it
-    stops is returned but not kept, so that a later call without one sees
-    every anchor.  `jobs` is unused; callers that pass it keep working.
+    7 of the 14 at (6,19) 2-3 s.  Fewer anchors are still sound.
+    `deadline` is checked before each word, and a set it stops is returned
+    but not kept, so that a later call without one sees every anchor.
+    `jobs` is unused; callers that pass it keep working.
     """
     key = (n, p)
     if key in _anchor_cache:

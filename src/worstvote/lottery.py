@@ -167,8 +167,11 @@ def dual(lam: RankLottery) -> RankLottery:
 
     The uniform lottery, the only one with ``p*M = 1``, is its own dual.
     The one-veto-round and random-dictator guarantees swap,
-    ``dual(vt(n, p)) == rd(n, p)``, and the map preserves feasibility and
-    maximality of guarantees.
+    ``dual(vt(n, p)) == rd(n, p)``.  That the map preserves feasibility and
+    maximality of guarantees is observed, not proved: 400 random lotteries
+    each at (3,5), (3,6), (4,6) and (3,7) got the same feasibility verdict
+    as their duals, and the duals of 40 maximal points each at (3,6) and
+    (3,7) were maximal.  No verdict relies on it.
     """
     p, low, top = lam.p, lam.min_coordinate(), lam.max_coordinate()
     if p * top == 1:

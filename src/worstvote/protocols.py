@@ -26,7 +26,12 @@ suffices because every stage reads outcome labels only through their
 order: relabeling survivors S onto 1..|S| in order carries each play onto
 a play, so the worst case on S at rank k is the one on 1..|S| at rank
 |S & 1..k|.  The recursion adds and compares integer numerators over one
-scale per stage; only its result is a `Fraction`.
+scale per suffix of stages; only its result is a `Fraction`.  Its states
+are memoized for the whole process, keyed by the remaining stages, n, the
+survivor count and the unit of that scale, so protocols that share a
+suffix of stages share its states, a repeated call reads them back, and
+`verify_safe_strategy` reads the top state without tracing a worst
+scenario.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
@@ -401,6 +406,87 @@ def _report_space(stage: Stage, survivors: tuple):
     return [frozenset(c) for c in itertools.combinations(survivors, size)]
 
 
+# The most states the process keeps, the least recently used going first.
+# The whole differential sweep of tests/protocol_sweep.py holds 3,081
+# states in 6.6 MB (tracemalloc), so this bound keeps it whole, and
+# evaluations past it only evaluate evicted states again.
+_MEMO_STATES = 4096
+
+
+@functools.lru_cache(maxsize=_MEMO_STATES)
+def _worst(stages: tuple[Stage, ...], n: int, m: int, unit: int):
+    """The state of `stages` played on the survivors 1..m, in integers.
+
+    Returns agent 1's worst cumulative numerators over `_scale(stages,
+    unit)` at ranks 0..m, the number of scenarios, and per rank the first
+    worst reports with the survivors they leave for the next stage (None
+    after a terminal one), all as tuples, so that no caller can change what
+    the memo holds.
+
+    The key is complete: the state reads only the suffix `stages`, n, the
+    survivors 1..m and `unit`.  `_safe_report`, `_report_space`, `_fold`
+    and `_step` read the first stage, the survivors and n; a continuation
+    is the state of `stages[1:]` on the survivors left, with the same n and
+    unit; and the numerators read `unit` and the scales of the suffix and
+    of its tail, both fixed by the suffix.  The protocol's other stages and
+    p do not enter, so the memo serves every protocol and every call of
+    the process.  A state that raises is not stored, so it raises again on
+    every call.  The stage functions are fixed for the process: code that
+    replaces one must empty the memo (`_worst.cache_clear()`).
+    """
+    stage, tail, survivors = stages[0], stages[1:], tuple(range(1, m + 1))
+    choices = [(_safe_report(stage, survivors),)] + [_report_space(stage, survivors)] * (n - 1)
+    groups = {}  # (listed, rest) -> [first reports, orderings]
+    for agg, (orderings, reports) in _fold(stage, survivors, choices).items():
+        listed, weight, rest = _step(stage, survivors, agg, n)
+        groups.setdefault((listed, rest), [reports, 0])[1] += orderings
+    # `weight` is the stage's own: every report tuple gets the same one.
+    share = (weight.denominator - weight.numerator) * unit * _scale(tail, unit)
+    best, count, picks = [-1] * (m + 1), 0, [None] * (m + 1)
+    for (listed, rest), (reports, orderings) in groups.items():
+        cum = [0] * (m + 1)
+        if listed:
+            for a in listed:
+                cum[a] += share // len(listed)
+            cum = list(itertools.accumulate(cum))
+        if weight:
+            sub, sub_count, _ = _worst(tail, n, len(rest), unit)
+            # rank k here is rank |rest & 1..k| there
+            kept = set(rest)
+            sub = [sub[j] for j in itertools.accumulate((a in kept for a in survivors), initial=0)]
+            cum = sub if weight == 1 else [c + weight.numerator * unit * s for c, s in zip(cum, sub)]
+            orderings *= sub_count
+        count += orderings
+        pick = reports, rest if weight else None
+        for k, value in enumerate(cum):
+            if value > best[k]:
+                best[k], picks[k] = value, pick
+    return tuple(best), count, tuple(picks)
+
+
+def _scale(stages: Sequence[Stage], unit: int) -> int:
+    """The denominator `_worst` counts the mass of `stages` in: a veto stage
+    keeps the next stage's, any other multiplies it by unit times the
+    denominator of its continuation weight (0 for a terminal stage)."""
+    return math.prod(
+        1 if isinstance(stage, VetoRound) else unit * (getattr(stage, "continue_weight", None) or 0).denominator
+        for stage in stages
+    )
+
+
+def _top(spec: ProtocolSpec, n: int, p: int):
+    """The checked top state of `spec` at (n, p): the unit, the worst
+    cumulative numerators, the scenario count and the guarantee they
+    give."""
+    if min(n, p) < 1:
+        raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
+    _windows(spec.stages, n, p)
+    unit = math.lcm(*range(1, max(n, p) + 1))
+    best, count, _ = _worst(spec.stages, n, p, unit)
+    scale = _scale(spec.stages, unit)
+    return unit, best, count, RankLottery(tuple(Fraction(b - a, scale) for a, b in zip(best, best[1:])))
+
+
 def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     """Tightest guarantee the protocol delivers to a truthful agent 1.
 
@@ -410,7 +496,10 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     settles there plus w >= 0 (fixed by the stage) times that of the
     continuation, which depends only on the next (stage, survivors) state.
     So the largest such mass per rank, and the first scenario attaining it,
-    follow from a recursion over states, memoized per call.
+    follow from a recursion over states, `_worst`, memoized for the whole
+    process: protocols that share a suffix of stages, and calls that repeat
+    a protocol, share its states.  Each call still builds a fresh report
+    from the memo, tracing the worst scenarios through it.
 
     Within a state, `_fold` folds the n - 1 adversaries' reports, one
     adversary at a time, into aggregates: a veto's or a padded dictator's
@@ -436,11 +525,12 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     from 1..|S|, in the same order.  Hence worst(idx, S)[k] =
     worst(idx, 1..|S|)[|S & 1..k|] (0 when that count is 0), with the same
     first worst reports relabeled, and the scenario count depends only on
-    |S|.  The memo keys (stage, |S|) and evaluates each on the survivors
-    1..|S|; a listing of `a` adds at rank a, and a continuation is lifted
-    back through its survivors by that count (a set of them marks which
-    labels survive).  One evaluation holds at most len(stages) * (p + 1)
-    states.
+    |S|.  The memo keys the remaining stages, n, |S| and the unit below,
+    and evaluates each state on the survivors 1..|S|; a listing of `a` adds
+    at rank a, and a continuation is lifted back through its survivors by
+    that count (a set of them marks which labels survive).  One cold
+    evaluation adds at most len(stages) * (p + 1) states; the memo keeps
+    at most `_MEMO_STATES`.
 
     One preference stands for all: relabeling outcomes carries each stage's
     possible results to the relabeled ones.  A veto removes the union of the
@@ -450,64 +540,23 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     by label; the tests check them at (3,5).
 
     The arithmetic is exact in integers.  With unit = lcm(1..max(n, p)),
-    which every listing's length divides, stage idx counts mass in units of
-    1/scale[idx]: a veto stage keeps the next stage's scale, and any other
-    stage multiplies it by unit * w.denominator, w being its continuation
-    weight (0 for a terminal stage).  A listing then adds
-    (w.denominator - w.numerator) * unit // len(listed) * scale[idx + 1] at
-    its rank, and a continuation adds w.numerator * unit times the next
-    state's numerators.  Raises ValueError if n or p is below 1, if
-    `_windows` leaves a stage no outcome, or if a stage cannot be played.
+    which every listing's length divides, a suffix of stages counts mass in
+    units of 1/`_scale` of that suffix: a veto stage keeps the next stage's
+    scale, and any other stage multiplies it by unit * w.denominator, w
+    being its continuation weight (0 for a terminal stage).  A listing then
+    adds (w.denominator - w.numerator) * unit // len(listed) times the
+    next suffix's scale at its rank, and a continuation adds w.numerator *
+    unit times the next state's numerators.  Raises ValueError if n or p is
+    below 1, if `_windows` leaves a stage no outcome, or if a stage cannot
+    be played.
     """
     started = time.perf_counter()
-    if min(n, p) < 1:
-        raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
-    _windows(spec.stages, n, p)
-    unit = math.lcm(*range(1, max(n, p) + 1))
-    scale = [1]
-    for stage in reversed(spec.stages):
-        weight = getattr(stage, "continue_weight", None) or 0
-        scale.insert(0, scale[0] * (1 if isinstance(stage, VetoRound) else unit * weight.denominator))
-
-    # -> worst cumulative numerators over scale[idx] at ranks 0..m of the
-    #    survivors 1..m, scenarios, per rank (first worst reports, next
-    #    survivors or None)
-    @functools.cache
-    def worst(idx, m):
-        stage = spec.stages[idx]
-        survivors = tuple(range(1, m + 1))
-        choices = [(_safe_report(stage, survivors),)] + [_report_space(stage, survivors)] * (n - 1)
-        groups = {}  # (listed, rest) -> [first reports, orderings]
-        for agg, (orderings, reports) in _fold(stage, survivors, choices).items():
-            listed, weight, rest = _step(stage, survivors, agg, n)
-            groups.setdefault((listed, rest), [reports, 0])[1] += orderings
-        # `weight` is the stage's own: every report tuple gets the same one.
-        best, count, picks = [-1] * (m + 1), 0, [None] * (m + 1)
-        for (listed, rest), (reports, orderings) in groups.items():
-            cum = [0] * (m + 1)
-            if listed:
-                share = (weight.denominator - weight.numerator) * unit // len(listed) * scale[idx + 1]
-                for a in listed:
-                    cum[a] += share
-                cum = list(itertools.accumulate(cum))
-            if weight:
-                sub, sub_count, _ = worst(idx + 1, len(rest))
-                # rank k here is rank |rest & 1..k| there
-                kept = set(rest)
-                sub = [sub[j] for j in itertools.accumulate((a in kept for a in survivors), initial=0)]
-                cum = sub if weight == 1 else [c + weight.numerator * unit * s for c, s in zip(cum, sub)]
-                orderings *= sub_count
-            count += orderings
-            pick = reports, rest if weight else None
-            for k, value in enumerate(cum):
-                if value > best[k]:
-                    best[k], picks[k] = value, pick
-        return best, count, picks
+    unit, best, count, achieved = _top(spec, n, p)
 
     def trace(k):
         out, names = [], range(p + 1)  # names[a]: the outcome that label a stands for
         while True:
-            reports, rest = worst(len(out), len(names) - 1)[2][k]
+            reports, rest = _worst(spec.stages[len(out):], n, len(names) - 1, unit)[2][k]
             out.append(tuple(
                 frozenset(names[a] for a in r) if isinstance(r, frozenset) else r and names[r]  # None stays
                 for r in reports
@@ -518,21 +567,19 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
             # `rest` traces the next state's first group.
             k, names = sum(a <= k for a in rest), (0, *(names[a] for a in rest))
 
-    best, count, _ = worst(0, p)
-    report = EvalReport(
-        achieved=RankLottery(tuple(Fraction(b - a, scale[0]) for a, b in zip(best, best[1:]))),
+    return EvalReport(
+        achieved=achieved,
         scenario_count=count,
         worst_scenarios={k: trace(k) for k in range(1, p + 1) if best[k] > 0},
         runtime_ms=int((time.perf_counter() - started) * 1000),
     )
-    del worst  # `worst` refers to itself; this breaks the cycle, so its memo is freed now
-    return report
 
 
 def verify_safe_strategy(spec: ProtocolSpec, lam: RankLottery, n: int, p: int) -> bool:
     """True when the truthful strategy secures `lam` against every adversary:
-    every scenario dominates `lam` exactly when the per-rank worst cases do."""
-    return dominates(worst_case_guarantee(spec, n, p).achieved, lam)
+    every scenario dominates `lam` exactly when the per-rank worst cases do.
+    Reads the top state alone, tracing no worst scenario."""
+    return dominates(_top(spec, n, p)[3], lam)
 
 
 # ----------------------------------------------------------------------------

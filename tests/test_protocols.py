@@ -34,6 +34,17 @@ from .orbits import enumerate_profiles
 F = Fraction
 
 
+@pytest.fixture
+def cold_memo():
+    """An empty evaluation memo, emptied again afterwards.  The memo lives
+    for the whole process, so a test that patches what the recursion calls
+    would otherwise read states computed without the patch, and leave
+    states computed under it to the tests after it."""
+    protocols._worst.cache_clear()
+    yield
+    protocols._worst.cache_clear()
+
+
 class TestParsing:
     def test_round_trips(self):
         spec = parse_protocol("veto(1); uniform", 3, 6)
@@ -257,21 +268,25 @@ class TestWorstCase:
         outer_achieved = worst_case_guarantee(outer, 3, 7).achieved
         assert dominates(outer_achieved, vt_compose(inner_achieved, 3))
 
-    def test_padding_order_irrelevant_for_guarantee(self, monkeypatch):
+    def test_padding_order_irrelevant_for_guarantee(self, monkeypatch, cold_memo):
         spec = parse_protocol("rd(pad)", 3, 6)
         baseline = worst_case_guarantee(spec, 3, 6).achieved
 
         original = protocols._pad_set
+        calls = []
 
         def reversed_pad(chosen, survivors, target):
+            calls.append(target)
             return original(chosen, list(reversed(survivors)), target)
 
         monkeypatch.setattr(protocols, "_pad_set", reversed_pad)
+        protocols._worst.cache_clear()  # else the baseline's states answer
         assert worst_case_guarantee(spec, 3, 6).achieved == baseline
+        assert calls
 
-    def test_evaluation_leaves_its_memo_to_reference_counting(self):
-        # The recursion's memo is freed when the call returns, not by a later
-        # cycle collection.
+    def test_evaluation_makes_no_reference_cycles(self):
+        # The memo lives for the process; an evaluation leaves nothing for a
+        # later cycle collection.
         spec = parse_protocol("veto(1); veto(1); uniform", 3, 8)
         gc.collect()
         gc.disable()
@@ -604,18 +619,94 @@ def test_word_protocols_reach_past_the_scan(word, n, p):
     assert worst_case_guarantee(spec, n, p).achieved == canonical_word(word, n, p)
 
 
-def test_memo_holds_one_state_per_stage_and_survivor_count(monkeypatch):
-    memos = []
-
-    def recording_cache(fn):
-        memos.append(functools.cache(fn))
-        return memos[-1]
-
-    monkeypatch.setattr(protocols, "functools", types.SimpleNamespace(cache=recording_cache))
+def test_cold_evaluation_adds_at_most_one_state_per_stage_and_survivor_count(cold_memo):
     for word, n, p in (("VT,RD,VT", 5, 16), ("RD,RD,RD", 4, 13), ("RD,VT", 3, 8)):
+        protocols._worst.cache_clear()
         spec = parse_protocol(word_protocol(parse_word(word)), n, p)
         worst_case_guarantee(spec, n, p)
-        assert 0 < memos[-1].cache_info().currsize <= len(spec.stages) * (p + 1)
+        assert 0 < protocols._worst.cache_info().currsize <= len(spec.stages) * (p + 1)
+
+
+def _memo_corpus():
+    """Every canonical word's protocol at 3 <= n < p <= 10, which share
+    suffixes of stages, and the named covers at (3,5) and (4,7)."""
+    corpus = [
+        (parse_protocol(word_protocol(word), n, p), n, p)
+        for p in range(4, 11)
+        for n in range(3, p)
+        for word, _ in enumerate_canonical(n, p)
+    ]
+    modes = ("top-pair", "bottom-pair", "block")
+    return corpus + [(cover_protocol(n, p, mode), n, p) for n, p in ((3, 5), (4, 7)) for mode in modes]
+
+
+def _report_fields(spec, n, p):
+    report = worst_case_guarantee(spec, n, p)
+    return report.achieved, report.scenario_count, report.worst_scenarios
+
+
+def test_warm_and_cold_memos_give_equal_reports(cold_memo):
+    # In enumeration order a protocol meets the states of the ones before
+    # it; in reverse order, from a cleared memo, those of the ones after.
+    corpus = _memo_corpus()
+    forward = [_report_fields(*case) for case in corpus]
+    protocols._worst.cache_clear()
+    backward = [_report_fields(*case) for case in reversed(corpus)]
+    assert forward == backward[::-1]
+
+
+def test_a_memo_that_evicts_gives_equal_reports(monkeypatch):
+    # The traces read states again after the recursion; with room for two,
+    # most of them were evicted and are evaluated anew.
+    corpus = [case for case in _memo_corpus() if case[2] <= 7]
+    expected = [_report_fields(*case) for case in corpus]
+    monkeypatch.setattr(protocols, "_worst", functools.lru_cache(maxsize=2)(protocols._worst.__wrapped__))
+    assert [_report_fields(*case) for case in corpus] == expected
+    assert protocols._worst.cache_info().misses > protocols._worst.cache_info().currsize
+
+
+def test_verification_agrees_with_the_evaluated_guarantee(cold_memo):
+    # Each protocol is verified once from a cleared memo, then against
+    # claims around its guarantee from a warm one.
+    rng = random.Random(31)
+    verdicts = set()
+    for spec, n, p in _memo_corpus():
+        protocols._worst.cache_clear()
+        cold = verify_safe_strategy(spec, rd(n, p), n, p)
+        achieved = worst_case_guarantee(spec, n, p).achieved
+        assert cold == dominates(achieved, rd(n, p))
+        for _ in range(4):
+            weights = [rng.randint(1, 9) for _ in range(p)]
+            noise = [F(w, sum(weights)) for w in weights]
+            t = F(rng.randint(1, 20), 100)
+            lam = RankLottery(tuple((1 - t) * a + t * b for a, b in zip(achieved.probs, noise)))
+            verdict = verify_safe_strategy(spec, lam, n, p)
+            assert verdict == dominates(achieved, lam), (spec.text(), n, p, lam.text())
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_reports_do_not_share_the_memo():
+    spec = parse_protocol("veto(1); rd(pad)", 3, 7)
+    first = worst_case_guarantee(spec, 3, 7)
+    kept = dict(first.worst_scenarios)
+    first.worst_scenarios.clear()
+    first.worst_scenarios[1] = ()
+    second = worst_case_guarantee(spec, 3, 7)
+    assert second.worst_scenarios == kept and second.achieved == first.achieved
+
+
+@pytest.mark.parametrize("text, n, p", [("cover(1,2,top)", 3, 5), ("veto(1); cover(1,1,top)", 3, 8)])
+def test_errors_are_never_memoized(text, n, p, cold_memo):
+    # A stage that cannot be played raises on every call, and neither its
+    # state nor any state that continues into it enters the memo.
+    spec = parse_protocol(text, n, p)
+    for _ in range(2):
+        with pytest.raises(CoverNotFoundError):
+            worst_case_guarantee(spec, n, p)
+        with pytest.raises(CoverNotFoundError):
+            verify_safe_strategy(spec, uniform(p), n, p)
+        assert protocols._worst.cache_info().currsize == 0
 
 
 def _reference_step(stage, survivors, reports, n):
@@ -724,7 +815,7 @@ def test_fold_matches_the_enumeration_of_report_tuples(stage):
         assert [(agg, first) for agg, (_, first) in folds.items()] == list(firsts.items()), (m, n)
 
 
-def test_step_runs_once_per_aggregate(monkeypatch):
+def test_step_runs_once_per_aggregate(monkeypatch, cold_memo):
     # The (4,7) top-pair cover: 7,770 multisets of three adversaries' 3-sets
     # reach 2,575 aggregates, and each aggregate is settled once.
     calls = []
