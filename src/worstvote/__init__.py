@@ -42,6 +42,7 @@ from .feasibility import (
     implement_at,
     is_feasible,
     necessary_cuts,
+    system_count,
 )
 from .maximality import (
     MaximalityReport,

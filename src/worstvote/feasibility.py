@@ -41,13 +41,13 @@ also builds, solved by `lp.solve` as the hull LP of `_hull_mixture` is.
 The point the solved program keeps, ints over one scale in lowest terms,
 goes into the pool as it is.
 
-Fast verdicts come first: domination by the uniform lottery or by a mixture
-of anchors proves feasibility outright (any lottery implementing the
-dominating guarantee implements `lam`).  The anchors are the canonical
-guarantees, each proved by evaluating its word's protocol, with no scan
-and no LP (`verified_anchors`).  The two-agent case is a closed-form
-inequality test; cheap covering arguments refute many infeasible inputs
-with an explicit witness profile.
+Fast verdicts come first: domination by the uniform lottery or, at
+3 <= n < p, by a mixture of anchors proves feasibility outright (any
+lottery implementing the dominating guarantee implements `lam`).  The
+anchors are the canonical guarantees, proved by their words' protocols
+with no scan or LP; their memo changes no report (`verified_anchors`).
+The two-agent case is a closed-form inequality test; cheap covering
+arguments refute many infeasible inputs with an explicit witness profile.
 """
 
 from __future__ import annotations
@@ -905,9 +905,8 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
     but not kept, so that a later call without one sees every anchor.
     `jobs` is unused; callers that pass it keep working.
     """
-    key = (n, p)
-    if key in _anchor_cache:
-        return _anchor_cache[key]
+    if (n, p) in _anchor_cache:
+        return _anchor_cache[n, p]
     anchors = [uniform(p)]
     if 3 <= n < p:
         from .compose import enumerate_canonical, word_protocol
@@ -919,8 +918,8 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
             if _expired(deadline):
                 return tuple(anchors)
             anchors.append(worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved)
-    _anchor_cache[key] = tuple(anchors)
-    return _anchor_cache[key]
+    _anchor_cache[n, p] = tuple(anchors)
+    return _anchor_cache[n, p]
 
 
 def is_feasible(
@@ -941,9 +940,9 @@ def is_feasible(
     count, wall-clock seconds) yield the explicit verdict "undecided",
     never a guess.  `limit_profiles` caps the implementation LPs on library
     profiles plus the tail systems scanned, whatever `jobs` is.
-    `use_hull=False` skips the mixture of anchors, so that every verdict
-    past the closed forms comes from the library profiles or the scan; no
-    caller in the package passes it, and the tests use it to reach the scan.
+    The mixture of anchors is tried on every input at 3 <= n < p that no cut
+    refutes; `use_hull=False` skips it, so that the benchmark's `scan`
+    workload and the tests reach the library profiles and the scan.
     """
     started = time.perf_counter()
     if n < 1:
@@ -989,7 +988,7 @@ def is_feasible(
         # The two-agent inequalities are exact, and they just passed.
         return finish(FEASIBLE, "two-agent-exact")
 
-    if use_hull and 3 <= n < p and ((n, p) in _anchor_cache or system_count(lam, n) > 50_000):
+    if use_hull and 3 <= n < p:
         mixture = _hull_mixture(lam, verified_anchors(n, p, deadline=deadline))
         if mixture is not None:
             return finish(FEASIBLE, "mixture-dominates", mixture=mixture)

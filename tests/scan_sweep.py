@@ -88,12 +88,11 @@ def test_large_scan_count_is_pinned(word, n, p, checked):
 
 
 @pytest.mark.parametrize("n, p, least", [(3, 10, 9), (4, 9, 4)], ids=str)
-def test_scans_agree_with_the_protocol_anchors(monkeypatch, n, p, least):
+def test_scans_agree_with_the_protocol_anchors(n, p, least):
     # Every canonical word the scan decides within 20 s is feasible and is
     # one of the anchors its protocol proves.  Measured at jobs=1: 9 of 14
     # words at (3,10), the other 5 refused at once by `_MAX_CHAINS`, and 4
     # of 6 at (4,9), the slowest in 4.5 s; `VT` and `RD,RD` run out of time.
-    monkeypatch.setattr(feas, "_anchor_cache", {})
     anchors = feas.verified_anchors(n, p)
     decided = 0
     for word, lam in enumerate_canonical(n, p):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from worstvote import cli, feasibility, maximality
+from worstvote import cli, maximality
 from worstvote.cli import main
 from worstvote.lottery import parse_lottery
 from worstvote.suites import SUITES, Check, SuiteResult
@@ -45,10 +45,9 @@ def replay(case, cache_dir):
 def test_output_matches_golden(case, tmp_path, monkeypatch):
     for name in ("WORSTVOTE_JOBS", "WORSTVOTE_CACHE", "WORSTVOTE_LIMIT_PROFILES", "WORSTVOTE_TIME_BUDGET"):
         monkeypatch.delenv(name, raising=False)
-    # A fresh `worstvote` process starts with no verified anchors and no
-    # stored cuts, which the pinned `iterations` and working-set sizes of
-    # the `maximal` cases depend on.
-    monkeypatch.setattr(feasibility, "_anchor_cache", {})
+    # A fresh `worstvote` process starts with no stored cuts, which the
+    # pinned `iterations` and working-set sizes of the `maximal` cases
+    # depend on.
     monkeypatch.setattr(maximality, "_cut_stores", {})
     assert replay(case, tmp_path) == (case["exit"], case["stdout"])
 
@@ -424,7 +423,6 @@ class TestSearchCombinations:
     def test_time_budget_covers_every_sample(self, capsys, monkeypatch):
         # With no time left, every sample ends undecided instead of running
         # its maximality check unbudgeted.
-        monkeypatch.setattr(feasibility, "_anchor_cache", {})
         monkeypatch.setattr(maximality, "_cut_stores", {})
         monkeypatch.setenv("WORSTVOTE_TIME_BUDGET", "0")
         code, out = run_cli(

@@ -300,6 +300,27 @@ class TestIsFeasible:
         assert is_feasible(lam, 3, use_hull=False).method == "scan"
         assert is_feasible(lam, 3).feasible
 
+    def test_reports_do_not_depend_on_the_anchor_memo(self, monkeypatch):
+        # The route is chosen by the input alone: every report, with no
+        # limit and with a limit of 3, is the same whether the anchors'
+        # memo was emptied before the call or warmed, apart from its runtime.
+        import worstvote.feasibility as feas
+
+        moved, methods = [], set()
+        for lam, n in _memo_corpus():
+            for limit in (None, 3):
+                monkeypatch.setattr(feas, "_anchor_cache", {})
+                cold = is_feasible(lam, n, limit_profiles=limit)
+                feas.verified_anchors(n, lam.p)
+                warm = is_feasible(lam, n, limit_profiles=limit)
+                if replace(cold, runtime_ms=0) != replace(warm, runtime_ms=0):
+                    moved.append((lam.text(), n, limit, cold.method, warm.method))
+                methods.add((cold.verdict, cold.method.split(":")[0]))
+        assert not moved, moved
+        assert {("feasible", "uniform-dominates"), ("feasible", "mixture-dominates"), ("feasible", "scan"),
+                ("infeasible", "cut"), ("infeasible", "library-profile"), ("infeasible", "scan"),
+                ("undecided", "profile-limit")} <= methods
+
     def test_parallel_scan_matches_serial(self, monkeypatch):
         # Forced onto the process pool, a scan visits the same systems in
         # the same order as the serial one: the same verdict, count and
@@ -700,6 +721,26 @@ def report_corpus():
         (parse_lottery("1/4,1/4,0,0,1/4,1/4,0"), 3, 17 + 100),
     ]
     return corpus
+
+
+def _memo_corpus():
+    """(lam, n) inputs of the test that reports do not depend on the anchors'
+    memo: at each of (3,5), (3,6), (3,7), (4,6) and (4,7), the canonical
+    guarantees and the seeded random lotteries, dense and on 2 to 4 ranks,
+    whose scan would visit at most 100,000 systems; then the two inputs of
+    `report_corpus` that the scan refutes past the library and one that the
+    scan proves feasible."""
+    rng = random.Random(32)
+    corpus = []
+    for n, p in ((3, 5), (3, 6), (3, 7), (4, 6), (4, 7)):
+        corpus += [(lam, n) for _, lam in enumerate_canonical(n, p)]
+        for _ in range(12):
+            for lam in (rand_lottery(p, rng, grain=rng.choice((4, 6, 10))), sparse_lottery(p, rng)):
+                if system_count(lam, n) <= 100_000:
+                    corpus.append((lam, n))
+    texts = ("21/100,37/200,43/200,39/200,39/200", "36/175,22/175,3/35,36/175,3/35,29/175,22/175",
+             "1/4,1/4,0,0,1/4,1/4,0")
+    return corpus + [(parse_lottery(text), 3) for text in texts]
 
 
 def _report_facts(report):

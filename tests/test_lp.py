@@ -1249,8 +1249,13 @@ def test_feasible_points_are_in_lowest_terms():
 # and from 28 to 4 in `improve`.  Deleting the per-call lottery pools of the
 # library pass and of `improve`, and the scan's seeds, left it as it was too;
 # the feasible calls left out went from 7 to 20 in `is_feasible` and stayed
-# at 2 in `improve`.
-TRAFFIC_DIGEST = "5dd1de0611800928b5205122e4f0904a438e9da79c1b2240eb79d6e2e1351941"
+# at 2 in `improve`.  Re-recorded with 75 digested calls when `is_feasible`
+# began to try the mixture of anchors on every input at 3 <= n < p, whatever
+# the anchors held before: the feasibility check of the first `is_maximal`
+# call is now `mixture-dominates`, one hull LP, where it was `scan` with no
+# LP digested.  The feasible calls left out read 10 in `is_feasible` and 2 in
+# `improve`, before and after.
+TRAFFIC_DIGEST = "76520fa3c3092ddd4a897a88e78f154ca43001483050e7b52f6779a8125984c8"
 SKIPPABLE_AT_RECORDING = {"feasibility": 160, "maximality": 68}
 
 
@@ -1262,10 +1267,9 @@ def test_lp_traffic_is_unchanged(monkeypatch):
     from worstvote.compose import canonical_word
     from worstvote.lottery import convex_combination, parse_lottery, rd, uniform, vt
 
-    # Start every engine cache empty, so that the calls made do not depend
-    # on which tests ran before.
-    for module, name in ((feasibility, "_anchor_cache"), (maximality, "_cut_stores")):
-        monkeypatch.setattr(module, name, {})
+    # Start with no stored cuts, so that the calls made do not depend on
+    # which tests ran before.
+    monkeypatch.setattr(maximality, "_cut_stores", {})
     digest = hashlib.sha256()
     calls = []
 
@@ -1345,7 +1349,7 @@ def test_lp_traffic_is_unchanged(monkeypatch):
         assert (report.verdict, report.method) == ("feasible", "scan")
     assert "infeasible" in calls and "optimal" in calls
     assert digest.hexdigest() == TRAFFIC_DIGEST, (len(calls), digest.hexdigest())
-    assert len(calls) == 74
+    assert len(calls) == 75
     for module, skippable in SKIPPABLE_AT_RECORDING.items():
         assert len(left_out[module]) < skippable, module
 
@@ -1359,8 +1363,7 @@ def test_every_tableau_is_built_inside_solve(monkeypatch):
     from worstvote import lp as lp_module
     from worstvote.lottery import parse_lottery, rd, vt
 
-    for module, name in ((feasibility, "_anchor_cache"), (maximality, "_cut_stores")):
-        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(maximality, "_cut_stores", {})
     owners = []  # the module of each `solve` call that runs, innermost last
     step = ["none"]  # the engine step that runs
     built = Counter()

@@ -203,16 +203,14 @@ class TestIsMaximal:
 
     def test_witness_cache_keeps_no_duplicates(self, monkeypatch):
         # Each cut row joins the store for (3, 5) once, and each profile is
-        # held once; a second cold call finds them there instead of adding
+        # held once; a second call finds them there instead of adding
         # them again.
-        import worstvote.feasibility as feas
         import worstvote.maximality as maximality
 
         monkeypatch.setattr(maximality, "_cut_stores", {})
         lam = parse_lottery("37/120,11/60,1/10,4/15,17/120")
         sizes = []
         for _ in range(2):
-            monkeypatch.setattr(feas, "_anchor_cache", {})
             assert is_maximal(lam, 3).verdict == "dominated"
             store = maximality._cut_stores[(3, 5)]
             entries = list(store.cuts.values())
