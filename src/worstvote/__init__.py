@@ -47,7 +47,6 @@ from .feasibility import (
 from .maximality import (
     MaximalityReport,
     forcing_profile,
-    improve,
     is_maximal,
 )
 from .protocols import (

@@ -159,6 +159,8 @@ def _feasible_text(payload: dict) -> list[str]:
     lines = [f"verdict: {payload['verdict']}", f"method: {payload['method']}"]
     if payload["witness_profile"] is not None:
         lines.append(f"witness profile: {payload['witness_profile']}")
+    if payload["mixture"] is not None:
+        lines.append("mixture: " + " + ".join(f"{w} * ({lam})" for w, lam in payload["mixture"]))
     lines.append(f"profiles checked: {payload['profiles_checked']}")
     return lines
 

@@ -326,8 +326,6 @@ def _balanced_family_double(n: int) -> BalancedFamily:
 class ViolatedCut:
     kind: str
     k: int
-    required: Fraction
-    actual: Fraction
     witness: Profile
 
 
@@ -353,10 +351,7 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
             front = cum[k - 1]
             back = 1 - cum[p - k - 1]
             if front < back:
-                return CutResult(
-                    ViolatedCut("two-agent", k, back, front, reversal_profile(2, p)),
-                    tuple(applied),
-                )
+                return CutResult(ViolatedCut("two-agent", k, reversal_profile(2, p)), tuple(applied))
 
     for k in range(1, p):
         m = -(-p // k)
@@ -365,10 +360,7 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
             if m * cum[k - 1] < 1:
                 witness = tiling_profile(n, p, k)
                 assert witness is not None
-                return CutResult(
-                    ViolatedCut("cover", k, Fraction(1, m), cum[k - 1], witness),
-                    tuple(applied),
-                )
+                return CutResult(ViolatedCut("cover", k, witness), tuple(applied))
 
     if balanced_range(n, p):
         for k in range(2, p - 1):
@@ -377,10 +369,7 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
                 fam = balanced_family(p, min(k, p - k), n)
                 assert fam is not None
                 witness = block_profile(n, p, fam.sets, top=k > p // 2)
-                return CutResult(
-                    ViolatedCut("balanced", k, Fraction(k, p), cum[k - 1], witness),
-                    tuple(applied),
-                )
+                return CutResult(ViolatedCut("balanced", k, witness), tuple(applied))
 
     return CutResult(None, tuple(applied))
 

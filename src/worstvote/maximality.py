@@ -1,7 +1,11 @@
 """Deciding whether a feasible guarantee can be improved.
 
-A guarantee is maximal when no other feasible guarantee dominates it.  The
-decision runs a cutting-plane loop: a small master LP proposes a candidate
+A guarantee is maximal when no other feasible guarantee dominates it, so the
+word means something only inside `F(n, p)`.  `is_maximal` is the one entry
+point, and it proves its input feasible before anything else; an infeasible
+input is a ValueError, never a verdict.  It then answers n = 2 in closed
+form and tries the verified anchors as strict dominators.  What is left
+runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
 cuts from profiles that refuted earlier candidates.  The master is solved
 once by `lp.solve`, and the solved program is then re-optimized after each
@@ -46,7 +50,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
-from .lottery import RankLottery, ZERO, dominates
+from .lottery import RankLottery, ZERO, convex_combination, dominates
 from .lp import (
     GE,
     LE,
@@ -60,7 +64,6 @@ from .lp import (
 from .feasibility import (
     FEASIBLE,
     UNDECIDED,
-    FeasibilityReport,
     _expired,
     _implementing_point,
     _tail_rows,
@@ -73,7 +76,7 @@ from .profiles import Profile
 
 MAXIMAL = "maximal"
 DOMINATED = "dominated"
-_MAX_ITERATIONS = 400  # cutting-plane rounds before `improve` reports undecided
+_MAX_ITERATIONS = 400  # cutting-plane rounds before `is_maximal` reports undecided
 
 
 class _CutStore:
@@ -124,7 +127,6 @@ class MaximalityReport:
     witnesses: Optional[dict[int, Profile]] = None
     iterations: int = 0
     profiles_in_working_set: int = 0
-    feasibility: Optional[FeasibilityReport] = None
     runtime_ms: int = 0
 
 
@@ -151,42 +153,67 @@ def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: i
     return (*_reduce([*coeffs, tau], tau), GE)
 
 
-def improve(
+def is_maximal(
     lam: RankLottery,
     n: int,
     *,
     jobs: int = 1,
+    witnesses: bool = False,
     limit_profiles: Optional[int] = None,
     time_budget: Optional[float] = None,
-) -> tuple[Optional[RankLottery], str, int, int]:
-    """Search for a feasible guarantee strictly dominating `lam`.
+) -> MaximalityReport:
+    """Decide whether `lam` is maximal in `F(n, p)`, with optional per-rank
+    forcing profiles on a maximal verdict.
 
-    Returns (improver or None, status, iterations, working set size) where
-    status is "dominated", "maximal", or "undecided".  The caller must have
-    established that `lam` itself is feasible.
+    Four steps, in order: `lam` is proved feasible (ValueError when it is
+    refuted); at n = 2 it is maximal exactly when it equals its reflection,
+    and otherwise the midpoint of the two improves it; a verified anchor
+    that strictly dominates it improves it; the cutting-plane loop decides
+    the rest.  `time_budget` covers all four, each step getting what the
+    steps before it leave.
 
-    Each candidate is first tested against the cuts stored for `(n, p)`,
-    in store order; the first one it violates joins the master, and the
-    next iteration starts.  A candidate that meets every stored cut is
-    tested by `_implementing_point` at the working profiles, newest first:
-    the store's profiles and `hard_profiles(n, p)`, plus each witness of
-    this call.  Every cut found, at a working profile or from the engine's
-    witness, joins the store.
-
-    Each cut is added to one warm master.  Where the master's optimum is not
-    unique, its next candidate can differ from that of a master solved from
-    scratch, and so can later candidates, the improver and the iteration
-    count.  So can the cuts stored by earlier calls at the same `(n, p)`.
-    The verdicts maximal and dominated cannot: both are proved, maximal by
-    the master's dual over cuts that all hold on `F(n, p)`, dominated by
-    the feasibility engine.
+    Each candidate of the loop is first tested against the cuts stored for
+    `(n, p)`, in store order; the first one it violates joins the master.
+    A candidate that meets every stored cut is tested by
+    `_implementing_point` at the working profiles, newest first: the
+    store's profiles and `hard_profiles(n, p)`, plus each witness of this
+    call.  Every cut found joins the store.  Each cut is added to one warm
+    master, so where its optimum is not unique, the candidates, the
+    improver and the iteration count can differ from those of a master
+    solved from scratch, and can depend on earlier calls at the same
+    `(n, p)`.  The verdicts cannot: maximal is proved by the master's dual
+    over cuts that all hold on `F(n, p)`, dominated by the feasibility
+    engine.
     """
+    started = time.perf_counter()
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    iterations = 0
+    working: list[Profile] = []
+
+    def finish(verdict: str, improver: Optional[RankLottery] = None) -> MaximalityReport:
+        found = None
+        if witnesses and verdict == MAXIMAL:
+            found = {k: prof for k in range(1, p) if (prof := forcing_profile(lam, n, k)) is not None}
+        return MaximalityReport(
+            verdict, n, p, improver, found, iterations, len(working), int((time.perf_counter() - started) * 1000)
+        )
+
+    feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
+    if feas.verdict == UNDECIDED:
+        return finish(UNDECIDED)
+    if feas.verdict != FEASIBLE:
+        raise ValueError(f"not a feasible guarantee: {lam.text()}")
+
+    if n == 2:
+        reflected = lam.reflect()
+        if reflected.probs == lam.probs:
+            return finish(MAXIMAL)
+        return finish(DOMINATED, convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), reflected)]))
 
     for anchor in verified_anchors(n, p, deadline=deadline):
         if anchor.probs != lam.probs and dominates(anchor, lam):
-            return anchor, DOMINATED, 0, 0
+            return finish(DOMINATED, anchor)
 
     working = _known_profiles(n, p)
     store = _cut_stores.setdefault((n, p), _CutStore())
@@ -199,9 +226,10 @@ def improve(
     master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = solve(LinearProgram(p, master_rows, objective, maximize=True))
-    for iteration in range(1, _MAX_ITERATIONS + 1):
+    while iterations < _MAX_ITERATIONS:
         if _expired(deadline):
-            return None, UNDECIDED, iteration - 1, len(working)
+            return finish(UNDECIDED)
+        iterations += 1
         if master.status != OPTIMAL:
             raise AssertionError("master must stay solvable")
         # The candidate mu is ``x / scale``, its cumulatives ``caps / scale``.
@@ -212,7 +240,7 @@ def improve(
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
             master.certify()
-            return None, MAXIMAL, iteration, len(working)
+            return finish(MAXIMAL)
         stored = store.violated(x, scale)
         if stored is not None:
             master.add(stored)
@@ -239,9 +267,9 @@ def improve(
             mu, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=remaining
         )
         if report.verdict == FEASIBLE:
-            return mu, DOMINATED, iteration, len(working)
+            return finish(DOMINATED, mu)
         if report.verdict == UNDECIDED:
-            return None, UNDECIDED, iteration, len(working)
+            return finish(UNDECIDED)
         witness = report.witness_profile
         assert witness is not None and report.witness_certificate is not None
         working.append(witness)
@@ -251,48 +279,7 @@ def improve(
         store.add(cut, witness)
         master.add(cut)
 
-    return None, UNDECIDED, _MAX_ITERATIONS, len(working)
-
-
-def is_maximal(
-    lam: RankLottery,
-    n: int,
-    *,
-    jobs: int = 1,
-    witnesses: bool = False,
-    limit_profiles: Optional[int] = None,
-    time_budget: Optional[float] = None,
-) -> MaximalityReport:
-    """Full maximality decision with optional per-rank forcing profiles.
-
-    `time_budget` covers the feasibility check and the cutting-plane loop
-    together: the loop gets what the check leaves of it."""
-    started = time.perf_counter()
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
-    if feas.verdict not in (FEASIBLE, UNDECIDED):
-        raise ValueError(f"not a feasible guarantee: {lam.text()}")
-    improver, status, iterations, working_size, found = None, UNDECIDED, 0, 0, None
-    if feas.verdict == FEASIBLE and n == 2:
-        reflected = lam.reflect()
-        status = MAXIMAL
-        if reflected.probs != lam.probs:
-            half = Fraction(1, 2)
-            improver = RankLottery(tuple(half * a + half * b for a, b in zip(lam.probs, reflected.probs)))
-            status = DOMINATED
-    elif feas.verdict == FEASIBLE:
-        improver, status, iterations, working_size = improve(
-            lam,
-            n,
-            jobs=jobs,
-            limit_profiles=limit_profiles,
-            time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        )
-    if witnesses and status == MAXIMAL:
-        found = {k: prof for k in range(1, lam.p) if (prof := forcing_profile(lam, n, k)) is not None}
-    return MaximalityReport(
-        status, n, lam.p, improver, found, iterations, working_size, feas, int((time.perf_counter() - started) * 1000)
-    )
+    return finish(UNDECIDED)
 
 
 def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]:

@@ -24,6 +24,7 @@ from worstvote.lottery import (
     lottery,
     parse_lottery,
     rd,
+    sorted_dot,
     uniform,
     vt,
 )
@@ -1384,10 +1385,12 @@ class TestCardinalFalsifier:
         assert cardinal_falsifier(uniform(6), 3, 3000, seed=0) is None
 
     def test_top_mass_flagged_quickly(self):
-        violation = cardinal_falsifier(lottery([0, 0, 0, 0, 0, 1]), 2, 500, seed=0)
+        lam = lottery([0, 0, 0, 0, 0, 1])
+        violation = cardinal_falsifier(lam, 2, 500, seed=0)
         assert violation is not None
-        for u in violation.utilities:
-            assert sum(u) == sum(F(0) for _ in u) or True
+        # The value is the agents' guaranteed utilities summed; the columns
+        # sum to zero, so no implementing lottery could give that much.
+        assert violation.value == sum((sorted_dot(lam, u) for u in violation.utilities), F(0))
         columns = [sum(u[a] for u in violation.utilities) for a in range(6)]
         assert all(c == 0 for c in columns)
         assert violation.value > 0

@@ -566,7 +566,7 @@ class TestIntegerTableau:
 
 
 def master_program(lam):
-    """The master LP of `maximality.improve` for `lam`, before any cut."""
+    """The master LP of `maximality.is_maximal` for `lam`, before any cut."""
     from worstvote.feasibility import _tail_rows
 
     p = lam.p
@@ -738,7 +738,7 @@ class TestWarmMaster:
             master.certify()
 
 
-# Master programs (built in `maximality.improve`), cut programs
+# Master programs (built in `maximality.is_maximal`), cut programs
 # (`feasibility.implement_program`) and tail-system programs
 # (`feasibility._scan_chunk`) met while deciding maximality and
 # feasibility at (3,5) and (3,6), each with the result of the `Fraction`
@@ -1229,7 +1229,7 @@ def test_feasible_points_are_in_lowest_terms():
 # `fraction_lp.LinearProgram` and the result as `LPResult`, except the
 # feasible implementation LPs.  Every implementation LP comes from
 # `feasibility._implementing_point`, which solves one only where its greedy
-# fill misses.  It serves the working-set loop of `maximality.improve` and
+# fill misses.  It serves the working-set loop of `maximality.is_maximal` and
 # the library-profile and scan passes of `feasibility.is_feasible`, whose
 # pool may answer a system without it.  Only feasible systems are answered
 # without an LP, so the infeasible calls digested are those of solving every
@@ -1242,9 +1242,9 @@ def test_feasible_points_are_in_lowest_terms():
 # began to test each candidate against the cuts stored for its (n, p) before
 # any working-set LP: a later query at a size that an earlier one has seen
 # adds a stored cut its candidate violates without an LP, so that traffic
-# changed on purpose.  The left-out counts are those of the first solver each
-# pre-check was added to: 160 feasible LPs in `is_feasible`, 68 in `improve`
-# (28 at this recording, as at the last).  The greedy fill left the digest as
+# changed on purpose.  The left-out bounds were then the counts of the first
+# solver each pre-check was added to: 160 feasible LPs in `is_feasible`, 68
+# in `improve` (28 at this recording, as at the last).  The greedy fill left the digest as
 # it was and cut the feasible calls left out from 58 to 25 in `is_feasible`
 # and from 28 to 4 in `improve`.  Deleting the per-call lottery pools of the
 # library pass and of `improve`, and the scan's seeds, left it as it was too;
@@ -1254,9 +1254,12 @@ def test_feasible_points_are_in_lowest_terms():
 # the anchors held before: the feasibility check of the first `is_maximal`
 # call is now `mixture-dominates`, one hull LP, where it was `scan` with no
 # LP digested.  The feasible calls left out read 10 in `is_feasible` and 2 in
-# `improve`, before and after.
+# `improve`, before and after.  Folding `improve` into `is_maximal` left the
+# digest and both counts as they were.  Each bound below is the count left
+# out at the last recording plus one, so a change that leaves out more
+# feasible LPs than it did has to be re-measured here.
 TRAFFIC_DIGEST = "76520fa3c3092ddd4a897a88e78f154ca43001483050e7b52f6779a8125984c8"
-SKIPPABLE_AT_RECORDING = {"feasibility": 160, "maximality": 68}
+SKIPPABLE_AT_RECORDING = {"feasibility": 11, "maximality": 3}
 
 
 def test_lp_traffic_is_unchanged(monkeypatch):

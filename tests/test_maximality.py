@@ -26,7 +26,6 @@ from worstvote.lottery import (
 from worstvote.maximality import (
     forcing_profile,
     forcing_value,
-    improve,
     is_maximal,
 )
 from worstvote.lp import _scaled, solve
@@ -43,29 +42,30 @@ RIGHT_SHOWCASE = parse_profile("1 4 5 6 2 3 / 2 5 6 4 3 1 / 3 6 4 5 1 2")
 
 
 class TestImprove:
+    """The search for a feasible guarantee strictly dominating the input."""
+
     def test_named_guarantees_cannot_improve(self):
         for lam in (uniform(6), vt(3, 6), rd(3, 6)):
-            improver, status, _, _ = improve(lam, 3)
-            assert improver is None
-            assert status == "maximal"
+            report = is_maximal(lam, 3)
+            assert report.improver is None
+            assert report.verdict == "maximal"
 
     def test_single_veto_improved(self):
-        improver, status, _, _ = improve(lottery([0, 1, 0, 0, 0, 0]), 3)
-        assert status == "dominated"
-        assert dominates(improver, lottery([0, 1, 0, 0, 0, 0]))
-        assert is_feasible(improver, 3).feasible
+        report = is_maximal(lottery([0, 1, 0, 0, 0, 0]), 3)
+        assert report.verdict == "dominated"
+        assert dominates(report.improver, lottery([0, 1, 0, 0, 0, 0]))
+        assert is_feasible(report.improver, 3).feasible
 
     def test_half_mix_improved_by_uniform(self):
         mix = parse_lottery("1/6,1/3,1/6,1/6,0,1/6")
-        improver, status, _, _ = improve(mix, 3)
-        assert status == "dominated"
+        assert is_maximal(mix, 3).verdict == "dominated"
         assert dominates(uniform(6), mix)
 
     def test_iteration_cap_gives_undecided(self, monkeypatch):
         monkeypatch.setattr(maximality, "_MAX_ITERATIONS", 0)
-        improver, status, _, _ = improve(parse_lottery("1/3,0,0,1/3,1/3,0,0"), 3)
-        assert improver is None
-        assert status == "undecided"
+        report = is_maximal(parse_lottery("1/3,0,0,1/3,1/3,0,0"), 3)
+        assert report.improver is None
+        assert (report.verdict, report.iterations) == ("undecided", 0)
 
     def test_time_budget_gives_undecided(self):
         report = is_maximal(vt(3, 6), 3, time_budget=0.0)
@@ -116,11 +116,11 @@ class TestImprove:
             if not is_feasible(lam, 3).feasible:
                 continue
             checked += 1
-            improver, status, _, _ = improve(lam, 3)
-            if status == "dominated":
-                assert improver.probs != lam.probs
-                assert dominates(improver, lam)
-                assert is_feasible(improver, 3).feasible
+            report = is_maximal(lam, 3)
+            if report.verdict == "dominated":
+                assert report.improver.probs != lam.probs
+                assert dominates(report.improver, lam)
+                assert is_feasible(report.improver, 3).feasible
 
 
 def test_proof_checks_survive_optimize():
@@ -130,7 +130,7 @@ def test_proof_checks_survive_optimize():
         import sys
         from fractions import Fraction as F
         from types import SimpleNamespace
-        from worstvote import lp, maximality
+        from worstvote import feasibility, lp, maximality
         from worstvote.lottery import parse_lottery
         raised = []
 
@@ -142,11 +142,14 @@ def test_proof_checks_survive_optimize():
 
         attempt("inactive", lambda: maximality._cover_cut((), (F(-1), F(1)), 3))
         attempt("direction", lambda: maximality._cover_cut((1,), (F(0), F(1)), 3))
+        # At (3,3) the uniform is the only anchor, and it does not dominate
+        # this input, so the call reaches the master.
         lam = parse_lottery("0,1,0")
+        maximality.is_feasible = lambda lam, n, **kwargs: feasibility.FeasibilityReport("feasible", n, lam.p)
         maximality.solve = lambda program: SimpleNamespace(status=lp.INFEASIBLE)
-        attempt("master", lambda: maximality.improve(lam, 2))
+        attempt("master", lambda: maximality.is_maximal(lam, 3))
         maximality.solve = lambda program: SimpleNamespace(status=lp.OPTIMAL, point=([1, 0, 0], 1))
-        attempt("slack", lambda: maximality.improve(lam, 2))
+        attempt("slack", lambda: maximality.is_maximal(lam, 3))
         print(sys.flags.optimize, *raised)
     """
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -171,8 +174,16 @@ class TestIsMaximal:
             assert is_maximal(uniform(p), n).verdict == "maximal"
 
     def test_rejects_infeasible_input(self):
-        with pytest.raises(ValueError):
-            is_maximal(lottery([0, 0, 0, 0, 0, 1]), 3)
+        # Maximality is defined inside F(n, p) only, and `is_maximal` is the
+        # one public route to a verdict: it refutes each of these before any
+        # step that could answer "maximal".
+        import worstvote
+
+        assert not hasattr(worstvote, "improve") and not hasattr(maximality, "improve")
+        for text in ("0,0,0,0,0,1", "0,0,0,1/2,0,1/2", "0,0,1,0,0,0"):
+            assert is_feasible(parse_lottery(text), 3).verdict == "infeasible"
+            with pytest.raises(ValueError):
+                is_maximal(parse_lottery(text), 3)
 
     def test_two_agent_agreement_with_symmetry(self):
         rng = random.Random(1)
@@ -367,8 +378,7 @@ class TestAgainstMonolithicMaster:
                 continue
             tested += 1
             slack = self.literal_master_slack(lam, n, profiles)
-            _, status, _, _ = improve(lam, n)
-            assert (slack == 0) == (status == "maximal")
+            assert (slack == 0) == (is_maximal(lam, n).verdict == "maximal")
 
 
 class TestForcingProfiles:
