@@ -182,6 +182,7 @@ def _maximal(args) -> Output:
         "witnesses": {str(k): prof.text() for k, prof in (rep.witnesses or {}).items()} or None,
         "iterations": rep.iterations,
         "profiles_in_working_set": rep.profiles_in_working_set,
+        "method": rep.method,
         "runtime_ms": rep.runtime_ms,
     }
     return payload, _maximal_text(payload)

@@ -16,9 +16,11 @@ hard part.  Three reductions keep it tractable:
   proof is in `_scan_chunk`).
 * Most systems are certified by an implementing lottery found earlier in
   the scan.  Each pool lottery keeps the bitmask of the chain layouts
-  whose tail caps it meets (an exact integer check, made once per lottery
-  and distinct tail), and each layout a bitmask of the pool lotteries that
-  meet it, brought up to date only when a run reads that layout.  A
+  whose tail caps it meets (exact integer tail sums, made once per
+  lottery by ANDs and ORs of the holding masks over its support: per
+  active rank and outcome, the layouts whose tail holds it), and each
+  layout a bitmask of the pool lotteries that meet it, brought up to date
+  only when a run reads that layout.  A
   system is certified exactly when the AND of its layouts' masks is
   nonzero.  The other systems get a point from `_implementing_point`: two
   greedy fills in integers, and an LP only where both run out of room.
@@ -28,8 +30,8 @@ The active ranks and their caps (`_tail_caps`) are computed once per call
 and serve the library profiles, tested before the scan, and every scan
 chunk.  Each chunk's pool starts empty.  Only feasible LPs are skipped,
 so the first refuting profile or system, its certificate and the count
-checked are those of solving every LP.  The chain layouts and tail
-groups are built once per (p, active ranks), with the tables of the
+checked are those of solving every LP.  The chain layouts and their
+holding masks are built once per (p, active ranks), with the tables of the
 relabelings that skip systems, and kept for later calls, and for the
 process pool's forked workers, up to `_MAX_CHAINS` entries in all; the
 deadline is checked while they build.
@@ -98,9 +100,9 @@ _MAX_CHAINS = 200_000
 _POOL_SWITCH = 20_000_000
 
 UtilityVector = tuple[Fraction, ...]
-# Per active rank, each distinct tail (0-based outcomes) with the bitmask of
-# the chain layouts whose tail it is.
-TailGroups = tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+# Per active rank, per outcome (0-based), the bitmask of the chain layouts
+# whose tail at that rank holds the outcome.
+Holding = tuple[tuple[int, ...], ...]
 
 
 # ----------------------------------------------------------------------------
@@ -443,17 +445,17 @@ def system_count(lam: RankLottery, n: int) -> int:
 # Per layout, the witnesses that fix it and those that map it lower; per
 # witness, the bitmask of the layouts it maps lower (see `_witness_tables`).
 Witnesses = tuple[Sequence[int], Sequence[int], tuple[int, ...]]
-Layouts = tuple[tuple[tuple[int, ...], ...], TailGroups, Witnesses]
+Layouts = tuple[tuple[tuple[int, ...], ...], Holding, Witnesses]
 # Complete builds of `_scan_layouts` by key, least recently used first.
 _layout_memo: dict[tuple[int, tuple[int, ...]], Layouts] = {}
 
 
 def _witness_tables(
-    p: int, ks: tuple[int, ...], groups: TailGroups, count: int, deadline: Optional[float]
+    p: int, ks: tuple[int, ...], holding: Holding, count: int, deadline: Optional[float]
 ) -> Optional[Witnesses]:
-    """The relabelings `_scan_chunk` uses to skip systems, read off the tail
-    groups of the `count` layouts, or None when `deadline` passes first;
-    three empty tables when there are none.
+    """The relabelings `_scan_chunk` uses to skip systems, read off the
+    holding masks of the `count` layouts, or None when `deadline` passes
+    first; three empty tables when there are none.
 
     Witness b is the transposition of the outcomes a and a + 1 that is the
     b-th pair of adjacent labels inside one block of agent 1's canonical
@@ -472,15 +474,6 @@ def _witness_tables(
     pairs = [a for lo, hi in bounds for a in range(lo + 1, hi)]
     if not pairs:
         return (), (), ()
-    holding = []  # per active rank, per outcome (0-based), the layouts whose tail holds it
-    for tails in groups:
-        masks = [0] * p
-        for tail, members in tails:
-            if _expired(deadline):
-                return None
-            for x in tail:
-                masks[x] |= members
-        holding.append(masks)
     everyone = (1 << count) - 1
     fixes, lowers_at, lowered = [0] * count, [0] * count, []
     for b, a in enumerate(pairs):  # outcomes a and a + 1 are a - 1 and a, 0-based
@@ -499,7 +492,7 @@ def _witness_tables(
 
 
 def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None) -> Optional[Layouts]:
-    """The chain layouts of `ks` over `p` outcomes, their tail groups and
+    """The chain layouts of `ks` over `p` outcomes, their holding masks and
     their witness tables, shared, unchanged, by every scan of that key; None
     when `deadline` passes during the build.
 
@@ -515,25 +508,24 @@ def _scan_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float] = None)
         layouts = _chain_layouts(p, ks, deadline)
         if layouts is None:
             return None
-        groups = []
-        for k in ks:
-            members: dict[frozenset[int], list[int]] = {}
-            for i, layout in enumerate(layouts):
-                members.setdefault(frozenset(layout[:k]), []).append(i)
-            tails = []
-            for tail, idx in members.items():
+        count = len(layouts)
+        holding = []
+        masks = [0] * p  # per outcome, the layouts whose tail at the rank before holds it
+        columns = zip(*layouts)  # per position, the outcome each layout puts there
+        for lo, k in zip((0, *ks), ks):
+            # Summing 1 << i over the layouts would be quadratic in them.
+            bits = [bytearray(count // 8 + 1) for _ in range(p + 1)]  # by outcome label
+            for column in itertools.islice(columns, k - lo):
                 if _expired(deadline):
                     return None
-                # Summing 1 << i over the layouts would be quadratic in them.
-                bits = bytearray(idx[-1] // 8 + 1)
-                for i in idx:
-                    bits[i >> 3] |= 1 << (i & 7)
-                tails.append((tuple(a - 1 for a in tail), int.from_bytes(bits, "little")))
-            groups.append(tuple(tails))
-        witnesses = _witness_tables(p, ks, groups, len(layouts), deadline)
+                for i, a in enumerate(column):
+                    bits[a][i >> 3] |= 1 << (i & 7)
+            masks = [mask | int.from_bytes(new, "little") for mask, new in zip(masks, bits[1:])]
+            holding.append(tuple(masks))
+        witnesses = _witness_tables(p, ks, holding, count, deadline)
         if witnesses is None:
             return None
-        built = tuple(layouts), tuple(groups), witnesses
+        built = tuple(layouts), tuple(holding), witnesses
     held = _entries(built)
     for old in reversed(list(_layout_memo)):
         held += _entries(_layout_memo[old])
@@ -555,7 +547,7 @@ def _add_to_pool(
     scale: int,
     caps: Sequence[int],
     cap_den: int,
-    groups: TailGroups,
+    holding: Holding,
     count: int,
 ) -> None:
     """Make the lottery ``mass / scale`` pool lottery b = len(covers):
@@ -566,18 +558,31 @@ def _add_to_pool(
 
     Exact: a tail's mass ``t / scale`` is at most its cap ``c / cap_den``
     exactly when the integer ``t`` is at most ``c * scale / cap_den``
-    rounded down, and a layout meets the caps when all its tails do.
+    rounded down, and a layout meets the caps when all its tails do.  The
+    tails over that bound at each rank come from its holding masks (`_over`).
     """
-    meets = -1
-    for cap, tails in zip(caps, groups):
-        bound = cap * scale // cap_den
-        ok = 0
-        for tail, members in tails:
-            if sum(map(mass.__getitem__, tail)) <= bound:
-                ok |= members
-        meets &= ok
+    # Heaviest first, so that `_over`'s bound goes below 0, ending a branch, soonest.
+    support = sorted([a for a, m in enumerate(mass) if m], key=mass.__getitem__, reverse=True)
+    weights = [mass[a] for a in support]
+    left = [*itertools.accumulate(reversed(weights), initial=0)][::-1]  # the mass from each position on
+    meets = (1 << count) - 1
+    for cap, held in zip(caps, holding):
+        meets &= ~_over(cap * scale // cap_den, 0, weights, [held[a] for a in support], left)
     covers.append(meets)
     rows.append(meets.to_bytes((count + 7) // 8, "little"))
+
+
+def _over(t: int, i: int, weights: Sequence[int], held: Sequence[int], left: Sequence[int]) -> int:
+    """The layouts whose tail puts more than `t` on the support positions
+    from i on, given per position its mass (`weights`), the layouts whose
+    tail holds it (`held`) and the mass from it on (`left`): those over `t`
+    without position i, and of those holding it, those over `t` less its
+    mass; -1 (all) when `t` < 0, and 0 when `t` is at least ``left[i]``."""
+    if t < 0:
+        return -1
+    if t >= left[i]:
+        return 0
+    return _over(t, i + 1, weights, held, left) | held[i] & _over(t - weights[i], i + 1, weights, held, left)
 
 
 def _set_bits(x: int) -> list[int]:
@@ -678,7 +683,7 @@ def _scan_chunk(payload: tuple) -> dict:
     built = _scan_layouts(p, ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
-    layouts, groups, (fixes, lowers_at, lowered) = built
+    layouts, holding, (fixes, lowers_at, lowered) = built
     count = len(layouts)
     identity = tuple(range(1, p + 1))
 
@@ -739,7 +744,7 @@ def _scan_chunk(payload: tuple) -> dict:
             point, certificate = _implementing_point(p, ks, caps, cap_den, orders)
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
-            _add_to_pool(covers, rows, *point, caps, cap_den, groups, count)
+            _add_to_pool(covers, rows, *point, caps, cap_den, holding, count)
             # The point must meet every layout of its system: the canonical
             # chain (the identity layout, last), the head's and the miss.
             row = rows[-1]

@@ -77,6 +77,7 @@ from .profiles import Profile
 MAXIMAL = "maximal"
 DOMINATED = "dominated"
 _MAX_ITERATIONS = 400  # cutting-plane rounds before `is_maximal` reports undecided
+_LIMITS = ("time-limit", "profile-limit")  # the feasibility methods of a limit that ran out
 
 
 class _CutStore:
@@ -128,6 +129,9 @@ class MaximalityReport:
     iterations: int = 0
     profiles_in_working_set: int = 0
     runtime_ms: int = 0
+    # The step that decided (two-agent, anchor-dominates, master-dual, candidate-feasible) or
+    # why none did (time-limit, profile-limit, iteration-limit, feasibility-undecided).
+    method: str = ""
 
 
 def _cover_cut(mu_active: tuple[int, ...], certificate: Sequence[Fraction], p: int) -> Row:
@@ -191,29 +195,30 @@ def is_maximal(
     iterations = 0
     working: list[Profile] = []
 
-    def finish(verdict: str, improver: Optional[RankLottery] = None) -> MaximalityReport:
+    def finish(verdict: str, method: str, improver: Optional[RankLottery] = None) -> MaximalityReport:
         found = None
         if witnesses and verdict == MAXIMAL:
             found = {k: prof for k in range(1, p) if (prof := forcing_profile(lam, n, k)) is not None}
         return MaximalityReport(
-            verdict, n, p, improver, found, iterations, len(working), int((time.perf_counter() - started) * 1000)
+            verdict, n, p, improver, found, iterations, len(working), int((time.perf_counter() - started) * 1000),
+            method=method,
         )
 
     feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
     if feas.verdict == UNDECIDED:
-        return finish(UNDECIDED)
+        return finish(UNDECIDED, feas.method if feas.method in _LIMITS else "feasibility-undecided")
     if feas.verdict != FEASIBLE:
         raise ValueError(f"not a feasible guarantee: {lam.text()}")
 
     if n == 2:
         reflected = lam.reflect()
         if reflected.probs == lam.probs:
-            return finish(MAXIMAL)
-        return finish(DOMINATED, convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), reflected)]))
+            return finish(MAXIMAL, "two-agent")
+        return finish(DOMINATED, "two-agent", convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), reflected)]))
 
     for anchor in verified_anchors(n, p, deadline=deadline):
         if anchor.probs != lam.probs and dominates(anchor, lam):
-            return finish(DOMINATED, anchor)
+            return finish(DOMINATED, "anchor-dominates", anchor)
 
     working = _known_profiles(n, p)
     store = _cut_stores.setdefault((n, p), _CutStore())
@@ -228,7 +233,7 @@ def is_maximal(
     master = solve(LinearProgram(p, master_rows, objective, maximize=True))
     while iterations < _MAX_ITERATIONS:
         if _expired(deadline):
-            return finish(UNDECIDED)
+            return finish(UNDECIDED, "time-limit")
         iterations += 1
         if master.status != OPTIMAL:
             raise AssertionError("master must stay solvable")
@@ -240,7 +245,7 @@ def is_maximal(
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
             master.certify()
-            return finish(MAXIMAL)
+            return finish(MAXIMAL, "master-dual")
         stored = store.violated(x, scale)
         if stored is not None:
             master.add(stored)
@@ -267,9 +272,9 @@ def is_maximal(
             mu, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=remaining
         )
         if report.verdict == FEASIBLE:
-            return finish(DOMINATED, mu)
+            return finish(DOMINATED, "candidate-feasible", mu)
         if report.verdict == UNDECIDED:
-            return finish(UNDECIDED)
+            return finish(UNDECIDED, report.method if report.method in _LIMITS else "feasibility-undecided")
         witness = report.witness_profile
         assert witness is not None and report.witness_certificate is not None
         working.append(witness)
@@ -279,7 +284,7 @@ def is_maximal(
         store.add(cut, witness)
         master.add(cut)
 
-    return finish(UNDECIDED)
+    return finish(UNDECIDED, "iteration-limit")
 
 
 def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]:

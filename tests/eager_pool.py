@@ -4,9 +4,12 @@
 `scan_chunk` takes the payload of `feasibility._scan_chunk` and scans the
 same systems in the same order, but `add_to_pool` sets a new lottery's bit
 in the mask of every layout it meets at once, and a run reads its head's
-masks as they are.  The layouts, the skip rule and the implementing points
-come from `worstvote.feasibility`, looked up on each call, so a test that
-wraps `_implementing_point` there counts the requests of both scans.
+masks as they are.  Its covers come from `tail_sum_cover`, which sums the
+lottery over each tail of each layout, not from the holding masks of
+`feasibility._add_to_pool`.  The layouts, the skip rule and the
+implementing points come from `worstvote.feasibility`, looked up on each
+call, so a test that wraps `_implementing_point` there counts the
+requests of both scans.
 """
 
 from __future__ import annotations
@@ -16,17 +19,29 @@ import math
 import worstvote.feasibility as feas
 
 
-def add_to_pool(masks, covers, mass, scale, caps, cap_den, groups):
+def tail_sum_cover(layouts, ks, mass, scale, caps, cap_den):
+    """The bitmask of the `layouts` whose k-tail, for each k of `ks`, puts
+    at most ``caps[j] / cap_den`` on ``mass / scale``, each tail summed
+    over its outcomes (labels from 1)."""
+    bounds = [cap * scale // cap_den for cap in caps]
+    sums = {}  # per distinct tail, its mass
+    meets = 0
+    for i, layout in enumerate(layouts):
+        for k, bound in zip(ks, bounds):
+            tail = frozenset(layout[:k])
+            if tail not in sums:
+                sums[tail] = sum(mass[a - 1] for a in tail)
+            if sums[tail] > bound:
+                break
+        else:
+            meets |= 1 << i
+    return meets
+
+
+def add_to_pool(masks, covers, mass, scale, caps, cap_den, layouts, ks):
     """Append the bitmask of the layouts whose tail caps ``mass / scale``
     meets to `covers`, and set its bit in each of their masks."""
-    meets = -1
-    for cap, tails in zip(caps, groups):
-        bound = cap * scale // cap_den
-        ok = 0
-        for tail, members in tails:
-            if sum(mass[x] for x in tail) <= bound:
-                ok |= members
-        meets &= ok
+    meets = tail_sum_cover(layouts, ks, mass, scale, caps, cap_den)
     bit = 1 << len(covers)
     covers.append(meets)
     for i in feas._set_bits(meets):
@@ -39,7 +54,7 @@ def scan_chunk(payload):
     built = feas._scan_layouts(p, ks, deadline)
     if built is None:
         return {"status": "time-limit", "checked": 0}
-    layouts, groups, (fixes, lowers_at, lowered) = built
+    layouts, _, (fixes, lowers_at, lowered) = built
     count = len(layouts)
     identity = tuple(range(1, p + 1))
     masks = [0] * count
@@ -84,7 +99,7 @@ def scan_chunk(payload):
             point, certificate = feas._implementing_point(p, ks, caps, cap_den, orders)
             if point is None:
                 return {"status": "infeasible", "checked": checked, "orders": orders, "certificate": certificate}
-            add_to_pool(masks, covers, *point, caps, cap_den, groups)
+            add_to_pool(masks, covers, *point, caps, cap_den, layouts, ks)
             covered |= covers[-1]
             j = miss + 1
         if stop < count:

@@ -1,7 +1,7 @@
-"""The whole differential sweep of the tail-system scan's skip rule and of
-the greedy fills that find its implementing points, and the checked
-counts of two large scans; and the scan against the anchors that the
-word protocols prove at (3,10) and (4,9).
+"""The whole differential sweep of the tail-system scan's skip rule, of its
+pool covers against per-tail sums and of the greedy fills that find its
+implementing points, and the checked counts of two large scans; and the
+scan against the anchors that the word protocols prove at (3,10) and (4,9).
 
 `tests/test_feasibility.py` runs a slice of each part with the Tier-1
 tests.  This file does not match pytest's `test_*.py` pattern, so it runs
@@ -25,6 +25,7 @@ from tests.test_feasibility import (
     _SKIP_KEYS,
     _check_against_no_witnesses,
     _check_against_profiles,
+    _check_covers_against_tail_sums,
     _check_greedy_against_lp,
     _check_skip_rule,
     sparse_lottery,
@@ -39,6 +40,11 @@ def test_each_class_keeps_its_least_system(monkeypatch, p, ks, n):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_reports_match_a_scan_without_witnesses(monkeypatch, jobs):
     _check_against_no_witnesses(monkeypatch, _SCAN_CORPUS, jobs)
+
+
+def test_pool_covers_sum_the_tails(monkeypatch):
+    adds, distinct = _check_covers_against_tail_sums(monkeypatch, _SCAN_CORPUS)
+    assert distinct > 1, (adds, distinct)
 
 
 @functools.cache

@@ -431,16 +431,18 @@ class TestLayoutMemo:
     def test_tail_masks_are_sums_of_layout_bits(self, monkeypatch, p, ks):
         import worstvote.feasibility as feas
 
-        # Each tail group's mask is the sum of 1 << i over the layouts i
-        # whose k-tail it is; (8, (1, 2, 3, 4)) is the key of vt(4,8).
+        # Each holding mask, of rank k and outcome a, is the sum of 1 << i
+        # over the layouts i whose k-tail holds a; (8, (1, 2, 3, 4)) is the
+        # key of vt(4,8).
         monkeypatch.setattr(feas, "_layout_memo", {})
-        layouts, groups, _ = feas._scan_layouts(p, ks)
-        for k, tails in zip(ks, groups):
-            expected = {}
+        layouts, holding, _ = feas._scan_layouts(p, ks)
+        assert len(holding) == len(ks)
+        for k, held in zip(ks, holding):
+            expected = [0] * p
             for i, layout in enumerate(layouts):
-                tail = tuple(sorted(a - 1 for a in layout[:k]))
-                expected[tail] = expected.get(tail, 0) + (1 << i)
-            assert {tuple(sorted(tail)): mask for tail, mask in tails} == expected
+                for a in layout[:k]:
+                    expected[a - 1] += 1 << i
+            assert list(held) == expected
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_stops_a_build_and_keeps_no_part(self, monkeypatch, jobs):
@@ -506,7 +508,7 @@ class TestLayoutMemo:
         for k, site in enumerate(sites, 1):
             if site[0] in builders:
                 first_at.setdefault(site, k)
-        assert {name for name, _ in first_at} == builders and len(first_at) == 5, first_at
+        assert {name for name, _ in first_at} == builders and len(first_at) == 4, first_at
         for site, k in first_at.items():
             feas._layout_memo.clear()
             sites.clear()
@@ -1119,6 +1121,34 @@ def _check_fold_against_eager(monkeypatch, corpus):
     return totals
 
 
+def _check_covers_against_tail_sums(monkeypatch, corpus):
+    """Each input of `corpus` scanned in full at one job, with the library
+    profiles on or off, every pool lottery its scan adds checked against
+    `tests/eager_pool.py`'s `tail_sum_cover`, which sums the lottery over
+    each tail of each layout: `_add_to_pool`'s cover, from the holding
+    masks, must be the same bitmask.  Returns the number of lotteries
+    checked and of the distinct covers among them."""
+    import worstvote.feasibility as feas
+
+    from .eager_pool import tail_sum_cover
+
+    add_to_pool = feas._add_to_pool
+    seen = []
+
+    def checked(covers, rows, mass, scale, caps, cap_den, holding, count):
+        add_to_pool(covers, rows, mass, scale, caps, cap_den, holding, count)
+        (p, ks), (layouts, *_) = next((key, built) for key, built in feas._layout_memo.items() if built[1] is holding)
+        assert covers[-1] == tail_sum_cover(layouts, ks, mass, scale, caps, cap_den), (p, ks, mass, scale, caps)
+        seen.append(covers[-1])
+
+    monkeypatch.setattr(feas, "_add_to_pool", checked)
+    library = feas.hard_profiles
+    for lam, n, with_library in corpus:
+        monkeypatch.setattr(feas, "hard_profiles", library if with_library else lambda n, p: [])
+        is_feasible(lam, n, use_hull=False)
+    return len(seen), len(set(seen))
+
+
 class TestSkipRule:
     @pytest.mark.parametrize("p, ks, n", [key for key in _SKIP_KEYS if key[0] <= 5], ids=str)
     def test_each_class_keeps_its_least_system(self, monkeypatch, p, ks, n):
@@ -1194,6 +1224,11 @@ class TestLazyMasks:
         totals = _check_fold_against_eager(monkeypatch, _SCAN_CORPUS)
         assert totals["requests"] > 0 and totals["feasible"] > 0 and totals["infeasible"] > 0, totals
 
+    def test_pool_covers_sum_the_tails(self, monkeypatch):
+        # Every fourth input of the corpus; `tests/scan_sweep.py` runs all.
+        adds, distinct = _check_covers_against_tail_sums(monkeypatch, _SCAN_CORPUS[::4])
+        assert distinct > 1, (adds, distinct)
+
 
 class TestLargeScans:
     # Feasible scans above the benchmark's sizes, where most runs of systems
@@ -1251,18 +1286,51 @@ class TestIntegerRows:
 
         # One active rank: each layout's tail is one outcome, capped at 1/3.
         ks, caps = (1,), [1]
-        layouts, groups, _ = feas._scan_layouts(3, ks)
+        layouts, holding, _ = feas._scan_layouts(3, ks)
         spares_first = [layout[0] != 1 for layout in layouts]
         # At 2**60 + 1 units the cap times the scale is an integer that no
         # float holds.
         for unit in (1, 5, 2**60 + 1):
             covers, rows = [], []
             # every tail at its cap, then outcome 1 over it by 1 / scale
-            feas._add_to_pool(covers, rows, [unit, unit, unit], 3 * unit, caps, 3, groups, 3)
-            feas._add_to_pool(covers, rows, [unit + 1, unit, unit - 1], 3 * unit, caps, 3, groups, 3)
+            feas._add_to_pool(covers, rows, [unit, unit, unit], 3 * unit, caps, 3, holding, 3)
+            feas._add_to_pool(covers, rows, [unit + 1, unit, unit - 1], 3 * unit, caps, 3, holding, 3)
             assert covers == [0b111, sum(1 << i for i, spared in enumerate(spares_first) if spared)]
             # The byte copies hold the same bits, one byte for three layouts.
             assert rows == [bytes([cover]) for cover in covers]
+
+    @pytest.mark.parametrize("p, ks", TestLayoutMemo.BENCH_KEYS + [(8, (1, 2, 3, 4)), (8, (1, 3, 5))], ids=str)
+    def test_pool_covers_are_tail_sum_covers(self, monkeypatch, p, ks):
+        import worstvote.feasibility as feas
+
+        from .eager_pool import tail_sum_cover
+
+        # Random integer points of every support size, in units of 1 or of
+        # 2**60 + 1, over their total, and caps of two kinds: the tail
+        # masses of a random layout, moved by -1, 0 or 1, over the total, so
+        # that many tails sit at their cap or one unit from it; and random
+        # caps over 12, which the total need not divide.
+        monkeypatch.setattr(feas, "_layout_memo", {})
+        layouts, holding, _ = feas._scan_layouts(p, ks)
+        count = len(layouts)
+        rng = random.Random(p * 100 + len(ks))
+        checked = 0
+        for size in range(1, p + 1):
+            for unit in (1, 2**60 + 1) * 3:
+                mass = [0] * p
+                for a in rng.sample(range(p), size):
+                    mass[a] = rng.choice((1, 2, 3, rng.randint(1, 50))) * unit
+                scale = sum(mass)
+                layout = rng.choice(layouts)
+                near = [sum(mass[a - 1] for a in layout[:k]) + rng.choice((-1, 0, 1)) for k in ks]
+                spread = sorted(rng.randint(0, 12) for _ in ks)
+                for caps, cap_den in ((near, scale), (spread, 12)):
+                    covers, rows = [], []
+                    feas._add_to_pool(covers, rows, mass, scale, caps, cap_den, holding, count)
+                    assert covers == [tail_sum_cover(layouts, ks, mass, scale, caps, cap_den)], (mass, caps)
+                    assert rows == [covers[0].to_bytes((count + 7) // 8, "little")]
+                    checked += covers[0] not in (0, (1 << count) - 1)
+        assert checked > 0
 
 
 def _meets_tail_rows(ell, mu, prof):

@@ -106,7 +106,51 @@ class TestImprove:
         monkeypatch.setattr(maximality, "is_feasible", undecided_from_the_second)
         report = is_maximal(parse_lottery("1/3,1/12,1/6,1/4,1/6"), 3)
         assert (report.verdict, report.improver, report.iterations) == ("undecided", None, 10)
+        assert report.method == "time-limit"
         assert len(calls) == 2
+
+    def test_undecided_verdicts_name_their_cause(self, monkeypatch):
+        # A time limit, a profile limit (reached while the input's
+        # feasibility is checked), the iteration cap, and a candidate check
+        # that no limit stopped but that could not decide (a scan too large
+        # to run) give four methods, though the rest of their reports can
+        # read alike.
+        mid = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
+        lam = parse_lottery("1/3,0,0,1/3,1/3,0,0")
+        reports = {
+            "time-limit": is_maximal(mid, 3, time_budget=0.0),
+            "profile-limit": is_maximal(lam, 3, limit_profiles=3),
+        }
+        with monkeypatch.context() as capped:
+            capped.setattr(maximality, "_MAX_ITERATIONS", 0)
+            reports["iteration-limit"] = is_maximal(lam, 3)
+        real_is_feasible = maximality.is_feasible
+
+        def too_large_from_the_second(mu, n, **kwargs):
+            if mu == lam:
+                return real_is_feasible(mu, n, **kwargs)
+            return feasibility.FeasibilityReport("undecided", n, mu.p, method="scan-too-large:300000-chains")
+
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        monkeypatch.setattr(maximality, "is_feasible", too_large_from_the_second)
+        reports["feasibility-undecided"] = is_maximal(lam, 3)
+        for method, report in reports.items():
+            assert (report.verdict, report.improver, report.method) == ("undecided", None, method)
+        # The limits stop before the first iteration: no count tells them apart.
+        assert [reports[method].iterations for method in ("time-limit", "profile-limit", "iteration-limit")] == [0] * 3
+
+    def test_decided_verdicts_name_their_step(self, monkeypatch):
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        cases = [
+            ("0,1/2,0,0,1/2,0", 2, "maximal", "two-agent"),
+            ("1/2,0,0,1/2,0,0", 2, "dominated", "two-agent"),
+            ("0,1,0,0,0,0", 3, "dominated", "anchor-dominates"),
+            ("0,1/3,1/3,1/3,0,0", 3, "maximal", "master-dual"),
+            ("1/3,1/12,1/6,1/4,1/6", 3, "dominated", "candidate-feasible"),
+        ]
+        for text, n, verdict, method in cases:
+            report = is_maximal(parse_lottery(text), n)
+            assert (report.verdict, report.method) == (verdict, method), text
 
     def test_improver_is_strict_and_feasible(self):
         rng = random.Random(0)
