@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Under ``--json`` a command prints its report field by field (`_json`), so a
+field added to a report type reaches the JSON with no change here.
+
 Exit codes: 0 success / all checks passed, 1 a verification check failed,
 2 a computation ended undecided (resource limits), 3 usage error.
 """
@@ -14,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -23,6 +26,7 @@ from .lottery import RankLottery, convex_combination, dominates, dual, parse_lot
 from .compose import canonical_word, enumerate_canonical, parse_word, word_simplex
 from .feasibility import is_feasible
 from .maximality import is_maximal
+from .profiles import Profile
 from .protocols import CoverRound, cover_protocol, parse_protocol, worst_case_guarantee
 from .suites import SUITES, run_suite
 
@@ -47,10 +51,24 @@ def _lottery_arg(text: str) -> RankLottery:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _trace_json(trace) -> list:
-    return [
-        [sorted(rep) if isinstance(rep, frozenset) else rep for rep in stage] for stage in trace
-    ]
+def _json(value):
+    """`value` as JSON data: a report dataclass as a dict of its fields, a
+    lottery or profile as its text, a Fraction as its str, a frozenset as a
+    sorted list, a tuple or list as a list, and dict keys as strs."""
+    # A lottery and a profile are dataclasses too, so they are tested first.
+    if isinstance(value, (RankLottery, Profile)):
+        return value.text()
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _json(item) for key, item in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    return value
 
 
 def _emit(payload: dict, as_json: bool, lines: Iterable[str]) -> None:
@@ -138,20 +156,7 @@ def _feasible(args) -> Output:
         limit_profiles=args.limit_profiles,
         time_budget=_time_budget(),
     )
-    payload = {
-        "verdict": rep.verdict,
-        "n": rep.n,
-        "p": rep.p,
-        "witness_profile": rep.witness_profile.text() if rep.witness_profile else None,
-        "witness_certificate": [str(y) for y in rep.witness_certificate]
-        if rep.witness_certificate
-        else None,
-        "profiles_checked": rep.profiles_checked,
-        "cuts": list(rep.cuts_used),
-        "method": rep.method,
-        "mixture": [[str(w), lam.text()] for w, lam in rep.mixture] or None,
-        "runtime_ms": rep.runtime_ms,
-    }
+    payload = _json(rep)
     return payload, _feasible_text(payload)
 
 
@@ -174,17 +179,7 @@ def _maximal(args) -> Output:
         limit_profiles=args.limit_profiles,
         time_budget=_time_budget(),
     )
-    payload = {
-        "verdict": rep.verdict,
-        "n": rep.n,
-        "p": rep.p,
-        "improver": rep.improver.text() if rep.improver else None,
-        "witnesses": {str(k): prof.text() for k, prof in (rep.witnesses or {}).items()} or None,
-        "iterations": rep.iterations,
-        "profiles_in_working_set": rep.profiles_in_working_set,
-        "method": rep.method,
-        "runtime_ms": rep.runtime_ms,
-    }
+    payload = _json(rep)
     return payload, _maximal_text(payload)
 
 
@@ -254,16 +249,7 @@ def _protocol_eval(args) -> Output:
     claim_ok = None
     if args.claim is not None:
         claim_ok = dominates(report.achieved, args.claim)
-    payload = {
-        "protocol": spec.text(),
-        "achieved": report.achieved.text(),
-        "scenario_count": report.scenario_count,
-        "worst_scenarios": {
-            str(k): _trace_json(trace) for k, trace in sorted(report.worst_scenarios.items())
-        },
-        "claim_secured": claim_ok,
-        "runtime_ms": report.runtime_ms,
-    }
+    payload = {"protocol": spec.text(), **_json(report), "claim_secured": claim_ok}
     lines = [
         f"protocol: {spec.text()}",
         f"achieved guarantee: {report.achieved.text()}",
@@ -281,22 +267,7 @@ def _verify(args) -> Output:
     def lines():
         for name in names:
             result = run_suite(name, jobs=args.jobs, seed=args.seed)
-            suites.append(
-                {
-                    "suite": result.suite,
-                    "passed": result.passed,
-                    "runtime_ms": result.runtime_ms,
-                    "checks": [
-                        {
-                            "description": ch.description,
-                            "expected": ch.expected,
-                            "computed": ch.computed,
-                            "passed": ch.passed,
-                        }
-                        for ch in result.checks
-                    ],
-                }
-            )
+            suites.append(_json(result))
             for check in result.checks:
                 status = "PASS" if check.passed else "FAIL"
                 line = f"[{status}] {result.suite}: {check.description}"
@@ -330,13 +301,7 @@ def _search_combinations(args) -> Output:
         lam = convex_combination(terms)
         left = None if deadline is None else max(0.0, deadline - time.monotonic())
         rep = is_maximal(lam, args.n, jobs=args.jobs, limit_profiles=args.limit_profiles, time_budget=left)
-        findings.append(
-            {
-                "mixture": [[str(w), l.text()] for w, l in terms],
-                "lottery": lam.text(),
-                "verdict": rep.verdict,
-            }
-        )
+        findings.append({"mixture": _json(terms), "lottery": lam.text(), "verdict": rep.verdict})
     lines = [f"{f['lottery']}: {f['verdict']}" for f in findings]
     maximal_found = sum(1 for f in findings if f["verdict"] == "maximal")
     lines.append(f"maximal mixtures found: {maximal_found} of {len(findings)}")

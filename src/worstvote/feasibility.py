@@ -844,9 +844,9 @@ class FeasibilityReport:
     witness_profile: Optional[Profile] = None
     witness_certificate: Optional[tuple[Fraction, ...]] = None
     profiles_checked: int = 0
-    cuts_used: tuple[str, ...] = ()
+    cuts: tuple[str, ...] = ()
     method: str = ""
-    mixture: tuple[tuple[Fraction, RankLottery], ...] = ()
+    mixture: Optional[tuple[tuple[Fraction, RankLottery], ...]] = None
     runtime_ms: int = 0
 
     @property
@@ -952,7 +952,7 @@ def is_feasible(
             n,
             p,
             profiles_checked=checked,
-            cuts_used=applied,
+            cuts=applied,
             method=method,
             runtime_ms=int((time.perf_counter() - started) * 1000),
             **witness,

@@ -95,9 +95,7 @@ def hard_profiles(n: int, p: int) -> tuple[Profile, ...]:
     per (n, p)."""
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[Profile] = []
-    candidates: list[Profile] = []
-    candidates.extend(_base_profiles(n, p))
-    candidates.extend(padded_profiles(n, p))
+    candidates = padded_profiles(n, p)
     for k in range(1, p):
         prof = tiling_profile(n, p, k)
         if prof is not None:

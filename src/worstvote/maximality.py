@@ -35,6 +35,10 @@ feasible point.  The store holds inequalities only, never a verdict: the
 improver and the iteration count may depend on earlier calls at the same
 `(n, p)`, the verdicts cannot.
 
+One profile budget and one deadline cover a whole call: the feasibility
+checks of the input and of every candidate share them, each check getting
+what the checks before it left.
+
 Positive verdicts can be decorated with per-rank forcing profiles (profiles
 where every implementing lottery is pinned to the guarantee's cumulative
 value at that rank), each tested by one `lp.solve` of the least worst
@@ -64,6 +68,7 @@ from .lp import (
 from .feasibility import (
     FEASIBLE,
     UNDECIDED,
+    FeasibilityReport,
     _expired,
     _implementing_point,
     _tail_rows,
@@ -76,7 +81,6 @@ from .profiles import Profile
 
 MAXIMAL = "maximal"
 DOMINATED = "dominated"
-_MAX_ITERATIONS = 400  # cutting-plane rounds before `is_maximal` reports undecided
 _LIMITS = ("time-limit", "profile-limit")  # the feasibility methods of a limit that ran out
 
 
@@ -130,7 +134,7 @@ class MaximalityReport:
     profiles_in_working_set: int = 0
     runtime_ms: int = 0
     # The step that decided (two-agent, anchor-dominates, master-dual, candidate-feasible) or
-    # why none did (time-limit, profile-limit, iteration-limit, feasibility-undecided).
+    # why none did (time-limit, profile-limit, feasibility-undecided).
     method: str = ""
 
 
@@ -174,7 +178,10 @@ def is_maximal(
     and otherwise the midpoint of the two improves it; a verified anchor
     that strictly dominates it improves it; the cutting-plane loop decides
     the rest.  `time_budget` covers all four, each step getting what the
-    steps before it leave.
+    steps before it leave.  `limit_profiles` caps the profile LPs and tail
+    systems of all the call's feasibility checks together, the input's and
+    every candidate's; the loop's tests at the working profiles are not
+    counted, since their number depends on the cuts stored by earlier calls.
 
     Each candidate of the loop is first tested against the cuts stored for
     `(n, p)`, in store order; the first one it violates joins the master.
@@ -188,23 +195,42 @@ def is_maximal(
     `(n, p)`.  The verdicts cannot: maximal is proved by the master's dual
     over cuts that all hold on `F(n, p)`, dominated by the feasibility
     engine.
+
+    The loop ends with no cap on its iterations.  Each iteration that does
+    not end the call adds to the master a cut that its candidate violates,
+    while the candidate meets every cut already in the master, so no cut
+    is added twice.  And there are finitely many to add: the store is
+    finite, and each new cut comes from a phase-1 Farkas certificate, which
+    depends only on a basis of one of finitely many implementation
+    programs (one per profile and set of active ranks).
     """
     started = time.perf_counter()
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
     iterations = 0
+    spent = 0  # the profiles and tail systems that this call's feasibility checks visited
     working: list[Profile] = []
+
+    def check(mu: RankLottery) -> FeasibilityReport:
+        """`is_feasible` on what the earlier checks left of the profile
+        budget and of the time to the deadline."""
+        nonlocal spent
+        left = None if limit_profiles is None else limit_profiles - spent
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        report = is_feasible(mu, n, jobs=jobs, limit_profiles=left, time_budget=remaining)
+        spent += report.profiles_checked
+        return report
 
     def finish(verdict: str, method: str, improver: Optional[RankLottery] = None) -> MaximalityReport:
         found = None
         if witnesses and verdict == MAXIMAL:
             found = {k: prof for k in range(1, p) if (prof := forcing_profile(lam, n, k)) is not None}
         return MaximalityReport(
-            verdict, n, p, improver, found, iterations, len(working), int((time.perf_counter() - started) * 1000),
-            method=method,
+            verdict, n, p, improver, found or None, iterations, len(working),
+            int((time.perf_counter() - started) * 1000), method=method,
         )
 
-    feas = is_feasible(lam, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=time_budget)
+    feas = check(lam)
     if feas.verdict == UNDECIDED:
         return finish(UNDECIDED, feas.method if feas.method in _LIMITS else "feasibility-undecided")
     if feas.verdict != FEASIBLE:
@@ -231,7 +257,7 @@ def is_maximal(
     master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
     objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
     master = solve(LinearProgram(p, master_rows, objective, maximize=True))
-    while iterations < _MAX_ITERATIONS:
+    while True:
         if _expired(deadline):
             return finish(UNDECIDED, "time-limit")
         iterations += 1
@@ -267,10 +293,7 @@ def is_maximal(
             continue
 
         mu = RankLottery(tuple([Fraction(v, scale) for v in x]))
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        report = is_feasible(
-            mu, n, jobs=jobs, limit_profiles=limit_profiles, time_budget=remaining
-        )
+        report = check(mu)
         if report.verdict == FEASIBLE:
             return finish(DOMINATED, "candidate-feasible", mu)
         if report.verdict == UNDECIDED:
@@ -283,8 +306,6 @@ def is_maximal(
         cut = _cover_cut(mu_active, report.witness_certificate, p)
         store.add(cut, witness)
         master.add(cut)
-
-    return finish(UNDECIDED, "iteration-limit")
 
 
 def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]:

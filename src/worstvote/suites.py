@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -65,10 +65,10 @@ class Check:
     description: str
     expected: str
     computed: str
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.computed
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.expected == self.computed)
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ class SuiteResult:
     suite: str
     checks: tuple[Check, ...]
     runtime_ms: int
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
 
 class _Collector:

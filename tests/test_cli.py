@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -8,7 +9,10 @@ import pytest
 
 from worstvote import cli, maximality
 from worstvote.cli import main
+from worstvote.feasibility import FeasibilityReport
 from worstvote.lottery import parse_lottery
+from worstvote.maximality import MaximalityReport
+from worstvote.protocols import EvalReport
 from worstvote.suites import SUITES, Check, SuiteResult
 
 # Each case is one command line with its stdout and exit code; a "cached" case
@@ -112,6 +116,33 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert payload["achieved"] == "0,1/3,1/3,1/3,0,0"
         assert payload["claim_secured"] is True
+
+
+class TestJsonFields:
+    """`--json` prints a report's fields by name, and besides them only the
+    schema, and for `protocol-eval` the protocol and the claim's outcome."""
+
+    @staticmethod
+    def names(report_type, *extra):
+        return {field.name for field in dataclasses.fields(report_type)} | {*extra}
+
+    def test_feasible(self, capsys):
+        _, out = run_cli(capsys, "feasible", "--n", "3", "--lottery", "0,1/3,1/3,1/3,0,0", "--json")
+        assert set(json.loads(out)) == self.names(FeasibilityReport, "schema")
+
+    def test_maximal(self, capsys):
+        _, out = run_cli(capsys, "maximal", "--n", "3", "--lottery", "0,1,0,0,0,0", "--json")
+        assert set(json.loads(out)) == self.names(MaximalityReport, "schema")
+
+    def test_protocol_eval(self, capsys):
+        _, out = run_cli(capsys, "protocol-eval", "--spec", "veto(1); uniform", "--n", "3", "--p", "6", "--json")
+        assert set(json.loads(out)) == self.names(EvalReport, "schema", "protocol", "claim_secured")
+
+    def test_verify(self, capsys):
+        _, out = run_cli(capsys, "verify", "--suite", "duality", "--json")
+        (suite,) = json.loads(out)["suites"]
+        assert set(suite) == self.names(SuiteResult)
+        assert all(set(check) == self.names(Check) for check in suite["checks"])
 
 
 class TestExitCodes:

@@ -756,8 +756,8 @@ def _report_facts(report):
         None if prof is None else prof.text(),
         None if report.witness_certificate is None else tuple(map(str, report.witness_certificate)),
         report.profiles_checked,
-        report.cuts_used,
-        tuple((str(w), lam.text()) for w, lam in report.mixture),
+        report.cuts,
+        tuple((str(w), lam.text()) for w, lam in report.mixture or ()),
     )
 
 

@@ -61,12 +61,6 @@ class TestImprove:
         assert is_maximal(mix, 3).verdict == "dominated"
         assert dominates(uniform(6), mix)
 
-    def test_iteration_cap_gives_undecided(self, monkeypatch):
-        monkeypatch.setattr(maximality, "_MAX_ITERATIONS", 0)
-        report = is_maximal(parse_lottery("1/3,0,0,1/3,1/3,0,0"), 3)
-        assert report.improver is None
-        assert (report.verdict, report.iterations) == ("undecided", 0)
-
     def test_time_budget_gives_undecided(self):
         report = is_maximal(vt(3, 6), 3, time_budget=0.0)
         assert report.verdict == "undecided"
@@ -109,21 +103,43 @@ class TestImprove:
         assert report.method == "time-limit"
         assert len(calls) == 2
 
+    def test_one_profile_budget_covers_every_check(self, monkeypatch):
+        # From an empty store the input's check scans 7,270 tail systems, a
+        # candidate's 33, and the improver's 7,270: 14,573 in all.  Each
+        # check gets what the ones before it left of the limit.
+        real_is_feasible = maximality.is_feasible
+        reports = []
+
+        def recorded(*args, **kwargs):
+            reports.append(real_is_feasible(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(maximality, "is_feasible", recorded)
+        lam = parse_lottery("3/13,2/13,3/13,4/13,1/13")
+        outcomes = {}
+        for limit in (7271, 14572, 14573):
+            monkeypatch.setattr(maximality, "_cut_stores", {})
+            reports.clear()
+            report = is_maximal(lam, 3, limit_profiles=limit)
+            assert sum(r.profiles_checked for r in reports) <= limit
+            outcomes[limit] = (report.verdict, report.method)
+        assert outcomes == {
+            7271: ("undecided", "profile-limit"),
+            14572: ("undecided", "profile-limit"),
+            14573: ("dominated", "candidate-feasible"),
+        }
+
     def test_undecided_verdicts_name_their_cause(self, monkeypatch):
         # A time limit, a profile limit (reached while the input's
-        # feasibility is checked), the iteration cap, and a candidate check
-        # that no limit stopped but that could not decide (a scan too large
-        # to run) give four methods, though the rest of their reports can
-        # read alike.
+        # feasibility is checked), and a candidate check that no limit
+        # stopped but that could not decide (a scan too large to run) give
+        # three methods, though the rest of their reports can read alike.
         mid = convex_combination([(F(1, 2), uniform(6)), (F(1, 2), vt(3, 6))])
         lam = parse_lottery("1/3,0,0,1/3,1/3,0,0")
         reports = {
             "time-limit": is_maximal(mid, 3, time_budget=0.0),
             "profile-limit": is_maximal(lam, 3, limit_profiles=3),
         }
-        with monkeypatch.context() as capped:
-            capped.setattr(maximality, "_MAX_ITERATIONS", 0)
-            reports["iteration-limit"] = is_maximal(lam, 3)
         real_is_feasible = maximality.is_feasible
 
         def too_large_from_the_second(mu, n, **kwargs):
@@ -137,7 +153,7 @@ class TestImprove:
         for method, report in reports.items():
             assert (report.verdict, report.improver, report.method) == ("undecided", None, method)
         # The limits stop before the first iteration: no count tells them apart.
-        assert [reports[method].iterations for method in ("time-limit", "profile-limit", "iteration-limit")] == [0] * 3
+        assert [reports[method].iterations for method in ("time-limit", "profile-limit")] == [0] * 2
 
     def test_decided_verdicts_name_their_step(self, monkeypatch):
         monkeypatch.setattr(maximality, "_cut_stores", {})
