@@ -23,7 +23,6 @@ from .profiles import (
     Preference,
     Profile,
     cyclic_pad_profile,
-    parse_profile,
     profile,
     rank_rearrange,
 )
@@ -39,7 +38,6 @@ from .feasibility import (
     FeasibilityReport,
     balanced_family,
     cardinal_falsifier,
-    implement_at,
     is_feasible,
     necessary_cuts,
     system_count,

@@ -27,7 +27,7 @@ from .compose import canonical_word, enumerate_canonical, parse_word, word_simpl
 from .feasibility import is_feasible
 from .maximality import is_maximal
 from .profiles import Profile
-from .protocols import CoverRound, cover_protocol, parse_protocol, worst_case_guarantee
+from .protocols import parse_protocol, worst_case_guarantee
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -81,17 +81,17 @@ def _emit(payload: dict, as_json: bool, lines: Iterable[str]) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _cache_lookup(cache_dir: str, key: str) -> Optional[dict]:
-    path = Path(cache_dir) / f"{key}.json"
-    if not path.exists():
-        return None
+def _cache_lookup(cache_dir: str, key: str, text: Callable[[dict], list[str]]) -> Optional[tuple[dict, list[str]]]:
+    """The payload stored under `key` and its lines by `text`, or None when
+    the entry is missing or unreadable, is not a JSON object of this
+    schema, or lacks a field that `text` reads."""
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if payload.get("schema") != SCHEMA_VERSION:
-        return None
-    return payload
+        payload = json.loads((Path(cache_dir) / f"{key}.json").read_text())
+        if payload.get("schema") == SCHEMA_VERSION:
+            return payload, text(payload)
+    except (OSError, ValueError, AttributeError, KeyError, TypeError):
+        pass  # a malformed entry is a miss, recomputed and rewritten
+    return None
 
 
 def _cache_store(cache_dir: str, key: str, payload: dict) -> None:
@@ -218,34 +218,10 @@ def _simplex(args) -> Output:
     return {"vertices": vertices}, vertices
 
 
-def _named_cover(spec, n: int, p: int) -> bool:
-    """Whether `spec` is one of `cover_protocol`'s named specs at (n, p)."""
-    for mode in ("top-pair", "bottom-pair", "block"):
-        try:
-            if cover_protocol(n, p, mode) == spec:
-                return True
-        except ValueError:
-            continue
-    return False
-
-
 def _protocol_eval(args) -> Output:
     spec = parse_protocol(args.spec, args.n, args.p)
     # Evaluated first, so that a protocol that cannot be played is a usage error.
     report = worst_case_guarantee(spec, args.n, args.p)
-    covers = any(isinstance(stage, CoverRound) for stage in spec.stages)
-    if covers and not _named_cover(spec, args.n, args.p):
-        # A cover round plays the first covering set by label, and label 1 is
-        # agent 1's worst outcome, so its worst case can favor agent 1; only
-        # the named covers are checked against every preference of agent 1.
-        reason = f"outside the named covers at ({args.n},{args.p}), a cover stage may favor agent 1"
-        payload = {
-            "protocol": spec.text(),
-            "verdict": "undecided",
-            "reason": reason,
-            "runtime_ms": report.runtime_ms,
-        }
-        return payload, [f"protocol: {spec.text()}", "verdict: undecided", f"reason: {reason}"]
     claim_ok = None
     if args.claim is not None:
         claim_ok = dominates(report.achieved, args.claim)
@@ -453,15 +429,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     started = time.perf_counter()
     key = _cache_key(command, args) if command.text and args.cache else None
-    cached = _cache_lookup(args.cache, key) if key else None
+    cached = _cache_lookup(args.cache, key, command.text) if key else None
     try:
         args.jobs = max(1, _default_jobs() if args.jobs is None else args.jobs)
         if args.limit_profiles is None:
             args.limit_profiles = _env("WORSTVOTE_LIMIT_PROFILES", _count)
         if cached is not None:
             # A hit states what serving it cost, not what computing it did.
-            payload = {**cached, "runtime_ms": int((time.perf_counter() - started) * 1000)}
-            first, *rest = command.text(cached)
+            payload = {**cached[0], "runtime_ms": int((time.perf_counter() - started) * 1000)}
+            first, *rest = cached[1]
             lines = [f"{first} (cached)", *rest]
         else:
             payload, lines = command.handler(args)

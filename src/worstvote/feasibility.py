@@ -78,7 +78,7 @@ from .lp import (
     solve,
 )
 from .library import block_profile, hard_profiles, tiling_profile
-from .profiles import OutcomeLottery, Preference, Profile, reversal_profile
+from .profiles import Preference, Profile, reversal_profile
 
 FEASIBLE = "feasible"
 UNDECIDED = "undecided"
@@ -220,15 +220,6 @@ def _fill(visit: Sequence[int], holders: Sequence[Sequence[int]], room: list[int
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
     """The exact LP deciding whether some lottery implements `lam` at `prof`."""
     return feasibility_program(lam.p, _tail_rows(*_tail_system(lam, prof)))
-
-
-def implement_at(lam: RankLottery, prof: Profile) -> Optional[OutcomeLottery]:
-    """An outcome lottery implementing `lam` at `prof`, or None if none exists."""
-    point, _ = _implementing_point(*_tail_system(lam, prof))
-    if point is None:
-        return None
-    x, scale = point
-    return OutcomeLottery(tuple([Fraction(v, scale) for v in x]))
 
 
 # ----------------------------------------------------------------------------
@@ -885,8 +876,7 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
     every agent play the protocol truthfully; each agent then gets at least
     the evaluated guarantee.  The evaluation takes agent 1's worst case,
     and the stages fold the reports symmetrically, so agent 1 stands for
-    every agent.  Words use no cover stage, so the cover round's pick of a
-    covering set by label does not arise.
+    every agent.
 
     A word's first stage folds about C(p, n) report aggregates, so the words
     are evaluated in `enumerate_canonical` order while i * C(p, n) is at

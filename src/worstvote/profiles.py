@@ -96,13 +96,6 @@ def profile(orders: Sequence[Sequence[int]]) -> Profile:
     return Profile(tuple(Preference(tuple(order)) for order in orders))
 
 
-def parse_profile(text: str) -> Profile:
-    blocks = [block.strip() for block in text.strip().split("/")]
-    if not blocks or blocks == [""]:
-        raise ValueError("empty profile text")
-    return profile([[int(tok) for tok in block.split()] for block in blocks])
-
-
 def format_profile(prof: Profile) -> str:
     return " / ".join(" ".join(str(a) for a in pref.order) for pref in prof.prefs)
 

@@ -21,7 +21,8 @@ preference playing its safe strategy and takes, per rank, the worst case
 over every adversary report by a recursion over (stage, survivor count)
 states.  Each state folds the adversaries' reports, one adversary at a
 time, into one aggregate per distinct reading of the stage, counting the
-report tuples that reach it, and calls `_step` once per aggregate.  A count
+report tuples that reach it, and calls `_step` once per aggregate, or for a
+cover round once per covering set, which the adversaries pick.  A count
 suffices because every stage reads outcome labels only through their
 order: relabeling survivors S onto 1..|S| in order carries each play onto
 a play, so the worst case on S at rank k is the one on 1..|S| at rank
@@ -314,7 +315,10 @@ def _step(stage: Stage, survivors: tuple, agg, n: int) -> tuple[tuple, Fraction 
     veto round, 0 after a terminal stage), and the outcomes left for that
     stage.  Each listing receives (1 - w) / len(listed) of the mass, so an
     outcome listed twice receives twice that.  A cover round plays the
-    lowest set of its mask, the first covering set in label order.
+    lowest set of its mask, the first covering set in label order.  `run`
+    passes the reports' whole mask, so it plays their lowest covering set;
+    `_worst` passes one set's one-bit mask at a time, so that the
+    adversaries pick the set.
     """
     if isinstance(stage, VetoRound):
         return (), 1, tuple(a for a in survivors if not agg >> a & 1)
@@ -436,8 +440,21 @@ def _worst(stages: tuple[Stage, ...], n: int, m: int, unit: int):
     """
     stage, tail, survivors = stages[0], stages[1:], tuple(range(1, m + 1))
     choices = [(_safe_report(stage, survivors),)] + [_report_space(stage, survivors)] * (n - 1)
+    folds = _fold(stage, survivors, choices)
+    if isinstance(stage, CoverRound):
+        # The adversaries pick the covering set: each set, as its one-bit
+        # mask, plays with the first report tuple whose aggregate holds it.
+        # A tuple counts once, under its lowest set; an empty aggregate
+        # keeps the mask 0, on which `_step` raises.
+        sets, seen = {}, 0
+        for agg, (orderings, reports) in folds.items():
+            if new := agg & ~seen:
+                seen |= new
+                sets.update((1 << i, [0, reports]) for i in range(new.bit_length()) if new >> i & 1)
+            sets.setdefault(agg & -agg, [0, reports])[0] += orderings
+        folds = sets
     groups = {}  # (listed, rest) -> [first reports, orderings]
-    for agg, (orderings, reports) in _fold(stage, survivors, choices).items():
+    for agg, (orderings, reports) in folds.items():
         listed, weight, rest = _step(stage, survivors, agg, n)
         groups.setdefault((listed, rest), [reports, 0])[1] += orderings
     # `weight` is the stage's own: every report tuple gets the same one.
@@ -516,16 +533,24 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
     the order of those first multisets, and each rank's first worst
     scenario is the one an enumeration of multisets would pick.
 
+    A cover round plays any `cover_size`-set that meets every report, and
+    the adversaries pick which, so the guarantee holds whichever set the
+    mechanism plays (`run` plays the lowest).  Walking the aggregates in
+    order, each covering set reached for the first time is settled once,
+    on its one-bit mask, with the first report tuple whose aggregate holds
+    it; that tuple is its worst scenario, which names the reports, not the
+    set.  The scenario count still counts ordered report tuples, each once,
+    not pairs of a tuple and a set.
+
     A state needs only the number of survivors.  Every stage reads labels
     through their order alone: the veto union, `_pad_set` (the lowest
-    labels), the cover mask (the combinations in label order, of which a
-    cover round plays the first), `_safe_report` and `_report_space`.  So
-    the order-preserving relabeling of survivors S onto 1..|S| carries each
-    play from S, its reports, its listings and its survivors, onto a play
-    from 1..|S|, in the same order.  Hence worst(idx, S)[k] =
-    worst(idx, 1..|S|)[|S & 1..k|] (0 when that count is 0), with the same
-    first worst reports relabeled, and the scenario count depends only on
-    |S|.  The memo keys the remaining stages, n, |S| and the unit below,
+    labels), the cover mask (the combinations in label order),
+    `_safe_report` and `_report_space`.  So the order-preserving relabeling
+    of survivors S onto 1..|S| carries each play from S, its reports, its
+    listings and its survivors, onto a play from 1..|S|, in the same order.
+    Hence worst(idx, S)[k] = worst(idx, 1..|S|)[|S & 1..k|] (0 when that
+    count is 0), with the same first worst reports relabeled, and the
+    scenario count depends only on |S|.  The memo keys the remaining stages, n, |S| and the unit below,
     and evaluates each state on the survivors 1..|S|; a listing of `a` adds
     at rank a, and a continuation is lifted back through its survivors by
     that count (a set of them marks which labels survive).  One cold
@@ -534,10 +559,10 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
 
     One preference stands for all: relabeling outcomes carries each stage's
     possible results to the relabeled ones.  A veto removes the union of the
-    reported sets, a naive dictator settles on the reports, and a padded one
-    on any min(n, survivors)-set holding agent 1's claim, which the
-    adversaries can name outright.  Cover rounds pick the first covering set
-    by label; the tests check them at (3,5).
+    reported sets, a naive dictator settles on the reports, a padded one on
+    any min(n, survivors)-set holding agent 1's claim, which the
+    adversaries can name outright, and a cover round on any set that meets
+    every report, which the adversaries pick.
 
     The arithmetic is exact in integers.  With unit = lcm(1..max(n, p)),
     which every listing's length divides, a suffix of stages counts mass in

@@ -9,7 +9,9 @@ lottery over each tail of each layout, not from the holding masks of
 `feasibility._add_to_pool`.  The layouts, the skip rule and the
 implementing points come from `worstvote.feasibility`, looked up on each
 call, so a test that wraps `_implementing_point` there counts the
-requests of both scans.
+requests of both scans.  It imports those `worstvote.feasibility`
+internals, and so cannot check the layouts, the run heads, the skip rule or
+the implementing points: only the masks, the covers and the pool.
 """
 
 from __future__ import annotations

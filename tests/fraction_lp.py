@@ -4,7 +4,9 @@
 stated its programs in, kept so that a digest recorded over their `repr`
 still reads the same programs.  `fraction_simplex` solves a program on a
 tableau of `Fraction` entries, the reference for the integer tableau's
-points and certificates.
+points and certificates.  It imports `worstvote.lp` for its program and
+result types and reads the programs that `lp` and its callers build, so
+it cannot check how those programs are built: only how they are solved.
 """
 
 from __future__ import annotations

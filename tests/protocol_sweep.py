@@ -1,10 +1,16 @@
-"""Every protocol of the differential sweep against the brute force,
-every protocol of the soundness check against the feasibility scan, and
-the cover premise at the larger sizes against the canonical profiles.
+"""Every protocol of the differential sweep against the brute force of
+`tests/protocol_oracle.py`, the neutrality sweep, every protocol of the
+soundness check against the feasibility scan, and the cover premise at
+the larger sizes against the canonical profiles.
 
 The sweep's grammar runs at n = 2..4, p = 2..7 (918 cases) and, with four
 adversaries, at (5,6) (45 cases, about 90 s, most of it the brute force
-of the single cover stages).  The premise runs every cover stage at (3,6)
+of the single cover stages).  The neutrality sweep runs the brute force
+for agent 1 on every order of the 417 protocols of at most two stages at
+p <= 5 (about 70 s).  The soundness check takes the 336 protocols of at
+most two stages at (3,4)...(4,7) and every single cover stage at (2,5),
+(3,4)...(3,6) and (4,5)...(4,7) (286 stages, 214 of which can be played;
+about 10 s in all).  The premise runs every cover stage at (3,6)
 and (4,5) (82 stages, about 40 s, a third of it enumerating the canonical
 profiles).  Every canonical word's protocol is evaluated against the
 word's formula at n = 3..6 and p = 15..19 (about 20 s, 5 s of it at
@@ -19,12 +25,15 @@ pytest's `test_*.py` pattern, so it runs only when named:
 import pytest
 
 from tests.test_protocols import (
+    _COVER_SOUNDNESS,
+    _NEUTRALITY,
     _PREMISE_SWEEP,
     _SOUNDNESS,
     _SWEEP,
     _SWEEP_N5,
     _check_against_oracle,
     _check_cover_premise,
+    _check_neutrality,
     _check_soundness,
     _check_word_protocols,
 )
@@ -35,7 +44,12 @@ def test_recursion_matches_the_oracle(text, n, p):
     _check_against_oracle(text, n, p)
 
 
-@pytest.mark.parametrize("text, n, p", _SOUNDNESS, ids=str)
+@pytest.mark.parametrize("text, n, p", _NEUTRALITY, ids=str)
+def test_every_order_of_agent_one_gets_the_same_guarantee(text, n, p):
+    _check_neutrality(text, n, p)
+
+
+@pytest.mark.parametrize("text, n, p", list(dict.fromkeys(_SOUNDNESS + _COVER_SOUNDNESS)), ids=str)
 def test_achieved_guarantees_are_feasible(text, n, p):
     _check_soundness(text, n, p)
 

@@ -238,15 +238,17 @@ class TestExitCodes:
         assert (code, captured.out) == (3, "")
         assert "leaves no complement" in captured.err
 
-    def test_cover_outside_the_named_ones_is_undecided(self, capsys):
-        # It printed a guarantee that `feasible` refutes.
+    def test_cover_outside_the_named_ones_is_evaluated(self, capsys):
+        # With the lowest covering set played, it evaluated to
+        # 0,0,1/5,1/5,1/5,1/5,1/5, which `feasible` refutes, and the CLI
+        # answered undecided for every cover outside the named ones.
         code, out = run_cli(capsys, "protocol-eval", "--spec", "cover(2,6,bottom)", "--n", "4", "--p", "7")
-        assert code == 2
-        assert "verdict: undecided" in out and "achieved" not in out
+        assert code == 0
+        assert "achieved guarantee: 1/5,1/5,1/5,1/5,1/5,0,0\n" in out
         code, out = run_cli(
             capsys, "protocol-eval", "--spec", "cover(2,6,bottom)", "--n", "4", "--p", "7", "--json"
         )
-        assert (code, json.loads(out)["verdict"]) == (2, "undecided")
+        assert (code, json.loads(out)["achieved"]) == (0, "1/5,1/5,1/5,1/5,1/5,0,0")
 
     @pytest.mark.parametrize(
         "name, value",
@@ -366,19 +368,31 @@ class TestCache:
         first, rest = fresh.split("\n", 1)
         assert run_cli(capsys, *args) == (code, f"{first} (cached)\n{rest}")
 
-    def test_a_bad_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
-        # An entry that is not JSON, or that another schema wrote, is never
-        # served: the next call computes afresh and stores its own entry.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda entry: "{not json",
+            lambda entry: json.dumps({**entry, "schema": 0}),
+            # These two printed a traceback and exited 1, the code of a
+            # failed check.
+            lambda entry: "[1]",
+            lambda entry: json.dumps({"schema": entry["schema"]}),
+        ],
+        ids=["not-json", "other-schema", "not-an-object", "no-verdict"],
+    )
+    def test_a_bad_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, bad):
+        # An entry that is not JSON, that another schema wrote, or that is
+        # not an object with the fields its text reads is never served: the
+        # next call computes afresh and stores its own entry.
         args = ["feasible", "--n", "3", "--lottery", "0,0,0,0,0,1", "--jobs", "1", "--cache", str(tmp_path)]
         code, fresh = run_cli(capsys, *args)
         (stored,) = tmp_path.glob("*.json")
         entry = json.loads(stored.read_text())
         assert entry["schema"] == 1
-        for bad in ("{not json", json.dumps({**entry, "schema": 0})):
-            stored.write_text(bad)
-            assert run_cli(capsys, *args) == (code, fresh)
-            rewritten = json.loads(stored.read_text())
-            assert {**rewritten, "runtime_ms": 0} == {**entry, "runtime_ms": 0}
+        stored.write_text(bad(entry))
+        assert run_cli(capsys, *args) == (code, fresh)
+        rewritten = json.loads(stored.read_text())
+        assert {**rewritten, "runtime_ms": 0} == {**entry, "runtime_ms": 0}
 
     def test_source_digest_moves_with_any_module(self, tmp_path, monkeypatch):
         for path in Path(cli.__file__).parent.glob("*.py"):

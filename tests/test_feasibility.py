@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import worstvote.feasibility as feas
 from worstvote.compose import enumerate_canonical
 from worstvote.feasibility import (
     active_ranks,
     balanced_family,
     cardinal_falsifier,
-    implement_at,
     implement_program,
     is_feasible,
     necessary_cuts,
@@ -29,7 +29,7 @@ from worstvote.lottery import (
     vt,
 )
 from worstvote.lp import _scaled, feasibility_program, solve, verify_infeasibility
-from worstvote.profiles import Preference, Profile, parse_profile, rank_rearrange
+from worstvote.profiles import OutcomeLottery, Preference, Profile, profile, rank_rearrange
 
 from .fraction_lp import Constraint, LinearProgram as FractionProgram, fraction_program, row
 from .orbits import enumerate_profiles
@@ -37,8 +37,15 @@ from .test_lottery import rand_lottery
 
 F = Fraction
 
-LEFT_SHOWCASE = parse_profile("1 2 4 5 6 3 / 2 3 5 6 4 1 / 3 1 6 4 5 2")
-RIGHT_SHOWCASE = parse_profile("1 4 5 6 2 3 / 2 5 6 4 3 1 / 3 6 4 5 1 2")
+LEFT_SHOWCASE = profile([(1, 2, 4, 5, 6, 3), (2, 3, 5, 6, 4, 1), (3, 1, 6, 4, 5, 2)])
+RIGHT_SHOWCASE = profile([(1, 4, 5, 6, 2, 3), (2, 5, 6, 4, 3, 1), (3, 6, 4, 5, 1, 2)])
+
+
+def _implement_at(lam, prof):
+    """An outcome lottery implementing `lam` at `prof`, or None if none
+    exists: the point of `_implementing_point` on the tail system."""
+    point, _ = feas._implementing_point(*feas._tail_system(lam, prof))
+    return None if point is None else OutcomeLottery(tuple(F(v, point[1]) for v in point[0]))
 
 
 class TestImplementAt:
@@ -48,18 +55,18 @@ class TestImplementAt:
 
         for _ in range(10):
             prof = random_profile(3, 5, rng)
-            ell = implement_at(uniform(5), prof)
+            ell = _implement_at(uniform(5), prof)
             assert ell is not None
             for pref in prof.prefs:
                 assert dominates(rank_rearrange(ell, pref), uniform(5))
 
     def test_dictator_forced_at_left_showcase(self):
-        ell = implement_at(rd(3, 6), LEFT_SHOWCASE)
+        ell = _implement_at(rd(3, 6), LEFT_SHOWCASE)
         assert ell is not None
         assert ell.text() == "1/3,1/3,1/3,0,0,0"
 
     def test_veto_forced_at_right_showcase(self):
-        ell = implement_at(vt(3, 6), RIGHT_SHOWCASE)
+        ell = _implement_at(vt(3, 6), RIGHT_SHOWCASE)
         assert ell is not None
         assert ell.text() == "0,0,0,1/3,1/3,1/3"
 
@@ -70,7 +77,7 @@ class TestImplementAt:
         for _ in range(30):
             lam = rand_lottery(5, rng)
             prof = random_profile(3, 5, rng)
-            ell = implement_at(lam, prof)
+            ell = _implement_at(lam, prof)
             if ell is None:
                 continue
             for pref in prof.prefs:
@@ -98,7 +105,7 @@ class TestActiveRanks:
             cum = lam.cumulative()
             for combo in itertools.product(perms, repeat=2):
                 prof = Profile(tuple(Preference(o) for o in combo))
-                reduced = implement_at(lam, prof) is not None
+                reduced = _implement_at(lam, prof) is not None
                 rows = [row([1] * 4, EQ, 1)]
                 for pref in prof.prefs:
                     for k in range(1, 4):
@@ -207,7 +214,7 @@ class TestIsFeasible:
             profiles = list(enumerate_profiles(2, p))
             for _ in range(25):
                 lam = rand_lottery(p, rng)
-                implementable = all(implement_at(lam, prof) is not None for prof in profiles)
+                implementable = all(_implement_at(lam, prof) is not None for prof in profiles)
                 assert is_feasible(lam, 2).feasible == implementable
                 verdicts.add(implementable)
         assert verdicts == {True, False}
@@ -556,7 +563,7 @@ class TestSystemScan:
         rng = random.Random(3)
 
         def brute(lam):
-            return all(implement_at(lam, prof) is not None for prof in profiles)
+            return all(_implement_at(lam, prof) is not None for prof in profiles)
 
         checked = 0
         for _ in range(400):
@@ -649,7 +656,7 @@ class TestSystemScan:
             brute = True
             for combo in itertools.product(perms, repeat=3):
                 prof = Profile(tuple(Preference(o) for o in combo))
-                if implement_at(lam, prof) is None:
+                if _implement_at(lam, prof) is None:
                     brute = False
                     break
             assert report.feasible == brute
@@ -1358,7 +1365,7 @@ class TestTailRowCheck:
         for _ in range(600):
             n, p = rng.randint(1, 4), rng.randint(2, 7)
             mu, prof = rand_lottery(p, rng), random_profile(n, p, rng)
-            ell = implement_at(mu, prof)
+            ell = _implement_at(mu, prof)
             if ell is None or rng.random() < 0.5:
                 ell = rand_lottery(p, rng, grain=rng.choice((5, 12, 30))).probs
             else:
@@ -1377,7 +1384,7 @@ class TestTailRowCheck:
         # Only the last agent's worst outcome is binding.  At 1/3 it sits
         # at its cap; at 2/5 it is over it by 1/15, the smallest step
         # between fifths and thirds (2 * 3 == 1 * 5 + 1 cross-multiplied).
-        mu, prof = uniform(3), parse_profile("2 3 1 / 1 2 3")
+        mu, prof = uniform(3), profile([(2, 3, 1), (1, 2, 3)])
         at_cap = (F(1, 3), F(1, 3), F(1, 3))
         over = (F(2, 5), F(1, 5), F(2, 5))
         assert _meets_tail_rows(at_cap, mu, prof) and _implements_by_definition(at_cap, mu, prof)
@@ -1433,7 +1440,7 @@ class TestNecessaryCuts:
         assert result.violated.kind == "cover"
         assert result.violated.k == 2
         # the witness profile genuinely blocks the lottery
-        assert implement_at(lottery([0, 0, 1, 0, 0, 0]), result.violated.witness) is None
+        assert _implement_at(lottery([0, 0, 1, 0, 0, 0]), result.violated.witness) is None
 
     def test_two_agent_reversal(self):
         result = necessary_cuts(lottery([0, 0, 0, 0, 0, 1]), 2)
@@ -1445,7 +1452,7 @@ class TestNecessaryCuts:
         lam = parse_lottery("1/12,1/12,1/3,1/4,1/8,1/8")
         result = necessary_cuts(lam, 3)
         if result.violated is not None:
-            assert implement_at(lam, result.violated.witness) is None
+            assert _implement_at(lam, result.violated.witness) is None
 
 
 class TestCardinalFalsifier:

@@ -29,7 +29,7 @@ from worstvote.maximality import (
     is_maximal,
 )
 from worstvote.lp import _scaled, solve
-from worstvote.profiles import identical_profile, parse_profile, reversal_profile
+from worstvote.profiles import identical_profile, profile, reversal_profile
 
 from .fraction_lp import row
 from .orbits import enumerate_profiles
@@ -37,8 +37,8 @@ from .test_lottery import rand_lottery
 
 F = Fraction
 
-LEFT_SHOWCASE = parse_profile("1 2 4 5 6 3 / 2 3 5 6 4 1 / 3 1 6 4 5 2")
-RIGHT_SHOWCASE = parse_profile("1 4 5 6 2 3 / 2 5 6 4 3 1 / 3 6 4 5 1 2")
+LEFT_SHOWCASE = profile([(1, 2, 4, 5, 6, 3), (2, 3, 5, 6, 4, 1), (3, 1, 6, 4, 5, 2)])
+RIGHT_SHOWCASE = profile([(1, 4, 5, 6, 2, 3), (2, 5, 6, 4, 3, 1), (3, 6, 4, 5, 1, 2)])
 
 
 class TestImprove:
