@@ -23,7 +23,6 @@ from .profiles import (
     Preference,
     Profile,
     cyclic_pad_profile,
-    profile,
     rank_rearrange,
 )
 from .compose import (
@@ -34,10 +33,8 @@ from .compose import (
     word_simplex,
 )
 from .feasibility import (
-    BalancedFamily,
     FeasibilityReport,
     balanced_family,
-    cardinal_falsifier,
     is_feasible,
     necessary_cuts,
     system_count,

@@ -49,7 +49,8 @@ lottery implementing the dominating guarantee implements `lam`).  The
 anchors are the canonical guarantees, proved by their words' protocols
 with no scan or LP; their memo changes no report (`verified_anchors`).
 The two-agent case is a closed-form inequality test; cheap covering
-arguments refute many infeasible inputs with an explicit witness profile.
+arguments refute many infeasible inputs with an explicit witness profile,
+and at n >= p every one (`necessary_cuts`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lottery import RankLottery, ZERO, dominates, sorted_dot, uniform
+from .lottery import RankLottery, ZERO, dominates, uniform
 from .lp import (
     EQ,
     INFEASIBLE,
@@ -99,7 +100,6 @@ _MAX_CHAINS = 200_000
 # CHANGES.md.
 _POOL_SWITCH = 20_000_000
 
-UtilityVector = tuple[Fraction, ...]
 # Per active rank, per outcome (0-based), the bitmask of the chain layouts
 # whose tail at that rank holds the outcome.
 Holding = tuple[tuple[int, ...], ...]
@@ -243,16 +243,18 @@ class BalancedFamily:
 
 
 def balanced_range(n: int, p: int) -> bool:
-    """Whether `balanced_family` builds families at (n, p)."""
+    """Whether `balanced_family` builds families at (n, p): for every k from
+    2 to p/2, and for k = 1 when also p <= n."""
     return p <= 2 * n - 2 or (p == 2 * n and n not in (4, 5))
 
 
 def balanced_family(p: int, k: int, n: int) -> Optional[BalancedFamily]:
     """A balanced family of k-sets of [p] with at most n members, when the
-    supported (n, p) range allows one; None otherwise."""
-    if not 2 <= k <= p // 2:
-        raise ValueError(f"need 2 <= k <= p/2, got k={k}, p={p}")
-    if not balanced_range(n, p):
+    supported (n, p) range allows one; None otherwise.  At k = 1 that is the
+    p singletons, for p <= n agents."""
+    if not 1 <= k <= p // 2:
+        raise ValueError(f"need 1 <= k <= p/2, got k={k}, p={p}")
+    if not balanced_range(n, p) or k == 1 and p > n:
         return None
 
     one = Fraction(1)
@@ -333,6 +335,25 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
 
     Each violation comes with a concrete profile at which the implementation
     LP is infeasible, so a failed cut is a full refutation, not a heuristic.
+
+    A balanced family of sets with weights w_S (each outcome's weights sum
+    to one, so sum w_S = p/k for k-sets) held as agents' k worst outcomes
+    gives, for any lottery, sum w_S * mass(S) = 1, so some agent's k-tail
+    holds at least k/p: the cut reads cum_k >= k/p.  Held as their best
+    outcomes instead, the complements are (p - k)-tails with the same
+    weights, each outcome's summing to p/k - 1, which gives
+    cum_{p-k} >= (p - k)/p.
+
+    At n >= p these cuts are complete: every rank k < p carries the
+    uniform's bound cum_k >= k/p, so a guarantee passes them exactly when
+    the uniform dominates it, and the uniform lottery then implements it at
+    every profile (the paper's first theorem).  The family at each rank:
+    - k = 1: the cover cut, p agents each with one outcome worst;
+    - 2 <= k <= p - 2: the balanced family of min(k, p - k)-sets, at most
+      p <= n of them, worst outcomes for k <= p/2 and best for k > p/2;
+    - k = p - 1: the p singletons, each one agent's best outcome, so the
+      (p - 1)-tails are the p complements.
+    At n < p the balanced cuts stop at rank p - 2.
     """
     p = lam.p
     cum = lam.cumulative()
@@ -356,7 +377,7 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
                 return CutResult(ViolatedCut("cover", k, witness), tuple(applied))
 
     if balanced_range(n, p):
-        for k in range(2, p - 1):
+        for k in range(2, p if p <= n else p - 1):
             applied.append(f"balanced k={k}")
             if cum[k - 1] < Fraction(k, p):
                 fam = balanced_family(p, min(k, p - k), n)
@@ -924,6 +945,9 @@ def is_feasible(
     count, wall-clock seconds) yield the explicit verdict "undecided",
     never a guess.  `limit_profiles` caps the implementation LPs on library
     profiles plus the tail systems scanned, whatever `jobs` is.
+    At n >= p the uniform's domination and the cuts decide every input, by
+    the paper's first theorem (`necessary_cuts`): no call there reaches the
+    mixture, the library profiles or the scan.
     The mixture of anchors is tried on every input at 3 <= n < p that no cut
     refutes; `use_hull=False` skips it, so that the benchmark's `scan`
     workload and the tests reach the library profiles and the scan.
@@ -1012,42 +1036,3 @@ def is_feasible(
     if outcome["status"] in ("profile-limit", "time-limit"):
         return finish(UNDECIDED, outcome["status"])
     return finish(FEASIBLE, "scan")
-
-
-# ----------------------------------------------------------------------------
-# Randomized cardinal falsifier.
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CardinalViolation:
-    """A zero-sum utility profile on which the guarantee overpromises."""
-
-    utilities: tuple[UtilityVector, ...]
-    value: Fraction
-
-
-def cardinal_falsifier(
-    lam: RankLottery,
-    n: int,
-    sample_count: int = 10_000,
-    seed: int = 0,
-) -> Optional[CardinalViolation]:
-    """Random search for a zero-sum utility profile where the summed
-    guaranteed utilities are positive: a certificate of infeasibility.
-    Finding nothing proves nothing."""
-    import random
-
-    rng = random.Random(seed)
-    p = lam.p
-    for _ in range(sample_count):
-        raw = [[rng.randint(-10, 10) for _ in range(p)] for _ in range(n)]
-        cols = [sum(raw[i][a] for i in range(n)) for a in range(p)]
-        # scale by n before centering so the profile stays integral
-        profile = [
-            tuple(Fraction(n * raw[i][a] - cols[a]) for a in range(p)) for i in range(n)
-        ]
-        total = sum((sorted_dot(lam, u) for u in profile), ZERO)
-        if total > 0:
-            return CardinalViolation(tuple(profile), total)
-    return None

@@ -221,15 +221,3 @@ def convex_combination(terms: Sequence[tuple[RationalLike, RankLottery]]) -> Ran
         for i, x in enumerate(lam.probs):
             probs[i] += w * x
     return RankLottery(tuple(probs))
-
-
-def sorted_dot(lam: RankLottery, utilities: Sequence[RationalLike]) -> Fraction:
-    """Dot product of `lam` with the ascending rearrangement of `utilities`.
-
-    This is the guaranteed expected utility of an agent whose utility vector
-    is `utilities` under the rank guarantee `lam`.
-    """
-    if len(utilities) != lam.p:
-        raise ValueError("dimension mismatch")
-    ordered = sorted(as_fraction(u) for u in utilities)
-    return sum((x * u for x, u in zip(lam.probs, ordered)), ZERO)

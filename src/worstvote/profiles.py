@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .lottery import RankLottery, as_fraction
 
@@ -90,10 +89,6 @@ class Profile:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text()
-
-
-def profile(orders: Sequence[Sequence[int]]) -> Profile:
-    return Profile(tuple(Preference(tuple(order)) for order in orders))
 
 
 def format_profile(prof: Profile) -> str:

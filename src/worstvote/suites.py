@@ -39,7 +39,6 @@ from .compose import (
 from .feasibility import (
     balanced_family,
     balanced_range,
-    cardinal_falsifier,
     implement_program,
     is_feasible,
 )
@@ -101,6 +100,14 @@ def _random_lottery(p: int, rng: random.Random, grain: int = 24) -> RankLottery:
         probs.append(Fraction(c - prev, grain))
         prev = c
     return RankLottery(tuple(probs))
+
+
+def _refuted(lam: RankLottery, rep) -> bool:
+    """Whether `rep` refutes `lam` by a certificate that re-verifies against
+    the implementation LP at its witness profile."""
+    return rep.verdict == "infeasible" and verify_infeasibility(
+        implement_program(lam, rep.witness_profile), rep.witness_certificate
+    )
 
 
 def _random_boundary_lottery(p: int, rng: random.Random) -> RankLottery:
@@ -171,11 +178,12 @@ def suite_uniform_dominance(c: _Collector, jobs: int, rng: random.Random) -> Non
     """With at least as many agents as outcomes only the uniform lottery survives."""
     for n, p in ((3, 3), (4, 3)):
         rep = is_maximal(uniform(p), n, jobs=jobs)
-        c.add(f"improve(uniform({p})) with n={n} finds nothing", "maximal", rep.verdict)
+        c.add(f"uniform({p}) is maximal at n={n}", "maximal", rep.verdict)
         implication = True
         for _ in range(20):
             lam = _random_lottery(p, rng)
-            if is_feasible(lam, n, jobs=jobs).feasible and not dominates(uniform(p), lam):
+            rep = is_feasible(lam, n, jobs=jobs)
+            if not (dominates(uniform(p), lam) if rep.feasible else _refuted(lam, rep)):
                 implication = False
         c.expect(f"n={n}, p={p}: every feasible sample is dominated by uniform", implication)
 
@@ -382,8 +390,7 @@ def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
         if rep.verdict != "infeasible":
             continue
         refuted += 1
-        program = implement_program(lam, rep.witness_profile)
-        if not verify_infeasibility(program, rep.witness_certificate):
+        if not _refuted(lam, rep):
             certs_ok = False
     c.add("infeasibility certificates re-verify mechanically", "8 of 8", f"{refuted if certs_ok else 0} of 8")
 
@@ -431,8 +438,21 @@ def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
             order_ok = False
     c.expect("dominance is a partial order on 10000 random triples", order_ok)
 
-    falsifier_ok = cardinal_falsifier(uniform(6), 3, 2000, seed=rng.randrange(2**32)) is None
-    c.expect("the cardinal falsifier never flags the uniform lottery", falsifier_ok)
+    # The paper's first theorem: at n >= p the uniform's domination and the
+    # cuts decide every input, with no profile LP.
+    theorem_ok = True
+    for _ in range(200):
+        p = rng.randint(2, 6)
+        n = rng.randint(p, p + 2)
+        lam = _random_lottery(p, rng)
+        rep = is_feasible(lam, n, jobs=jobs)
+        if dominates(uniform(p), lam):
+            decided = rep.method == "uniform-dominates"
+        else:
+            decided = rep.method.startswith("cut:") and _refuted(lam, rep)
+        if not decided or rep.profiles_checked:
+            theorem_ok = False
+    c.expect("at n >= p a cut refutes each of 200 samples exactly when the uniform does not dominate it", theorem_ok)
 
 
 SUITES: dict[str, Callable[[_Collector, int, random.Random], None]] = {

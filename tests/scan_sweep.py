@@ -1,7 +1,8 @@
 """The whole differential sweep of the tail-system scan's skip rule, of its
 pool covers against per-tail sums and of the greedy fills that find its
-implementing points, and the checked counts of two large scans; and the
-scan against the anchors that the word protocols prove at (3,10) and (4,9).
+implementing points, and the checked counts of two large scans; the
+scan against the anchors that the word protocols prove at (3,10) and (4,9);
+and the cuts alone deciding every lottery over twelfths at n >= p.
 
 `tests/test_feasibility.py` runs a slice of each part with the Tier-1
 tests.  This file does not match pytest's `test_*.py` pattern, so it runs
@@ -28,6 +29,7 @@ from tests.test_feasibility import (
     _check_covers_against_tail_sums,
     _check_greedy_against_lp,
     _check_skip_rule,
+    _check_uniform_theorem,
     sparse_lottery,
 )
 
@@ -107,3 +109,9 @@ def test_scans_agree_with_the_protocol_anchors(n, p, least):
             assert report.verdict == "feasible" and lam in anchors, word
             decided += 1
     assert decided >= least
+
+
+def test_the_cuts_decide_every_input_at_n_at_least_p(monkeypatch):
+    # All 81,393 inputs of the grid, p = 2..7 and n = p..p+2.
+    decided = _check_uniform_theorem(monkeypatch, 1)
+    assert sum(decided.values()) == 81_393, decided

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from concurrent.futures import Future
 from dataclasses import replace
@@ -12,28 +13,28 @@ from worstvote.compose import enumerate_canonical
 from worstvote.feasibility import (
     active_ranks,
     balanced_family,
-    cardinal_falsifier,
     implement_program,
     is_feasible,
     necessary_cuts,
     system_count,
 )
 from worstvote.lottery import (
+    RankLottery,
     convex_combination,
     dominates,
     lottery,
     parse_lottery,
     rd,
-    sorted_dot,
     uniform,
     vt,
 )
 from worstvote.lp import _scaled, feasibility_program, solve, verify_infeasibility
-from worstvote.profiles import OutcomeLottery, Preference, Profile, profile, rank_rearrange
+from worstvote.profiles import OutcomeLottery, Preference, Profile, rank_rearrange
 
 from .fraction_lp import Constraint, LinearProgram as FractionProgram, fraction_program, row
 from .orbits import enumerate_profiles
 from .test_lottery import rand_lottery
+from .test_profiles import profile
 
 F = Fraction
 
@@ -1424,9 +1425,67 @@ class TestBalancedFamilies:
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
-            balanced_family(6, 1, 4)
+            balanced_family(6, 0, 4)
         with pytest.raises(ValueError):
             balanced_family(6, 4, 5)
+        # k = 1 is the p singletons, one agent each.
+        assert balanced_family(6, 1, 4) is None
+        fam = balanced_family(4, 1, 4)
+        assert fam is not None
+        assert fam.sets == tuple(frozenset({a}) for a in range(1, 5))
+        assert all(w == 1 for w in fam.weights)
+
+
+def _twelfths_grid(stride):
+    """Every `stride`-th input (n, lam) of the n >= p grid: each lottery over
+    twelfths at p = 2..7, at n = p..p+2."""
+    grid = (
+        (n, p, bars)  # the p - 1 bars among p + 11 places that cut 12 twelfths
+        for p in range(2, 8)
+        for n in range(p, p + 3)
+        for bars in itertools.combinations(range(p + 11), p - 1)
+    )
+    for n, p, bars in itertools.islice(grid, 0, None, stride):
+        yield n, RankLottery(tuple(F(hi - lo - 1, 12) for lo, hi in zip((-1, *bars), (*bars, p + 11))))
+
+
+def _check_uniform_theorem(monkeypatch, stride):
+    """Decide every `stride`-th input of `_twelfths_grid` with the mixture,
+    the library profiles and the scan patched to raise: feasible exactly
+    when the uniform dominates, no profile LP, and every refutation a cut
+    whose certificate re-verifies.  Returns the inputs by verdict."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an n >= p input left the cuts")
+
+    for name in ("_hull_mixture", "hard_profiles", "_scan"):
+        monkeypatch.setattr(feas, name, unreachable)
+    decided = {"feasible": 0, "infeasible": 0}
+    for n, lam in _twelfths_grid(stride):
+        report = is_feasible(lam, n)
+        assert report.feasible == dominates(uniform(lam.p), lam), (n, lam)
+        assert report.profiles_checked == 0, (n, lam)
+        if not report.feasible:
+            assert report.method.startswith("cut:"), (n, lam, report.method)
+            program = implement_program(lam, report.witness_profile)
+            assert verify_infeasibility(program, report.witness_certificate), (n, lam)
+        decided[report.verdict] += 1
+    return decided
+
+
+class TestUniformTheorem:
+    def test_the_cuts_decide_every_input_at_n_at_least_p(self, monkeypatch):
+        # A slice of the grid; tests/scan_sweep.py runs all 81,393 inputs.
+        decided = _check_uniform_theorem(monkeypatch, 20)
+        assert min(decided.values()) > 0, decided
+
+    def test_the_last_rank_needs_the_singleton_cut(self):
+        # The uniform bounds every cumulative but the last: no cover cut and
+        # no balanced cut below rank p - 1 refutes it, the singletons do.
+        lam = parse_lottery("1/6,1/6,1/6,1/6,0,1/3")
+        report = is_feasible(lam, 6)
+        assert report.method == "cut:balanced:k=5"
+        assert report.profiles_checked == 0
 
 
 class TestNecessaryCuts:
@@ -1453,26 +1512,3 @@ class TestNecessaryCuts:
         result = necessary_cuts(lam, 3)
         if result.violated is not None:
             assert _implement_at(lam, result.violated.witness) is None
-
-
-class TestCardinalFalsifier:
-    def test_uniform_never_flagged(self):
-        assert cardinal_falsifier(uniform(6), 3, 3000, seed=0) is None
-
-    def test_top_mass_flagged_quickly(self):
-        lam = lottery([0, 0, 0, 0, 0, 1])
-        violation = cardinal_falsifier(lam, 2, 500, seed=0)
-        assert violation is not None
-        # The value is the agents' guaranteed utilities summed; the columns
-        # sum to zero, so no implementing lottery could give that much.
-        assert violation.value == sum((sorted_dot(lam, u) for u in violation.utilities), F(0))
-        columns = [sum(u[a] for u in violation.utilities) for a in range(6)]
-        assert all(c == 0 for c in columns)
-        assert violation.value > 0
-
-    def test_never_contradicts_feasibility(self):
-        rng = random.Random(8)
-        for _ in range(15):
-            lam = rand_lottery(5, rng)
-            if is_feasible(lam, 3).feasible:
-                assert cardinal_falsifier(lam, 3, 1000, seed=1) is None

@@ -13,7 +13,6 @@ from worstvote.lottery import (
     m2_vertices,
     parse_lottery,
     rd,
-    sorted_dot,
     uniform,
     vt,
 )
@@ -158,17 +157,3 @@ class TestTwoAgentFeasibility:
     def test_uniform_feasible(self):
         for p in range(2, 10):
             assert is_feasible(uniform(p), 2).feasible
-
-
-class TestSortedDot:
-    def test_reflection_identity(self):
-        # guaranteed utility against a negated vector equals the negated
-        # guarantee of the reflection
-        rng = random.Random(5)
-        for _ in range(100):
-            p = rng.randint(2, 8)
-            lam = rand_lottery(p, rng)
-            u = [Fraction(rng.randint(-9, 9)) for _ in range(p)]
-            left = sorted_dot(lam, [-x for x in u])
-            right = -sorted_dot(lam.reflect(), u)
-            assert left == right

@@ -29,11 +29,12 @@ from worstvote.maximality import (
     is_maximal,
 )
 from worstvote.lp import _scaled, solve
-from worstvote.profiles import identical_profile, profile, reversal_profile
+from worstvote.profiles import identical_profile, reversal_profile
 
 from .fraction_lp import row
 from .orbits import enumerate_profiles
 from .test_lottery import rand_lottery
+from .test_profiles import profile
 
 F = Fraction
 

@@ -13,7 +13,6 @@ from worstvote.profiles import (
     cyclic_profile,
     cyclic_top_pad_profile,
     format_profile,
-    profile,
     rank_rearrange,
 )
 import worstvote.feasibility as feas
@@ -26,6 +25,11 @@ def _implementable(lam, prof):
     """Whether some outcome lottery implements `lam` at `prof`."""
     point, _ = feas._implementing_point(*feas._tail_system(lam, prof))
     return point is not None
+
+
+def profile(orders):
+    """The profile of the given orders, each listed worst to best."""
+    return Profile(tuple(Preference(tuple(order)) for order in orders))
 
 
 def random_profile(n, p, rng):
@@ -162,40 +166,6 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             profile([(1, 2), (1, 2, 3)])
 
-
-class TestGuaranteedUtilityIdentity:
-    def test_sorting_matches_rank_order(self):
-        # the ascending rearrangement of a utility vector lists utilities in
-        # the order of the preference it induces, so the reflection identity
-        # transfers to rank rearrangements
-        from worstvote.lottery import sorted_dot
-
-        rng = random.Random(9)
-        for _ in range(50):
-            p = rng.randint(2, 7)
-            while True:
-                u = [Fraction(rng.randint(-20, 20)) for _ in range(p)]
-                if len(set(u)) == p:
-                    break
-            order = tuple(sorted(range(1, p + 1), key=lambda a: u[a - 1]))
-            pref = Preference(order)
-            assert [u[a - 1] for a in pref.order] == sorted(u)
-            lam = rand_fraction_lottery(p, rng)
-            direct = sum(x * u[a - 1] for x, a in zip(lam.probs, pref.order))
-            assert direct == sorted_dot(lam, u)
-            assert sorted_dot(lam, [-x for x in u]) == -sorted_dot(lam.reflect(), u)
-
-
-def rand_fraction_lottery(p, rng, grain=12):
-    cuts = sorted(rng.randint(0, grain) for _ in range(p - 1))
-    probs = []
-    prev = 0
-    for c in [*cuts, grain]:
-        probs.append(Fraction(c - prev, grain))
-        prev = c
-    from worstvote.lottery import RankLottery
-
-    return RankLottery(tuple(probs))
 
 
 class TestSymmetryTransport:
