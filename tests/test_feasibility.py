@@ -1487,6 +1487,37 @@ class TestUniformTheorem:
         assert report.method == "cut:balanced:k=5"
         assert report.profiles_checked == 0
 
+    def test_the_uniform_passes_every_cut(self):
+        # Every cut is tight at the uniform, at n < p as at n >= p.
+        for p in range(1, 10):
+            for n in range(2, p + 3):
+                assert necessary_cuts(uniform(p), n).violated is None, (n, p)
+                report = is_feasible(uniform(p), n)
+                assert report.feasible and report.profiles_checked == 0, (n, p)
+
+    def test_each_rank_carries_the_uniform_bound(self):
+        # At n >= p, moving 1/(2p) of the uniform from rank k up to rank k + 1
+        # puts cum_k just under k/p and is refuted by a cut at rank k; moving
+        # it down keeps the guarantee dominated by the uniform.
+        for p in range(2, 8):
+            for n in range(p, p + 3):
+                for k in range(1, p):
+                    for shift in (-1, 1):
+                        probs = [F(1, p)] * p
+                        probs[k - 1] -= shift * F(1, 2 * p)
+                        probs[k] += shift * F(1, 2 * p)
+                        lam = RankLottery(tuple(probs))
+                        report = is_feasible(lam, n)
+                        assert report.profiles_checked == 0, (n, lam)
+                        if shift < 0:
+                            assert report.feasible, (n, lam)
+                            continue
+                        assert report.verdict == "infeasible", (n, lam)
+                        if n > 2:
+                            assert report.method in (f"cut:cover:k={k}", f"cut:balanced:k={k}"), (n, lam)
+                        program = implement_program(lam, report.witness_profile)
+                        assert verify_infeasibility(program, report.witness_certificate), (n, lam)
+
 
 class TestNecessaryCuts:
     def test_veto_passes_tight(self):

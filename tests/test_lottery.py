@@ -18,6 +18,13 @@ from worstvote.lottery import (
 )
 
 
+def sorted_dot(lam, u):
+    """The guaranteed utility of `lam` to an agent with utilities `u`: the
+    rank probabilities, worst first, against the utilities in ascending
+    order."""
+    return sum((x * v for x, v in zip(lam.probs, sorted(u))), Fraction(0))
+
+
 def rand_lottery(p, rng, grain=12):
     cuts = sorted(rng.randint(0, grain) for _ in range(p - 1))
     probs = []
@@ -157,3 +164,17 @@ class TestTwoAgentFeasibility:
     def test_uniform_feasible(self):
         for p in range(2, 10):
             assert is_feasible(uniform(p), 2).feasible
+
+
+class TestSortedDot:
+    def test_reflection_identity(self):
+        # guaranteed utility against a negated vector equals the negated
+        # guarantee of the reflection
+        rng = random.Random(5)
+        for _ in range(100):
+            p = rng.randint(2, 8)
+            lam = rand_lottery(p, rng)
+            u = [Fraction(rng.randint(-9, 9)) for _ in range(p)]
+            left = sorted_dot(lam, [-x for x in u])
+            right = -sorted_dot(lam.reflect(), u)
+            assert left == right

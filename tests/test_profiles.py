@@ -19,6 +19,7 @@ import worstvote.feasibility as feas
 from worstvote.lottery import rd as rd_lottery
 
 from .orbits import canonicalize, enumerate_profiles
+from .test_lottery import rand_lottery, sorted_dot
 
 
 def _implementable(lam, prof):
@@ -166,6 +167,31 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             profile([(1, 2), (1, 2, 3)])
 
+
+class TestGuaranteedUtilityIdentity:
+    def test_sorting_matches_rank_order(self):
+        # the ascending rearrangement of a utility vector lists utilities in
+        # the order of the preference it induces, so the outcome lottery that
+        # rank_rearrange turns into lam pays lam's guaranteed utility, and the
+        # reversed order (that of the negated vector) ranks it as the reflection
+        rng = random.Random(9)
+        for _ in range(50):
+            p = rng.randint(2, 7)
+            while True:
+                u = [Fraction(rng.randint(-20, 20)) for _ in range(p)]
+                if len(set(u)) == p:
+                    break
+            order = tuple(sorted(range(1, p + 1), key=lambda a: u[a - 1]))
+            pref = Preference(order)
+            assert [u[a - 1] for a in pref.order] == sorted(u)
+            lam = rand_lottery(p, rng)
+            mass = dict(zip(pref.order, lam.probs))
+            ell = OutcomeLottery(tuple(mass[a] for a in range(1, p + 1)))
+            assert rank_rearrange(ell, pref) == lam
+            paid = sum(x * y for x, y in zip(ell.mass, u))
+            assert paid == sorted_dot(lam, u)
+            assert rank_rearrange(ell, Preference(order[::-1])) == lam.reflect()
+            assert sorted_dot(lam.reflect(), [-x for x in u]) == -paid
 
 
 class TestSymmetryTransport:
