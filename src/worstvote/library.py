@@ -72,9 +72,7 @@ def padded_profiles(n: int, p: int) -> list[Profile]:
     out: list[Profile] = []
     max_rounds = (p - 1) // n
     for rounds in range(0, max_rounds + 1):
-        base_p = p - rounds * n
-        if base_p < 1:
-            continue
+        base_p = p - rounds * n  # at least 1, as rounds <= (p - 1) // n
         if base_p == 1:
             bases = [Profile((Preference((1,)),) * n)]
         else:
@@ -83,9 +81,8 @@ def padded_profiles(n: int, p: int) -> list[Profile]:
             for base in bases:
                 prof = base
                 for pad in reversed(pads):
-                    prof = pad(prof)
-                if prof.p == p:
-                    out.append(prof)
+                    prof = pad(prof)  # each pad adds n outcomes, so prof.p == p
+                out.append(prof)
     return out
 
 

@@ -4,8 +4,9 @@ A protocol is a sequence of stages: veto rounds (non-terminal), a dictator
 round, a uniform fallback, or a covering lottery (terminal).  A dictator
 round may itself be non-terminal, in which case it resolves with some
 probability and otherwise continues to the remaining stages over the
-leftover outcomes; the mixing weight is chosen from the guarantee of the
-continuation, mirroring how guarantees compose.
+leftover outcomes.  The parser reads its weight off the guarantee that
+the continuation achieves, as the evaluation below gives it, mirroring how
+guarantees compose; so any stage, a cover round too, may continue one.
 
 One stage function, `_step`, says what a stage does with one tuple of
 reports, read through their `_fold` aggregate: the outcomes it lists, each
@@ -36,7 +37,7 @@ scenario.
 
 Protocol text format: stages separated by ``;``, e.g. ``"veto(1); uniform"``,
 ``"rd(pad)"``, ``"rd(naive)"``, ``"veto(1); rd(pad)"``,
-``"cover(2, 2, top)"``.
+``"cover(2, 2, top)"``, ``"rd(pad); cover(2, 2, top)"``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lottery import RankLottery, ZERO, dominates, rd, uniform
-from .compose import rd_compose, vt_compose
+from .lottery import RankLottery, ZERO, dominates
 from .profiles import (
     OutcomeLottery,
     Profile,
@@ -111,16 +111,11 @@ class ProtocolSpec:
     stages: tuple[Stage, ...]
 
     def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("a protocol needs at least one stage")
+        _check_order(self.stages)
         for stage in self.stages[:-1]:
-            if isinstance(stage, (UniformFallback, CoverRound)):
-                raise ValueError("only the final stage may be a lottery stage")
             if isinstance(stage, DictatorRound) and stage.continue_weight is None:
                 raise ValueError("a non-final dictator round needs a continuation weight")
         last = self.stages[-1]
-        if isinstance(last, VetoRound):
-            raise ValueError("a protocol cannot end on a veto round")
         if isinstance(last, DictatorRound) and last.continue_weight is not None:
             raise ValueError("the final dictator round cannot continue")
 
@@ -143,9 +138,13 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
 
     A dictator round that continues resolves with weight 1 / (n * top + 1),
     top being the largest coordinate of the guarantee its continuation
-    delivers by formula.  Raises ValueError if n or p is below 1, and with
-    the exact character position on a bad token, on a stage that `_windows`
-    leaves no outcome, or on a continuation the formulas cannot evaluate.
+    achieves, as `_worst` evaluates it on the fewest outcomes `_windows`
+    can leave the continuation.  Raises ValueError if n or p is below 1, on
+    a stage order no protocol has, and with the exact character position
+    on a bad token, on a stage that `_windows` leaves no outcome, on a
+    naive dictator round that continues, or on a continuation that cannot
+    be played on those outcomes, with the class of error its evaluation
+    raises (`CoverNotFoundError` for a failed cover premise).
     """
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
@@ -161,20 +160,22 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
             raise ValueError(f"empty protocol stage at position {offset}")
         stages.append(_parse_stage_token(token, offset))
     windows = _windows(stages, n, p, names)
-
-    # One backward fold: `inner` is the guarantee of the stages after idx.
-    # Only stages after the first dictator round play inside a continuation.
-    first = next((i for i, stage in enumerate(stages) if isinstance(stage, DictatorRound)), len(stages))
-    inner = None
-    for idx in range(len(stages) - 1, first, -1):
-        try:
-            inner = _formula(stages[idx], inner, n, windows[idx])
-        except ValueError as err:
-            raise ValueError(f"{names[idx]} cannot play inside a continuation: {err}") from None
-        if isinstance(stages[idx - 1], DictatorRound):
-            if not stages[idx - 1].padded:
-                raise ValueError(f"a naive dictator round cannot continue ({names[idx - 1]})")
-            stages[idx - 1] = DictatorRound(True, Fraction(1, n * inner.max_coordinate() + 1))
+    _check_order(stages)
+    # One backward pass: the rounds after idx already have their weights,
+    # so the stages after it evaluate as a protocol, on the memo states
+    # that the whole protocol's evaluation reads in the same unit.
+    unit = _unit(n, p)
+    for idx in range(len(stages) - 2, -1, -1):
+        if isinstance(stages[idx], DictatorRound):
+            if not stages[idx].padded:
+                raise ValueError(f"a naive dictator round cannot continue ({names[idx]})")
+            try:
+                top = _evaluate(tuple(stages[idx + 1 :]), n, windows[idx + 1], unit)[2].max_coordinate()
+            except ValueError as err:
+                raise type(err)(
+                    f"the continuation from {names[idx + 1]} cannot be played on {windows[idx + 1]} outcomes: {err}"
+                ) from None
+            stages[idx] = DictatorRound(True, 1 / (n * top + 1))
     return ProtocolSpec(tuple(stages))
 
 
@@ -226,28 +227,15 @@ def _windows(stages: Sequence[Stage], n: int, p: int, names: Sequence[str] = ())
     return windows
 
 
-def _formula(stage: Stage, inner: Optional[RankLottery], n: int, window: int) -> RankLottery:
-    """The guarantee `stage` delivers on `window` outcomes when the stages
-    after it deliver `inner` (None after the last stage), by the formulas
-    of `lottery` and `compose`."""
-    if isinstance(stage, UniformFallback):
-        return uniform(window)
-    if isinstance(stage, CoverRound):
-        raise ValueError("a cover round has no guarantee formula")
-    if isinstance(stage, VetoRound):
-        if inner is None:
-            raise ValueError("a veto round must be followed by a stage")
-        for _ in range(stage.tokens):
-            inner = vt_compose(inner, n)
-        return inner
-    if inner is not None:
-        return rd_compose(inner, n)
-    if stage.padded:  # on n or fewer outcomes it pads to all of them
-        return rd(n, window) if window > n else uniform(window)
-    probs = [ZERO] * window
-    probs[0] = Fraction(n - 1, n)
-    probs[-1] += Fraction(1, n)
-    return RankLottery(tuple(probs))
+def _check_order(stages: Sequence[Stage]) -> None:
+    """Raises ValueError unless the stages are in an order a protocol can
+    play: at least one, a lottery stage only last, and no veto round last."""
+    if not stages:
+        raise ValueError("a protocol needs at least one stage")
+    if any(isinstance(stage, (UniformFallback, CoverRound)) for stage in stages[:-1]):
+        raise ValueError("only the final stage may be a lottery stage")
+    if isinstance(stages[-1], VetoRound):
+        raise ValueError("a protocol cannot end on a veto round")
 
 
 # ----------------------------------------------------------------------------
@@ -498,10 +486,21 @@ def _top(spec: ProtocolSpec, n: int, p: int):
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")
     _windows(spec.stages, n, p)
-    unit = math.lcm(*range(1, max(n, p) + 1))
-    best, count, _ = _worst(spec.stages, n, p, unit)
-    scale = _scale(spec.stages, unit)
-    return unit, best, count, RankLottery(tuple(Fraction(b - a, scale) for a, b in zip(best, best[1:])))
+    unit = _unit(n, p)
+    return (unit, *_evaluate(spec.stages, n, p, unit))
+
+
+def _unit(n: int, p: int) -> int:
+    """lcm(1..max(n, p)), which the length of every listing divides."""
+    return math.lcm(*range(1, max(n, p) + 1))
+
+
+def _evaluate(stages: tuple[Stage, ...], n: int, m: int, unit: int):
+    """The worst cumulative numerators of `stages` on m survivors, the
+    scenario count and the guarantee they give."""
+    best, count, _ = _worst(stages, n, m, unit)
+    scale = _scale(stages, unit)
+    return best, count, RankLottery(tuple(Fraction(b - a, scale) for a, b in zip(best, best[1:])))
 
 
 def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:

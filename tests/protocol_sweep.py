@@ -3,18 +3,21 @@
 soundness check against the feasibility scan, and the cover premise at
 the larger sizes against the canonical profiles.
 
-The sweep's grammar runs at n = 2..4, p = 2..7 (918 cases) and, with four
-adversaries, at (5,6) (45 cases, about 90 s, most of it the brute force
+The sweep's grammar runs at n = 2..4, p = 2..7 (1,058 cases, about 50 s,
+140 of them with a cover round inside a continuation) and, with four
+adversaries, at (5,6) (46 cases, about 35 s, most of it the brute force
 of the single cover stages).  The neutrality sweep runs the brute force
-for agent 1 on every order of the 417 protocols of at most two stages at
-p <= 5 (about 70 s).  The soundness check takes the 336 protocols of at
+for agent 1 on every order of the 441 protocols of at most two stages at
+p <= 5 (about 40 s).  The soundness check takes the 376 protocols of at
 most two stages at (3,4)...(4,7) and every single cover stage at (2,5),
 (3,4)...(3,6) and (4,5)...(4,7) (286 stages, 214 of which can be played;
-about 10 s in all).  The premise runs every cover stage at (3,6)
-and (4,5) (82 stages, about 40 s, a third of it enumerating the canonical
+about 20 s in all, 8 s of it the three cover continuations at (4,7) whose
+scans take about 3 s each).  The premise runs every cover stage at (3,6)
+and (4,5) (82 stages, about 35 s, a third of it enumerating the canonical
 profiles).  Every canonical word's protocol is evaluated against the
-word's formula at n = 3..6 and p = 15..19 (about 20 s, 5 s of it at
-(6,19)).  `tests/test_protocols.py` runs a slice of each sweep, the
+word's formula, its dictator rounds' weights too, at n = 3..6 and
+p = 15..19 (about 20 s).  All of it takes about 200 s on a 2-core VM with
+Python 3.11.7.  `tests/test_protocols.py` runs a slice of each sweep, the
 premise at (3,4), (4,4) and (3,5), and the word protocols at
 3 <= n < p <= 14 with the Tier-1 tests.  This file does not match
 pytest's `test_*.py` pattern, so it runs only when named:

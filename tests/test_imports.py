@@ -43,6 +43,20 @@ def test_modules_use_every_name_they_import():
     assert not unused, unused
 
 
+def test_the_evaluator_and_its_oracle_import_only_lottery_and_profiles():
+    # The evaluation is the one description of what a protocol stage
+    # guarantees, so neither it nor the brute force that checks it reads
+    # the composition formulas that the tests compare both with.
+    for path in (PACKAGE / "protocols.py", Path(__file__).with_name("protocol_oracle.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {
+            node.module.removeprefix("worstvote.")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("worstvote"))
+        }
+        assert modules == {"lottery", "profiles"}, path.name
+
+
 def test_every_definition_is_read_or_imported():
     # A top-level function, class or assignment of a module must be read in
     # that module or imported by another module of the package (the exports

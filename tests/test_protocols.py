@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 import worstvote.protocols as protocols
-from worstvote.compose import canonical_word, enumerate_canonical, parse_word, vt_compose, word_protocol
+from worstvote.cli import main
+from worstvote.compose import canonical_word, enumerate_canonical, parse_word, rd_compose, vt_compose, word_protocol
 from worstvote.lottery import RankLottery, dominates, parse_lottery, rd, uniform, vt
 from worstvote.feasibility import is_feasible
 from worstvote.profiles import Preference, identical_profile, identity_preference, rank_rearrange
@@ -107,9 +108,14 @@ class TestParsing:
         report = worst_case_guarantee(spec, 4, 8)
         assert (report.achieved, report.scenario_count) == (uniform(8), 32_768)
 
-    def test_formula_errors_name_the_stage(self):
-        with pytest.raises(ValueError, match="position 9 cannot play inside a continuation: a cover round"):
-            parse_protocol("rd(pad); cover(2,2,top)", 3, 7)
+    def test_continuation_errors_name_the_stage(self):
+        # The parser evaluates a continuation on its fewest outcomes; what
+        # that raises keeps its class and names where the continuation starts.
+        with pytest.raises(CoverNotFoundError, match="^the continuation from the stage at position 9 cannot be "
+                           "played on 2 outcomes: no 1-set meets all reported 1-sets$"):
+            parse_protocol("rd(pad); cover(1,1,top)", 3, 5)
+        with pytest.raises(ValueError, match="position 9 cannot be played on 3 outcomes: no 2-set to report among 1"):
+            parse_protocol("rd(pad); veto(1); cover(1,2,top)", 2, 5)
 
     @pytest.mark.parametrize(
         "build, message",
@@ -122,8 +128,7 @@ class TestParsing:
             (lambda: ProtocolSpec((DictatorRound(True, F(1, 2)),)), "the final dictator round cannot continue"),
             (lambda: parse_protocol("rd(naive); uniform", 3, 6),
              "a naive dictator round cannot continue (the stage at position 0)"),
-            (lambda: parse_protocol("rd(pad); veto(1)", 3, 9),
-             "the stage at position 9 cannot play inside a continuation: a veto round must be followed by a stage"),
+            (lambda: parse_protocol("rd(pad); veto(1)", 3, 9), "a protocol cannot end on a veto round"),
         ],
         ids=["naive-continues", "weight-one", "no-stage", "final-weight-missing", "final-continues",
              "naive-parsed", "veto-last"],
@@ -133,11 +138,15 @@ class TestParsing:
             build()
         assert str(err.value) == message
 
-    def test_only_continuations_use_the_formulas(self):
-        # Stages that no dictator round precedes need no guarantee formula:
-        # composition has none for one agent, and a cover round none at all.
+    def test_continuations_of_one_agent_and_cover_rounds_parse(self):
+        # No composition formula covers one agent or a cover round; the
+        # evaluation weighs their continuations.  One agent vetoes its worst
+        # of 2 outcomes and gets the other: weight 1/(1*1 + 1).
         assert parse_protocol("veto(1); uniform", 1, 3).text() == "veto(1); uniform"
+        assert parse_protocol("rd(pad); veto(1); uniform", 1, 3).stages[0].continue_weight == F(1, 2)
         assert parse_protocol("veto(1); cover(2,2,top)", 3, 7).text() == "veto(1); cover(2,2,top)"
+        # The cover on 5 outcomes achieves 1/2,0,0,1/2,0: weight 1/(3*1/2 + 1).
+        assert parse_protocol("rd(pad); cover(2,2,top)", 3, 8).stages[0].continue_weight == F(2, 5)
 
     def test_stage_order_validation(self):
         with pytest.raises(ValueError):
@@ -383,13 +392,24 @@ def _sweep(sizes):
     return cases
 
 
-# 918 cases at n = 2..4, p = 2..7.
+def _slice(cases, step):
+    """Every `step`-th case with no cover round inside a continuation, then
+    every ninth case with one.  The texts with one do not move the strides
+    over the others, and a ninth of them misses most of the soundness
+    cases at (4,7), whose scans take about 3 s each."""
+    inside = [case for case in cases if "rd(pad)" in case[0] and "cover" in case[0]]
+    return [case for case in cases if case not in inside][::step] + inside[::9]
+
+
+# 1,058 cases at n = 2..4, p = 2..7, 140 of them with a cover round inside
+# a continuation.
 _SWEEP = _sweep(itertools.product(range(2, 5), range(2, 8)))
-# 45 cases at (5,6): the sweep's grammar with four adversaries.
+# 46 cases at (5,6): the sweep's grammar with four adversaries.
 _SWEEP_N5 = _sweep([(5, 6)])
 # The sweep's protocols of at most two stages at (3,4), (3,5), (3,6), (4,5),
-# (4,6), (3,7) and (4,7): 336 cases, 270 of them with a cover round, of
-# which 76 can be played.
+# (4,6), (3,7) and (4,7): 376 cases, 310 of them with a cover round, of
+# which 116 can be played, the 40 with the cover inside a continuation
+# among them.
 _SOUNDNESS = [
     (text, n, p)
     for text, n, p in _SWEEP
@@ -397,8 +417,8 @@ _SOUNDNESS = [
 ]
 
 
-# The sweep's texts of at most two stages at p <= 5: 417 cases, every stage
-# of the grammar among them.
+# The sweep's texts of at most two stages at p <= 5: 441 cases, every stage
+# of the grammar among them, 24 with a cover round inside a continuation.
 _NEUTRALITY = [(text, n, p) for text, n, p in _SWEEP if p <= 5 and text.count(";") < 2]
 
 
@@ -416,7 +436,7 @@ def _check_neutrality(text, n, p):
 
 
 class TestNeutrality:
-    @pytest.mark.parametrize("text, n, p", _NEUTRALITY[::9], ids=str)
+    @pytest.mark.parametrize("text, n, p", _slice(_NEUTRALITY, 9), ids=str)
     def test_every_order_of_agent_one_gets_the_same_guarantee(self, text, n, p):
         # `tests/protocol_sweep.py` runs all of `_NEUTRALITY`.
         _check_neutrality(text, n, p)
@@ -430,16 +450,17 @@ def _check_against_oracle(text, n, p):
     assert _answer(lambda: _recursion(spec, n, p)) == expected
 
 
-@pytest.mark.parametrize("text, n, p", _SWEEP[::9], ids=str)
+@pytest.mark.parametrize("text, n, p", _slice(_SWEEP, 9), ids=str)
 def test_recursion_matches_the_oracle_on_a_slice_of_the_sweep(text, n, p):
-    # 102 of the cases, 47 of which evaluate and 55 raise, in about 1 s on a
-    # 2-core VM; `python -m pytest tests/protocol_sweep.py` runs all 918.
+    # 118 of the cases, 62 of which evaluate and 56 raise, in about 1.5 s
+    # on a 2-core VM; `python -m pytest tests/protocol_sweep.py` runs all
+    # 1,058.
     _check_against_oracle(text, n, p)
 
 
 # The (5,6) cases whose brute force takes more than 0.8 s on a 2-core VM
-# (5-16 s for the single cover stages); Tier-1 runs the other 31, in about
-# 1 s, and `tests/protocol_sweep.py` runs all 45.
+# (5-16 s for the single cover stages); Tier-1 runs the other 32, in about
+# 1 s, and `tests/protocol_sweep.py` runs all 46.
 _SLOW_N5 = {"veto(1); rd(pad)", "veto(1); rd(naive)"} | {
     f"{prefix}cover({s},{d},{side})"
     for prefix in ("", "veto(1); ")
@@ -464,11 +485,10 @@ def _check_soundness(text, n, p):
     assert is_feasible(achieved, n, use_hull=False).feasible
 
 
-@pytest.mark.parametrize("text, n, p", _SOUNDNESS[::3], ids=str)
+@pytest.mark.parametrize("text, n, p", _slice(_SOUNDNESS, 3), ids=str)
 def test_achieved_guarantees_are_feasible(text, n, p):
-    # 112 of the cases in well under a second; `tests/protocol_sweep.py`
-    # runs all 336, in about 4 s, and the single cover stages of
-    # `_COVER_SOUNDNESS`.
+    # 117 of the cases; `tests/protocol_sweep.py` runs all 376 and the
+    # single cover stages of `_COVER_SOUNDNESS`.
     _check_soundness(text, n, p)
 
 
@@ -531,9 +551,17 @@ def test_evaluation_decides_the_cover_premise(text, n, p):
 
 def _check_word_protocols(n, p):
     """Every canonical word's protocol at (n, p) achieves exactly the
-    word's formula, `canonical_word`."""
+    word's formula, `canonical_word`, and each of its dictator rounds that
+    continues has the weight the formula of the word's rest gives: a word's
+    stage i is its letter i, and the rounds before it leave p - i * n
+    outcomes."""
     for word, lam in enumerate_canonical(n, p):
-        assert worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved == lam, word
+        spec = parse_protocol(word_protocol(word), n, p)
+        assert worst_case_guarantee(spec, n, p).achieved == lam, word
+        for i, letter in enumerate(word[:-1]):
+            if letter == "RD":
+                top = canonical_word(word[i + 1 :], n, p - (i + 1) * n).max_coordinate()
+                assert spec.stages[i].continue_weight == 1 / (n * top + 1), (word, i)
 
 
 def test_word_protocol_texts():
@@ -550,6 +578,25 @@ def test_every_word_protocol_achieves_its_formula(p):
     # `tests/protocol_sweep.py` goes on to p = 19 at n = 3..6.
     for n in range(3, p):
         _check_word_protocols(n, p)
+
+
+# The named covers and every canonical word's protocol at (3,5)...(4,7).
+_PRIMITIVES = [(mode, n, p) for n, p in ((3, 5), (4, 7)) for mode in ("top-pair", "bottom-pair", "block")] + [
+    (word_protocol(word), n, p)
+    for n, p in ((3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7))
+    for word, _ in enumerate_canonical(n, p)
+]
+
+
+@pytest.mark.parametrize("name, n, p", _PRIMITIVES, ids=str)
+def test_a_dictator_round_before_a_primitive_achieves_its_rd_composition(name, n, p):
+    # A padded dictator round before a primitive protocol P, on n more
+    # outcomes, achieves `rd_compose` of P's guarantee.  Its weight comes
+    # from evaluating P, which for a cover no formula gives.
+    inner = cover_protocol(n, p, name) if "(" not in name else parse_protocol(name, n, p)
+    spec = parse_protocol("rd(pad); " + inner.text(), n, p + n)
+    expected = rd_compose(worst_case_guarantee(inner, n, p).achieved, n)
+    assert worst_case_guarantee(spec, n, p + n).achieved == expected
 
 
 @pytest.mark.parametrize(
@@ -816,8 +863,14 @@ _PINNED = list(
 # round on n or fewer outcomes got the uniform as its formula.  When the
 # adversaries began to pick a cover round's covering set, only the worst
 # scenarios of `bottom-pair` at (3,5) and (4,7) moved; their guarantees and
-# scenario counts did not.
-_PINNED_DIGEST = "d1feb37180fdc82958c32553baad43c0848349ca18aa82f4eb63d6080b2c59f6"
+# scenario counts did not.  When continuation weights began to come from
+# evaluating the continuation, every row was compared with the one before,
+# and only the RD,RD,RD row at (2,6) moved.  Its continuation `rd(pad);
+# rd(pad)` on 4 outcomes achieves uniform(4), where the guarantee formula
+# had claimed 1/2,0,0,1/2, so the first round's weight went from 1/2 to
+# 2/3 and the protocol from 1/4,1/8,1/8,1/8,1/8,1/4 to uniform(6), with
+# the same 48 scenarios.
+_PINNED_DIGEST = "7555abcfd5d07f73de6afbe5cd20894e77d5d1e093869cf8061e2959a7c10dda"
 
 
 def _digest_row(report):
@@ -856,6 +909,18 @@ _PINNED_N5 = {
 def test_large_evaluations_match_their_pinned_digests(text, n, p):
     report = worst_case_guarantee(parse_protocol(text, n, p), n, p)
     assert hashlib.sha256(repr(_digest_row(report)).encode()).hexdigest() == _PINNED_N5[text, n, p]
+
+
+def test_a_cover_continuation_can_fail_on_more_survivors_than_its_fewest(capsys):
+    # The parser weighs the dictator round by the cover on the one outcome
+    # that two distinct vetoes and the round can leave, where the premise
+    # holds.  When both agents veto the same outcome the cover plays on
+    # two, where their best outcomes can differ.
+    spec = parse_protocol("veto(1); rd(pad); cover(1,1,top)", 2, 5)
+    with pytest.raises(CoverNotFoundError):
+        worst_case_guarantee(spec, 2, 5)
+    assert main(["protocol-eval", "--spec", spec.text(), "--n", "2", "--p", "5"]) == 3
+    assert "no 1-set meets all reported 1-sets" in capsys.readouterr().err
 
 
 class TestSafeStrategy:
