@@ -48,6 +48,19 @@ right-hand side is < 0, which proves the program infeasible.  Where the
 optimum is not unique, the warm tableau may end at another optimal vertex
 than a `solve` from scratch; the value is the same.
 
+A loop that solves one master for many inputs, which differ only in the
+right-hand sides of some rows, calls `move` with those rows.  Their
+coefficient values and relations stay the same (anything else is a
+`ValueError`), so the reduced costs do too, and the optimal basis stays
+dual feasible (post-optimal analysis; Chvatal 1983, ch. 10).  Every
+tableau row, and the cost row, is a combination of the laid-out program
+rows, with weights in the columns that were unit vectors at layout.
+`move` recomputes each right-hand side from those weights and the new
+right-hand sides, negated for a row flipped at layout, whose layout it
+keeps; then the same dual simplex re-optimizes, and its result is
+re-checked against the moved rows.  A tableau that dropped a redundant
+row in phase 1 has no weights for it and cannot be moved.
+
 Results are treated as proofs downstream, so every result is re-checked
 in integers against the program's own rows, before any sign flip or added
 column, and a failed check raises `AssertionError` (also under
@@ -234,7 +247,8 @@ class _Tableau:
     """Dense simplex tableau over the integers for one program, built from
     its `Row`s by `solve` and solved by the two-phase method.  `status` is
     the outcome, with the optimum in `point` or the Farkas certificate in
-    `certificate`, and stays current while `add` appends rows.
+    `certificate`, and stays current while `add` appends rows and `move`
+    gives rows new right-hand sides.
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
     last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
@@ -247,7 +261,8 @@ class _Tableau:
     alone when the row was laid out.  Every tableau row is the combination
     of the program rows whose weights are its entries in those columns, and
     the cost row is the costs less such a combination, so duals and Farkas
-    certificates are read off there.
+    certificates are read off there, and `move` recomputes right-hand sides
+    from them.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -451,6 +466,36 @@ class _Tableau:
         self.unit_col.append(col)
         self.status = self._dual_run()
 
+    def move(self, moved: dict[int, Row]) -> None:
+        """Give each program row ``r`` of `moved` the right-hand side of
+        ``moved[r]``, whose coefficient values and relation must be those of
+        row ``r``, and re-optimize."""
+        if self.status != OPTIMAL or len(self.rows) < len(self.raw):
+            raise ValueError("rows can be moved only at an optimum that kept every row")
+        raw = self.raw
+        for r, (ints, den, rel) in moved.items():
+            old, old_den, old_rel = raw[r]
+            if rel != old_rel or den <= 0 or len(ints) != len(old) or any(
+                    a * old_den != v * den for a, v in zip(ints[:-1], old)):
+                raise ValueError("a moved row must keep its coefficient values and relation")
+        for r, new in moved.items():
+            raw[r] = new
+        # The laid-out right-hand sides, over one scale: a flipped row's is negated.
+        b, scale = _scaled([Fraction(-ints[-1] if flip else ints[-1], den)
+                            for (ints, den, _), flip in zip(raw, self.flipped)])
+        unit_col = self.unit_col
+
+        def rebased(row: list[int], den: int) -> tuple[list[int], int]:
+            out = [v * scale for v in row]
+            out[-1] = sum([row[col] * v for col, v in zip(unit_col, b)])
+            return _reduce(out, den * scale)
+
+        rows, dens = self.rows, self.dens
+        for i, row in enumerate(rows):
+            rows[i], dens[i] = rebased(row, dens[i])
+        self.cost, self.cost_den = rebased(self.cost, self.cost_den)
+        self.status = self._dual_run()
+
     def _dual_run(self) -> str:
         """Dual simplex from a dual-feasible basis, smallest-subscript rule."""
         rows = self.rows
@@ -493,5 +538,5 @@ class _Tableau:
 
 def solve(lp: LinearProgram) -> _Tableau:
     """`lp` solved: exact optimum or a self-verified Farkas infeasibility
-    certificate, kept in a tableau that `add` re-optimizes."""
+    certificate, kept in a tableau that `add` and `move` re-optimize."""
     return _Tableau(lp)

@@ -7,33 +7,39 @@ input is a ValueError, never a verdict.  It then answers n = 2 in closed
 form and tries the verified anchors as strict dominators.  What is left
 runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
-cuts from profiles that refuted earlier candidates.  The master is solved
-once by `lp.solve`, and the solved program is then re-optimized after each
-cut by its dual simplex (`add`), not solved again from scratch.  The
-candidate is read off the master as ints over one scale (its `point`), and
-its caps and cuts stay ints.
+cuts from profiles that refuted earlier candidates.  Each `(n, p)` has one
+master, kept in its cut store: the first call at a size solves it by
+`lp.solve`, and each later call moves its cap rows to the input's
+cumulatives (`move`), which change only right-hand sides.  Either way the
+solved program is then re-optimized after each cut by its dual simplex
+(`add`), not solved again from scratch.  The candidate is read off the
+master as ints over one scale (its `point`), and its caps and cuts stay
+ints.
 
 A cover cut holds at every lottery implementable at its profile, so at
 every feasible guarantee of `(n, p)`, whatever lottery was being tested
 when it was found.  Each `(n, p)` keeps one `_CutStore` of the cuts found
-so far, each with its refuting profile.  A candidate is first tested
-against the stored cuts with integer dot products; the first one it
-violates joins the master.  A candidate that meets every stored cut is
-tested at the working profiles (the store's profiles and the structured
-library) by `feasibility._implementing_point`: greedy fills in integers,
-and an exact implementation LP only where they miss.  A candidate that
-survives the working profiles becomes a `RankLottery` and goes to the
-full feasibility engine; its witness profile, if any, contributes a new
-cut.  Every new cut joins the store.
+so far, each with its refuting profile, and the master of the last call
+that returned, which holds the cuts that call and those before it added.
+A call that raises drops the master, not the cuts.  A candidate is first
+tested against the stored cuts with integer dot products; the first one
+it violates joins the master, so a fresh master reads the stored cuts.  A
+candidate that meets every stored cut is tested at the working profiles
+(the store's profiles and the structured library) by
+`feasibility._implementing_point`: greedy fills in integers, and an exact
+implementation LP only where they miss.  A candidate that survives the
+working profiles becomes a `RankLottery` and goes to the full feasibility
+engine; its witness profile, if any, contributes a new cut.  Every new cut
+joins the store.
 
 The loop ends either with a certified improver (dominated) or with master
 slack exactly zero (maximal: even the relaxation admits no strict
 dominator, and the true feasible set is contained in the relaxation).
 Before a maximal verdict, the master's dual is checked in integers, which
 proves that zero is the master's optimum and not only the slack of some
-feasible point.  The store holds inequalities only, never a verdict: the
-improver and the iteration count may depend on earlier calls at the same
-`(n, p)`, the verdicts cannot.
+feasible point.  The store holds inequalities and a master over them only,
+never a verdict: the improver and the iteration count may depend on
+earlier calls at the same `(n, p)`, the verdicts cannot.
 
 One profile budget and one deadline cover a whole call: the feasibility
 checks of the input and of every candidate share them, each check getting
@@ -61,6 +67,7 @@ from .lp import (
     OPTIMAL,
     LinearProgram,
     Row,
+    _Tableau,
     _reduce,
     _scaled,
     solve,
@@ -89,12 +96,15 @@ class _CutStore:
     the profile whose implementation LP refuted a candidate with it.
 
     Every cut holds on all of `F(n, p)`.  A cut row is kept once, and each
-    profile is held once, in `profiles`, in the order first met.
+    profile is held once, in `profiles`, in the order first met.  `master`
+    is the solved master of the last `is_maximal` call at `(n, p)` that
+    returned, or None.
     """
 
     def __init__(self) -> None:
         self.cuts: dict[tuple[tuple[int, ...], int], tuple[Row, Profile]] = {}
         self.profiles: dict[Profile, Profile] = {}
+        self.master: Optional[_Tableau] = None
 
     def add(self, cut: Row, prof: Profile) -> None:
         key = (tuple(cut[0]), cut[1])
@@ -183,26 +193,29 @@ def is_maximal(
     every candidate's; the loop's tests at the working profiles are not
     counted, since their number depends on the cuts stored by earlier calls.
 
-    Each candidate of the loop is first tested against the cuts stored for
-    `(n, p)`, in store order; the first one it violates joins the master.
-    A candidate that meets every stored cut is tested by
-    `_implementing_point` at the working profiles, newest first: the
-    store's profiles and `hard_profiles(n, p)`, plus each witness of this
-    call.  Every cut found joins the store.  Each cut is added to one warm
-    master, so where its optimum is not unique, the candidates, the
-    improver and the iteration count can differ from those of a master
-    solved from scratch, and can depend on earlier calls at the same
-    `(n, p)`.  The verdicts cannot: maximal is proved by the master's dual
-    over cuts that all hold on `F(n, p)`, dominated by the feasibility
-    engine.
+    The loop runs on one master per `(n, p)`, kept in the cut store: built
+    by the first call at the size, moved to `lam`'s caps by each later one,
+    and kept again only when the call returns.  `iterations` counts the
+    master optima this call read.  Each candidate of the loop is first
+    tested against the cuts stored for `(n, p)`, in store order; the first
+    one it violates joins the master.  A candidate that meets every stored
+    cut is tested by `_implementing_point` at the working profiles, newest
+    first: the store's profiles and `hard_profiles(n, p)`, plus each
+    witness of this call.  Every cut found joins the store and the master.
+    Where the master's optimum is not unique, the candidates, the improver
+    and the iteration count can differ from those of a master solved from
+    scratch, and can depend on earlier calls at the same `(n, p)`.  The
+    verdicts cannot: maximal is proved by the master's dual over cuts that
+    all hold on `F(n, p)`, dominated by the feasibility engine.
 
     The loop ends with no cap on its iterations.  Each iteration that does
     not end the call adds to the master a cut that its candidate violates,
-    while the candidate meets every cut already in the master, so no cut
-    is added twice.  And there are finitely many to add: the store is
-    finite, and each new cut comes from a phase-1 Farkas certificate, which
-    depends only on a basis of one of finitely many implementation
-    programs (one per profile and set of active ranks).
+    while the candidate meets every cut already in the master, so the
+    master gets no cut twice, whichever calls added its cuts.  And there
+    are finitely many to add: the store is finite, and each new cut comes
+    from a phase-1 Farkas certificate, which depends only on a basis of one
+    of finitely many implementation programs (one per profile and set of
+    active ranks).
     """
     started = time.perf_counter()
     p = lam.p
@@ -254,12 +267,18 @@ def is_maximal(
     # cumulative slack, sum_{k<p} (cum_k(lam) - cum_k(mu)), is minimizing
     # sum_t (p - t) * mu_t.
     lam_caps, lam_den = _scaled(lam.cumulative()[:-1])
-    master_rows = tuple(_tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))]))
-    objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
-    master = solve(LinearProgram(p, master_rows, objective, maximize=True))
+    master_rows = _tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))])
+    # Only rows 1..p-1, the caps, differ between the masters of one size.
+    master, store.master = store.master, None  # kept again only when this call returns
+    if master is None:
+        objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
+        master = solve(LinearProgram(p, tuple(master_rows), objective, maximize=True))
+    else:
+        master.move(dict(enumerate(master_rows[1:], 1)))
     while True:
         if _expired(deadline):
-            return finish(UNDECIDED, "time-limit")
+            ended = UNDECIDED, "time-limit"
+            break
         iterations += 1
         if master.status != OPTIMAL:
             raise AssertionError("master must stay solvable")
@@ -271,7 +290,8 @@ def is_maximal(
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
             master.certify()
-            return finish(MAXIMAL, "master-dual")
+            ended = MAXIMAL, "master-dual"
+            break
         stored = store.violated(x, scale)
         if stored is not None:
             master.add(stored)
@@ -295,9 +315,11 @@ def is_maximal(
         mu = RankLottery(tuple([Fraction(v, scale) for v in x]))
         report = check(mu)
         if report.verdict == FEASIBLE:
-            return finish(DOMINATED, "candidate-feasible", mu)
+            ended = DOMINATED, "candidate-feasible", mu
+            break
         if report.verdict == UNDECIDED:
-            return finish(UNDECIDED, report.method if report.method in _LIMITS else "feasibility-undecided")
+            ended = UNDECIDED, report.method if report.method in _LIMITS else "feasibility-undecided"
+            break
         witness = report.witness_profile
         assert witness is not None and report.witness_certificate is not None
         working.append(witness)
@@ -306,6 +328,8 @@ def is_maximal(
         cut = _cover_cut(mu_active, report.witness_certificate, p)
         store.add(cut, witness)
         master.add(cut)
+    store.master = master
+    return finish(*ended)
 
 
 def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]:

@@ -338,6 +338,12 @@ class TestCutStore:
     def test_stored_cuts_hold_and_leave_verdicts_alone(self, monkeypatch):
         certified = []
         certify = lp._Tableau.certify
+        built = []
+        real_solve = maximality.solve
+
+        def counting_solve(program):
+            built.append(program.num_vars)
+            return real_solve(program)
 
         def counting_certify(master):
             certify(master)
@@ -353,13 +359,16 @@ class TestCutStore:
 
         monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
         monkeypatch.setattr(maximality._CutStore, "violated", violated)
+        monkeypatch.setattr(maximality, "solve", counting_solve)
         monkeypatch.setattr(maximality, "_cut_stores", {})
         points = _bench_like_points()
         expected = [verdict for _, verdict in points]
 
-        # A warm store: each query reads the cuts of those before it.
+        # A warm store: each query moves the master of those before it, which
+        # already holds every cut they found, to its own caps.
         assert [is_maximal(lam, 3).verdict for lam, _ in points] == expected
-        assert len(certified) == expected.count("maximal") and any(reused)
+        assert len(certified) == expected.count("maximal")
+        assert sorted(built) == [5, 6]
         stores = maximality._cut_stores
         assert set(stores) == {(3, 5), (3, 6)} and all(store.cuts for store in stores.values())
 
@@ -376,13 +385,16 @@ class TestCutStore:
                 assert (prof.n, prof.p) == (n, p)
                 assert all(_holds(cut, lam) for lam in lotteries), cut
 
-        # The same store read in reverse order.
+        # The same store read in reverse order, by a fresh master that must
+        # read the stored cuts.
         for key, store in list(stores.items()):
             reverse = maximality._CutStore()
             for cut, prof in reversed(list(store.cuts.values())):
                 reverse.add(cut, prof)
             stores[key] = reverse
+        reused.clear()
         assert [is_maximal(lam, 3).verdict for lam, _ in points] == expected
+        assert any(reused)
 
         # An empty store for every query.
         cold = []
@@ -391,6 +403,65 @@ class TestCutStore:
             cold.append(is_maximal(lam, 3).verdict)
         assert cold == expected
         assert len(certified) == 3 * expected.count("maximal")
+
+
+def _anchor_mixtures():
+    """25 seeded mixtures each at (3,5), (3,6), (4,6) and (3,7), shuffled:
+    of two or three of the uniform and the verified anchors, with random
+    weights."""
+    rng = random.Random(13)
+    points = []
+    for n, p in ((3, 5), (3, 6), (4, 6), (3, 7)):
+        base = [uniform(p), *verified_anchors(n, p)]
+        for _ in range(25):
+            chosen = rng.sample(base, rng.choice((2, 2, 3)))
+            weights = [rng.randint(1, 9) for _ in chosen]
+            total = sum(weights)
+            points.append((n, convex_combination([(F(w, total), lam) for w, lam in zip(weights, chosen)])))
+    rng.shuffle(points)
+    return points
+
+
+class TestWarmMaster:
+    """One master per (n, p), moved to each input's caps, decides as a
+    master built for the input alone does."""
+
+    def test_warm_and_cold_masters_agree_and_duals_share_verdicts(self, monkeypatch):
+        certified = []
+        certify = lp._Tableau.certify
+        built = []
+        real_solve = maximality.solve
+
+        def counting_certify(master):
+            certify(master)
+            certified.append(master)
+
+        def counting_solve(program):
+            built.append(program.num_vars)
+            return real_solve(program)
+
+        monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
+        monkeypatch.setattr(maximality, "solve", counting_solve)
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        points = _anchor_mixtures()
+
+        warm = [is_maximal(lam, n).verdict for n, lam in points]
+        stores = maximality._cut_stores
+        assert set(stores) == {(3, 5), (3, 6), (4, 6), (3, 7)}
+        assert sorted(built) == sorted(p for _, p in stores) and all(store.master for store in stores.values())
+        assert len(certified) == warm.count("maximal")
+        assert warm.count("maximal") > 50 and warm.count("dominated") > 10, warm
+
+        # A fresh store, and so a fresh master, for each point.
+        cold = []
+        for n, lam in points:
+            stores.clear()
+            cold.append(is_maximal(lam, n).verdict)
+        assert cold == warm
+        assert len(certified) == 2 * warm.count("maximal")
+
+        # `dual` keeps the verdict (`lottery.dual` states this as observed).
+        assert [is_maximal(dual(lam), n).verdict for n, lam in points] == warm
 
 
 class TestAgainstMonolithicMaster:
