@@ -1,8 +1,23 @@
 """Exact rational linear programming with verifiable certificates.
 
-A dense two-phase simplex with Bland's pivot rule, so every run terminates
-and is deterministic for a given input.  Variables are nonnegative; other
-bounds are expressed as explicit constraint rows.
+Every program minimizes a nonnegative objective over nonnegative variables;
+other bounds are explicit constraint rows.  A program is solved by the dual
+simplex alone, from its all-slack basis.  Each row is laid out as ``<=``
+rows, each with its own slack column: a ``<=`` row as it is, a ``>=`` row
+negated, and an ``=`` row as the pair of its ``<=`` row and that row
+negated.  The slacks form the starting basis and the objective is the cost
+row.  Its reduced costs, the objective coefficients and zeros, are >= 0, so
+the start is dual feasible whatever the signs of the right-hand sides, and
+no phase 1 or artificial column is needed (Lemke 1954).  Each step takes
+the leaving row, among rows with a negative right-hand side, the one whose
+basic column is lowest; the entering column has the smallest ratio
+``cost_j / -a_j`` over the entries ``a_j < 0`` of that row, ties going to
+the lowest column.  This is Bland's smallest-subscript rule applied to the
+dual program (Bland 1977), so no basis repeats and the loop ends: at a
+basis whose right-hand sides are all >= 0, an optimum, or at a row whose
+entries are all >= 0 and whose right-hand side is < 0, which proves the
+program infeasible.  A nonnegative cost is bounded below by 0 on ``x >=
+0``, so no program is unbounded.
 
 The tableau is integer: each row is a list of ints plus one positive
 denominator, and the cost row is stored the same way.  A pivot divides the
@@ -17,12 +32,10 @@ denominator reaches 2**60, so its ints stay within that factor of its
 lowest terms, and the point an optimum returns is put in lowest terms as a
 whole.  Every choice the simplex makes is the one a tableau of `Fraction`
 entries would make, because each depends only on a sign or on a comparison
-of two exact ratios: Bland's rule enters the first column whose cost
-numerator is negative, and the ratio test compares ``rhs_i / a_i`` across
-rows by cross-multiplying integers, in which the row denominators cancel,
-with ties broken on the basis index.  The pivot sequence, and so the
-primal point and the certificate, are those of a `Fraction` tableau
-(`tests/fraction_lp.py` holds one as the reference).
+of two exact ratios, compared by cross-multiplying integers, in which the
+row denominators cancel.  The pivot sequence, and so the primal point and
+the certificate, are those of a `Fraction` tableau (`tests/fraction_lp.py`
+holds one as the reference).
 
 Every constraint is stated in one form, the `Row` triple ``(ints, den,
 rel)``: a row's coefficients and right-hand side as ints over one positive
@@ -33,48 +46,40 @@ optimum as ints over one scale in `point`, so no `Fraction` is made for a
 feasible program, or its Farkas certificate in `certificate`; `result`
 reads them as `Fraction`s.  A cutting-plane loop, whose master program
 gains one row per iteration, keeps the solved master and calls `add` for
-each row.  Each added ``<=`` or ``>=`` row gets its own slack column and
-is priced out against the basis.  The reduced costs stay >= 0, so the
-basis stays dual feasible, and only the new row's right-hand side can be
-negative.  The dual simplex then restores primal feasibility with the
-smallest-subscript rule.  The leaving row is, among rows with a negative
-right-hand side, the one whose basic column is lowest.  The entering
-column has the smallest ratio ``cost_j / -a_j`` over the entries
-``a_j < 0`` of that row, compared as cross-multiplied integers, with ties
-going to the lowest column.  Artificial columns never enter.  This is
-Bland's rule applied to the dual program, so no basis repeats and the loop
-ends: at an optimum, or at a row whose entries are all >= 0 and whose
-right-hand side is < 0, which proves the program infeasible.  Where the
-optimum is not unique, the warm tableau may end at another optimal vertex
-than a `solve` from scratch; the value is the same.
+each row.  The added ``<=`` or ``>=`` row is laid out like any other, with
+its own slack column, and priced out against the basis.  The reduced
+costs stay >= 0, so the basis stays dual feasible, and only the new row's
+right-hand side can be negative; the same dual simplex re-optimizes.
+Where the optimum is not unique, the warm tableau may end at another
+optimal vertex than a `solve` from scratch; the value is the same.
 
 A loop that solves one master for many inputs, which differ only in the
 right-hand sides of some rows, calls `move` with those rows.  Their
 coefficient values and relations stay the same (anything else is a
 `ValueError`), so the reduced costs do too, and the optimal basis stays
 dual feasible (post-optimal analysis; Chvatal 1983, ch. 10).  Every
-tableau row, and the cost row, is a combination of the laid-out program
-rows, with weights in the columns that were unit vectors at layout.
-`move` recomputes each right-hand side from those weights and the new
-right-hand sides, negated for a row flipped at layout, whose layout it
-keeps; then the same dual simplex re-optimizes, and its result is
-re-checked against the moved rows.  A tableau that dropped a redundant
-row in phase 1 has no weights for it and cannot be moved.
+tableau row, and the cost row, is a combination of the laid-out rows, with
+weights in their slack columns.  `move` recomputes each right-hand side
+from those weights and the laid-out right-hand sides; then the same dual
+simplex re-optimizes, and its result is re-checked against the moved
+rows.
 
 Results are treated as proofs downstream, so every result is re-checked
-in integers against the program's own rows, before any sign flip or added
-column, and a failed check raises `AssertionError` (also under
-``python -O``).  An optimal point ``x / D`` must be >= 0 and meet every
-row as ``sum_j a_j * x_j`` against ``rhs * D``.  An infeasible program
-comes with a Farkas certificate `y`: ``sum_i y_i * row_i`` has
-coefficients >= 0 and right-hand side < 0, so ``x >= 0`` would give
-``0 <= negative``.  Signs: ``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``,
-free on ``=`` rows.  These checks show that a point is feasible, not that
-it is optimal.  `certify` shows that too: it reads the dual off the cost
-row and checks that each multiplier has the sign its row requires, that
-the dual is feasible for every column ``x_j >= 0``, and that the dual
-objective equals the primal value, so that weak duality bounds every
-feasible point by this one.
+in integers against the program's own rows, as they were given, and a
+failed check raises `AssertionError` (also under ``python -O``).  An
+optimal point ``x / D`` must be >= 0 and meet every row as ``sum_j a_j *
+x_j`` against ``rhs * D``.  An infeasible program comes with a Farkas
+certificate `y`: ``sum_i y_i * row_i`` has coefficients >= 0 and
+right-hand side < 0, so ``x >= 0`` would give ``0 <= negative``.  Signs:
+``y_i >= 0`` on ``<=``, ``<= 0`` on ``>=``, free on ``=`` rows.  It is
+read off the refuting tableau row: the weight of each laid-out row, with
+the sign of its layout, summed over the one or two laid-out rows of each
+program row.  These checks show that a point is feasible, not that it is
+optimal.  `certify` shows that too: it reads the dual off the cost row's
+slack entries in the same way and checks that each multiplier has the
+sign its row requires, that the dual is feasible for every column ``x_j >=
+0``, and that the dual objective equals the primal value, so that weak
+duality bounds every feasible point by this one.
 """
 
 from __future__ import annotations
@@ -94,7 +99,6 @@ _RELS = (LE, EQ, GE)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 Row = tuple[list[int], int, str]  # a constraint's ints over one denominator, and its relation
@@ -103,20 +107,23 @@ Point = tuple[list[int], int]  # ints x over one positive scale, for the point x
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max of a linear objective over {x >= 0, constraints}.
+    """min of a nonnegative linear objective over {x >= 0, constraints}.
 
     Each constraint is a `Row` ``(ints, den, rel)``: the coefficients and,
     last, the right-hand side, as ints over the positive denominator `den`.
+    A nonnegative objective makes the all-slack basis dual feasible, the
+    start `solve` needs.
     """
 
     num_vars: int
     constraints: tuple[Row, ...]
     objective: tuple[Fraction, ...]
-    maximize: bool = True
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match variable count")
+        if any(c < 0 for c in self.objective):
+            raise ValueError("objective coefficients must be nonnegative")
         for ints, den, rel in self.constraints:
             if len(ints) != self.num_vars + 1:
                 raise ValueError("row length does not match variable count")
@@ -136,7 +143,7 @@ class LPResult:
 
 def feasibility_program(num_vars: int, rows: Sequence[Row]) -> LinearProgram:
     """A zero-objective program; `solve` then acts as a feasibility check."""
-    return LinearProgram(num_vars, tuple(rows), (ZERO,) * num_vars, maximize=False)
+    return LinearProgram(num_vars, tuple(rows), (ZERO,) * num_vars)
 
 
 def verify_infeasibility(lp: LinearProgram, certificate: Sequence[Fraction]) -> bool:
@@ -244,22 +251,20 @@ def _eliminate(
 
 
 class _Tableau:
-    """Dense simplex tableau over the integers for one program, built from
-    its `Row`s by `solve` and solved by the two-phase method.  `status` is
-    the outcome, with the optimum in `point` or the Farkas certificate in
-    `certificate`, and stays current while `add` appends rows and `move`
-    gives rows new right-hand sides.
+    """Dense dual simplex tableau over the integers for one program, built
+    from its `Row`s by `solve`.  `status` is the outcome, with the optimum
+    in `point` or the Farkas certificate in `certificate`, and stays current
+    while `add` appends rows and `move` gives rows new right-hand sides.
 
     Row ``i`` holds the values ``rows[i][j] / dens[i]`` for its columns and,
-    last, its right-hand side; the cost row is ``cost[j] / cost_den``.  Every
-    denominator is positive, and a row whose denominator reaches `_BOUND` is
-    divided by its gcd.  The columns are the variables, one slack per ``<=``
-    row and one surplus per ``>=`` row (after rows with a negative
-    right-hand side are flipped), one artificial per ``>=`` and ``=`` row,
-    then one slack per row added by `add`, and last the right-hand side.
-    `unit_col[r]` is the column that was a unit vector in program row ``r``
-    alone when the row was laid out.  Every tableau row is the combination
-    of the program rows whose weights are its entries in those columns, and
+    last, its right-hand side; the cost row is ``cost[j] / cost_den``, and
+    its last entry is minus the objective value.  Every denominator is
+    positive, and a row whose denominator reaches `_BOUND` is divided by its
+    gcd.  `layout[i]` is ``(r, sign)``: tableau row ``i`` was laid out as
+    `sign` times program row ``r``, as a ``<=`` row.  The columns are the
+    variables, then the slack of each laid-out row in layout order, and
+    last the right-hand side.  Every tableau row is the combination of the
+    laid-out rows whose weights are its entries in the slack columns, and
     the cost row is the costs less such a combination, so duals and Farkas
     certificates are read off there, and `move` recomputes right-hand sides
     from them.
@@ -270,83 +275,44 @@ class _Tableau:
         # `add` appends to `raw`, so the tableau keeps its own list of rows.
         raw = self.raw = list(lp.constraints)
         self.obj, self.obj_den = _scaled(lp.objective)
-        self.sense = -1 if lp.maximize else 1
-
-        # Normalize to rhs >= 0, remembering per-row sign flips.
-        flipped = self.flipped = [ints[-1] < 0 for ints, _, _ in raw]
-        norm_rel = [{LE: GE, GE: LE, EQ: EQ}[rel] if flip else rel for (_, _, rel), flip in zip(raw, flipped)]
-        n_slack = norm_rel.count(LE)
-        art0 = self.art0 = nv + n_slack + norm_rel.count(GE)
-        ncols = self.art_end = art0 + len(raw) - n_slack
-
+        layout: list[tuple[int, int]] = []
+        for r, (_, _, rel) in enumerate(raw):
+            if rel != GE:
+                layout.append((r, 1))
+            if rel != LE:
+                layout.append((r, -1))
+        self.layout = layout
+        m = len(layout)
         rows: list[list[int]] = []
-        dens = [den for _, den, _ in raw]
-        basis: list[int] = []
-        si, ui, ai = nv, nv + n_slack, art0  # next slack, surplus and artificial column
-        pad = [0] * (ncols - nv)
-        for (ints, den, _), flip, rel in zip(raw, flipped, norm_rel):
-            if flip:
-                ints = [-v for v in ints]
-            row = ints[:nv] + pad + ints[-1:]
-            if rel == LE:
-                row[si] = den
-                basis.append(si)
-                si += 1
-            else:
-                if rel == GE:
-                    row[ui] = -den
-                    ui += 1
-                row[ai] = den
-                basis.append(ai)
-                ai += 1
+        for i, (r, sign) in enumerate(layout):
+            ints, den, _ = raw[r]
+            row = [sign * v for v in ints[:nv]] + [0] * m + [sign * ints[-1]]
+            row[nv + i] = den
             rows.append(row)
         self.rows = rows
-        self.dens = dens
-        self.basis = basis
-        self.unit_col = basis[:]
-        self.cost: list[int] = []
-        self.cost_den = 1
+        self.dens = [raw[r][1] for r, _ in layout]
+        self.basis = list(range(nv, nv + m))
+        self.cost = self.obj + [0] * (m + 1)
+        self.cost_den = self.obj_den
         self.point: Optional[Point] = None
         self.certificate: Optional[tuple[Fraction, ...]] = None
-        self.status = self._two_phase()
+        self.status = self._dual_run()
 
-    def _two_phase(self) -> str:
-        art0, ncols = self.art0, self.art_end
-        # Phase 1: minimize the sum of artificial variables.
-        self.set_cost([0] * art0 + [1] * (ncols - art0) + [0], 1)
-        status = self.run(ncols)
-        assert status == OPTIMAL, "phase 1 cannot be unbounded"
-        if self.cost[-1] < 0:
-            # Infeasible: the dual sits in the cost row.
-            return self._infeasible(
-                [self.cost[col] - (self.cost_den if col >= art0 else 0) for col in self.unit_col], self.cost_den
-            )
+    def _multipliers(self, weights: Sequence[int]) -> list[int]:
+        """Per program row, the summed `weights` of its laid-out rows, each
+        with the sign of its layout."""
+        y = [0] * len(self.raw)
+        for w, (r, sign) in zip(weights, self.layout):
+            y[r] += sign * w
+        return y
 
-        # Drive any zero-valued artificial out of the basis, dropping redundant rows.
-        drop: list[int] = []
-        for i in range(len(self.rows)):
-            if self.basis[i] >= art0:
-                row = self.rows[i]
-                pivot_col = next((j for j in range(art0) if row[j]), -1)
-                if pivot_col >= 0:
-                    self.pivot(i, pivot_col)
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del self.rows[i]
-            del self.dens[i]
-            del self.basis[i]
+    def _slacks(self, row: list[int]) -> list[int]:
+        return row[self.nv:self.nv + len(self.layout)]
 
-        # Phase 2 on the original objective (as minimization).
-        self.set_cost([self.sense * v for v in self.obj] + [0] * (ncols - self.nv + 1), self.obj_den)
-        if self.run(art0) == UNBOUNDED:
-            return UNBOUNDED
-        return self._optimum()
-
-    def _infeasible(self, nums: list[int], den: int) -> str:
-        """Keep the Farkas certificate ``nums / den`` over the flipped rows,
-        mapped back to the program's rows and re-checked."""
-        nums = [-y if flip else y for y, flip in zip(nums, self.flipped)]
+    def _infeasible(self, row: list[int], den: int) -> str:
+        """Keep the Farkas certificate that the tableau row ``row / den``
+        reads, over the program's rows and re-checked."""
+        nums = self._multipliers(self._slacks(row))
         if not _refutes(self.raw, nums, self.nv):
             raise AssertionError("bad Farkas certificate")
         self.certificate = tuple([Fraction(y, den) for y in nums])
@@ -377,17 +343,6 @@ class _Tableau:
         # From a list, `tuple` allocates at the final size (a generator resizes).
         return LPResult(OPTIMAL, tuple([Fraction(v, scale) if v else ZERO for v in x]), value)
 
-    def _price(self, row: list[int], den: int) -> tuple[list[int], int]:
-        """``row / den`` with every basic column eliminated."""
-        for prow, pden, b in zip(self.rows, self.dens, self.basis):
-            if row[b]:
-                row, den = _eliminate(row, den, prow, pden, b, _nonzero(prow))
-        return row, den
-
-    def set_cost(self, cost: list[int], den: int) -> None:
-        """Install the cost row ``cost / den``, priced out against the basis."""
-        self.cost, self.cost_den = self._price(cost, den)
-
     def pivot(self, row_idx: int, col: int) -> None:
         rows = self.rows
         dens = self.dens
@@ -409,39 +364,6 @@ class _Tableau:
             self.cost, self.cost_den = _eliminate(self.cost, self.cost_den, prow, pden, col, nz)
         self.basis[row_idx] = col
 
-    def run(self, ncols: int) -> str:
-        """Minimize until optimal or unbounded; Bland's rule over the first `ncols` columns."""
-        rows = self.rows
-        basis = self.basis
-        while True:
-            cost = self.cost
-            enter = -1
-            for j in range(ncols):
-                if cost[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            # Ratio test: rhs_i / a_i over rows with a_i > 0.  Both values
-            # share the row's denominator, so it cancels from the ratio.
-            leave = -1
-            best_rhs = best_a = 0
-            for i, row in enumerate(rows):
-                a = row[enter]
-                if a > 0:
-                    rhs = row[-1]
-                    if leave >= 0:
-                        lhs_cross = rhs * best_a
-                        rhs_cross = best_rhs * a
-                        if lhs_cross > rhs_cross or (lhs_cross == rhs_cross and basis[i] > basis[leave]):
-                            continue
-                    leave = i
-                    best_rhs = rhs
-                    best_a = a
-            if leave < 0:
-                return UNBOUNDED
-            self.pivot(leave, enter)
-
     def add(self, row: Row) -> None:
         """Append the ``<=`` or ``>=`` row `row` and re-optimize."""
         if self.status != OPTIMAL:
@@ -450,28 +372,28 @@ class _Tableau:
         if rel not in (LE, GE) or len(ints) != self.nv + 1 or den <= 0:
             raise ValueError("an added row must be an inequality over the program's variables")
         self.raw.append(row)
-        # Laid out as a `<=` row with its own slack, so a `>=` row is negated.
-        flip = rel == GE
-        self.flipped.append(flip)
-        if flip:
-            ints = [-v for v in ints]
+        sign = -1 if rel == GE else 1
+        self.layout.append((len(self.raw) - 1, sign))
         col = len(self.cost) - 1
         for tab_row in self.rows:
             tab_row.insert(col, 0)
         self.cost.insert(col, 0)
-        tab_row, den = self._price(ints[:-1] + [0] * (col - self.nv) + [den, ints[-1]], den)
-        self.rows.append(tab_row)
+        # Laid out with its own slack, then priced out against the basis.
+        new = [sign * v for v in ints[:-1]] + [0] * (col - self.nv) + [den, sign * ints[-1]]
+        for prow, pden, b in zip(self.rows, self.dens, self.basis):
+            if new[b]:
+                new, den = _eliminate(new, den, prow, pden, b, _nonzero(prow))
+        self.rows.append(new)
         self.dens.append(den)
         self.basis.append(col)
-        self.unit_col.append(col)
         self.status = self._dual_run()
 
     def move(self, moved: dict[int, Row]) -> None:
         """Give each program row ``r`` of `moved` the right-hand side of
         ``moved[r]``, whose coefficient values and relation must be those of
         row ``r``, and re-optimize."""
-        if self.status != OPTIMAL or len(self.rows) < len(self.raw):
-            raise ValueError("rows can be moved only at an optimum that kept every row")
+        if self.status != OPTIMAL:
+            raise ValueError(f"rows can be moved only at an optimum, not when {self.status}")
         raw = self.raw
         for r, (ints, den, rel) in moved.items():
             old, old_den, old_rel = raw[r]
@@ -480,14 +402,12 @@ class _Tableau:
                 raise ValueError("a moved row must keep its coefficient values and relation")
         for r, new in moved.items():
             raw[r] = new
-        # The laid-out right-hand sides, over one scale: a flipped row's is negated.
-        b, scale = _scaled([Fraction(-ints[-1] if flip else ints[-1], den)
-                            for (ints, den, _), flip in zip(raw, self.flipped)])
-        unit_col = self.unit_col
+        # The laid-out right-hand sides, over one scale.
+        b, scale = _scaled([Fraction(sign * raw[r][0][-1], raw[r][1]) for r, sign in self.layout])
 
         def rebased(row: list[int], den: int) -> tuple[list[int], int]:
             out = [v * scale for v in row]
-            out[-1] = sum([row[col] * v for col, v in zip(unit_col, b)])
+            out[-1] = sum(map(mul, self._slacks(row), b))
             return _reduce(out, den * scale)
 
         rows, dens = self.rows, self.dens
@@ -500,7 +420,6 @@ class _Tableau:
         """Dual simplex from a dual-feasible basis, smallest-subscript rule."""
         rows = self.rows
         basis = self.basis
-        candidates = [*range(self.art0), *range(self.art_end, len(self.cost) - 1)]  # never an artificial
         while True:
             leave = -1
             for i, row in enumerate(rows):
@@ -514,7 +433,7 @@ class _Tableau:
             # the cost row's, cancel from the cross-multiplied comparison.
             enter = -1
             best_cost = best_a = 0
-            for j in candidates:
+            for j in range(len(cost) - 1):
                 a = row[j]
                 if a < 0 and (enter < 0 or cost[j] * best_a > best_cost * a):
                     enter = j
@@ -522,7 +441,7 @@ class _Tableau:
                     best_a = a
             if enter < 0:
                 # The row reads: basic variable + (terms >= 0) = negative.
-                return self._infeasible([row[col] for col in self.unit_col], self.dens[leave])
+                return self._infeasible(row, self.dens[leave])
             self.pivot(leave, enter)
 
     def certify(self) -> None:
@@ -530,9 +449,8 @@ class _Tableau:
         read off the cost row proves the current point optimal."""
         if self.status != OPTIMAL:
             raise ValueError(f"only an optimum can be certified, not {self.status}")
-        z = [-v if flip else v for v, flip in zip([self.cost[col] for col in self.unit_col], self.flipped)]
-        cost = [self.sense * v for v in self.obj]
-        if not _bounds(self.raw, z, self.cost_den, cost, self.obj_den, self.sense * self.result.objective_value):
+        z = self._multipliers(self._slacks(self.cost))
+        if not _bounds(self.raw, z, self.cost_den, self.obj, self.obj_den, self.result.objective_value):
             raise AssertionError("optimum failed its dual check")
 
 

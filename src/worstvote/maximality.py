@@ -8,11 +8,11 @@ form and tries the verified anchors as strict dominators.  What is left
 runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
 cuts from profiles that refuted earlier candidates.  Each `(n, p)` has one
-master, kept in its cut store: the first call at a size solves it by
-`lp.solve`, and each later call moves its cap rows to the input's
-cumulatives (`move`), which change only right-hand sides.  Either way the
-solved program is then re-optimized after each cut by its dual simplex
-(`add`), not solved again from scratch.  The candidate is read off the
+master, kept in its cut store: a call that finds none solves it, with
+every stored cut, by `lp.solve`, and each later call moves its cap rows to
+the input's cumulatives (`move`), which change only right-hand sides.
+Either way the solved program is then re-optimized after each cut by its
+dual simplex (`add`), not solved again from scratch.  The candidate is read off the
 master as ints over one scale (its `point`), and its caps and cuts stay
 ints.
 
@@ -21,11 +21,10 @@ every feasible guarantee of `(n, p)`, whatever lottery was being tested
 when it was found.  Each `(n, p)` keeps one `_CutStore` of the cuts found
 so far, each with its refuting profile, and the master of the last call
 that returned, which holds the cuts that call and those before it added.
-A call that raises drops the master, not the cuts.  A candidate is first
-tested against the stored cuts with integer dot products; the first one
-it violates joins the master, so a fresh master reads the stored cuts.  A
-candidate that meets every stored cut is tested at the working profiles
-(the store's profiles and the structured library) by
+A call that raises drops the master, not the cuts, and the next call's
+fresh master is built with every stored cut.  So the master holds every
+stored cut, and a candidate meets them all.  It is tested at the working
+profiles (the store's profiles and the structured library) by
 `feasibility._implementing_point`: greedy fills in integers, and an exact
 implementation LP only where they miss.  A candidate that survives the
 working profiles becomes a `RankLottery` and goes to the full feasibility
@@ -57,7 +56,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, convex_combination, dominates
@@ -110,15 +108,6 @@ class _CutStore:
         key = (tuple(cut[0]), cut[1])
         if key not in self.cuts:
             self.cuts[key] = (cut, self.profiles.setdefault(prof, prof))
-
-    def violated(self, x: Sequence[int], scale: int) -> Optional[Row]:
-        """The first stored cut that ``x / scale`` violates, or None.  A cut
-        row is ``(ints, den, GE)``, and its `den` cancels from both sides."""
-        for cut, _ in self.cuts.values():
-            ints = cut[0]
-            if sum(map(mul, ints, x)) < ints[-1] * scale:
-                return cut
-        return None
 
 
 _cut_stores: dict[tuple[int, int], _CutStore] = {}
@@ -195,12 +184,11 @@ def is_maximal(
 
     The loop runs on one master per `(n, p)`, kept in the cut store: built
     by the first call at the size, moved to `lam`'s caps by each later one,
-    and kept again only when the call returns.  `iterations` counts the
-    master optima this call read.  Each candidate of the loop is first
-    tested against the cuts stored for `(n, p)`, in store order; the first
-    one it violates joins the master.  A candidate that meets every stored
-    cut is tested by `_implementing_point` at the working profiles, newest
-    first: the store's profiles and `hard_profiles(n, p)`, plus each
+    and kept again only when the call returns; a built master carries
+    every cut stored for `(n, p)`, in store order, after the master rows.
+    `iterations` counts the master optima this call read.  Each candidate
+    of the loop is tested by `_implementing_point` at the working profiles,
+    newest first: the store's profiles and `hard_profiles(n, p)`, plus each
     witness of this call.  Every cut found joins the store and the master.
     Where the master's optimum is not unique, the candidates, the improver
     and the iteration count can differ from those of a master solved from
@@ -213,9 +201,8 @@ def is_maximal(
     while the candidate meets every cut already in the master, so the
     master gets no cut twice, whichever calls added its cuts.  And there
     are finitely many to add: the store is finite, and each new cut comes
-    from a phase-1 Farkas certificate, which depends only on a basis of one
-    of finitely many implementation programs (one per profile and set of
-    active ranks).
+    from the Farkas certificate of a refuting basis of one of finitely many
+    implementation programs (one per profile and set of active ranks).
     """
     started = time.perf_counter()
     p = lam.p
@@ -271,8 +258,9 @@ def is_maximal(
     # Only rows 1..p-1, the caps, differ between the masters of one size.
     master, store.master = store.master, None  # kept again only when this call returns
     if master is None:
-        objective = tuple(Fraction(-(p - t)) for t in range(1, p + 1))
-        master = solve(LinearProgram(p, tuple(master_rows), objective, maximize=True))
+        objective = tuple(Fraction(p - t) for t in range(1, p + 1))
+        cuts = tuple(cut for cut, _ in store.cuts.values())
+        master = solve(LinearProgram(p, (*master_rows, *cuts), objective))
     else:
         master.move(dict(enumerate(master_rows[1:], 1)))
     while True:
@@ -292,10 +280,6 @@ def is_maximal(
             master.certify()
             ended = MAXIMAL, "master-dual"
             break
-        stored = store.violated(x, scale)
-        if stored is not None:
-            master.add(stored)
-            continue
         mu_active = tuple(k for k in range(1, p) if x[k])
         mu_caps = [caps[k - 1] for k in mu_active]
 
@@ -342,7 +326,7 @@ def forcing_value(lam: RankLottery, prof: Profile, k: int) -> Optional[Fraction]
     rows = [(ints[:-1] + [0, ints[-1]], den, rel) for ints, den, rel in implementation]
     rows += [(ints[:-1] + [-1, 0], 1, LE) for ints, _, _ in _tail_rows(p, (k,), (0,), 1, orders)[1:]]
     objective = (ZERO,) * p + (Fraction(1),)
-    solved = solve(LinearProgram(p + 1, tuple(rows), objective, maximize=False))
+    solved = solve(LinearProgram(p + 1, tuple(rows), objective))
     # t is bounded below by 0 and unbounded above, so the LP is infeasible
     # exactly when the implementation rows are.
     return solved.result.objective_value if solved.status == OPTIMAL else None

@@ -397,13 +397,11 @@ def suite_infrastructure(c: _Collector, jobs: int, rng: random.Random) -> None:
     degenerate = LinearProgram(
         3,
         (
-            ([1, 1, 0, 1], 1, "<="),
-            ([1, 0, 1, 1], 1, "<="),
-            ([0, 1, 1, 1], 1, "<="),
-            ([1, 1, 1, 1], 1, "<="),
+            ([1, 1, 0, 1], 1, ">="),
+            ([1, 0, 1, 1], 1, ">="),
+            ([1, 1, 1, 1], 1, ">="),
         ),
         (Fraction(1), Fraction(1), Fraction(1)),
-        maximize=True,
     )
     first = solve(degenerate).result
     second = solve(degenerate).result

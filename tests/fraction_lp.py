@@ -1,8 +1,9 @@
 """Programs in `Fraction` form, the reference the tests read `lp.Row`s against.
 
 `Constraint` and `LinearProgram` are the dataclasses `worstvote.lp` once
-stated its programs in, kept so that a digest recorded over their `repr`
-still reads the same programs.  `fraction_simplex` solves a program on a
+stated its programs in, less the `maximize` flag now that every program
+minimizes, kept so that a digest recorded over their `repr` reads the
+programs in `Fraction`s.  `fraction_simplex` solves a program on a
 tableau of `Fraction` entries, the reference for the integer tableau's
 points and certificates.  It imports `worstvote.lp` for its program and
 result types and reads the programs that `lp` and its callers build, so
@@ -31,7 +32,6 @@ class LinearProgram:
     num_vars: int
     constraints: tuple[Constraint, ...]
     objective: tuple[Fraction, ...]
-    maximize: bool = True
 
 
 def row(coeffs, rel, rhs):
@@ -50,83 +50,49 @@ def constraint(r):
 
 def fraction_program(program: lp.LinearProgram) -> LinearProgram:
     """`program` with every row as a `Constraint`."""
-    return LinearProgram(program.num_vars, tuple(map(constraint, program.constraints)), program.objective,
-                         program.maximize)
+    return LinearProgram(program.num_vars, tuple(map(constraint, program.constraints)), program.objective)
 
 
 def fraction_simplex(program: lp.LinearProgram) -> lp.LPResult:
     """`lp.solve` computed on a tableau of `Fraction` entries: the same
-    column layout, the same two phases, Bland's rule with ratio ties broken
-    on the basis index, and the same drive-out of artificials.  The integer
-    tableau claims to make every choice this one makes, so the two return
-    the same point and the same certificate."""
+    layout of every row as `<=` rows with their own slacks (a `>=` row
+    negated, an `=` row as its `<=` row and that row negated), the same
+    all-slack start, and the same dual simplex: the leaving row is the one
+    of lowest basic column among rows with a negative right-hand side, and
+    the entering column has the smallest ratio ``cost_j / -a_j``, ties to
+    the lowest column.  The integer tableau claims to make every choice this
+    one makes, so the two return the same point and the same certificate."""
     nv, raw = program.num_vars, fraction_program(program).constraints
-    flipped = [c.rhs < 0 for c in raw]
-    rels = [{"<=": ">=", ">=": "<="}.get(c.rel, c.rel) if flip else c.rel for c, flip in zip(raw, flipped)]
-    n_slack = rels.count("<=")
-    art0 = nv + n_slack + rels.count(">=")
-    ncols = art0 + len(raw) - n_slack
-    rows, basis = [], []
-    si, ui, ai = nv, nv + n_slack, art0
-    for c, flip, rel in zip(raw, flipped, rels):
-        sign = -1 if flip else 1
-        r = [sign * v for v in c.coeffs] + [Fraction(0)] * (ncols - nv) + [sign * c.rhs]
-        if rel == "<=":
-            r[si] = Fraction(1)
-            basis.append(si)
-            si += 1
-        else:
-            if rel == ">=":
-                r[ui] = Fraction(-1)
-                ui += 1
-            r[ai] = Fraction(1)
-            basis.append(ai)
-            ai += 1
-        rows.append(r)
-    unit_col = basis[:]
-    cost = []
+    layout = [(r, sign) for r, c in enumerate(raw) for sign, skip in ((1, ">="), (-1, "<=")) if c.rel != skip]
+    m = len(layout)
+    rows = []
+    for i, (r, sign) in enumerate(layout):
+        rows.append([sign * v for v in raw[r].coeffs] + [Fraction(0)] * m + [sign * raw[r].rhs])
+        rows[-1][nv + i] = Fraction(1)
+    basis = list(range(nv, nv + m))
+    cost = list(program.objective) + [Fraction(0)] * (m + 1)
 
-    def pivot(i, col):
-        nonlocal cost
+    def multipliers(slacks):
+        y = [Fraction(0)] * len(raw)
+        for w, (r, sign) in zip(slacks, layout):
+            y[r] += sign * w
+        return tuple(y)
+
+    while True:
+        negative = [(basis[i], i) for i, r in enumerate(rows) if r[-1] < 0]
+        if not negative:
+            break
+        i = min(negative)[1]
+        ratios = [(cost[j] / -a, j) for j, a in enumerate(rows[i][:-1]) if a < 0]
+        if not ratios:
+            return lp.LPResult(lp.INFEASIBLE, certificate=multipliers(rows[i][nv:nv + m]))
+        col = min(ratios)[1]
         rows[i] = [v / rows[i][col] for v in rows[i]]
-        for r_idx, r in enumerate(rows):
-            if r_idx != i and r[col]:
-                rows[r_idx] = [v - r[col] * w for v, w in zip(r, rows[i])]
+        for k, r in enumerate(rows):
+            if k != i and r[col]:
+                rows[k] = [v - r[col] * w for v, w in zip(r, rows[i])]
         cost = [v - cost[col] * w for v, w in zip(cost, rows[i])]
         basis[i] = col
-
-    def set_cost(values):
-        nonlocal cost
-        cost = list(values)
-        for r, b in zip(rows, basis):
-            cost = [v - cost[b] * w for v, w in zip(cost, r)]
-
-    def run(limit):
-        while True:
-            enter = next((j for j in range(limit) if cost[j] < 0), -1)
-            if enter < 0:
-                return lp.OPTIMAL
-            candidates = [(r[-1] / r[enter], basis[i], i) for i, r in enumerate(rows) if r[enter] > 0]
-            if not candidates:
-                return lp.UNBOUNDED
-            pivot(min(candidates)[2], enter)
-
-    set_cost([Fraction(0)] * art0 + [Fraction(1)] * (ncols - art0) + [Fraction(0)])
-    run(ncols)
-    if cost[-1] < 0:
-        y = [cost[col] - (col >= art0) for col in unit_col]
-        return lp.LPResult(lp.INFEASIBLE, certificate=tuple(-v if flip else v for v, flip in zip(y, flipped)))
-    for i in range(len(rows)):
-        if basis[i] >= art0:
-            col = next((j for j in range(art0) if rows[i][j]), -1)
-            if col >= 0:
-                pivot(i, col)
-    keep = [i for i, b in enumerate(basis) if b < art0]
-    rows[:], basis[:] = [rows[i] for i in keep], [basis[i] for i in keep]
-    sense = -1 if program.maximize else 1
-    set_cost([sense * v for v in program.objective] + [Fraction(0)] * (ncols - nv + 1))
-    if run(art0) == lp.UNBOUNDED:
-        return lp.LPResult(lp.UNBOUNDED)
     x = [Fraction(0)] * nv
     for r, b in zip(rows, basis):
         if b < nv:

@@ -341,24 +341,19 @@ class TestCutStore:
         built = []
         real_solve = maximality.solve
 
+        carried = []  # per master built, whether it carries every stored cut
+
         def counting_solve(program):
             built.append(program.num_vars)
+            store = maximality._cut_stores[3, program.num_vars]
+            carried.append(all(cut in program.constraints for cut, _ in store.cuts.values()))
             return real_solve(program)
 
         def counting_certify(master):
             certify(master)
             certified.append(master)
 
-        real_violated = maximality._CutStore.violated
-        reused = []
-
-        def violated(store, x, scale):
-            cut = real_violated(store, x, scale)
-            reused.append(cut is not None)
-            return cut
-
         monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
-        monkeypatch.setattr(maximality._CutStore, "violated", violated)
         monkeypatch.setattr(maximality, "solve", counting_solve)
         monkeypatch.setattr(maximality, "_cut_stores", {})
         points = _bench_like_points()
@@ -385,16 +380,17 @@ class TestCutStore:
                 assert (prof.n, prof.p) == (n, p)
                 assert all(_holds(cut, lam) for lam in lotteries), cut
 
-        # The same store read in reverse order, by a fresh master that must
-        # read the stored cuts.
+        # The same store read in reverse order, by a fresh master built with
+        # every stored cut.
         for key, store in list(stores.items()):
             reverse = maximality._CutStore()
             for cut, prof in reversed(list(store.cuts.values())):
                 reverse.add(cut, prof)
             stores[key] = reverse
-        reused.clear()
+        built.clear()
+        carried.clear()
         assert [is_maximal(lam, 3).verdict for lam, _ in points] == expected
-        assert any(reused)
+        assert sorted(built) == [5, 6] and carried == [True, True]
 
         # An empty store for every query.
         cold = []
@@ -494,10 +490,10 @@ class TestAgainstMonolithicMaster:
                     for t in range(k):
                         coeffs[t] = -1
                     rows.append(row(coeffs, LE, 0))
-        obj = [F(-(p - t)) for t in range(1, p + 1)] + [F(0)] * (m * p)
-        result = solve(LinearProgram(nv, tuple(rows), tuple(obj), maximize=True)).result
+        obj = [F(p - t) for t in range(1, p + 1)] + [F(0)] * (m * p)
+        result = solve(LinearProgram(nv, tuple(rows), tuple(obj))).result
         assert result.status == "optimal"
-        return sum(cum[:-1], F(0)) + result.objective_value
+        return sum(cum[:-1], F(0)) - result.objective_value
 
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 3)])
     def test_agreement_on_random_feasible_lotteries(self, n, p):
