@@ -324,14 +324,9 @@ class ViolatedCut:
     witness: Profile
 
 
-@dataclass(frozen=True)
-class CutResult:
-    violated: Optional[ViolatedCut]
-    applied: tuple[str, ...]
-
-
-def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
-    """Closed-form inequalities every feasible guarantee must satisfy.
+def necessary_cuts(lam: RankLottery, n: int) -> Optional[ViolatedCut]:
+    """The first closed-form inequality that `lam` violates, of those every
+    feasible guarantee must satisfy; None when it passes them all.
 
     Each violation comes with a concrete profile at which the implementation
     LP is infeasible, so a failed cut is a full refutation, not a heuristic.
@@ -357,35 +352,29 @@ def necessary_cuts(lam: RankLottery, n: int) -> CutResult:
     """
     p = lam.p
     cum = lam.cumulative()
-    applied: list[str] = []
 
     if n == 2:
-        applied.append("two-agent")
         for k in range(1, p // 2 + 1):
             front = cum[k - 1]
             back = 1 - cum[p - k - 1]
             if front < back:
-                return CutResult(ViolatedCut("two-agent", k, reversal_profile(2, p)), tuple(applied))
+                return ViolatedCut("two-agent", k, reversal_profile(2, p))
 
     for k in range(1, p):
         m = -(-p // k)
-        if m <= n:
-            applied.append(f"cover k={k}")
-            if m * cum[k - 1] < 1:
-                witness = tiling_profile(n, p, k)
-                assert witness is not None
-                return CutResult(ViolatedCut("cover", k, witness), tuple(applied))
+        if m <= n and m * cum[k - 1] < 1:
+            witness = tiling_profile(n, p, k)
+            assert witness is not None
+            return ViolatedCut("cover", k, witness)
 
     if balanced_range(n, p):
         for k in range(2, p if p <= n else p - 1):
-            applied.append(f"balanced k={k}")
             if cum[k - 1] < Fraction(k, p):
                 fam = balanced_family(p, min(k, p - k), n)
                 assert fam is not None
                 witness = block_profile(n, p, fam.sets, top=k > p // 2)
-                return CutResult(ViolatedCut("balanced", k, witness), tuple(applied))
-
-    return CutResult(None, tuple(applied))
+                return ViolatedCut("balanced", k, witness)
+    return None
 
 
 # ----------------------------------------------------------------------------
@@ -856,7 +845,6 @@ class FeasibilityReport:
     witness_profile: Optional[Profile] = None
     witness_certificate: Optional[tuple[Fraction, ...]] = None
     profiles_checked: int = 0
-    cuts: tuple[str, ...] = ()
     method: str = ""
     mixture: Optional[tuple[tuple[Fraction, RankLottery], ...]] = None
     runtime_ms: int = 0
@@ -901,11 +889,13 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
 
     A word's first stage folds about C(p, n) report aggregates, so the words
     are evaluated in `enumerate_canonical` order while i * C(p, n) is at
-    most `_MAX_CHAINS`, i counting the words so far.  Measured on a 2-core
-    x86 VM with Python 3.11: without that bound one word at (8,25) took
-    12 s and 400 MB, one at (10,21) 10 s, the 14 words of (7,22) 46 s and
-    the 6 of (9,19) 15 s; within it, all 14 words of (3,10) take 0.02 s and
-    7 of the 14 at (6,19) 2-3 s.  Fewer anchors are still sound.
+    most `_MAX_CHAINS`, i counting the words so far.  Measured cold, without
+    tracing, on a 2-core x86 VM with Python 3.11.7 (ROADMAP, "What this
+    re-anchor measured"): without that bound the 14 words of (7,22) took
+    35.3 s and 116 MB, the anchors of (9,19) 19.1 s and all 14 words of
+    (6,19) 5.1 s; within it, all 14 words of (3,10) take 0.02 s and the 7
+    of the 14 at (6,19) that it admits 1.7 s.  Fewer anchors are still
+    sound.
     `deadline` is checked before each word, and a set it stops is returned
     but not kept, so that a later call without one sees every anchor.
     `jobs` is unused; callers that pass it keep working.
@@ -958,7 +948,6 @@ def is_feasible(
     p = lam.p
     deadline = None if time_budget is None else time.monotonic() + time_budget
     checked = 0
-    applied: tuple[str, ...] = ()
 
     def finish(verdict: str, method: str, **witness) -> FeasibilityReport:
         return FeasibilityReport(
@@ -966,7 +955,6 @@ def is_feasible(
             n,
             p,
             profiles_checked=checked,
-            cuts=applied,
             method=method,
             runtime_ms=int((time.perf_counter() - started) * 1000),
             **witness,
@@ -978,9 +966,7 @@ def is_feasible(
     if dominates(uniform(p), lam):
         return finish(FEASIBLE, "uniform-dominates")
 
-    cuts = necessary_cuts(lam, n)
-    applied = cuts.applied
-    violated = cuts.violated
+    violated = necessary_cuts(lam, n)
     if violated is not None:
         _, certificate = _implementing_point(*_tail_system(lam, violated.witness))
         if certificate is None:

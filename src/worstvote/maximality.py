@@ -283,34 +283,28 @@ def is_maximal(
         mu_active = tuple(k for k in range(1, p) if x[k])
         mu_caps = [caps[k - 1] for k in mu_active]
 
-        refuted = False
         for prof in reversed(working):
             orders = [pref.order for pref in prof.prefs]
             point, certificate = _implementing_point(p, mu_active, mu_caps, scale, orders)
             if point is None:
-                cut = _cover_cut(mu_active, certificate, p)
-                store.add(cut, prof)
-                master.add(cut)
-                refuted = True
                 break
-        if refuted:
-            continue
-
-        mu = RankLottery(tuple([Fraction(v, scale) for v in x]))
-        report = check(mu)
-        if report.verdict == FEASIBLE:
-            ended = DOMINATED, "candidate-feasible", mu
-            break
-        if report.verdict == UNDECIDED:
-            ended = UNDECIDED, report.method if report.method in _LIMITS else "feasibility-undecided"
-            break
-        witness = report.witness_profile
-        assert witness is not None and report.witness_certificate is not None
-        working.append(witness)
-        # The feasibility engine builds the same row layout, so its Farkas
-        # certificate converts directly into a master cut.
-        cut = _cover_cut(mu_active, report.witness_certificate, p)
-        store.add(cut, witness)
+        else:
+            mu = RankLottery(tuple([Fraction(v, scale) for v in x]))
+            report = check(mu)
+            if report.verdict == FEASIBLE:
+                ended = DOMINATED, "candidate-feasible", mu
+                break
+            if report.verdict == UNDECIDED:
+                ended = UNDECIDED, report.method if report.method in _LIMITS else "feasibility-undecided"
+                break
+            prof, certificate = report.witness_profile, report.witness_certificate
+            assert prof is not None and certificate is not None
+            working.append(prof)
+        # The feasibility engine builds the same row layout as the working
+        # profiles' tests, so either Farkas certificate converts directly
+        # into a master cut.
+        cut = _cover_cut(mu_active, certificate, p)
+        store.add(cut, prof)
         master.add(cut)
     store.master = master
     return finish(*ended)

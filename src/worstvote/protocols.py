@@ -185,8 +185,6 @@ def _parse_stage_token(token: str, offset: int) -> Stage:
     try:
         if token == "uniform":
             return UniformFallback()
-        if token == "rd":
-            return DictatorRound(padded=False)
         if token.startswith("veto(") and token.endswith(")"):
             body = token[5:-1].strip()
             if not body.isdigit():

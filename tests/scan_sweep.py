@@ -64,7 +64,7 @@ def test_scans_agree_with_every_profile(monkeypatch, n, p):
     decided = {"feasible": 0, "infeasible": 0}
     while min(decided.values()) < 3:
         lam = sparse_lottery(p, rng)
-        if dominates(uniform(p), lam) or feas.necessary_cuts(lam, n).violated:
+        if dominates(uniform(p), lam) or feas.necessary_cuts(lam, n):
             continue
         report = _check_against_profiles(lam, n, _profiles(n, p))
         assert report.method == "scan"

@@ -766,7 +766,6 @@ def _report_facts(report):
         None if prof is None else prof.text(),
         None if report.witness_certificate is None else tuple(map(str, report.witness_certificate)),
         report.profiles_checked,
-        report.cuts,
         tuple((str(w), lam.text()) for w, lam in report.mixture or ()),
     )
 
@@ -778,8 +777,9 @@ class TestReportDigest:
     # reuse of layouts skip only feasible LPs, so no fact may move with
     # them.  Re-recorded when every LP came to be solved by the dual simplex
     # from its slack basis: 42 of the 210 reports changed certificate, and
-    # nothing else.
-    DIGEST = "4a9567d00af2b0e3549116066e824c5ebe6fb89b9025ee3fcdb567e3751dde19"
+    # nothing else.  Re-recorded when reports stopped listing the cuts they
+    # tried: every other fact of the 207 reports stayed as it was.
+    DIGEST = "5c8e66147b8b7edf5088bb22c235f198f715f8d3485856497cd47fb87314c857"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reports_are_pinned(self, monkeypatch, jobs):
@@ -927,7 +927,7 @@ def _scan_corpus():
         found = 0
         while found < 8:
             lam = sparse_lottery(p, rng)
-            if dominates(uniform(p), lam) or necessary_cuts(lam, n).violated or system_count(lam, n) > 400_000:
+            if dominates(uniform(p), lam) or necessary_cuts(lam, n) or system_count(lam, n) > 400_000:
                 continue
             found += 1
             inputs.append((lam, n))
@@ -1422,6 +1422,14 @@ class TestBalancedFamilies:
         assert len(fam.sets) <= 7
         assert fam.is_balanced(14)
 
+    @pytest.mark.parametrize("p, k, n", [(6, 2, 4), (5, 2, 4), (12, 5, 6), (14, 6, 7)])
+    def test_a_dropped_set_unbalances_the_family(self, p, k, n):
+        # Each construction less its first set covers that set's outcomes
+        # with weight under one.
+        fam = balanced_family(p, k, n)
+        assert fam.is_balanced(p)
+        assert not replace(fam, sets=fam.sets[1:], weights=fam.weights[1:]).is_balanced(p)
+
     def test_unsupported_contexts_return_none(self):
         assert balanced_family(7, 3, 4) is None  # p = 2n - 1
         assert balanced_family(8, 3, 4) is None  # excluded doubling
@@ -1495,7 +1503,7 @@ class TestUniformTheorem:
         # Every cut is tight at the uniform, at n < p as at n >= p.
         for p in range(1, 10):
             for n in range(2, p + 3):
-                assert necessary_cuts(uniform(p), n).violated is None, (n, p)
+                assert necessary_cuts(uniform(p), n) is None, (n, p)
                 report = is_feasible(uniform(p), n)
                 assert report.feasible and report.profiles_checked == 0, (n, p)
 
@@ -1525,25 +1533,40 @@ class TestUniformTheorem:
 
 class TestNecessaryCuts:
     def test_veto_passes_tight(self):
-        result = necessary_cuts(vt(3, 6), 3)
-        assert result.violated is None
+        assert necessary_cuts(vt(3, 6), 3) is None
 
     def test_cover_violation(self):
-        result = necessary_cuts(lottery([0, 0, 1, 0, 0, 0]), 3)
-        assert result.violated is not None
-        assert result.violated.kind == "cover"
-        assert result.violated.k == 2
+        cut = necessary_cuts(lottery([0, 0, 1, 0, 0, 0]), 3)
+        assert cut is not None
+        assert cut.kind == "cover"
+        assert cut.k == 2
         # the witness profile genuinely blocks the lottery
-        assert _implement_at(lottery([0, 0, 1, 0, 0, 0]), result.violated.witness) is None
+        assert _implement_at(lottery([0, 0, 1, 0, 0, 0]), cut.witness) is None
 
     def test_two_agent_reversal(self):
-        result = necessary_cuts(lottery([0, 0, 0, 0, 0, 1]), 2)
-        assert result.violated is not None
-        assert result.violated.kind == "two-agent"
+        cut = necessary_cuts(lottery([0, 0, 0, 0, 0, 1]), 2)
+        assert cut is not None
+        assert cut.kind == "two-agent"
 
-    def test_balanced_cut_with_witness(self):
-        # p = 2n with n=3: the bound keeps every front cumulative above k/p
-        lam = parse_lottery("1/12,1/12,1/3,1/4,1/8,1/8")
-        result = necessary_cuts(lam, 3)
-        if result.violated is not None:
-            assert _implement_at(lam, result.violated.witness) is None
+    @pytest.mark.parametrize(
+        "text, n, method",
+        [
+            # partition: p = 6, k = 4 > p/2, the 2-sets {1,2}, {3,4}, {5,6} held best
+            ("1/6,1/6,1/6,1/12,1/4,1/6", 3, "cut:balanced:k=4"),
+            # cyclic: p = 5, k = 2 does not divide it
+            ("1/5,1/6,7/30,1/5,1/5", 4, "cut:balanced:k=2"),
+            # double: p = 2n = 12, k = n - 1 = 5
+            ("1/12,1/12,1/12,1/12,1/24,1/8,1/12,1/12,1/12,1/12,1/12,1/12", 6, "cut:balanced:k=5"),
+        ],
+    )
+    def test_balanced_cut_with_witness(self, text, n, method):
+        # Each family construction of `balanced_family` refutes an input that
+        # every cover cut passes, below n = p, before any profile is checked.
+        lam = parse_lottery(text)
+        cut = necessary_cuts(lam, n)
+        assert cut is not None and f"cut:{cut.kind}:k={cut.k}" == method
+        assert _implement_at(lam, cut.witness) is None
+        report = is_feasible(lam, n)
+        assert report.method == method and report.profiles_checked == 0
+        assert report.witness_profile == cut.witness
+        assert verify_infeasibility(implement_program(lam, cut.witness), report.witness_certificate)

@@ -474,6 +474,35 @@ class TestIntegerTableau:
         assert statuses["optimal"] and statuses["infeasible"], statuses
         assert seen["past the bound"] and seen["common factor"], seen
 
+    def test_pivot_rows_past_a_low_gcd_bound(self, monkeypatch):
+        # At a bound of 2**6 the pivot element itself reaches it, so `pivot`
+        # divides its own row by the row's gcd before eliminating with it,
+        # and that row is then in lowest terms.  The rows of the large-cap
+        # programs reach it in lowest terms already; a `Row` may also carry
+        # a common factor, as ``x + 2y >= 3`` stated over 64 does.  Every
+        # point and certificate still matches the `Fraction` tableau.
+        from worstvote import lp as lp_module
+
+        monkeypatch.setattr(lp_module, "_BOUND", 2**6)
+        seen = Counter()
+        pivot = lp_module._Tableau.pivot
+
+        def checked_pivot(self, row_idx, col):
+            before = self.rows[row_idx]
+            pivot(self, row_idx, col)
+            if abs(before[col]) >= lp_module._BOUND:
+                assert math.gcd(*self.rows[row_idx]) == 1
+                seen["reduced"] += 1
+                seen["common factor"] += math.gcd(*before) > 1
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", checked_pivot)
+        statuses = Counter(assert_matches_fraction_tableau(5, rows) for rows in large_cap_programs())
+        assert statuses["optimal"] and statuses["infeasible"], statuses
+        assert seen["reduced"] and not seen["common factor"], seen
+        scaled = LinearProgram(2, (([64, 128, 192], 64, ">="),), (F(1), F(1)))
+        assert solve(scaled).result == fraction_simplex(scaled)
+        assert seen["common factor"] == 1, seen
+
     def test_negative_rhs_rows(self):
         rows = (
             row([-1, -1, 0], "<=", -1),  # x1 + x2 >= 1

@@ -56,8 +56,10 @@ class TestParsing:
 
     def test_dictator_variants(self):
         assert parse_protocol("rd(naive)", 3, 6).stages[0].padded is False
-        assert parse_protocol("rd", 3, 6).stages[0].padded is False
         assert parse_protocol("rd(pad)", 3, 6).stages[0].padded is True
+        # The naive dictator has one spelling: a bare "rd" names no stage.
+        with pytest.raises(ValueError, match=r"^cannot parse stage 'rd' at position 0$"):
+            parse_protocol("rd", 3, 6)
 
     def test_continuation_weight(self):
         spec = parse_protocol("rd(pad); veto(1); uniform", 3, 7)
