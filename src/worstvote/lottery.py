@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -52,12 +53,7 @@ class RankLottery:
 
     def cumulative(self) -> tuple[Fraction, ...]:
         """Prefix sums over ranks: entry k is the mass on ranks 1..k+1."""
-        out = []
-        acc = ZERO
-        for x in self.probs:
-            acc += x
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.probs))
 
     def reflect(self) -> "RankLottery":
         """Mirror the lottery around the middle rank (best and worst swap)."""
@@ -141,14 +137,7 @@ def dominates(lam: RankLottery, mu: RankLottery) -> bool:
     """
     if lam.p != mu.p:
         raise ValueError(f"dimension mismatch: {lam.p} vs {mu.p}")
-    acc_l = ZERO
-    acc_m = ZERO
-    for xl, xm in zip(lam.probs, mu.probs):
-        acc_l += xl
-        acc_m += xm
-        if acc_l > acc_m:
-            return False
-    return True
+    return all(a <= b for a, b in zip(accumulate(lam.probs), accumulate(mu.probs)))
 
 
 def dual(lam: RankLottery) -> RankLottery:

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .lottery import RankLottery, ZERO, convex_combination, dominates
+from .lottery import RankLottery, ZERO, convex_combination, dominates, is_symmetric
 from .lp import (
     GE,
     LE,
@@ -81,8 +81,7 @@ from .feasibility import (
     is_feasible,
     verified_anchors,
 )
-from .library import hard_profiles
-from .profiles import Profile
+from .profiles import Profile, hard_profiles
 
 MAXIMAL = "maximal"
 DOMINATED = "dominated"
@@ -237,10 +236,9 @@ def is_maximal(
         raise ValueError(f"not a feasible guarantee: {lam.text()}")
 
     if n == 2:
-        reflected = lam.reflect()
-        if reflected.probs == lam.probs:
+        if is_symmetric(lam):
             return finish(MAXIMAL, "two-agent")
-        return finish(DOMINATED, "two-agent", convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), reflected)]))
+        return finish(DOMINATED, "two-agent", convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), lam.reflect())]))
 
     for anchor in verified_anchors(n, p, deadline=deadline):
         if anchor.probs != lam.probs and dominates(anchor, lam):

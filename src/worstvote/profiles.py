@@ -12,12 +12,23 @@ indifferences as well.
 
 Profile text format: one agent per ``/``-separated block, outcome ids
 worst to best, e.g. ``"1 2 3 / 2 3 1 / 3 1 2"``.
+
+Infeasible guarantees and non-maximal candidates are almost always refuted
+by a profile with strong combinatorial structure: everyone agreeing, two
+agents exactly opposed, cyclic shifts, tails tiling the outcome set, or a
+small core profile padded outward one composition round at a time, a veto
+pad giving each agent its own worst outcome and a dictator pad its own
+best.  `hard_profiles` lists these; searches consult them before falling
+back to exhaustive enumeration.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .lottery import RankLottery, as_fraction
 
@@ -36,9 +47,6 @@ class Preference:
     @property
     def p(self) -> int:
         return len(self.order)
-
-    def reversed(self) -> "Preference":
-        return Preference(tuple(reversed(self.order)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def cyclic_top_pad_profile(inner: Profile) -> Profile:
 
 
 # ----------------------------------------------------------------------------
-# Structured base profiles used as seeds in searches.
+# Structured profiles: the seeds of every witness search.
 # ----------------------------------------------------------------------------
 
 
@@ -145,8 +153,7 @@ def identity_preference(p: int) -> Preference:
 
 def identical_profile(n: int, p: int) -> Profile:
     """All agents share the identity order."""
-    pref = identity_preference(p)
-    return Profile((pref,) * n)
+    return Profile((identity_preference(p),) * n)
 
 
 def reversal_profile(n: int, p: int) -> Profile:
@@ -154,15 +161,63 @@ def reversal_profile(n: int, p: int) -> Profile:
     if n < 2:
         raise ValueError("need at least two agents")
     pref = identity_preference(p)
-    rev = pref.reversed()
-    return Profile((pref, rev) + (pref,) * (n - 2))
+    return Profile((pref, Preference(pref.order[::-1])) + (pref,) * (n - 2))
 
 
 def cyclic_profile(n: int, p: int) -> Profile:
     """Agent i's order is the identity rotated by i positions."""
-    base = list(range(1, p + 1))
+    base = tuple(range(1, p + 1))
+    return Profile(tuple(Preference(base[i % p :] + base[: i % p]) for i in range(n)))
+
+
+def block_profile(n: int, p: int, blocks: Sequence[frozenset[int]], *, top: bool) -> Profile:
+    """Agents 1..len(blocks) (at most n) get the given sets as their best
+    outcomes (`top`) or their worst, in label order, and the other outcomes
+    in label order; the other agents get the identity order."""
     prefs = []
-    for i in range(n):
-        rot = base[i % p :] + base[: i % p]
-        prefs.append(Preference(tuple(rot)))
+    for block in blocks:
+        ordered = sorted(block)
+        rest = [a for a in range(1, p + 1) if a not in block]
+        prefs.append(Preference(tuple(rest + ordered if top else ordered + rest)))
+    prefs += [identity_preference(p)] * (n - len(blocks))
     return Profile(tuple(prefs))
+
+
+def tiling_profile(n: int, p: int, k: int) -> Profile | None:
+    """A profile whose first ceil(p/k) agents have k-tails covering 1..p,
+    for 1 <= k < p; None when that takes more than n agents."""
+    m = -(-p // k)
+    if m > n:
+        return None
+    starts = [min(i * k, p - k) for i in range(m)]
+    return block_profile(n, p, [frozenset(range(lo + 1, lo + k + 1)) for lo in starts], top=False)
+
+
+@functools.lru_cache(maxsize=32)
+def hard_profiles(n: int, p: int) -> tuple[Profile, ...]:
+    """Deduplicated seed list for witness searches at (n, p), built once
+    per (n, p): every way of padding a structured base profile out to p
+    outcomes, then the tilings, each profile at its first occurrence.
+
+    Each padding round adds n outcomes either at the extremes favouring a
+    veto round (dedicated worst outcome per agent) or favouring a dictator
+    round (dedicated best outcome per agent); the bases are the structured
+    profiles on the p - rounds * n outcomes left.  One agent's profiles are
+    all relabelings of the identity, so at n = 1 no round is padded.
+    """
+    candidates = []
+    for rounds in range((p - 1) // n + 1 if n > 1 else 1):
+        base_p = p - rounds * n
+        bases = [identical_profile(n, base_p)]
+        if base_p >= 2:
+            bases.append(cyclic_profile(n, base_p))
+            if n >= 2:
+                bases.append(reversal_profile(n, base_p))
+        for pads in itertools.product((cyclic_pad_profile, cyclic_top_pad_profile), repeat=rounds):
+            for base in bases:
+                prof = base
+                for pad in reversed(pads):
+                    prof = pad(prof)
+                candidates.append(prof)
+    candidates += [prof for k in range(1, p) if (prof := tiling_profile(n, p, k)) is not None]
+    return tuple(dict.fromkeys(candidates))

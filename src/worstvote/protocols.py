@@ -144,7 +144,11 @@ def parse_protocol(text: str, n: int, p: int) -> ProtocolSpec:
     on a bad token, on a stage that `_windows` leaves no outcome, on a
     naive dictator round that continues, or on a continuation that cannot
     be played on those outcomes, with the class of error its evaluation
-    raises (`CoverNotFoundError` for a failed cover premise).
+    raises (`CoverNotFoundError` for a failed cover premise).  A cover
+    premise that holds there can still fail on more survivors, which only
+    evaluating the whole protocol finds: `veto(1); rd(pad); cover(1,1,top)`
+    at (2,5) parses, and `worst_case_guarantee` then raises
+    `CoverNotFoundError`.
     """
     if min(n, p) < 1:
         raise ValueError(f"n and p must be at least 1, got n={n}, p={p}")

@@ -163,6 +163,34 @@ class InlinePool:
         return future
 
 
+def _check_parallel_scan(monkeypatch):
+    """Three scans at jobs 1 and 2, the pool forced: one feasible, one
+    infeasible and one stopped by its limit in the pool's third chunk."""
+    import worstvote.feasibility as feas
+
+    monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
+    monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])  # the scan refutes
+    feasible = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 88,410 systems
+    cases = [
+        (feasible, None, "feasible"),
+        (parse_lottery("1/3,1/12,1/4,0,0,1/3"), None, "infeasible"),
+        # the pooled scan's first two chunks hold 38,955 systems, so the
+        # budget runs out in the third one
+        (feasible, 50_000, "undecided"),
+    ]
+    for lam, limit, verdict in cases:
+        serial, parallel = (
+            is_feasible(lam, 3, jobs=jobs, use_hull=False, limit_profiles=limit) for jobs in (1, 2)
+        )
+        assert serial.verdict == parallel.verdict == verdict
+        assert serial.method == parallel.method
+        assert serial.profiles_checked == parallel.profiles_checked
+        assert serial.witness_profile == parallel.witness_profile
+        assert serial.witness_certificate == parallel.witness_certificate
+    assert serial.profiles_checked == 50_000
+    assert serial.method == "profile-limit"
+
+
 class TestIsFeasible:
     def test_named_guarantees(self):
         assert is_feasible(vt(3, 6), 3).feasible
@@ -334,32 +362,22 @@ class TestIsFeasible:
         # Forced onto the process pool, a scan visits the same systems in
         # the same order as the serial one: the same verdict, count and
         # witness, and under a limit the same first systems.
+        _check_parallel_scan(monkeypatch)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_parallel_scan_matches_serial_when_workers_build_the_layouts(self, monkeypatch, method):
+        # Workers that are not forked start without the parent's layout
+        # memo and build the layouts in `_scan_chunk`; Python 3.14 makes
+        # forkserver the default start method on Linux.
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         import worstvote.feasibility as feas
 
-        monkeypatch.setattr(feas, "_POOL_SWITCH", 0)
-        monkeypatch.setattr(feas, "hard_profiles", lambda n, p: [])  # the scan refutes
-        feasible = parse_lottery("1/4,1/4,0,0,1/4,1/4,0")  # 88,410 systems
-        cases = [
-            (feasible, None, "feasible"),
-            (parse_lottery("1/3,1/12,1/4,0,0,1/3"), None, "infeasible"),
-            # the pooled scan's first two chunks hold 38,955 systems, so the
-            # budget runs out in the third one
-            (feasible, 50_000, "undecided"),
-        ]
-        for lam, limit, verdict in cases:
-            reports = []
-            for jobs in (1, 2):
-                reports.append(
-                    is_feasible(lam, 3, jobs=jobs, use_hull=False, limit_profiles=limit)
-                )
-            serial, parallel = reports
-            assert serial.verdict == parallel.verdict == verdict
-            assert serial.method == parallel.method
-            assert serial.profiles_checked == parallel.profiles_checked
-            assert serial.witness_profile == parallel.witness_profile
-            assert serial.witness_certificate == parallel.witness_certificate
-        assert serial.profiles_checked == 50_000
-        assert serial.method == "profile-limit"
+        pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr(feas, "ProcessPoolExecutor", pool)
+        _check_parallel_scan(monkeypatch)
 
     def test_pool_workers_are_capped_at_the_cores(self, monkeypatch):
         # However many jobs are asked for, the scan asks the pool for no more
@@ -434,6 +452,24 @@ class TestLayoutMemo:
         monkeypatch.setattr(feas, "_layout_memo", {})
         built = [feas._scan_layouts(*key) for key in self.BENCH_KEYS]
         assert all(feas._scan_layouts(*key) is layouts for key, layouts in zip(self.BENCH_KEYS, built))
+
+    @pytest.mark.parametrize("p, ks", BENCH_KEYS + [(5, (2,)), (8, (2, 5))], ids=str)
+    def test_layouts_come_by_overlap_then_as_tuples_with_the_identity_last(self, p, ks):
+        import worstvote.feasibility as feas
+
+        # The skip rule of `_witness_tables` and the self-check of
+        # `_scan_chunk`, which reads the identity layout as the last index,
+        # rely on this order.
+        layouts = feas._chain_layouts(p, ks, None)
+        chain = [set(range(1, k + 1)) for k in ks]
+
+        def overlap(layout):
+            return sum(len(tail & set(layout[:k])) for k, tail in zip(ks, chain))
+
+        assert len(set(layouts)) == len(layouts) == feas.chain_count(p, ks)
+        assert layouts == sorted(layouts, key=lambda layout: (overlap(layout), layout))
+        assert layouts[-1] == tuple(range(1, p + 1))
+        assert overlap(layouts[-2]) < overlap(layouts[-1])
 
     @pytest.mark.parametrize("p, ks", BENCH_KEYS + [(8, (1, 2, 3, 4))], ids=str)
     def test_tail_masks_are_sums_of_layout_bits(self, monkeypatch, p, ks):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from worstvote.profiles import (
     cyclic_profile,
     cyclic_top_pad_profile,
     format_profile,
+    hard_profiles,
     rank_rearrange,
 )
 import worstvote.feasibility as feas
@@ -157,6 +160,31 @@ class TestCyclicPad:
         assert canonicalize(cyclic_pad_profile(inner)) == canonicalize(right)
         # at the dictator-pinning profile the forced lottery exists
         assert _implementable(rd_lottery(3, 6), left)
+
+
+class TestHardProfiles:
+    # The digest of every profile's orders, in list order, over 2 <= n <= 8
+    # and 1 <= p <= 19, as the separate library module built them before
+    # it was folded into `profiles`.
+    DIGEST = "3b41e73915d0818d294a5fbe1dea36b241ec9557efa53d165e5f428e19576a28"
+
+    def test_the_seed_lists_are_pinned(self):
+        digest, count = hashlib.sha256(), 0
+        for n, p in itertools.product(range(2, 9), range(1, 20)):
+            for prof in hard_profiles(n, p):
+                digest.update(repr(tuple(pref.order for pref in prof.prefs)).encode() + b"\n")
+                count += 1
+        assert count == 3718
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_one_agent_gets_one_profile(self):
+        # Every one-agent profile is a relabeling of the identity, so no
+        # padding round is added; with them the list grew as 2^(p-1).
+        for p in range(1, 20):
+            assert hard_profiles(1, p) == (profile([range(1, p + 1)]),)
+        started = time.perf_counter()
+        assert len(hard_profiles(1, 20)) == 1
+        assert time.perf_counter() - started < 0.5
 
 
 class TestTextFormat:

@@ -925,6 +925,28 @@ def test_a_cover_continuation_can_fail_on_more_survivors_than_its_fewest(capsys)
     assert "no 1-set meets all reported 1-sets" in capsys.readouterr().err
 
 
+# The texts of `_SWEEP` with a cover round after a dictator round that
+# parse, since the premise holds on the fewest outcomes the parser weighs
+# the continuation on, and then fail it on more survivors.
+_COVER_AFTER_DICTATOR_FAILS = [
+    ("veto(1); rd(pad); cover(1,1,top)", 2, 5),
+    ("veto(1); rd(pad); cover(1,2,top)", 2, 7),
+    ("veto(1); rd(pad); cover(1,2,bottom)", 2, 7),
+    ("veto(2); rd(pad); cover(1,1,top)", 2, 7),
+    ("veto(1); rd(pad); cover(1,1,top)", 3, 7),
+]
+
+
+@pytest.mark.parametrize("text, n, p", _COVER_AFTER_DICTATOR_FAILS, ids=str)
+def test_a_parsed_cover_continuation_can_fail_at_evaluation(text, n, p):
+    assert (text, n, p) in _SWEEP
+    spec = parse_protocol(text, n, p)
+    with pytest.raises(CoverNotFoundError):
+        worst_case_guarantee(spec, n, p)
+    with pytest.raises(CoverNotFoundError):
+        verify_safe_strategy(spec, uniform(p), n, p)
+
+
 class TestSafeStrategy:
     def test_claimed_pairs(self):
         assert verify_safe_strategy(parse_protocol("veto(1); uniform", 3, 6), vt(3, 6), 3, 6)
