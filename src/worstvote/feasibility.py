@@ -59,6 +59,7 @@ import itertools
 import math
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -411,23 +412,25 @@ def _chain_layouts(p: int, ks: tuple[int, ...], deadline: Optional[float]) -> Op
     sizes.append(p - prev)
 
     # Extend every partial layout by one block at a time, in lexicographic
-    # order; the last block takes whatever remains.
-    partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), tuple(range(1, p + 1)))]
-    for size in sizes[:-1]:
+    # order; the last block takes whatever remains.  The overlap is summed
+    # block by block: the prefix that ends at active rank k holds the labels
+    # 1..k that `remaining`, which stays sorted, does not.
+    partial: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), tuple(range(1, p + 1)))]
+    for k, size in zip(ks, sizes):
         grown = []
-        for acc, remaining in partial:
+        for overlap, acc, remaining in partial:
             if _expired(deadline):
                 return None
-            grown += [(acc + block, tuple(a for a in remaining if a not in block))
-                      for block in itertools.combinations(remaining, size)]
+            for block in itertools.combinations(remaining, size):
+                left = tuple(a for a in remaining if a not in block)
+                grown.append((overlap + k - bisect_right(left, k), acc + block, left))
         partial = grown
 
     keyed = []  # (overlap with the canonical chain, layout)
-    for acc, remaining in partial:
+    for overlap, acc, remaining in partial:
         if _expired(deadline):
             return None
-        layout = acc + remaining
-        keyed.append((sum(1 for k in ks for a in layout[:k] if a <= k), layout))
+        keyed.append((overlap, acc + remaining))
     keyed.sort()
     return [layout for _, layout in keyed]
 

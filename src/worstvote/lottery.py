@@ -5,6 +5,11 @@ preference order, where rank 1 is the WORST rank and rank ``p`` the best.
 Every quantity is an exact rational (`fractions.Fraction`); no operation in
 this module introduces rounding of any kind.
 
+A lottery is immutable, so its cumulatives are computed once, on the
+first call of `RankLottery.cumulative`, and kept with it; every dominance
+test, tail cap and master cap reads them from there.  `uniform` returns
+one lottery per p.
+
 The text format for a lottery is a comma-separated list of rationals in
 rank order, e.g. ``"0,1/3,1/3,1/3,0,0"``.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
@@ -40,7 +46,7 @@ class RankLottery:
     def __post_init__(self) -> None:
         if len(self.probs) < 1:
             raise ValueError("a rank lottery needs at least one rank")
-        if any(not isinstance(x, Fraction) for x in self.probs):
+        if not isinstance(self.probs, tuple) or any(not isinstance(x, Fraction) for x in self.probs):
             object.__setattr__(self, "probs", tuple(as_fraction(x) for x in self.probs))
         if any(x < 0 for x in self.probs):
             raise ValueError(f"negative probability in {self.probs}")
@@ -51,9 +57,16 @@ class RankLottery:
     def p(self) -> int:
         return len(self.probs)
 
-    def cumulative(self) -> tuple[Fraction, ...]:
-        """Prefix sums over ranks: entry k is the mass on ranks 1..k+1."""
+    @cached_property
+    def _cumulative(self) -> tuple[Fraction, ...]:
+        # Kept in the instance's __dict__, not as a field, so equality,
+        # hashing and repr read `probs` alone.
         return tuple(accumulate(self.probs))
+
+    def cumulative(self) -> tuple[Fraction, ...]:
+        """Prefix sums over ranks: entry k is the mass on ranks 1..k+1.
+        Computed on the first call and kept, as the lottery is immutable."""
+        return self._cumulative
 
     def reflect(self) -> "RankLottery":
         """Mirror the lottery around the middle rank (best and worst swap)."""
@@ -104,8 +117,9 @@ def parse_lottery(text: str) -> RankLottery:
     return RankLottery(tuple(values))
 
 
+@lru_cache(maxsize=None)
 def uniform(p: int) -> RankLottery:
-    """The uniform lottery over p ranks."""
+    """The uniform lottery over p ranks, one instance per p."""
     if p < 1:
         raise ValueError("p must be positive")
     share = Fraction(1, p)
@@ -137,7 +151,7 @@ def dominates(lam: RankLottery, mu: RankLottery) -> bool:
     """
     if lam.p != mu.p:
         raise ValueError(f"dimension mismatch: {lam.p} vs {mu.p}")
-    return all(a <= b for a, b in zip(accumulate(lam.probs), accumulate(mu.probs)))
+    return all(a <= b for a, b in zip(lam.cumulative(), mu.cumulative()))
 
 
 def dual(lam: RankLottery) -> RankLottery:

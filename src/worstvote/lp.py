@@ -60,9 +60,11 @@ coefficient values and relations stay the same (anything else is a
 dual feasible (post-optimal analysis; Chvatal 1983, ch. 10).  Every
 tableau row, and the cost row, is a combination of the laid-out rows, with
 weights in their slack columns.  `move` recomputes each right-hand side
-from those weights and the laid-out right-hand sides; then the same dual
-simplex re-optimizes, and its result is re-checked against the moved
-rows.
+in integers, as those weights times the laid-out right-hand sides over
+one scale, and multiplies the row only by what the new value's
+denominator lacks; a row is divided by its gcd only under the 2**60 rule
+of a pivot.  Then the same dual simplex re-optimizes, and its result is
+re-checked against the moved rows.
 
 Results are treated as proofs downstream, so every result is re-checked
 in integers against the program's own rows, as they were given, and a
@@ -391,7 +393,9 @@ class _Tableau:
     def move(self, moved: dict[int, Row]) -> None:
         """Give each program row ``r`` of `moved` the right-hand side of
         ``moved[r]``, whose coefficient values and relation must be those of
-        row ``r``, and re-optimize."""
+        row ``r``, and re-optimize.  Each row is rebased in integers and
+        divided by its gcd only under the `_BOUND` rule of `_eliminate`, so
+        it holds the rationals a full reduction would give."""
         if self.status != OPTIMAL:
             raise ValueError(f"rows can be moved only at an optimum, not when {self.status}")
         raw = self.raw
@@ -402,13 +406,20 @@ class _Tableau:
                 raise ValueError("a moved row must keep its coefficient values and relation")
         for r, new in moved.items():
             raw[r] = new
-        # The laid-out right-hand sides, over one scale.
-        b, scale = _scaled([Fraction(sign * raw[r][0][-1], raw[r][1]) for r, sign in self.layout])
+        # The laid-out right-hand sides ``b / scale``, straight from the rows' ints.
+        scale = lcm(*(raw[r][1] for r, _ in self.layout))
+        b = [sign * raw[r][0][-1] * (scale // raw[r][1]) for r, sign in self.layout]
 
         def rebased(row: list[int], den: int) -> tuple[list[int], int]:
-            out = [v * scale for v in row]
-            out[-1] = sum(map(mul, self._slacks(row), b))
-            return _reduce(out, den * scale)
+            # The new right-hand side is ``num / (den * scale)``, so the row
+            # is multiplied only by what that value's denominator lacks.
+            num = sum(map(mul, self._slacks(row), b))
+            g = gcd(num, scale)
+            s = scale // g
+            out = row[:] if s == 1 else [v * s for v in row]
+            out[-1] = num // g
+            den *= s
+            return _reduce(out, den) if den >= _BOUND else (out, den)
 
         rows, dens = self.rows, self.dens
         for i, row in enumerate(rows):

@@ -55,6 +55,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -112,13 +113,18 @@ class _CutStore:
 _cut_stores: dict[tuple[int, int], _CutStore] = {}
 
 
+@lru_cache(maxsize=32)
+def _library_set(n: int, p: int) -> frozenset[Profile]:
+    """`hard_profiles(n, p)` as a set, built once per (n, p)."""
+    return frozenset(hard_profiles(n, p))
+
+
 def _known_profiles(n: int, p: int) -> list[Profile]:
     """The profiles of the cuts stored for `(n, p)` that the structured
     library lacks, in the order first met, then the library's."""
-    library = hard_profiles(n, p)
     stored = _cut_stores.get((n, p))
-    held = set(library)
-    return [*(prof for prof in (stored.profiles if stored else ()) if prof not in held), *library]
+    held = _library_set(n, p)
+    return [*(prof for prof in (stored.profiles if stored else ()) if prof not in held), *hard_profiles(n, p)]
 
 
 @dataclass(frozen=True)

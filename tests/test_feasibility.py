@@ -453,7 +453,7 @@ class TestLayoutMemo:
         built = [feas._scan_layouts(*key) for key in self.BENCH_KEYS]
         assert all(feas._scan_layouts(*key) is layouts for key, layouts in zip(self.BENCH_KEYS, built))
 
-    @pytest.mark.parametrize("p, ks", BENCH_KEYS + [(5, (2,)), (8, (2, 5))], ids=str)
+    @pytest.mark.parametrize("p, ks", BENCH_KEYS + [(5, (2,)), (8, (2, 5)), (9, (2, 5))], ids=str)
     def test_layouts_come_by_overlap_then_as_tuples_with_the_identity_last(self, p, ks):
         import worstvote.feasibility as feas
 

@@ -1,5 +1,8 @@
 import random
+from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -35,6 +38,15 @@ def rand_lottery(p, rng, grain=12):
     return RankLottery(tuple(probs))
 
 
+def lottery_over(p, rng):
+    """A lottery whose entries have mixed denominators, often zero."""
+    weights = [rng.choice((0, 0, 1, 2, 3, 5, 7)) * Fraction(1, rng.choice((1, 2, 3, 5))) for _ in range(p)]
+    if not any(weights):
+        weights[rng.randrange(p)] = Fraction(1)
+    total = sum(weights)
+    return RankLottery(tuple(w / total for w in weights))
+
+
 class TestConstruction:
     def test_parse_round_trip(self):
         text = "0,1/3,1/3,1/3,0,0"
@@ -60,6 +72,19 @@ class TestConstruction:
         assert rd(2, 6) == parse_lottery("1/2,0,0,0,0,1/2")
         assert uniform(4) == parse_lottery("1/4,1/4,1/4,1/4")
 
+    def test_list_built_equals_tuple_built(self):
+        for probs in ([Fraction(1, 2), Fraction(1, 2)], [1, 0], [Fraction(1, 3), "2/3"]):
+            listed, tupled = RankLottery(probs), RankLottery(tuple(probs))
+            assert isinstance(listed.probs, tuple)
+            assert listed == tupled and hash(listed) == hash(tupled)
+            assert listed.cumulative() == tupled.cumulative()
+
+    def test_uniform_is_one_instance_per_p(self):
+        assert uniform(6) is uniform(6)
+        assert uniform(5) is not uniform(6)
+        with pytest.raises(ValueError):
+            uniform(0)
+
     def test_named_guarantees_require_fewer_agents_than_outcomes(self):
         with pytest.raises(ValueError):
             vt(6, 6)
@@ -79,6 +104,20 @@ class TestPartialSums:
 
     def test_uniform_half(self):
         assert uniform(6).cumulative()[2] == Fraction(1, 2)
+
+    def test_computed_once_and_kept_outside_the_fields(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            lam = rand_lottery(rng.randint(1, 9), rng)
+            fresh = RankLottery(lam.probs)
+            before = repr(lam)
+            cum = lam.cumulative()
+            assert cum == tuple(accumulate(lam.probs))
+            assert lam.cumulative() is cum
+            # The kept sums are no field: equality, hash and repr read `probs` alone.
+            assert [f.name for f in fields(lam)] == ["probs"]
+            assert repr(lam) == before == repr(fresh)
+            assert lam == fresh and hash(lam) == hash(fresh)
 
 
 class TestReflect:
@@ -107,6 +146,19 @@ class TestDominance:
 
     def test_uniform_dominates_mix(self):
         assert dominates(uniform(6), parse_lottery("1/6,1/3,1/6,1/6,0,1/6"))
+
+    def test_agrees_with_fraction_sums(self):
+        # Mixed denominators and zeros, against cumulatives summed afresh.
+        rng = random.Random(7)
+        outcomes = Counter()
+        for _ in range(3000):
+            p = rng.randint(1, 7)
+            lam, mu = (lottery_over(p, rng) for _ in range(2))
+            expected = all(sum(lam.probs[:k], Fraction(0)) <= sum(mu.probs[:k], Fraction(0))
+                           for k in range(1, p + 1))
+            assert dominates(lam, mu) == expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 300, outcomes
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 
 from worstvote.lottery import lottery
 from worstvote.lp import (
+    _BOUND,
     LinearProgram,
     LPResult,
     _meets,
@@ -783,6 +784,43 @@ class TestWarmMaster:
                     if status == "infeasible":
                         break
         assert seen["optimal"] > 100 and seen["infeasible"] > 20, seen
+
+    def test_one_master_moved_many_times_stays_bounded(self):
+        """One master moved 300 times through random caps, with cuts added
+        in between, each move checked against a cold solve.  Every cut holds
+        at `lam`, and each cap is a cumulative of some ``(1 - t) * mu + t *
+        worst`` with ``mu``'s caps at or above `lam`'s, so each move ends at
+        an optimum.  Each ``t`` has a prime denominator of its own, so a
+        rebase that never divides a row's gcd out lets the row's
+        denominator grow with every move; `move` divides it out once the
+        denominator reaches `_BOUND`, so none passes `_BOUND` times the
+        move's scale."""
+        from worstvote.feasibility import _tail_rows
+
+        rng = random.Random(29)
+        primes = [q for q in range(101, 400) if all(q % d for d in range(2, 20))]
+        p = 6
+        lam = random_weights_lottery(rng, p)
+        program = master_program(lam)
+        master = solve(program)
+        seen = Counter()
+        for step in range(300):
+            if step % 5 == 4:
+                cut = random_cut(rng, rng.choice(("cover", "parallel")), lam, None, [])
+                if cut is not None:
+                    program = LinearProgram(p, program.constraints + (cut,), program.objective)
+                    master.add(cut)
+                    seen["added"] += 1
+            cum = random_weights_lottery(rng, p).cumulative()
+            t = F(rng.randint(1, 9), rng.choice(primes))
+            cum = [(1 - t) * max(a, b) + t for a, b in zip(cum, lam.cumulative())]
+            caps = _tail_rows(p, range(1, p), *_scaled(cum[:-1]), [tuple(range(1, p + 1))])
+            program, status = assert_move_matches_cold_solve(master, program, dict(enumerate(caps[1:], 1)))
+            assert status == "optimal"
+            scale = math.lcm(*(den for _, den, _ in master.raw))
+            assert max(*master.dens, master.cost_den) < _BOUND * scale, step
+            seen[has_other_optima(master)] += 1
+        assert seen["added"] > 40 and seen[False] > 20, seen
 
     def test_random_programs_moved_match_cold_solve(self):
         """The random programs and added rows above, then moves of random
