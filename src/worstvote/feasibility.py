@@ -27,10 +27,10 @@ hard part.  Three reductions keep it tractable:
   The point becomes the next bit.
 
 The active ranks and their caps (`_tail_caps`) are computed once per call
-and serve the library profiles, tested before the scan, and every scan
-chunk.  Each chunk's pool starts empty.  Only feasible LPs are skipped,
-so the first refuting profile or system, its certificate and the count
-checked are those of solving every LP.  The chain layouts and their
+and serve the cut witness's certificate, the library profiles, tested
+before the scan, and every scan chunk.  Each chunk's pool starts empty.
+Only feasible LPs are skipped, so the first refuting profile or system,
+its certificate and the count checked are those of solving every LP.  The chain layouts and their
 holding masks are built once per (p, active ranks), with the tables of the
 relabelings that skip systems, and kept for later calls, and for the
 process pool's forked workers, up to `_MAX_CHAINS` entries in all; the
@@ -152,14 +152,6 @@ def _tail_caps(lam: RankLottery) -> tuple[tuple[int, ...], list[int], int]:
     return ks, caps, cap_den
 
 
-def _tail_system(lam: RankLottery, prof: Profile) -> tuple:
-    """The tail system of `lam` at `prof`, as the arguments of `_tail_rows`
-    and `_implementing_point`: p, `_tail_caps(lam)` and the agents' orders."""
-    if lam.p != prof.p:
-        raise ValueError("dimension mismatch between lottery and profile")
-    return (lam.p, *_tail_caps(lam), [pref.order for pref in prof.prefs])
-
-
 def _implementing_point(
     p: int, ks: Sequence[int], caps: Sequence[int], cap_den: int, orders: Sequence[tuple[int, ...]]
 ) -> tuple[Optional[Point], Optional[tuple[Fraction, ...]]]:
@@ -219,7 +211,9 @@ def _fill(visit: Sequence[int], holders: Sequence[Sequence[int]], room: list[int
 
 def implement_program(lam: RankLottery, prof: Profile) -> LinearProgram:
     """The exact LP deciding whether some lottery implements `lam` at `prof`."""
-    return feasibility_program(lam.p, _tail_rows(*_tail_system(lam, prof)))
+    if lam.p != prof.p:
+        raise ValueError("dimension mismatch between lottery and profile")
+    return feasibility_program(lam.p, _tail_rows(lam.p, *_tail_caps(lam), [pref.order for pref in prof.prefs]))
 
 
 # ----------------------------------------------------------------------------
@@ -743,8 +737,6 @@ def _scan_chunk(payload: tuple) -> dict:
             covered |= skip
         j = head[-1]
         stop = count if limit is None else min(count, j + limit - checked)
-        if j == stop:
-            return {"status": "profile-limit", "checked": checked}
         while True:
             free = ~covered >> j
             miss = min(stop, j + (free & -free).bit_length() - 1)
@@ -977,9 +969,10 @@ def is_feasible(
     if dominates(uniform(p), lam):
         return finish(FEASIBLE, "uniform-dominates")
 
+    ks, caps, cap_den = _tail_caps(lam)
     violated = necessary_cuts(lam, n)
     if violated is not None:
-        _, certificate = _implementing_point(*_tail_system(lam, violated.witness))
+        _, certificate = _implementing_point(p, ks, caps, cap_den, [pref.order for pref in violated.witness.prefs])
         if certificate is None:
             raise AssertionError("cut witness failed to refute")
         return finish(
@@ -993,12 +986,11 @@ def is_feasible(
         # The two-agent inequalities are exact, and they just passed.
         return finish(FEASIBLE, "two-agent-exact")
 
-    if use_hull and 3 <= n < p:
+    if use_hull:
         mixture = _hull_mixture(lam, verified_anchors(n, p, deadline=deadline))
         if mixture is not None:
             return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
-    ks, caps, cap_den = _tail_caps(lam)
     for prof in hard_profiles(n, p):
         if limit_profiles is not None and checked >= limit_profiles:
             return finish(UNDECIDED, "profile-limit")

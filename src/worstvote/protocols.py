@@ -250,17 +250,23 @@ def _pad_set(chosen: set[int], survivors: tuple, target: int) -> tuple[int, ...]
     return tuple(sorted([*chosen, *extra[: target - len(chosen)]]))
 
 
-def _token(stage, survivors, report):
-    """One legal report as an aggregate: the bitmask over
-    `combinations(survivors, cover_size)` of the sets that a cover report
-    meets, the bitmask of a padded claim, the 1-tuple of a naive claim, the
-    bitmask of a veto's labels, and 0 for the uniform fallback's None."""
-    if isinstance(stage, CoverRound):
-        combos = itertools.combinations(survivors, stage.cover_size)
-        return sum(1 << i for i, combo in enumerate(combos) if not report.isdisjoint(combo))
+def _reports(stage: Stage, survivors: tuple) -> tuple:
+    """Agent 1's truthful report on `survivors`, listed worst first, and
+    the legal reports: veto the worst, claim the best, report the best or
+    worst `depth` for a cover, and None for the uniform fallback.  Raises
+    ValueError when a stage asks for a set larger than `survivors`."""
     if isinstance(stage, DictatorRound):
-        return 1 << report if stage.padded else (report,)
-    return sum(1 << a for a in report or ())
+        return survivors[-1], survivors
+    if isinstance(stage, UniformFallback):
+        return None, [None]
+    if isinstance(stage, VetoRound):
+        size, mine = stage.tokens, survivors[: stage.tokens]
+    else:
+        size = stage.depth
+        mine = survivors[-size:] if stage.side == "top" else survivors[:size]
+    if size > len(survivors):
+        raise ValueError(f"no {size}-set to report among {len(survivors)} outcomes")
+    return frozenset(mine), [frozenset(c) for c in itertools.combinations(survivors, size)]
 
 
 def _fold(stage, survivors, choices):
@@ -268,23 +274,30 @@ def _fold(stage, survivors, choices):
     aggregate -> [the number of report tuples that reach it, the
     lexicographically first of them].
 
-    A cover keeps the sets that every report meets (AND), a naive dictator
-    sorts the claims, and the other stages take the union of their masks
-    (OR).  Agent j's tokens fold into the aggregates of the agents before
-    it, so the work grows with the distinct aggregates, not with the
-    tuples.  The first tuple reaching an aggregate extends the first tuple
-    reaching one before it, so entries are made in the order of their
-    first tuples.
+    Each report reads as a token: a cover report as the bitmask over
+    `combinations(survivors, cover_size)` of the sets it meets, a veto's
+    labels or a padded claim as their bitmask, a naive claim as its
+    1-tuple, and the uniform fallback's None as 0.  A cover keeps the sets
+    that every report meets (AND), a naive dictator sorts the claims, and
+    the other stages take the union of their masks (OR).  Agent j's tokens
+    fold into the aggregates of the agents before it, so the work grows
+    with the distinct aggregates, not with the tuples.  The first tuple
+    reaching an aggregate extends the first tuple reaching one before it,
+    so entries are made in the order of their first tuples.
     """
     if isinstance(stage, CoverRound):
+        combos = list(itertools.combinations(survivors, stage.cover_size))
         combine, empty = operator.and_, -1
-    elif getattr(stage, "padded", True):
-        combine, empty = operator.or_, 0
+        read = lambda rep: sum(1 << i for i, combo in enumerate(combos) if not rep.isdisjoint(combo))
+    elif not isinstance(stage, DictatorRound):
+        combine, empty, read = operator.or_, 0, lambda rep: sum(1 << a for a in rep or ())
+    elif stage.padded:
+        combine, empty, read = operator.or_, 0, lambda rep: 1 << rep
     else:
-        combine, empty = lambda agg, token: tuple(sorted(agg + token)), ()
+        combine, empty, read = lambda agg, token: tuple(sorted(agg + token)), (), lambda rep: (rep,)
     folds = {empty: [1, ()]}  # the aggregate of no report
     for reports in choices:
-        tokens = [(rep, _token(stage, survivors, rep)) for rep in reports]
+        tokens = [(rep, read(rep)) for rep in reports]
         folds, last = {}, folds
         for agg, (count, first) in last.items():
             for rep, token in tokens:
@@ -353,7 +366,7 @@ def run(spec: ProtocolSpec, prof: Profile, reports: tuple[tuple, ...]) -> Outcom
     for idx, (stage, legal) in enumerate(zip(spec.stages, reports)):
         if isinstance(stage, (VetoRound, CoverRound)):
             legal = tuple(map(frozenset, legal))
-        space = _report_space(stage, survivors)
+        space = _reports(stage, survivors)[1]
         if len(legal) != prof.n or not all(rep in space for rep in legal):
             raise ValueError(f"stage {idx} needs {prof.n} legal reports, got {legal}")
         (agg,) = _fold(stage, survivors, [(rep,) for rep in legal])
@@ -377,29 +390,6 @@ class EvalReport:
     runtime_ms: int
 
 
-def _safe_report(stage: Stage, survivors: tuple):
-    """Agent 1's truthful play on `survivors`, listed worst first: veto the
-    worst, claim the best, report the best or worst `depth` for a cover."""
-    if isinstance(stage, VetoRound):
-        return frozenset(survivors[: stage.tokens])
-    if isinstance(stage, DictatorRound):
-        return survivors[-1]
-    if isinstance(stage, CoverRound):
-        return frozenset(survivors[-stage.depth :] if stage.side == "top" else survivors[: stage.depth])
-    return None
-
-
-def _report_space(stage: Stage, survivors: tuple):
-    if isinstance(stage, DictatorRound):
-        return survivors
-    if isinstance(stage, UniformFallback):
-        return [None]
-    size = stage.tokens if isinstance(stage, VetoRound) else stage.depth
-    if size > len(survivors):
-        raise ValueError(f"no {size}-set to report among {len(survivors)} outcomes")
-    return [frozenset(c) for c in itertools.combinations(survivors, size)]
-
-
 # The most states the process keeps, the least recently used going first.
 # The whole differential sweep of tests/protocol_sweep.py holds 3,081
 # states in 6.6 MB (tracemalloc), so this bound keeps it whole, and
@@ -418,19 +408,19 @@ def _worst(stages: tuple[Stage, ...], n: int, m: int, unit: int):
     the memo holds.
 
     The key is complete: the state reads only the suffix `stages`, n, the
-    survivors 1..m and `unit`.  `_safe_report`, `_report_space`, `_fold`
-    and `_step` read the first stage, the survivors and n; a continuation
-    is the state of `stages[1:]` on the survivors left, with the same n and
-    unit; and the numerators read `unit` and the scales of the suffix and
-    of its tail, both fixed by the suffix.  The protocol's other stages and
+    survivors 1..m and `unit`.  `_reports`, `_fold` and `_step` read the
+    first stage, the survivors and n; a continuation is the state of
+    `stages[1:]` on the survivors left, with the same n and unit; and the
+    numerators read `unit` and the scales of the suffix and of its tail,
+    both fixed by the suffix.  The protocol's other stages and
     p do not enter, so the memo serves every protocol and every call of
     the process.  A state that raises is not stored, so it raises again on
     every call.  The stage functions are fixed for the process: code that
     replaces one must empty the memo (`_worst.cache_clear()`).
     """
     stage, tail, survivors = stages[0], stages[1:], tuple(range(1, m + 1))
-    choices = [(_safe_report(stage, survivors),)] + [_report_space(stage, survivors)] * (n - 1)
-    folds = _fold(stage, survivors, choices)
+    mine, legal = _reports(stage, survivors)
+    folds = _fold(stage, survivors, [(mine,)] + [legal] * (n - 1))
     if isinstance(stage, CoverRound):
         # The adversaries pick the covering set: each set, as its one-bit
         # mask, plays with the first report tuple whose aggregate holds it.
@@ -545,10 +535,10 @@ def worst_case_guarantee(spec: ProtocolSpec, n: int, p: int) -> EvalReport:
 
     A state needs only the number of survivors.  Every stage reads labels
     through their order alone: the veto union, `_pad_set` (the lowest
-    labels), the cover mask (the combinations in label order),
-    `_safe_report` and `_report_space`.  So the order-preserving relabeling
-    of survivors S onto 1..|S| carries each play from S, its reports, its
-    listings and its survivors, onto a play from 1..|S|, in the same order.
+    labels), the cover mask (the combinations in label order) and
+    `_reports`.  So the order-preserving relabeling of survivors S onto
+    1..|S| carries each play from S, its reports, its listings and its
+    survivors, onto a play from 1..|S|, in the same order.
     Hence worst(idx, S)[k] = worst(idx, 1..|S|)[|S & 1..k|] (0 when that
     count is 0), with the same first worst reports relabeled, and the
     scenario count depends only on |S|.  The memo keys the remaining stages, n, |S| and the unit below,

@@ -45,7 +45,7 @@ RIGHT_SHOWCASE = profile([(1, 4, 5, 6, 2, 3), (2, 5, 6, 4, 3, 1), (3, 6, 4, 5, 1
 def _implement_at(lam, prof):
     """An outcome lottery implementing `lam` at `prof`, or None if none
     exists: the point of `_implementing_point` on the tail system."""
-    point, _ = feas._implementing_point(*feas._tail_system(lam, prof))
+    point, _ = feas._implementing_point(lam.p, *feas._tail_caps(lam), [pref.order for pref in prof.prefs])
     return None if point is None else OutcomeLottery(tuple(F(v, point[1]) for v in point[0]))
 
 
@@ -1384,10 +1384,9 @@ class TestIntegerRows:
 def _meets_tail_rows(ell, mu, prof):
     """`lp._meets`, the exact check every implementing point passes, on the
     tail rows of `mu` at `prof`."""
-    import worstvote.feasibility as feas
     from worstvote.lp import _meets
 
-    return _meets(feas._tail_rows(*feas._tail_system(mu, prof)), *_scaled(ell))
+    return _meets(implement_program(mu, prof).constraints, *_scaled(ell))
 
 
 def _implements_by_definition(ell, mu, prof):

@@ -459,6 +459,28 @@ class TestWarmMaster:
         # `dual` keeps the verdict (`lottery.dual` states this as observed).
         assert [is_maximal(dual(lam), n).verdict for n, lam in points] == warm
 
+    def test_the_store_never_receives_a_cut_twice(self, monkeypatch):
+        # Each cut the loop finds is violated by a candidate that meets
+        # every cut in the master, so no cut reaches the store twice, as
+        # long as each master holds every stored cut; the store's keyed
+        # dict would hide a second add.  The second pass runs on the
+        # masters that the first handed over.
+        grown = []
+        add = maximality._CutStore.add
+
+        def counting_add(store, cut, prof):
+            before = len(store.cuts)
+            add(store, cut, prof)
+            grown.append(len(store.cuts) - before)
+
+        monkeypatch.setattr(maximality._CutStore, "add", counting_add)
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        points = _anchor_mixtures()
+        for _ in range(2):
+            for n, lam in points:
+                is_maximal(lam, n)
+        assert grown and grown == [1] * len(grown)
+
 
 class TestAgainstMonolithicMaster:
     """The iterative improver must answer exactly like the one-shot LP that

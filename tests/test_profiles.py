@@ -27,7 +27,7 @@ from .test_lottery import rand_lottery, sorted_dot
 
 def _implementable(lam, prof):
     """Whether some outcome lottery implements `lam` at `prof`."""
-    point, _ = feas._implementing_point(*feas._tail_system(lam, prof))
+    point, _ = feas._implementing_point(lam.p, *feas._tail_caps(lam), [pref.order for pref in prof.prefs])
     return point is not None
 
 

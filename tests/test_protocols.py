@@ -793,12 +793,12 @@ def test_fold_matches_the_enumeration_of_report_tuples(stage):
     for m, n in itertools.product(range(1, 7), range(2, 5)):
         survivors = tuple(range(1, m + 1))
         try:
-            space = protocols._report_space(stage, survivors)
+            mine, space = protocols._reports(stage, survivors)
         except ValueError:
             continue
-        mine = protocols._safe_report(stage, survivors)
         folds = protocols._fold(stage, survivors, [(mine,)] + [space] * (n - 1))
-        tokens = [protocols._token(stage, survivors, rep) for rep in (mine, *space)]
+        # one report's token is the one aggregate that it alone reaches
+        tokens = [next(iter(protocols._fold(stage, survivors, [(rep,)]))) for rep in (mine, *space)]
         reached, folded, settled = {}, {}, {}
         for combo in itertools.product(range(1, len(tokens)), repeat=n - 1):
             agg = _reference_aggregate(stage, [tokens[0]] + [tokens[i] for i in combo])
@@ -815,6 +815,31 @@ def test_fold_matches_the_enumeration_of_report_tuples(stage):
             firsts.setdefault(agg, (mine, *(space[i] for i in combo)))
         assert {agg: count for agg, (count, _) in folds.items()} == reached, (m, n)
         assert [(agg, first) for agg, (_, first) in folds.items()] == list(firsts.items()), (m, n)
+
+
+@pytest.mark.parametrize("stage", _FOLD_STAGES, ids=_stage_id)
+def test_reports_pin_the_truthful_play(stage):
+    # Agent 1, whose worst survivor is the lowest label, vetoes its worst
+    # `tokens`, claims its best, reports its best (top) or worst (bottom)
+    # `depth` to a cover round and nothing to the uniform fallback; that
+    # report is legal, and a set larger than the survivors is refused.
+    for m in range(1, 7):
+        survivors = tuple(range(1, m + 1))
+        size = getattr(stage, "tokens", getattr(stage, "depth", 0))
+        if size > m:
+            with pytest.raises(ValueError, match=f"^no {size}-set to report among {m} outcomes$"):
+                protocols._reports(stage, survivors)
+            continue
+        mine, legal = protocols._reports(stage, survivors)
+        if isinstance(stage, VetoRound):
+            assert mine == frozenset(survivors[: stage.tokens])
+        elif isinstance(stage, DictatorRound):
+            assert mine == m
+        elif isinstance(stage, CoverRound):
+            assert mine == frozenset(survivors[m - size :] if stage.side == "top" else survivors[:size])
+        else:
+            assert mine is None
+        assert mine in legal, (m, mine)
 
 
 def test_step_runs_once_per_covering_set(monkeypatch, cold_memo):
