@@ -46,8 +46,9 @@ goes into the pool as it is.
 Fast verdicts come first: domination by the uniform lottery or, at
 3 <= n < p, by a mixture of anchors proves feasibility outright (any
 lottery implementing the dominating guarantee implements `lam`).  The
-anchors are the canonical guarantees, proved by their words' protocols
-with no scan or LP; their memo changes no report (`verified_anchors`).
+anchors are the canonical guarantees and those of the named covers, each
+proved by its protocol with no scan or LP; their memo changes no report
+(`verified_anchors`).
 The two-agent case is a closed-form inequality test; cheap covering
 arguments refute many infeasible inputs with an explicit witness profile,
 and at n >= p every one (`necessary_cuts`).
@@ -60,7 +61,6 @@ import math
 import os
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -84,8 +84,9 @@ from .profiles import Preference, Profile, block_profile, hard_profiles, reversa
 FEASIBLE = "feasible"
 UNDECIDED = "undecided"
 
-# The most chain layouts a scan builds; also the most first-stage report
-# aggregates, summed over the words, that `verified_anchors` evaluates.
+# The most chain layouts a scan builds; also the most first-stage reports,
+# summed over the words' aggregates and the named covers' report tuples,
+# that `verified_anchors` evaluates.
 _MAX_CHAINS = 200_000
 # Scans of fewer runs (systems sharing all but the last agent's layout,
 # before any is skipped) than this stay one in-process chunk even when
@@ -784,6 +785,16 @@ def _chunk_ranges(count: int, agents: int, parts: int, lowers_at: Sequence[int])
     return [r for r in ranges if r[0] < r[1]]
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """`concurrent.futures.ProcessPoolExecutor`, imported by the first scan
+    that starts a pool (from `_POOL_SWITCH` runs), so that importing the
+    package, and every smaller scan, leaves `multiprocessing` unimported.
+    Tests replace it with pools of their own."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _scan(
     p: int, n: int, ks: tuple[int, ...], caps: Sequence[int], cap_den: int,
     jobs: int, limit: Optional[int], deadline: Optional[float],
@@ -878,44 +889,69 @@ def _hull_mixture(
 
 
 def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float] = None) -> tuple[RankLottery, ...]:
-    """The uniform plus the canonical guarantees at (n, p), each proved
-    feasible by the protocol of its word (`compose.word_protocol`);
-    memoized per (n, p) once complete.
+    """The uniform, the canonical guarantees at (n, p), each proved feasible
+    by the protocol of its word (`compose.word_protocol`), then the
+    guarantees of the named covers (`protocols.cover_protocol`, modes
+    top-pair, bottom-pair and block, where defined), each proved by its
+    cover and kept when no anchor before it equals it; memoized per (n, p)
+    once complete.
 
-    Each anchor is what `worst_case_guarantee` evaluates for its word's
-    protocol, not the formula of `canonical_word`, which the tests tie to
-    it.  That evaluation is a proof on its own terms: at any profile, let
-    every agent play the protocol truthfully; each agent then gets at least
-    the evaluated guarantee.  The evaluation takes agent 1's worst case,
-    and the stages fold the reports symmetrically, so agent 1 stands for
-    every agent.
+    Each anchor is what `worst_case_guarantee` evaluates for its protocol,
+    not the formula of `canonical_word`, which the tests tie to it.  That
+    evaluation is a proof on its own terms: at any profile, let every agent
+    play the truthful report; each agent then gets at least the evaluated
+    guarantee.  The evaluation takes agent 1's worst case, and the stages
+    fold the reports symmetrically, so agent 1 stands for every agent.  A
+    cover round may play any covering set, and the evaluation takes the
+    adversaries' pick of it, so each agent secures a cover's evaluated
+    guarantee whichever covering set the mechanism plays.
 
-    A word's first stage folds about C(p, n) report aggregates, so the words
-    are evaluated in `enumerate_canonical` order while i * C(p, n) is at
-    most `_MAX_CHAINS`, i counting the words so far.  Measured cold, without
-    tracing, on a 2-core x86 VM with Python 3.11.7 (ROADMAP, "What this
-    re-anchor measured"): without that bound the 14 words of (7,22) took
-    35.3 s and 116 MB, the anchors of (9,19) 19.1 s and all 14 words of
-    (6,19) 5.1 s; within it, all 14 words of (3,10) take 0.02 s and the 7
-    of the 14 at (6,19) that it admits 1.7 s.  Fewer anchors are still
-    sound.
-    `deadline` is checked before each word, and a set it stops is returned
-    but not kept, so that a later call without one sees every anchor.
-    `jobs` is unused; callers that pass it keep working.
+    A word's first stage folds about C(p, n) report aggregates, a cover's
+    C(p, depth) ** (n - 1) adversary report tuples.  The words are
+    evaluated in `enumerate_canonical` order while i * C(p, n) is at most
+    `_MAX_CHAINS`, i counting the words so far, and each cover while the
+    words' count and the covers' so far, its own included, are at most
+    `_MAX_CHAINS` in all.  Measured cold, without tracing, on a 2-core x86
+    VM with Python 3.11.7 (ROADMAP, "What this re-anchor measured"):
+    without that bound the 14 words of (7,22) took 35.3 s and 116 MB, the
+    anchors of (9,19) 19.1 s and all 14 words of (6,19) 5.1 s, and the
+    (5,9) block cover's 1,679,616 tuples take 0.11 s; within it, all 14
+    words of (3,10) take 0.02 s, the 7 of the 14 at (6,19) that it admits
+    1.7 s, and the covers, at most 42,875 tuples each, add 0.4 ms at (3,5)
+    and 10 ms at (4,7).  Fewer anchors are still sound.
+    `deadline` is checked before each word and each cover, and a set it
+    stops is returned but not kept, so that a later call without one sees
+    every anchor.  `jobs` is unused; callers that pass it keep working.
     """
     if (n, p) in _anchor_cache:
         return _anchor_cache[n, p]
     anchors = [uniform(p)]
     if 3 <= n < p:
         from .compose import enumerate_canonical, word_protocol
-        from .protocols import parse_protocol, worst_case_guarantee
+        from .protocols import cover_protocol, parse_protocol, worst_case_guarantee
 
-        for i, (word, _) in enumerate(enumerate_canonical(n, p), 1):
-            if i * math.comb(p, n) > _MAX_CHAINS:
+        spent = 0
+        for word, _ in enumerate_canonical(n, p):
+            if spent + math.comb(p, n) > _MAX_CHAINS:
                 break
             if _expired(deadline):
                 return tuple(anchors)
+            spent += math.comb(p, n)
             anchors.append(worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved)
+        for mode in ("top-pair", "bottom-pair", "block"):
+            try:
+                spec = cover_protocol(n, p, mode)
+            except ValueError:  # not defined at (n, p)
+                continue
+            tuples = math.comb(p, spec.stages[0].depth) ** (n - 1)
+            if spent + tuples > _MAX_CHAINS:
+                continue
+            if _expired(deadline):
+                return tuple(anchors)
+            spent += tuples
+            achieved = worst_case_guarantee(spec, n, p).achieved
+            if achieved not in anchors:
+                anchors.append(achieved)
     _anchor_cache[n, p] = tuple(anchors)
     return _anchor_cache[n, p]
 
@@ -932,7 +968,9 @@ def is_feasible(
     """Decide membership of `lam` in the feasible-guarantee polytope.
 
     Feasible verdicts are proofs: either a domination argument (uniform or
-    a mixture of verified guarantees) or an exhaustive scan of tail systems.
+    a mixture of the anchors, the guarantees of the words and the named
+    covers, each proved by its protocol) or an exhaustive scan of tail
+    systems.
     Infeasible verdicts always carry a witness profile whose implementation
     LP is infeasible, plus its Farkas certificate.  Resource limits (profile
     count, wall-clock seconds) yield the explicit verdict "undecided",

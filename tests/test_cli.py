@@ -187,6 +187,16 @@ class TestExitCodes:
         )
         assert code == 0
         assert out.splitlines()[:2] == ["verdict: feasible", "method: mixture-dominates"]
+        # The midpoint of the uniform and the (3,5) top-pair cover: the cover
+        # is proved by its protocol, so no scan of 7,270 tail systems is needed.
+        code, out = run_cli(capsys, "feasible", "--n", "3", "--lottery", "7/20,1/10,1/10,7/20,1/10", "--jobs", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "verdict: feasible",
+            "method: mixture-dominates",
+            "mixture: 1/2 * (1/5,1/5,1/5,1/5,1/5) + 1/2 * (1/2,0,0,1/2,0)",
+            "profiles checked: 0",
+        ]
 
     def test_maximal_on_infeasible_input_is_usage_error(self, capsys):
         code, _ = run_cli(

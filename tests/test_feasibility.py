@@ -22,6 +22,7 @@ from worstvote.lottery import (
     RankLottery,
     convex_combination,
     dominates,
+    dual,
     lottery,
     parse_lottery,
     rd,
@@ -37,6 +38,13 @@ from .test_lottery import rand_lottery
 from .test_profiles import profile
 
 F = Fraction
+
+# The named covers' guarantees that `verified_anchors` appends after the
+# words, in mode order: top-pair, bottom-pair, then block where it differs.
+_COVER_ANCHORS = {
+    (3, 5): ("1/2,0,0,1/2,0", "1/3,0,1/3,1/3,0"),
+    (4, 7): ("1/2,0,0,0,1/2,0,0", "1/5,1/5,0,1/5,1/5,1/5,0", "1/3,1/3,0,0,0,1/3,0"),
+}
 
 LEFT_SHOWCASE = profile([(1, 2, 4, 5, 6, 3), (2, 3, 5, 6, 4, 1), (3, 1, 6, 4, 5, 2)])
 RIGHT_SHOWCASE = profile([(1, 4, 5, 6, 2, 3), (2, 5, 6, 4, 3, 1), (3, 6, 4, 5, 1, 2)])
@@ -280,22 +288,51 @@ class TestIsFeasible:
             13,
         )
 
-    @pytest.mark.parametrize("n, p", [(4, 9), (3, 10)], ids=str)
+    @pytest.mark.parametrize("n, p", [(3, 5), (4, 7), (5, 9), (4, 9), (3, 10)], ids=str)
     def test_anchors_are_proved_by_protocols_without_a_scan(self, monkeypatch, n, p):
-        # Every canonical guarantee, each far past what the old 5,000,000
-        # system cap let the anchors scan, with no scan, LP or engine call.
+        # The uniform, every canonical guarantee, each far past what the old
+        # 5,000,000 system cap let the anchors scan, then the named covers'
+        # guarantees in mode order (top-pair, bottom-pair, block), with no
+        # scan, LP or engine call.  At (3,5) the block cover is the top-pair
+        # cover, so it adds nothing; the (5,9) block cover's 36 ** 4 =
+        # 1,679,616 report tuples exceed `_MAX_CHAINS`, so it is not evaluated.
         import worstvote.feasibility as feas
         import worstvote.lp as lp
+        import worstvote.protocols as protocols
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the anchors ran the engine")
 
+        evaluated = []
+
+        def counted(spec, *args):
+            evaluated.append(spec)
+            return evaluate(spec, *args)
+
+        evaluate = protocols.worst_case_guarantee
         monkeypatch.setattr(feas, "_anchor_cache", {})
+        monkeypatch.setattr(protocols, "worst_case_guarantee", counted)
         for module, name in ((feas, "_scan"), (feas, "is_feasible"), (feas, "solve"), (lp, "solve")):
             monkeypatch.setattr(module, name, forbidden)
         canonical = [lam for _, lam in enumerate_canonical(n, p)]
-        assert len(canonical) == {(4, 9): 6, (3, 10): 14}[(n, p)]
-        assert feas.verified_anchors(n, p) == (uniform(p), *canonical)
+        assert len(canonical) == {(3, 5): 2, (4, 7): 2, (5, 9): 2, (4, 9): 6, (3, 10): 14}[(n, p)]
+        covers = [parse_lottery(text) for text in _COVER_ANCHORS.get((n, p), ())]
+        assert feas.verified_anchors(n, p) == (uniform(p), *canonical, *covers)
+        assert len(evaluated) == len(canonical) + {(3, 5): 3, (4, 7): 3}.get((n, p), 0)
+
+    @pytest.mark.parametrize("n, p", [(3, 5), (4, 7)], ids=str)
+    def test_cover_anchors_and_their_duals_scan_feasible(self, n, p):
+        # A cover anchor is never its own proof: the scan, with no hull,
+        # proves each feasible, and each one's dual: top-pair and
+        # bottom-pair are each other's duals, and the (4,7) block's dual
+        # is 1/4,0,1/4,1/4,1/4,0,0.
+        covers = [parse_lottery(text) for text in _COVER_ANCHORS[(n, p)]]
+        duals = [dual(lam) for lam in covers]
+        assert duals[:2] == covers[1::-1]
+        assert [mu.text() for mu in duals[2:]] == {(3, 5): [], (4, 7): ["1/4,0,1/4,1/4,1/4,0,0"]}[(n, p)]
+        for mu in dict.fromkeys(covers + duals):
+            report = is_feasible(mu, n, use_hull=False)
+            assert (report.verdict, report.method) == ("feasible", "scan"), mu.text()
 
     def test_anchors_past_the_bound_are_the_uniform_alone(self, monkeypatch):
         # C(25, 8) = 1,081,575 aggregates exceed `_MAX_CHAINS` at the first
@@ -310,22 +347,27 @@ class TestIsFeasible:
         monkeypatch.setattr(protocols, "worst_case_guarantee", forbidden)
         assert feas.verified_anchors(8, 25) == (uniform(25),)
 
-    def test_anchors_stopped_by_the_deadline_are_not_kept(self, monkeypatch):
+    @pytest.mark.parametrize("n, p, stop", [(3, 7, 3), (4, 7, 4)], ids=str)
+    def test_anchors_stopped_by_the_deadline_are_not_kept(self, monkeypatch, n, p, stop):
+        # The deadline is checked before each word and each cover: at (3,7)
+        # it stops the third word, at (4,7) the second cover, after both
+        # words and the top-pair cover.
         import worstvote.feasibility as feas
 
         calls = []
 
         def expired(deadline):
             calls.append(deadline)
-            return len(calls) == 3
+            return len(calls) == stop
 
         monkeypatch.setattr(feas, "_anchor_cache", {})
         monkeypatch.setattr(feas, "_expired", expired)
-        canonical = [lam for _, lam in enumerate_canonical(3, 7)]
-        assert feas.verified_anchors(3, 7, deadline=0.0) == (uniform(7), *canonical[:2])
-        assert (3, 7) not in feas._anchor_cache
-        assert feas.verified_anchors(3, 7) == (uniform(7), *canonical)
-        assert feas._anchor_cache[(3, 7)] == (uniform(7), *canonical)
+        whole = (uniform(p), *[lam for _, lam in enumerate_canonical(n, p)])
+        whole += tuple(parse_lottery(text) for text in _COVER_ANCHORS.get((n, p), ()))
+        assert feas.verified_anchors(n, p, deadline=0.0) == whole[:stop]
+        assert (n, p) not in feas._anchor_cache
+        assert feas.verified_anchors(n, p) == whole
+        assert feas._anchor_cache[(n, p)] == whole
 
     def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
         import worstvote.feasibility as feas

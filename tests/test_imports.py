@@ -1,5 +1,7 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -114,3 +116,12 @@ def test_every_method_is_read_as_an_attribute():
                 if not any(hasattr(base, item.name) for base in bases):
                     unread.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
     assert not unread, unread
+
+
+def test_importing_the_package_leaves_the_process_pool_unimported():
+    # Only a scan that starts a pool imports `concurrent.futures.process`
+    # (`feasibility.ProcessPoolExecutor`), and with it `multiprocessing`.
+    code = "import sys, worstvote; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -105,9 +105,12 @@ class TestImprove:
         assert len(calls) == 2
 
     def test_one_profile_budget_covers_every_check(self, monkeypatch):
-        # From an empty store the input's check scans 7,270 tail systems, a
-        # candidate's 33, and the improver's 7,270: 14,573 in all.  Each
-        # check gets what the ones before it left of the limit.
+        # From an empty store the input's check scans 647 tail systems, three
+        # candidates' 27, 23 and 5,055, and the improver's 88,427: 94,179 in
+        # all.  Each check gets what the ones before it left of the limit.
+        # At (3,5) the anchors' hull, covers included, proves every feasible
+        # lottery in twelfths, thirteenths and twentieths, so no (3,5) input
+        # found has two checks that scan.
         real_is_feasible = maximality.is_feasible
         reports = []
 
@@ -116,18 +119,21 @@ class TestImprove:
             return reports[-1]
 
         monkeypatch.setattr(maximality, "is_feasible", recorded)
-        lam = parse_lottery("3/13,2/13,3/13,4/13,1/13")
+        lam = parse_lottery("1/2,0,0,0,1/2,0,0")
         outcomes = {}
-        for limit in (7271, 14572, 14573):
+        for limit in (648, 94178, 94179):
             monkeypatch.setattr(maximality, "_cut_stores", {})
             reports.clear()
             report = is_maximal(lam, 3, limit_profiles=limit)
             assert sum(r.profiles_checked for r in reports) <= limit
             outcomes[limit] = (report.verdict, report.method)
+        assert [(r.method, r.profiles_checked) for r in reports] == [
+            ("scan", 647), ("scan", 27), ("scan", 23), ("scan", 5055), ("scan", 88427),
+        ]
         assert outcomes == {
-            7271: ("undecided", "profile-limit"),
-            14572: ("undecided", "profile-limit"),
-            14573: ("dominated", "candidate-feasible"),
+            648: ("undecided", "profile-limit"),
+            94178: ("undecided", "profile-limit"),
+            94179: ("dominated", "candidate-feasible"),
         }
 
     def test_undecided_verdicts_name_their_cause(self, monkeypatch):
