@@ -455,14 +455,17 @@ class _Tableau:
                 return self._infeasible(row, self.dens[leave])
             self.pivot(leave, enter)
 
-    def certify(self) -> None:
-        """Raise `AssertionError`, also under ``python -O``, unless the dual
-        read off the cost row proves the current point optimal."""
+    def certify(self) -> tuple[list[int], int]:
+        """The dual ``z / z_den`` read off the cost row, one multiplier per
+        program row and signed as for `_bounds`, once it proves the current
+        point optimal; `AssertionError`, also under ``python -O``, when it
+        does not."""
         if self.status != OPTIMAL:
             raise ValueError(f"only an optimum can be certified, not {self.status}")
         z = self._multipliers(self._slacks(self.cost))
         if not _bounds(self.raw, z, self.cost_den, self.obj, self.obj_den, self.result.objective_value):
             raise AssertionError("optimum failed its dual check")
+        return z, self.cost_den
 
 
 def solve(lp: LinearProgram) -> _Tableau:

@@ -4,7 +4,8 @@ A guarantee is maximal when no other feasible guarantee dominates it, so the
 word means something only inside `F(n, p)`.  `is_maximal` is the one entry
 point, and it proves its input feasible before anything else; an infeasible
 input is a ValueError, never a verdict.  It then answers n = 2 in closed
-form and tries the verified anchors as strict dominators.  What is left
+form, tries the certified duals stored for `(n, p)` as proofs of
+maximality, and the verified anchors as strict dominators.  What is left
 runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
 cuts from profiles that refuted earlier candidates.  Each `(n, p)` has one
@@ -36,9 +37,15 @@ slack exactly zero (maximal: even the relaxation admits no strict
 dominator, and the true feasible set is contained in the relaxation).
 Before a maximal verdict, the master's dual is checked in integers, which
 proves that zero is the master's optimum and not only the slack of some
-feasible point.  The store holds inequalities and a master over them only,
-never a verdict: the improver and the iteration count may depend on
-earlier calls at the same `(n, p)`, the verdicts cannot.
+feasible point.  The store keeps that dual too.  Its feasibility does not
+depend on the caps, so it bounds the master of every later input at the
+size; where that bound equals the input's objective (one integer
+equation in the input's caps), the dual, re-checked in full at those
+caps, proves the input maximal without moving the master.  The store
+holds inequalities, a master over them and certified duals, which are
+proofs re-checked for each input, never a verdict: the method, the
+improver and the iteration count may depend on earlier calls at the same
+`(n, p)`, the verdicts cannot.
 
 One profile budget and one deadline cover a whole call: the feasibility
 checks of the input and of every candidate share them, each check getting
@@ -56,7 +63,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .lottery import RankLottery, ZERO, convex_combination, dominates, is_symmetric
@@ -67,6 +76,7 @@ from .lp import (
     LinearProgram,
     Row,
     _Tableau,
+    _bounds,
     _reduce,
     _scaled,
     solve,
@@ -91,23 +101,47 @@ _LIMITS = ("time-limit", "profile-limit")  # the feasibility methods of a limit 
 
 class _CutStore:
     """The cover cuts found at one `(n, p)`, in the order found, each with
-    the profile whose implementation LP refuted a candidate with it.
+    the profile whose implementation LP refuted a candidate with it, and the
+    certified duals of the masters that ended maximal there.
 
     Every cut holds on all of `F(n, p)`.  A cut row is kept once, and each
     profile is held once, in `profiles`, in the order first met.  `master`
     is the solved master of the last `is_maximal` call at `(n, p)` that
-    returned, or None.
+    returned, or None.  Each entry of `duals` is ``(z, z_den, m, weights,
+    const)``: multipliers ``z / z_den`` over the master's rows (the mass
+    row, the p - 1 cap rows, then the first `m` stored cuts), and the
+    equation ``weights . caps + const * cap_den == 0`` on an input's
+    cumulatives ``caps / cap_den`` below rank p.  The rows' coefficients,
+    and so the dual's feasibility, are the same at every input's caps,
+    which change only right-hand sides; the equation holds exactly when
+    the dual's bound there equals the input's objective.
     """
 
     def __init__(self) -> None:
         self.cuts: dict[tuple[tuple[int, ...], int], tuple[Row, Profile]] = {}
         self.profiles: dict[Profile, Profile] = {}
         self.master: Optional[_Tableau] = None
+        self.duals: list[tuple[list[int], int, int, list[int], int]] = []
 
     def add(self, cut: Row, prof: Profile) -> None:
         key = (tuple(cut[0]), cut[1])
         if key not in self.cuts:
             self.cuts[key] = (cut, self.profiles.setdefault(prof, prof))
+
+    def first_cuts(self, m: int) -> list[Row]:
+        return [cut for cut, _ in islice(self.cuts.values(), m)]
+
+    def add_dual(self, z: list[int], z_den: int, p: int) -> None:
+        """Keep the dual that `certify` checked over a master's rows, with
+        its equation.  At caps ``c_k``, the bound ``-z . b / z_den`` equals
+        the objective ``sum_k c_k`` exactly when ``sum_k (z_k + z_den) *
+        c_k + z_0 + sum_cuts z_i * b_i == 0``, multiplied here by the cuts'
+        common denominator."""
+        m = len(z) - p
+        cuts = [(v, cut) for v, cut in zip(z[p:], self.first_cuts(m)) if v]
+        scale = lcm(*(den for _, (_, den, _) in cuts))
+        const = z[0] * scale + sum(v * ints[-1] * (scale // den) for v, (ints, den, _) in cuts)
+        self.duals.append((z, z_den, m, [(v + z_den) * scale for v in z[1:p]], const))
 
 
 _cut_stores: dict[tuple[int, int], _CutStore] = {}
@@ -137,8 +171,8 @@ class MaximalityReport:
     iterations: int = 0
     profiles_in_working_set: int = 0
     runtime_ms: int = 0
-    # The step that decided (two-agent, anchor-dominates, master-dual, candidate-feasible) or
-    # why none did (time-limit, profile-limit, feasibility-undecided).
+    # The step that decided (two-agent, stored-dual, anchor-dominates, master-dual,
+    # candidate-feasible) or why none did (time-limit, profile-limit, feasibility-undecided).
     method: str = ""
 
 
@@ -177,28 +211,36 @@ def is_maximal(
     """Decide whether `lam` is maximal in `F(n, p)`, with optional per-rank
     forcing profiles on a maximal verdict.
 
-    Four steps, in order: `lam` is proved feasible (ValueError when it is
+    Five steps, in order: `lam` is proved feasible (ValueError when it is
     refuted); at n = 2 it is maximal exactly when it equals its reflection,
-    and otherwise the midpoint of the two improves it; a verified anchor
+    and otherwise the midpoint of the two improves it; a certified dual
+    stored for `(n, p)`, newest first, whose bound at `lam`'s caps equals
+    `lam`'s objective proves it maximal (`stored-dual`, with no iteration,
+    working set or improver; a stored dual that meets its equation and then
+    fails the full re-check is an `AssertionError`); a verified anchor
     that strictly dominates it improves it; the cutting-plane loop decides
-    the rest.  `time_budget` covers all four, each step getting what the
-    steps before it leave.  `limit_profiles` caps the profile LPs and tail
-    systems of all the call's feasibility checks together, the input's and
-    every candidate's; the loop's tests at the working profiles are not
-    counted, since their number depends on the cuts stored by earlier calls.
+    the rest.  `time_budget` covers all five, each step getting what the
+    steps before it leave; the stored duals are not tried once it has run
+    out, and they spend no profile budget.  `limit_profiles` caps the
+    profile LPs and tail systems of all the call's feasibility checks
+    together, the input's and every candidate's; the loop's tests at the
+    working profiles are not counted, since their number depends on the
+    cuts stored by earlier calls.
 
     The loop runs on one master per `(n, p)`, kept in the cut store: built
     by the first call at the size, moved to `lam`'s caps by each later one,
     and kept again only when the call returns; a built master carries
     every cut stored for `(n, p)`, in store order, after the master rows.
+    A maximal verdict of the loop stores the master's certified dual.
     `iterations` counts the master optima this call read.  Each candidate
     of the loop is tested by `_implementing_point` at the working profiles,
     newest first: the store's profiles and `hard_profiles(n, p)`, plus each
     witness of this call.  Every cut found joins the store and the master.
     Where the master's optimum is not unique, the candidates, the improver
     and the iteration count can differ from those of a master solved from
-    scratch, and can depend on earlier calls at the same `(n, p)`.  The
-    verdicts cannot: maximal is proved by the master's dual over cuts that
+    scratch, and can depend on earlier calls at the same `(n, p)`; so can
+    whether a stored dual answers first.  The verdicts cannot: maximal is
+    proved by a master's dual, this call's or a stored one, over cuts that
     all hold on `F(n, p)`, dominated by the feasibility engine.
 
     The loop ends with no cap on its iterations.  Each iteration that does
@@ -246,25 +288,38 @@ def is_maximal(
             return finish(MAXIMAL, "two-agent")
         return finish(DOMINATED, "two-agent", convex_combination([(Fraction(1, 2), lam), (Fraction(1, 2), lam.reflect())]))
 
+    # Candidates mu: the tail rows of one identity order at every rank below
+    # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
+    # cumulative slack, sum_{k<p} (cum_k(lam) - cum_k(mu)), is minimizing
+    # sum_t (p - t) * mu_t, which is sum_{k<p} cum_k(mu).
+    lam_caps, lam_den = _scaled(lam.cumulative()[:-1])
+    master_rows = _tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))])
+    objective = [p - t for t in range(1, p + 1)]
+
+    # `lam` meets its own caps, the mass row and every cut, so a stored
+    # dual's bound at its caps is at most its objective; where the two are
+    # equal, no point of the master, and so no strict dominator, has a
+    # smaller one.
+    stored = _cut_stores.get((n, p))
+    if stored is not None and not _expired(deadline):
+        for z, z_den, m, weights, const in reversed(stored.duals):
+            if sum(map(mul, weights, lam_caps)) + const * lam_den == 0:
+                rows = [*master_rows, *stored.first_cuts(m)]
+                if not _bounds(rows, z, z_den, objective, 1, Fraction(sum(lam_caps), lam_den)):
+                    raise AssertionError("a stored dual failed its re-check")
+                return finish(MAXIMAL, "stored-dual")
+
     for anchor in verified_anchors(n, p, deadline=deadline):
         if anchor.probs != lam.probs and dominates(anchor, lam):
             return finish(DOMINATED, "anchor-dominates", anchor)
 
     working = _known_profiles(n, p)
     store = _cut_stores.setdefault((n, p), _CutStore())
-
-    # Candidates mu: the tail rows of one identity order at every rank below
-    # p, capped by `lam`'s cumulatives, then the cuts.  Maximizing total
-    # cumulative slack, sum_{k<p} (cum_k(lam) - cum_k(mu)), is minimizing
-    # sum_t (p - t) * mu_t.
-    lam_caps, lam_den = _scaled(lam.cumulative()[:-1])
-    master_rows = _tail_rows(p, range(1, p), lam_caps, lam_den, [tuple(range(1, p + 1))])
     # Only rows 1..p-1, the caps, differ between the masters of one size.
     master, store.master = store.master, None  # kept again only when this call returns
     if master is None:
-        objective = tuple(Fraction(p - t) for t in range(1, p + 1))
         cuts = tuple(cut for cut, _ in store.cuts.values())
-        master = solve(LinearProgram(p, (*master_rows, *cuts), objective))
+        master = solve(LinearProgram(p, (*master_rows, *cuts), tuple(map(Fraction, objective))))
     else:
         master.move(dict(enumerate(master_rows[1:], 1)))
     while True:
@@ -281,7 +336,7 @@ def is_maximal(
         if slack < 0:
             raise AssertionError("the input lottery should keep the master nonempty")
         if slack == 0:
-            master.certify()
+            store.add_dual(*master.certify(), p)
             ended = MAXIMAL, "master-dual"
             break
         mu_active = tuple(k for k in range(1, p) if x[k])

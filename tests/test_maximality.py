@@ -169,6 +169,9 @@ class TestImprove:
             ("1/2,0,0,1/2,0,0", 2, "dominated", "two-agent"),
             ("0,1,0,0,0,0", 3, "dominated", "anchor-dominates"),
             ("0,1/3,1/3,1/3,0,0", 3, "maximal", "master-dual"),
+            # The midpoint of vt(3,6) and the uniform, on the face that the
+            # master's dual at vt(3,6) supports.
+            ("1/12,1/4,1/4,1/4,1/12,1/12", 3, "maximal", "stored-dual"),
             ("1/3,1/12,1/6,1/4,1/6", 3, "dominated", "candidate-feasible"),
         ]
         for text, n, verdict, method in cases:
@@ -356,8 +359,9 @@ class TestCutStore:
             return real_solve(program)
 
         def counting_certify(master):
-            certify(master)
+            dual = certify(master)
             certified.append(master)
+            return dual
 
         monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
         monkeypatch.setattr(maximality, "solve", counting_solve)
@@ -431,36 +435,51 @@ class TestWarmMaster:
     def test_warm_and_cold_masters_agree_and_duals_share_verdicts(self, monkeypatch):
         certified = []
         certify = lp._Tableau.certify
+        rechecked = []  # per stored dual tried in full, whether it proved its input maximal
+        bounds = maximality._bounds
         built = []
         real_solve = maximality.solve
 
+        def counting_bounds(*args):
+            rechecked.append(bounds(*args))
+            return rechecked[-1]
+
         def counting_certify(master):
-            certify(master)
+            dual = certify(master)
             certified.append(master)
+            return dual
 
         def counting_solve(program):
             built.append(program.num_vars)
             return real_solve(program)
 
         monkeypatch.setattr(lp._Tableau, "certify", counting_certify)
+        monkeypatch.setattr(maximality, "_bounds", counting_bounds)
         monkeypatch.setattr(maximality, "solve", counting_solve)
         monkeypatch.setattr(maximality, "_cut_stores", {})
         points = _anchor_mixtures()
 
-        warm = [is_maximal(lam, n).verdict for n, lam in points]
+        reports = [is_maximal(lam, n) for n, lam in points]
+        warm = [report.verdict for report in reports]
         stores = maximality._cut_stores
         assert set(stores) == {(3, 5), (3, 6), (4, 6), (3, 7)}
         assert sorted(built) == sorted(p for _, p in stores) and all(store.master for store in stores.values())
-        assert len(certified) == warm.count("maximal")
+        # Each maximal verdict is proved once: by the dual that `certify`
+        # checked on its master, or by a stored dual that `_bounds`
+        # re-checked at its caps.
+        assert all(rechecked) and [r.method for r in reports].count("stored-dual") == len(rechecked) > 0
+        assert len(certified) + len(rechecked) == warm.count("maximal")
+        assert sum(len(store.duals) for store in stores.values()) == len(certified)
         assert warm.count("maximal") > 50 and warm.count("dominated") > 10, warm
 
-        # A fresh store, and so a fresh master, for each point.
+        # A fresh store, and so a fresh master and no stored dual, for each point.
+        proved = len(certified)
         cold = []
         for n, lam in points:
             stores.clear()
             cold.append(is_maximal(lam, n).verdict)
         assert cold == warm
-        assert len(certified) == 2 * warm.count("maximal")
+        assert len(certified) - proved == warm.count("maximal")
 
         # `dual` keeps the verdict (`lottery.dual` states this as observed).
         assert [is_maximal(dual(lam), n).verdict for n, lam in points] == warm
@@ -486,6 +505,44 @@ class TestWarmMaster:
             for n, lam in points:
                 is_maximal(lam, n)
         assert grown and grown == [1] * len(grown)
+
+
+class TestStoredDuals:
+    """A certified master dual kept in the store proves every later input
+    at which its bound equals the input's objective, and no other."""
+
+    def test_segment_duals_leave_the_triangle_interior_dominated(self, monkeypatch):
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        rng = random.Random(21)
+        u6, vt6, rd6 = uniform(6), vt(3, 6), rd(3, 6)
+        methods = []
+        for end in (vt6, rd6):
+            for _ in range(4):
+                w = F(rng.randint(400, 600), 1000)
+                report = is_maximal(convex_combination([(1 - w, u6), (w, end)]), 3)
+                assert report.verdict == "maximal"
+                methods.append(report.method)
+        assert set(methods) == {"master-dual", "stored-dual"}
+        assert len(maximality._cut_stores[3, 6].duals) == methods.count("master-dual")
+        for _ in range(4):
+            a, b = F(rng.randint(180, 220), 1200), F(rng.randint(180, 220), 1200)
+            lam = convex_combination([(1 - a - b, u6), (a, vt6), (b, rd6)])
+            report = is_maximal(lam, 3)
+            assert report.verdict == "dominated" and dominates(report.improver, lam)
+
+    def test_a_tampered_stored_dual_raises(self, monkeypatch):
+        # The dual's equation still holds at the second point on vt(3,6)'s
+        # face, but the dual no longer bounds the master there: the call
+        # raises (a `raise`, so also under -O) and leaves the master alone.
+        monkeypatch.setattr(maximality, "_cut_stores", {})
+        assert is_maximal(vt(3, 6), 3).method == "master-dual"
+        store = maximality._cut_stores[3, 6]
+        master = store.master
+        (z, z_den, m, weights, const), = store.duals
+        store.duals[0] = ([z[0] + 1, *z[1:]], z_den, m, weights, const)
+        with pytest.raises(AssertionError, match="stored dual"):
+            is_maximal(parse_lottery("1/12,1/4,1/4,1/4,1/12,1/12"), 3)
+        assert store.master is master
 
 
 class TestAgainstMonolithicMaster:
