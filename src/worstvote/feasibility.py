@@ -46,9 +46,9 @@ goes into the pool as it is.
 Fast verdicts come first: domination by the uniform lottery or, at
 3 <= n < p, by a mixture of anchors proves feasibility outright (any
 lottery implementing the dominating guarantee implements `lam`).  The
-anchors are the canonical guarantees and those of the named covers, each
-proved by its protocol with no scan or LP; their memo changes no report
-(`verified_anchors`).
+anchors are the canonical guarantees, by their formulas, and those of the
+named covers; a verdict uses each only once its protocol proves it, with
+no scan or LP (`verified_anchors`, `_prove`).
 The two-agent case is a closed-form inequality test; cheap covering
 arguments refute many infeasible inputs with an explicit witness profile,
 and at n >= p every one (`necessary_cuts`).
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .compose import enumerate_canonical, word_protocol
 from .lottery import RankLottery, ZERO, dominates, uniform
 from .lp import (
     EQ,
@@ -84,9 +85,9 @@ from .profiles import Preference, Profile, block_profile, hard_profiles, reversa
 FEASIBLE = "feasible"
 UNDECIDED = "undecided"
 
-# The most chain layouts a scan builds; also the most first-stage reports,
-# summed over the words' aggregates and the named covers' report tuples,
-# that `verified_anchors` evaluates.
+# The most chain layouts a scan builds; also the most first-stage report
+# aggregates of the one word that `_prove` evaluates, and the most report
+# tuples of the named covers, in all, that `verified_anchors` evaluates.
 _MAX_CHAINS = 200_000
 # Scans of fewer runs (systems sharing all but the last agent's layout,
 # before any is skipped) than this stay one in-process chunk even when
@@ -868,7 +869,8 @@ class FeasibilityReport:
         return self.verdict == FEASIBLE
 
 
-_anchor_cache: dict[tuple[int, int], tuple[RankLottery, ...]] = {}
+# Per (n, p): the anchors, and the words of those not proved yet by identity.
+_anchor_cache: dict[tuple[int, int], tuple[tuple[RankLottery, ...], dict[int, tuple[str, ...]]]] = {}
 
 
 def _hull_mixture(
@@ -888,56 +890,35 @@ def _hull_mixture(
     return tuple((w, anchor) for w, anchor in zip(solved.result.primal, anchors) if w > 0)
 
 
-def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float] = None) -> tuple[RankLottery, ...]:
-    """The uniform, the canonical guarantees at (n, p), each proved feasible
-    by the protocol of its word (`compose.word_protocol`), then the
-    guarantees of the named covers (`protocols.cover_protocol`, modes
-    top-pair, bottom-pair and block, where defined), each proved by its
-    cover and kept when no anchor before it equals it; memoized per (n, p)
-    once complete.
+def verified_anchors(n: int, p: int, *, jobs: int = 1) -> tuple[RankLottery, ...]:
+    """The uniform, the canonical guarantees at (n, p) by their formulas
+    (`compose.canonical_word`), then the guarantees of the named covers
+    (`protocols.cover_protocol`, modes top-pair, bottom-pair and block,
+    where defined), each evaluated and kept when no anchor before it equals
+    it; memoized per (n, p).  No word is evaluated here: a verdict uses a
+    word's anchor only after `_prove`.
 
-    Each anchor is what `worst_case_guarantee` evaluates for its protocol,
-    not the formula of `canonical_word`, which the tests tie to it.  That
-    evaluation is a proof on its own terms: at any profile, let every agent
-    play the truthful report; each agent then gets at least the evaluated
-    guarantee.  The evaluation takes agent 1's worst case, and the stages
-    fold the reports symmetrically, so agent 1 stands for every agent.  A
-    cover round may play any covering set, and the evaluation takes the
-    adversaries' pick of it, so each agent secures a cover's evaluated
-    guarantee whichever covering set the mechanism plays.
-
-    A word's first stage folds about C(p, n) report aggregates, a cover's
-    C(p, depth) ** (n - 1) adversary report tuples.  The words are
-    evaluated in `enumerate_canonical` order while i * C(p, n) is at most
-    `_MAX_CHAINS`, i counting the words so far, and each cover while the
-    words' count and the covers' so far, its own included, are at most
-    `_MAX_CHAINS` in all.  Measured cold, without tracing, on a 2-core x86
-    VM with Python 3.11.7 (ROADMAP, "What this re-anchor measured"):
-    without that bound the 14 words of (7,22) took 35.3 s and 116 MB, the
-    anchors of (9,19) 19.1 s and all 14 words of (6,19) 5.1 s, and the
-    (5,9) block cover's 1,679,616 tuples take 0.11 s; within it, all 14
-    words of (3,10) take 0.02 s, the 7 of the 14 at (6,19) that it admits
-    1.7 s, and the covers, at most 42,875 tuples each, add 0.4 ms at (3,5)
-    and 10 ms at (4,7).  Fewer anchors are still sound.
-    `deadline` is checked before each word and each cover, and a set it
-    stops is returned but not kept, so that a later call without one sees
-    every anchor.  `jobs` is unused; callers that pass it keep working.
+    An evaluation is a proof on its own terms: at any profile, let every
+    agent play the truthful report; each agent then gets at least the
+    evaluated guarantee.  The evaluation takes agent 1's worst case, and the
+    stages fold the reports symmetrically, so agent 1 stands for every
+    agent.  A cover round may play any covering set, and the evaluation
+    takes the adversaries' pick of it, so each agent secures a cover's
+    evaluated guarantee whichever covering set the mechanism plays.  A
+    cover's first stage folds C(p, depth) ** (n - 1) report tuples, at most
+    `_MAX_CHAINS` in all.  `jobs` is unused; callers that pass it keep working.
     """
     if (n, p) in _anchor_cache:
-        return _anchor_cache[n, p]
+        return _anchor_cache[n, p][0]
     anchors = [uniform(p)]
+    words: dict[int, tuple[str, ...]] = {}
     if 3 <= n < p:
-        from .compose import enumerate_canonical, word_protocol
-        from .protocols import cover_protocol, parse_protocol, worst_case_guarantee
+        from .protocols import cover_protocol, worst_case_guarantee
 
+        for word, lam in enumerate_canonical(n, p):
+            anchors.append(lam)
+            words[id(lam)] = word
         spent = 0
-        for word, _ in enumerate_canonical(n, p):
-            if spent + math.comb(p, n) > _MAX_CHAINS:
-                break
-            if _expired(deadline):
-                return tuple(anchors)
-            spent += math.comb(p, n)
-            anchors.append(worst_case_guarantee(parse_protocol(word_protocol(word), n, p), n, p).achieved)
         for mode in ("top-pair", "bottom-pair", "block"):
             try:
                 spec = cover_protocol(n, p, mode)
@@ -946,14 +927,33 @@ def verified_anchors(n: int, p: int, *, jobs: int = 1, deadline: Optional[float]
             tuples = math.comb(p, spec.stages[0].depth) ** (n - 1)
             if spent + tuples > _MAX_CHAINS:
                 continue
-            if _expired(deadline):
-                return tuple(anchors)
             spent += tuples
             achieved = worst_case_guarantee(spec, n, p).achieved
             if achieved not in anchors:
                 anchors.append(achieved)
-    _anchor_cache[n, p] = tuple(anchors)
-    return _anchor_cache[n, p]
+    _anchor_cache[n, p] = tuple(anchors), words
+    return _anchor_cache[n, p][0]
+
+
+def _prove(anchor: RankLottery, n: int, p: int, deadline: Optional[float]) -> bool:
+    """Whether `anchor`, one of `verified_anchors(n, p)`, is proved.  The
+    uniform and the covers are; a word is once `verify_safe_strategy` shows
+    that its protocol (`compose.word_protocol`) secures its formula, checked
+    at most once per process, and not while `deadline` has passed or if the
+    first stage folds more than `_MAX_CHAINS` aggregates, C(p, n).  A
+    protocol that does not secure its formula is an `AssertionError`."""
+    words = _anchor_cache[n, p][1]
+    word = words.get(id(anchor))
+    if word is None:
+        return True
+    if _expired(deadline) or math.comb(p, n) > _MAX_CHAINS:
+        return False
+    from .protocols import parse_protocol, verify_safe_strategy
+
+    if not verify_safe_strategy(parse_protocol(word_protocol(word), n, p), anchor, n, p):
+        raise AssertionError(f"the protocol of {','.join(word)} does not secure its formula at ({n},{p})")
+    del words[id(anchor)]
+    return True
 
 
 def is_feasible(
@@ -969,8 +969,8 @@ def is_feasible(
 
     Feasible verdicts are proofs: either a domination argument (uniform or
     a mixture of the anchors, the guarantees of the words and the named
-    covers, each proved by its protocol) or an exhaustive scan of tail
-    systems.
+    covers, each proved by its protocol before the mixture is returned) or
+    an exhaustive scan of tail systems.
     Infeasible verdicts always carry a witness profile whose implementation
     LP is infeasible, plus its Farkas certificate.  Resource limits (profile
     count, wall-clock seconds) yield the explicit verdict "undecided",
@@ -1025,8 +1025,8 @@ def is_feasible(
         return finish(FEASIBLE, "two-agent-exact")
 
     if use_hull:
-        mixture = _hull_mixture(lam, verified_anchors(n, p, deadline=deadline))
-        if mixture is not None:
+        mixture = _hull_mixture(lam, verified_anchors(n, p))
+        if mixture is not None and all(_prove(anchor, n, p, deadline) for _, anchor in mixture):
             return finish(FEASIBLE, "mixture-dominates", mixture=mixture)
 
     for prof in hard_profiles(n, p):

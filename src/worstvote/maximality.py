@@ -5,7 +5,7 @@ word means something only inside `F(n, p)`.  `is_maximal` is the one entry
 point, and it proves its input feasible before anything else; an infeasible
 input is a ValueError, never a verdict.  It then answers n = 2 in closed
 form, tries the certified duals stored for `(n, p)` as proofs of
-maximality, and the verified anchors as strict dominators.  What is left
+maximality, and the proved anchors as strict dominators.  What is left
 runs a cutting-plane loop: a small master LP proposes a candidate
 dominating the input with maximum total cumulative slack, subject to cover
 cuts from profiles that refuted earlier candidates.  Each `(n, p)` has one
@@ -87,6 +87,7 @@ from .feasibility import (
     FeasibilityReport,
     _expired,
     _implementing_point,
+    _prove,
     _tail_rows,
     implement_program,
     is_feasible,
@@ -217,15 +218,15 @@ def is_maximal(
     stored for `(n, p)`, newest first, whose bound at `lam`'s caps equals
     `lam`'s objective proves it maximal (`stored-dual`, with no iteration,
     working set or improver; a stored dual that meets its equation and then
-    fails the full re-check is an `AssertionError`); a verified anchor
-    that strictly dominates it improves it; the cutting-plane loop decides
-    the rest.  `time_budget` covers all five, each step getting what the
-    steps before it leave; the stored duals are not tried once it has run
-    out, and they spend no profile budget.  `limit_profiles` caps the
-    profile LPs and tail systems of all the call's feasibility checks
-    together, the input's and every candidate's; the loop's tests at the
-    working profiles are not counted, since their number depends on the
-    cuts stored by earlier calls.
+    fails the full re-check is an `AssertionError`); an anchor that
+    strictly dominates it, once proved (`feasibility._prove`), improves it;
+    the cutting-plane loop decides the rest.  `time_budget` covers all
+    five, each step getting what the steps before it leave; the stored
+    duals are not tried once it has run out, and they spend no profile
+    budget.  `limit_profiles` caps the profile LPs and tail systems of all
+    the call's feasibility checks together, the input's and every
+    candidate's; the loop's tests at the working profiles are not counted,
+    since their number depends on the cuts stored by earlier calls.
 
     The loop runs on one master per `(n, p)`, kept in the cut store: built
     by the first call at the size, moved to `lam`'s caps by each later one,
@@ -309,8 +310,8 @@ def is_maximal(
                     raise AssertionError("a stored dual failed its re-check")
                 return finish(MAXIMAL, "stored-dual")
 
-    for anchor in verified_anchors(n, p, deadline=deadline):
-        if anchor.probs != lam.probs and dominates(anchor, lam):
+    for anchor in verified_anchors(n, p):
+        if anchor.probs != lam.probs and dominates(anchor, lam) and _prove(anchor, n, p, deadline):
             return finish(DOMINATED, "anchor-dominates", anchor)
 
     working = _known_profiles(n, p)

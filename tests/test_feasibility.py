@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import worstvote.feasibility as feas
-from worstvote.compose import enumerate_canonical
+from worstvote.compose import canonical_word, enumerate_canonical
 from worstvote.feasibility import (
     active_ranks,
     balanced_family,
@@ -48,6 +48,23 @@ _COVER_ANCHORS = {
 
 LEFT_SHOWCASE = profile([(1, 2, 4, 5, 6, 3), (2, 3, 5, 6, 4, 1), (3, 1, 6, 4, 5, 2)])
 RIGHT_SHOWCASE = profile([(1, 4, 5, 6, 2, 3), (2, 5, 6, 4, 3, 1), (3, 6, 4, 5, 1, 2)])
+
+
+def _count_word_proofs(monkeypatch):
+    """Empty the anchors' memo and record the guarantee of each word that a
+    protocol evaluation proves (`protocols.verify_safe_strategy`), in order."""
+    import worstvote.protocols as protocols
+
+    proved = []
+    check = protocols.verify_safe_strategy
+
+    def counted(spec, lam, n, p):
+        proved.append(lam)
+        return check(spec, lam, n, p)
+
+    monkeypatch.setattr(feas, "_anchor_cache", {})
+    monkeypatch.setattr(protocols, "verify_safe_strategy", counted)
+    return proved
 
 
 def _implement_at(lam, prof):
@@ -290,12 +307,13 @@ class TestIsFeasible:
 
     @pytest.mark.parametrize("n, p", [(3, 5), (4, 7), (5, 9), (4, 9), (3, 10)], ids=str)
     def test_anchors_are_proved_by_protocols_without_a_scan(self, monkeypatch, n, p):
-        # The uniform, every canonical guarantee, each far past what the old
-        # 5,000,000 system cap let the anchors scan, then the named covers'
-        # guarantees in mode order (top-pair, bottom-pair, block), with no
-        # scan, LP or engine call.  At (3,5) the block cover is the top-pair
-        # cover, so it adds nothing; the (5,9) block cover's 36 ** 4 =
-        # 1,679,616 report tuples exceed `_MAX_CHAINS`, so it is not evaluated.
+        # The uniform, every canonical guarantee by its formula, then the
+        # named covers' guarantees in mode order (top-pair, bottom-pair,
+        # block), with no scan, LP or engine call.  Only the covers are
+        # evaluated; a word is proved where a verdict uses it.  At (3,5) the
+        # block cover is the top-pair cover, so it adds nothing; the (5,9)
+        # block cover's 36 ** 4 = 1,679,616 report tuples exceed
+        # `_MAX_CHAINS`, so it is not evaluated.
         import worstvote.feasibility as feas
         import worstvote.lp as lp
         import worstvote.protocols as protocols
@@ -312,13 +330,14 @@ class TestIsFeasible:
         evaluate = protocols.worst_case_guarantee
         monkeypatch.setattr(feas, "_anchor_cache", {})
         monkeypatch.setattr(protocols, "worst_case_guarantee", counted)
-        for module, name in ((feas, "_scan"), (feas, "is_feasible"), (feas, "solve"), (lp, "solve")):
+        for module, name in ((feas, "_scan"), (feas, "is_feasible"), (feas, "solve"), (lp, "solve"),
+                             (protocols, "verify_safe_strategy")):
             monkeypatch.setattr(module, name, forbidden)
         canonical = [lam for _, lam in enumerate_canonical(n, p)]
         assert len(canonical) == {(3, 5): 2, (4, 7): 2, (5, 9): 2, (4, 9): 6, (3, 10): 14}[(n, p)]
         covers = [parse_lottery(text) for text in _COVER_ANCHORS.get((n, p), ())]
         assert feas.verified_anchors(n, p) == (uniform(p), *canonical, *covers)
-        assert len(evaluated) == len(canonical) + {(3, 5): 3, (4, 7): 3}.get((n, p), 0)
+        assert len(evaluated) == {(3, 5): 3, (4, 7): 3}.get((n, p), 0)
 
     @pytest.mark.parametrize("n, p", [(3, 5), (4, 7)], ids=str)
     def test_cover_anchors_and_their_duals_scan_feasible(self, n, p):
@@ -334,40 +353,83 @@ class TestIsFeasible:
             report = is_feasible(mu, n, use_hull=False)
             assert (report.verdict, report.method) == ("feasible", "scan"), mu.text()
 
-    def test_anchors_past_the_bound_are_the_uniform_alone(self, monkeypatch):
-        # C(25, 8) = 1,081,575 aggregates exceed `_MAX_CHAINS` at the first
-        # word, so no word is evaluated.
-        import worstvote.feasibility as feas
+    def test_an_input_no_anchor_mixture_dominates_proves_no_word(self, monkeypatch):
+        # Cold at (6,19), no mixture of the 15 anchors dominates this input,
+        # so no word is evaluated before the library refutes it.
+        proved = _count_word_proofs(monkeypatch)
+        report = is_feasible(parse_lottery("1/2,0,0,0,0,0,0,0,1/4,0,0,1/16,0,0,0,0,3/16,0,0"), 6)
+        assert (report.verdict, report.method, report.profiles_checked) == ("infeasible", "library-profile", 20)
+        assert proved == []
+
+    def test_a_word_anchor_is_proved_alone_by_its_own_guarantee(self, monkeypatch):
+        # Cold at (6,19), the full-depth word VT,RD,VT's guarantee is its
+        # own mixture, and only its protocol is evaluated.
+        proved = _count_word_proofs(monkeypatch)
+        lam = canonical_word(("VT", "RD", "VT"), 6, 19)
+        report = is_feasible(lam, 6)
+        assert (report.verdict, report.method, report.mixture) == ("feasible", "mixture-dominates", ((1, lam),))
+        assert proved == [lam]
+
+    def test_anchor_proofs_wait_for_a_call_with_time(self, monkeypatch):
+        # A budget of 0 at a cold size proves no word, so the mixture is no
+        # verdict, and the library pass stops at the deadline.  The memo
+        # keeps proofs, never verdicts: a later call without a budget proves
+        # the word and answers by the mixture, and a third proves nothing.
+        proved = _count_word_proofs(monkeypatch)
+        lam = canonical_word(("RD", "VT"), 3, 7)
+        report = is_feasible(lam, 3, time_budget=0.0)
+        assert (report.verdict, report.method, report.profiles_checked) == ("undecided", "time-limit", 0)
+        assert proved == []
+        for _ in range(2):
+            report = is_feasible(lam, 3)
+            assert (report.verdict, report.method, report.mixture) == ("feasible", "mixture-dominates", ((1, lam),))
+            assert proved == [lam]
+
+    def test_no_word_anchor_is_proved_past_the_bound(self, monkeypatch):
+        # C(25, 8) = 1,081,575 first-stage aggregates exceed `_MAX_CHAINS`,
+        # so no (8,25) word is evaluated: a word's own guarantee gets no
+        # mixture verdict, and its scan is too large to run.
         import worstvote.protocols as protocols
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a word was evaluated")
 
         monkeypatch.setattr(feas, "_anchor_cache", {})
+        monkeypatch.setattr(protocols, "verify_safe_strategy", forbidden)
         monkeypatch.setattr(protocols, "worst_case_guarantee", forbidden)
-        assert feas.verified_anchors(8, 25) == (uniform(25),)
+        assert feas.verified_anchors(8, 25) == (uniform(25), *[lam for _, lam in enumerate_canonical(8, 25)])
+        report = is_feasible(canonical_word(("VT",), 8, 25), 8)
+        assert report.verdict == "undecided" and report.method.startswith("scan-too-large:")
 
-    @pytest.mark.parametrize("n, p, stop", [(3, 7, 3), (4, 7, 4)], ids=str)
-    def test_anchors_stopped_by_the_deadline_are_not_kept(self, monkeypatch, n, p, stop):
-        # The deadline is checked before each word and each cover: at (3,7)
-        # it stops the third word, at (4,7) the second cover, after both
-        # words and the top-pair cover.
-        import worstvote.feasibility as feas
-
-        calls = []
-
-        def expired(deadline):
-            calls.append(deadline)
-            return len(calls) == stop
-
+    def test_a_word_anchor_its_protocol_does_not_secure_raises(self, monkeypatch):
+        # Every word played by the uniform protocol, whose guarantee does not
+        # dominate a word's: the anchor is broken, and the call raises, also
+        # under -O, with no verdict.
         monkeypatch.setattr(feas, "_anchor_cache", {})
-        monkeypatch.setattr(feas, "_expired", expired)
-        whole = (uniform(p), *[lam for _, lam in enumerate_canonical(n, p)])
-        whole += tuple(parse_lottery(text) for text in _COVER_ANCHORS.get((n, p), ()))
-        assert feas.verified_anchors(n, p, deadline=0.0) == whole[:stop]
-        assert (n, p) not in feas._anchor_cache
-        assert feas.verified_anchors(n, p) == whole
-        assert feas._anchor_cache[(n, p)] == whole
+        monkeypatch.setattr(feas, "word_protocol", lambda word: "uniform")
+        with pytest.raises(AssertionError, match="does not secure its formula"):
+            is_feasible(canonical_word(("RD", "VT"), 3, 7), 3)
+
+    def test_every_anchor_a_mixture_names_is_proved(self, monkeypatch):
+        # Over the memo corpus, each input cold: every anchor of a returned
+        # mixture is one of `verified_anchors` and proved, a word by its
+        # protocol in this call, and each word is evaluated at most once.
+        proved = _count_word_proofs(monkeypatch)
+        mixtures = 0
+        for lam, n in _memo_corpus():
+            monkeypatch.setattr(feas, "_anchor_cache", {})
+            proved.clear()
+            report = is_feasible(lam, n)
+            if report.method != "mixture-dominates":
+                continue
+            mixtures += 1
+            anchors, unproved = feas._anchor_cache[n, lam.p]
+            words = {id(word) for word in anchors[1:1 + len(enumerate_canonical(n, lam.p))]}
+            for _, anchor in report.mixture:
+                assert any(anchor is held for held in anchors) and id(anchor) not in unproved
+                assert id(anchor) not in words or any(anchor is word for word in proved)
+            assert len({id(word) for word in proved}) == len(proved) <= len(report.mixture)
+        assert mixtures == 16, mixtures
 
     def test_hull_verdict_is_not_served_to_a_scan_call(self, monkeypatch):
         import worstvote.feasibility as feas

@@ -178,6 +178,39 @@ class TestImprove:
             report = is_maximal(parse_lottery(text), n)
             assert (report.verdict, report.method) == (verdict, method), text
 
+    def test_an_anchor_improver_is_proved_by_its_protocol(self, monkeypatch):
+        # The input's check is stubbed feasible, so only the dominator step
+        # can prove a word.  With no time left it proves none and answers
+        # nothing by an anchor; then it proves the one word it returns, and
+        # a protocol that does not secure its formula raises, also under -O.
+        import worstvote.protocols as protocols
+
+        proved = []
+        check = protocols.verify_safe_strategy
+
+        def counted(spec, lam, n, p):
+            proved.append(lam)
+            return check(spec, lam, n, p)
+
+        def feasible(lam, n, **kwargs):
+            return feasibility.FeasibilityReport("feasible", n, lam.p)
+
+        monkeypatch.setattr(protocols, "verify_safe_strategy", counted)
+        monkeypatch.setattr(maximality, "is_feasible", feasible)
+        lam = parse_lottery("0,1,0,0,0,0")
+        for budget, method in ((0.0, "time-limit"), (None, "anchor-dominates")):
+            monkeypatch.setattr(feasibility, "_anchor_cache", {})
+            monkeypatch.setattr(maximality, "_cut_stores", {})
+            report = is_maximal(lam, 3, time_budget=budget)
+            assert report.method == method
+        anchors, unproved = feasibility._anchor_cache[3, 6]
+        assert proved == [report.improver] and id(report.improver) not in unproved
+        assert any(report.improver is anchor for anchor in anchors[1:])
+        monkeypatch.setattr(feasibility, "_anchor_cache", {})
+        monkeypatch.setattr(feasibility, "word_protocol", lambda word: "uniform")
+        with pytest.raises(AssertionError, match="does not secure its formula"):
+            is_maximal(lam, 3)
+
     def test_improver_is_strict_and_feasible(self):
         rng = random.Random(0)
         checked = 0

@@ -575,8 +575,9 @@ def test_word_protocol_texts():
 
 @pytest.mark.parametrize("p", range(4, 15))
 def test_every_word_protocol_achieves_its_formula(p):
-    # `verified_anchors` takes these evaluations, not the formula, as its
-    # anchors; this ties the two together at 3 <= n < p <= 14, and
+    # `verified_anchors` takes the formulas as its anchors, and `_prove`
+    # checks a word's evaluation against its formula where a verdict uses
+    # it; this ties the two together at 3 <= n < p <= 14, and
     # `tests/protocol_sweep.py` goes on to p = 19 at n = 3..6.
     for n in range(3, p):
         _check_word_protocols(n, p)
